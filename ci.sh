@@ -53,6 +53,16 @@ run cargo test -q --offline --test scheduler_poison
 # admission control) and the graceful-shutdown / torn-WAL proof.
 run cargo test -q --offline --test net_differential
 run cargo test -q --offline --test net_shutdown
+# The repo benchmark (BENCHMARK.json) is a workspace of its own that none
+# of the above builds, so a library API change can break it silently: build
+# it unmodified and smoke every workload against its oracle.
+echo "==> benchmark/run.sh --quick"
+QUICK="$(benchmark/run.sh --quick)"
+if [ "$(grep -c '/passed_ops_share 1 ratio$' <<<"$QUICK")" -ne 5 ]; then
+    echo "$QUICK"
+    echo "benchmark --quick: not every workload passed all its operations"
+    exit 1
+fi
 # Benches are excluded from `cargo test` (they are timed loops); keep them
 # compiling — including the analytic-engine aggregate bench, the
 # snapshot/compaction bench, the partition-layer bench and the join

@@ -38,18 +38,16 @@
 use crate::error::DbError;
 use crate::exec::aggregate::{build_histogram, remap_codes, ColumnCodes, Remapped};
 use crate::exec::plan::AggregatePlan;
-use crate::obs::{EcallIo, EcallKind, SpanId};
+use crate::obs::SpanId;
 use crate::server::{
-    fan_out, matching_rids_multi, BatchKey, CallClass, CellValue, ColumnDelta, DbaasServer,
-    EnclaveCtx, MainColumn, QueryStats, SelectResponse, ServerFilter,
+    fan_out, matching_rids_multi, CellValue, ColumnDelta, DbaasServer, EnclaveCtx, MainColumn,
+    QueryStats, SelectResponse, ServerFilter,
 };
 use colstore::delta::DeltaStore;
 use colstore::dictionary::RecordId;
 use encdict::aggregate::{AggPlanSpec, AggSpec, GroupPartials, OutputItem};
-use encdict::batch::{
-    OwnedAggColumn, OwnedAggPartition, OwnedAggregateCall, OwnedDictCall, SegSource,
-};
-use encdict::enclave_ops::{AggCell, DictReply};
+use encdict::batch::{AggPartitionData, AggregateRequest, ColumnData, SegSource};
+use encdict::enclave_ops::AggCell;
 use encdict::PlainDictionary;
 
 /// Resolves the distinct touched codes of a PLAIN column to their values
@@ -194,7 +192,6 @@ impl DbaasServer {
             let pspan = obs_ref.span_arg("partition", "query", scan_span.id(), pid as u64);
             let ctx = EnclaveCtx {
                 sched: self.scheduler(),
-                obs: obs_ref,
                 parent: pspan.id(),
                 part: pid as u64,
             };
@@ -244,18 +241,18 @@ impl DbaasServer {
         let agg_start = std::time::Instant::now();
         let rows: Vec<Vec<CellValue>> = if any_encrypted {
             // Partitions with no matching rows contribute no part. The
-            // request is built in owned form (Arc'd main generations,
+            // request owns what it references (Arc'd main generations,
             // copied delta segments) so it can ride a combined transition
             // of the cross-session scheduler; its generation key is the
             // maximum epoch among the included partition snapshots.
             let mut generation = 0u64;
-            let part_data: Vec<OwnedAggPartition> = active
+            let part_data: Vec<AggPartitionData> = active
                 .iter()
                 .zip(&parts)
                 .filter(|(_, scan)| !scan.remapped.tuples.is_empty())
                 .map(|((pid, snap), scan)| {
                     generation = generation.max(snap.epoch());
-                    OwnedAggPartition {
+                    AggPartitionData {
                         columns: ref_idx
                             .iter()
                             .enumerate()
@@ -264,13 +261,13 @@ impl DbaasServer {
                                     (
                                         MainColumn::Encrypted(main),
                                         ColumnDelta::Encrypted(delta),
-                                    ) => OwnedAggColumn::Encrypted {
+                                    ) => ColumnData::Encrypted {
                                         main: SegSource::Shared(main.dict_arc()),
-                                        delta: delta.owned_segment(),
+                                        delta: delta.segment_copy(),
                                         codes: scan.remapped.codes[c].clone(),
                                         cache: Some((*pid as u64, snap.epoch())),
                                     },
-                                    _ => OwnedAggColumn::Plain {
+                                    _ => ColumnData::Plain {
                                         values: scan.plain_tables[c]
                                             .clone()
                                             .expect("resolved above"),
@@ -292,76 +289,14 @@ impl DbaasServer {
                 // (no GROUP BY) aggregate still consults the enclave even
                 // with zero parts: its NULL row carries cells encrypted
                 // under the column keys.
-                //
-                // bytes_in approximates the request payload: 4 bytes per
-                // remapped code or tuple slot plus resolved plain values.
-                let bytes_in: u64 = part_data
-                    .iter()
-                    .map(|p| {
-                        let cols: u64 = p
-                            .columns
-                            .iter()
-                            .map(|c| match c {
-                                OwnedAggColumn::Encrypted { codes, .. } => 4 * codes.len() as u64,
-                                OwnedAggColumn::Plain { values } => {
-                                    values.iter().map(|v| v.len() as u64).sum()
-                                }
-                            })
-                            .sum();
-                        cols + 4 * p.tuples.len() as u64
-                    })
-                    .sum();
-                let outcome = self.scheduler().submit(
-                    OwnedDictCall::Aggregate(OwnedAggregateCall {
-                        table_name: t.schema.name.clone(),
-                        col_names: col_names.iter().map(|n| n.map(str::to_string)).collect(),
-                        parts: part_data,
-                        plan: spec.clone(),
-                    }),
-                    BatchKey {
-                        class: CallClass::Aggregate,
-                        generation,
-                    },
-                );
-                let batched = outcome.batched();
-                let reply = match outcome.reply {
-                    DictReply::Aggregated(Ok(reply)) => reply,
-                    DictReply::Aggregated(Err(e)) => return Err(e.into()),
-                    _ => unreachable!("aggregate call returns aggregate reply"),
+                let req = AggregateRequest {
+                    table_name: t.schema.name.clone(),
+                    col_names: col_names.iter().map(|n| n.map(str::to_string)).collect(),
+                    parts: part_data,
+                    plan: spec.clone(),
                 };
-                if !batched {
-                    let bytes_out: u64 = reply
-                        .rows
-                        .iter()
-                        .map(|row| {
-                            row.iter()
-                                .map(|cell| match cell {
-                                    AggCell::Encrypted(b) | AggCell::Plain(b) => b.len() as u64,
-                                })
-                                .sum::<u64>()
-                        })
-                        .sum();
-                    obs.ecall(
-                        EcallKind::Aggregate,
-                        EcallIo {
-                            bytes_in,
-                            bytes_out,
-                            values_decrypted: reply.values_decrypted as u64,
-                            untrusted_loads: outcome.untrusted_loads,
-                            untrusted_bytes: outcome.untrusted_bytes,
-                            cache_hits: outcome.cache_hits,
-                            cache_misses: outcome.cache_misses,
-                        },
-                        outcome.start_ns,
-                        outcome.dur_ns,
-                        parent,
-                    );
-                }
-                stats.enclave_calls += 1;
-                stats.values_decrypted += reply.values_decrypted;
-                stats.cache_hits += outcome.cache_hits as usize;
-                stats.ecall_wait_ns += outcome.wait_ns;
-                stats.batch_peers += outcome.peers - 1;
+                let (reply, cost) = self.scheduler().aggregate(req, generation, parent)?;
+                cost.absorb_into(&mut stats);
                 reply
                     .rows
                     .into_iter()

@@ -22,8 +22,9 @@ use std::sync::Mutex;
 /// atomics, so evicting old records never loses aggregate counts.
 const LEDGER_CAPACITY: usize = 65_536;
 
-/// The kind of an enclave transition, one per `DictCall` wrapper on
-/// `encdict::DictEnclave`.
+/// The kind of an enclave transition: one per kind of call
+/// `encdict::DictEnclave` serves, plus `Batch` for a transition several
+/// read-path calls shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EcallKind {
     /// Dictionary range/point search (main or delta dictionary).

@@ -21,17 +21,16 @@
 //!   smoothing/hiding kinds never qualify — their dictionaries map one
 //!   value to many entries, so only the bridge sees equality.
 
-use super::scheduler::{BatchKey, CallClass};
 use super::snapshot::{fan_out, matching_rids_multi, EnclaveCtx, TableSnapshot};
 use super::{
     CellValue, ColumnDelta, DbaasServer, JoinSideQuery, MainColumn, QueryStats, SelectResponse,
 };
 use crate::error::DbError;
-use crate::obs::{EcallIo, EcallKind, SpanId};
+use crate::obs::SpanId;
 use crate::schema::DictChoice;
 use colstore::dictionary::RecordId;
-use encdict::batch::{OwnedDictCall, OwnedJoinBridgeCall, OwnedJoinKey, OwnedJoinSide, SegSource};
-use encdict::enclave_ops::{bridge_key_tables, DictReply};
+use encdict::batch::{ColumnData, JoinBridgeRequest, JoinSideData, SegSource};
+use encdict::enclave_ops::bridge_key_tables;
 use encdict::RepetitionOption;
 use std::collections::{BTreeSet, HashMap};
 
@@ -73,7 +72,6 @@ fn scan_side(
         let pspan = obs_ref.span_arg("partition", "query", parent, pid as u64);
         let ctx = EnclaveCtx {
             sched: server.scheduler(),
-            obs: obs_ref,
             parent: pspan.id(),
             part: pid as u64,
         };
@@ -356,9 +354,10 @@ impl DbaasServer {
         }
 
         // The general case (mixed protections or both encrypted): one
-        // JoinBridge ECALL for the whole query, built in owned form
-        // (Arc'd main generations, copied delta segments) so it can ride
-        // a combined transition of the cross-session scheduler.
+        // JoinBridge ECALL for the whole query. The request owns what it
+        // references (Arc'd main generations, copied delta segments) so
+        // it can ride a combined transition of the cross-session
+        // scheduler.
         fn build_side(
             ts: &TableSnapshot,
             table: &str,
@@ -368,7 +367,7 @@ impl DbaasServer {
             scan: &[SidePartScan],
             plain: &Option<Vec<Vec<Vec<u8>>>>,
             generation: &mut u64,
-        ) -> OwnedJoinSide {
+        ) -> JoinSideData {
             let parts = if encrypted {
                 ts.active
                     .iter()
@@ -380,9 +379,9 @@ impl DbaasServer {
                             unreachable!("schema says the key column is encrypted");
                         };
                         *generation = (*generation).max(snap.epoch());
-                        OwnedJoinKey::Encrypted {
+                        ColumnData::Encrypted {
                             main: SegSource::Shared(main.dict_arc()),
-                            delta: delta.owned_segment(),
+                            delta: delta.segment_copy(),
                             codes: part.distinct.clone(),
                             cache: Some((*pid as u64, snap.epoch())),
                         }
@@ -393,19 +392,19 @@ impl DbaasServer {
                     .as_ref()
                     .expect("resolved above")
                     .iter()
-                    .map(|values| OwnedJoinKey::Plain {
+                    .map(|values| ColumnData::Plain {
                         values: values.clone(),
                     })
                     .collect()
             };
-            OwnedJoinSide {
+            JoinSideData {
                 table_name: table.to_string(),
                 col_name: encrypted.then(|| key.to_string()),
                 parts,
             }
         }
         let mut generation = 0u64;
-        let req = OwnedJoinBridgeCall {
+        let req = JoinBridgeRequest {
             left: build_side(
                 lts,
                 &left.table,
@@ -427,56 +426,8 @@ impl DbaasServer {
                 &mut generation,
             ),
         };
-        // Request payload: 4 bytes per distinct encrypted code plus the
-        // resolved plaintexts of a PLAIN side; reply payload: one 4-byte
-        // bridge-id slot per distinct code of either side.
-        let side_bytes = |side: &OwnedJoinSide| -> u64 {
-            side.parts
-                .iter()
-                .map(|p| match p {
-                    OwnedJoinKey::Encrypted { codes, .. } => 4 * codes.len() as u64,
-                    OwnedJoinKey::Plain { values } => values.iter().map(|v| v.len() as u64).sum(),
-                })
-                .sum()
-        };
-        let bytes_in = side_bytes(&req.left) + side_bytes(&req.right);
-        let outcome = self.scheduler().submit(
-            OwnedDictCall::JoinBridge(req),
-            BatchKey {
-                class: CallClass::JoinBridge,
-                generation,
-            },
-        );
-        let batched = outcome.batched();
-        let reply = match outcome.reply {
-            DictReply::Bridged(Ok(reply)) => reply,
-            DictReply::Bridged(Err(e)) => return Err(e.into()),
-            _ => unreachable!("join-bridge call returns bridged reply"),
-        };
-        if !batched {
-            let slots: usize = reply.left.iter().map(Vec::len).sum::<usize>()
-                + reply.right.iter().map(Vec::len).sum::<usize>();
-            self.obs().ecall(
-                EcallKind::JoinBridge,
-                EcallIo {
-                    bytes_in,
-                    bytes_out: 4 * slots as u64,
-                    values_decrypted: reply.values_decrypted as u64,
-                    untrusted_loads: outcome.untrusted_loads,
-                    untrusted_bytes: outcome.untrusted_bytes,
-                    cache_hits: outcome.cache_hits,
-                    cache_misses: outcome.cache_misses,
-                },
-                outcome.start_ns,
-                outcome.dur_ns,
-                parent,
-            );
-        }
-        stats.enclave_calls += 1;
-        stats.values_decrypted += reply.values_decrypted;
-        stats.cache_hits += outcome.cache_hits as usize;
-        stats.ecall_wait_ns += outcome.wait_ns;
-        stats.batch_peers += outcome.peers - 1;
+        let (reply, cost) = self.scheduler().bridge(req, generation, parent)?;
+        cost.absorb_into(stats);
         stats.bridge_entries = reply.bridge_entries;
         Ok((to_maps(lscan, &reply.left), to_maps(rscan, &reply.right)))
     }

@@ -54,7 +54,7 @@ pub use stats::{CompactionStats, DurabilityStats, QueryStats};
 pub use storage::{DurabilityPolicy, FailPoint};
 
 pub(crate) use partition::{ColumnDelta, MainColumn};
-pub(crate) use scheduler::{BatchKey, CallClass, EcallScheduler};
+pub(crate) use scheduler::EcallScheduler;
 pub(crate) use snapshot::{fan_out, matching_rids_multi, EnclaveCtx};
 pub(crate) use table::ServerTable;
 
@@ -316,9 +316,10 @@ impl DbaasServer {
     }
 
     /// Turns cross-session ECALL batching on or off (on by default).
-    /// When off, every read-path call takes the direct
-    /// one-lock-acquisition-per-call path — the pre-scheduler behavior,
-    /// used as the bypass leg of differential tests and benchmarks.
+    /// When off, every read-path call runs as its own round of one
+    /// without joining the scheduler's queue — one enclave lock
+    /// acquisition and one transition per call, the reference leg of
+    /// differential tests and benchmarks.
     pub fn set_ecall_batching(&self, on: bool) {
         self.sched.set_enabled(on);
     }

@@ -1,26 +1,34 @@
-//! The cross-session ECALL batching scheduler (DESIGN.md §15).
+//! The cross-session ECALL scheduler (DESIGN.md §15): the one path by
+//! which a read-path call — dictionary search, aggregate finalization,
+//! join-key bridging — reaches the query enclave, and the one place that
+//! writes such a call into the leakage ledger.
 //!
-//! Every read-path enclave call — dictionary search, aggregate
-//! finalization, join-key bridging — goes through one [`EcallScheduler`]
-//! per server. The scheduler is a *flat-combining* front of the query
-//! enclave's mutex:
+//! A session submits a typed request ([`EcallScheduler::search`],
+//! [`aggregate`](EcallScheduler::aggregate),
+//! [`bridge`](EcallScheduler::bridge)) and gets back the typed reply plus
+//! an [`EcallCost`]. Underneath there is one request family
+//! ([`encdict::batch::ReadCall`]) and one executor,
+//! `EcallScheduler::execute_round`: a *round* of K ≥ 1 requests is ONE
+//! enclave transition ([`DictEnclave::batch`]). Who runs the round is
+//! flat combining over the query enclave's mutex:
 //!
-//! * A session that finds the enclave idle claims **leadership** and
-//!   executes its own call directly — the bypass path, so single-client
-//!   latency does not regress (one state-mutex touch, no queueing).
-//! * A session that finds a leader active **enqueues** its owned request
-//!   ([`encdict::batch::OwnedDictCall`]) with a reply slot and blocks on
-//!   the slot's condvar.
-//! * When the leader's transition completes it drains every compatible
-//!   request pending at that moment into one combined
-//!   [`DictCall::Batch`](encdict::enclave_ops::DictCall) — **one**
-//!   enclave transition for the whole round — and demultiplexes the
-//!   per-sub-call replies (each tagged by the enclave with its own
-//!   counter deltas) back to the waiting sessions. It keeps running
-//!   rounds until the queue is empty, then resigns; under the state
-//!   mutex, so no request is ever orphaned.
+//! * A session that finds no leader claims **leadership** and runs its
+//!   own request as the first round (one state-mutex touch, no queueing —
+//!   single-client latency is a round of one).
+//! * A session that finds a leader active **enqueues** its request with a
+//!   reply slot and blocks on the slot's condvar.
+//! * After each round the leader drains every compatible request pending
+//!   at that moment into the next round and demultiplexes the per-sub-call
+//!   replies (each tagged by the enclave with its own counter deltas)
+//!   back to the waiting sessions. It keeps running rounds until the
+//!   queue is empty, then resigns; under the state mutex, so no request
+//!   is ever orphaned.
+//! * With batching switched off ([`EcallScheduler::set_enabled`], the
+//!   reference leg of the differential tests and benches) a session runs
+//!   its request as a round of one through the same executor without
+//!   joining the queue.
 //!
-//! Compatibility is a [`BatchKey`]: call class (search / aggregate /
+//! Compatibility is a `BatchKey`: call kind (search / aggregate /
 //! join-bridge) plus store generation. Requests pinned to different
 //! snapshot epochs never share a round — a compaction publish mid-batch
 //! splits the queue at the epoch flip instead of mixing generations.
@@ -30,98 +38,93 @@
 //! combined payload describable as "K requests against one store
 //! generation" for the leakage analysis.)
 //!
-//! Accounting: a round of one records nothing here — the session records
-//! its native [`EcallKind`] exactly as the unbatched code did, so
-//! single-session ledgers and leakage audits are byte-for-byte
-//! unchanged. A round of K ≥ 2 is recorded once by the leader as an
-//! [`EcallKind::Batch`] ledger entry whose payload totals are the sums
-//! over the coalesced requests, plus `ecall_batches_total` /
-//! `batched_calls_total` and the batch-occupancy histogram; per-session
+//! Accounting: the executor records every round exactly once, from the
+//! requests' and replies' own `payload_bytes()`. A round of one is
+//! recorded under its native [`EcallKind`], parented under the span its
+//! submitter passed in — whichever thread led it — so single-session
+//! ledgers are those of an unscheduled call. A round of K ≥ 2 is one
+//! parentless [`EcallKind::Batch`] entry whose totals are the sums over
+//! the coalesced requests, plus `ecall_batches_total` /
+//! `batched_calls_total` and the batch-occupancy histogram. Per-request
 //! queue wait lands in `ecall_wait_ns`.
 //!
 //! Crash-safety: a leader that panics mid-round (an enclave bug, or the
 //! injected test hook) must not wedge its followers' condvar waits. The
-//! round is wrapped in a [`RoundGuard`] whose `Drop` — running during
+//! round is wrapped in a `RoundGuard` whose `Drop` — running during
 //! unwind — resigns leadership and fills every undelivered slot (the
-//! round's own plus everything still queued) with an
-//! [`EncdictError::Poisoned`] reply, so followers fail their query
-//! instead of blocking forever. Poisoned requests were never executed:
-//! no transition happened for them, so no ledger entry is recorded (the
-//! error reply propagates out of the search/aggregate/bridge unwrap
-//! before any native accounting).
+//! round's own plus everything still queued) with
+//! [`EncdictError::Poisoned`], so followers fail their query instead of
+//! blocking forever. Poisoned requests were never executed: no transition
+//! happened for them, so no ledger entry exists.
 
-use super::lock;
+use super::{lock, QueryStats};
+use crate::error::DbError;
 use crate::obs::{EcallIo, EcallKind, Hist, Obs, SpanId};
-use encdict::batch::OwnedDictCall;
-use encdict::enclave_ops::{AggCell, BatchItemReply, DictCall, DictReply};
-use encdict::{DictEnclave, EncdictError};
+use encdict::batch::{AggregateRequest, JoinBridgeRequest, ReadCall, SearchCall};
+use encdict::enclave_ops::{AggregateReply, JoinBridgeReply, ReadReply};
+use encdict::{DictEnclave, DictSearchResult, EncdictError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// The batchable call classes. Re-encrypt and merge keep their dedicated
-/// paths (inserts batch at the storage layer; merges own a separate
-/// enclave).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CallClass {
-    /// Dictionary search (main or delta store).
-    Search,
-    /// Grouped aggregation.
-    Aggregate,
-    /// Join-key bridging.
-    JoinBridge,
-}
-
 /// Dispatch-compatibility key: only requests with equal keys coalesce
 /// into one combined transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BatchKey {
-    /// The call class.
-    pub(crate) class: CallClass,
+struct BatchKey {
+    /// The call's native kind (search, aggregate or join bridge).
+    kind: EcallKind,
     /// The store generation the request is pinned to (snapshot epoch;
     /// multi-partition requests use the maximum epoch in scope).
-    pub(crate) generation: u64,
+    generation: u64,
 }
 
-/// What a session gets back from [`EcallScheduler::submit`]: its own
-/// sub-call's reply plus everything needed to account for the (possibly
-/// shared) transition.
-#[derive(Debug)]
-pub(crate) struct SchedOutcome {
-    /// This request's reply.
-    pub(crate) reply: DictReply,
-    /// Untrusted loads attributable to this sub-call alone.
-    pub(crate) untrusted_loads: u64,
-    /// Untrusted bytes attributable to this sub-call alone.
-    pub(crate) untrusted_bytes: u64,
-    /// Value-cache hits scored by this sub-call.
-    pub(crate) cache_hits: u64,
-    /// Value-cache misses charged to this sub-call.
-    pub(crate) cache_misses: u64,
-    /// Obs-clock start of the enclave transition.
-    pub(crate) start_ns: u64,
+/// What one request's (possibly shared) transition cost its query.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EcallCost {
+    kind: EcallKind,
     /// Wall-clock duration of the enclave transition.
-    pub(crate) dur_ns: u64,
+    dur_ns: u64,
     /// Submit-to-dispatch queue wait.
-    pub(crate) wait_ns: u64,
+    wait_ns: u64,
     /// Batch occupancy of the transition (1 = ran alone).
-    pub(crate) peers: usize,
+    peers: usize,
+    /// Value-cache hits scored by this sub-call.
+    cache_hits: u64,
+    /// Values this sub-call decrypted, as its ledger entry counts them.
+    values_decrypted: u64,
 }
 
-impl SchedOutcome {
-    /// Whether the transition was shared — if so the leader already
-    /// recorded the [`EcallKind::Batch`] ledger entry and the session
-    /// must *not* record a native one (the transition count is 1, not K).
-    pub(crate) fn batched(&self) -> bool {
-        self.peers > 1
+impl EcallCost {
+    /// Folds this call into its query's stats: the logical enclave-call
+    /// count (per request, shared transition or not), cache hits, queue
+    /// wait and the number of peer requests that shared the transition. A
+    /// search is *timed* (`dict_search_ns`); an aggregate or bridge is
+    /// timed by its caller's phase clock and *counted* by the values it
+    /// decrypted.
+    pub(crate) fn absorb_into(&self, stats: &mut QueryStats) {
+        stats.enclave_calls += 1;
+        stats.cache_hits += self.cache_hits as usize;
+        stats.ecall_wait_ns += self.wait_ns;
+        stats.batch_peers += self.peers - 1;
+        if self.kind == EcallKind::Search {
+            stats.dict_search_ns += self.dur_ns;
+        } else {
+            stats.values_decrypted += self.values_decrypted as usize;
+        }
     }
 }
 
-/// One queued request: the owned call, its compatibility key, the reply
-/// slot its session is blocked on, and its enqueue time.
+/// What a reply slot delivers: the request's own reply and cost, or the
+/// poison left by a leader that died before dispatching it.
+type Delivery = Result<(ReadReply, EcallCost), EncdictError>;
+
+/// One queued request: the call, its compatibility key, the span its
+/// ledger entry belongs under, the reply slot its session is blocked on,
+/// and its enqueue time.
 struct Pending {
-    call: OwnedDictCall,
+    call: ReadCall,
     key: BatchKey,
+    parent: SpanId,
     slot: Arc<ReplySlot>,
     enqueued: Instant,
 }
@@ -129,21 +132,21 @@ struct Pending {
 /// A one-shot reply mailbox.
 #[derive(Default)]
 struct ReplySlot {
-    filled: Mutex<Option<SchedOutcome>>,
+    filled: Mutex<Option<Delivery>>,
     cv: Condvar,
 }
 
 impl ReplySlot {
-    fn fill(&self, outcome: SchedOutcome) {
-        *lock(&self.filled) = Some(outcome);
+    fn fill(&self, delivery: Delivery) {
+        *lock(&self.filled) = Some(delivery);
         self.cv.notify_one();
     }
 
-    fn wait(&self) -> SchedOutcome {
+    fn wait(&self) -> Delivery {
         let mut guard = lock(&self.filled);
         loop {
-            if let Some(outcome) = guard.take() {
-                return outcome;
+            if let Some(delivery) = guard.take() {
+                return delivery;
             }
             guard = self
                 .cv
@@ -169,13 +172,13 @@ pub(crate) struct EcallScheduler {
     enclave: Arc<Mutex<DictEnclave>>,
     state: Mutex<SchedState>,
     obs: Obs,
-    /// Batching switch. Off = every submit takes the direct path
-    /// (today's lock-per-call convoy), for differential tests and the
-    /// bypass leg of the concurrency bench.
+    /// Batching switch. Off = every submit runs as its own round of one
+    /// without joining the queue (a lock-per-call convoy), the reference
+    /// leg of the differential tests and the concurrency bench.
     enabled: AtomicBool,
-    /// Test hook: when set, the next leader round panics right after
-    /// acquiring the enclave lock (then auto-disarms). Exercises the
-    /// poisoned-round unwind path from real integration tests.
+    /// Test hook: when set, the next round panics right after acquiring
+    /// the enclave lock (then auto-disarms). Exercises the poisoned-round
+    /// unwind path from real integration tests.
     panic_armed: AtomicBool,
 }
 
@@ -199,8 +202,8 @@ impl EcallScheduler {
         }
     }
 
-    /// Arms the injected-leader-panic test hook: the next batched round's
-    /// leader panics after taking the enclave lock, exercising the
+    /// Arms the injected-leader-panic test hook: the next round's leader
+    /// panics after taking the enclave lock, exercising the
     /// [`RoundGuard`] poisoning path end-to-end.
     pub(crate) fn arm_leader_panic(&self) {
         self.panic_armed.store(true, Ordering::SeqCst);
@@ -216,72 +219,103 @@ impl EcallScheduler {
         self.enabled.load(Ordering::SeqCst)
     }
 
-    /// Submits one owned call and blocks until its reply is available —
-    /// either by executing it (as leader, possibly coalescing peers) or
-    /// by waiting for the active leader to dispatch it.
-    pub(crate) fn submit(&self, call: OwnedDictCall, key: BatchKey) -> SchedOutcome {
-        let t0 = Instant::now();
+    /// Runs one dictionary search (main or delta store, the whole
+    /// disjunction) pinned to store `generation`; its ledger entry goes
+    /// under `parent`.
+    pub(crate) fn search(
+        &self,
+        call: SearchCall,
+        generation: u64,
+        parent: SpanId,
+    ) -> Result<(Vec<DictSearchResult>, EcallCost), DbError> {
+        let (reply, cost) = self.submit(ReadCall::Search(call), generation, parent)?;
+        Ok((reply.into_search()?, cost))
+    }
+
+    /// Runs one grouped aggregation; see [`EcallScheduler::search`].
+    pub(crate) fn aggregate(
+        &self,
+        req: AggregateRequest,
+        generation: u64,
+        parent: SpanId,
+    ) -> Result<(AggregateReply, EcallCost), DbError> {
+        let (reply, cost) = self.submit(ReadCall::Aggregate(req), generation, parent)?;
+        Ok((reply.into_aggregated()?, cost))
+    }
+
+    /// Runs one join-key bridge; see [`EcallScheduler::search`].
+    pub(crate) fn bridge(
+        &self,
+        req: JoinBridgeRequest,
+        generation: u64,
+        parent: SpanId,
+    ) -> Result<(JoinBridgeReply, EcallCost), DbError> {
+        let (reply, cost) = self.submit(ReadCall::JoinBridge(req), generation, parent)?;
+        Ok((reply.into_bridged()?, cost))
+    }
+
+    /// Submits one call and blocks until its reply is available — by
+    /// executing it (as leader, possibly coalescing peers, or alone when
+    /// batching is off) or by waiting for the active leader to dispatch
+    /// it.
+    fn submit(&self, call: ReadCall, generation: u64, parent: SpanId) -> Delivery {
+        let kind = match call {
+            ReadCall::Search(_) => EcallKind::Search,
+            ReadCall::Aggregate(_) => EcallKind::Aggregate,
+            ReadCall::JoinBridge(_) => EcallKind::JoinBridge,
+        };
+        let slot = Arc::new(ReplySlot::default());
+        let pending = Pending {
+            call,
+            key: BatchKey { kind, generation },
+            parent,
+            slot: Arc::clone(&slot),
+            enqueued: Instant::now(),
+        };
         if !self.enabled() {
-            // Bypass: the pre-scheduler behavior, one enclave lock
-            // acquisition per call with no coordination.
-            return self.execute_alone(&call, t0);
+            self.execute_round(vec![pending], false);
+        } else {
+            let mut state = lock(&self.state);
+            if state.leader_active {
+                state.queue.push(pending);
+            } else {
+                state.leader_active = true;
+                drop(state);
+                self.lead(pending);
+            }
         }
-        let mut state = lock(&self.state);
-        if state.leader_active {
-            let slot = Arc::new(ReplySlot::default());
-            state.queue.push(Pending {
-                call,
-                key,
-                slot: Arc::clone(&slot),
-                enqueued: t0,
-            });
-            drop(state);
-            return slot.wait();
-        }
-        state.leader_active = true;
-        drop(state);
-        self.lead(call, key, t0)
+        slot.wait()
     }
 
     /// Leader loop: run the own call's round, then keep draining rounds
     /// until the queue is empty, then resign.
-    fn lead(&self, call: OwnedDictCall, key: BatchKey, t0: Instant) -> SchedOutcome {
+    fn lead(&self, own: Pending) {
         // First round: the leader's own call plus every compatible
         // request already queued (possible when the previous leader
         // resigned between a follower's enqueue decision and ours).
-        let mut round = {
-            let mut state = lock(&self.state);
-            let mut round = drain_matching(&mut state.queue, key);
-            round.push(Pending {
-                call,
-                key,
-                slot: Arc::new(ReplySlot::default()),
-                enqueued: t0,
-            });
-            round
-        };
-        let my_slot = Arc::clone(&round.last().expect("own call just pushed").slot);
+        let mut round = drain_matching(&mut lock(&self.state).queue, own.key);
+        round.push(own);
         loop {
-            self.execute_round(round);
+            self.execute_round(round, true);
             let mut state = lock(&self.state);
-            if state.queue.is_empty() {
+            let Some(next) = state.queue.first() else {
                 state.leader_active = false;
                 break;
-            }
-            let next_key = state.queue[0].key;
+            };
+            let next_key = next.key;
             round = drain_matching(&mut state.queue, next_key);
         }
-        my_slot.wait()
     }
 
     /// Executes one round — ONE enclave transition for however many
-    /// requests it carries — and demultiplexes the replies.
+    /// requests it carries — records it in the ledger and demultiplexes
+    /// the replies.
     ///
     /// The round is held by a [`RoundGuard`] for the duration: if the
-    /// transition panics, the guard's unwind path resigns leadership and
-    /// poisons every undelivered reply slot instead of leaving the
-    /// followers wedged on their condvars.
-    fn execute_round(&self, round: Vec<Pending>) {
+    /// transition panics, the guard's unwind path poisons every
+    /// undelivered reply slot (and, when `leading`, resigns leadership)
+    /// instead of leaving the followers wedged on their condvars.
+    fn execute_round(&self, round: Vec<Pending>, leading: bool) {
         let peers = round.len();
         let start_ns = self.obs.now_ns();
         let started = Instant::now();
@@ -289,81 +323,54 @@ impl EcallScheduler {
             .iter()
             .map(|p| p.enqueued.elapsed().as_nanos() as u64)
             .collect();
-        let mut guard = RoundGuard { sched: self, round };
+        let mut guard = RoundGuard {
+            sched: self,
+            round,
+            leading,
+        };
         let mut enclave = lock(&self.enclave);
         if self.panic_armed.swap(false, Ordering::SeqCst) {
             panic!("injected leader panic (scheduler test hook)");
         }
-        let calls: Vec<DictCall<'_>> = guard.round.iter().map(|p| p.call.borrow()).collect();
-        let items = enclave.batch(calls);
+        let items = enclave.batch(guard.round.iter().map(|p| &p.call).collect());
         drop(enclave);
         let dur_ns = started.elapsed().as_nanos() as u64;
         debug_assert_eq!(items.len(), peers, "one reply per coalesced request");
 
-        if peers > 1 {
-            // The leader records the shared transition once: a Batch
-            // ledger entry whose payload totals are the union (sum) of
-            // the coalesced requests. Parentless span — the transition
-            // belongs to K queries at once.
-            let mut io = EcallIo::default();
-            for (pending, item) in guard.round.iter().zip(&items) {
-                io.bytes_in += request_payload_bytes(&pending.call);
-                io.bytes_out += reply_payload_bytes(&item.reply);
-                io.values_decrypted += item_values_decrypted(item);
-                io.untrusted_loads += item.untrusted_loads;
-                io.untrusted_bytes += item.untrusted_bytes;
-                io.cache_hits += item.cache_hits;
-                io.cache_misses += item.cache_misses;
-            }
-            self.obs.ecall_batched(
-                EcallKind::Batch,
-                io,
-                start_ns,
-                dur_ns,
-                SpanId::NONE,
-                peers as u64,
-            );
+        // One ledger entry per transition, written before any session
+        // wakes: the round's payload totals are the sums over its
+        // requests. A round of one is the request's own native-kind call
+        // under its submitter's span; a shared round belongs to K queries
+        // at once, so it is a parentless `Batch`.
+        let mut io = EcallIo::default();
+        for (pending, item) in guard.round.iter().zip(&items) {
+            io.bytes_in += pending.call.payload_bytes();
+            io.bytes_out += item.reply.payload_bytes();
+            io.values_decrypted += item.reply.values_decrypted(item.untrusted_loads);
+            io.untrusted_loads += item.untrusted_loads;
+            io.untrusted_bytes += item.untrusted_bytes;
+            io.cache_hits += item.cache_hits;
+            io.cache_misses += item.cache_misses;
         }
+        let (kind, parent) = match guard.round.as_slice() {
+            [only] => (only.key.kind, only.parent),
+            _ => (EcallKind::Batch, SpanId::NONE),
+        };
+        self.obs
+            .ecall_batched(kind, io, start_ns, dur_ns, parent, peers as u64);
         // Drain leaves the guard's round empty, so its Drop is a no-op
         // on the normal path.
         for ((pending, item), wait_ns) in guard.round.drain(..).zip(items).zip(waits_ns) {
             self.obs.record(Hist::EcallWaitNs, wait_ns);
-            pending.slot.fill(SchedOutcome {
-                reply: item.reply,
-                untrusted_loads: item.untrusted_loads,
-                untrusted_bytes: item.untrusted_bytes,
-                cache_hits: item.cache_hits,
-                cache_misses: item.cache_misses,
-                start_ns,
+            let cost = EcallCost {
+                kind: pending.key.kind,
                 dur_ns,
                 wait_ns,
                 peers,
-            });
-        }
-    }
-
-    /// The disabled-scheduler path: one lock acquisition, one
-    /// single-call transition, no shared state touched.
-    fn execute_alone(&self, call: &OwnedDictCall, t0: Instant) -> SchedOutcome {
-        let start_ns = self.obs.now_ns();
-        let started = Instant::now();
-        let mut enclave = lock(&self.enclave);
-        let wait_ns = t0.elapsed().as_nanos() as u64;
-        let mut items = enclave.batch(vec![call.borrow()]);
-        drop(enclave);
-        let dur_ns = started.elapsed().as_nanos() as u64;
-        self.obs.record(Hist::EcallWaitNs, wait_ns);
-        let item = items.pop().expect("one reply for one call");
-        SchedOutcome {
-            reply: item.reply,
-            untrusted_loads: item.untrusted_loads,
-            untrusted_bytes: item.untrusted_bytes,
-            cache_hits: item.cache_hits,
-            cache_misses: item.cache_misses,
-            start_ns,
-            dur_ns,
-            wait_ns,
-            peers: 1,
+                cache_hits: item.cache_hits,
+                values_decrypted: item.reply.values_decrypted(item.untrusted_loads),
+            };
+            pending.slot.fill(Ok((item.reply, cost)));
         }
     }
 }
@@ -371,14 +378,15 @@ impl EcallScheduler {
 /// Owns a dispatching round for the duration of its enclave transition.
 ///
 /// On the normal path `execute_round` drains the round to fill every
-/// reply slot and the guard's `Drop` sees an empty vector. If the leader
-/// panics mid-round, `Drop` runs during unwind: it resigns leadership,
-/// takes every request still queued (no leader remains to ever dispatch
-/// them), and fills all undelivered slots with a poisoned-round error so
-/// the blocked followers wake and fail their queries instead of hanging.
+/// reply slot and the guard's `Drop` sees an empty vector. If the round
+/// panics, `Drop` runs during unwind and fills all undelivered slots with
+/// a poisoned-round error so the blocked followers wake and fail their
+/// queries instead of hanging. A *leader* also resigns and takes every
+/// request still queued — no leader remains to ever dispatch them.
 struct RoundGuard<'a> {
     sched: &'a EcallScheduler,
     round: Vec<Pending>,
+    leading: bool,
 }
 
 impl Drop for RoundGuard<'_> {
@@ -387,38 +395,18 @@ impl Drop for RoundGuard<'_> {
             debug_assert!(self.round.is_empty(), "normal exit drains the round");
             return;
         }
-        let orphaned = {
+        let orphaned = if self.leading {
             let mut state = lock(&self.sched.state);
             state.leader_active = false;
             std::mem::take(&mut state.queue)
+        } else {
+            Vec::new()
         };
         for pending in self.round.drain(..).chain(orphaned) {
-            let class = pending.key.class;
-            pending.slot.fill(poisoned_outcome(class));
+            pending.slot.fill(Err(EncdictError::Poisoned(
+                "round leader panicked before this request was dispatched",
+            )));
         }
-    }
-}
-
-/// The reply delivered to a request whose round leader died before
-/// dispatching it. The request never executed: zero transition cost,
-/// `peers: 1` so no session mistakes it for a batched run.
-fn poisoned_outcome(class: CallClass) -> SchedOutcome {
-    const MSG: &str = "round leader panicked before this request was dispatched";
-    let reply = match class {
-        CallClass::Search => DictReply::Search(Err(EncdictError::Poisoned(MSG))),
-        CallClass::Aggregate => DictReply::Aggregated(Err(EncdictError::Poisoned(MSG))),
-        CallClass::JoinBridge => DictReply::Bridged(Err(EncdictError::Poisoned(MSG))),
-    };
-    SchedOutcome {
-        reply,
-        untrusted_loads: 0,
-        untrusted_bytes: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        start_ns: 0,
-        dur_ns: 0,
-        wait_ns: 0,
-        peers: 1,
     }
 }
 
@@ -438,111 +426,29 @@ fn drain_matching(queue: &mut Vec<Pending>, key: BatchKey) -> Vec<Pending> {
     round
 }
 
-/// Generic request payload size, mirroring the native per-kind
-/// accounting (DESIGN.md §13.3): encrypted ranges' τ bytes for a search,
-/// 4 bytes per code / tuple slot plus plain values for an aggregate,
-/// per-side codes/values for a bridge.
-fn request_payload_bytes(call: &OwnedDictCall) -> u64 {
-    use encdict::batch::{OwnedAggColumn, OwnedJoinKey, OwnedJoinSide};
-    let side_bytes = |side: &OwnedJoinSide| -> u64 {
-        side.parts
-            .iter()
-            .map(|p| match p {
-                OwnedJoinKey::Encrypted { codes, .. } => 4 * codes.len() as u64,
-                OwnedJoinKey::Plain { values } => values.iter().map(|v| v.len() as u64).sum(),
-            })
-            .sum()
-    };
-    match call {
-        OwnedDictCall::Search(s) => s
-            .ranges
-            .iter()
-            .map(|r| (r.tau_s.as_bytes().len() + r.tau_e.as_bytes().len()) as u64)
-            .sum(),
-        OwnedDictCall::Aggregate(a) => a
-            .parts
-            .iter()
-            .map(|p| {
-                let cols: u64 = p
-                    .columns
-                    .iter()
-                    .map(|c| match c {
-                        OwnedAggColumn::Encrypted { codes, .. } => 4 * codes.len() as u64,
-                        OwnedAggColumn::Plain { values } => {
-                            values.iter().map(|v| v.len() as u64).sum()
-                        }
-                    })
-                    .sum();
-                cols + 4 * p.tuples.len() as u64
-            })
-            .sum(),
-        OwnedDictCall::JoinBridge(j) => side_bytes(&j.left) + side_bytes(&j.right),
-    }
-}
-
-/// Generic reply payload size (errors cross as zero-payload).
-fn reply_payload_bytes(reply: &DictReply) -> u64 {
-    match reply {
-        DictReply::Search(Ok(results)) => results
-            .iter()
-            .map(|r| match r {
-                encdict::DictSearchResult::Ranges(ranges) => {
-                    8 * ranges.iter().flatten().count() as u64
-                }
-                encdict::DictSearchResult::Ids(ids) => 4 * ids.len() as u64,
-            })
-            .sum(),
-        DictReply::Aggregated(Ok(r)) => r
-            .rows
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|cell| match cell {
-                        AggCell::Encrypted(b) | AggCell::Plain(b) => b.len() as u64,
-                    })
-                    .sum::<u64>()
-            })
-            .sum(),
-        DictReply::Bridged(Ok(r)) => {
-            4 * (r.left.iter().map(Vec::len).sum::<usize>()
-                + r.right.iter().map(Vec::len).sum::<usize>()) as u64
-        }
-        _ => 0,
-    }
-}
-
-/// Values decrypted by one sub-call, by the same per-kind conventions
-/// the native records use (search derives loads/2; aggregate and bridge
-/// report exactly).
-fn item_values_decrypted(item: &BatchItemReply) -> u64 {
-    match &item.reply {
-        DictReply::Search(_) => item.untrusted_loads / 2,
-        DictReply::Aggregated(Ok(r)) => r.values_decrypted as u64,
-        DictReply::Bridged(Ok(r)) => r.values_decrypted as u64,
-        _ => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use encdict::batch::SegSource;
-    use encdict::search::DictSearchResult;
-    use encdict::VidRange;
 
-    fn pending(class: CallClass, generation: u64) -> Pending {
-        // An empty delta store materializes as an empty ED9 dictionary —
-        // the cheapest owned dictionary obtainable through public API.
+    /// A search over an empty delta store materialized as an empty ED9
+    /// dictionary — the cheapest call obtainable through public API.
+    fn empty_search() -> SearchCall {
         let (dict, _) = encdict::dynamic::EncryptedDeltaStore::new("t", "c", 0)
             .as_dictionary()
             .expect("empty ED9 dictionary");
+        SearchCall {
+            dict: SegSource::Owned(Box::new(dict)),
+            ranges: Vec::new(),
+            cache: None,
+        }
+    }
+
+    fn pending(kind: EcallKind, generation: u64) -> Pending {
         Pending {
-            call: OwnedDictCall::Search(encdict::batch::OwnedSearchCall {
-                dict: SegSource::Owned(Box::new(dict)),
-                ranges: Vec::new(),
-                cache: None,
-            }),
-            key: BatchKey { class, generation },
+            call: ReadCall::Search(empty_search()),
+            key: BatchKey { kind, generation },
+            parent: SpanId::NONE,
             slot: Arc::new(ReplySlot::default()),
             enqueued: Instant::now(),
         }
@@ -551,35 +457,35 @@ mod tests {
     #[test]
     fn drain_matching_splits_by_class_and_generation() {
         let mut queue = vec![
-            pending(CallClass::Search, 3),
-            pending(CallClass::Aggregate, 3),
-            pending(CallClass::Search, 4),
-            pending(CallClass::Search, 3),
+            pending(EcallKind::Search, 3),
+            pending(EcallKind::Aggregate, 3),
+            pending(EcallKind::Search, 4),
+            pending(EcallKind::Search, 3),
         ];
         let round = drain_matching(
             &mut queue,
             BatchKey {
-                class: CallClass::Search,
+                kind: EcallKind::Search,
                 generation: 3,
             },
         );
-        // Same class, same generation only: requests pinned to another
-        // store generation (epoch 4) or another class stay queued.
+        // Same kind, same generation only: requests pinned to another
+        // store generation (epoch 4) or another kind stay queued.
         assert_eq!(round.len(), 2);
         assert_eq!(queue.len(), 2);
         assert!(round
             .iter()
-            .all(|p| p.key.class == CallClass::Search && p.key.generation == 3));
-        assert_eq!(queue[0].key.class, CallClass::Aggregate);
+            .all(|p| p.key.kind == EcallKind::Search && p.key.generation == 3));
+        assert_eq!(queue[0].key.kind, EcallKind::Aggregate);
         assert_eq!(queue[1].key.generation, 4);
     }
 
     #[test]
     fn drain_matching_preserves_arrival_order() {
         let mut queue = vec![
-            pending(CallClass::JoinBridge, 1),
-            pending(CallClass::Search, 1),
-            pending(CallClass::JoinBridge, 1),
+            pending(EcallKind::JoinBridge, 1),
+            pending(EcallKind::Search, 1),
+            pending(EcallKind::JoinBridge, 1),
         ];
         let key = queue[0].key;
         let before: Vec<*const ReplySlot> = queue
@@ -594,54 +500,19 @@ mod tests {
     }
 
     #[test]
-    fn search_reply_bytes_match_native_formulas() {
-        // Ranges: 8 bytes per present pair; Ids: 4 bytes per id.
-        let ranges = DictReply::Search(Ok(vec![DictSearchResult::Ranges([
-            VidRange::new(0, 4),
-            VidRange::new(9, 7),
-        ])]));
-        assert_eq!(reply_payload_bytes(&ranges), 8);
-        let ids = DictReply::Search(Ok(vec![DictSearchResult::Ids(vec![1, 2, 3])]));
-        assert_eq!(reply_payload_bytes(&ids), 12);
-    }
-
-    #[test]
-    fn error_replies_cross_with_zero_payload() {
-        let err = DictReply::Search(Err(encdict::EncdictError::CorruptDictionary("test")));
-        assert_eq!(reply_payload_bytes(&err), 0);
-    }
-
-    #[test]
-    fn poisoned_outcome_matches_call_class() {
-        // Each class gets the error wrapped in its own reply shape, so
-        // the per-class unwrap sites see it without an unreachable! arm.
-        let search = poisoned_outcome(CallClass::Search);
-        assert!(matches!(
-            search.reply,
-            DictReply::Search(Err(EncdictError::Poisoned(_)))
-        ));
-        assert!(!search.batched());
-        assert_eq!(reply_payload_bytes(&search.reply), 0);
-        assert!(matches!(
-            poisoned_outcome(CallClass::Aggregate).reply,
-            DictReply::Aggregated(Err(EncdictError::Poisoned(_)))
-        ));
-        assert!(matches!(
-            poisoned_outcome(CallClass::JoinBridge).reply,
-            DictReply::Bridged(Err(EncdictError::Poisoned(_)))
-        ));
-    }
-
-    #[test]
     fn round_guard_poisons_round_and_queue_on_panic() {
         let enclave = Arc::new(Mutex::new(DictEnclave::new()));
         let sched = EcallScheduler::new(enclave, Obs::new());
-        // Simulate a leader holding a two-request round while two more
-        // requests sit queued, then panic inside the guarded section.
-        let round = vec![pending(CallClass::Search, 1), pending(CallClass::Search, 1)];
-        let slots: Vec<Arc<ReplySlot>> = round.iter().map(|p| Arc::clone(&p.slot)).collect();
-        let queued = pending(CallClass::Aggregate, 1);
-        let queued_slot = Arc::clone(&queued.slot);
+        // Simulate a leader holding a two-request round while one more
+        // request of another kind sits queued, then panic inside the
+        // guarded section.
+        let round = vec![pending(EcallKind::Search, 1), pending(EcallKind::Search, 1)];
+        let queued = pending(EcallKind::Aggregate, 1);
+        let slots: Vec<Arc<ReplySlot>> = round
+            .iter()
+            .chain([&queued])
+            .map(|p| Arc::clone(&p.slot))
+            .collect();
         {
             let mut state = lock(&sched.state);
             state.leader_active = true;
@@ -651,22 +522,98 @@ mod tests {
             let _guard = RoundGuard {
                 sched: &sched,
                 round,
+                leading: true,
             };
             panic!("boom");
         }));
         assert!(result.is_err());
+        // Whatever its kind, every undelivered request gets the same
+        // typed error — and was never executed, so nothing was recorded.
         for slot in slots {
-            assert!(matches!(
-                slot.wait().reply,
-                DictReply::Search(Err(EncdictError::Poisoned(_)))
-            ));
+            assert!(matches!(slot.wait(), Err(EncdictError::Poisoned(_))));
         }
-        assert!(matches!(
-            queued_slot.wait().reply,
-            DictReply::Aggregated(Err(EncdictError::Poisoned(_)))
-        ));
+        assert_eq!(sched.obs.ledger_report().total_calls(), 0);
         let state = lock(&sched.state);
         assert!(!state.leader_active, "leadership resigned during unwind");
         assert!(state.queue.is_empty(), "no request left orphaned");
+    }
+
+    #[test]
+    fn failed_singleton_is_still_one_ledger_row() {
+        // No key provisioned: the enclave refuses, but the transition
+        // happened — it is recorded like any other, with an empty reply.
+        let enclave = Arc::new(Mutex::new(DictEnclave::with_seed(1)));
+        let sched = EcallScheduler::new(enclave, Obs::new());
+        let err = sched.search(empty_search(), 1, SpanId::NONE).unwrap_err();
+        assert!(matches!(
+            err,
+            DbError::Dict(EncdictError::KeyNotProvisioned)
+        ));
+        let ledger = sched.obs.ledger_report();
+        assert_eq!(ledger.total_calls(), 1);
+        assert_eq!(ledger.kind(EcallKind::Search).calls, 1);
+        assert_eq!(ledger.kind(EcallKind::Search).bytes_out, 0);
+    }
+
+    /// Spins until `ready` holds of the scheduler state — forces the
+    /// interleaving below without sleeping.
+    fn await_state(sched: &EcallScheduler, ready: impl Fn(&SchedState) -> bool) {
+        while !ready(&lock(&sched.state)) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn singleton_led_by_another_thread_is_one_native_row_under_its_submitter() {
+        let mut enclave = DictEnclave::with_seed(1);
+        enclave.provision_direct(encdbdb_crypto::Key128::from_bytes([7; 16]));
+        let enclave = Arc::new(Mutex::new(enclave));
+        let sched = EcallScheduler::new(Arc::clone(&enclave), Obs::new());
+        let obs = &sched.obs;
+
+        // Pin the enclave: the first submitter claims leadership and
+        // blocks inside its round. The follower then enqueues a request
+        // pinned to another store generation, so the two cannot coalesce
+        // and the leader's thread runs the follower's request as a second
+        // round of one.
+        let pin = lock(&enclave);
+        let submit = |generation: u64| {
+            let span = obs.span("submitter", "query", SpanId::NONE);
+            sched
+                .search(empty_search(), generation, span.id())
+                .expect("search");
+            span.id().raw()
+        };
+        let (leader_span, follower_span) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| submit(1));
+            await_state(&sched, |s| s.leader_active);
+            let follower = scope.spawn(|| submit(2));
+            await_state(&sched, |s| s.queue.len() == 1);
+            drop(pin);
+            (
+                leader.join().expect("leader thread"),
+                follower.join().expect("follower thread"),
+            )
+        });
+
+        let ledger = obs.ledger_report();
+        assert_eq!(ledger.kind(EcallKind::Search).calls, 2, "two rounds of one");
+        assert_eq!(ledger.total_calls(), 2, "and no Batch row");
+        let events = obs.trace_events();
+        let rows_under = |span: u64| -> Vec<_> {
+            events
+                .iter()
+                .filter(|e| e.cat == "ecall" && e.parent == span)
+                .collect()
+        };
+        let (led, followed) = (rows_under(leader_span), rows_under(follower_span));
+        assert_eq!(
+            followed.len(),
+            1,
+            "exactly one row under the submitter's span"
+        );
+        assert_eq!(followed[0].name, EcallKind::Search.span_name());
+        assert_eq!(led.len(), 1);
+        assert_eq!(followed[0].tid, led[0].tid, "the leader's thread ran both");
     }
 }

@@ -9,28 +9,24 @@
 //! row never enters the enclave.
 
 use super::partition::{ColumnDelta, MainColumn, PartitionSnapshot};
-use super::scheduler::{BatchKey, CallClass, EcallScheduler, SchedOutcome};
+use super::scheduler::EcallScheduler;
 use super::table::intersect_sorted;
 use super::{CellValue, Config, DbaasServer, QueryStats, SelectResponse, ServerFilter};
 use crate::error::DbError;
-use crate::obs::{EcallIo, EcallKind, Obs, SpanId};
+use crate::obs::SpanId;
 use crate::schema::TableSchema;
 use colstore::dictionary::RecordId;
 use encdict::avsearch;
-use encdict::batch::{OwnedDictCall, OwnedSearchCall, SegSource};
-use encdict::enclave_ops::DictReply;
+use encdict::batch::{SearchCall, SegSource};
 use encdict::plain::search_plain;
 use encdict::search::DictSearchResult;
 use encdict::{CacheTag, EncryptedRange};
 
-/// The scheduler handle bundled with its observability context: every
-/// search ECALL issued through the scan path goes through the
-/// cross-session batching scheduler and (when it ran unbatched) records
-/// itself into the ledger/trace with `parent` as the enclosing span
-/// (typically the per-partition scan span).
+/// The scheduler handle a partition scan issues its search ECALLs
+/// through, with the span their ledger entries belong under (typically
+/// the per-partition scan span).
 pub(crate) struct EnclaveCtx<'a> {
     pub(crate) sched: &'a EcallScheduler,
-    pub(crate) obs: &'a Obs,
     pub(crate) parent: SpanId,
     /// Partition discriminator for the in-enclave decrypted-value cache
     /// (the partition index of the scanned snapshot). Paired with the
@@ -39,100 +35,29 @@ pub(crate) struct EnclaveCtx<'a> {
     pub(crate) part: u64,
 }
 
-/// Reply payload size of one search result: each present ValueID range is
-/// a `(start, end)` pair of u32s; an explicit id list (unsorted kinds) is
-/// 4 bytes per ValueID.
-fn search_result_bytes(result: &DictSearchResult) -> u64 {
-    match result {
-        DictSearchResult::Ranges(ranges) => 8 * ranges.iter().flatten().count() as u64,
-        DictSearchResult::Ids(ids) => 4 * ids.len() as u64,
-    }
-}
-
-/// Submits one search (main or delta dictionary, covering the whole
-/// disjunction in `ranges`) through the cross-session scheduler and
-/// unwraps the reply. The scheduler captures this sub-call's exact
-/// counter deltas even when the transition was shared (the enclave tags
-/// each coalesced sub-call's traffic separately), so ledger records stay
-/// per-call-precise. The caller records the native ledger entry via
-/// [`record_native_search`] when the call ran unbatched; a batched run
-/// was already recorded by the round leader as one `EcallKind::Batch`
-/// entry.
+/// Searches one store of partition snapshot `snap` (`delta` = its delta
+/// store, else its main store) for the whole disjunction in `ranges` —
+/// one scheduled ECALL, folded into `stats`.
 fn sched_search(
     ctx: &EnclaveCtx<'_>,
+    snap: &PartitionSnapshot,
     dict: SegSource,
+    delta: bool,
     ranges: &[EncryptedRange],
-    tag: CacheTag,
-    generation: u64,
-) -> Result<(Vec<DictSearchResult>, SchedOutcome), DbError> {
-    let outcome = ctx.sched.submit(
-        OwnedDictCall::Search(OwnedSearchCall {
-            dict,
-            ranges: ranges.to_vec(),
-            cache: Some(tag),
+    stats: &mut QueryStats,
+) -> Result<Vec<DictSearchResult>, DbError> {
+    let call = SearchCall {
+        dict,
+        ranges: ranges.to_vec(),
+        cache: Some(CacheTag {
+            part: ctx.part,
+            epoch: snap.epoch(),
+            delta,
         }),
-        BatchKey {
-            class: CallClass::Search,
-            generation,
-        },
-    );
-    match outcome.reply {
-        DictReply::Search(Ok(results)) => Ok((
-            results,
-            SchedOutcome {
-                reply: DictReply::Search(Ok(Vec::new())),
-                ..outcome
-            },
-        )),
-        DictReply::Search(Err(e)) => Err(e.into()),
-        _ => unreachable!("search call returns search reply"),
-    }
-}
-
-/// Records the ledger/trace entry of an *unbatched* search transition,
-/// byte-identical to the pre-scheduler accounting.
-///
-/// `values_decrypted` is derived as `untrusted_loads / 2`: every
-/// dictionary entry the enclave examines costs one head and one tail
-/// load (see `enclave::memory`), and each examined entry is decrypted
-/// once. Cache hits cost neither loads nor decrypts, so the identity
-/// holds with or without caching.
-fn record_native_search(
-    ctx: &EnclaveCtx<'_>,
-    ranges: &[EncryptedRange],
-    bytes_out: u64,
-    outcome: &SchedOutcome,
-) {
-    debug_assert!(!outcome.batched());
-    ctx.obs.ecall(
-        EcallKind::Search,
-        EcallIo {
-            bytes_in: ranges
-                .iter()
-                .map(|r| (r.tau_s.as_bytes().len() + r.tau_e.as_bytes().len()) as u64)
-                .sum(),
-            bytes_out,
-            values_decrypted: outcome.untrusted_loads / 2,
-            untrusted_loads: outcome.untrusted_loads,
-            untrusted_bytes: outcome.untrusted_bytes,
-            cache_hits: outcome.cache_hits,
-            cache_misses: outcome.cache_misses,
-        },
-        outcome.start_ns,
-        outcome.dur_ns,
-        ctx.parent,
-    );
-}
-
-/// Folds one scheduler outcome into a query's stats: search latency, the
-/// logical enclave-call count (per request, batched or not), cache hits,
-/// queue wait and the number of peer requests that shared the transition.
-fn absorb_outcome(stats: &mut QueryStats, outcome: &SchedOutcome) {
-    stats.dict_search_ns += outcome.dur_ns;
-    stats.enclave_calls += 1;
-    stats.cache_hits += outcome.cache_hits as usize;
-    stats.ecall_wait_ns += outcome.wait_ns;
-    stats.batch_peers += outcome.peers - 1;
+    };
+    let (results, cost) = ctx.sched.search(call, snap.epoch(), ctx.parent)?;
+    cost.absorb_into(stats);
+    Ok(results)
 }
 
 /// Runs `work` over every listed partition snapshot — sequentially for a
@@ -322,23 +247,8 @@ fn matching_rids(
             let main_rids = if dict.is_empty() || snap.main_valid_rows == 0 || ranges.is_empty() {
                 Vec::new()
             } else {
-                let tag = CacheTag {
-                    part: ctx.part,
-                    epoch: snap.epoch(),
-                    delta: false,
-                };
-                let (results, outcome) = sched_search(
-                    ctx,
-                    SegSource::Shared(main.dict_arc()),
-                    ranges,
-                    tag,
-                    snap.epoch(),
-                )?;
-                if !outcome.batched() {
-                    let bytes_out = results.iter().map(search_result_bytes).sum();
-                    record_native_search(ctx, ranges, bytes_out, &outcome);
-                }
-                absorb_outcome(&mut stats, &outcome);
+                let source = SegSource::Shared(main.dict_arc());
+                let results = sched_search(ctx, snap, source, false, ranges, &mut stats)?;
                 let av_start = std::time::Instant::now();
                 let rids = avsearch::search_union(
                     main.av(),
@@ -355,29 +265,14 @@ fn matching_rids(
             {
                 Vec::new()
             } else {
-                let tag = CacheTag {
-                    part: ctx.part,
-                    epoch: snap.epoch(),
-                    delta: true,
-                };
                 // The delta searches as a self-contained ED9 dictionary
                 // built from its own (small, snapshot-frozen) bytes: the
                 // request owns its segment copy, so it stays valid no
                 // matter when the scheduler dispatches it.
                 let (delta_dict, _) = delta.as_dictionary()?;
-                let (results, outcome) = sched_search(
-                    ctx,
-                    SegSource::Owned(Box::new(delta_dict)),
-                    ranges,
-                    tag,
-                    snap.epoch(),
-                )?;
-                let rids = delta.filter_results(&results);
-                if !outcome.batched() {
-                    record_native_search(ctx, ranges, 4 * rids.len() as u64, &outcome);
-                }
-                absorb_outcome(&mut stats, &outcome);
-                rids
+                let source = SegSource::Owned(Box::new(delta_dict));
+                let results = sched_search(ctx, snap, source, true, ranges, &mut stats)?;
+                delta.filter_results(&results)
             };
             (main_rids, delta_rids)
         }
@@ -526,7 +421,6 @@ impl DbaasServer {
             let pspan = obs_ref.span_arg("partition", "query", scan_span.id(), pid as u64);
             let ctx = EnclaveCtx {
                 sched: self.scheduler(),
-                obs: obs_ref,
                 parent: pspan.id(),
                 part: pid as u64,
             };
@@ -595,11 +489,9 @@ impl DbaasServer {
             .snapshot_tables(&[(table, filters, None)])?
             .pop()
             .expect("one table requested");
-        let obs = self.obs();
         let counts = fan_out(&ts.active, |pid, snap| {
             let ctx = EnclaveCtx {
                 sched: self.scheduler(),
-                obs,
                 parent: SpanId::NONE,
                 part: pid as u64,
             };

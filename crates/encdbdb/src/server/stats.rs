@@ -75,7 +75,8 @@ pub struct QueryStats {
     pub bridge_ns: u64,
     /// Nanoseconds this query's enclave calls spent queued in the
     /// cross-session ECALL scheduler before their transition started
-    /// (DESIGN.md §15). Zero when every call took the bypass path.
+    /// (DESIGN.md §15). With batching off a call never queues, so this
+    /// is only the time to reach the executor.
     pub ecall_wait_ns: u64,
     /// Total number of *other* sessions' requests that shared enclave
     /// transitions with this query's calls: the sum over this query's

@@ -442,7 +442,6 @@ impl DbaasServer {
                 let pspan = obs.span_arg("partition", "query", span.id(), pid as u64);
                 let ctx = super::snapshot::EnclaveCtx {
                     sched: self.scheduler(),
-                    obs: &obs,
                     parent: pspan.id(),
                     part: pid as u64,
                 };

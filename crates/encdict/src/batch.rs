@@ -1,23 +1,30 @@
-//! Owned, thread-portable forms of the batched ECALL requests.
+//! The read-path ECALL request family: the one description of a
+//! dictionary search, a grouped aggregation and a join-key bridge.
 //!
-//! The borrow-based request types in [`crate::enclave_ops`] reference the
-//! caller's stack and snapshot data, which works for the direct (bypass)
-//! path where the session thread itself holds the enclave lock. Cross-
-//! session batching is different: a session hands its request to whichever
-//! thread happens to lead the next combined transition, so the request must
-//! own (or share via [`Arc`]) everything it references — the workspace
+//! A session hands its request to whichever thread leads the next enclave
+//! transition (the cross-session scheduler in `encdbdb`), so a request
+//! owns — or shares via [`Arc`] — everything it references; the workspace
 //! forbids `unsafe`, so there is no borrowed flat-combining shortcut.
+//! [`DictLogic`](crate::enclave_ops::DictLogic) reads these types by
+//! reference; there is no second, borrowed spelling of an aggregate or a
+//! bridge request to lower into. Only [`SearchCall`] resolves to the flat
+//! untrusted-pointer view [`SearchRequest`](crate::enclave_ops::SearchRequest),
+//! which [`DictEnclave::search`](crate::DictEnclave::search) also builds
+//! straight from a `&EncryptedDictionary` without cloning it.
 //!
-//! [`OwnedDictCall::borrow`] lowers an owned request back into the exact
-//! borrow-based [`DictCall`] the bypass path issues, which is what makes
-//! the batched and direct paths bit-identical by construction.
+//! A [`ReadCall`] is the unit of
+//! [`DictCall::Batch`](crate::enclave_ops::DictCall::Batch): a batch
+//! carries read-path calls *by type*, so a nested batch, a re-encryption
+//! or a merge inside one is unrepresentable.
+//!
+//! Each request reports its own [`payload_bytes`](ReadCall::payload_bytes)
+//! — the size the leakage ledger records as `bytes_in` (DESIGN.md §13.3).
+//! The reply side lives with the reply types
+//! ([`ReadReply::payload_bytes`](crate::enclave_ops::ReadReply::payload_bytes)).
 
 use crate::aggregate::AggPlanSpec;
 use crate::dict::EncryptedDictionary;
-use crate::enclave_ops::{
-    AggColumnData, AggPartitionData, AggregateRequest, CacheTag, DictCall, JoinBridgeRequest,
-    JoinKeyData, JoinSideData, SearchRequest, SegmentRef,
-};
+use crate::enclave_ops::{CacheTag, SegmentRef};
 use crate::range::EncryptedRange;
 use std::sync::Arc;
 
@@ -32,7 +39,7 @@ pub enum SegSource {
     /// A published, refcounted store generation.
     Shared(Arc<EncryptedDictionary>),
     /// A materialized private copy (delta stores). Boxed so the handle
-    /// stays pointer-sized inside the owned-call envelopes.
+    /// stays pointer-sized inside the request envelopes.
     Owned(Box<EncryptedDictionary>),
 }
 
@@ -46,11 +53,10 @@ impl SegSource {
     }
 }
 
-/// An owned copy of one head/tail segment (delta stores in aggregate and
-/// join requests, which reference raw segments rather than full
-/// dictionaries).
+/// A copy of one delta store's head/tail segment (aggregate and join
+/// requests reference raw delta segments rather than full dictionaries).
 #[derive(Debug, Clone, Default)]
-pub struct OwnedSegment {
+pub struct DeltaSegment {
     /// Fixed-width head entries.
     pub head: Vec<u8>,
     /// Variable-width ciphertext tail.
@@ -59,8 +65,8 @@ pub struct OwnedSegment {
     pub len: usize,
 }
 
-impl OwnedSegment {
-    /// Borrows this segment as the wire-form [`SegmentRef`].
+impl DeltaSegment {
+    /// This segment as the untrusted-memory view the enclave loads from.
     pub fn segment_ref(&self) -> SegmentRef<'_> {
         SegmentRef {
             head: enclave_sim::UntrustedMemory::new(&self.head),
@@ -70,184 +76,331 @@ impl OwnedSegment {
     }
 }
 
-/// An owned [`SearchRequest`]: a dictionary handle plus the encrypted
-/// disjunction.
+/// A dictionary-search request: a dictionary handle plus the encrypted
+/// disjunction (Fig. 5 step 7).
 #[derive(Debug)]
-pub struct OwnedSearchCall {
+pub struct SearchCall {
     /// The dictionary to search (main-store Arc or materialized delta).
     pub dict: SegSource,
-    /// The encrypted range filters τ, one per range of the disjunction.
+    /// The encrypted range filters τ, one per range of the disjunction —
+    /// an `IN (...)` lowering batches all its equality ranges here so the
+    /// whole disjunction costs a single call.
     pub ranges: Vec<EncryptedRange>,
-    /// Value-cache generation tag, as in [`SearchRequest::cache`].
+    /// Value-cache generation tag; `None` disables caching.
     pub cache: Option<CacheTag>,
 }
 
-/// An owned [`AggColumnData`].
+impl SearchCall {
+    /// Request payload: the encrypted bounds τ of every range.
+    fn payload_bytes(&self) -> u64 {
+        self.ranges
+            .iter()
+            .map(|r| (r.tau_s.as_bytes().len() + r.tau_e.as_bytes().len()) as u64)
+            .sum()
+    }
+}
+
+/// The value source of one column — an aggregate's referenced column or a
+/// join side's key column — within one range partition.
+///
+/// Codes address the concatenated main + delta value space of that
+/// partition: code `< main.len` is a main-store ValueID,
+/// `code - main.len` is a delta-store row.
 #[derive(Debug)]
-pub enum OwnedAggColumn {
-    /// An encrypted column's main + delta segments and touched codes.
+pub enum ColumnData {
+    /// An encrypted column: the enclave decrypts each listed code once
+    /// (the batched value decryption — one `DecryptValue` per distinct
+    /// touched ValueID, not per row).
     Encrypted {
-        /// Main-store dictionary handle.
+        /// Main-store dictionary.
         main: SegSource,
-        /// Delta-store segment copy (ED9 layout).
-        delta: OwnedSegment,
-        /// Distinct touched codes, ascending.
+        /// Delta-store dictionary (ED9 layout).
+        delta: DeltaSegment,
+        /// Distinct touched codes, ascending; value-table index `i`
+        /// resolves to `codes[i]`.
         codes: Vec<u32>,
-        /// `(partition discriminator, snapshot epoch)` cache tag.
+        /// `(partition discriminator, snapshot epoch)` enabling the
+        /// in-enclave decrypted-value cache for this partition's stores;
+        /// `None` disables caching.
         cache: Option<(u64, u64)>,
     },
-    /// A PLAIN column's distinct touched values.
+    /// A PLAIN column: the distinct touched values, resolved by the
+    /// untrusted caller, indexed directly by value-table index.
     Plain {
         /// Distinct touched values.
         values: Vec<Vec<u8>>,
     },
 }
 
-/// An owned [`AggPartitionData`].
-#[derive(Debug)]
-pub struct OwnedAggPartition {
-    /// The referenced columns, in tuple order.
-    pub columns: Vec<OwnedAggColumn>,
-    /// The partition's ValueID-tuple histogram.
-    pub tuples: Vec<(Vec<u32>, u64)>,
-}
-
-/// An owned [`AggregateRequest`].
-#[derive(Debug)]
-pub struct OwnedAggregateCall {
-    /// Table name (key-derivation metadata).
-    pub table_name: String,
-    /// Per referenced column: `Some(name)` if encrypted, `None` for PLAIN.
-    pub col_names: Vec<Option<String>>,
-    /// One entry per scanned non-empty partition.
-    pub parts: Vec<OwnedAggPartition>,
-    /// Group/aggregate/sort/limit specification.
-    pub plan: AggPlanSpec,
-}
-
-/// An owned [`JoinKeyData`].
-#[derive(Debug)]
-pub enum OwnedJoinKey {
-    /// An encrypted key column's segments and distinct codes.
-    Encrypted {
-        /// Main-store dictionary handle.
-        main: SegSource,
-        /// Delta-store segment copy (ED9 layout).
-        delta: OwnedSegment,
-        /// Distinct touched codes, ascending.
-        codes: Vec<u32>,
-        /// `(partition discriminator, snapshot epoch)` cache tag.
-        cache: Option<(u64, u64)>,
-    },
-    /// A PLAIN key column's distinct touched values.
-    Plain {
-        /// Distinct touched values.
-        values: Vec<Vec<u8>>,
-    },
-}
-
-/// An owned [`JoinSideData`].
-#[derive(Debug)]
-pub struct OwnedJoinSide {
-    /// Table name (key-derivation metadata).
-    pub table_name: String,
-    /// `Some(column)` if the key column is encrypted, `None` for PLAIN.
-    pub col_name: Option<String>,
-    /// One entry per scanned non-empty partition.
-    pub parts: Vec<OwnedJoinKey>,
-}
-
-/// An owned [`JoinBridgeRequest`].
-#[derive(Debug)]
-pub struct OwnedJoinBridgeCall {
-    /// The build side.
-    pub left: OwnedJoinSide,
-    /// The probe side.
-    pub right: OwnedJoinSide,
-}
-
-/// An owned dictionary-enclave call — the unit a session submits to the
-/// cross-session ECALL scheduler. Only the read-path calls are batchable:
-/// re-encryption and merge stay on their dedicated paths.
-#[derive(Debug)]
-pub enum OwnedDictCall {
-    /// A dictionary search (main or materialized delta store).
-    Search(OwnedSearchCall),
-    /// A grouped aggregation.
-    Aggregate(OwnedAggregateCall),
-    /// An equi-join key bridge.
-    JoinBridge(OwnedJoinBridgeCall),
-}
-
-impl OwnedDictCall {
-    /// Lowers this owned request into the borrow-based wire form — the
-    /// exact [`DictCall`] the direct (bypass) path issues.
-    pub fn borrow(&self) -> DictCall<'_> {
+impl ColumnData {
+    /// Request payload: 4 bytes per code, or the resolved plain values.
+    fn payload_bytes(&self) -> u64 {
         match self {
-            OwnedDictCall::Search(s) => DictCall::Search(SearchRequest::for_dictionary_multi(
-                s.dict.dict(),
-                &s.ranges,
-                s.cache,
-            )),
-            OwnedDictCall::Aggregate(a) => DictCall::Aggregate(AggregateRequest {
-                table_name: &a.table_name,
-                col_names: a.col_names.iter().map(|n| n.as_deref()).collect(),
-                parts: a
-                    .parts
-                    .iter()
-                    .map(|p| AggPartitionData {
-                        columns: p.columns.iter().map(borrow_agg_column).collect(),
-                        tuples: &p.tuples,
-                    })
-                    .collect(),
-                plan: &a.plan,
-            }),
-            OwnedDictCall::JoinBridge(j) => DictCall::JoinBridge(JoinBridgeRequest {
-                left: borrow_join_side(&j.left),
-                right: borrow_join_side(&j.right),
-            }),
+            ColumnData::Encrypted { codes, .. } => 4 * codes.len() as u64,
+            ColumnData::Plain { values } => values.iter().map(|v| v.len() as u64).sum(),
         }
     }
 }
 
-fn borrow_agg_column(col: &OwnedAggColumn) -> AggColumnData<'_> {
-    match col {
-        OwnedAggColumn::Encrypted {
-            main,
-            delta,
-            codes,
-            cache,
-        } => AggColumnData::Encrypted {
-            main: main.dict().segment_ref(),
-            delta: delta.segment_ref(),
-            codes,
-            cache: *cache,
-        },
-        OwnedAggColumn::Plain { values } => AggColumnData::Plain { values },
+/// One range partition's contribution to an aggregate query: its own
+/// dictionary segments and its own ValueID-tuple histogram. ValueID
+/// spaces of different partitions are unrelated; only the *plaintext*
+/// group keys, recovered inside the enclave, align them.
+#[derive(Debug)]
+pub struct AggPartitionData {
+    /// The referenced columns, in tuple order (aligned with the request's
+    /// `col_names`).
+    pub columns: Vec<ColumnData>,
+    /// The partition's histogram: per-column value-table indices plus row
+    /// frequency.
+    pub tuples: Vec<(Vec<u32>, u64)>,
+}
+
+/// A grouped-aggregation request: the untrusted server has reduced the
+/// matching rows of every scanned partition to a ValueID-tuple histogram;
+/// the enclave decrypts each distinct touched value once per partition,
+/// folds every partition into per-group *partial aggregates*, merges the
+/// partials in the trusted core ([`crate::aggregate::GroupPartials`]),
+/// evaluates GROUP BY / aggregates / ORDER BY / LIMIT on plaintexts, and
+/// returns cells that are re-encrypted under the originating column keys
+/// — so the server cannot link output groups back to dictionary entries
+/// (which would reveal equality classes of frequency-hiding
+/// dictionaries), nor correlate group keys across partitions.
+#[derive(Debug)]
+pub struct AggregateRequest {
+    /// Table name (key-derivation metadata).
+    pub table_name: String,
+    /// Per referenced column: `Some(name)` for an encrypted column (the
+    /// key-derivation metadata), `None` for PLAIN.
+    pub col_names: Vec<Option<String>>,
+    /// One entry per scanned non-empty partition. Empty or pruned
+    /// partitions contribute nothing — the enclave never sees them.
+    pub parts: Vec<AggPartitionData>,
+    /// Group/aggregate/sort/limit specification over the columns.
+    pub plan: AggPlanSpec,
+}
+
+impl AggregateRequest {
+    /// Request payload: every column's codes or values plus 4 bytes per
+    /// histogram tuple slot.
+    fn payload_bytes(&self) -> u64 {
+        self.parts
+            .iter()
+            .map(|p| {
+                let cols: u64 = p.columns.iter().map(ColumnData::payload_bytes).sum();
+                cols + 4 * p.tuples.len() as u64
+            })
+            .sum()
     }
 }
 
-fn borrow_join_side(side: &OwnedJoinSide) -> JoinSideData<'_> {
-    JoinSideData {
-        table_name: &side.table_name,
-        col_name: side.col_name.as_deref(),
-        parts: side
-            .parts
-            .iter()
-            .map(|k| match k {
-                OwnedJoinKey::Encrypted {
-                    main,
-                    delta,
-                    codes,
-                    cache,
-                } => JoinKeyData::Encrypted {
-                    main: main.dict().segment_ref(),
-                    delta: delta.segment_ref(),
-                    codes,
-                    cache: *cache,
+/// One side of a join-bridge request: the key column's per-partition
+/// distinct codes.
+#[derive(Debug)]
+pub struct JoinSideData {
+    /// Table name (key-derivation metadata).
+    pub table_name: String,
+    /// `Some(column)` for an encrypted key column (key-derivation
+    /// metadata), `None` for PLAIN.
+    pub col_name: Option<String>,
+    /// One entry per scanned non-empty partition.
+    pub parts: Vec<ColumnData>,
+}
+
+/// A join-bridge request: the untrusted server has reduced each side's
+/// matching rows to per-partition distinct join-key codes; the enclave
+/// decrypts each distinct key once per side and returns an opaque
+/// ValueID↔ValueID *bridge* — per-partition maps from distinct-code index
+/// to a bridge id that is equal exactly when the plaintext keys are equal
+/// and present on both sides. The hash build/probe then runs untrusted on
+/// bridge ids; plaintext keys never leave the enclave, and bridge ids are
+/// assigned in an enclave-shuffled order so they reveal nothing about key
+/// *order* (DESIGN.md §11 analyzes what the bridge does reveal).
+#[derive(Debug)]
+pub struct JoinBridgeRequest {
+    /// The build side.
+    pub left: JoinSideData,
+    /// The probe side.
+    pub right: JoinSideData,
+}
+
+impl JoinBridgeRequest {
+    /// Request payload: both sides' distinct codes or plain key values.
+    fn payload_bytes(&self) -> u64 {
+        [&self.left, &self.right]
+            .into_iter()
+            .flat_map(|side| &side.parts)
+            .map(ColumnData::payload_bytes)
+            .sum()
+    }
+}
+
+/// A read-path dictionary-enclave call — the unit a session submits to
+/// the cross-session ECALL scheduler and the element type of a batched
+/// transition. Re-encryption and merge are not read-path calls; they keep
+/// their dedicated [`DictCall`](crate::enclave_ops::DictCall) variants.
+#[derive(Debug)]
+pub enum ReadCall {
+    /// A dictionary search (main or materialized delta store).
+    Search(SearchCall),
+    /// A grouped aggregation.
+    Aggregate(AggregateRequest),
+    /// An equi-join key bridge.
+    JoinBridge(JoinBridgeRequest),
+}
+
+impl ReadCall {
+    /// The request payload size the leakage ledger records as `bytes_in`.
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            ReadCall::Search(s) => s.payload_bytes(),
+            ReadCall::Aggregate(a) => a.payload_bytes(),
+            ReadCall::JoinBridge(j) => j.payload_bytes(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::enclave_ops::{AggCell, AggregateReply, JoinBridgeReply, ReadReply};
+    use crate::search::{DictSearchResult, VidRange};
+    use crate::EncdictError;
+    use encdbdb_crypto::Ciphertext;
+
+    fn plain(values: &[&[u8]]) -> ColumnData {
+        ColumnData::Plain {
+            values: values.iter().map(|v| v.to_vec()).collect(),
+        }
+    }
+
+    /// An empty delta store materializes as an empty ED9 dictionary — the
+    /// cheapest dictionary obtainable through public API.
+    fn empty_dict() -> SegSource {
+        let (dict, _) = crate::dynamic::EncryptedDeltaStore::new("t", "c", 8)
+            .as_dictionary()
+            .expect("empty ED9 dictionary");
+        SegSource::Owned(Box::new(dict))
+    }
+
+    fn coded(codes: &[u32]) -> ColumnData {
+        ColumnData::Encrypted {
+            main: empty_dict(),
+            delta: DeltaSegment::default(),
+            codes: codes.to_vec(),
+            cache: None,
+        }
+    }
+
+    #[test]
+    fn search_request_is_the_bounds_of_every_range() {
+        let bound = |n: usize| Ciphertext::from_bytes(vec![0u8; n]).expect("well-formed");
+        let call = ReadCall::Search(SearchCall {
+            dict: empty_dict(),
+            ranges: vec![
+                EncryptedRange {
+                    tau_s: bound(30),
+                    tau_e: bound(33),
                 },
-                OwnedJoinKey::Plain { values } => JoinKeyData::Plain { values },
-            })
-            .collect(),
+                EncryptedRange {
+                    tau_s: bound(29),
+                    tau_e: bound(29),
+                },
+            ],
+            cache: None,
+        });
+        assert_eq!(call.payload_bytes(), 30 + 33 + 29 + 29);
+    }
+
+    #[test]
+    fn aggregate_request_is_codes_values_and_tuple_slots() {
+        let call = ReadCall::Aggregate(AggregateRequest {
+            table_name: "t".into(),
+            col_names: vec![Some("c".into()), None],
+            parts: vec![
+                AggPartitionData {
+                    columns: vec![coded(&[0, 3, 9]), plain(&[b"ab", b"cde"])],
+                    tuples: vec![(vec![0, 0], 2), (vec![2, 1], 1)],
+                },
+                AggPartitionData {
+                    columns: vec![coded(&[1]), plain(&[b"z"])],
+                    tuples: vec![(vec![0, 0], 7)],
+                },
+            ],
+            plan: AggPlanSpec {
+                group_cols: vec![0],
+                aggregates: Vec::new(),
+                items: Vec::new(),
+                sort: Vec::new(),
+                limit: None,
+            },
+        });
+        // 4 per code, plain bytes as they are, 4 per tuple slot.
+        assert_eq!(call.payload_bytes(), (12 + 5 + 8) + (4 + 1 + 4));
+    }
+
+    #[test]
+    fn bridge_request_is_both_sides_codes_or_values() {
+        let side = |parts| JoinSideData {
+            table_name: "t".into(),
+            col_name: None,
+            parts,
+        };
+        let call = ReadCall::JoinBridge(JoinBridgeRequest {
+            left: side(vec![coded(&[1, 2]), coded(&[5])]),
+            right: side(vec![plain(&[b"key", b"k"])]),
+        });
+        assert_eq!(call.payload_bytes(), 4 * 3 + 4);
+    }
+
+    #[test]
+    fn search_reply_is_8_per_present_range_4_per_id() {
+        let reply = ReadReply::Search(Ok(vec![
+            DictSearchResult::Ranges([VidRange::new(0, 4), VidRange::new(9, 7)]),
+            DictSearchResult::Ids(vec![1, 2, 3]),
+            DictSearchResult::empty_ranges(),
+        ]));
+        assert_eq!(reply.payload_bytes(), 8 + 12);
+        // Every examined entry costs a head and a tail load and one
+        // decrypt, so a search's decrypt count is loads / 2.
+        assert_eq!(reply.values_decrypted(10), 5);
+    }
+
+    #[test]
+    fn aggregate_reply_is_its_cells() {
+        let reply = ReadReply::Aggregated(Ok(AggregateReply {
+            rows: vec![
+                vec![AggCell::Encrypted(vec![0; 40]), AggCell::Plain(vec![0; 3])],
+                vec![AggCell::Encrypted(vec![0; 41]), AggCell::Plain(Vec::new())],
+            ],
+            values_decrypted: 6,
+        }));
+        assert_eq!(reply.payload_bytes(), 40 + 3 + 41);
+        assert_eq!(reply.values_decrypted(100), 6, "reported, not derived");
+    }
+
+    #[test]
+    fn bridge_reply_is_4_per_slot_matched_or_not() {
+        let reply = ReadReply::Bridged(Ok(JoinBridgeReply {
+            left: vec![vec![Some(0), None], vec![None]],
+            right: vec![vec![Some(0)]],
+            bridge_entries: 1,
+            values_decrypted: 4,
+        }));
+        assert_eq!(reply.payload_bytes(), 4 * 4);
+        assert_eq!(reply.values_decrypted(0), 4);
+    }
+
+    #[test]
+    fn error_replies_cross_with_zero_payload() {
+        let err = || EncdictError::CorruptDictionary("test");
+        for reply in [
+            ReadReply::Search(Err(err())),
+            ReadReply::Aggregated(Err(err())),
+            ReadReply::Bridged(Err(err())),
+        ] {
+            assert_eq!(reply.payload_bytes(), 0);
+        }
+        assert_eq!(ReadReply::Aggregated(Err(err())).values_decrypted(8), 0);
     }
 }

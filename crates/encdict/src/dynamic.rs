@@ -298,10 +298,10 @@ impl EncryptedDeltaStore {
         enclave_sim::UntrustedMemory::new(&self.tail)
     }
 
-    /// An owned copy of this delta store's segment bytes, for batched
-    /// aggregate / join requests that outlive the caller's snapshot borrow.
-    pub fn owned_segment(&self) -> crate::batch::OwnedSegment {
-        crate::batch::OwnedSegment {
+    /// A copy of this delta store's segment bytes, for aggregate / join
+    /// requests, which outlive the caller's snapshot borrow.
+    pub fn segment_copy(&self) -> crate::batch::DeltaSegment {
+        crate::batch::DeltaSegment {
             head: self.head.clone(),
             tail: self.tail.clone(),
             len: self.len,

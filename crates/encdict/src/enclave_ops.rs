@@ -4,7 +4,10 @@
 //! analogue of the paper's 1129-LoC C enclave. It implements the
 //! [`enclave_sim::EnclaveLogic`] dispatch for dictionary search (plus value
 //! re-encryption for delta-store merges) and the [`DictEnclave`] host-side
-//! wrapper.
+//! wrapper. The read-path requests it serves — search, aggregate, join
+//! bridge — are described once, in [`crate::batch`]; this module holds the
+//! flat [`SearchRequest`] view, the write-path requests, the replies and
+//! their payload sizes.
 //!
 //! Key properties the paper claims, enforced or measured here:
 //!
@@ -19,7 +22,7 @@
 //! * **Per-entry loads** — every dictionary entry touched is individually
 //!   loaded through the counted [`enclave_sim::TrustedEnv::load`].
 
-use crate::aggregate::AggPlanSpec;
+use crate::batch::{AggregateRequest, ColumnData, JoinBridgeRequest, JoinSideData, ReadCall};
 use crate::dict::{EncryptedDictionary, HEAD_ENTRY_BYTES};
 use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption};
@@ -168,135 +171,6 @@ pub struct SegmentRef<'a> {
     pub len: usize,
 }
 
-/// The value source of one column referenced by an aggregate query,
-/// within one range partition.
-///
-/// Per-column codes address the concatenated main + delta value space of
-/// that partition: code `< main.len` is a main-store ValueID,
-/// `code - main.len` is a delta-store row.
-#[derive(Debug)]
-pub enum AggColumnData<'a> {
-    /// An encrypted column: the enclave decrypts each listed code once
-    /// (the batched value decryption — one `DecryptValue` per distinct
-    /// touched ValueID, not per row).
-    Encrypted {
-        /// Main-store dictionary.
-        main: SegmentRef<'a>,
-        /// Delta-store dictionary (ED9 layout).
-        delta: SegmentRef<'a>,
-        /// Distinct touched codes, ascending; value-table index `i`
-        /// resolves to `codes[i]`.
-        codes: &'a [u32],
-        /// `(partition discriminator, snapshot epoch)` enabling the
-        /// in-enclave decrypted-value cache for this partition's stores;
-        /// `None` disables caching.
-        cache: Option<(u64, u64)>,
-    },
-    /// A PLAIN column: the distinct touched values, resolved by the
-    /// untrusted caller, indexed directly by value-table index.
-    Plain {
-        /// Distinct touched values.
-        values: &'a [Vec<u8>],
-    },
-}
-
-/// One range partition's contribution to an aggregate query: its own
-/// dictionary segments and its own ValueID-tuple histogram. ValueID
-/// spaces of different partitions are unrelated; only the *plaintext*
-/// group keys, recovered inside the enclave, align them.
-#[derive(Debug)]
-pub struct AggPartitionData<'a> {
-    /// The referenced columns, in tuple order (aligned with the request's
-    /// `col_names`).
-    pub columns: Vec<AggColumnData<'a>>,
-    /// The partition's histogram: per-column value-table indices plus row
-    /// frequency.
-    pub tuples: &'a [(Vec<u32>, u64)],
-}
-
-/// A grouped-aggregation ECALL request: the untrusted server has reduced
-/// the matching rows of every scanned partition to a ValueID-tuple
-/// histogram; the enclave decrypts each distinct touched value once per
-/// partition, folds every partition into per-group *partial aggregates*,
-/// merges the partials in the trusted core
-/// ([`crate::aggregate::GroupPartials`]), evaluates GROUP BY / aggregates
-/// / ORDER BY / LIMIT on plaintexts, and returns cells that are
-/// re-encrypted under the originating column keys — so the server cannot
-/// link output groups back to dictionary entries (which would reveal
-/// equality classes of frequency-hiding dictionaries), nor correlate
-/// group keys across partitions.
-#[derive(Debug)]
-pub struct AggregateRequest<'a> {
-    /// Table name (key-derivation metadata).
-    pub table_name: &'a str,
-    /// Per referenced column: `Some(name)` for an encrypted column (the
-    /// key-derivation metadata), `None` for PLAIN.
-    pub col_names: Vec<Option<&'a str>>,
-    /// One entry per scanned non-empty partition. Empty or pruned
-    /// partitions contribute nothing — the enclave never sees them.
-    pub parts: Vec<AggPartitionData<'a>>,
-    /// Group/aggregate/sort/limit specification over the columns.
-    pub plan: &'a AggPlanSpec,
-}
-
-/// The join-key source of one range partition of one join side.
-///
-/// Codes address the concatenated main + delta value space of the key
-/// column, exactly like [`AggColumnData`]: code `< main.len` is a
-/// main-store ValueID, `code - main.len` a delta-store row.
-#[derive(Debug)]
-pub enum JoinKeyData<'a> {
-    /// An encrypted key column: the enclave decrypts each listed distinct
-    /// code once.
-    Encrypted {
-        /// Main-store dictionary.
-        main: SegmentRef<'a>,
-        /// Delta-store dictionary (ED9 layout).
-        delta: SegmentRef<'a>,
-        /// Distinct touched codes, ascending.
-        codes: &'a [u32],
-        /// `(partition discriminator, snapshot epoch)` enabling the
-        /// in-enclave decrypted-value cache; `None` disables caching.
-        cache: Option<(u64, u64)>,
-    },
-    /// A PLAIN key column: the distinct touched values, resolved by the
-    /// untrusted caller.
-    Plain {
-        /// Distinct touched values.
-        values: &'a [Vec<u8>],
-    },
-}
-
-/// One side of a join-bridge request: the key column's per-partition
-/// distinct codes.
-#[derive(Debug)]
-pub struct JoinSideData<'a> {
-    /// Table name (key-derivation metadata).
-    pub table_name: &'a str,
-    /// `Some(column)` for an encrypted key column (key-derivation
-    /// metadata), `None` for PLAIN.
-    pub col_name: Option<&'a str>,
-    /// One entry per scanned non-empty partition.
-    pub parts: Vec<JoinKeyData<'a>>,
-}
-
-/// A join-bridge ECALL request: the untrusted server has reduced each
-/// side's matching rows to per-partition distinct join-key codes; the
-/// enclave decrypts each distinct key once per side and returns an opaque
-/// ValueID↔ValueID *bridge* — per-partition maps from distinct-code index
-/// to a bridge id that is equal exactly when the plaintext keys are equal
-/// and present on both sides. The hash build/probe then runs untrusted on
-/// bridge ids; plaintext keys never leave the enclave, and bridge ids are
-/// assigned in an enclave-shuffled order so they reveal nothing about key
-/// *order* (DESIGN.md §11 analyzes what the bridge does reveal).
-#[derive(Debug)]
-pub struct JoinBridgeRequest<'a> {
-    /// The build side.
-    pub left: JoinSideData<'a>,
-    /// The probe side.
-    pub right: JoinSideData<'a>,
-}
-
 /// The enclave's reply to a [`JoinBridgeRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinBridgeReply {
@@ -310,6 +184,15 @@ pub struct JoinBridgeReply {
     /// Dictionary values decrypted — at most one per distinct touched key
     /// code per side, never per row.
     pub values_decrypted: usize,
+}
+
+impl JoinBridgeReply {
+    /// Reply payload: one 4-byte bridge-id slot per distinct code of
+    /// either side, matched or not.
+    fn payload_bytes(&self) -> u64 {
+        let slots: usize = self.left.iter().chain(&self.right).map(Vec::len).sum();
+        4 * slots as u64
+    }
 }
 
 /// One output cell of an aggregate reply.
@@ -332,25 +215,35 @@ pub struct AggregateReply {
     pub values_decrypted: usize,
 }
 
+impl AggregateReply {
+    /// Reply payload: the bytes of every output cell.
+    fn payload_bytes(&self) -> u64 {
+        self.rows
+            .iter()
+            .flatten()
+            .map(|cell| match cell {
+                AggCell::Encrypted(b) | AggCell::Plain(b) => b.len() as u64,
+            })
+            .sum()
+    }
+}
+
 /// ECALL message for the dictionary enclave.
 #[derive(Debug)]
 pub enum DictCall<'a> {
-    /// Dictionary search (Fig. 5 step 8).
+    /// One dictionary search over a caller-borrowed dictionary (Fig. 5
+    /// step 8) — [`DictEnclave::search`].
     Search(SearchRequest<'a>),
     /// Value re-encryption for delta inserts (§4.3).
     Reencrypt(ReencryptRequest<'a>),
     /// Delta-store merge into a fresh main store (§4.3).
     Merge(MergeRequest<'a>),
-    /// Grouped aggregation over a ValueID histogram.
-    Aggregate(AggregateRequest<'a>),
-    /// Equi-join key bridging over per-side distinct ValueIDs.
-    JoinBridge(JoinBridgeRequest<'a>),
-    /// Several coalesced sub-calls executed in one enclave transition —
-    /// the cross-session ECALL batching entry point. The whole vector
-    /// costs a single context switch; sub-calls run back to back inside
-    /// the enclave and each reply carries its own counter deltas so the
-    /// host can attribute loads/bytes per request. Nesting is rejected.
-    Batch(Vec<DictCall<'a>>),
+    /// One or more read-path calls executed in one enclave transition —
+    /// the entry point of every scheduled search, aggregate and join
+    /// bridge. The whole vector costs a single context switch; sub-calls
+    /// run back to back inside the enclave and each reply carries its own
+    /// counter deltas so the host can attribute loads/bytes per request.
+    Batch(Vec<&'a ReadCall>),
 }
 
 /// ECALL reply.
@@ -363,12 +256,95 @@ pub enum DictReply {
     Reencrypted(Result<Vec<u8>, EncdictError>),
     /// Rebuilt main store.
     Merged(Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError>),
+    /// One reply per sub-call of a [`DictCall::Batch`], in request order.
+    Batch(Vec<BatchItemReply>),
+}
+
+/// The reply to one [`ReadCall`], variant for variant.
+#[derive(Debug)]
+pub enum ReadReply {
+    /// Search results, one per requested range of the disjunction.
+    Search(Result<Vec<DictSearchResult>, EncdictError>),
     /// Aggregation result.
     Aggregated(Result<AggregateReply, EncdictError>),
     /// Join-bridge result.
     Bridged(Result<JoinBridgeReply, EncdictError>),
-    /// One reply per sub-call of a [`DictCall::Batch`], in request order.
-    Batch(Vec<BatchItemReply>),
+}
+
+/// What a caller sees when a reply's variant does not answer its call —
+/// an enclave dispatch bug, surfaced as an error rather than a panic.
+const REPLY_MISMATCH: EncdictError =
+    EncdictError::CorruptDictionary("reply variant does not answer the call");
+
+impl ReadReply {
+    /// The reply payload size the leakage ledger records as `bytes_out`:
+    /// 8 per present position range and 4 per returned id for a search,
+    /// the output cells of an aggregate, 4 per bridge slot; an error
+    /// crosses with zero payload.
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            ReadReply::Search(Ok(results)) => results
+                .iter()
+                .map(|r| match r {
+                    DictSearchResult::Ranges(ranges) => 8 * ranges.iter().flatten().count() as u64,
+                    DictSearchResult::Ids(ids) => 4 * ids.len() as u64,
+                })
+                .sum(),
+            ReadReply::Aggregated(Ok(r)) => r.payload_bytes(),
+            ReadReply::Bridged(Ok(r)) => r.payload_bytes(),
+            _ => 0,
+        }
+    }
+
+    /// Dictionary values this call decrypted, given the untrusted loads it
+    /// issued. Aggregate and bridge replies report the count exactly. A
+    /// search derives it as `loads / 2`: every entry it examines costs one
+    /// head and one tail load and is decrypted once, and a cache hit costs
+    /// neither, so the identity holds with or without caching.
+    pub fn values_decrypted(&self, untrusted_loads: u64) -> u64 {
+        match self {
+            ReadReply::Search(_) => untrusted_loads / 2,
+            ReadReply::Aggregated(Ok(r)) => r.values_decrypted as u64,
+            ReadReply::Bridged(Ok(r)) => r.values_decrypted as u64,
+            _ => 0,
+        }
+    }
+
+    /// Unwraps the reply to a [`ReadCall::Search`].
+    ///
+    /// # Errors
+    ///
+    /// The enclave's error, if the search failed.
+    pub fn into_search(self) -> Result<Vec<DictSearchResult>, EncdictError> {
+        match self {
+            ReadReply::Search(r) => r,
+            _ => Err(REPLY_MISMATCH),
+        }
+    }
+
+    /// Unwraps the reply to a [`ReadCall::Aggregate`].
+    ///
+    /// # Errors
+    ///
+    /// The enclave's error, if the aggregation failed.
+    pub fn into_aggregated(self) -> Result<AggregateReply, EncdictError> {
+        match self {
+            ReadReply::Aggregated(r) => r,
+            _ => Err(REPLY_MISMATCH),
+        }
+    }
+
+    /// Unwraps the reply to a [`ReadCall::JoinBridge`].
+    ///
+    /// # Errors
+    ///
+    /// The enclave's error, if the bridge failed.
+    pub fn into_bridged(self) -> Result<JoinBridgeReply, EncdictError> {
+        match self {
+            ReadReply::Bridged(r) => r,
+            _ => Err(REPLY_MISMATCH),
+        }
+    }
 }
 
 /// One sub-call's reply within a batched transition, with the counter
@@ -377,8 +353,8 @@ pub enum DictReply {
 /// though the host only observes one transition.
 #[derive(Debug)]
 pub struct BatchItemReply {
-    /// The sub-call's reply (never [`DictReply::Batch`]).
-    pub reply: DictReply,
+    /// The sub-call's reply.
+    pub reply: ReadReply,
     /// Untrusted-memory loads issued while serving this sub-call.
     pub untrusted_loads: u64,
     /// Untrusted-memory bytes read while serving this sub-call.
@@ -798,124 +774,91 @@ impl DictLogic {
         Ok((pt, false))
     }
 
-    fn aggregate(
+    /// Decrypts one column's distinct touched codes into its plaintext
+    /// value table — the batched `DecryptValue` loop shared by aggregation
+    /// and the join bridge, one decryption per distinct code. `key` is the
+    /// column's name and cipher when it is declared encrypted, `None` for
+    /// PLAIN.
+    fn column_values(
         &mut self,
         env: &mut TrustedEnv,
-        req: AggregateRequest<'_>,
-    ) -> Result<AggregateReply, EncdictError> {
-        let mut bytes_tracked = 0usize;
-        let result = self.aggregate_inner(env, &req, &mut bytes_tracked);
-        env.track_free(bytes_tracked);
-        result
+        table_name: &str,
+        key: Option<(&str, &Pae)>,
+        col: &ColumnData,
+        tally: &mut DecryptTally,
+    ) -> Result<Vec<Vec<u8>>, EncdictError> {
+        match (col, key) {
+            (
+                ColumnData::Encrypted {
+                    main,
+                    delta,
+                    codes,
+                    cache,
+                },
+                Some((col_name, pae)),
+            ) => {
+                let tag = cache.map(|(part, epoch)| {
+                    let colid = self.value_cache.col_id(table_name, col_name);
+                    (colid, part, epoch * 2)
+                });
+                let main = main.dict().segment_ref();
+                let delta = delta.segment_ref();
+                let mut table = Vec::with_capacity(codes.len());
+                for &code in codes {
+                    let code = code as usize;
+                    let (seg, i, side) = if code < main.len {
+                        (main, code, 0)
+                    } else {
+                        (delta, code - main.len, 1)
+                    };
+                    // Cache generation: `epoch * 2 + side` (0 = main, 1 = delta).
+                    let tag = tag.map(|(colid, part, gen)| (colid, part, gen + side));
+                    let (pt, hit) =
+                        Self::read_segment_entry(&mut self.value_cache, env, seg, pae, tag, i)?;
+                    if !hit {
+                        tally.values += 1;
+                        tally.bytes += pt.len();
+                        env.track_alloc(pt.len());
+                    }
+                    table.push(pt);
+                }
+                Ok(table)
+            }
+            (ColumnData::Plain { values }, None) => Ok(values.clone()),
+            _ => Err(EncdictError::CorruptDictionary(
+                "column data does not match its declared protection",
+            )),
+        }
     }
 
     /// Decrypts one join side's distinct key codes into per-partition
-    /// plaintext key tables — the same batched `DecryptValue` loop the
-    /// aggregate path uses, one decryption per distinct code.
+    /// plaintext key tables.
     fn bridge_side_keys(
-        value_cache: &mut ValueCache,
+        &mut self,
         env: &mut TrustedEnv,
-        side: &JoinSideData<'_>,
-        values_decrypted: &mut usize,
-        bytes_tracked: &mut usize,
+        side: &JoinSideData,
+        tally: &mut DecryptTally,
     ) -> Result<Vec<Vec<Vec<u8>>>, EncdictError> {
-        let pae = match side.col_name {
-            Some(col) => Some(Self::column_pae(env, side.table_name, col)?),
+        let col_name = side.col_name.as_deref();
+        let pae = match col_name {
+            Some(col) => Some(Self::column_pae(env, &side.table_name, col)?),
             None => None,
         };
-        let mut tables = Vec::with_capacity(side.parts.len());
-        for part in &side.parts {
-            match (part, &pae) {
-                (
-                    JoinKeyData::Encrypted {
-                        main,
-                        delta,
-                        codes,
-                        cache,
-                    },
-                    Some(pae),
-                ) => {
-                    let tag = match (cache, side.col_name) {
-                        (Some((p, e)), Some(col)) => {
-                            Some((value_cache.col_id(side.table_name, col), *p, *e))
-                        }
-                        _ => None,
-                    };
-                    let mut table = Vec::with_capacity(codes.len());
-                    for &code in *codes {
-                        let (pt, hit) = if (code as usize) < main.len {
-                            let t = tag.map(|(c, p, e)| (c, p, e * 2));
-                            Self::read_segment_entry(
-                                value_cache,
-                                env,
-                                *main,
-                                pae,
-                                t,
-                                code as usize,
-                            )?
-                        } else {
-                            let t = tag.map(|(c, p, e)| (c, p, e * 2 + 1));
-                            Self::read_segment_entry(
-                                value_cache,
-                                env,
-                                *delta,
-                                pae,
-                                t,
-                                code as usize - main.len,
-                            )?
-                        };
-                        if !hit {
-                            *values_decrypted += 1;
-                            *bytes_tracked += pt.len();
-                            env.track_alloc(pt.len());
-                        }
-                        table.push(pt);
-                    }
-                    tables.push(table);
-                }
-                (JoinKeyData::Plain { values }, None) => tables.push(values.to_vec()),
-                _ => {
-                    return Err(EncdictError::CorruptDictionary(
-                        "join-key data does not match its declared protection",
-                    ))
-                }
-            }
-        }
-        Ok(tables)
+        let key = col_name.zip(pae.as_ref());
+        side.parts
+            .iter()
+            .map(|part| self.column_values(env, &side.table_name, key, part, tally))
+            .collect()
     }
 
     fn join_bridge(
         &mut self,
         env: &mut TrustedEnv,
-        req: JoinBridgeRequest<'_>,
+        req: &JoinBridgeRequest,
+        tally: &mut DecryptTally,
     ) -> Result<JoinBridgeReply, EncdictError> {
-        let mut bytes_tracked = 0usize;
-        let result = self.join_bridge_inner(env, &req, &mut bytes_tracked);
-        env.track_free(bytes_tracked);
-        result
-    }
-
-    fn join_bridge_inner(
-        &mut self,
-        env: &mut TrustedEnv,
-        req: &JoinBridgeRequest<'_>,
-        bytes_tracked: &mut usize,
-    ) -> Result<JoinBridgeReply, EncdictError> {
-        let mut values_decrypted = 0usize;
-        let left = Self::bridge_side_keys(
-            &mut self.value_cache,
-            env,
-            &req.left,
-            &mut values_decrypted,
-            bytes_tracked,
-        )?;
-        let right = Self::bridge_side_keys(
-            &mut self.value_cache,
-            env,
-            &req.right,
-            &mut values_decrypted,
-            bytes_tracked,
-        )?;
+        let left = self.bridge_side_keys(env, &req.left, tally)?;
+        let right = self.bridge_side_keys(env, &req.right, tally)?;
         // Ids are assigned after an in-enclave shuffle, so the numbering
         // carries no key-order information — crucial for rotated/unsorted
         // kinds whose dictionaries hide order.
@@ -926,15 +869,15 @@ impl DictLogic {
             left,
             right,
             bridge_entries,
-            values_decrypted,
+            values_decrypted: tally.values,
         })
     }
 
-    fn aggregate_inner(
+    fn aggregate(
         &mut self,
         env: &mut TrustedEnv,
-        req: &AggregateRequest<'_>,
-        bytes_tracked: &mut usize,
+        req: &AggregateRequest,
+        tally: &mut DecryptTally,
     ) -> Result<AggregateReply, EncdictError> {
         // One key per referenced encrypted column, shared by every
         // partition (partitions of a table are protected by the same
@@ -942,7 +885,7 @@ impl DictLogic {
         let mut paes: Vec<Option<Pae>> = Vec::with_capacity(req.col_names.len());
         for name in &req.col_names {
             paes.push(match name {
-                Some(col) => Some(Self::column_pae(env, req.table_name, col)?),
+                Some(col) => Some(Self::column_pae(env, &req.table_name, col)?),
                 None => None,
             });
         }
@@ -951,7 +894,6 @@ impl DictLogic {
         // (batched decryption), and merge the partials in the trusted
         // core.
         let mut partials = crate::aggregate::GroupPartials::new();
-        let mut values_decrypted = 0usize;
         for part in &req.parts {
             if part.columns.len() != req.col_names.len() {
                 return Err(EncdictError::CorruptDictionary(
@@ -960,67 +902,14 @@ impl DictLogic {
             }
             let mut tables: Vec<Vec<Vec<u8>>> = Vec::with_capacity(part.columns.len());
             for ((col, pae), name) in part.columns.iter().zip(&paes).zip(&req.col_names) {
-                match (col, pae) {
-                    (
-                        AggColumnData::Encrypted {
-                            main,
-                            delta,
-                            codes,
-                            cache,
-                        },
-                        Some(pae),
-                    ) => {
-                        let tag = match (cache, name) {
-                            (Some((p, e)), Some(col_name)) => {
-                                Some((self.value_cache.col_id(req.table_name, col_name), *p, *e))
-                            }
-                            _ => None,
-                        };
-                        let mut table = Vec::with_capacity(codes.len());
-                        for &code in *codes {
-                            let (pt, hit) = if (code as usize) < main.len {
-                                let t = tag.map(|(c, p, e)| (c, p, e * 2));
-                                Self::read_segment_entry(
-                                    &mut self.value_cache,
-                                    env,
-                                    *main,
-                                    pae,
-                                    t,
-                                    code as usize,
-                                )?
-                            } else {
-                                let t = tag.map(|(c, p, e)| (c, p, e * 2 + 1));
-                                Self::read_segment_entry(
-                                    &mut self.value_cache,
-                                    env,
-                                    *delta,
-                                    pae,
-                                    t,
-                                    code as usize - main.len,
-                                )?
-                            };
-                            if !hit {
-                                values_decrypted += 1;
-                                *bytes_tracked += pt.len();
-                                env.track_alloc(pt.len());
-                            }
-                            table.push(pt);
-                        }
-                        tables.push(table);
-                    }
-                    (AggColumnData::Plain { values }, None) => tables.push(values.to_vec()),
-                    _ => {
-                        return Err(EncdictError::CorruptDictionary(
-                            "column data does not match its declared protection",
-                        ))
-                    }
-                }
+                let key = name.as_deref().zip(pae.as_ref());
+                tables.push(self.column_values(env, &req.table_name, key, col, tally)?);
             }
             let mut partial = crate::aggregate::GroupPartials::new();
-            partial.accumulate(&tables, part.tuples, req.plan)?;
+            partial.accumulate(&tables, &part.tuples, &req.plan)?;
             partials.merge(partial);
         }
-        let rows = partials.finalize(req.plan)?;
+        let rows = partials.finalize(&req.plan)?;
         // Wrap each plaintext cell for the untrusted realm: values derived
         // from an encrypted column leave the enclave only re-encrypted
         // under that column's key with a fresh IV.
@@ -1051,32 +940,39 @@ impl DictLogic {
             .collect();
         Ok(AggregateReply {
             rows: out,
-            values_decrypted,
+            values_decrypted: tally.values,
         })
     }
+
+    /// Serves one read-path call. Aggregate and bridge hold their
+    /// decrypted value tables in trusted memory for the duration of the
+    /// call; the tally releases that accounting on success and on error.
+    fn read(&mut self, env: &mut TrustedEnv, call: &ReadCall) -> ReadReply {
+        let mut tally = DecryptTally::default();
+        let reply = match call {
+            ReadCall::Search(s) => ReadReply::Search(self.search(
+                env,
+                SearchRequest::for_dictionary_multi(s.dict.dict(), &s.ranges, s.cache),
+            )),
+            ReadCall::Aggregate(a) => ReadReply::Aggregated(self.aggregate(env, a, &mut tally)),
+            ReadCall::JoinBridge(j) => ReadReply::Bridged(self.join_bridge(env, j, &mut tally)),
+        };
+        env.track_free(tally.bytes);
+        reply
+    }
+}
+
+/// What one aggregate or bridge call has decrypted so far: the count its
+/// reply reports and the plaintext bytes charged to the trusted heap.
+#[derive(Default)]
+struct DecryptTally {
+    values: usize,
+    bytes: usize,
 }
 
 impl Default for DictLogic {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl DictLogic {
-    /// Dispatches one non-batch call. A nested [`DictCall::Batch`] is
-    /// rejected: batching composes at the scheduler, never recursively
-    /// inside the enclave (unbounded recursion on the trusted stack).
-    fn dispatch_one(&mut self, env: &mut TrustedEnv, call: DictCall<'_>) -> DictReply {
-        match call {
-            DictCall::Search(req) => DictReply::Search(self.search(env, req)),
-            DictCall::Reencrypt(req) => DictReply::Reencrypted(self.reencrypt(env, req)),
-            DictCall::Merge(req) => DictReply::Merged(self.merge(env, req)),
-            DictCall::Aggregate(req) => DictReply::Aggregated(self.aggregate(env, req)),
-            DictCall::JoinBridge(req) => DictReply::Bridged(self.join_bridge(env, req)),
-            DictCall::Batch(_) => DictReply::Search(Err(EncdictError::CorruptDictionary(
-                "nested batch call rejected",
-            ))),
-        }
     }
 }
 
@@ -1092,6 +988,9 @@ impl EnclaveLogic for DictLogic {
 
     fn dispatch(&mut self, env: &mut TrustedEnv, call: DictCall<'_>) -> DictReply {
         match call {
+            DictCall::Search(req) => DictReply::Search(self.search(env, req)),
+            DictCall::Reencrypt(req) => DictReply::Reencrypted(self.reencrypt(env, req)),
+            DictCall::Merge(req) => DictReply::Merged(self.merge(env, req)),
             DictCall::Batch(calls) => {
                 // One transition, many sub-calls: snapshot the counters
                 // around each sub-call so every reply carries exactly its
@@ -1100,7 +999,7 @@ impl EnclaveLogic for DictLogic {
                 let mut items = Vec::with_capacity(calls.len());
                 for sub in calls {
                     let before = env.counters();
-                    let reply = self.dispatch_one(env, sub);
+                    let reply = self.read(env, sub);
                     let after = env.counters();
                     items.push(BatchItemReply {
                         reply,
@@ -1112,7 +1011,6 @@ impl EnclaveLogic for DictLogic {
                 }
                 DictReply::Batch(items)
             }
-            other => self.dispatch_one(env, other),
         }
     }
 }
@@ -1243,37 +1141,6 @@ impl DictEnclave {
         }
     }
 
-    /// Evaluates a grouped aggregation over a ValueID histogram — one
-    /// ECALL per query, decrypting each distinct touched value once.
-    ///
-    /// # Errors
-    ///
-    /// As [`DictEnclave::search`], plus [`EncdictError::Aggregate`] for
-    /// SUM/AVG over non-numeric values.
-    pub fn aggregate(&mut self, req: AggregateRequest<'_>) -> Result<AggregateReply, EncdictError> {
-        match self.inner.ecall(DictCall::Aggregate(req)) {
-            DictReply::Aggregated(r) => r,
-            _ => unreachable!("aggregate call returns aggregate reply"),
-        }
-    }
-
-    /// Builds the opaque join-key bridge for an equi-join — one ECALL per
-    /// query, decrypting each distinct join-key code at most once per
-    /// side.
-    ///
-    /// # Errors
-    ///
-    /// As [`DictEnclave::search`].
-    pub fn join_bridge(
-        &mut self,
-        req: JoinBridgeRequest<'_>,
-    ) -> Result<JoinBridgeReply, EncdictError> {
-        match self.inner.ecall(DictCall::JoinBridge(req)) {
-            DictReply::Bridged(r) => r,
-            _ => unreachable!("join-bridge call returns bridge reply"),
-        }
-    }
-
     /// Merges a delta store into a freshly rebuilt main store — one ECALL.
     ///
     /// # Errors
@@ -1289,13 +1156,14 @@ impl DictEnclave {
         }
     }
 
-    /// Executes several coalesced sub-calls in a **single** enclave
-    /// transition (the cross-session ECALL batching entry point). Replies
-    /// come back in request order, each tagged with the counter deltas its
-    /// own sub-call produced, so the host can attribute untrusted traffic
-    /// per request. Never fails as a whole: per-sub-call errors are inside
-    /// each [`BatchItemReply::reply`].
-    pub fn batch(&mut self, calls: Vec<DictCall<'_>>) -> Vec<BatchItemReply> {
+    /// Executes one or more read-path calls in a **single** enclave
+    /// transition — how every scheduled search, aggregate and join bridge
+    /// enters the enclave, alone or coalesced with other sessions' calls.
+    /// Replies come back in request order, each tagged with the counter
+    /// deltas its own sub-call produced, so the host can attribute
+    /// untrusted traffic per request. Never fails as a whole: per-sub-call
+    /// errors are inside each [`BatchItemReply::reply`].
+    pub fn batch(&mut self, calls: Vec<&ReadCall>) -> Vec<BatchItemReply> {
         match self.inner.ecall(DictCall::Batch(calls)) {
             DictReply::Batch(items) => items,
             _ => unreachable!("batch call returns batch reply"),
@@ -1330,6 +1198,7 @@ pub fn decrypt_column_value(pae: &Pae, ciphertext: &[u8]) -> Result<Vec<u8>, Enc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{DeltaSegment, SegSource};
     use crate::build::{build_encrypted, BuildParams};
     use crate::range::RangeQuery;
     use colstore::column::Column;
@@ -1521,36 +1390,26 @@ mod tests {
         enclave.provision_direct(skdb);
         enclave.enclave_mut().reset_counters();
 
-        let empty = SegmentRef {
-            head: UntrustedMemory::new(&[]),
-            tail: UntrustedMemory::new(&[]),
-            len: 0,
+        let side = |table: &str, col: &str, dict: EncryptedDictionary| JoinSideData {
+            table_name: table.into(),
+            col_name: Some(col.into()),
+            parts: vec![ColumnData::Encrypted {
+                codes: (0..dict.len() as u32).collect(),
+                main: SegSource::Owned(Box::new(dict)),
+                delta: DeltaSegment::default(),
+                cache: None,
+            }],
         };
-        let codes_l: Vec<u32> = (0..dict_l.len() as u32).collect();
-        let codes_r: Vec<u32> = (0..dict_r.len() as u32).collect();
+        let call = ReadCall::JoinBridge(JoinBridgeRequest {
+            left: side("t", "kl", dict_l.clone()),
+            right: side("u", "kr", dict_r.clone()),
+        });
         let reply = enclave
-            .join_bridge(JoinBridgeRequest {
-                left: JoinSideData {
-                    table_name: "t",
-                    col_name: Some("kl"),
-                    parts: vec![JoinKeyData::Encrypted {
-                        main: dict_l.segment_ref(),
-                        delta: empty,
-                        codes: &codes_l,
-                        cache: None,
-                    }],
-                },
-                right: JoinSideData {
-                    table_name: "u",
-                    col_name: Some("kr"),
-                    parts: vec![JoinKeyData::Encrypted {
-                        main: dict_r.segment_ref(),
-                        delta: empty,
-                        codes: &codes_r,
-                        cache: None,
-                    }],
-                },
-            })
+            .batch(vec![&call])
+            .pop()
+            .expect("one reply per call")
+            .reply
+            .into_bridged()
             .unwrap();
         // One ECALL; one decrypt per distinct code per side.
         assert_eq!(enclave.enclave().counters().ecalls, 1);

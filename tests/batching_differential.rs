@@ -2,7 +2,7 @@
 //! (DESIGN.md §15) is invisible in query results and — for serial
 //! workloads — byte-for-byte invisible in the leakage ledger.
 //!
-//! Three angles:
+//! Four angles:
 //!
 //! * **Paired legs.** Proptest-generated interleavings of insert /
 //!   delete / range select / aggregate / compact run twice from the same
@@ -20,6 +20,10 @@
 //!   generation are queued while a merge publishes a new epoch; they
 //!   must still answer correctly (each owns its snapshot's segments),
 //!   and a post-publish query over the new generation agrees.
+//! * **Overlapping ranges.** A delta-store search whose ranges overlap
+//!   returns some ids twice; its recorded `bytes_out` is the reply's
+//!   size, not the size of the unioned row list, whether the call ran
+//!   alone or shared a transition.
 //!
 //! Thread/case counts are bounded for CI via `ENCDBDB_STRESS_THREADS`.
 
@@ -420,4 +424,80 @@ fn compaction_publish_mid_batch_stays_correct() {
             "{choice}: the fresh query ran on the published epoch"
         );
     }
+}
+
+/// Overlapping encrypted ranges over delta rows, handed to the public
+/// `select_multi` (SQL never produces them — the proxy de-duplicates
+/// `IN` lists): each range's delta hits come back as their own id list,
+/// so `bytes_out` is 4 per id *per range*. A solo call and a call that
+/// shared a transition must both record exactly that, and the same
+/// `bytes_in`.
+#[test]
+fn overlapping_delta_ranges_record_the_reply_size_solo_and_coalesced() {
+    use encdbdb::server::ServerFilter;
+    use encdict::{EncryptedRange, RangeQuery};
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let threads = env_usize("ENCDBDB_STRESS_THREADS", 4).max(3);
+    let mut db = Session::with_seed(0x0E).expect("session");
+    db.set_compaction_policy(None); // every row stays in the delta store
+    db.execute("CREATE TABLE t (v ED5(8))").expect("create");
+    let rows: Vec<String> = (0..10).map(|i| format!("('{}')", value(i))).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", ")))
+        .expect("insert");
+
+    // [0002, 0006] and [0004, 0008] overlap on 0004..=0006.
+    let sk = encdbdb_crypto::hkdf::derive_column_key(&db.master_key(), "t", "v");
+    let pae = encdbdb_crypto::Pae::new(&sk);
+    let mut rng = StdRng::seed_from_u64(0x0E);
+    let ranges: Vec<EncryptedRange> = [("0002", "0006"), ("0004", "0008")]
+        .iter()
+        .map(|(lo, hi)| EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between(*lo, *hi)))
+        .collect();
+    let bytes_in: u64 = ranges
+        .iter()
+        .map(|r| (r.tau_s.as_bytes().len() + r.tau_e.as_bytes().len()) as u64)
+        .sum();
+    let bytes_out = 4 * (5 + 5); // five delta ids per range, three of them twice
+    let filter = ServerFilter::Encrypted {
+        column: "v".into(),
+        ranges,
+    };
+    let select = || {
+        let got = db
+            .server()
+            .select_multi("t", &[], std::slice::from_ref(&filter))
+            .expect("select");
+        assert_eq!(got.rows.len(), 7, "the union 0002..=0008");
+    };
+
+    // Solo, through the bypass.
+    db.server().set_ecall_batching(false);
+    let before = db.leakage_ledger();
+    select();
+    let solo = db.leakage_ledger().since(&before);
+    db.server().set_ecall_batching(true);
+    let solo = solo.kind(EcallKind::Search);
+    assert_eq!(solo.calls, 1, "an empty main store is never searched");
+    assert_eq!(solo.bytes_in, bytes_in, "solo bytes_in");
+    assert_eq!(solo.bytes_out, bytes_out, "solo bytes_out");
+
+    // Coalesced: pinned behind a held enclave lock, every call but the
+    // leader's provably shares one transition.
+    let before = db.leakage_ledger();
+    let guard = db.server().enclave();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(select)).collect();
+        std::thread::sleep(std::time::Duration::from_millis(60));
+        drop(guard);
+        for h in handles {
+            h.join().expect("reader thread");
+        }
+    });
+    let delta = db.leakage_ledger().since(&before);
+    let (single, shared) = (delta.kind(EcallKind::Search), delta.kind(EcallKind::Batch));
+    assert!(shared.calls >= 1, "no shared round was recorded");
+    let n = threads as u64;
+    assert_eq!(single.bytes_in + shared.bytes_in, n * bytes_in);
+    assert_eq!(single.bytes_out + shared.bytes_out, n * bytes_out);
 }
