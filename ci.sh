@@ -12,6 +12,26 @@ run() {
     "$@"
 }
 
+# The `unsafe` budget is one file: the hardware GCM backend's CPU-detected
+# dispatch (DESIGN.md §6). Outside it the word may appear only in a crate
+# root's lint attribute, and every root keeps `forbid` except
+# encdbdb-crypto's, which `deny`s so that one module can opt back in.
+UNSAFE_MODULE=crates/crypto/src/gcm_x86.rs
+if grep -rn unsafe src crates/*/src --include='*.rs' | grep -v -e "^$UNSAFE_MODULE:" \
+    -e '/lib.rs:[0-9]*:#!\[forbid(unsafe_code)\]$' \
+    -e '^crates/crypto/src/lib.rs:[0-9]*:#!\[deny(unsafe_code)\]$'; then
+    echo "unsafe outside $UNSAFE_MODULE (listed above)"
+    exit 1
+fi
+for root in src/lib.rs crates/*/src/lib.rs; do
+    want=forbid
+    [ "$root" = crates/crypto/src/lib.rs ] && want=deny
+    if ! grep -q "^#!\[$want(unsafe_code)\]\$" "$root"; then
+        echo "$root: expected #![$want(unsafe_code)]"
+        exit 1
+    fi
+done
+
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo fmt --check
@@ -75,6 +95,7 @@ run cargo bench --no-run --offline -p encdbdb-bench --bench join
 run cargo bench --no-run --offline -p encdbdb-bench --bench durability
 run cargo bench --no-run --offline -p encdbdb-bench --bench cache
 run cargo bench --no-run --offline -p encdbdb-bench --bench concurrency
+run cargo bench --no-run --offline -p encdbdb-bench --bench crypto
 # The concurrent-reader load generator (README "Concurrent throughput").
 run cargo build --release --offline -p encdbdb-bench --bin loadgen
 # The bench-trajectory emit mode: one fast bounded bench run writing
@@ -85,6 +106,12 @@ trap 'rm -rf "$BENCH_JSON_DIR"' EXIT
 run env ENCDBDB_BENCH_JSON="$BENCH_JSON_DIR" ENCDBDB_DURABILITY_ROWS=200 \
     cargo bench -q --offline -p encdbdb-bench --bench durability
 run python3 tools/validate_bench_json.py "$BENCH_JSON_DIR"/BENCH_durability.json
+# The PAE rows (detected backend beside the portable fallback, DESIGN.md
+# §6). Schema-validated only: which backend `Pae::new` picks is the CPU's
+# choice, so the medians are not comparable across runners.
+run env ENCDBDB_BENCH_JSON="$BENCH_JSON_DIR" \
+    cargo bench -q --offline -p encdbdb-bench --bench crypto -- pae
+run python3 tools/validate_bench_json.py "$BENCH_JSON_DIR"/BENCH_crypto.json
 run python3 tools/validate_bench_json.py baselines/BENCH_*.json
 # The scan-kernel regression gate: a fresh av_search run (no row knobs,
 # same workload as the committed baseline) compared median-to-median

@@ -21,18 +21,23 @@ fn bench_crypto(c: &mut Criterion) {
         })
     });
 
-    let pae = Pae::new(&key);
+    // A 10-byte value like the paper's C2 strings, under the AAD every
+    // dictionary value carries — on the backend `Pae::new` detects (AES-NI
+    // + PCLMULQDQ where the CPU has them) and on the portable fallback:
+    // the ratio of the two rows is the factor DESIGN.md §6 quotes.
+    const AAD: &[u8] = encdict::build::DICT_VALUE_AAD;
     let mut rng = StdRng::seed_from_u64(1);
-    // A 10-byte value like the paper's C2 strings.
-    let ct = pae.encrypt_with_rng(&mut rng, b"aaaaabbbbb", b"encdbdb/dict-value/v1");
     let mut group = c.benchmark_group("pae");
     group.throughput(Throughput::Elements(1));
-    group.bench_function("encrypt_10B", |b| {
-        b.iter(|| pae.encrypt_with_rng(&mut rng, b"aaaaabbbbb", b"encdbdb/dict-value/v1"))
-    });
-    group.bench_function("decrypt_10B", |b| {
-        b.iter(|| pae.decrypt(&ct, b"encdbdb/dict-value/v1").unwrap())
-    });
+    for (suffix, pae) in [("", Pae::new(&key)), ("_portable", Pae::portable(&key))] {
+        let ct = pae.encrypt_with_rng(&mut rng, b"aaaaabbbbb", AAD);
+        group.bench_function(format!("encrypt_10B{suffix}"), |b| {
+            b.iter(|| pae.encrypt_with_rng(&mut rng, b"aaaaabbbbb", AAD))
+        });
+        group.bench_function(format!("decrypt_10B{suffix}"), |b| {
+            b.iter(|| pae.decrypt(&ct, AAD).unwrap())
+        });
+    }
     group.finish();
 
     c.bench_function("sha256_64B", |b| {
@@ -42,6 +47,7 @@ fn bench_crypto(c: &mut Criterion) {
     c.bench_function("derive_column_key", |b| {
         b.iter(|| derive_column_key(&key, "bw", "C2"))
     });
+    c.bench_function("pae_new", |b| b.iter(|| Pae::new(&key)));
     c.bench_function("x25519_shared_secret", |b| {
         let sk = Key256::from_bytes([9; 32]);
         let pk = x25519::public_key(&Key256::from_bytes([4; 32]));

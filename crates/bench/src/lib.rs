@@ -6,6 +6,8 @@
 //! all dictionary variants, simple CLI parsing, timing helpers and table
 //! formatting.
 
+#![forbid(unsafe_code)]
+
 use colstore::column::Column;
 use colstore::stats::ColumnStats;
 use encdbdb_crypto::hkdf::derive_column_key;

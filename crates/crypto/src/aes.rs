@@ -1,12 +1,13 @@
-//! AES-128 block cipher (encryption direction only).
+//! AES-128 block cipher (encryption direction only), portable.
 //!
 //! GCM mode uses the forward cipher exclusively (CTR keystream + GHASH key),
-//! so the inverse cipher is not implemented. The implementation is a
-//! straightforward table-free byte-oriented one: the S-box is a constant
-//! table (computed once at first use), `MixColumns` uses `xtime`
-//! multiplication. This is slower than AES-NI, which the paper's
-//! implementation uses; see DESIGN.md for why the substitution preserves the
-//! evaluation's shape.
+//! so the inverse cipher is not implemented. This is the fallback
+//! [`crate::gcm::Pae`] runs on where the CPU offers no AES instructions:
+//! a straightforward byte-oriented implementation whose S-box is a
+//! constant table and whose `MixColumns` uses `xtime` multiplication. The
+//! S-box is indexed by key- and data-dependent bytes, so this
+//! implementation is **not constant-time**; the hardware backend is. See
+//! DESIGN.md §6.
 
 use crate::keys::Key128;
 

@@ -173,18 +173,6 @@ impl Ciphertext {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    fn iv(&self) -> &[u8] {
-        &self.0[..IV_LEN]
-    }
-
-    fn body(&self) -> &[u8] {
-        &self.0[IV_LEN..self.0.len() - TAG_LEN]
-    }
-
-    fn tag(&self) -> &[u8] {
-        &self.0[self.0.len() - TAG_LEN..]
-    }
 }
 
 impl std::fmt::Debug for Ciphertext {
@@ -193,35 +181,26 @@ impl std::fmt::Debug for Ciphertext {
     }
 }
 
-/// Probabilistic authenticated encryption: AES-128-GCM.
-///
-/// One `Pae` instance holds the expanded key schedule and the GHASH table
-/// for a single key — mirroring the enclave caching the derived `SK_D`
-/// during a dictionary search.
+/// The portable backend: byte-oriented AES and a 4-bit-table GHASH. Runs
+/// everywhere; its S-box lookups are indexed by secret data, so it is not
+/// constant-time.
 #[derive(Clone)]
-pub struct Pae {
+struct Portable {
     cipher: Aes128,
     ghash: GHash,
 }
 
-impl std::fmt::Debug for Pae {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Pae").finish_non_exhaustive()
-    }
-}
-
-impl Pae {
-    /// Creates a PAE instance for `key`.
-    pub fn new(key: &Key128) -> Self {
+impl Portable {
+    fn new(key: &Key128) -> Self {
         let cipher = Aes128::new(key);
         let h = cipher.encrypt_block_copy(&[0u8; 16]);
-        Pae {
+        Portable {
             ghash: GHash::new(h),
             cipher,
         }
     }
 
-    fn ctr_xor(&self, iv: &[u8], data: &mut [u8]) {
+    fn ctr_xor(&self, iv: &[u8; IV_LEN], data: &mut [u8]) {
         let mut counter_block = [0u8; 16];
         counter_block[..IV_LEN].copy_from_slice(iv);
         let mut ctr: u32 = 2; // counter 1 is reserved for the tag mask
@@ -235,7 +214,7 @@ impl Pae {
         }
     }
 
-    fn tag(&self, iv: &[u8], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+    fn tag(&self, iv: &[u8; IV_LEN], aad: &[u8], ct: &[u8]) -> [u8; 16] {
         let mut j0 = [0u8; 16];
         j0[..IV_LEN].copy_from_slice(iv);
         j0[15] = 1;
@@ -246,6 +225,78 @@ impl Pae {
         }
         tag
     }
+}
+
+/// The one GCM implementation a [`Pae`] holds, chosen once per key.
+#[derive(Clone)]
+enum Backend {
+    Portable(Portable),
+    #[cfg(target_arch = "x86_64")]
+    Hardware(crate::gcm_x86::HwGcm),
+}
+
+impl Backend {
+    /// The hardware backend where the CPU offers it, else the portable one.
+    fn detect(key: &Key128) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = crate::gcm_x86::HwGcm::new(key) {
+            return Backend::Hardware(hw);
+        }
+        Backend::Portable(Portable::new(key))
+    }
+
+    fn ctr_xor(&self, iv: &[u8; IV_LEN], data: &mut [u8]) {
+        match self {
+            Backend::Portable(p) => p.ctr_xor(iv, data),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.ctr_xor(iv, data),
+        }
+    }
+
+    fn tag(&self, iv: &[u8; IV_LEN], aad: &[u8], ct: &[u8]) -> [u8; 16] {
+        match self {
+            Backend::Portable(p) => p.tag(iv, aad, ct),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Hardware(hw) => hw.tag(iv, aad, ct),
+        }
+    }
+}
+
+/// Probabilistic authenticated encryption: AES-128-GCM.
+///
+/// One `Pae` instance holds the expanded key schedule and the GHASH key
+/// material for a single key — mirroring the enclave caching the derived
+/// `SK_D` during a dictionary search. On x86-64 CPUs with AES-NI,
+/// PCLMULQDQ and SSSE3 it runs on those instructions (as the paper's
+/// prototype does through the SGX SDK); everywhere else it runs the
+/// portable implementation. Both produce the same bytes.
+#[derive(Clone)]
+pub struct Pae {
+    backend: Backend,
+}
+
+impl std::fmt::Debug for Pae {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pae").finish_non_exhaustive()
+    }
+}
+
+impl Pae {
+    /// Creates a PAE instance for `key`.
+    pub fn new(key: &Key128) -> Self {
+        Pae {
+            backend: Backend::detect(key),
+        }
+    }
+
+    /// A PAE instance pinned to the portable backend, whatever the CPU
+    /// offers — for the backend-differential tests and `benches/crypto.rs`.
+    #[doc(hidden)]
+    pub fn portable(key: &Key128) -> Self {
+        Pae {
+            backend: Backend::Portable(Portable::new(key)),
+        }
+    }
 
     /// `PAE Enc(SK, IV, v)` with an explicit IV.
     ///
@@ -255,8 +306,8 @@ impl Pae {
         let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
         out.extend_from_slice(iv);
         out.extend_from_slice(plaintext);
-        self.ctr_xor(iv, &mut out[IV_LEN..]);
-        let tag = self.tag(iv, aad, &out[IV_LEN..]);
+        self.backend.ctr_xor(iv, &mut out[IV_LEN..]);
+        let tag = self.backend.tag(iv, aad, &out[IV_LEN..]);
         out.extend_from_slice(&tag);
         Ciphertext(out)
     }
@@ -273,6 +324,38 @@ impl Pae {
         self.encrypt(&iv, plaintext, aad)
     }
 
+    /// `PAE Dec(SK, c)` on a serialized `IV ‖ body ‖ tag` byte string,
+    /// writing the plaintext into `out` (replacing its contents) without
+    /// allocating beyond `out`'s own growth. The tag is verified in
+    /// constant time before any plaintext is produced; on error `out` is
+    /// left exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`CryptoError::Truncated`] if `bytes` cannot hold an IV and a tag,
+    /// [`CryptoError::TagMismatch`] if the tag does not verify (wrong key,
+    /// tampered ciphertext, or wrong AAD).
+    pub fn decrypt_into(
+        &self,
+        bytes: &[u8],
+        aad: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<(), CryptoError> {
+        let truncated = CryptoError::Truncated {
+            got: bytes.len(),
+            need: OVERHEAD,
+        };
+        let (iv, rest) = bytes.split_first_chunk::<IV_LEN>().ok_or(truncated)?;
+        let (body, tag) = rest.split_last_chunk::<TAG_LEN>().ok_or(truncated)?;
+        if !ct_eq(&self.backend.tag(iv, aad, body), tag) {
+            return Err(CryptoError::TagMismatch);
+        }
+        out.clear();
+        out.extend_from_slice(body);
+        self.backend.ctr_xor(iv, out);
+        Ok(())
+    }
+
     /// `PAE Dec(SK, c)`: decrypts and verifies authenticity.
     ///
     /// # Errors
@@ -280,14 +363,7 @@ impl Pae {
     /// Returns [`CryptoError::TagMismatch`] if the tag does not verify
     /// (wrong key, tampered ciphertext, or wrong AAD).
     pub fn decrypt(&self, ct: &Ciphertext, aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let expected = self.tag(ct.iv(), aad, ct.body());
-        if !ct_eq(&expected, ct.tag()) {
-            return Err(CryptoError::TagMismatch);
-        }
-        let mut pt = ct.body().to_vec();
-        let iv: &[u8] = ct.iv();
-        self.ctr_xor(iv, &mut pt);
-        Ok(pt)
+        self.decrypt_bytes(ct.as_bytes(), aad)
     }
 
     /// Decrypts a serialized `IV ‖ body ‖ tag` byte string.
@@ -297,8 +373,9 @@ impl Pae {
     /// [`CryptoError::Truncated`] for malformed input, otherwise as
     /// [`Pae::decrypt`].
     pub fn decrypt_bytes(&self, bytes: &[u8], aad: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        let ct = Ciphertext::from_bytes(bytes.to_vec())?;
-        self.decrypt(&ct, aad)
+        let mut out = Vec::new();
+        self.decrypt_into(bytes, aad, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -306,7 +383,7 @@ impl Pae {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -315,22 +392,54 @@ mod tests {
             .collect()
     }
 
+    fn body(ct: &Ciphertext) -> &[u8] {
+        &ct.as_bytes()[IV_LEN..ct.len() - TAG_LEN]
+    }
+
+    fn tag(ct: &Ciphertext) -> &[u8] {
+        &ct.as_bytes()[ct.len() - TAG_LEN..]
+    }
+
+    /// The backend `Pae::new` picks on this CPU, and the portable one.
+    fn backends(key: &Key128) -> [(&'static str, Pae); 2] {
+        [
+            ("detected", Pae::new(key)),
+            ("portable", Pae::portable(key)),
+        ]
+    }
+
+    /// Without this the differential tests below could compare the
+    /// portable backend with itself and prove nothing.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn new_picks_hardware_exactly_when_the_cpu_has_it() {
+        let has = is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("ssse3");
+        let pae = Pae::new(&Key128::from_bytes([1u8; 16]));
+        assert_eq!(matches!(pae.backend, Backend::Hardware(_)), has);
+        let portable = Pae::portable(&Key128::from_bytes([1u8; 16]));
+        assert!(matches!(portable.backend, Backend::Portable(_)));
+    }
+
     /// NIST GCM test vector: empty plaintext, empty AAD, zero key/IV.
     #[test]
     fn nist_empty_vector() {
-        let pae = Pae::new(&Key128::from_bytes([0u8; 16]));
-        let ct = pae.encrypt(&[0u8; 12], b"", b"");
-        assert_eq!(ct.body(), b"");
-        assert_eq!(ct.tag().to_vec(), hex("58e2fccefa7e3061367f1d57a4e7455a"));
+        for (name, pae) in backends(&Key128::from_bytes([0u8; 16])) {
+            let ct = pae.encrypt(&[0u8; 12], b"", b"");
+            assert_eq!(body(&ct), b"", "{name}");
+            assert_eq!(tag(&ct), hex("58e2fccefa7e3061367f1d57a4e7455a"), "{name}");
+        }
     }
 
     /// NIST GCM test vector: one zero block under the zero key.
     #[test]
     fn nist_single_block_vector() {
-        let pae = Pae::new(&Key128::from_bytes([0u8; 16]));
-        let ct = pae.encrypt(&[0u8; 12], &[0u8; 16], b"");
-        assert_eq!(ct.body().to_vec(), hex("0388dace60b6a392f328c2b971b2fe78"));
-        assert_eq!(ct.tag().to_vec(), hex("ab6e47d42cec13bdf53a67b21257bddf"));
+        for (name, pae) in backends(&Key128::from_bytes([0u8; 16])) {
+            let ct = pae.encrypt(&[0u8; 12], &[0u8; 16], b"");
+            assert_eq!(body(&ct), hex("0388dace60b6a392f328c2b971b2fe78"), "{name}");
+            assert_eq!(tag(&ct), hex("ab6e47d42cec13bdf53a67b21257bddf"), "{name}");
+        }
     }
 
     /// NIST GCM test case 3: 4-block message.
@@ -341,13 +450,15 @@ mod tests {
         let pt = hex(
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
         );
-        let pae = Pae::new(&key);
-        let ct = pae.encrypt(&iv, &pt, b"");
-        assert_eq!(
-            ct.body().to_vec(),
-            hex("42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985")
-        );
-        assert_eq!(ct.tag().to_vec(), hex("4d5c2af327cd64a62cf35abd2ba6fab4"));
+        for (name, pae) in backends(&key) {
+            let ct = pae.encrypt(&iv, &pt, b"");
+            assert_eq!(
+                body(&ct),
+                hex("42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"),
+                "{name}"
+            );
+            assert_eq!(tag(&ct), hex("4d5c2af327cd64a62cf35abd2ba6fab4"), "{name}");
+        }
     }
 
     /// NIST GCM test case 4: with AAD and a partial final block.
@@ -359,26 +470,60 @@ mod tests {
             "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
         );
         let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-        let pae = Pae::new(&key);
-        let ct = pae.encrypt(&iv, &pt, &aad);
-        assert_eq!(
-            ct.body().to_vec(),
-            hex("42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091")
-        );
-        assert_eq!(ct.tag().to_vec(), hex("5bc94fbc3221a5db94fae95ae7121a47"));
-        assert_eq!(pae.decrypt(&ct, &aad).unwrap(), pt);
+        for (name, pae) in backends(&key) {
+            let ct = pae.encrypt(&iv, &pt, &aad);
+            assert_eq!(
+                body(&ct),
+                hex("42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"),
+                "{name}"
+            );
+            assert_eq!(tag(&ct), hex("5bc94fbc3221a5db94fae95ae7121a47"), "{name}");
+            assert_eq!(pae.decrypt(&ct, &aad).unwrap(), pt, "{name}");
+        }
+    }
+
+    /// Equal key, IV, plaintext and AAD give equal bytes on both backends,
+    /// and each backend decrypts what the other wrote.
+    #[test]
+    fn backends_are_byte_identical_and_interoperable() {
+        const LENGTHS: [usize; 13] = [0, 1, 7, 10, 15, 16, 17, 31, 32, 33, 64, 100, 257];
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        let mut out = Vec::new();
+        for _ in 0..200 {
+            let [(_, detected), (_, portable)] = backends(&Key128::generate(&mut rng));
+            let mut iv = [0u8; IV_LEN];
+            rng.fill(&mut iv[..]);
+            for len in LENGTHS {
+                let pt: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                for aad_len in 0..=40 {
+                    let aad: Vec<u8> = (0..aad_len).map(|_| rng.gen()).collect();
+                    let a = detected.encrypt(&iv, &pt, &aad);
+                    let b = portable.encrypt(&iv, &pt, &aad);
+                    assert_eq!(a.as_bytes(), b.as_bytes(), "len {len} aad {aad_len}");
+                    portable
+                        .decrypt_into(a.as_bytes(), &aad, &mut out)
+                        .expect("portable decrypts detected");
+                    assert_eq!(out, pt);
+                    detected
+                        .decrypt_into(b.as_bytes(), &aad, &mut out)
+                        .expect("detected decrypts portable");
+                    assert_eq!(out, pt);
+                }
+            }
+        }
     }
 
     #[test]
     fn roundtrip_various_lengths() {
-        let pae = Pae::new(&Key128::from_bytes([3u8; 16]));
         let mut rng = StdRng::seed_from_u64(42);
-        for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 1000] {
-            let pt: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-            let ct = pae.encrypt_with_rng(&mut rng, &pt, b"aad");
-            assert_eq!(pae.decrypt(&ct, b"aad").unwrap(), pt, "len {len}");
-            assert_eq!(ct.len(), len + OVERHEAD);
-            assert_eq!(ct.plaintext_len(), len);
+        for (name, pae) in backends(&Key128::from_bytes([3u8; 16])) {
+            for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 100, 1000] {
+                let pt: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
+                let ct = pae.encrypt_with_rng(&mut rng, &pt, b"aad");
+                assert_eq!(pae.decrypt(&ct, b"aad").unwrap(), pt, "{name} len {len}");
+                assert_eq!(ct.len(), len + OVERHEAD);
+                assert_eq!(ct.plaintext_len(), len);
+            }
         }
     }
 
@@ -395,34 +540,81 @@ mod tests {
 
     #[test]
     fn tamper_detection() {
-        let pae = Pae::new(&Key128::from_bytes([3u8; 16]));
-        let ct = pae.encrypt(&[1u8; 12], b"secret value", b"");
-        for i in 0..ct.len() {
-            let mut bytes = ct.as_bytes().to_vec();
-            bytes[i] ^= 0x01;
-            let tampered = Ciphertext::from_bytes(bytes).unwrap();
-            assert_eq!(pae.decrypt(&tampered, b""), Err(CryptoError::TagMismatch));
+        for (name, pae) in backends(&Key128::from_bytes([3u8; 16])) {
+            let ct = pae.encrypt(&[1u8; 12], b"secret value", b"");
+            for i in 0..ct.len() {
+                let mut bytes = ct.as_bytes().to_vec();
+                bytes[i] ^= 0x01;
+                let tampered = Ciphertext::from_bytes(bytes).unwrap();
+                assert_eq!(
+                    pae.decrypt(&tampered, b""),
+                    Err(CryptoError::TagMismatch),
+                    "{name} byte {i}"
+                );
+            }
         }
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let pae1 = Pae::new(&Key128::from_bytes([3u8; 16]));
-        let pae2 = Pae::new(&Key128::from_bytes([4u8; 16]));
-        let ct = pae1.encrypt(&[1u8; 12], b"v", b"");
-        assert_eq!(pae2.decrypt(&ct, b""), Err(CryptoError::TagMismatch));
+        for (writer, pae1) in backends(&Key128::from_bytes([3u8; 16])) {
+            let ct = pae1.encrypt(&[1u8; 12], b"v", b"");
+            for (reader, pae2) in backends(&Key128::from_bytes([4u8; 16])) {
+                assert_eq!(
+                    pae2.decrypt(&ct, b""),
+                    Err(CryptoError::TagMismatch),
+                    "{writer} -> {reader}"
+                );
+            }
+        }
     }
 
     #[test]
     fn wrong_aad_rejected() {
-        let pae = Pae::new(&Key128::from_bytes([3u8; 16]));
-        let ct = pae.encrypt(&[1u8; 12], b"v", b"aad1");
-        assert_eq!(pae.decrypt(&ct, b"aad2"), Err(CryptoError::TagMismatch));
+        for (name, pae) in backends(&Key128::from_bytes([3u8; 16])) {
+            let ct = pae.encrypt(&[1u8; 12], b"v", b"aad1");
+            assert_eq!(
+                pae.decrypt(&ct, b"aad2"),
+                Err(CryptoError::TagMismatch),
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn truncated_rejected() {
         assert!(Ciphertext::from_bytes(vec![0u8; OVERHEAD - 1]).is_err());
         assert!(Ciphertext::from_bytes(vec![0u8; OVERHEAD]).is_ok());
+    }
+
+    #[test]
+    fn decrypt_into_leaves_out_untouched_on_error() {
+        for (name, pae) in backends(&Key128::from_bytes([3u8; 16])) {
+            let ct = pae.encrypt(&[1u8; 12], b"secret value", b"aad");
+            let mut out = b"previous contents".to_vec();
+
+            let mut tampered = ct.as_bytes().to_vec();
+            tampered[IV_LEN] ^= 0x80;
+            assert_eq!(
+                pae.decrypt_into(&tampered, b"aad", &mut out),
+                Err(CryptoError::TagMismatch),
+                "{name}"
+            );
+            assert_eq!(out, b"previous contents", "{name}");
+
+            let short = &ct.as_bytes()[..OVERHEAD - 1];
+            assert_eq!(
+                pae.decrypt_into(short, b"aad", &mut out),
+                Err(CryptoError::Truncated {
+                    got: OVERHEAD - 1,
+                    need: OVERHEAD
+                }),
+                "{name}"
+            );
+            assert_eq!(out, b"previous contents", "{name}");
+
+            pae.decrypt_into(ct.as_bytes(), b"aad", &mut out).unwrap();
+            assert_eq!(out, b"secret value", "{name}");
+        }
     }
 }

@@ -3,13 +3,16 @@
 //! The paper relies on hardware-supported AES-128-GCM as its probabilistic
 //! authenticated encryption (PAE, §2.3) and on SGX's attestation machinery
 //! for key provisioning. No external crypto crates are available in this
-//! environment, so this crate implements everything from scratch in pure
-//! Rust:
+//! environment, so this crate implements everything from scratch:
 //!
-//! * [`aes`] — AES-128 block cipher (encryption direction; GCM needs no
-//!   inverse cipher).
+//! * [`aes`] — portable AES-128 block cipher (encryption direction; GCM
+//!   needs no inverse cipher).
 //! * [`gcm`] — AES-128-GCM [`gcm::Pae`], the paper's PAE scheme, plus the
-//!   [`gcm::Ciphertext`] wire format (`IV(12) ‖ body ‖ TAG(16)`).
+//!   [`gcm::Ciphertext`] wire format (`IV(12) ‖ body ‖ TAG(16)`). On
+//!   x86-64 CPUs with AES-NI and PCLMULQDQ a `Pae` runs on those
+//!   instructions (the private `gcm_x86` module, the one place the
+//!   workspace steps outside safe Rust); elsewhere on [`aes`] and a table
+//!   GHASH. Same bytes either way.
 //! * [`sha256`], [`hmac`], [`hkdf`] — hashing and key derivation; the
 //!   per-column key `SK_D = DeriveKey(SK_DB, table, column)` of §4.2 is
 //!   [`hkdf::derive_column_key`].
@@ -30,13 +33,17 @@
 //! assert_eq!(pae.decrypt(&ct, b"").unwrap(), b"value");
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the hardware GCM backend (`gcm_x86`) is the one
+// module that opts back in, for its CPU-feature-detected dispatch calls.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
 pub mod ct;
 pub mod error;
 pub mod gcm;
+#[cfg(target_arch = "x86_64")]
+mod gcm_x86;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;

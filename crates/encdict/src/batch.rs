@@ -3,8 +3,8 @@
 //!
 //! A session hands its request to whichever thread leads the next enclave
 //! transition (the cross-session scheduler in `encdbdb`), so a request
-//! owns — or shares via [`Arc`] — everything it references; the workspace
-//! forbids `unsafe`, so there is no borrowed flat-combining shortcut.
+//! owns — or shares via [`Arc`] — everything it references; there is no
+//! borrowed flat-combining shortcut in safe Rust.
 //! [`DictLogic`](crate::enclave_ops::DictLogic) reads these types by
 //! reference; there is no second, borrowed spelling of an aggregate or a
 //! bridge request to lower into. Only [`SearchCall`] resolves to the flat

@@ -436,6 +436,9 @@ const VALUE_CACHE_CAPACITY: usize = 8192;
 ///   LRU) keeps the eviction order independent of which probes *hit*, so
 ///   cache-occupancy side channels don't additionally encode hit
 ///   recency.
+/// * **Admission.** A linear search over more than
+///   [`VALUE_CACHE_CAPACITY`] entries bypasses the cache entirely (see
+///   `DictLogic::search`): under FIFO it could never hit, only evict.
 /// * **Leakage.** A hit answers from trusted memory: 0 untrusted loads,
 ///   0 decrypts — so per-call load counts become history-dependent
 ///   within an epoch. The ECALL itself is never skipped; see DESIGN.md
@@ -489,6 +492,33 @@ struct CacheHandle<'e> {
     gen: u64,
 }
 
+/// Loads the ciphertext of entry `i` of a head/tail segment — the one
+/// place the enclave follows a head entry into the tail. Head and tail are
+/// untrusted bytes: an index past the head, or a head entry whose offset
+/// and length do not lie inside the tail (including a sum that would wrap),
+/// is [`EncdictError::CorruptDictionary`], never an out-of-range load.
+fn load_entry_ciphertext<'a>(
+    env: &mut TrustedEnv,
+    head: UntrustedMemory<'a>,
+    tail: UntrustedMemory<'a>,
+    i: usize,
+) -> Result<&'a [u8], EncdictError> {
+    let within = |mem: UntrustedMemory<'_>, start: usize, len: usize| {
+        start.checked_add(len).is_some_and(|end| end <= mem.len())
+    };
+    let at = i
+        .checked_mul(HEAD_ENTRY_BYTES)
+        .filter(|&at| within(head, at, HEAD_ENTRY_BYTES))
+        .ok_or(EncdictError::CorruptDictionary("head entry out of range"))?;
+    let (offset, clen) = crate::dict::head_entry(env.load(head, at, HEAD_ENTRY_BYTES), 0);
+    let clen = clen as usize;
+    let offset = usize::try_from(offset)
+        .ok()
+        .filter(|&offset| within(tail, offset, clen))
+        .ok_or(EncdictError::CorruptDictionary("tail offset out of range"))?;
+    Ok(env.load(tail, offset, clen))
+}
+
 /// Reads dictionary entries from untrusted memory, decrypting inside the
 /// enclave — the "load into the enclave individually, decrypt them there"
 /// loop of Algorithm 1. With a [`CacheHandle`], entries already decrypted
@@ -517,25 +547,19 @@ impl DictEntryReader for EnclaveDictReader<'_, '_> {
                 return Ok(());
             }
         }
-        let entry = self
-            .env
-            .load(self.head, i * HEAD_ENTRY_BYTES, HEAD_ENTRY_BYTES);
-        let offset = u64::from_le_bytes(entry[..8].try_into().unwrap()) as usize;
-        let clen = u32::from_le_bytes(entry[8..12].try_into().unwrap()) as usize;
-        if offset + clen > self.tail.len() {
-            return Err(EncdictError::CorruptDictionary("tail offset out of range"));
-        }
-        let ct = self.env.load(self.tail, offset, clen);
+        let ct = load_entry_ciphertext(self.env, self.head, self.tail, i)?;
         // Account the transient trusted buffer (ciphertext + plaintext).
-        self.env.track_alloc(clen);
-        let pt = self.pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?;
-        self.env.track_free(clen);
-        buf.clear();
-        buf.extend_from_slice(&pt);
+        self.env.track_alloc(ct.len());
+        let decrypted = self.pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, buf);
+        self.env.track_free(ct.len());
+        decrypted?;
         if let Some(h) = &mut self.cache {
             self.env.count_cache_miss();
-            h.cache
-                .insert(&mut *self.env, (h.colid, h.part, h.gen, i as u32), pt);
+            h.cache.insert(
+                &mut *self.env,
+                (h.colid, h.part, h.gen, i as u32),
+                buf.clone(),
+            );
         }
         Ok(())
     }
@@ -619,8 +643,17 @@ impl DictLogic {
                 ));
             }
         }
+        // Cache admission. An unsorted kind is searched by one linear pass
+        // over all `dict_len` entries; past the cache's capacity FIFO has
+        // evicted entry 0 before the next pass asks for it, so such a scan
+        // can never hit — it would only pay a probe, an insert and an
+        // eviction per entry and flush every other column's entries. It
+        // bypasses the cache (nothing probed, inserted or counted) and
+        // observably behaves as an uncached search.
+        let scan_outruns_cache =
+            req.kind.order() == OrderOption::Unsorted && req.dict_len > VALUE_CACHE_CAPACITY;
         let cache = match req.cache {
-            Some(tag) => {
+            Some(tag) if !scan_outruns_cache => {
                 let colid = self.value_cache.col_id(req.table_name, req.col_name);
                 Some(CacheHandle {
                     cache: &mut self.value_cache,
@@ -629,7 +662,7 @@ impl DictLogic {
                     gen: tag.epoch * 2 + tag.delta as u64,
                 })
             }
-            None => None,
+            _ => None,
         };
         let mut reader = EnclaveDictReader {
             env,
@@ -676,21 +709,6 @@ impl DictLogic {
         let sk_d = derive_column_key(skdb, req.table_name, req.col_name);
         let pae = Pae::new(&sk_d);
 
-        let read_entry = |env: &mut TrustedEnv,
-                          head: UntrustedMemory<'_>,
-                          tail: UntrustedMemory<'_>,
-                          i: usize|
-         -> Result<Vec<u8>, EncdictError> {
-            let entry = env.load(head, i * HEAD_ENTRY_BYTES, HEAD_ENTRY_BYTES);
-            let offset = u64::from_le_bytes(entry[..8].try_into().unwrap()) as usize;
-            let clen = u32::from_le_bytes(entry[8..12].try_into().unwrap()) as usize;
-            if offset + clen > tail.len() {
-                return Err(EncdictError::CorruptDictionary("tail offset out of range"));
-            }
-            let ct = env.load(tail, offset, clen);
-            Ok(pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?)
-        };
-
         // Reassemble the logical plaintext column in the trusted realm:
         // valid main rows in row order, then valid delta rows. The merge is
         // the one operation whose trusted working set grows with the column;
@@ -698,6 +716,21 @@ impl DictLogic {
         // memory instead (visible in trusted_heap_peak).
         let mut column = colstore::column::Column::new(req.col_name, req.max_len);
         let mut bytes_tracked = 0usize;
+        // One plaintext buffer for the whole merge; `column.push` copies.
+        let mut pt = Vec::new();
+        let mut push_entry = |env: &mut TrustedEnv,
+                              head: UntrustedMemory<'_>,
+                              tail: UntrustedMemory<'_>,
+                              i: usize|
+         -> Result<(), EncdictError> {
+            let ct = load_entry_ciphertext(env, head, tail, i)?;
+            pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, &mut pt)?;
+            bytes_tracked += pt.len();
+            env.track_alloc(pt.len());
+            column
+                .push(&pt)
+                .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))
+        };
         for (j, &vid) in req.main_av.iter().enumerate() {
             if !req.main_valid.is_valid(j) {
                 continue;
@@ -705,23 +738,12 @@ impl DictLogic {
             if vid as usize >= req.main_len {
                 return Err(EncdictError::CorruptDictionary("value id out of range"));
             }
-            let pt = read_entry(env, req.main_head, req.main_tail, vid as usize)?;
-            bytes_tracked += pt.len();
-            env.track_alloc(pt.len());
-            column
-                .push(&pt)
-                .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))?;
+            push_entry(env, req.main_head, req.main_tail, vid as usize)?;
         }
         for i in 0..req.delta_len {
-            if !req.delta_valid.is_valid(i) {
-                continue;
+            if req.delta_valid.is_valid(i) {
+                push_entry(env, req.delta_head, req.delta_tail, i)?;
             }
-            let pt = read_entry(env, req.delta_head, req.delta_tail, i)?;
-            bytes_tracked += pt.len();
-            env.track_alloc(pt.len());
-            column
-                .push(&pt)
-                .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))?;
         }
 
         let params = crate::build::BuildParams {
@@ -759,13 +781,7 @@ impl DictLogic {
                 return Ok((pt.clone(), true));
             }
         }
-        let entry = env.load(seg.head, i * HEAD_ENTRY_BYTES, HEAD_ENTRY_BYTES);
-        let offset = u64::from_le_bytes(entry[..8].try_into().unwrap()) as usize;
-        let clen = u32::from_le_bytes(entry[8..12].try_into().unwrap()) as usize;
-        if offset + clen > seg.tail.len() {
-            return Err(EncdictError::CorruptDictionary("tail offset out of range"));
-        }
-        let ct = env.load(seg.tail, offset, clen);
+        let ct = load_entry_ciphertext(env, seg.head, seg.tail, i)?;
         let pt = pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?;
         if let Some((colid, part, gen)) = tag {
             env.count_cache_miss();

@@ -5,11 +5,19 @@ use colstore::column::Column;
 use colstore::delta::ValidityVector;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
+use encdict::aggregate::{AggFunc, AggPlanSpec, AggSpec, OutputItem};
+use encdict::batch::{
+    AggPartitionData, AggregateRequest, ColumnData, DeltaSegment, JoinBridgeRequest, JoinSideData,
+    ReadCall, SegSource,
+};
 use encdict::build::{build_encrypted, BuildParams};
 use encdict::dynamic::{merge_delta, search_combined, EncryptedDeltaStore};
-use encdict::enclave_ops::encrypt_value_for_column;
+use encdict::enclave_ops::{
+    encrypt_value_for_column, DictCall, DictReply, MergeRequest, SearchRequest,
+};
 use encdict::persist;
-use encdict::{DictEnclave, EdKind, EncryptedRange, RangeQuery};
+use encdict::{DictEnclave, EdKind, EncdictError, EncryptedRange, RangeQuery};
+use enclave_sim::UntrustedMemory;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -250,4 +258,158 @@ fn swapped_rotation_offset_rejected() {
     let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::equals("a"));
     let err = enclave.search(&bad_dict, &tau).unwrap_err();
     assert!(matches!(err, encdict::EncdictError::Crypto(_)));
+}
+
+/// `dict`'s head and tail as a malicious server may hand them to the
+/// enclave, honest except for one entry: entry 0 claims an offset whose
+/// sum with the length wraps `usize`; entry 0 claims a length that runs
+/// past the tail; the last entry is missing from the head altogether.
+/// Each item is `(lie, head, tail, index of the entry lied about)`.
+fn lying_segments(
+    dict: &encdict::EncryptedDictionary,
+) -> Vec<(&'static str, Vec<u8>, Vec<u8>, usize)> {
+    let mut tail = Vec::new();
+    let mut entries = Vec::new();
+    for i in 0..dict.len() {
+        let ct = dict.ciphertext(i);
+        entries.push((tail.len() as u64, ct.len() as u32));
+        tail.extend_from_slice(ct);
+    }
+    let head_with = |first: (u64, u32)| {
+        let mut head = Vec::new();
+        encdict::dict::write_head_entry(&mut head, first.0, first.1);
+        for &(offset, len) in &entries[1..] {
+            encdict::dict::write_head_entry(&mut head, offset, len);
+        }
+        head
+    };
+    let mut short = head_with(entries[0]);
+    short.truncate(short.len() - encdict::dict::HEAD_ENTRY_BYTES);
+    vec![
+        ("offset wraps", head_with((u64::MAX, 2)), tail.clone(), 0),
+        (
+            "length past the tail",
+            head_with((entries[0].0, tail.len() as u32 + 1)),
+            tail.clone(),
+            0,
+        ),
+        ("head shorter than claimed", short, tail, dict.len() - 1),
+    ]
+}
+
+fn assert_corrupt<T: std::fmt::Debug>(what: &str, lie: &str, reply: Result<T, EncdictError>) {
+    assert!(
+        matches!(reply, Err(EncdictError::CorruptDictionary(_))),
+        "{what} with {lie}: {reply:?}"
+    );
+}
+
+/// A head entry is untrusted bytes. Whatever it claims, a search answers
+/// `CorruptDictionary` — it never follows the claim out of the tail (the
+/// wrapping offset used to pass `offset + len > tail.len()` in release
+/// builds and panic inside the enclave's load).
+#[test]
+fn lying_head_fails_search() {
+    let (mut enclave, dict, _, pae, mut rng) = fixture(EdKind::Ed3);
+    let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "d"));
+    for (lie, head, tail, _) in lying_segments(&dict) {
+        let req = SearchRequest {
+            kind: EdKind::Ed3,
+            table_name: "t",
+            col_name: "c",
+            max_len: 8,
+            dict_len: dict.len(),
+            head: UntrustedMemory::new(&head),
+            tail: UntrustedMemory::new(&tail),
+            enc_rnd_offset: None,
+            ranges: std::slice::from_ref(&tau),
+            cache: None,
+        };
+        let DictReply::Search(reply) = enclave.enclave_mut().ecall(DictCall::Search(req)) else {
+            panic!("search call returns search reply");
+        };
+        assert_corrupt("Search", lie, reply);
+    }
+}
+
+/// The same lies in the delta segment of an aggregate and of a join
+/// bridge, submitted the way the scheduler submits them (`ReadCall`).
+#[test]
+fn lying_head_fails_aggregate_and_join_bridge() {
+    let (mut enclave, dict, _, _, _) = fixture(EdKind::Ed3);
+    for (lie, head, tail, entry) in lying_segments(&dict) {
+        // The column's main store is honest; its delta segment is the
+        // liar, and the one requested code is the delta entry lied about.
+        let column = || ColumnData::Encrypted {
+            main: SegSource::Owned(Box::new(dict.clone())),
+            delta: DeltaSegment {
+                head: head.clone(),
+                tail: tail.clone(),
+                len: dict.len(),
+            },
+            codes: vec![(dict.len() + entry) as u32],
+            cache: None,
+        };
+
+        let aggregate = ReadCall::Aggregate(AggregateRequest {
+            table_name: "t".into(),
+            col_names: vec![Some("c".into())],
+            parts: vec![AggPartitionData {
+                columns: vec![column()],
+                tuples: vec![(vec![0], 1)],
+            }],
+            plan: AggPlanSpec {
+                group_cols: vec![0],
+                aggregates: vec![AggSpec {
+                    func: AggFunc::Count,
+                    col: None,
+                }],
+                items: vec![OutputItem::Group(0), OutputItem::Agg(0)],
+                sort: vec![],
+                limit: None,
+            },
+        });
+        let side = || JoinSideData {
+            table_name: "t".into(),
+            col_name: Some("c".into()),
+            parts: vec![column()],
+        };
+        let bridge = ReadCall::JoinBridge(JoinBridgeRequest {
+            left: side(),
+            right: side(),
+        });
+
+        let mut replies = enclave.batch(vec![&aggregate, &bridge]).into_iter();
+        let reply = replies.next().expect("aggregate reply").reply;
+        assert_corrupt("Aggregate", lie, reply.into_aggregated());
+        let reply = replies.next().expect("bridge reply").reply;
+        assert_corrupt("JoinBridge", lie, reply.into_bridged());
+    }
+}
+
+/// And in the main store handed to a merge.
+#[test]
+fn lying_head_fails_merge() {
+    let (mut enclave, dict, av, _, _) = fixture(EdKind::Ed3);
+    let validity = ValidityVector::all_valid(av.len());
+    let no_rows = ValidityVector::all_valid(0);
+    for (lie, head, tail, _) in lying_segments(&dict) {
+        let req = MergeRequest {
+            table_name: "t",
+            col_name: "c",
+            max_len: 8,
+            kind: EdKind::Ed3,
+            bs_max: 2,
+            main_head: UntrustedMemory::new(&head),
+            main_tail: UntrustedMemory::new(&tail),
+            main_len: dict.len(),
+            main_av: av.as_slice(),
+            main_valid: &validity,
+            delta_head: UntrustedMemory::new(&[]),
+            delta_tail: UntrustedMemory::new(&[]),
+            delta_len: 0,
+            delta_valid: &no_rows,
+        };
+        assert_corrupt("Merge", lie, enclave.merge(req));
+    }
 }

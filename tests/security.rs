@@ -419,3 +419,70 @@ fn batching_reduces_transitions_without_widening_leakage() {
         );
     }
 }
+
+/// DESIGN.md §14.2, cache admission: a linear search over more entries
+/// than the 8 192-entry value cache holds can never hit under FIFO, so it
+/// bypasses the cache — it pays the uncached 2·|D| loads every time, counts
+/// neither hits nor misses, and evicts nobody else's entries. At or below
+/// the capacity the cache behaves as before.
+#[test]
+fn linear_scans_larger_than_the_value_cache_bypass_it() {
+    use encdbdb::EcallKind;
+    const CACHE_ENTRIES: u64 = 8192;
+
+    let mut db = Session::with_seed(7700).unwrap();
+    let mut load_ed9 = |name: &str, rows: u64| {
+        let mut table = Table::new(name);
+        let values = (0..rows).map(|i| format!("v{i:06}"));
+        table
+            .add_column(Column::from_strs("c", 8, values).unwrap())
+            .unwrap();
+        let schema = TableSchema::new(
+            name,
+            vec![ColumnSpec::new("c", DictChoice::Encrypted(EdKind::Ed9), 8)],
+        );
+        db.load_table(&table, schema).unwrap();
+    };
+    load_ed9("small", 64);
+    load_ed9("big", CACHE_ENTRIES * 3 / 2);
+    load_ed9("fits", CACHE_ENTRIES);
+
+    // One range query against `table`: the search's ledger row and the
+    // value-cache misses it counted.
+    let mut scan = |table: &str| {
+        let ledger = db.leakage_ledger();
+        let misses = db.metrics_report().counter("value_cache_misses_total");
+        let sql = format!("SELECT c FROM {table} WHERE c BETWEEN 'v000010' AND 'v000019'");
+        assert_eq!(db.execute(&sql).unwrap().row_count(), 10);
+        let delta = db.leakage_ledger().since(&ledger);
+        assert_eq!(delta.total_calls(), 1, "{table}: one Search, nothing else");
+        let search = delta.kind(EcallKind::Search);
+        let misses = db.metrics_report().counter("value_cache_misses_total") - misses;
+        (
+            search.untrusted_loads,
+            search.values_decrypted,
+            search.cache_hits,
+            misses,
+        )
+    };
+
+    // A small column, cached beforehand.
+    assert_eq!(scan("small"), (2 * 64, 64, 0, 64));
+    assert_eq!(scan("small"), (0, 0, 64, 0));
+
+    // 12 288 entries = 1.5 × the cache: every scan is the uncached scan.
+    let big = CACHE_ENTRIES * 3 / 2;
+    assert_eq!(scan("big"), (2 * big, big, 0, 0), "first scan");
+    assert_eq!(scan("big"), (2 * big, big, 0, 0), "second scan");
+
+    // The bypassing scans evicted nothing: the small column still hits.
+    assert_eq!(scan("small"), (0, 0, 64, 0));
+
+    // Exactly the capacity still fits: admitted, and the second scan is
+    // answered from trusted memory.
+    assert_eq!(
+        scan("fits"),
+        (2 * CACHE_ENTRIES, CACHE_ENTRIES, 0, CACHE_ENTRIES)
+    );
+    assert_eq!(scan("fits"), (0, 0, CACHE_ENTRIES, 0));
+}
