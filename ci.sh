@@ -73,6 +73,14 @@ run cargo test -q --offline --test scheduler_poison
 # admission control) and the graceful-shutdown / torn-WAL proof.
 run cargo test -q --offline --test net_differential
 run cargo test -q --offline --test net_shutdown
+# The enclave's per-call state (DESIGN.md §6, §14.2): the value cache's
+# ring and index against the map and queue they replaced, over fixed seeds
+# and a fixed operation count; and 10 000 calls naming bogus columns, which
+# must each fail typed and hold a bounded trusted heap.
+run cargo test -q --offline -p encdict --lib \
+    value_cache_agrees_with_the_map_and_queue_it_replaced
+run cargo test -q --offline -p encdict --test failure_injection \
+    bogus_column_names_hold_bounded_trusted_memory
 # The repo benchmark (BENCHMARK.json) is a workspace of its own that none
 # of the above builds, so a library API change can break it silently: build
 # it unmodified and smoke every workload against its oracle.
@@ -106,12 +114,18 @@ trap 'rm -rf "$BENCH_JSON_DIR"' EXIT
 run env ENCDBDB_BENCH_JSON="$BENCH_JSON_DIR" ENCDBDB_DURABILITY_ROWS=200 \
     cargo bench -q --offline -p encdbdb-bench --bench durability
 run python3 tools/validate_bench_json.py "$BENCH_JSON_DIR"/BENCH_durability.json
-# The PAE rows (detected backend beside the portable fallback, DESIGN.md
-# §6). Schema-validated only: which backend `Pae::new` picks is the CPU's
+# The crypto rows: PAE on the detected backend beside the portable
+# fallback, and a column cipher derived beside one kept (DESIGN.md §6).
+# Schema-validated only: which backend `Pae::new` picks is the CPU's
 # choice, so the medians are not comparable across runners.
 run env ENCDBDB_BENCH_JSON="$BENCH_JSON_DIR" \
-    cargo bench -q --offline -p encdbdb-bench --bench crypto -- pae
+    cargo bench -q --offline -p encdbdb-bench --bench crypto
 run python3 tools/validate_bench_json.py "$BENCH_JSON_DIR"/BENCH_crypto.json
+# The value-cache rows (DESIGN.md §14.2), the aggregate stream row-bounded:
+# the hit-rate ladder and the price of one hit.
+run env ENCDBDB_BENCH_JSON="$BENCH_JSON_DIR" ENCDBDB_CACHE_ROWS=6000 \
+    cargo bench -q --offline -p encdbdb-bench --bench cache
+run python3 tools/validate_bench_json.py "$BENCH_JSON_DIR"/BENCH_cache.json
 run python3 tools/validate_bench_json.py baselines/BENCH_*.json
 # The scan-kernel regression gate: a fresh av_search run (no row knobs,
 # same workload as the committed baseline) compared median-to-median

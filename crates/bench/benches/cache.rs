@@ -17,7 +17,10 @@
 use colstore::table::Table;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use encdbdb::{ColumnSpec, DictChoice, Session, TableSchema};
-use encdict::EdKind;
+use encdbdb_crypto::hkdf::derive_column_key;
+use encdbdb_crypto::{Key128, Pae};
+use encdict::build::{build_encrypted, BuildParams};
+use encdict::{CacheTag, DictEnclave, EdKind, EncryptedRange, RangeQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workload::spec::{value_string, ColumnSpec as PopulationSpec};
@@ -113,9 +116,63 @@ fn bench_value_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one cache *hit* costs: a linear search (the ED9 layout every
+/// delta store is searched in) over 4 096 entries that are all cached, so
+/// the search is 4 096 probes and no load or decrypt. Compare the per-entry
+/// figure with `pae/decrypt_10B` in `benches/crypto.rs`, the price of the
+/// miss it saves.
+fn bench_hit_probe(c: &mut Criterion) {
+    const ENTRIES: usize = 4096;
+    let mut rng = StdRng::seed_from_u64(5400);
+    let skdb = Key128::from_bytes([5; 16]);
+    let sk_d = derive_column_key(&skdb, "t", "v");
+    let values = (0..ENTRIES).map(|i| value_string(i, VALUE_LEN));
+    let column = colstore::column::Column::from_strs("v", VALUE_LEN, values).unwrap();
+    let params = BuildParams {
+        table_name: "t".into(),
+        col_name: "v".into(),
+        bs_max: 1,
+    };
+    let (dict, _) = build_encrypted(&column, EdKind::Ed9, &params, &sk_d, &mut rng).unwrap();
+    let query = RangeQuery::equals(value_string(ENTRIES / 2, VALUE_LEN));
+    let tau = [EncryptedRange::encrypt(&Pae::new(&sk_d), &mut rng, &query)];
+    let tag = Some(CacheTag {
+        part: 0,
+        epoch: 0,
+        delta: true,
+    });
+    let mut enclave = DictEnclave::with_seed(5401);
+    enclave.provision_direct(skdb);
+    enclave.search_multi(&dict, &tau, tag).unwrap();
+
+    let mut group = c.benchmark_group("value_cache");
+    group.throughput(Throughput::Elements(ENTRIES as u64));
+    let before = enclave.enclave().counters();
+    let mut searches = 0u64;
+    let t0 = std::time::Instant::now();
+    group.bench_function("hit_probe_4096", |b| {
+        b.iter(|| {
+            searches += 1;
+            enclave.search_multi(&dict, &tau, tag).unwrap()
+        })
+    });
+    let elapsed = t0.elapsed();
+    group.finish();
+    let after = enclave.enclave().counters();
+    assert_eq!(after.untrusted_loads, before.untrusted_loads);
+    assert_eq!(
+        after.cache_hits - before.cache_hits,
+        searches * ENTRIES as u64
+    );
+    println!(
+        "  hit_probe_4096: {:.1} ns per probed entry ({searches} searches, all hits)",
+        elapsed.as_nanos() as f64 / (searches * ENTRIES as u64) as f64
+    );
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
-    targets = bench_value_cache
+    targets = bench_value_cache, bench_hit_probe
 }
 criterion_main!(benches);

@@ -48,6 +48,30 @@ fn bench_crypto(c: &mut Criterion) {
         b.iter(|| derive_column_key(&key, "bw", "C2"))
     });
     c.bench_function("pae_new", |b| b.iter(|| Pae::new(&key)));
+
+    // What a statement used to pay per column, and what it pays now that
+    // proxy and enclave keep the cipher (DESIGN.md §6): a scan of the kept
+    // names, here the last of eight, and — the proxy's share — a copy of
+    // the cipher for the statement to hold.
+    let mut group = c.benchmark_group("column_cipher");
+    group.bench_function("derive_and_new", |b| {
+        b.iter(|| Pae::new(&derive_column_key(&key, "bw", "C2")))
+    });
+    let kept: Vec<(String, String, Pae)> = (0..8)
+        .map(|i| {
+            let col = format!("C{i}");
+            let pae = Pae::new(&derive_column_key(&key, "bw", &col));
+            ("bw".to_string(), col, pae)
+        })
+        .collect();
+    group.bench_function("cached", |b| {
+        b.iter(|| {
+            let (table, col) = std::hint::black_box(("bw", "C7"));
+            let hit = kept.iter().find(|(t, c, _)| t == table && c == col);
+            hit.expect("kept column").2.clone()
+        })
+    });
+    group.finish();
     c.bench_function("x25519_shared_secret", |b| {
         let sk = Key256::from_bytes([9; 32]);
         let pk = x25519::public_key(&Key256::from_bytes([4; 32]));

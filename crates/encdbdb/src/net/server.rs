@@ -27,6 +27,7 @@ use crate::obs::{Counter, Hist, Obs, SpanId};
 use crate::server::lock;
 use crate::session::{ReaderSession, Session};
 use crate::sql::{parse, Statement};
+use encdbdb_crypto::ct::ct_eq;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -384,8 +385,8 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         RecvStep::Frame {
             request_id,
             msg: Message::Hello { tenant, token },
-        } => match shared.tenants.get(&tenant) {
-            Some(state) if state.spec.token == token => {
+        } => {
+            if token_admits(&shared.tenants, &tenant, &token) {
                 if !send_reply(
                     shared,
                     &mut codec,
@@ -396,8 +397,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                     return;
                 }
                 tenant
-            }
-            _ => {
+            } else {
                 shared.obs.add(Counter::NetAuthFailuresTotal, 1);
                 send_reply(
                     shared,
@@ -411,7 +411,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 );
                 return;
             }
-        },
+        }
         RecvStep::Frame { request_id, .. } => {
             send_reply(
                 shared,
@@ -509,6 +509,17 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
     }
 }
 
+/// Whether `token` is the bearer token of the provisioned tenant `tenant`.
+/// The comparison is constant-time in the token's content, and a tenant
+/// that does not exist costs what a wrong token of the offered length
+/// costs: it is compared against the offer itself and then refused, so
+/// the reply's timing tells tenant names apart no better than tokens.
+fn token_admits(tenants: &HashMap<String, TenantState>, tenant: &str, token: &str) -> bool {
+    let state = tenants.get(tenant);
+    let expected = state.map_or(token, |s| s.spec.token.as_str());
+    ct_eq(expected.as_bytes(), token.as_bytes()) & state.is_some()
+}
+
 fn execute_query(
     state: &TenantState,
     tenant: &str,
@@ -603,4 +614,50 @@ impl Drop for AdmissionGuard<'_> {
 /// tenant's tables in-process before serving them.
 pub fn tenant_table_name(tenant: &str, table: &str) -> String {
     namespaced(tenant, table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_the_exact_token_of_a_known_tenant_is_admitted() {
+        let roster = |specs: &[(&str, &str)]| -> HashMap<String, TenantState> {
+            specs
+                .iter()
+                .map(|&(name, token)| {
+                    let state = TenantState {
+                        spec: TenantSpec::new(name, token),
+                        tables: Mutex::new(0),
+                        inflight: AtomicUsize::new(0),
+                    };
+                    (name.to_string(), state)
+                })
+                .collect()
+        };
+        let tenants = roster(&[("acme", "s3cret-token"), ("open", "")]);
+        assert!(token_admits(&tenants, "acme", "s3cret-token"));
+        for offered in [
+            "",
+            "s",
+            "s3cret-toke",
+            "s3cret-token ",
+            "s3cret-tokem",
+            "S3cret-token",
+            "s3cret-token\0",
+        ] {
+            assert!(!token_admits(&tenants, "acme", offered), "{offered:?}");
+        }
+        // An unknown tenant is refused whatever it offers — its own name,
+        // another tenant's token, nothing.
+        for offered in ["", "nobody", "s3cret-token"] {
+            assert!(!token_admits(&tenants, "nobody", offered), "{offered:?}");
+            assert!(!token_admits(&tenants, "", offered), "{offered:?}");
+        }
+        // An empty token is a token like any other: it admits exactly the
+        // tenant provisioned with it.
+        assert!(token_admits(&tenants, "open", ""));
+        assert!(!token_admits(&tenants, "open", "s3cret-token"));
+        assert!(!token_admits(&tenants, "acme", ""));
+    }
 }

@@ -20,7 +20,8 @@ use crate::exec::plan::{compile_select, resolve_single_table, AggregatePlan, Sel
 use crate::obs::{Counter, Hist, SpanId};
 use crate::schema::{ColumnSpec, DictChoice, TablePartitioning, TableSchema};
 use crate::server::{
-    CellValue, DbaasServer, JoinSideQuery, QueryOutcome, SelectResponse, ServerFilter, ServerQuery,
+    lock, CellValue, DbaasServer, JoinSideQuery, QueryOutcome, SelectResponse, ServerFilter,
+    ServerQuery,
 };
 use crate::sql::{
     parse, ColumnRef, CompareOp, Filter, JoinClause, OrderKey, SelectItem, Statement,
@@ -32,6 +33,7 @@ use encdict::aggregate::{AggFunc, AggPlanSpec, AggSpec, GroupPartials, OutputIte
 use encdict::enclave_ops::{decrypt_column_value, encrypt_value_for_column};
 use encdict::{EncryptedRange, RangeBound, RangeQuery};
 use rand::Rng;
+use std::sync::Mutex;
 
 /// A fully decrypted query result as handed to the application.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,22 +63,81 @@ impl QueryResult {
     }
 }
 
-/// The trusted proxy. `Clone` shares the master key, so every reader
-/// session can hold its own proxy handle.
+/// Column ciphers one proxy keeps. The names come from schemas the
+/// server reports, so the table is capped: a full table is dropped and
+/// rebuilt on demand.
+const CIPHER_TABLE_CAPACITY: usize = 256;
+
+/// The cipher under one column's key `SK_D = DeriveKey(SK_DB, table,
+/// column)`.
 #[derive(Debug, Clone)]
+struct ColumnCipher {
+    table: String,
+    column: String,
+    pae: Pae,
+}
+
+/// The trusted proxy. `Clone` copies the master key and the column
+/// ciphers built so far, so every reader session holds its own proxy and
+/// shares no lock with the others on the statement path.
+#[derive(Debug)]
 pub struct Proxy {
     skdb: Key128,
+    /// Built on a column's first use and kept: the key depends on
+    /// `(SK_DB, names)` alone, so dropping or re-creating a table
+    /// invalidates nothing. Behind a lock because statements run on
+    /// `&self`; it is this proxy's own and uncontended unless callers
+    /// share one proxy between threads.
+    ciphers: Mutex<Vec<ColumnCipher>>,
+}
+
+impl Clone for Proxy {
+    fn clone(&self) -> Self {
+        Proxy {
+            skdb: self.skdb.clone(),
+            ciphers: Mutex::new(lock(&self.ciphers).clone()),
+        }
+    }
 }
 
 impl Proxy {
     /// Creates a proxy holding the master key (deployed out-of-band by the
     /// data owner, Fig. 5 step 2).
     pub fn new(skdb: Key128) -> Self {
-        Proxy { skdb }
+        Proxy {
+            skdb,
+            ciphers: Mutex::default(),
+        }
     }
 
+    /// A copy of the column's cipher, for the statement to hold and wipe
+    /// when it is done.
     fn column_pae(&self, table: &str, column: &str) -> Pae {
-        Pae::new(&derive_column_key(&self.skdb, table, column))
+        let mut ciphers = lock(&self.ciphers);
+        if let Some(c) = ciphers
+            .iter()
+            .find(|c| c.table == table && c.column == column)
+        {
+            return c.pae.clone();
+        }
+        if ciphers.len() >= CIPHER_TABLE_CAPACITY {
+            ciphers.clear();
+        }
+        let pae = Pae::new(&derive_column_key(&self.skdb, table, column));
+        ciphers.push(ColumnCipher {
+            table: table.to_string(),
+            column: column.to_string(),
+            pae: pae.clone(),
+        });
+        pae
+    }
+
+    /// The cipher of `spec`'s column if it is declared encrypted.
+    fn spec_pae(&self, table: &str, spec: &ColumnSpec) -> Option<Pae> {
+        match spec.choice {
+            DictChoice::Encrypted(_) => Some(self.column_pae(table, &spec.name)),
+            DictChoice::Plain => None,
+        }
     }
 
     /// Converts an AST filter into a single plaintext range query —
@@ -361,24 +422,26 @@ impl Proxy {
                     Some(part) => Some(Self::route_insert(&schema, part, &rows)?),
                     None => None,
                 };
+                let paes: Vec<Option<Pae>> = schema
+                    .columns
+                    .iter()
+                    .map(|spec| self.spec_pae(&table, spec))
+                    .collect();
                 let mut cells = Vec::with_capacity(rows.len());
                 for row in rows {
                     let mut out = Vec::with_capacity(row.len());
-                    for (spec, value) in schema.columns.iter().zip(row) {
+                    for ((spec, pae), value) in schema.columns.iter().zip(&paes).zip(row) {
                         if value.len() > spec.max_len {
                             return Err(DbError::ValueTooLong {
                                 got: value.len(),
                                 max: spec.max_len,
                             });
                         }
-                        out.push(match spec.choice {
-                            DictChoice::Encrypted(_) => {
-                                let pae = self.column_pae(&table, &spec.name);
-                                CellValue::Encrypted(
-                                    encrypt_value_for_column(&pae, rng, &value).into_bytes(),
-                                )
-                            }
-                            DictChoice::Plain => CellValue::Plain(value),
+                        out.push(match pae {
+                            Some(pae) => CellValue::Encrypted(
+                                encrypt_value_for_column(pae, rng, &value).into_bytes(),
+                            ),
+                            None => CellValue::Plain(value),
                         });
                     }
                     cells.push(out);
@@ -605,10 +668,7 @@ impl Proxy {
             let (_, spec) = schema
                 .column(name)
                 .ok_or_else(|| DbError::ColumnNotFound(name.to_string()))?;
-            paes.push(match spec.choice {
-                DictChoice::Encrypted(_) => Some(self.column_pae(table, name)),
-                DictChoice::Plain => None,
-            });
+            paes.push(self.spec_pae(table, spec));
         }
         decrypt_cells(response.rows, &paes)
     }
@@ -702,10 +762,7 @@ impl Proxy {
             let (_, spec) = schema
                 .column(name)
                 .ok_or_else(|| DbError::ColumnNotFound(name.clone()))?;
-            paes.push(match spec.choice {
-                DictChoice::Encrypted(_) => Some(self.column_pae(table, name)),
-                DictChoice::Plain => None,
-            });
+            paes.push(self.spec_pae(table, spec));
         }
         let rows = decrypt_cells(response.rows, &paes)?;
         Ok(QueryResult {
@@ -742,10 +799,7 @@ impl Proxy {
                     let (_, spec) = schema
                         .column(name)
                         .ok_or_else(|| DbError::ColumnNotFound(name.to_string()))?;
-                    match spec.choice {
-                        DictChoice::Encrypted(_) => Some(self.column_pae(table, name)),
-                        DictChoice::Plain => None,
-                    }
+                    self.spec_pae(table, spec)
                 }
                 None => None,
             });

@@ -237,6 +237,16 @@ impl ReaderSession {
         self.proxy.execute(&self.server, sql, &mut self.rng)
     }
 
+    /// Forks this fork, exactly as [`Session::reader`] forks the session:
+    /// the new session starts from a copy of this one's proxy.
+    pub fn reader(&self, seed: u64) -> ReaderSession {
+        ReaderSession {
+            proxy: self.proxy.clone(),
+            server: self.server.clone(),
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
+
     /// Executes an already-parsed [`Statement`](crate::sql::Statement)
     /// through this fork's proxy — the net server's entry point: it
     /// parses once, rewrites table references into the tenant's
@@ -507,6 +517,61 @@ mod tests {
             .execute("SELECT a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY 1")
             .unwrap();
         assert_eq!(r.row_count(), 2);
+    }
+
+    #[test]
+    fn forks_of_forks_answer_like_the_session() {
+        // A fork starts from the ciphers its parent had built and builds
+        // the rest itself; whichever did the building, every handle must
+        // encrypt bounds and inserts, and decrypt results, identically.
+        let mut db = session();
+        db.execute("CREATE TABLE t (k ED1(8), v ED9(8), p PLAIN(8))")
+            .unwrap();
+        db.execute("CREATE TABLE u (k ED5(8), w ED2(8))").unwrap();
+        // The session has used `t` only; `u` is new to every fork.
+        db.execute("INSERT INTO t VALUES ('k1', 'v1', 'p1'), ('k2', 'v2', 'p2')")
+            .unwrap();
+        let mut fork = db.reader(21);
+        fork.execute("INSERT INTO u VALUES ('k2', 'w2'), ('k3', 'w3')")
+            .unwrap();
+        let mut fork_of_fork = fork.reader(22);
+        fork_of_fork
+            .execute("INSERT INTO t VALUES ('k3', 'v3', 'p3')")
+            .unwrap();
+        fork_of_fork
+            .execute("INSERT INTO u VALUES ('k1', 'w1')")
+            .unwrap();
+        db.execute("INSERT INTO u VALUES ('k4', 'w4')").unwrap();
+
+        let statements = [
+            "SELECT k, v, p FROM t WHERE k >= 'k2' ORDER BY 1",
+            "SELECT v FROM t WHERE v = 'v3'",
+            "SELECT w FROM u WHERE k BETWEEN 'k1' AND 'k3' ORDER BY 1",
+            "SELECT k, COUNT(*) FROM u GROUP BY k ORDER BY 1",
+            "SELECT t.v, u.w FROM t JOIN u ON t.k = u.k ORDER BY 1",
+        ];
+        let expected = [
+            vec![vec!["k2", "v2", "p2"], vec!["k3", "v3", "p3"]],
+            vec![vec!["v3"]],
+            vec![vec!["w1"], vec!["w2"], vec!["w3"]],
+            vec![
+                vec!["k1", "1"],
+                vec!["k2", "1"],
+                vec!["k3", "1"],
+                vec!["k4", "1"],
+            ],
+            vec![vec!["v1", "w1"], vec!["v2", "w2"], vec!["v3", "w3"]],
+        ];
+        for (sql, want) in statements.iter().zip(&expected) {
+            let from_session = db.execute(sql).unwrap();
+            assert_eq!(&from_session.rows_as_strings(), want, "{sql}");
+            assert_eq!(fork.execute(sql).unwrap(), from_session, "fork: {sql}");
+            assert_eq!(
+                fork_of_fork.execute(sql).unwrap(),
+                from_session,
+                "fork of the fork: {sql}"
+            );
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@ use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption};
 use crate::range::EncryptedRange;
 use crate::search::{rotated, sorted, unsorted, DictEntryReader, DictSearchResult};
+use encdbdb_crypto::ct::ct_eq;
 use encdbdb_crypto::hkdf::derive_column_key;
-use encdbdb_crypto::{Ciphertext, Pae};
+use encdbdb_crypto::{Ciphertext, Key128, Pae};
 use enclave_sim::{Enclave, EnclaveLogic, TrustedEnv, UntrustedMemory};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -412,30 +413,99 @@ pub fn bridge_key_tables<'k>(
     (map_side(left), map_side(right), matched.len())
 }
 
-/// Key of one cached decrypted value: `(interned column id, partition
-/// discriminator, epoch·2 + store side, entry index)`.
-type CacheKey = (u32, u64, u64, u32);
-
 /// Entry cap of the in-enclave decrypted-value cache. Values are short
 /// (column `max_len` bytes), so even at 256-byte values the cache tops
 /// out around 2 MiB of the ~96 MiB EPC budget (tracked via
 /// `track_alloc`, so it shows up in `trusted_heap_current`).
 const VALUE_CACHE_CAPACITY: usize = 8192;
 
+/// Buckets of the value cache's index: twice the capacity, so a chain
+/// holds half an entry on average.
+const VALUE_CACHE_BUCKETS: usize = 2 * VALUE_CACHE_CAPACITY;
+
+/// End of a bucket chain.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Odd 64-bit multiplier (2⁶⁴ / φ) of the cache's multiplicative hash.
+const HASH_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Key of one cached decrypted value: `(interned column id, partition
+/// discriminator, epoch·2 + store side, entry index)`.
+type CacheKey = (u32, u64, u64, u32);
+
+/// One column-store generation as the value cache addresses it: the
+/// first three fields of every [`CacheKey`] it holds, and their share of
+/// the bucket hash — worked out once per call, so a probe costs one
+/// multiply.
+#[derive(Debug, Clone, Copy)]
+struct Generation {
+    colid: u32,
+    part: u64,
+    /// `epoch * 2 + side` (side: 0 = main, 1 = delta).
+    gen: u64,
+    seed: u64,
+}
+
+impl Generation {
+    fn new(colid: u32, part: u64, epoch: u64, delta: bool) -> Self {
+        let gen = epoch * 2 + delta as u64;
+        let mut seed = 0u64;
+        for word in [colid as u64, part, gen] {
+            seed = (seed.rotate_left(23) ^ word).wrapping_mul(HASH_MULTIPLIER);
+        }
+        Generation {
+            colid,
+            part,
+            gen,
+            seed,
+        }
+    }
+
+    fn key(&self, idx: u32) -> CacheKey {
+        (self.colid, self.part, self.gen, idx)
+    }
+
+    /// Unkeyed on purpose: every input is a store position the server
+    /// chose and observes, so there is nothing for it to learn from a
+    /// collision, and crafting them only lengthens its own chains
+    /// (DESIGN.md §14.2).
+    fn bucket(&self, idx: u32) -> usize {
+        let hash = (self.seed ^ idx as u64).wrapping_mul(HASH_MULTIPLIER);
+        (hash >> (64 - VALUE_CACHE_BUCKETS.trailing_zeros())) as usize
+    }
+}
+
+/// One ring position of the value cache.
+#[derive(Debug)]
+struct CacheSlot {
+    key: CacheKey,
+    /// Bucket of `key` (kept so unlinking needs no generation).
+    bucket: u32,
+    /// Next slot in the bucket's chain, or [`NO_SLOT`].
+    next: u32,
+    /// The plaintext; the buffer outlives the entry and is overwritten
+    /// by the next one to land here.
+    value: Vec<u8>,
+}
+
 /// The bounded in-enclave cache of decrypted dictionary/delta entries
 /// (DESIGN.md §14).
 ///
-/// * **Keying.** Entries are keyed by column (interned `(table, col)`
-///   pair), the caller's [`CacheTag`] generation (partition, epoch,
-///   main/delta side), and the entry index. Main snapshots are immutable
-///   per epoch and delta stores are append-only between compaction
-///   publishes (the drain happens under the same publish that bumps the
-///   epoch), so a populated entry can never go stale: the new epoch's
-///   probes simply miss.
-/// * **Eviction.** FIFO at [`VALUE_CACHE_CAPACITY`] entries. FIFO (not
-///   LRU) keeps the eviction order independent of which probes *hit*, so
-///   cache-occupancy side channels don't additionally encode hit
-///   recency.
+/// * **Keying.** Entries are keyed by column (its id in the
+///   [`ColumnTable`]), the caller's [`CacheTag`] generation (partition,
+///   epoch, main/delta side), and the entry index. Main snapshots are
+///   immutable per epoch and delta stores are append-only between
+///   compaction publishes (the drain happens under the same publish that
+///   bumps the epoch), so a populated entry can never go stale: the new
+///   epoch's probes simply miss.
+/// * **Structure.** A ring of [`VALUE_CACHE_CAPACITY`] slots in insertion
+///   order (`first`, `live`) and a chained index from a key's bucket to
+///   its slot. Eviction overwrites the oldest slot, value buffer
+///   included, so a warm cache allocates nothing; both parts are sized by
+///   the capacity, never by `|D|`.
+/// * **Eviction.** FIFO. FIFO (not LRU) keeps the eviction order
+///   independent of which probes *hit*, so cache-occupancy side channels
+///   don't additionally encode hit recency.
 /// * **Admission.** A linear search over more than
 ///   [`VALUE_CACHE_CAPACITY`] entries bypasses the cache entirely (see
 ///   `DictLogic::search`): under FIFO it could never hit, only evict.
@@ -443,42 +513,107 @@ const VALUE_CACHE_CAPACITY: usize = 8192;
 ///   0 decrypts — so per-call load counts become history-dependent
 ///   within an epoch. The ECALL itself is never skipped; see DESIGN.md
 ///   §14 for the full leakage delta next to the ED1–ED9 table.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ValueCache {
-    /// Interned `(table, col)` pairs; position = column id. Linear scan —
-    /// a deployment has few columns and interning is once per ECALL.
-    cols: Vec<(String, String)>,
-    map: std::collections::HashMap<CacheKey, Vec<u8>>,
-    order: std::collections::VecDeque<CacheKey>,
+    /// Per bucket, the first slot of its chain or [`NO_SLOT`].
+    buckets: Vec<u32>,
+    /// The ring; grows to [`VALUE_CACHE_CAPACITY`] and stays.
+    slots: Vec<CacheSlot>,
+    /// Ring position of the oldest live entry.
+    first: usize,
+    /// Live entries, in ring order from `first`.
+    live: usize,
+}
+
+impl Default for ValueCache {
+    fn default() -> Self {
+        ValueCache {
+            buckets: vec![NO_SLOT; VALUE_CACHE_BUCKETS],
+            slots: Vec::new(),
+            first: 0,
+            live: 0,
+        }
+    }
 }
 
 impl ValueCache {
-    fn col_id(&mut self, table: &str, col: &str) -> u32 {
-        if let Some(i) = self.cols.iter().position(|(t, c)| t == table && c == col) {
-            return i as u32;
-        }
-        self.cols.push((table.to_string(), col.to_string()));
-        (self.cols.len() - 1) as u32
-    }
-
-    fn get(&self, key: &CacheKey) -> Option<&Vec<u8>> {
-        self.map.get(key)
-    }
-
-    fn insert(&mut self, env: &mut TrustedEnv, key: CacheKey, value: Vec<u8>) {
-        if self.map.len() >= VALUE_CACHE_CAPACITY {
-            if let Some(oldest) = self.order.pop_front() {
-                if let Some(evicted) = self.map.remove(&oldest) {
-                    env.track_free(evicted.len());
-                }
+    fn find(&self, bucket: usize, key: &CacheKey) -> Option<usize> {
+        let mut at = self.buckets[bucket];
+        while at != NO_SLOT {
+            let slot = &self.slots[at as usize];
+            if slot.key == *key {
+                return Some(at as usize);
             }
+            at = slot.next;
+        }
+        None
+    }
+
+    fn get(&self, gen: &Generation, idx: u32) -> Option<&[u8]> {
+        self.find(gen.bucket(idx), &gen.key(idx))
+            .map(|at| self.slots[at].value.as_slice())
+    }
+
+    /// Takes the oldest entry out of the index and the accounting; its
+    /// slot becomes the ring's free position.
+    fn evict_oldest(&mut self, env: &mut TrustedEnv) {
+        let at = self.first as u32;
+        let CacheSlot { bucket, next, .. } = self.slots[self.first];
+        let head = &mut self.buckets[bucket as usize];
+        if *head == at {
+            *head = next;
+        } else {
+            let mut prev = *head as usize;
+            while self.slots[prev].next != at {
+                prev = self.slots[prev].next as usize;
+            }
+            self.slots[prev].next = next;
+        }
+        env.track_free(self.slots[self.first].value.len());
+        self.first = (self.first + 1) % VALUE_CACHE_CAPACITY;
+        self.live -= 1;
+    }
+
+    fn insert(&mut self, env: &mut TrustedEnv, gen: &Generation, idx: u32, value: &[u8]) {
+        if self.live >= VALUE_CACHE_CAPACITY {
+            self.evict_oldest(env);
         }
         env.track_alloc(value.len());
-        if let Some(prev) = self.map.insert(key, value) {
-            env.track_free(prev.len());
-        } else {
-            self.order.push_back(key);
+        let (bucket, key) = (gen.bucket(idx), gen.key(idx));
+        if let Some(at) = self.find(bucket, &key) {
+            // Re-inserting a live key replaces its bytes where it stands.
+            let held = &mut self.slots[at].value;
+            env.track_free(held.len());
+            held.clear();
+            held.extend_from_slice(value);
+            return;
         }
+        let at = (self.first + self.live) % VALUE_CACHE_CAPACITY;
+        let next = std::mem::replace(&mut self.buckets[bucket], at as u32);
+        let bucket = bucket as u32;
+        match self.slots.get_mut(at) {
+            Some(slot) => {
+                slot.value.clear();
+                slot.value.extend_from_slice(value);
+                (slot.key, slot.bucket, slot.next) = (key, bucket, next);
+            }
+            None => self.slots.push(CacheSlot {
+                key,
+                bucket,
+                next,
+                value: value.to_vec(),
+            }),
+        }
+        self.live += 1;
+    }
+
+    /// Drops every entry (the column ids they are keyed by are about to
+    /// be reassigned). The ring and its buffers stay allocated.
+    fn clear(&mut self, env: &mut TrustedEnv) {
+        while self.live > 0 {
+            self.evict_oldest(env);
+        }
+        self.first = 0;
     }
 }
 
@@ -486,10 +621,7 @@ impl ValueCache {
 /// entry readers.
 struct CacheHandle<'e> {
     cache: &'e mut ValueCache,
-    colid: u32,
-    part: u64,
-    /// `epoch * 2 + side` (side: 0 = main, 1 = delta).
-    gen: u64,
+    gen: Generation,
 }
 
 /// Loads the ciphertext of entry `i` of a head/tail segment — the one
@@ -540,7 +672,7 @@ impl DictEntryReader for EnclaveDictReader<'_, '_> {
 
     fn read_into(&mut self, i: usize, buf: &mut Vec<u8>) -> Result<(), EncdictError> {
         if let Some(h) = &self.cache {
-            if let Some(pt) = h.cache.get(&(h.colid, h.part, h.gen, i as u32)) {
+            if let Some(pt) = h.cache.get(&h.gen, i as u32) {
                 self.env.count_cache_hit();
                 buf.clear();
                 buf.extend_from_slice(pt);
@@ -555,48 +687,161 @@ impl DictEntryReader for EnclaveDictReader<'_, '_> {
         decrypted?;
         if let Some(h) = &mut self.cache {
             self.env.count_cache_miss();
-            h.cache.insert(
-                &mut *self.env,
-                (h.colid, h.part, h.gen, i as u32),
-                buf.clone(),
-            );
+            h.cache.insert(self.env, &h.gen, i as u32, buf);
         }
         Ok(())
     }
 }
 
+/// Columns the enclave keeps a cipher for. The server names the columns,
+/// so the table is capped: a call that would grow it past this drops
+/// every cipher and every cached value (DESIGN.md §6).
+const COLUMN_TABLE_CAPACITY: usize = 256;
+
+/// Longest `table` + `col` name, in bytes, the enclave copies into
+/// trusted memory — the other half of the table's bound.
+const COLUMN_NAME_MAX_BYTES: usize = 512;
+
+/// One column the enclave has served: its names and the cipher under its
+/// key `SK_D`. The position in [`ColumnTable::cols`] is the column id the
+/// value cache keys by.
+#[derive(Debug)]
+struct ColumnState {
+    table: String,
+    col: String,
+    pae: Pae,
+}
+
+/// The per-column ciphers, built on first use and kept for the life of
+/// the master key they were derived from (Algorithm 1 line 1, hoisted out
+/// of the per-call path). Trusted state the server can grow by naming
+/// columns, hence capped in entries and name length and charged to the
+/// trusted heap.
+#[derive(Debug, Default)]
+struct ColumnTable {
+    /// The `SK_DB` every cipher in `cols` was derived from.
+    skdb: Option<Key128>,
+    cols: Vec<ColumnState>,
+    /// Bytes charged through `track_alloc` for `cols`.
+    tracked: usize,
+}
+
+impl ColumnTable {
+    /// Drops every cipher (wiping its key schedule) together with every
+    /// cached value: cached values are keyed by column id, and ids are
+    /// about to be handed out afresh.
+    fn clear(&mut self, env: &mut TrustedEnv, cache: &mut ValueCache) {
+        cache.clear(env);
+        self.cols.clear();
+        env.track_free(std::mem::take(&mut self.tracked));
+    }
+
+    /// Forgets everything derived from a master key other than the one
+    /// now provisioned, so re-provisioning a live enclave cannot leave a
+    /// stale cipher behind.
+    fn follow_master_key(&mut self, env: &mut TrustedEnv, cache: &mut ValueCache) {
+        let same = match (env.master_key(), &self.skdb) {
+            (Some(now), Some(then)) => ct_eq(now.as_bytes(), then.as_bytes()),
+            (None, None) => true,
+            _ => false,
+        };
+        if !same {
+            self.clear(env, cache);
+            self.skdb = env.master_key().cloned();
+        }
+    }
+
+    /// Makes room for a call that names `columns` columns and needs all
+    /// their ids valid at once: if they might not fit, the table is
+    /// cleared first, so no [`ColumnTable::get`] of the call clears it
+    /// under an id already handed out.
+    fn reserve(
+        &mut self,
+        env: &mut TrustedEnv,
+        cache: &mut ValueCache,
+        columns: usize,
+    ) -> Result<(), EncdictError> {
+        if columns > COLUMN_TABLE_CAPACITY {
+            return Err(EncdictError::CorruptDictionary(
+                "call names more columns than the enclave keeps ciphers for",
+            ));
+        }
+        if self.cols.len() + columns > COLUMN_TABLE_CAPACITY {
+            self.clear(env, cache);
+        }
+        Ok(())
+    }
+
+    /// The id and cipher of `(table, col)` — one lookup per sub-call. A
+    /// column seen for the first time under this master key pays
+    /// Algorithm 1 line 1, `SK_D = DeriveKey(SK_DB, colName, tabName)`,
+    /// and the key schedule; a full table is cleared first.
+    fn get(
+        &mut self,
+        env: &mut TrustedEnv,
+        cache: &mut ValueCache,
+        table: &str,
+        col: &str,
+    ) -> Result<(u32, &Pae), EncdictError> {
+        let known = self
+            .cols
+            .iter()
+            .position(|c| c.table == table && c.col == col);
+        let id = match known {
+            Some(id) => id,
+            None => {
+                let skdb = env.master_key().ok_or(EncdictError::KeyNotProvisioned)?;
+                if table.len() + col.len() > COLUMN_NAME_MAX_BYTES {
+                    return Err(EncdictError::CorruptDictionary("column name too long"));
+                }
+                let pae = Pae::new(&derive_column_key(skdb, table, col));
+                if self.cols.len() >= COLUMN_TABLE_CAPACITY {
+                    self.clear(env, cache);
+                }
+                let bytes = std::mem::size_of::<ColumnState>() + table.len() + col.len();
+                env.track_alloc(bytes);
+                self.tracked += bytes;
+                self.cols.push(ColumnState {
+                    table: table.to_string(),
+                    col: col.to_string(),
+                    pae,
+                });
+                self.cols.len() - 1
+            }
+        };
+        Ok((id as u32, &self.cols[id].pae))
+    }
+}
+
 /// The trusted dictionary-search logic.
 ///
-/// Holds an in-enclave RNG for fresh IVs during re-encryption and the
-/// bounded decrypted-value cache; all other state (the master key) lives
-/// in the [`TrustedEnv`].
+/// Holds an in-enclave RNG for fresh IVs during re-encryption, the
+/// per-column ciphers and the bounded decrypted-value cache; the master
+/// key lives in the [`TrustedEnv`].
 #[derive(Debug)]
 pub struct DictLogic {
     rng: StdRng,
+    columns: ColumnTable,
     value_cache: ValueCache,
 }
 
 impl DictLogic {
     /// Creates the logic with an OS-seeded in-enclave RNG.
     pub fn new() -> Self {
-        DictLogic {
-            rng: StdRng::from_entropy(),
-            value_cache: ValueCache::default(),
-        }
+        Self::with_rng(StdRng::from_entropy())
     }
 
     /// Creates the logic with a deterministic RNG (tests/benches).
     pub fn with_seed(seed: u64) -> Self {
-        DictLogic {
-            rng: StdRng::seed_from_u64(seed),
-            value_cache: ValueCache::default(),
-        }
+        Self::with_rng(StdRng::seed_from_u64(seed))
     }
 
-    fn column_pae(env: &TrustedEnv, table: &str, col: &str) -> Result<Pae, EncdictError> {
-        // Algorithm 1 line 1: SK_D = DeriveKey(SK_DB, colName, tabName).
-        let skdb = env.master_key().ok_or(EncdictError::KeyNotProvisioned)?;
-        Ok(Pae::new(&derive_column_key(skdb, table, col)))
+    fn with_rng(rng: StdRng) -> Self {
+        DictLogic {
+            rng,
+            columns: ColumnTable::default(),
+            value_cache: ValueCache::default(),
+        }
     }
 
     fn search(
@@ -604,13 +849,15 @@ impl DictLogic {
         env: &mut TrustedEnv,
         req: SearchRequest<'_>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
-        let pae = Self::column_pae(env, req.table_name, req.col_name)?;
+        let (colid, pae) =
+            self.columns
+                .get(env, &mut self.value_cache, req.table_name, req.col_name)?;
         // Line 2: decrypt the ranges inside the enclave — the whole
         // disjunction arrives in one ECALL.
         let queries = req
             .ranges
             .iter()
-            .map(|r| r.decrypt(&pae))
+            .map(|r| r.decrypt(pae))
             .collect::<Result<Vec<_>, _>>()?;
         // An empty dictionary (freshly created table before any merge) has
         // nothing to search — and, for rotated kinds, no meaningful
@@ -653,15 +900,10 @@ impl DictLogic {
         let scan_outruns_cache =
             req.kind.order() == OrderOption::Unsorted && req.dict_len > VALUE_CACHE_CAPACITY;
         let cache = match req.cache {
-            Some(tag) if !scan_outruns_cache => {
-                let colid = self.value_cache.col_id(req.table_name, req.col_name);
-                Some(CacheHandle {
-                    cache: &mut self.value_cache,
-                    colid,
-                    part: tag.part,
-                    gen: tag.epoch * 2 + tag.delta as u64,
-                })
-            }
+            Some(tag) if !scan_outruns_cache => Some(CacheHandle {
+                cache: &mut self.value_cache,
+                gen: Generation::new(colid, tag.part, tag.epoch, tag.delta),
+            }),
             _ => None,
         };
         let mut reader = EnclaveDictReader {
@@ -669,7 +911,7 @@ impl DictLogic {
             head: req.head,
             tail: req.tail,
             len: req.dict_len,
-            pae: &pae,
+            pae,
             cache,
         };
         match req.kind.order() {
@@ -692,7 +934,9 @@ impl DictLogic {
         env: &mut TrustedEnv,
         req: ReencryptRequest<'_>,
     ) -> Result<Vec<u8>, EncdictError> {
-        let pae = Self::column_pae(env, req.table_name, req.col_name)?;
+        let (_, pae) =
+            self.columns
+                .get(env, &mut self.value_cache, req.table_name, req.col_name)?;
         let pt = pae.decrypt_bytes(req.ciphertext, crate::build::DICT_VALUE_AAD)?;
         env.track_alloc(pt.len());
         let ct = pae.encrypt_with_rng(&mut self.rng, &pt, crate::build::DICT_VALUE_AAD);
@@ -760,32 +1004,30 @@ impl DictLogic {
     /// Reads and decrypts entry `i` of a head/tail segment — the batched
     /// `DecryptValue` primitive shared by aggregation and the join bridge.
     ///
-    /// `tag` is the value-cache generation `(colid, part, gen)` or `None`
-    /// to bypass the cache. Returns `(plaintext, hit)`; on a hit nothing
-    /// crossed the enclave boundary and nothing was decrypted, so callers
-    /// must skip their `values_decrypted`/heap accounting.
+    /// `gen` is the segment's value-cache generation or `None` to bypass
+    /// the cache. Returns `(plaintext, hit)`; on a hit nothing crossed the
+    /// enclave boundary and nothing was decrypted, so callers must skip
+    /// their `values_decrypted`/heap accounting.
     fn read_segment_entry(
         cache: &mut ValueCache,
         env: &mut TrustedEnv,
         seg: SegmentRef<'_>,
         pae: &Pae,
-        tag: Option<(u32, u64, u64)>,
+        gen: Option<&Generation>,
         i: usize,
     ) -> Result<(Vec<u8>, bool), EncdictError> {
         if i >= seg.len {
             return Err(EncdictError::CorruptDictionary("code out of range"));
         }
-        if let Some((colid, part, gen)) = tag {
-            if let Some(pt) = cache.get(&(colid, part, gen, i as u32)) {
-                env.count_cache_hit();
-                return Ok((pt.clone(), true));
-            }
+        if let Some(pt) = gen.and_then(|gen| cache.get(gen, i as u32)) {
+            env.count_cache_hit();
+            return Ok((pt.to_vec(), true));
         }
         let ct = load_entry_ciphertext(env, seg.head, seg.tail, i)?;
         let pt = pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?;
-        if let Some((colid, part, gen)) = tag {
+        if let Some(gen) = gen {
             env.count_cache_miss();
-            cache.insert(env, (colid, part, gen, i as u32), pt.clone());
+            cache.insert(env, gen, i as u32, &pt);
         }
         Ok((pt, false))
     }
@@ -793,13 +1035,12 @@ impl DictLogic {
     /// Decrypts one column's distinct touched codes into its plaintext
     /// value table — the batched `DecryptValue` loop shared by aggregation
     /// and the join bridge, one decryption per distinct code. `key` is the
-    /// column's name and cipher when it is declared encrypted, `None` for
+    /// column's id and cipher when it is declared encrypted, `None` for
     /// PLAIN.
     fn column_values(
-        &mut self,
+        cache: &mut ValueCache,
         env: &mut TrustedEnv,
-        table_name: &str,
-        key: Option<(&str, &Pae)>,
+        key: Option<(u32, &Pae)>,
         col: &ColumnData,
         tally: &mut DecryptTally,
     ) -> Result<Vec<Vec<u8>>, EncdictError> {
@@ -809,13 +1050,13 @@ impl DictLogic {
                     main,
                     delta,
                     codes,
-                    cache,
+                    cache: tag,
                 },
-                Some((col_name, pae)),
+                Some((colid, pae)),
             ) => {
-                let tag = cache.map(|(part, epoch)| {
-                    let colid = self.value_cache.col_id(table_name, col_name);
-                    (colid, part, epoch * 2)
+                // One cache generation per store side: [main, delta].
+                let gens = tag.map(|(part, epoch)| {
+                    [false, true].map(|delta| Generation::new(colid, part, epoch, delta))
                 });
                 let main = main.dict().segment_ref();
                 let delta = delta.segment_ref();
@@ -827,10 +1068,8 @@ impl DictLogic {
                     } else {
                         (delta, code - main.len, 1)
                     };
-                    // Cache generation: `epoch * 2 + side` (0 = main, 1 = delta).
-                    let tag = tag.map(|(colid, part, gen)| (colid, part, gen + side));
-                    let (pt, hit) =
-                        Self::read_segment_entry(&mut self.value_cache, env, seg, pae, tag, i)?;
+                    let gen = gens.as_ref().map(|gens| &gens[side]);
+                    let (pt, hit) = Self::read_segment_entry(cache, env, seg, pae, gen, i)?;
                     if !hit {
                         tally.values += 1;
                         tally.bytes += pt.len();
@@ -855,15 +1094,18 @@ impl DictLogic {
         side: &JoinSideData,
         tally: &mut DecryptTally,
     ) -> Result<Vec<Vec<Vec<u8>>>, EncdictError> {
-        let col_name = side.col_name.as_deref();
-        let pae = match col_name {
-            Some(col) => Some(Self::column_pae(env, &side.table_name, col)?),
+        let key = match &side.col_name {
+            Some(col) => {
+                Some(
+                    self.columns
+                        .get(env, &mut self.value_cache, &side.table_name, col)?,
+                )
+            }
             None => None,
         };
-        let key = col_name.zip(pae.as_ref());
         side.parts
             .iter()
-            .map(|part| self.column_values(env, &side.table_name, key, part, tally))
+            .map(|part| Self::column_values(&mut self.value_cache, env, key, part, tally))
             .collect()
     }
 
@@ -895,16 +1137,24 @@ impl DictLogic {
         req: &AggregateRequest,
         tally: &mut DecryptTally,
     ) -> Result<AggregateReply, EncdictError> {
-        // One key per referenced encrypted column, shared by every
+        // One cipher per referenced encrypted column, shared by every
         // partition (partitions of a table are protected by the same
-        // column keys).
-        let mut paes: Vec<Option<Pae>> = Vec::with_capacity(req.col_names.len());
+        // column keys). The ids are all in use at once, so the table makes
+        // room for them before the first is handed out.
+        let cache = &mut self.value_cache;
+        let encrypted = req.col_names.iter().flatten().count();
+        self.columns.reserve(env, cache, encrypted)?;
+        let mut colids: Vec<Option<u32>> = Vec::with_capacity(req.col_names.len());
         for name in &req.col_names {
-            paes.push(match name {
-                Some(col) => Some(Self::column_pae(env, &req.table_name, col)?),
+            colids.push(match name {
+                Some(col) => Some(self.columns.get(env, cache, &req.table_name, col)?.0),
                 None => None,
             });
         }
+        let keys: Vec<Option<(u32, &Pae)>> = colids
+            .iter()
+            .map(|id| id.map(|id| (id, &self.columns.cols[id as usize].pae)))
+            .collect();
         // Fold every partition into per-group partial aggregates,
         // decrypting each partition's distinct touched codes exactly once
         // (batched decryption), and merge the partials in the trusted
@@ -917,9 +1167,8 @@ impl DictLogic {
                 ));
             }
             let mut tables: Vec<Vec<Vec<u8>>> = Vec::with_capacity(part.columns.len());
-            for ((col, pae), name) in part.columns.iter().zip(&paes).zip(&req.col_names) {
-                let key = name.as_deref().zip(pae.as_ref());
-                tables.push(self.column_values(env, &req.table_name, key, col, tally)?);
+            for (col, &key) in part.columns.iter().zip(&keys) {
+                tables.push(Self::column_values(cache, env, key, col, tally)?);
             }
             let mut partial = crate::aggregate::GroupPartials::new();
             partial.accumulate(&tables, &part.tuples, &req.plan)?;
@@ -939,8 +1188,8 @@ impl DictLogic {
                             crate::aggregate::OutputItem::Group(i) => Some(req.plan.group_cols[i]),
                             crate::aggregate::OutputItem::Agg(j) => req.plan.aggregates[j].col,
                         };
-                        match source.and_then(|c| paes[c].as_ref()) {
-                            Some(pae) => AggCell::Encrypted(
+                        match source.and_then(|c| keys[c]) {
+                            Some((_, pae)) => AggCell::Encrypted(
                                 pae.encrypt_with_rng(
                                     &mut self.rng,
                                     &value,
@@ -1003,6 +1252,7 @@ impl EnclaveLogic for DictLogic {
     }
 
     fn dispatch(&mut self, env: &mut TrustedEnv, call: DictCall<'_>) -> DictReply {
+        self.columns.follow_master_key(env, &mut self.value_cache);
         match call {
             DictCall::Search(req) => DictReply::Search(self.search(env, req)),
             DictCall::Reencrypt(req) => DictReply::Reencrypted(self.reencrypt(env, req)),
@@ -1444,6 +1694,156 @@ mod tests {
         for (i, id) in reply.right[0].iter().enumerate() {
             assert_eq!(id.is_some(), b_codes.contains(&i), "code {i}");
         }
+    }
+
+    /// The cache this module had before the ring and its index — a SipHash
+    /// map of owned values plus an insertion-order queue — kept as the
+    /// oracle the ring is checked against.
+    #[derive(Default)]
+    struct MapCache {
+        map: std::collections::HashMap<CacheKey, Vec<u8>>,
+        order: std::collections::VecDeque<CacheKey>,
+    }
+
+    impl MapCache {
+        fn get(&self, key: &CacheKey) -> Option<&Vec<u8>> {
+            self.map.get(key)
+        }
+
+        fn insert(&mut self, env: &mut TrustedEnv, key: CacheKey, value: Vec<u8>) {
+            if self.map.len() >= VALUE_CACHE_CAPACITY {
+                if let Some(oldest) = self.order.pop_front() {
+                    if let Some(evicted) = self.map.remove(&oldest) {
+                        env.track_free(evicted.len());
+                    }
+                }
+            }
+            env.track_alloc(value.len());
+            if let Some(prev) = self.map.insert(key, value) {
+                env.track_free(prev.len());
+            } else {
+                self.order.push_back(key);
+            }
+        }
+    }
+
+    fn keys_oldest_first(cache: &ValueCache) -> Vec<CacheKey> {
+        (0..cache.live)
+            .map(|k| cache.slots[(cache.first + k) % VALUE_CACHE_CAPACITY].key)
+            .collect()
+    }
+
+    #[test]
+    fn value_cache_agrees_with_the_map_and_queue_it_replaced() {
+        use rand::Rng;
+        // Eight generations of 4 000 indices: four times the capacity in
+        // distinct keys. Inserts do not look first, so live keys get
+        // re-inserted, also while the cache is full.
+        const INDICES: u32 = 4000;
+        let gens: Vec<Generation> = (0..8u64)
+            .map(|g| Generation::new((g % 3) as u32, g / 3, 5 + g / 2, g % 2 == 1))
+            .collect();
+        for seed in 0..3 {
+            let mut rng = StdRng::seed_from_u64(900 + seed);
+            let (mut env, mut oracle_env) = (TrustedEnv::new(), TrustedEnv::new());
+            let mut cache = ValueCache::default();
+            let mut oracle = MapCache::default();
+            for step in 0..90_000u32 {
+                // Generation 0 is in use, then left alone until FIFO has
+                // evicted its last entry, then comes back.
+                let g = match step {
+                    0..=9_999 => rng.gen_range(0..2),
+                    10_000..=59_999 => rng.gen_range(1..gens.len()),
+                    _ => rng.gen_range(0..gens.len()),
+                };
+                if step == 60_000 {
+                    assert!(
+                        oracle.order.iter().all(|k| k.2 != gens[0].gen),
+                        "generation 0 should have aged out"
+                    );
+                }
+                let (gen, idx) = (&gens[g], rng.gen_range(0..INDICES));
+                if rng.gen_bool(0.5) {
+                    assert_eq!(
+                        cache.get(gen, idx),
+                        oracle.get(&gen.key(idx)).map(Vec::as_slice),
+                        "seed {seed} step {step}: get"
+                    );
+                } else {
+                    let len = rng.gen_range(0..24usize);
+                    let value: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    cache.insert(&mut env, gen, idx, &value);
+                    oracle.insert(&mut oracle_env, gen.key(idx), value);
+                }
+                assert_eq!(
+                    env.heap_current(),
+                    oracle_env.heap_current(),
+                    "seed {seed} step {step}: tracked bytes"
+                );
+                if step % 1013 == 0 {
+                    assert_eq!(
+                        keys_oldest_first(&cache),
+                        Vec::from(oracle.order.clone()),
+                        "seed {seed} step {step}: eviction order"
+                    );
+                }
+            }
+            assert_eq!(env.heap_peak(), oracle_env.heap_peak());
+            assert_eq!(keys_oldest_first(&cache), Vec::from(oracle.order.clone()));
+            // Emptying the cache returns every tracked byte and leaves a
+            // cache that works.
+            cache.clear(&mut env);
+            assert_eq!(env.heap_current(), 0);
+            assert_eq!(cache.get(&gens[1], 7), None);
+            cache.insert(&mut env, &gens[1], 7, b"back");
+            assert_eq!(cache.get(&gens[1], 7), Some(&b"back"[..]));
+        }
+    }
+
+    #[test]
+    fn reprovisioning_drops_ciphers_and_cached_values_of_the_old_key() {
+        let values = ["a", "b", "c", "d"];
+        let (mut enclave, dict_k1, pae_k1, mut rng) = setup(EdKind::Ed1, &values, 40);
+        let tag = Some(CacheTag {
+            part: 0,
+            epoch: 0,
+            delta: false,
+        });
+        let query = RangeQuery::between("b", "c");
+        let tau_k1 = [EncryptedRange::encrypt(&pae_k1, &mut rng, &query)];
+        // Served under K1, twice: the second call finds the cipher built
+        // and the probed values cached.
+        for _ in 0..2 {
+            let hit = enclave.search_multi(&dict_k1, &tau_k1, tag).unwrap();
+            assert_eq!(hit[0].match_count(), 2);
+        }
+
+        let k2 = Key128::from_bytes([10; 16]);
+        let sk_d2 = derive_column_key(&k2, "t", "c");
+        let pae_k2 = Pae::new(&sk_d2);
+        enclave.provision_direct(k2);
+        let tau_k2 = [EncryptedRange::encrypt(&pae_k2, &mut rng, &query)];
+        let stale = EncdictError::Crypto(encdbdb_crypto::CryptoError::TagMismatch);
+        // A cipher kept from K1 would still open the K1 range.
+        assert_eq!(
+            enclave.search_multi(&dict_k1, &tau_k1, tag).unwrap_err(),
+            stale
+        );
+        // Values cached under K1 would answer a K2 range over the K1
+        // dictionary without decrypting anything.
+        assert_eq!(
+            enclave.search_multi(&dict_k1, &tau_k2, tag).unwrap_err(),
+            stale
+        );
+        let params = BuildParams {
+            table_name: "t".into(),
+            col_name: "c".into(),
+            bs_max: 3,
+        };
+        let col = Column::from_strs("c", 12, values).unwrap();
+        let (dict_k2, _) = build_encrypted(&col, EdKind::Ed1, &params, &sk_d2, &mut rng).unwrap();
+        let hit = enclave.search_multi(&dict_k2, &tau_k2, tag).unwrap();
+        assert_eq!(hit[0].match_count(), 2);
     }
 
     #[test]

@@ -413,3 +413,105 @@ fn lying_head_fails_merge() {
         assert_corrupt("Merge", lie, enclave.merge(req));
     }
 }
+
+/// The server names the columns of every call, and the enclave keeps a
+/// cipher per name. Ten thousand calls naming ten thousand columns that do
+/// not exist each end in a typed error, hold a bounded amount of trusted
+/// memory between them (the table used to keep every name for the life of
+/// the enclave), and leave an enclave that still answers for a real
+/// column.
+#[test]
+fn bogus_column_names_hold_bounded_trusted_memory() {
+    // 256 columns of ~0.5 KiB cipher and a short name each (DESIGN.md §6)
+    // plus the five cached 1-byte values below.
+    const TRUSTED_HEAP_BOUND: usize = 256 * 1024;
+
+    let (mut enclave, dict, _, pae, mut rng) = fixture(EdKind::Ed1);
+    let tau = [EncryptedRange::encrypt(
+        &pae,
+        &mut rng,
+        &RangeQuery::between("a", "d"),
+    )];
+    let tag = Some(encdict::CacheTag {
+        part: 0,
+        epoch: 0,
+        delta: false,
+    });
+    let answer = enclave.search_multi(&dict, &tau, tag).unwrap();
+    assert_eq!(answer[0].match_count(), 4);
+    let warm = enclave.enclave().counters();
+    enclave.search_multi(&dict, &tau, tag).unwrap();
+    let hot = enclave.enclave().counters();
+    assert!(
+        hot.cache_hits > warm.cache_hits,
+        "the real column is cached"
+    );
+    assert_eq!(hot.untrusted_loads, warm.untrusted_loads);
+
+    let column = |cache| ColumnData::Encrypted {
+        main: SegSource::Owned(Box::new(dict.clone())),
+        delta: DeltaSegment::default(),
+        codes: vec![0],
+        cache,
+    };
+    for i in 0..10_000u64 {
+        let name = format!("no_such_column_{i}");
+        // Aggregates and bridges alternate, cached and uncached alike.
+        let cache = (i % 4 < 2).then_some((i, 0));
+        let reply = if i % 2 == 0 {
+            let call = ReadCall::Aggregate(AggregateRequest {
+                table_name: "t".into(),
+                col_names: vec![Some(name)],
+                parts: vec![AggPartitionData {
+                    columns: vec![column(cache)],
+                    tuples: vec![(vec![0], 1)],
+                }],
+                plan: AggPlanSpec {
+                    group_cols: vec![0],
+                    aggregates: vec![],
+                    items: vec![OutputItem::Group(0)],
+                    sort: vec![],
+                    limit: None,
+                },
+            });
+            let reply = enclave.batch(vec![&call]).pop().expect("one reply").reply;
+            reply.into_aggregated().map(drop)
+        } else {
+            let side = |col_name: String| JoinSideData {
+                table_name: "t".into(),
+                col_name: Some(col_name),
+                parts: vec![column(cache)],
+            };
+            let call = ReadCall::JoinBridge(JoinBridgeRequest {
+                left: side(name.clone()),
+                right: side(name + "_r"),
+            });
+            let reply = enclave.batch(vec![&call]).pop().expect("one reply").reply;
+            reply.into_bridged().map(drop)
+        };
+        assert!(
+            matches!(reply, Err(EncdictError::Crypto(_))),
+            "call {i}: {reply:?}"
+        );
+        let held = enclave.enclave().trusted_heap_current();
+        assert!(
+            held <= TRUSTED_HEAP_BOUND,
+            "{held} trusted bytes after {i} calls"
+        );
+    }
+    // A name too long to keep is refused before anything is derived.
+    let long = "c".repeat(4096);
+    let err = enclave
+        .reencrypt("t", &long, dict.ciphertext(0))
+        .unwrap_err();
+    assert!(matches!(err, EncdictError::CorruptDictionary(_)), "{err:?}");
+
+    // The flood pushed the real column out with everything else; it is
+    // rebuilt on demand, answers as before and is cached again.
+    assert_eq!(enclave.search_multi(&dict, &tau, tag).unwrap(), answer);
+    let warm = enclave.enclave().counters();
+    assert_eq!(enclave.search_multi(&dict, &tau, tag).unwrap(), answer);
+    let hot = enclave.enclave().counters();
+    assert_eq!(hot.untrusted_loads, warm.untrusted_loads);
+    assert!(enclave.enclave().trusted_heap_current() <= TRUSTED_HEAP_BOUND);
+}

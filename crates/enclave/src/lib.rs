@@ -145,6 +145,12 @@ impl<L: EnclaveLogic> Enclave<L> {
         self.env.heap_peak()
     }
 
+    /// Trusted-heap bytes tracked right now — what the logic holds
+    /// between ECALLs (caches, per-column state).
+    pub fn trusted_heap_current(&self) -> usize {
+        self.env.heap_current()
+    }
+
     /// Resets the trusted-heap peak gauge.
     pub fn reset_heap_peak(&mut self) {
         self.env.reset_heap_peak();

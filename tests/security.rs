@@ -486,3 +486,87 @@ fn linear_scans_larger_than_the_value_cache_bypass_it() {
     );
     assert_eq!(scan("fits"), (0, 0, CACHE_ENTRIES, 0));
 }
+
+/// DESIGN.md §6, cipher lifecycle: the enclave builds a column's cipher
+/// once and keeps it. That must not be observable: over a seeded list of
+/// searches on ED1, ED2 and ED9 columns, one long-lived enclave and a
+/// fresh enclave per statement (which derives every cipher anew, as every
+/// call used to) give identical replies — and, when no call carries a
+/// cache tag, identical values in every field a ledger row is made from.
+#[test]
+fn kept_column_ciphers_answer_like_a_fresh_enclave_per_statement() {
+    use encdbdb_crypto::hkdf::derive_column_key;
+    use encdbdb_crypto::{Key128, Pae};
+    use encdict::batch::{ReadCall, SearchCall, SegSource};
+    use encdict::build::{build_encrypted, BuildParams};
+    use encdict::{CacheTag, DictEnclave, EncryptedRange, RangeQuery};
+    use rand::Rng;
+    use std::sync::Arc;
+
+    let skdb = Key128::from_bytes([3; 16]);
+    let mut rng = StdRng::seed_from_u64(7800);
+    let value = |i: u32| format!("v{:04}", i % 300);
+    let columns: Vec<_> = [EdKind::Ed1, EdKind::Ed2, EdKind::Ed9]
+        .into_iter()
+        .map(|kind| {
+            let name = format!("c{}", kind.number());
+            let sk_d = derive_column_key(&skdb, "t", &name);
+            let col = Column::from_strs(name.as_str(), 8, (0..400).map(value)).unwrap();
+            let params = BuildParams {
+                table_name: "t".into(),
+                col_name: name,
+                bs_max: 4,
+            };
+            let (dict, _) = build_encrypted(&col, kind, &params, &sk_d, &mut rng).unwrap();
+            (Arc::new(dict), Pae::new(&sk_d))
+        })
+        .collect();
+    let provisioned = |seed: u64| {
+        let mut enclave = DictEnclave::with_seed(seed);
+        enclave.provision_direct(skdb.clone());
+        enclave
+    };
+
+    for cached in [false, true] {
+        let mut long_lived = provisioned(1);
+        for statement in 0..150u64 {
+            let c = rng.gen_range(0..columns.len());
+            let (dict, pae) = &columns[c];
+            let ranges = (0..rng.gen_range(1..4))
+                .map(|_| {
+                    let lo = rng.gen_range(0..300u32);
+                    let query = RangeQuery::between(value(lo), value(lo + rng.gen_range(0..40u32)));
+                    EncryptedRange::encrypt(pae, &mut rng, &query)
+                })
+                .collect();
+            let call = ReadCall::Search(SearchCall {
+                dict: SegSource::Shared(Arc::clone(dict)),
+                ranges,
+                cache: cached.then_some(CacheTag {
+                    part: c as u64,
+                    epoch: 0,
+                    delta: false,
+                }),
+            });
+            let row = |enclave: &mut DictEnclave| {
+                let item = enclave.batch(vec![&call]).pop().expect("one reply");
+                let fields = [
+                    call.payload_bytes(),
+                    item.reply.payload_bytes(),
+                    item.reply.values_decrypted(item.untrusted_loads),
+                    item.untrusted_loads,
+                    item.untrusted_bytes,
+                    item.cache_hits,
+                    item.cache_misses,
+                ];
+                (item.reply.into_search().expect("search succeeds"), fields)
+            };
+            let (kept_reply, kept_fields) = row(&mut long_lived);
+            let (fresh_reply, fresh_fields) = row(&mut provisioned(2 + statement));
+            assert_eq!(kept_reply, fresh_reply, "statement {statement}");
+            if !cached {
+                assert_eq!(kept_fields, fresh_fields, "statement {statement}");
+            }
+        }
+    }
+}
