@@ -32,6 +32,9 @@ for root in src/lib.rs crates/*/src/lib.rs; do
     fi
 done
 
+# Non-test code lines of the three core crates (ROADMAP item 5's exit
+# criterion is stated in this number).
+run tools/code_lines.sh
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo fmt --check
@@ -57,6 +60,13 @@ run env ENCDBDB_STRESS_THREADS=4 ENCDBDB_STRESS_ROWS=2000 \
 # tails, swapped snapshot files) and checkpoint/fsync-batching recovery.
 run env ENCDBDB_STRESS_THREADS=4 ENCDBDB_STRESS_ROWS=2000 \
     cargo test -q --offline --test crash_recovery
+# What the partition's four transitions (DESIGN.md §9) promise, on state
+# and not only on answers: a recovered partition equals the live one field
+# for field, and a failed merge changes nothing.
+run cargo test -q --offline -p encdbdb --lib -- \
+    recovered_partition_state_equals_live_state \
+    merge_on_an_unprovisioned_enclave_changes_nothing_and_retries \
+    merge_over_a_tampered_main_store_changes_nothing
 # The leakage-audit suite: the ECALL ledger's observed per-kind leakage
 # for all 9 ED kinds + PLAIN against the DESIGN.md §2/§10/§11 bounds.
 run cargo test -q --offline --test security

@@ -8,8 +8,9 @@
 //! store to keep reads fast.
 //!
 //! This module provides the plaintext machinery ([`ValidityVector`],
-//! [`DeltaStore`], [`DeltaColumn`]); the *encrypted* delta handling (delta
-//! always uses ED9) lives in `encdict::dynamic`.
+//! [`DeltaStore`]); the *encrypted* delta store (always ED9) lives in
+//! `encdict::dynamic`, and the owner of a row space — one validity vector
+//! per store side, every state transition — is the server's partition.
 
 use crate::column::Column;
 use crate::dictionary::RecordId;
@@ -145,12 +146,12 @@ impl ValidityVector {
     }
 }
 
-/// The write-optimized delta store of one column: an append-only column
-/// plus its validity vector.
+/// The write-optimized delta store of one PLAIN column: an append-only
+/// column. Which of its rows are still valid is not its business — the
+/// owner of the row space keeps one [`ValidityVector`] for all columns.
 #[derive(Debug, Clone)]
 pub struct DeltaStore {
     values: Column,
-    validity: ValidityVector,
 }
 
 impl DeltaStore {
@@ -158,7 +159,6 @@ impl DeltaStore {
     pub fn new(max_len: usize) -> Self {
         DeltaStore {
             values: Column::new("delta", max_len),
-            validity: ValidityVector::default(),
         }
     }
 
@@ -170,17 +170,7 @@ impl DeltaStore {
     /// column maximum.
     pub fn insert(&mut self, value: &[u8]) -> Result<RecordId, ColstoreError> {
         self.values.push(value)?;
-        self.validity.push(true);
         Ok(RecordId((self.values.len() - 1) as u32))
-    }
-
-    /// Invalidates a delta row (delete / update-old-version).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rid` is out of bounds.
-    pub fn invalidate(&mut self, rid: RecordId) {
-        self.validity.invalidate(rid.0 as usize);
     }
 
     /// Number of rows ever appended.
@@ -193,30 +183,9 @@ impl DeltaStore {
         self.values.is_empty()
     }
 
-    /// Number of still-valid rows.
-    pub fn valid_len(&self) -> usize {
-        self.validity.count_valid()
-    }
-
     /// Value of delta row `rid`.
     pub fn value(&self, rid: RecordId) -> &[u8] {
         self.values.value(rid.0 as usize)
-    }
-
-    /// Whether row `rid` is valid.
-    pub fn is_valid(&self, rid: RecordId) -> bool {
-        self.validity.is_valid(rid.0 as usize)
-    }
-
-    /// Iterates over `(RecordId, value)` of *valid* rows.
-    pub fn iter_valid(&self) -> impl Iterator<Item = (RecordId, &[u8])> + '_ {
-        (0..self.len()).filter_map(move |i| {
-            if self.validity.is_valid(i) {
-                Some((RecordId(i as u32), self.values.value(i)))
-            } else {
-                None
-            }
-        })
     }
 
     /// The column's fixed maximal value length.
@@ -232,16 +201,7 @@ impl DeltaStore {
     /// Panics if `n > len()`.
     pub fn prefix(&self, n: usize) -> DeltaStore {
         assert!(n <= self.len(), "prefix {n} out of bounds {}", self.len());
-        let mut values = Column::new("delta", self.values.max_len());
-        for i in 0..n {
-            values
-                .push(self.values.value(i))
-                .expect("value came from a column with the same max_len");
-        }
-        DeltaStore {
-            values,
-            validity: self.validity.prefix(n),
-        }
+        self.rows(0..n)
     }
 
     /// Drops the first `n` rows after a compaction consumed them: row
@@ -256,112 +216,17 @@ impl DeltaStore {
             "drain_prefix {n} out of bounds {}",
             self.len()
         );
+        *self = self.rows(n..self.len());
+    }
+
+    fn rows(&self, range: std::ops::Range<usize>) -> DeltaStore {
         let mut values = Column::new("delta", self.values.max_len());
-        for i in n..self.values.len() {
+        for i in range {
             values
                 .push(self.values.value(i))
                 .expect("value came from a column with the same max_len");
         }
-        self.values = values;
-        self.validity = self.validity.suffix(n);
-    }
-
-    /// Drains the delta into a plain column of its valid values (a merge
-    /// step), leaving the delta empty.
-    pub fn drain_valid(&mut self) -> Column {
-        let mut out = Column::new("merged-delta", self.values.max_len());
-        for (_, v) in self.iter_valid() {
-            out.push(v)
-                .expect("value came from a column with the same max_len");
-        }
-        *self = DeltaStore::new(self.values.max_len());
-        out
-    }
-}
-
-/// A full dynamic column: main store (any representation, managed by the
-/// caller) is *not* held here — this type tracks main-store validity and
-/// the delta store, which is what §4.3 adds on top of a static column.
-#[derive(Debug, Clone)]
-pub struct DeltaColumn {
-    main_validity: ValidityVector,
-    delta: DeltaStore,
-}
-
-impl DeltaColumn {
-    /// Creates delta bookkeeping for a main store of `main_rows` rows with
-    /// values up to `max_len` bytes.
-    pub fn new(main_rows: usize, max_len: usize) -> Self {
-        DeltaColumn {
-            main_validity: ValidityVector::all_valid(main_rows),
-            delta: DeltaStore::new(max_len),
-        }
-    }
-
-    /// Inserts a new value into the delta.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ColstoreError::ValueTooLong`].
-    pub fn insert(&mut self, value: &[u8]) -> Result<RecordId, ColstoreError> {
-        self.delta.insert(value)
-    }
-
-    /// Deletes a main-store row.
-    pub fn delete_main(&mut self, rid: RecordId) {
-        self.main_validity.invalidate(rid.0 as usize);
-    }
-
-    /// Deletes a delta-store row.
-    pub fn delete_delta(&mut self, rid: RecordId) {
-        self.delta.invalidate(rid);
-    }
-
-    /// Updates a main-store row: invalidates it and appends the new value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ColstoreError::ValueTooLong`]; the old row is only
-    /// invalidated if the insert succeeds.
-    pub fn update_main(
-        &mut self,
-        rid: RecordId,
-        new_value: &[u8],
-    ) -> Result<RecordId, ColstoreError> {
-        let new_rid = self.delta.insert(new_value)?;
-        self.main_validity.invalidate(rid.0 as usize);
-        Ok(new_rid)
-    }
-
-    /// Whether main-store row `rid` is still valid.
-    pub fn main_is_valid(&self, rid: RecordId) -> bool {
-        self.main_validity.is_valid(rid.0 as usize)
-    }
-
-    /// Filters a main-store result list down to valid rows (the §4.3 merge
-    /// step of a read query).
-    pub fn filter_valid_main(&self, rids: impl IntoIterator<Item = RecordId>) -> Vec<RecordId> {
-        rids.into_iter()
-            .filter(|r| self.main_is_valid(*r))
-            .collect()
-    }
-
-    /// Access to the delta store.
-    pub fn delta(&self) -> &DeltaStore {
-        &self.delta
-    }
-
-    /// Mutable access to the delta store.
-    pub fn delta_mut(&mut self) -> &mut DeltaStore {
-        &mut self.delta
-    }
-
-    /// Merge: returns the valid delta values as a column and resets the
-    /// delta plus main validity for a rebuilt main store of `new_main_rows`.
-    pub fn merge(&mut self, new_main_rows: usize) -> Column {
-        let merged = self.delta.drain_valid();
-        self.main_validity = ValidityVector::all_valid(new_main_rows);
-        merged
+        DeltaStore { values }
     }
 }
 
@@ -434,10 +299,9 @@ mod tests {
         let mut d = DeltaStore::new(16);
         let r0 = d.insert(b"new-a").unwrap();
         let r1 = d.insert(b"new-b").unwrap();
-        d.invalidate(r0);
-        let valid: Vec<&[u8]> = d.iter_valid().map(|(_, v)| v).collect();
-        assert_eq!(valid, vec![&b"new-b"[..]]);
-        assert_eq!(d.valid_len(), 1);
+        assert_eq!((r0, r1), (RecordId(0), RecordId(1)));
+        assert_eq!(d.len(), 2);
+        assert_eq!(d.value(r0), b"new-a");
         assert_eq!(d.value(r1), b"new-b");
     }
 
@@ -447,17 +311,13 @@ mod tests {
         for v in [b"aa" as &[u8], b"bb", b"cc", b"dd"] {
             d.insert(v).unwrap();
         }
-        d.invalidate(RecordId(0));
-        d.invalidate(RecordId(3));
         let frozen = d.prefix(2);
         assert_eq!(frozen.len(), 2);
         assert_eq!(frozen.value(RecordId(1)), b"bb");
-        assert!(!frozen.is_valid(RecordId(0)));
         d.drain_prefix(2);
         assert_eq!(d.len(), 2);
         assert_eq!(d.value(RecordId(0)), b"cc");
-        assert!(d.is_valid(RecordId(0)));
-        assert!(!d.is_valid(RecordId(1)));
+        assert_eq!(d.value(RecordId(1)), b"dd");
         assert_eq!(d.max_len(), 16);
     }
 
@@ -465,40 +325,19 @@ mod tests {
     fn delta_drain_resets() {
         let mut d = DeltaStore::new(16);
         d.insert(b"a").unwrap();
-        let r = d.insert(b"b").unwrap();
-        d.invalidate(r);
-        let merged = d.drain_valid();
-        assert_eq!(merged.len(), 1);
-        assert_eq!(merged.value(0), b"a");
+        d.insert(b"b").unwrap();
+        d.drain_prefix(2);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn delta_column_update_flow() {
-        let mut dc = DeltaColumn::new(10, 16);
-        assert!(dc.main_is_valid(RecordId(3)));
-        let new_rid = dc.update_main(RecordId(3), b"updated").unwrap();
-        assert!(!dc.main_is_valid(RecordId(3)));
-        assert_eq!(dc.delta().value(new_rid), b"updated");
-
-        let filtered = dc.filter_valid_main((0..10).map(RecordId));
-        assert_eq!(filtered.len(), 9);
-    }
-
-    #[test]
-    fn delta_column_merge_rebuilds_validity() {
-        let mut dc = DeltaColumn::new(5, 16);
-        dc.delete_main(RecordId(1));
-        dc.insert(b"x").unwrap();
-        let merged = dc.merge(5); // 4 valid main + 1 delta = 5 new rows
-        assert_eq!(merged.len(), 1);
-        assert!(dc.main_is_valid(RecordId(1)));
-        assert!(dc.delta().is_empty());
+        assert_eq!(d.max_len(), 16);
+        // Row numbering restarts with the drained store.
+        assert_eq!(d.insert(b"c").unwrap(), RecordId(0));
+        assert_eq!(d.value(RecordId(0)), b"c");
     }
 
     #[test]
     fn value_too_long_propagates() {
-        let mut dc = DeltaColumn::new(1, 4);
-        assert!(dc.insert(b"way-too-long").is_err());
+        let mut d = DeltaStore::new(4);
+        assert!(d.insert(b"way-too-long").is_err());
+        assert!(d.is_empty());
     }
 }

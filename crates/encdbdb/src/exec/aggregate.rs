@@ -2,8 +2,8 @@
 //! **ValueID-tuple histogram**, entirely on ValueIDs in untrusted memory.
 //!
 //! The attribute vectors of the referenced columns are scanned in
-//! [`CHUNK_ROWS`]-row batches (optionally across threads, reusing
-//! [`Parallelism`]); each batch counts how often every distinct tuple of
+//! [`CHUNK_ROWS`]-row batches on the calling thread (the server fans out
+//! one call per partition); each batch counts how often every distinct tuple of
 //! per-column codes occurs among the matching rows. Codes address the
 //! concatenated main + delta value space of a column: a code below the
 //! main dictionary length is a main-store ValueID, anything above is a
@@ -12,7 +12,6 @@
 
 use crate::error::DbError;
 use colstore::dictionary::RecordId;
-use encdict::avsearch::Parallelism;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
@@ -21,7 +20,7 @@ pub const CHUNK_ROWS: usize = 4096;
 
 /// Upper bound on the single-column code space for the dense
 /// (array-indexed) counting fast path — 64 Ki codes = a 512 KiB counts
-/// array per worker.
+/// array.
 const DENSE_CODE_SPACE: usize = 1 << 16;
 
 thread_local! {
@@ -131,43 +130,17 @@ fn dense_count_chunk(col: ColumnCodes<'_>, rids: &[RecordId], delta: bool, count
     }
 }
 
-/// Single-column fast path over a bounded code space: per-worker dense
-/// `u64` counts arrays merged element-wise. Output order (ascending code)
-/// matches the generic path's tuple sort exactly.
+/// Single-column fast path over a bounded code space: one dense `u64`
+/// counts array. Output order (ascending code) matches the generic path's
+/// tuple sort exactly.
 fn dense_histogram_single(
     col: ColumnCodes<'_>,
     chunks: &[(&[RecordId], bool)],
-    threads: usize,
     space: usize,
 ) -> Histogram {
     let mut counts = vec![0u64; space];
-    if threads <= 1 {
-        for (rids, delta) in chunks {
-            dense_count_chunk(col, rids, *delta, &mut counts);
-        }
-    } else {
-        let partials: Vec<Vec<u64>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut local = vec![0u64; space];
-                        for (rids, delta) in chunks.iter().skip(t).step_by(threads) {
-                            dense_count_chunk(col, rids, *delta, &mut local);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("histogram scan worker panicked"))
-                .collect()
-        });
-        for partial in partials {
-            for (slot, n) in counts.iter_mut().zip(partial) {
-                *slot += n;
-            }
-        }
+    for (rids, delta) in chunks {
+        dense_count_chunk(col, rids, *delta, &mut counts);
     }
     let tuples = counts
         .iter()
@@ -182,8 +155,8 @@ fn dense_histogram_single(
 }
 
 /// Builds the ValueID-tuple histogram over the matching main and delta
-/// rows, scanning in [`CHUNK_ROWS`]-row chunks, multi-threaded per
-/// `parallelism`. The result is deterministic (sorted by tuple).
+/// rows, scanning in [`CHUNK_ROWS`]-row chunks. The result is
+/// deterministic (sorted by tuple).
 ///
 /// # Errors
 ///
@@ -193,7 +166,6 @@ pub fn build_histogram(
     cols: &[ColumnCodes<'_>],
     main_rids: &[RecordId],
     delta_rids: &[RecordId],
-    parallelism: Parallelism,
 ) -> Result<Histogram, DbError> {
     check_code_space(cols, delta_rids)?;
     let chunks: Vec<(&[RecordId], bool)> = main_rids
@@ -201,11 +173,6 @@ pub fn build_histogram(
         .map(|c| (c, false))
         .chain(delta_rids.chunks(CHUNK_ROWS).map(|c| (c, true)))
         .collect();
-    let threads = match parallelism {
-        Parallelism::Serial => 1,
-        Parallelism::Threads(n) => n.max(1),
-    }
-    .min(chunks.len().max(1));
 
     if let [col] = cols {
         let space = col.main_len
@@ -215,39 +182,13 @@ pub fn build_histogram(
                 .max()
                 .unwrap_or(0);
         if space <= DENSE_CODE_SPACE {
-            return Ok(dense_histogram_single(*col, &chunks, threads, space));
+            return Ok(dense_histogram_single(*col, &chunks, space));
         }
     }
 
     let mut merged: HashMap<Vec<u32>, u64> = HashMap::new();
-    if threads <= 1 {
-        for (rids, delta) in &chunks {
-            count_chunk(cols, rids, *delta, &mut merged);
-        }
-    } else {
-        let partials: Vec<HashMap<Vec<u32>, u64>> = std::thread::scope(|scope| {
-            let chunks = &chunks;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let mut local = HashMap::new();
-                        for (rids, delta) in chunks.iter().skip(t).step_by(threads) {
-                            count_chunk(cols, rids, *delta, &mut local);
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("histogram scan worker panicked"))
-                .collect()
-        });
-        for partial in partials {
-            for (tuple, n) in partial {
-                *merged.entry(tuple).or_insert(0) += n;
-            }
-        }
+    for (rids, delta) in &chunks {
+        count_chunk(cols, rids, *delta, &mut merged);
     }
     let mut tuples: Vec<(Vec<u32>, u64)> = merged.into_iter().collect();
     tuples.sort_unstable();
@@ -328,13 +269,7 @@ mod tests {
                 main_len: 7,
             },
         ];
-        let h = build_histogram(
-            &cols,
-            &rids(&[0, 2, 3, 4]),
-            &rids(&[0, 1]),
-            Parallelism::Serial,
-        )
-        .unwrap();
+        let h = build_histogram(&cols, &rids(&[0, 2, 3, 4]), &rids(&[0, 1])).unwrap();
         assert_eq!(
             h.tuples,
             vec![
@@ -348,25 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_histogram_matches_serial() {
-        let av: Vec<u32> = (0..20_000).map(|i| i % 13).collect();
-        let cols = [ColumnCodes {
-            av: &av,
-            main_len: 13,
-        }];
-        let all: Vec<RecordId> = (0..20_000).map(RecordId).collect();
-        let serial = build_histogram(&cols, &all, &[], Parallelism::Serial).unwrap();
-        for threads in [2usize, 3, 8] {
-            let parallel =
-                build_histogram(&cols, &all, &[], Parallelism::Threads(threads)).unwrap();
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        assert_eq!(serial.chunks, 20_000usize.div_ceil(CHUNK_ROWS));
-    }
-
-    #[test]
     fn zero_columns_still_counts_rows() {
-        let h = build_histogram(&[], &rids(&[0, 1, 2]), &rids(&[0]), Parallelism::Serial).unwrap();
+        let h = build_histogram(&[], &rids(&[0, 1, 2]), &rids(&[0])).unwrap();
         assert_eq!(h.tuples, vec![(vec![], 4)]);
     }
 
@@ -380,8 +298,7 @@ mod tests {
             av: &av,
             main_len: u32::MAX as usize,
         }];
-        let err =
-            build_histogram(&cols, &rids(&[0]), &rids(&[0, 1]), Parallelism::Serial).unwrap_err();
+        let err = build_histogram(&cols, &rids(&[0]), &rids(&[0, 1])).unwrap_err();
         assert_eq!(
             err,
             DbError::CodeSpaceOverflow {
@@ -392,7 +309,7 @@ mod tests {
 
         // One row less and the space fits exactly: the last delta code is
         // u32::MAX itself, which must succeed.
-        let h = build_histogram(&cols, &rids(&[0]), &rids(&[0]), Parallelism::Serial).unwrap();
+        let h = build_histogram(&cols, &rids(&[0]), &rids(&[0])).unwrap();
         assert_eq!(
             h.tuples,
             vec![(vec![0], 1), (vec![u32::MAX], 1)],
@@ -413,17 +330,15 @@ mod tests {
         let wide = [cols[0], cols[0]];
         let main: Vec<RecordId> = (0..10_000).step_by(3).map(RecordId).collect();
         let delta = rids(&[0, 5, 9]);
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let dense = build_histogram(&cols, &main, &delta, par).unwrap();
-            let generic = build_histogram(&wide, &main, &delta, par).unwrap();
-            let projected: Vec<(Vec<u32>, u64)> = generic
-                .tuples
-                .iter()
-                .map(|(t, n)| (vec![t[0]], *n))
-                .collect();
-            assert_eq!(dense.tuples, projected);
-            assert_eq!(dense.chunks, generic.chunks);
-        }
+        let dense = build_histogram(&cols, &main, &delta).unwrap();
+        let generic = build_histogram(&wide, &main, &delta).unwrap();
+        let projected: Vec<(Vec<u32>, u64)> = generic
+            .tuples
+            .iter()
+            .map(|(t, n)| (vec![t[0]], *n))
+            .collect();
+        assert_eq!(dense.tuples, projected);
+        assert_eq!(dense.chunks, generic.chunks);
     }
 
     #[test]

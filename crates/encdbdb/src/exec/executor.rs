@@ -7,10 +7,9 @@
 //!    attribute-vector scan, delta stores and validity vectors included),
 //!    per range partition.
 //! 2. **Scan** walks the referenced columns' attribute vectors in
-//!    4096-row chunks — fanned out across partitions on scoped threads,
-//!    and multi-threaded within a partition via
-//!    [`Parallelism`](encdict::avsearch::Parallelism) — and reduces each
-//!    partition's matching rows to a ValueID-tuple histogram. No
+//!    4096-row chunks — fanned out across partitions on scoped threads —
+//!    and reduces each partition's matching rows to a ValueID-tuple
+//!    histogram. No
 //!    ciphertext is touched; the scan runs entirely on ValueIDs in
 //!    untrusted memory. Pruned and empty partitions are skipped without a
 //!    single ECALL.
@@ -40,8 +39,7 @@ use crate::exec::aggregate::{build_histogram, remap_codes, ColumnCodes, Remapped
 use crate::exec::plan::AggregatePlan;
 use crate::obs::SpanId;
 use crate::server::{
-    fan_out, matching_rids_multi, CellValue, ColumnDelta, DbaasServer, EnclaveCtx, MainColumn,
-    QueryStats, SelectResponse, ServerFilter,
+    CellValue, ColumnDelta, DbaasServer, MainColumn, QueryStats, SelectResponse, ServerFilter,
 };
 use colstore::delta::DeltaStore;
 use colstore::dictionary::RecordId;
@@ -93,7 +91,6 @@ fn validate_plan(plan: &AggregatePlan) -> Result<(), DbError> {
 struct PartScan {
     remapped: Remapped,
     plain_tables: Vec<Option<Vec<Vec<u8>>>>,
-    stats: QueryStats,
 }
 
 impl DbaasServer {
@@ -122,7 +119,6 @@ impl DbaasServer {
     ) -> Result<SelectResponse, DbError> {
         validate_plan(plan)?;
         let obs = self.obs().clone();
-        let cfg = self.config();
         // Partition scope (pruning) + per-partition snapshots via the
         // shared N-table acquisition path; empty shards are skipped
         // without any ECALL.
@@ -185,55 +181,43 @@ impl DbaasServer {
 
         // Per-partition, fanned out on scoped threads: filter → chunked
         // histogram scan → dense remap → resolve PLAIN value tables.
-        let ref_idx = &ref_idx;
         let scan_span = obs.span_arg("scan", "query", parent, active.len() as u64);
-        let obs_ref = &obs;
-        let scans = fan_out(active, |pid, snap| {
-            let pspan = obs_ref.span_arg("partition", "query", scan_span.id(), pid as u64);
-            let ctx = EnclaveCtx {
-                sched: self.scheduler(),
-                parent: pspan.id(),
-                part: pid as u64,
-            };
-            let (main_rids, delta_rids, mut part_stats) =
-                matching_rids_multi(snap, &t.schema, &ctx, filters, &cfg)?;
-            let scan_start = std::time::Instant::now();
-            let cols: Vec<ColumnCodes<'_>> = ref_idx
-                .iter()
-                .map(|&idx| ColumnCodes {
-                    av: snap.main.columns[idx].av_slice(),
-                    main_len: snap.main.columns[idx].main_len(),
+        let parts: Vec<PartScan> = self.scan_partitions(
+            &ts,
+            filters,
+            scan_span.id(),
+            &mut stats,
+            |_, snap, main_rids, delta_rids, part_stats, _| {
+                let scan_start = std::time::Instant::now();
+                let cols: Vec<ColumnCodes<'_>> = ref_idx
+                    .iter()
+                    .map(|&idx| ColumnCodes {
+                        av: snap.main.columns[idx].av_slice(),
+                        main_len: snap.main.columns[idx].main_len(),
+                    })
+                    .collect();
+                let hist = build_histogram(&cols, &main_rids, &delta_rids)?;
+                part_stats.av_search_ns += scan_start.elapsed().as_nanos() as u64;
+                part_stats.chunks_scanned += hist.chunks;
+                let remapped = remap_codes(cols.len(), hist.tuples);
+                let plain_tables: Vec<Option<Vec<Vec<u8>>>> = ref_idx
+                    .iter()
+                    .enumerate()
+                    .map(
+                        |(c, &idx)| match (&snap.main.columns[idx], &snap.deltas[idx]) {
+                            (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) => {
+                                Some(resolve_plain(dict, delta, &remapped.codes[c]))
+                            }
+                            _ => None,
+                        },
+                    )
+                    .collect();
+                Ok(PartScan {
+                    remapped,
+                    plain_tables,
                 })
-                .collect();
-            let hist = build_histogram(&cols, &main_rids, &delta_rids, cfg.parallelism)?;
-            part_stats.av_search_ns += scan_start.elapsed().as_nanos() as u64;
-            part_stats.chunks_scanned += hist.chunks;
-            part_stats.snapshot_epoch = snap.epoch();
-            let remapped = remap_codes(cols.len(), hist.tuples);
-            let plain_tables: Vec<Option<Vec<Vec<u8>>>> = ref_idx
-                .iter()
-                .enumerate()
-                .map(
-                    |(c, &idx)| match (&snap.main.columns[idx], &snap.deltas[idx]) {
-                        (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) => {
-                            Some(resolve_plain(dict, delta, &remapped.codes[c]))
-                        }
-                        _ => None,
-                    },
-                )
-                .collect();
-            Ok::<_, DbError>(PartScan {
-                remapped,
-                plain_tables,
-                stats: part_stats,
-            })
-        });
-        let mut parts: Vec<PartScan> = Vec::with_capacity(scans.len());
-        for scan in scans {
-            let scan = scan?;
-            stats.absorb(&scan.stats);
-            parts.push(scan);
-        }
+            },
+        )?;
         scan_span.finish();
 
         // Grouped aggregation over the distinct touched values of every

@@ -2,7 +2,7 @@
 //!
 //! Span parentage is threaded *explicitly* (a [`SpanId`] parameter)
 //! rather than through thread-locals: the query path fans out across
-//! scoped worker threads (`server::snapshot::fan_out`), where implicit
+//! scoped worker threads (`DbaasServer::scan_partitions`), where implicit
 //! ambient context would silently detach children. Completed spans are
 //! pushed as [`TraceEvent`]s into a fixed-capacity ring — when full,
 //! the oldest event is dropped and a registry counter

@@ -1,23 +1,23 @@
 //! Per-partition compaction: threshold-driven background merges that
 //! capture, rebuild and publish exactly one partition at a time.
 //!
-//! The three-phase protocol of DESIGN.md §9 is unchanged — capture at a
-//! delta watermark under the partition lock, rebuild off the lock on the
-//! dedicated merge enclave, atomically publish the next epoch — but the
-//! unit shrank from the whole table to one range partition. A merge on
-//! shard A holds only A's mutex (briefly, in phases 1 and 3); reads and
-//! writes on every other shard proceed untouched, and the rebuild cost is
-//! proportional to one shard, not the table.
+//! The three-phase protocol of DESIGN.md §9 — capture at a delta watermark
+//! under the partition lock, rebuild off the lock on the dedicated merge
+//! enclave, atomically publish the next epoch — is written once, as the
+//! job runner [`DbaasServer::run_merge`]: a synchronous merge runs it
+//! inline, a background merge on its own thread. A merge on shard A holds
+//! only A's mutex (briefly, in phases 1 and 3); reads and writes on every
+//! other shard proceed untouched, and the rebuild cost is proportional to
+//! one shard, not the table.
 
-use super::partition::{ColumnDelta, MainColumn, MainState, Partition};
+use super::partition::{ColumnDelta, CompactionJob, MainColumn, Partition};
 use super::storage;
 use super::table::ServerTable;
 use super::{lock, Config, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
 use crate::obs::{Counter, EcallIo, EcallKind, Hist, Obs, SpanId};
 use crate::schema::{DictChoice, TableSchema};
-use colstore::delta::ValidityVector;
-use colstore::dictionary::AttributeVector;
+use colstore::dictionary::{AttributeVector, RecordId};
 use encdict::enclave_ops::MergeRequest;
 use encdict::{DictEnclave, PlainDictionary};
 use std::sync::atomic::Ordering;
@@ -67,30 +67,6 @@ impl CompactionPolicy {
     }
 }
 
-/// The outcome of one compaction attempt.
-enum CompactionOutcome {
-    /// A new epoch was published.
-    Completed,
-    /// Nothing to do: empty delta over a fully valid main store.
-    Noop,
-    /// A delete raced the rebuild; the result was discarded.
-    Aborted,
-    /// Another merge was already in flight on this partition.
-    AlreadyRunning,
-}
-
-/// Everything a merge needs, captured at the watermark under one lock.
-/// Crate-visible so WAL replay (`server/storage.rs`) can re-execute a
-/// logged publish through the same rebuild path.
-pub(crate) struct CompactionJob {
-    pub(crate) epoch: u64,
-    pub(crate) main: Arc<MainState>,
-    pub(crate) main_validity: Arc<ValidityVector>,
-    pub(crate) delta_prefixes: Vec<ColumnDelta>,
-    pub(crate) delta_validity: ValidityVector,
-    pub(crate) watermark: usize,
-}
-
 impl DbaasServer {
     /// Synchronously merges every partition's delta store into a freshly
     /// rebuilt main store and publishes the next epoch per partition
@@ -131,15 +107,17 @@ impl DbaasServer {
     ) -> Result<(), DbError> {
         for _attempt in 0..MERGE_RETRIES {
             self.wait_for_partition(partition);
-            match self.run_compaction(t, partition)? {
-                CompactionOutcome::Completed | CompactionOutcome::Noop => return Ok(()),
-                CompactionOutcome::Aborted | CompactionOutcome::AlreadyRunning => continue,
+            let done = match self.begin_compaction(partition) {
+                Some(job) => self.run_merge(t, partition, job)?,
+                // Nothing to fold — unless a background merge slipped in
+                // between the wait and the capture; then wait again.
+                None => !partition.merge_in_flight(),
+            };
+            if done {
+                return Ok(());
             }
         }
-        Err(DbError::MergeConflict(format!(
-            "merge of {} partition {} kept racing concurrent deletes",
-            t.schema.name, partition.index
-        )))
+        Err(merge_conflict(t, partition))
     }
 
     /// Starts a background compaction on every partition of `table` that
@@ -192,7 +170,7 @@ impl DbaasServer {
         if let Some(handle) = lock(&partition.worker).take() {
             let _ = handle.join();
         }
-        while lock(&partition.state).merge_in_flight {
+        while partition.merge_in_flight() {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -208,16 +186,13 @@ impl DbaasServer {
         let Some(policy) = cfg.policy else {
             return;
         };
-        let (delta_rows, rows, valid, in_flight) = {
+        let due = {
             let state = lock(&partition.state);
-            (
-                state.delta_rows,
-                state.main.rows,
-                state.main.rows - state.main_invalid,
-                state.merge_in_flight,
-            )
+            let rows = state.main().rows;
+            !state.merge_in_flight()
+                && policy.triggered(state.delta_rows(), rows, rows - state.main_invalid())
         };
-        if !in_flight && policy.triggered(delta_rows, rows, valid) {
+        if due {
             self.spawn_compaction_inner(t, partition);
         }
     }
@@ -228,104 +203,78 @@ impl DbaasServer {
         // handle of a *live* merge (which a reap-join would then block on
         // for the whole rebuild).
         let mut worker = lock(&partition.worker);
-        let cap_span = self.obs().span("capture", "compaction", SpanId::NONE);
-        let Some(job) = begin_compaction(partition) else {
-            cap_span.finish();
+        let Some(job) = self.begin_compaction(partition) else {
             return false;
         };
-        cap_span.finish();
         if let Some(old) = worker.take() {
-            // `begin_compaction` succeeded, so no merge was in flight on
-            // this partition: the stored worker has already cleared the
-            // flag and is (at most) tearing down. Reap it.
+            // The capture succeeded, so no merge was in flight on this
+            // partition: the stored worker has already cleared the flag
+            // and is (at most) tearing down. Reap it.
             let _ = old.join();
         }
-        let server = self.clone();
-        let table = Arc::clone(t);
-        let partition_arc = Arc::clone(partition);
-        let handle = std::thread::spawn(move || {
-            let mut job = job;
-            // An aborted publish (a delete raced the rebuild) retries in
-            // place against the fresh state — bounded; if deletes keep
-            // winning, the in-flight flag is already cleared by the
-            // aborted publish and the policy re-triggers on later writes.
-            let mut attempt = 0;
-            loop {
-                let cfg = server.config();
-                match execute_compaction(
-                    &server.merge_enclave,
-                    &table.schema,
-                    &job,
-                    &cfg,
-                    server.obs(),
-                    SpanId::NONE,
-                ) {
-                    Ok(columns) => {
-                        if publish_compaction(&server, &table, &partition_arc, job, columns) {
-                            return;
-                        }
-                        attempt += 1;
-                        if attempt >= MERGE_RETRIES {
-                            return;
-                        }
-                        let cap = server.obs().span("capture", "compaction", SpanId::NONE);
-                        let next = begin_compaction(&partition_arc);
-                        cap.finish();
-                        match next {
-                            Some(next) => job = next,
-                            None => return,
-                        }
-                    }
-                    Err(e) => {
-                        fail_compaction(server.obs(), &table, &partition_arc, &e);
-                        return;
-                    }
-                }
-            }
-        });
-        *worker = Some(handle);
+        let (server, table, partition_arc) = (self.clone(), Arc::clone(t), Arc::clone(partition));
+        *worker = Some(std::thread::spawn(move || {
+            // Failures are already in the table's stats and `last_error`;
+            // the flag is cleared, so the policy re-triggers on later
+            // writes.
+            let _ = server.run_merge(&table, &partition_arc, job);
+        }));
         true
     }
 
-    /// One synchronous compaction attempt on one partition.
-    fn run_compaction(
+    /// Phase 1 of a compaction: under one short lock, capture the merge
+    /// input at the current watermark and mark the merge in flight.
+    /// `None` when a merge is already running on this partition or there
+    /// is nothing to compact.
+    fn begin_compaction(&self, partition: &Partition) -> Option<CompactionJob> {
+        let span = self.obs().span("capture", "compaction", SpanId::NONE);
+        let job = lock(&partition.state).begin();
+        span.finish();
+        job
+    }
+
+    /// The one compaction job runner: rebuild `job` off the lock, publish
+    /// it, and — when a delete raced the rebuild and the publish was
+    /// discarded — capture afresh and try again, a bounded number of
+    /// times. `Ok(true)` once an epoch is published; `Ok(false)` when the
+    /// retry found the partition taken by another merge or with nothing
+    /// left to fold.
+    ///
+    /// # Errors
+    ///
+    /// A failed rebuild (recorded in the table's stats and `last_error`,
+    /// old store and delta untouched), or [`DbError::MergeConflict`] when
+    /// deletes kept winning.
+    fn run_merge(
         &self,
-        t: &Arc<ServerTable>,
-        partition: &Arc<Partition>,
-    ) -> Result<CompactionOutcome, DbError> {
-        let cap_span = self.obs().span("capture", "compaction", SpanId::NONE);
-        let job = begin_compaction(partition);
-        cap_span.finish();
-        let Some(job) = job else {
-            // Either a merge is in flight or there is nothing to do;
-            // disambiguate for the caller.
-            let state = lock(&partition.state);
-            return Ok(if state.merge_in_flight {
-                CompactionOutcome::AlreadyRunning
-            } else {
-                CompactionOutcome::Noop
-            });
-        };
-        let cfg = self.config();
-        match execute_compaction(
-            &self.merge_enclave,
-            &t.schema,
-            &job,
-            &cfg,
-            self.obs(),
-            SpanId::NONE,
-        ) {
-            Ok(columns) => Ok(if publish_compaction(self, t, partition, job, columns) {
-                CompactionOutcome::Completed
-            } else {
-                CompactionOutcome::Aborted
-            }),
-            Err(e) => {
-                fail_compaction(self.obs(), t, partition, &e);
-                Err(e)
+        t: &ServerTable,
+        partition: &Partition,
+        mut job: CompactionJob,
+    ) -> Result<bool, DbError> {
+        for attempt in 1..=MERGE_RETRIES {
+            let throttle = self.config().merge_throttle;
+            let built =
+                execute_compaction(&self.merge_enclave, &t.schema, &job, throttle, self.obs())
+                    .inspect_err(|e| fail_compaction(self.obs(), t, partition, e))?;
+            if publish_compaction(self, t, partition, &job, built) {
+                return Ok(true);
+            }
+            if attempt < MERGE_RETRIES {
+                match self.begin_compaction(partition) {
+                    Some(next) => job = next,
+                    None => return Ok(false),
+                }
             }
         }
+        Err(merge_conflict(t, partition))
     }
+}
+
+fn merge_conflict(t: &ServerTable, partition: &Partition) -> DbError {
+    DbError::MergeConflict(format!(
+        "merge of {} partition {} kept racing concurrent deletes",
+        t.schema.name, partition.index
+    ))
 }
 
 fn partition_handle(t: &Arc<ServerTable>, partition: usize) -> Result<Arc<Partition>, DbError> {
@@ -338,44 +287,18 @@ fn partition_handle(t: &Arc<ServerTable>, partition: usize) -> Result<Arc<Partit
     })
 }
 
-/// Phase 1 of a compaction: under one short lock, capture the merge input
-/// at the current watermark and mark the merge in flight. Returns `None`
-/// when a merge is already running on this partition or there is nothing
-/// to compact.
-fn begin_compaction(partition: &Partition) -> Option<CompactionJob> {
-    let mut state = lock(&partition.state);
-    if state.merge_in_flight {
-        return None;
-    }
-    let watermark = state.delta_rows;
-    if watermark == 0 && state.main_invalid == 0 {
-        // Empty delta over a fully valid main store: nothing to rebuild.
-        return None;
-    }
-    state.merge_in_flight = true;
-    state.merge_watermark = watermark;
-    state.deletes_during_merge = false;
-    Some(CompactionJob {
-        epoch: state.main.epoch,
-        main: Arc::clone(&state.main),
-        main_validity: Arc::clone(&state.main_validity),
-        delta_prefixes: state.deltas.iter().map(|d| d.prefix(watermark)).collect(),
-        delta_validity: state.delta_validity.prefix(watermark),
-        watermark,
-    })
-}
-
 /// Phase 2: rebuild every column of the partition off the query path (no
 /// storage lock held; the merge enclave is locked per column ECALL).
+/// `throttle` sleeps that long after each column. Called by the job runner
+/// and by WAL replay of a logged publish — nowhere else.
 pub(crate) fn execute_compaction(
     merge_enclave: &Mutex<DictEnclave>,
     schema: &TableSchema,
     job: &CompactionJob,
-    cfg: &Config,
+    throttle: Option<Duration>,
     obs: &Obs,
-    parent: SpanId,
 ) -> Result<(Vec<MainColumn>, usize), DbError> {
-    let rebuild_span = obs.span_arg("rebuild", "compaction", parent, job.epoch);
+    let rebuild_span = obs.span_arg("rebuild", "compaction", SpanId::NONE, job.main.epoch);
     let mut new_columns = Vec::with_capacity(job.main.columns.len());
     let mut new_rows = None;
     for ((spec, main_col), delta_col) in schema
@@ -384,7 +307,7 @@ pub(crate) fn execute_compaction(
         .zip(&job.main.columns)
         .zip(&job.delta_prefixes)
     {
-        match (main_col, delta_col) {
+        let (column, rows) = match (main_col, delta_col) {
             (MainColumn::Encrypted(main), ColumnDelta::Encrypted(delta)) => {
                 let kind = match spec.choice {
                     DictChoice::Encrypted(kind) => kind,
@@ -437,13 +360,10 @@ pub(crate) fn execute_compaction(
                 );
                 obs.record(Hist::CompactionMergeNs, dur_ns);
                 let rows = new_av.len();
-                match new_rows {
-                    None => new_rows = Some(rows),
-                    Some(r) => debug_assert_eq!(r, rows, "columns must stay row-aligned"),
-                }
-                new_columns.push(MainColumn::Encrypted(
-                    main.next_generation(new_dict, new_av),
-                ));
+                (
+                    MainColumn::Encrypted(main.next_generation(new_dict, new_av)),
+                    rows,
+                )
             }
             (MainColumn::Plain { dict, av }, ColumnDelta::Plain(delta)) => {
                 // Rebuild the plain column: valid main + valid delta rows.
@@ -453,25 +373,28 @@ pub(crate) fn execute_compaction(
                         column.push(dict.value(vid as usize))?;
                     }
                 }
-                for (rid, v) in delta.iter_valid() {
-                    if job.delta_validity.is_valid(rid.0 as usize) {
-                        column.push(v)?;
+                for j in 0..delta.len() {
+                    if job.delta_validity.is_valid(j) {
+                        column.push(delta.value(RecordId(j as u32)))?;
                     }
                 }
                 let rows = column.len();
-                match new_rows {
-                    None => new_rows = Some(rows),
-                    Some(r) => debug_assert_eq!(r, rows, "columns must stay row-aligned"),
-                }
                 let (new_dict, new_av) = rebuild_plain(&column)?;
-                new_columns.push(MainColumn::Plain {
+                let column = MainColumn::Plain {
                     dict: Arc::new(new_dict),
                     av: Arc::new(new_av),
-                });
+                };
+                (column, rows)
             }
             _ => unreachable!("schema/storage mismatch"),
-        }
-        if let Some(throttle) = cfg.merge_throttle {
+        };
+        debug_assert!(
+            new_rows.is_none_or(|r| r == rows),
+            "columns must stay row-aligned"
+        );
+        new_rows = Some(rows);
+        new_columns.push(column);
+        if let Some(throttle) = throttle {
             std::thread::sleep(throttle);
         }
     }
@@ -496,43 +419,31 @@ fn publish_compaction(
     server: &DbaasServer,
     t: &ServerTable,
     partition: &Partition,
-    job: CompactionJob,
+    job: &CompactionJob,
     (columns, rows): (Vec<MainColumn>, usize),
 ) -> bool {
-    let obs = server.obs().clone();
+    let obs = server.obs();
     let span = obs.span_arg(
         "publish",
         "compaction",
         SpanId::NONE,
         partition.index as u64,
     );
-    let discard = |e: &DbError| {
-        let mut state = lock(&partition.state);
-        state.merge_in_flight = false;
-        state.deletes_during_merge = false;
-        drop(state);
-        t.merges_failed.fetch_add(1, Ordering::SeqCst);
-        t.errors_total.fetch_add(1, Ordering::SeqCst);
-        server.obs().add(Counter::CompactionErrorsTotal, 1);
-        *lock(&t.last_error) = Some(e.to_string());
-        false
-    };
     let storage = server.storage();
-    let wal = match &storage {
-        Some(s) => match s.wal_handle(&t.schema.name) {
-            Ok(w) => Some(w),
-            Err(e) => return discard(&e),
-        },
+    let wal = match storage.as_ref().map(|s| s.wal_handle(&t.schema.name)) {
+        Some(Err(e)) => {
+            fail_compaction(obs, t, partition, &e);
+            return false;
+        }
+        Some(Ok(wal)) => Some(wal),
         None => None,
     };
     let mut wal_guard = wal.as_ref().map(|w| lock(w));
     let mut state = lock(&partition.state);
-    state.merge_in_flight = false;
-    if state.deletes_during_merge {
+    if state.end_merge() {
         // A delete invalidated rows this merge already folded in as valid;
-        // publishing would resurrect them. Discard and let the caller (or
+        // publishing would resurrect them. Discard and let the runner (or
         // the next policy trigger) retry against the fresh state.
-        state.deletes_during_merge = false;
         drop(state);
         drop(wal_guard);
         t.merges_aborted.fetch_add(1, Ordering::SeqCst);
@@ -540,34 +451,21 @@ fn publish_compaction(
         obs.span("abort", "compaction", span.id()).finish();
         return false;
     }
-    debug_assert_eq!(
-        state.main.epoch, job.epoch,
-        "merges are serialized per partition"
-    );
-    let watermark_abs = state.drained_total + job.watermark as u64;
     if let (Some(s), Some(guard)) = (&storage, wal_guard.as_mut()) {
-        let record = storage::encode_merge(partition.index, job.epoch, watermark_abs);
+        let watermark_abs = state.drained_total() + job.watermark as u64;
+        let record = storage::encode_merge(partition.index, job.main.epoch, watermark_abs);
         if let Err(e) = s.append_record(guard, &record) {
+            // The merge has ended above; only the failure is left to count.
             drop(state);
-            return discard(&e);
+            t.merges_failed.fetch_add(1, Ordering::SeqCst);
+            note_error(obs, t, &e);
+            return false;
         }
     }
-    state.main = Arc::new(MainState {
-        epoch: job.epoch + 1,
-        columns,
-        rows,
-    });
-    state.main_validity = Arc::new(ValidityVector::all_valid(rows));
-    state.main_invalid = 0;
-    for delta in &mut state.deltas {
-        delta.drain_prefix(job.watermark);
-    }
-    state.delta_validity = state.delta_validity.suffix(job.watermark);
-    state.delta_rows -= job.watermark;
-    state.drained_total = watermark_abs;
+    state.publish(job, columns, rows);
     let persist = storage
         .as_ref()
-        .map(|s| (Arc::clone(s), Arc::clone(&state.main), state.drained_total));
+        .map(|s| (s, Arc::clone(state.main()), state.drained_total()));
     drop(state);
     drop(wal_guard);
     t.merges_completed.fetch_add(1, Ordering::SeqCst);
@@ -577,27 +475,27 @@ fn publish_compaction(
     if let Some((s, main, drained)) = persist {
         if let Err(e) = s.persist_snapshot(&t.schema, partition.index, &main, drained) {
             s.note_snapshot_persist_failure();
-            t.errors_total.fetch_add(1, Ordering::SeqCst);
-            obs.add(Counter::CompactionErrorsTotal, 1);
-            *lock(&t.last_error) = Some(e.to_string());
+            note_error(obs, t, &e);
         }
     }
     span.finish();
     true
 }
 
-/// Error path shared by sync and background merges: clear the in-flight
-/// flag, leaving the old store and the delta untouched and queryable.
+/// Error path of a merge that will not publish: end it, leaving the old
+/// store and the delta untouched and queryable, and count the failure.
 fn fail_compaction(obs: &Obs, t: &ServerTable, partition: &Partition, e: &DbError) {
     let abort_span = obs.span("abort", "compaction", SpanId::NONE);
-    let mut state = lock(&partition.state);
-    state.merge_in_flight = false;
-    drop(state);
+    lock(&partition.state).end_merge();
     t.merges_failed.fetch_add(1, Ordering::SeqCst);
+    note_error(obs, t, e);
+    abort_span.finish();
+}
+
+fn note_error(obs: &Obs, t: &ServerTable, e: &DbError) {
     t.errors_total.fetch_add(1, Ordering::SeqCst);
     obs.add(Counter::CompactionErrorsTotal, 1);
     *lock(&t.last_error) = Some(e.to_string());
-    abort_span.finish();
 }
 
 /// Rebuilds a plain (sorted) dictionary from a column.

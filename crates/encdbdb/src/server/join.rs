@@ -21,7 +21,7 @@
 //!   smoothing/hiding kinds never qualify — their dictionaries map one
 //!   value to many entries, so only the bridge sees equality.
 
-use super::snapshot::{fan_out, matching_rids_multi, EnclaveCtx, TableSnapshot};
+use super::snapshot::TableSnapshot;
 use super::{
     CellValue, ColumnDelta, DbaasServer, JoinSideQuery, MainColumn, QueryStats, SelectResponse,
 };
@@ -44,7 +44,6 @@ struct SidePartScan {
     row_codes: Vec<u32>,
     /// Ascending distinct key codes of this partition.
     distinct: Vec<u32>,
-    stats: QueryStats,
 }
 
 impl SidePartScan {
@@ -60,56 +59,50 @@ fn scan_side(
     ts: &TableSnapshot,
     q: &JoinSideQuery,
     parent: SpanId,
+    stats: &mut QueryStats,
 ) -> Result<Vec<SidePartScan>, DbError> {
-    let cfg = server.config();
-    let obs = server.obs().clone();
-    let obs_ref = &obs;
-    let schema = &ts.table.schema;
-    let (key_idx, _) = schema
+    let (key_idx, _) = ts
+        .table
+        .schema
         .column(&q.key)
         .ok_or_else(|| DbError::ColumnNotFound(q.key.clone()))?;
-    let scans = fan_out(&ts.active, |pid, snap| {
-        let pspan = obs_ref.span_arg("partition", "query", parent, pid as u64);
-        let ctx = EnclaveCtx {
-            sched: server.scheduler(),
-            parent: pspan.id(),
-            part: pid as u64,
-        };
-        let (main_rids, delta_rids, mut stats) =
-            matching_rids_multi(snap, schema, &ctx, &q.filters, &cfg)?;
-        let av = snap.main.columns[key_idx].av_slice();
-        let main_len = snap.main.columns[key_idx].main_len();
-        // Delta rows get codes `main_len + rid`; prove up front that the
-        // highest one fits in u32 so the append below cannot wrap and
-        // alias two distinct keys into one code.
-        if let Some(max_rid) = delta_rids.iter().map(|r| r.0).max() {
-            if main_len as u64 + max_rid as u64 > u32::MAX as u64 {
-                return Err(DbError::CodeSpaceOverflow {
-                    main_len,
-                    delta_rid: max_rid,
-                });
+    server.scan_partitions(
+        ts,
+        &q.filters,
+        parent,
+        stats,
+        |_, snap, main_rids, delta_rids, _, _| {
+            let av = snap.main.columns[key_idx].av_slice();
+            let main_len = snap.main.columns[key_idx].main_len();
+            // Delta rows get codes `main_len + rid`; prove up front that the
+            // highest one fits in u32 so the append below cannot wrap and
+            // alias two distinct keys into one code.
+            if let Some(max_rid) = delta_rids.iter().map(|r| r.0).max() {
+                if main_len as u64 + max_rid as u64 > u32::MAX as u64 {
+                    return Err(DbError::CodeSpaceOverflow {
+                        main_len,
+                        delta_rid: max_rid,
+                    });
+                }
             }
-        }
-        let main_len = main_len as u32;
-        let mut row_codes = Vec::with_capacity(main_rids.len() + delta_rids.len());
-        row_codes.extend(main_rids.iter().map(|rid| av[rid.0 as usize]));
-        row_codes.extend(delta_rids.iter().map(|rid| main_len + rid.0));
-        let distinct: Vec<u32> = row_codes
-            .iter()
-            .copied()
-            .collect::<BTreeSet<u32>>()
-            .into_iter()
-            .collect();
-        stats.snapshot_epoch = snap.epoch();
-        Ok::<_, DbError>(SidePartScan {
-            main_rids,
-            delta_rids,
-            row_codes,
-            distinct,
-            stats,
-        })
-    });
-    scans.into_iter().collect()
+            let main_len = main_len as u32;
+            let mut row_codes = Vec::with_capacity(main_rids.len() + delta_rids.len());
+            row_codes.extend(main_rids.iter().map(|rid| av[rid.0 as usize]));
+            row_codes.extend(delta_rids.iter().map(|rid| main_len + rid.0));
+            let distinct: Vec<u32> = row_codes
+                .iter()
+                .copied()
+                .collect::<BTreeSet<u32>>()
+                .into_iter()
+                .collect();
+            Ok(SidePartScan {
+                main_rids,
+                delta_rids,
+                row_codes,
+                distinct,
+            })
+        },
+    )
 }
 
 /// Resolves the plaintext values of a PLAIN key column's distinct codes.
@@ -170,15 +163,11 @@ impl DbaasServer {
 
         // Per-side filtered scans, fanned out across partitions.
         let lscan_span = obs.span_arg("scan", "query", parent, lts.active.len() as u64);
-        let lscan = scan_side(self, &lts, left, lscan_span.id())?;
+        let lscan = scan_side(self, &lts, left, lscan_span.id(), &mut stats)?;
         lscan_span.finish();
         let rscan_span = obs.span_arg("scan", "query", parent, rts.active.len() as u64);
-        let rscan = scan_side(self, &rts, right, rscan_span.id())?;
+        let rscan = scan_side(self, &rts, right, rscan_span.id(), &mut stats)?;
         rscan_span.finish();
-        for part in lscan.iter().chain(&rscan) {
-            stats.absorb(&part.stats);
-            // absorb() sums join counters; row totals are set below.
-        }
         stats.join_build_rows = lscan.iter().map(SidePartScan::rows).sum();
         stats.join_probe_rows = rscan.iter().map(SidePartScan::rows).sum();
 

@@ -55,14 +55,12 @@ pub use storage::{DurabilityPolicy, FailPoint};
 
 pub(crate) use partition::{ColumnDelta, MainColumn};
 pub(crate) use scheduler::EcallScheduler;
-pub(crate) use snapshot::{fan_out, matching_rids_multi, EnclaveCtx};
 pub(crate) use table::ServerTable;
 
 use crate::error::DbError;
 use crate::obs::{Counter, Hist, Obs, SpanId};
 use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::AttributeVector;
-use encdict::avsearch::{Parallelism, SetSearchStrategy};
 use encdict::{DictEnclave, EncryptedDictionary, EncryptedRange, PlainDictionary, RangeQuery};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -86,6 +84,15 @@ pub enum CellValue {
     Encrypted(Vec<u8>),
     /// A plaintext value (PLAIN column).
     Plain(Vec<u8>),
+}
+
+impl CellValue {
+    /// The cell's bytes: the ciphertext or the plaintext value.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        match self {
+            CellValue::Encrypted(bytes) | CellValue::Plain(bytes) => bytes,
+        }
+    }
 }
 
 /// A filter as seen by the server: the filtered column plus one or more
@@ -248,8 +255,6 @@ pub enum DeployedColumn {
 /// Shared, copy-on-read server configuration.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Config {
-    pub(crate) parallelism: Parallelism,
-    pub(crate) set_strategy: SetSearchStrategy,
     pub(crate) policy: Option<CompactionPolicy>,
     pub(crate) merge_throttle: Option<Duration>,
 }
@@ -302,8 +307,6 @@ impl DbaasServer {
             merge_enclave: Arc::new(Mutex::new(merge)),
             tables: Arc::new(RwLock::new(HashMap::new())),
             config: Arc::new(Mutex::new(Config {
-                parallelism: Parallelism::Serial,
-                set_strategy: SetSearchStrategy::PaperLinear,
                 // A bounded delta by default: snapshots copy the delta
                 // side, so it must not grow without limit.
                 policy: Some(CompactionPolicy::default()),
@@ -340,16 +343,6 @@ impl DbaasServer {
     /// server.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Configures attribute-vector scan parallelism.
-    pub fn set_parallelism(&self, parallelism: Parallelism) {
-        lock(&self.config).parallelism = parallelism;
-    }
-
-    /// Configures the membership strategy for unsorted-kind results.
-    pub fn set_set_strategy(&self, strategy: SetSearchStrategy) {
-        lock(&self.config).set_strategy = strategy;
     }
 
     /// Installs (or removes) the threshold-driven compaction policy. The
@@ -506,10 +499,7 @@ impl DbaasServer {
         let t = self.table_handle(table)?;
         Ok(t.partitions
             .iter()
-            .map(|p| {
-                let state = lock(&p.state);
-                state.main_validity.count_valid() + state.delta_validity.count_valid()
-            })
+            .map(|p| lock(&p.state).valid_rows())
             .sum())
     }
 
@@ -579,9 +569,9 @@ impl DbaasServer {
         let mut merge_in_flight = false;
         for p in &t.partitions {
             let state = lock(&p.state);
-            partition_epochs.push(state.main.epoch);
-            delta_rows += state.delta_rows;
-            merge_in_flight |= state.merge_in_flight;
+            partition_epochs.push(state.main().epoch);
+            delta_rows += state.delta_rows();
+            merge_in_flight |= state.merge_in_flight();
         }
         let last_error = lock(&t.last_error).clone();
         Ok(CompactionStats {

@@ -434,7 +434,7 @@ mod tests {
     /// A search over an empty delta store materialized as an empty ED9
     /// dictionary — the cheapest call obtainable through public API.
     fn empty_search() -> SearchCall {
-        let (dict, _) = encdict::dynamic::EncryptedDeltaStore::new("t", "c", 0)
+        let dict = encdict::dynamic::EncryptedDeltaStore::new("t", "c", 0)
             .as_dictionary()
             .expect("empty ED9 dictionary");
         SearchCall {

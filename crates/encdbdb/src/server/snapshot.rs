@@ -11,28 +11,34 @@
 use super::partition::{ColumnDelta, MainColumn, PartitionSnapshot};
 use super::scheduler::EcallScheduler;
 use super::table::intersect_sorted;
-use super::{CellValue, Config, DbaasServer, QueryStats, SelectResponse, ServerFilter};
+use super::{CellValue, DbaasServer, QueryStats, SelectResponse, ServerFilter};
 use crate::error::DbError;
 use crate::obs::SpanId;
 use crate::schema::TableSchema;
 use colstore::dictionary::RecordId;
-use encdict::avsearch;
+use encdict::avsearch::{self, Parallelism, SetSearchStrategy};
 use encdict::batch::{SearchCall, SegSource};
 use encdict::plain::search_plain;
 use encdict::search::DictSearchResult;
-use encdict::{CacheTag, EncryptedRange};
+use encdict::{CacheTag, EncdictError, EncryptedRange};
+
+/// How a partition's attribute vector is scanned: the paper's linear
+/// membership test, on the calling thread — the partition fan-out is the
+/// server's parallelism.
+const SET_STRATEGY: SetSearchStrategy = SetSearchStrategy::PaperLinear;
+const AV_PARALLELISM: Parallelism = Parallelism::Serial;
 
 /// The scheduler handle a partition scan issues its search ECALLs
 /// through, with the span their ledger entries belong under (typically
 /// the per-partition scan span).
-pub(crate) struct EnclaveCtx<'a> {
-    pub(crate) sched: &'a EcallScheduler,
-    pub(crate) parent: SpanId,
+struct EnclaveCtx<'a> {
+    sched: &'a EcallScheduler,
+    parent: SpanId,
     /// Partition discriminator for the in-enclave decrypted-value cache
     /// (the partition index of the scanned snapshot). Paired with the
     /// snapshot epoch it forms the [`encdict::CacheTag`]; see DESIGN.md
     /// §14.
-    pub(crate) part: u64,
+    part: u64,
 }
 
 /// Searches one store of partition snapshot `snap` (`delta` = its delta
@@ -58,29 +64,6 @@ fn sched_search(
     let (results, cost) = ctx.sched.search(call, snap.epoch(), ctx.parent)?;
     cost.absorb_into(stats);
     Ok(results)
-}
-
-/// Runs `work` over every listed partition snapshot — sequentially for a
-/// single partition, on scoped threads otherwise (the partition-parallel
-/// fan-out). Results come back in partition order.
-pub(crate) fn fan_out<T, F>(parts: &[(usize, PartitionSnapshot)], work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &PartitionSnapshot) -> T + Sync,
-{
-    if parts.len() <= 1 {
-        return parts.iter().map(|(pid, snap)| work(*pid, snap)).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|(pid, snap)| scope.spawn(|| work(*pid, snap)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition scan worker panicked"))
-            .collect()
-    })
 }
 
 /// Linear-merge union of two ascending RecordID lists (the `IN`
@@ -174,25 +157,106 @@ impl DbaasServer {
             })
             .collect())
     }
+
+    /// The scan-then-combine skeleton of every read: per in-scope
+    /// partition of `ts` — on the calling thread for one, on scoped
+    /// threads for more — open a `partition` span under `parent`, evaluate
+    /// the filter conjunction into valid main and delta RecordIDs, and
+    /// hand them to `work` with the partition's stats and span. Outputs
+    /// come back in partition order; the per-partition stats (search cost,
+    /// snapshot epoch, whatever `work` added) are folded into `stats`.
+    ///
+    /// # Errors
+    ///
+    /// The first partition's error in partition order; a panicking scan
+    /// worker fails the query with [`EncdictError::Poisoned`] instead of
+    /// taking the query thread down with it.
+    pub(crate) fn scan_partitions<T, F>(
+        &self,
+        ts: &TableSnapshot,
+        filters: &[ServerFilter],
+        parent: SpanId,
+        stats: &mut QueryStats,
+        work: F,
+    ) -> Result<Vec<T>, DbError>
+    where
+        T: Send,
+        F: Fn(
+                usize,
+                &PartitionSnapshot,
+                Vec<RecordId>,
+                Vec<RecordId>,
+                &mut QueryStats,
+                SpanId,
+            ) -> Result<T, DbError>
+            + Sync,
+    {
+        let scan = |pid: usize, snap: &PartitionSnapshot| {
+            let span = self
+                .obs()
+                .span_arg("partition", "query", parent, pid as u64);
+            let ctx = EnclaveCtx {
+                sched: self.scheduler(),
+                parent: span.id(),
+                part: pid as u64,
+            };
+            let (main_rids, delta_rids, mut part_stats) =
+                matching_rids_multi(snap, &ts.table.schema, &ctx, filters)?;
+            part_stats.snapshot_epoch = snap.epoch();
+            let out = work(pid, snap, main_rids, delta_rids, &mut part_stats, span.id())?;
+            Ok::<_, DbError>((out, part_stats))
+        };
+        let scanned: Vec<Result<(T, QueryStats), DbError>> = if ts.active.len() <= 1 {
+            ts.active
+                .iter()
+                .map(|(pid, snap)| scan(*pid, snap))
+                .collect()
+        } else {
+            let scan = &scan;
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = ts
+                    .active
+                    .iter()
+                    .map(|(pid, snap)| scope.spawn(move || scan(*pid, snap)))
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| {
+                        w.join().unwrap_or_else(|_| {
+                            Err(EncdictError::Poisoned("a partition scan worker panicked").into())
+                        })
+                    })
+                    .collect()
+            })
+        };
+        scanned
+            .into_iter()
+            .map(|part| {
+                part.map(|(out, part_stats)| {
+                    stats.absorb(&part_stats);
+                    out
+                })
+            })
+            .collect()
+    }
 }
 
 /// Conjunction of filters against one partition snapshot: intersects the
 /// per-filter RecordID lists (all are ascending, so the intersection is a
 /// linear merge).
-pub(crate) fn matching_rids_multi(
+fn matching_rids_multi(
     snap: &PartitionSnapshot,
     schema: &TableSchema,
     ctx: &EnclaveCtx<'_>,
     filters: &[ServerFilter],
-    cfg: &Config,
 ) -> Result<(Vec<RecordId>, Vec<RecordId>, QueryStats), DbError> {
     if filters.len() <= 1 {
-        return matching_rids(snap, schema, ctx, filters.first(), cfg);
+        return matching_rids(snap, schema, ctx, filters.first());
     }
     let mut acc: Option<(Vec<RecordId>, Vec<RecordId>)> = None;
     let mut stats = QueryStats::default();
     for f in filters {
-        let (main, delta, s) = matching_rids(snap, schema, ctx, Some(f), cfg)?;
+        let (main, delta, s) = matching_rids(snap, schema, ctx, Some(f))?;
         stats.absorb(&s);
         acc = Some(match acc {
             None => (main, delta),
@@ -211,7 +275,6 @@ fn matching_rids(
     schema: &TableSchema,
     ctx: &EnclaveCtx<'_>,
     filter: Option<&ServerFilter>,
-    cfg: &Config,
 ) -> Result<(Vec<RecordId>, Vec<RecordId>, QueryStats), DbError> {
     let mut stats = QueryStats::default();
     let Some(filter) = filter else {
@@ -220,7 +283,7 @@ fn matching_rids(
             .map(RecordId)
             .filter(|r| snap.main_validity.is_valid(r.0 as usize))
             .collect();
-        let delta = (0..snap.delta_rows as u32)
+        let delta = (0..snap.delta_validity.len() as u32)
             .map(RecordId)
             .filter(|r| snap.delta_validity.is_valid(r.0 as usize))
             .collect();
@@ -254,8 +317,8 @@ fn matching_rids(
                     main.av(),
                     &results,
                     dict.len(),
-                    cfg.set_strategy,
-                    cfg.parallelism,
+                    SET_STRATEGY,
+                    AV_PARALLELISM,
                 );
                 stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
                 rids
@@ -269,10 +332,9 @@ fn matching_rids(
                 // built from its own (small, snapshot-frozen) bytes: the
                 // request owns its segment copy, so it stays valid no
                 // matter when the scheduler dispatches it.
-                let (delta_dict, _) = delta.as_dictionary()?;
-                let source = SegSource::Owned(Box::new(delta_dict));
+                let source = SegSource::Owned(Box::new(delta.as_dictionary()?));
                 let results = sched_search(ctx, snap, source, true, ranges, &mut stats)?;
-                delta.filter_results(&results)
+                delta.record_ids(&results)?
             };
             (main_rids, delta_rids)
         }
@@ -287,8 +349,7 @@ fn matching_rids(
                 let result = search_plain(dict, range)?;
                 stats.dict_search_ns += dict_start.elapsed().as_nanos() as u64;
                 let av_start = std::time::Instant::now();
-                let rids =
-                    avsearch::search(av, &result, dict.len(), cfg.set_strategy, cfg.parallelism);
+                let rids = avsearch::search(av, &result, dict.len(), SET_STRATEGY, AV_PARALLELISM);
                 stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
                 main_rids = if main_rids.is_empty() {
                     rids
@@ -296,10 +357,9 @@ fn matching_rids(
                     union_sorted(&main_rids, &rids)
                 };
             }
-            let delta_rids = delta
-                .iter_valid()
-                .filter(|(_, v)| ranges.iter().any(|r| r.contains(v)))
-                .map(|(rid, _)| rid)
+            let delta_rids = (0..delta.len() as u32)
+                .map(RecordId)
+                .filter(|&rid| ranges.iter().any(|r| r.contains(delta.value(rid))))
                 .collect();
             (main_rids, delta_rids)
         }
@@ -388,7 +448,6 @@ impl DbaasServer {
         parent: SpanId,
     ) -> Result<SelectResponse, DbError> {
         let obs = self.obs().clone();
-        let cfg = self.config();
         let snap_span = obs.span("snapshot", "query", parent);
         let ts = self
             .snapshot_tables(&[(table, filters, scope)])?
@@ -409,55 +468,44 @@ impl DbaasServer {
                 .ok_or_else(|| DbError::ColumnNotFound(name.clone()))?;
             col_indices.push(idx);
         }
-        let active = &ts.active;
+        let mut stats = QueryStats::default();
+        ts.seed_stats(&mut stats);
 
         // Per-partition: search + render against that partition's
         // snapshot. One search ECALL per filtered dictionary of each
         // non-empty in-scope partition.
-        let col_indices = &col_indices;
-        let scan_span = obs.span_arg("scan", "query", parent, active.len() as u64);
-        let obs_ref = &obs;
-        let per_partition = fan_out(active, |pid, snap| {
-            let pspan = obs_ref.span_arg("partition", "query", scan_span.id(), pid as u64);
-            let ctx = EnclaveCtx {
-                sched: self.scheduler(),
-                parent: pspan.id(),
-                part: pid as u64,
-            };
-            let (main_rids, delta_rids, mut stats) =
-                matching_rids_multi(snap, &t.schema, &ctx, filters, &cfg)?;
-            let render_span = obs_ref.span("render", "query", pspan.id());
-            let render_start = std::time::Instant::now();
-            let mut rows = Vec::with_capacity(main_rids.len() + delta_rids.len());
-            for &rid in &main_rids {
-                let mut row = Vec::with_capacity(col_indices.len());
-                for &idx in col_indices {
-                    row.push(render_main_cell(&snap.main.columns[idx], rid));
+        let scan_span = obs.span_arg("scan", "query", parent, ts.active.len() as u64);
+        let per_partition = self.scan_partitions(
+            &ts,
+            filters,
+            scan_span.id(),
+            &mut stats,
+            |_, snap, main_rids, delta_rids, part_stats, pspan| {
+                let render_span = obs.span("render", "query", pspan);
+                let render_start = std::time::Instant::now();
+                let mut rows = Vec::with_capacity(main_rids.len() + delta_rids.len());
+                for &rid in &main_rids {
+                    let mut row = Vec::with_capacity(col_indices.len());
+                    for &idx in &col_indices {
+                        row.push(render_main_cell(&snap.main.columns[idx], rid));
+                    }
+                    rows.push(row);
                 }
-                rows.push(row);
-            }
-            for &rid in &delta_rids {
-                let mut row = Vec::with_capacity(col_indices.len());
-                for &idx in col_indices {
-                    row.push(render_delta_cell(&snap.deltas[idx], rid));
+                for &rid in &delta_rids {
+                    let mut row = Vec::with_capacity(col_indices.len());
+                    for &idx in &col_indices {
+                        row.push(render_delta_cell(&snap.deltas[idx], rid));
+                    }
+                    rows.push(row);
                 }
-                rows.push(row);
-            }
-            render_span.finish();
-            stats.render_ns = render_start.elapsed().as_nanos() as u64;
-            stats.snapshot_epoch = snap.epoch();
-            Ok::<_, DbError>((rows, stats))
-        });
+                render_span.finish();
+                part_stats.render_ns = render_start.elapsed().as_nanos() as u64;
+                Ok(rows)
+            },
+        )?;
         scan_span.finish();
 
-        let mut rows = Vec::new();
-        let mut stats = QueryStats::default();
-        ts.seed_stats(&mut stats);
-        for result in per_partition {
-            let (part_rows, part_stats) = result?;
-            stats.absorb(&part_stats);
-            rows.extend(part_rows);
-        }
+        let rows: Vec<Vec<CellValue>> = per_partition.into_iter().flatten().collect();
         stats.result_rows = rows.len();
         self.store_stats(stats);
         Ok(SelectResponse {
@@ -484,25 +532,17 @@ impl DbaasServer {
     ///
     /// Propagates lookup and enclave failures.
     pub fn count_multi(&self, table: &str, filters: &[ServerFilter]) -> Result<usize, DbError> {
-        let cfg = self.config();
         let ts = self
             .snapshot_tables(&[(table, filters, None)])?
             .pop()
             .expect("one table requested");
-        let counts = fan_out(&ts.active, |pid, snap| {
-            let ctx = EnclaveCtx {
-                sched: self.scheduler(),
-                parent: SpanId::NONE,
-                part: pid as u64,
-            };
-            let (main, delta, _) =
-                matching_rids_multi(snap, &ts.table.schema, &ctx, filters, &cfg)?;
-            Ok::<_, DbError>(main.len() + delta.len())
-        });
-        let mut total = 0usize;
-        for c in counts {
-            total += c?;
-        }
-        Ok(total)
+        let counts = self.scan_partitions(
+            &ts,
+            filters,
+            SpanId::NONE,
+            &mut QueryStats::default(),
+            |_, _, main, delta, _, _| Ok(main.len() + delta.len()),
+        )?;
+        Ok(counts.into_iter().sum())
     }
 }

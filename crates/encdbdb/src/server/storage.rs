@@ -39,17 +39,17 @@
 //! itself — every later operation fails like the process is gone — and
 //! the test recovers from disk.
 
-use super::compaction::{execute_compaction, CompactionJob};
-use super::partition::{ColumnDelta, MainColumn, MainState, Partition};
+use super::compaction::execute_compaction;
+use super::partition::{MainColumn, MainState, Partition};
 use super::table::ServerTable;
 use super::{lock, CellValue, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
 use crate::obs::{Counter, Hist, Obs, SpanId};
 use crate::schema::{ColumnSpec, DictChoice, TablePartitioning, TableSchema};
 use crate::server::stats::DurabilityStats;
-use colstore::delta::{DeltaStore, ValidityVector};
+use colstore::dictionary::RecordId;
 use colstore::persist::{frame, read_frames, FrameTail};
-use encdict::dynamic::{EncryptedDeltaStore, MainSnapshot};
+use encdict::dynamic::MainSnapshot;
 use encdict::{DictEnclave, EdKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -193,6 +193,18 @@ impl Storage {
     /// [`DurabilityStats::snapshot_persist_failures`]).
     pub(crate) fn note_snapshot_persist_failure(&self) {
         self.with_stats(|s| s.snapshot_persist_failures += 1);
+    }
+
+    /// Counts one replayed WAL record: `applied` if it changed state,
+    /// skipped if the loaded snapshots already contained its effect.
+    fn note_replay(&self, applied: bool) {
+        self.with_stats(|s| {
+            if applied {
+                s.wal_records_replayed += 1;
+            } else {
+                s.wal_records_skipped += 1;
+            }
+        });
     }
 
     /// Fails if the simulated process already crashed, or fires `point` if
@@ -586,7 +598,7 @@ impl Storage {
         for p in &t.partitions {
             let (main, drained) = {
                 let state = lock(&p.state);
-                (Arc::clone(&state.main), state.drained_total)
+                (Arc::clone(state.main()), state.drained_total())
             };
             self.ensure_snapshot(&t.schema, p.index, &main, drained)?;
         }
@@ -1014,12 +1026,9 @@ impl DbaasServer {
             // the initial persistence so no deploy or new write slips
             // between "snapshotted" and "logged".
             let tables = self.tables.write().unwrap_or_else(|e| e.into_inner());
-            let quiescent = tables.values().all(|t| {
-                t.partitions.iter().all(|p| {
-                    let state = lock(&p.state);
-                    state.delta_rows == 0 && state.main_invalid == 0 && !state.merge_in_flight
-                })
-            });
+            let quiescent = tables
+                .values()
+                .all(|t| t.partitions.iter().all(|p| lock(&p.state).is_quiescent()));
             if !quiescent {
                 continue; // A write raced the fold above; merge again.
             }
@@ -1104,22 +1113,10 @@ impl DbaasServer {
         let mut partitions = Vec::with_capacity(schema.partition_count());
         for pid in 0..schema.partition_count() {
             let loaded = storage.load_partition_snapshot(&schema, pid)?;
-            let deltas = schema
-                .columns
-                .iter()
-                .map(|spec| match spec.choice {
-                    DictChoice::Encrypted(_) => ColumnDelta::Encrypted(EncryptedDeltaStore::new(
-                        schema.name.clone(),
-                        spec.name.clone(),
-                        spec.max_len,
-                    )),
-                    DictChoice::Plain => ColumnDelta::Plain(DeltaStore::new(spec.max_len)),
-                })
-                .collect();
-            partitions.push(Arc::new(Partition::recovered(
+            partitions.push(Arc::new(Partition::new(
                 pid,
+                &schema,
                 loaded.columns,
-                deltas,
                 loaded.rows,
                 loaded.epoch,
                 loaded.drained_total,
@@ -1231,16 +1228,17 @@ impl DbaasServer {
                     // The checkpoint truncated every record that could
                     // advance an older snapshot to this floor; a loaded
                     // snapshot below it cannot be caught up.
-                    if state.main.epoch != epoch || state.drained_total != drained {
+                    if state.main().epoch != epoch || state.drained_total() != drained {
                         return Err(DbError::Durability(format!(
                             "unrecoverable: partition {pid} of {} recovered at epoch {} \
                              but the WAL was truncated at checkpoint epoch {epoch}",
-                            t.schema.name, state.main.epoch
+                            t.schema.name,
+                            state.main().epoch
                         )));
                     }
                 }
                 d.finish()?;
-                storage.with_stats(|s| s.wal_records_replayed += 1);
+                storage.note_replay(true);
                 Ok(())
             }
             _ => Err(corrupt("unknown record type")),
@@ -1261,7 +1259,7 @@ impl DbaasServer {
         struct Group<'a> {
             pid: usize,
             apply: bool,
-            rows: Vec<Vec<(u8, &'a [u8])>>,
+            rows: Vec<Vec<&'a [u8]>>,
         }
         let ngroups = d.u32()? as usize;
         let mut groups: Vec<Group<'_>> = Vec::new();
@@ -1278,8 +1276,8 @@ impl DbaasServer {
             let (drained_total, live_pos) = {
                 let state = lock(&p.state);
                 (
-                    state.drained_total,
-                    state.drained_total + state.delta_rows as u64,
+                    state.drained_total(),
+                    state.drained_total() + state.delta_rows() as u64,
                 )
             };
             let pos = *tails.entry(pid).or_insert(live_pos);
@@ -1310,46 +1308,23 @@ impl DbaasServer {
                         }
                         _ => return Err(corrupt("cell form does not match the column")),
                     }
-                    cells.push((tag, bytes));
+                    cells.push(bytes);
                 }
                 rows.push(cells);
             }
             groups.push(Group { pid, apply, rows });
         }
         d.finish()?;
-        // Apply phase. Everything below was validated above, and recovery
-        // is single-threaded, so the tails the validation simulated still
-        // hold — nothing here can reject the record anymore.
+        // Apply phase — the transition the live insert called. Everything
+        // was validated above, and recovery is single-threaded, so the
+        // tails the validation simulated still hold.
         let mut replayed = false;
-        for g in &groups {
-            if !g.apply {
-                continue;
-            }
-            let mut state = lock(&t.partitions[g.pid].state);
-            for row in &g.rows {
-                for (col, &(tag, bytes)) in row.iter().enumerate() {
-                    match (tag, &mut state.deltas[col]) {
-                        (CELL_ENCRYPTED, ColumnDelta::Encrypted(delta)) => {
-                            delta.push_reencrypted(bytes);
-                        }
-                        (CELL_PLAIN, ColumnDelta::Plain(delta)) => {
-                            delta.insert(bytes).map_err(DbError::Storage)?;
-                        }
-                        _ => unreachable!("cell tags validated against the schema above"),
-                    }
-                }
-                state.delta_rows += 1;
-                state.delta_validity.push(true);
-            }
+        for g in groups.iter().filter(|g| g.apply) {
+            lock(&t.partitions[g.pid].state)
+                .append_rows(g.rows.iter().map(|row| row.iter().copied()));
             replayed = true;
         }
-        storage.with_stats(|s| {
-            if replayed {
-                s.wal_records_replayed += 1;
-            } else {
-                s.wal_records_skipped += 1;
-            }
-        });
+        storage.note_replay(replayed);
         Ok(())
     }
 
@@ -1367,51 +1342,38 @@ impl DbaasServer {
             .get(pid)
             .ok_or_else(|| corrupt("pid out of range"))?;
         let mut state = lock(&p.state);
-        if epoch > state.main.epoch {
+        if epoch > state.main().epoch {
             return Err(corrupt("record epoch ahead of the replayed timeline"));
         }
-        let mut applied = false;
-        let n_main = d.u32()? as usize;
-        for _ in 0..n_main {
-            let rid = d.u32()? as usize;
-            // Flips at an older epoch are already folded into the loaded
-            // (or merge-replayed) main store; at the current epoch they
-            // re-apply idempotently.
-            if epoch != state.main.epoch {
-                continue;
-            }
-            if rid >= state.main.rows {
-                return Err(corrupt("main rid out of range"));
-            }
-            if state.main_validity.is_valid(rid) {
-                Arc::make_mut(&mut state.main_validity).invalidate(rid);
-                state.main_invalid += 1;
-                applied = true;
+        // Decode and validate the whole record before flipping any bit, as
+        // for inserts. Flips at an older epoch are already folded into the
+        // loaded (or merge-replayed) main store; at the current epoch they
+        // re-apply idempotently.
+        let mut main_rids = Vec::new();
+        for _ in 0..d.u32()? {
+            let rid = d.u32()?;
+            if epoch == state.main().epoch {
+                if rid as usize >= state.main().rows {
+                    return Err(corrupt("main rid out of range"));
+                }
+                main_rids.push(RecordId(rid));
             }
         }
-        let n_delta = d.u32()? as usize;
-        for _ in 0..n_delta {
+        let mut delta_rids = Vec::new();
+        for _ in 0..d.u32()? {
             let abs = d.u64()?;
-            if abs < state.drained_total {
-                continue; // Folded by a merge the timeline already passed.
-            }
-            let local = (abs - state.drained_total) as usize;
-            if local >= state.delta_rows {
-                return Err(corrupt("delta position out of range"));
-            }
-            if state.delta_validity.is_valid(local) {
-                state.delta_validity.invalidate(local);
-                applied = true;
+            // Below the base: folded by a merge the timeline already passed.
+            if let Some(local) = abs.checked_sub(state.drained_total()) {
+                if local >= state.delta_rows() as u64 {
+                    return Err(corrupt("delta position out of range"));
+                }
+                delta_rids.push(RecordId(local as u32));
             }
         }
         d.finish()?;
-        storage.with_stats(|s| {
-            if applied {
-                s.wal_records_replayed += 1;
-            } else {
-                s.wal_records_skipped += 1;
-            }
-        });
+        // The transition the live delete called.
+        let flipped = state.invalidate(&main_rids, &delta_rids);
+        storage.note_replay(flipped > 0);
         Ok(())
     }
 
@@ -1436,57 +1398,31 @@ impl DbaasServer {
             .get(pid)
             .ok_or_else(|| corrupt("pid out of range"))?;
         let job = {
-            let state = lock(&p.state);
-            if old_epoch < state.main.epoch {
+            let mut state = lock(&p.state);
+            if old_epoch < state.main().epoch {
                 // The loaded snapshot already contains this publish.
-                storage.with_stats(|s| s.wal_records_skipped += 1);
+                storage.note_replay(false);
                 return Ok(());
             }
-            if old_epoch > state.main.epoch || watermark_abs < state.drained_total {
+            if old_epoch > state.main().epoch || watermark_abs < state.drained_total() {
                 return Err(corrupt("record epoch ahead of the replayed timeline"));
             }
-            let watermark = (watermark_abs - state.drained_total) as usize;
-            if watermark > state.delta_rows {
+            let watermark = watermark_abs - state.drained_total();
+            if watermark > state.delta_rows() as u64 {
                 return Err(corrupt("watermark past the replayed delta"));
             }
-            CompactionJob {
-                epoch: state.main.epoch,
-                main: Arc::clone(&state.main),
-                main_validity: Arc::clone(&state.main_validity),
-                delta_prefixes: state.deltas.iter().map(|d| d.prefix(watermark)).collect(),
-                delta_validity: state.delta_validity.prefix(watermark),
-                watermark,
-            }
+            state.capture(watermark as usize)
         };
-        let mut cfg = self.config();
-        cfg.merge_throttle = None; // Replay at full speed.
-        let (columns, rows) = execute_compaction(
-            &self.merge_enclave,
-            &t.schema,
-            &job,
-            &cfg,
-            self.obs(),
-            SpanId::NONE,
-        )?;
+        // The transitions the live merge called, around the same rebuild
+        // (at full speed: no throttle).
+        let built = execute_compaction(&self.merge_enclave, &t.schema, &job, None, self.obs());
         let mut state = lock(&p.state);
-        state.main = Arc::new(MainState {
-            epoch: job.epoch + 1,
-            columns,
-            rows,
-        });
-        state.main_validity = Arc::new(ValidityVector::all_valid(rows));
-        state.main_invalid = 0;
-        for delta in &mut state.deltas {
-            delta.drain_prefix(job.watermark);
-        }
-        state.delta_validity = state.delta_validity.suffix(job.watermark);
-        state.delta_rows -= job.watermark;
-        state.drained_total = watermark_abs;
+        state.end_merge();
+        let (columns, rows) = built?;
+        state.publish(&job, columns, rows);
         drop(state);
-        storage.with_stats(|s| {
-            s.wal_records_replayed += 1;
-            s.merges_replayed += 1;
-        });
+        storage.note_replay(true);
+        storage.with_stats(|s| s.merges_replayed += 1);
         Ok(())
     }
 
@@ -1514,11 +1450,11 @@ impl DbaasServer {
         for p in &t.partitions {
             let (main, drained) = {
                 let state = lock(&p.state);
-                if state.delta_rows > 0 || state.main_invalid > 0 || state.merge_in_flight {
+                if !state.is_quiescent() {
                     storage.with_stats(|s| s.checkpoints_skipped += 1);
                     return Ok(false);
                 }
-                (Arc::clone(&state.main), state.drained_total)
+                (Arc::clone(state.main()), state.drained_total())
             };
             // Writers are blocked on the WAL mutex we hold, so the
             // quiescence verified above cannot be invalidated here.

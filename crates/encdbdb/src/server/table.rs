@@ -2,15 +2,17 @@
 //! table-wide compaction counters, partition routing for writes and
 //! range pruning for reads.
 
-use super::partition::{ColumnDelta, MainColumn, Partition, PartitionSnapshot};
+use super::partition::{MainColumn, Partition, PartitionSnapshot};
+use super::snapshot::TableSnapshot;
 use super::storage;
-use super::{lock, CellValue, DbaasServer, DeployedColumn, ServerFilter, MERGE_RETRIES};
+use super::{
+    lock, CellValue, DbaasServer, DeployedColumn, QueryStats, ServerFilter, MERGE_RETRIES,
+};
 use crate::error::DbError;
 use crate::obs::{Counter, EcallIo, EcallKind, SpanId};
 use crate::schema::{DictChoice, TableSchema};
-use colstore::delta::DeltaStore;
 use colstore::dictionary::RecordId;
-use encdict::dynamic::{EncryptedDeltaStore, MainSnapshot};
+use encdict::dynamic::MainSnapshot;
 use encdict::{EncryptedDictionary, PlainDictionary};
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -164,41 +166,31 @@ fn build_partition(
     }
     let mut rows = None;
     let mut main_columns = Vec::with_capacity(columns.len());
-    let mut deltas = Vec::with_capacity(columns.len());
-    for (spec, deployed) in schema.columns.iter().zip(columns) {
-        let check_rows = |rows: &mut Option<usize>, got: usize| match *rows {
-            None => {
-                *rows = Some(got);
-                Ok(())
-            }
-            Some(r) if r == got => Ok(()),
-            Some(r) => Err(DbError::ArityMismatch { expected: r, got }),
-        };
-        match deployed {
+    for deployed in columns {
+        let column = match deployed {
             DeployedColumn::Encrypted(dict, av) => {
-                check_rows(&mut rows, av.len())?;
-                deltas.push(ColumnDelta::Encrypted(EncryptedDeltaStore::new(
-                    schema.name.clone(),
-                    spec.name.clone(),
-                    spec.max_len,
-                )));
-                main_columns.push(MainColumn::Encrypted(MainSnapshot::new(0, dict, av)));
+                MainColumn::Encrypted(MainSnapshot::new(0, dict, av))
             }
-            DeployedColumn::Plain(dict, av) => {
-                check_rows(&mut rows, av.len())?;
-                deltas.push(ColumnDelta::Plain(DeltaStore::new(spec.max_len)));
-                main_columns.push(MainColumn::Plain {
-                    dict: Arc::new(dict),
-                    av: Arc::new(av),
-                });
-            }
+            DeployedColumn::Plain(dict, av) => MainColumn::Plain {
+                dict: Arc::new(dict),
+                av: Arc::new(av),
+            },
+        };
+        let got = column.av_slice().len();
+        match rows {
+            None => rows = Some(got),
+            Some(r) if r == got => {}
+            Some(r) => return Err(DbError::ArityMismatch { expected: r, got }),
         }
+        main_columns.push(column);
     }
     Ok(Partition::new(
         index,
+        schema,
         main_columns,
-        deltas,
         rows.unwrap_or(0),
+        0,
+        0,
     ))
 }
 
@@ -353,41 +345,19 @@ impl DbaasServer {
                 let state = lock(&t.partitions[pid].state);
                 groups.push(storage::InsertGroup {
                     pid,
-                    base_abs: state.drained_total + state.delta_rows as u64,
+                    base_abs: state.drained_total() + state.delta_rows() as u64,
                     rows,
                 });
             }
             s.append_record(guard, &storage::encode_insert(&groups))?;
         }
         let mut touched = Vec::new();
-        for (pid, rows) in per_partition.into_iter().enumerate() {
+        for (pid, rows) in per_partition.iter().enumerate() {
             if rows.is_empty() {
                 continue;
             }
-            let partition = &t.partitions[pid];
-            {
-                let mut state = lock(&partition.state);
-                for row in rows {
-                    for (delta, cell) in state.deltas.iter_mut().zip(row) {
-                        match (delta, cell) {
-                            (ColumnDelta::Encrypted(d), CellValue::Encrypted(ct)) => {
-                                d.push_reencrypted(&ct);
-                            }
-                            (ColumnDelta::Plain(d), CellValue::Plain(v)) => {
-                                d.insert(&v).map_err(|e| match e {
-                                    colstore::ColstoreError::ValueTooLong { got, max } => {
-                                        DbError::ValueTooLong { got, max }
-                                    }
-                                    other => DbError::Storage(other),
-                                })?;
-                            }
-                            _ => unreachable!("prepared cells match the schema"),
-                        }
-                    }
-                    state.delta_rows += 1;
-                    state.delta_validity.push(true);
-                }
-            }
+            lock(&t.partitions[pid].state)
+                .append_rows(rows.iter().map(|row| row.iter().map(CellValue::bytes)));
             touched.push(pid);
         }
         drop(wal_guard);
@@ -439,20 +409,27 @@ impl DbaasServer {
                 if snap.is_empty() {
                     continue 'partitions;
                 }
-                let pspan = obs.span_arg("partition", "query", span.id(), pid as u64);
-                let ctx = super::snapshot::EnclaveCtx {
-                    sched: self.scheduler(),
-                    parent: pspan.id(),
-                    part: pid as u64,
+                let epoch = snap.epoch();
+                let ts = TableSnapshot {
+                    table: Arc::clone(&t),
+                    scope_len: 1,
+                    active: vec![(pid, snap)],
                 };
-                let (main_rids, delta_rids, _) =
-                    super::snapshot::matching_rids_multi(&snap, &t.schema, &ctx, filters, &cfg)?;
-                pspan.finish();
+                let (main_rids, delta_rids) = self
+                    .scan_partitions(
+                        &ts,
+                        filters,
+                        span.id(),
+                        &mut QueryStats::default(),
+                        |_, _, main_rids, delta_rids, _, _| Ok((main_rids, delta_rids)),
+                    )?
+                    .pop()
+                    .expect("one partition scanned");
                 {
                     // Lock order: WAL → partition state, as everywhere.
                     let mut wal_guard = wal.as_ref().map(|w| lock(w));
                     let mut state = lock(&partition.state);
-                    if state.main.epoch != snap.main.epoch {
+                    if state.main().epoch != epoch {
                         continue; // A merge published mid-delete; recompute.
                     }
                     // The epoch check passed under both locks, so the
@@ -463,43 +440,15 @@ impl DbaasServer {
                         if !main_rids.is_empty() || !delta_rids.is_empty() {
                             let record = storage::encode_delete(
                                 pid,
-                                state.main.epoch,
+                                epoch,
                                 &main_rids,
-                                state.drained_total,
+                                state.drained_total(),
                                 &delta_rids,
                             );
                             s.append_record(guard, &record)?;
                         }
                     }
-                    // Count (and conflict-flag) only rows whose validity
-                    // bit actually flips: a racing delete of the same rows
-                    // must not double-report or abort a merge for nothing.
-                    let mut flipped_main = 0usize;
-                    if !main_rids.is_empty() {
-                        let validity = Arc::make_mut(&mut state.main_validity);
-                        for rid in &main_rids {
-                            if validity.is_valid(rid.0 as usize) {
-                                validity.invalidate(rid.0 as usize);
-                                flipped_main += 1;
-                            }
-                        }
-                        state.main_invalid += flipped_main;
-                    }
-                    let mut flipped_merged_delta = 0usize;
-                    let mut flipped_delta = 0usize;
-                    for rid in &delta_rids {
-                        if state.delta_validity.is_valid(rid.0 as usize) {
-                            state.delta_validity.invalidate(rid.0 as usize);
-                            flipped_delta += 1;
-                            if (rid.0 as usize) < state.merge_watermark {
-                                flipped_merged_delta += 1;
-                            }
-                        }
-                    }
-                    if state.merge_in_flight && (flipped_main > 0 || flipped_merged_delta > 0) {
-                        state.deletes_during_merge = true;
-                    }
-                    deleted += flipped_main + flipped_delta;
+                    deleted += state.invalidate(&main_rids, &delta_rids);
                 }
                 self.maybe_compact(&t, partition, &cfg);
                 continue 'partitions;

@@ -192,11 +192,6 @@ impl Session {
         &self.server
     }
 
-    /// Mutable access to the server (parallelism configuration).
-    pub fn server_mut(&mut self) -> &mut DbaasServer {
-        &mut self.server
-    }
-
     /// Snapshot of every metric counter and latency histogram of this
     /// deployment (shared across all forks of the session).
     pub fn metrics_report(&self) -> crate::MetricsReport {

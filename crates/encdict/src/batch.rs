@@ -277,7 +277,7 @@ mod tests {
     /// An empty delta store materializes as an empty ED9 dictionary — the
     /// cheapest dictionary obtainable through public API.
     fn empty_dict() -> SegSource {
-        let (dict, _) = crate::dynamic::EncryptedDeltaStore::new("t", "c", 8)
+        let dict = crate::dynamic::EncryptedDeltaStore::new("t", "c", 8)
             .as_dictionary()
             .expect("empty ED9 dictionary");
         SegSource::Owned(Box::new(dict))

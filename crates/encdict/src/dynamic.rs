@@ -1,4 +1,5 @@
-//! Dynamic data: the encrypted delta store and protected merge (paper §4.3).
+//! Dynamic data: the encrypted delta store and the epoch-tagged main store
+//! (paper §4.3).
 //!
 //! "For EncDBDB, any encrypted dictionary can be used for the main store and
 //! ED9 should be employed for the delta store. New entries can simply be
@@ -7,19 +8,18 @@
 //! by performing the linear scan ... neither the data order nor the
 //! frequency is leaked during the insertion and search."
 //!
-//! The periodic merge re-encrypts every value, re-rotates rotated columns
-//! and re-shuffles unsorted ones so the attacker cannot correlate the old
-//! and new main stores.
+//! The periodic merge ([`DictEnclave::merge`](crate::DictEnclave::merge))
+//! re-encrypts every value, re-rotates rotated columns and re-shuffles
+//! unsorted ones so the attacker cannot correlate the old and new main
+//! stores. *When* to merge, which rows are still valid and what a reader
+//! sees meanwhile is decided by the owner of these stores — the server's
+//! partition (`encdbdb::server`, DESIGN.md §9).
 
-use crate::build::BuildParams;
 use crate::dict::{head_entry, write_head_entry, EncryptedDictionary};
-use crate::enclave_ops::DictEnclave;
 use crate::error::EncdictError;
 use crate::kind::EdKind;
-use crate::range::EncryptedRange;
 use crate::search::DictSearchResult;
-use colstore::delta::ValidityVector;
-use colstore::dictionary::{AttributeVector, RecordId, ValueId};
+use colstore::dictionary::{AttributeVector, RecordId};
 use std::sync::Arc;
 
 /// An immutable, cheaply clonable snapshot of one column's merged main
@@ -75,8 +75,9 @@ impl MainSnapshot {
 }
 
 /// An encrypted delta store: an ED9 dictionary that grows by appending
-/// re-encrypted values, with a trivial identity attribute vector and a
-/// validity vector for deletions.
+/// re-encrypted values. A delta row's ValueID *is* its RecordID, so there
+/// is no attribute vector; which rows are still valid is kept by the owner
+/// of the row space (one validity vector for all columns of a partition).
 ///
 /// `Clone` produces a frozen snapshot of the store at its current length —
 /// the delta-side half of a consistent read snapshot.
@@ -89,7 +90,6 @@ pub struct EncryptedDeltaStore {
     head: Vec<u8>,
     tail: Vec<u8>,
     len: usize,
-    validity: ValidityVector,
 }
 
 impl EncryptedDeltaStore {
@@ -102,11 +102,10 @@ impl EncryptedDeltaStore {
             head: Vec::new(),
             tail: Vec::new(),
             len: 0,
-            validity: ValidityVector::default(),
         }
     }
 
-    /// Number of rows ever inserted (including invalidated ones).
+    /// Number of rows ever appended.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -116,37 +115,25 @@ impl EncryptedDeltaStore {
         self.len == 0
     }
 
-    /// Number of valid rows.
-    pub fn valid_len(&self) -> usize {
-        self.validity.count_valid()
-    }
-
-    /// Inserts an incoming ciphertext (PAE under the column key, produced
-    /// by the proxy). The enclave re-encrypts it with a fresh IV so the
-    /// stored bytes are unlinkable to the insert message.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enclave failures (unprovisioned key, tampered value).
-    pub fn insert(
-        &mut self,
-        enclave: &mut DictEnclave,
-        incoming_ciphertext: &[u8],
-    ) -> Result<RecordId, EncdictError> {
-        let fresh = enclave.reencrypt(&self.table_name, &self.col_name, incoming_ciphertext)?;
-        Ok(self.push_reencrypted(fresh.as_bytes()))
-    }
-
-    /// Appends a ciphertext that was *already* re-encrypted by the enclave
-    /// (the two-step insert path: re-encrypt outside any storage lock, then
-    /// append under it).
+    /// Appends a ciphertext the enclave re-encrypted with a fresh IV
+    /// ([`DictEnclave::reencrypt`](crate::DictEnclave::reencrypt), run
+    /// outside any storage lock), so the stored bytes are unlinkable to
+    /// the insert message.
     pub fn push_reencrypted(&mut self, fresh: &[u8]) -> RecordId {
         let rid = RecordId(self.len as u32);
         write_head_entry(&mut self.head, self.tail.len() as u64, fresh.len() as u32);
         self.tail.extend_from_slice(fresh);
         self.len += 1;
-        self.validity.push(true);
         rid
+    }
+
+    /// Tail offset where row `n` starts (the tail length for `n == len`).
+    fn tail_offset(&self, n: usize) -> usize {
+        if n == self.len {
+            self.tail.len()
+        } else {
+            head_entry(&self.head, n).0 as usize
+        }
     }
 
     /// A frozen copy of the first `n` rows — the compaction input captured
@@ -157,19 +144,13 @@ impl EncryptedDeltaStore {
     /// Panics if `n > len()`.
     pub fn prefix(&self, n: usize) -> Self {
         assert!(n <= self.len, "prefix {n} out of bounds {}", self.len);
-        let tail_end = if n == self.len {
-            self.tail.len()
-        } else {
-            head_entry(&self.head, n).0 as usize
-        };
         EncryptedDeltaStore {
             table_name: self.table_name.clone(),
             col_name: self.col_name.clone(),
             max_len: self.max_len,
             head: self.head[..n * crate::dict::HEAD_ENTRY_BYTES].to_vec(),
-            tail: self.tail[..tail_end].to_vec(),
+            tail: self.tail[..self.tail_offset(n)].to_vec(),
             len: n,
-            validity: self.validity.prefix(n),
         }
     }
 
@@ -184,11 +165,7 @@ impl EncryptedDeltaStore {
         if n == 0 {
             return;
         }
-        let tail_base = if n == self.len {
-            self.tail.len()
-        } else {
-            head_entry(&self.head, n).0 as usize
-        };
+        let tail_base = self.tail_offset(n);
         let mut head = Vec::with_capacity((self.len - n) * crate::dict::HEAD_ENTRY_BYTES);
         for i in n..self.len {
             let (offset, clen) = head_entry(&self.head, i);
@@ -197,32 +174,17 @@ impl EncryptedDeltaStore {
         self.head = head;
         self.tail = self.tail.split_off(tail_base);
         self.len -= n;
-        self.validity = self.validity.suffix(n);
-    }
-
-    /// Marks a delta row deleted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rid` is out of bounds.
-    pub fn delete(&mut self, rid: RecordId) {
-        self.validity.invalidate(rid.0 as usize);
-    }
-
-    /// Whether a delta row is valid.
-    pub fn is_valid(&self, rid: RecordId) -> bool {
-        self.validity.is_valid(rid.0 as usize)
     }
 
     /// Materializes the delta as an ED9 [`EncryptedDictionary`] view for
-    /// searching (the identity attribute vector accompanies it).
+    /// searching.
     ///
     /// # Errors
     ///
     /// Returns [`EncdictError::CorruptDictionary`] if internal state is
     /// inconsistent (never expected).
-    pub fn as_dictionary(&self) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
-        let dict = EncryptedDictionary::from_parts(
+    pub fn as_dictionary(&self) -> Result<EncryptedDictionary, EncdictError> {
+        EncryptedDictionary::from_parts(
             EdKind::Ed9,
             self.table_name.clone(),
             self.col_name.clone(),
@@ -231,71 +193,36 @@ impl EncryptedDeltaStore {
             self.head.clone(),
             self.tail.clone(),
             None,
-        )?;
-        let av: AttributeVector = (0..self.len as u32).map(ValueId).collect();
-        Ok((dict, av))
+        )
     }
 
-    /// Searches the delta (ED9 linear scan) and filters results through the
-    /// validity vector.
+    /// The untrusted half of a delta search: turns the enclave's per-range
+    /// replies to a search of [`as_dictionary`](Self::as_dictionary) into
+    /// ascending, deduplicated RecordIDs. An ED9 reply lists ValueIDs, and
+    /// a delta's ValueIDs are its RecordIDs; ids at or past `len()` are
+    /// dropped, as the attribute-vector scan this replaces never saw them.
     ///
     /// # Errors
     ///
-    /// Propagates enclave failures.
-    pub fn search(
-        &self,
-        enclave: &mut DictEnclave,
-        range: &EncryptedRange,
-    ) -> Result<Vec<RecordId>, EncdictError> {
-        self.search_multi(enclave, std::slice::from_ref(range), None)
-    }
-
-    /// Searches the delta against a whole disjunction in a *single* ECALL
-    /// (one linear scan answers every range at once), unions the matches,
-    /// and filters through the validity vector. `cache` enables the
-    /// in-enclave decrypted-value cache for this delta generation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enclave failures.
-    pub fn search_multi(
-        &self,
-        enclave: &mut DictEnclave,
-        ranges: &[EncryptedRange],
-        cache: Option<crate::enclave_ops::CacheTag>,
-    ) -> Result<Vec<RecordId>, EncdictError> {
-        let (dict, _av) = self.as_dictionary()?;
-        let results = enclave.search_multi(&dict, ranges, cache)?;
-        Ok(self.filter_results(&results))
-    }
-
-    /// The untrusted half of a delta search: unions the enclave's
-    /// per-range results over the identity attribute vector and filters
-    /// through the validity vector. Split out so the batched ECALL path
-    /// (which runs the enclave half through the scheduler) produces
-    /// bit-identical results to [`EncryptedDeltaStore::search_multi`].
-    pub fn filter_results(&self, results: &[DictSearchResult]) -> Vec<RecordId> {
-        let av: AttributeVector = (0..self.len as u32).map(ValueId).collect();
-        let rids = crate::avsearch::search_union(
-            &av,
-            results,
-            self.len,
-            crate::avsearch::SetSearchStrategy::PaperLinear,
-            crate::avsearch::Parallelism::Serial,
-        );
-        rids.into_iter()
-            .filter(|r| self.validity.is_valid(r.0 as usize))
-            .collect()
-    }
-
-    /// Untrusted-memory view of the delta head (for enclave requests).
-    pub fn head_mem(&self) -> enclave_sim::UntrustedMemory<'_> {
-        enclave_sim::UntrustedMemory::new(&self.head)
-    }
-
-    /// Untrusted-memory view of the delta tail (for enclave requests).
-    pub fn tail_mem(&self) -> enclave_sim::UntrustedMemory<'_> {
-        enclave_sim::UntrustedMemory::new(&self.tail)
+    /// Returns [`EncdictError::CorruptDictionary`] for a ValueID-range
+    /// reply, which no ED9 search produces.
+    pub fn record_ids(&self, results: &[DictSearchResult]) -> Result<Vec<RecordId>, EncdictError> {
+        let mut rids = Vec::new();
+        for result in results {
+            let DictSearchResult::Ids(ids) = result else {
+                return Err(EncdictError::CorruptDictionary(
+                    "ED9 delta search answered with ValueID ranges",
+                ));
+            };
+            rids.extend(
+                ids.iter()
+                    .filter(|&&id| (id as usize) < self.len)
+                    .map(|&id| RecordId(id)),
+            );
+        }
+        rids.sort_unstable();
+        rids.dedup();
+        Ok(rids)
     }
 
     /// A copy of this delta store's segment bytes, for aggregate / join
@@ -311,8 +238,8 @@ impl EncryptedDeltaStore {
     /// This delta store as a [`crate::enclave_ops::SegmentRef`].
     pub fn segment_ref(&self) -> crate::enclave_ops::SegmentRef<'_> {
         crate::enclave_ops::SegmentRef {
-            head: self.head_mem(),
-            tail: self.tail_mem(),
+            head: enclave_sim::UntrustedMemory::new(&self.head),
+            tail: enclave_sim::UntrustedMemory::new(&self.tail),
             len: self.len,
         }
     }
@@ -323,7 +250,7 @@ impl EncryptedDeltaStore {
     ///
     /// Panics if out of bounds.
     pub fn ciphertext(&self, rid: RecordId) -> &[u8] {
-        let (offset, clen) = crate::dict::head_entry(&self.head, rid.0 as usize);
+        let (offset, clen) = head_entry(&self.head, rid.0 as usize);
         &self.tail[offset as usize..offset as usize + clen as usize]
     }
 
@@ -333,117 +260,19 @@ impl EncryptedDeltaStore {
     }
 }
 
-/// The result of a dictionary search over main + delta (paper §4.3: "a read
-/// query ... is executed on both stores normally and then the results are
-/// merged while checking the validity of the entries").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CombinedSearchResult {
-    /// Matching RecordIDs in the main store (validity already applied by
-    /// the caller, which owns the main validity vector).
-    pub main: Vec<RecordId>,
-    /// Matching, valid RecordIDs in the delta store.
-    pub delta: Vec<RecordId>,
-}
-
-/// Merges the delta store into a fresh main store (paper §4.3).
-///
-/// The merge runs *inside the enclave* (one ECALL): it decrypts all valid
-/// main and delta values, rebuilds the dictionary with fresh IVs, a fresh
-/// rotation and a fresh shuffle, so old and new stores are unlinkable from
-/// the untrusted realm. Returns the new main dictionary + attribute vector;
-/// the delta store is reset. `main_validity` masks deleted main rows.
-///
-/// Merging an **empty** delta over a fully valid main store is a cheap
-/// no-op: the main store is returned unchanged without entering the
-/// enclave (zero values decrypted). The old and new stores are then
-/// trivially linkable — but they are byte-identical, so there is nothing
-/// new to learn; the re-randomizing rebuild only matters when content
-/// actually changed (see DESIGN.md §9).
-///
-/// # Errors
-///
-/// Propagates decryption and build failures.
-pub fn merge_delta(
-    enclave: &mut DictEnclave,
-    main_dict: &EncryptedDictionary,
-    main_av: &AttributeVector,
-    main_validity: &ValidityVector,
-    delta: &mut EncryptedDeltaStore,
-    params: &BuildParams,
-    kind: EdKind,
-) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
-    if delta.is_empty() && main_validity.count_valid() == main_av.len() {
-        return Ok((main_dict.clone(), main_av.clone()));
-    }
-    let req = crate::enclave_ops::MergeRequest {
-        table_name: main_dict.table_name(),
-        col_name: main_dict.col_name(),
-        max_len: main_dict.max_len(),
-        kind,
-        bs_max: params.bs_max,
-        main_head: main_dict.head_mem(),
-        main_tail: main_dict.tail_mem(),
-        main_len: main_dict.len(),
-        main_av: main_av.as_slice(),
-        main_valid: main_validity,
-        delta_head: enclave_sim::UntrustedMemory::new(&delta.head),
-        delta_tail: enclave_sim::UntrustedMemory::new(&delta.tail),
-        delta_len: delta.len,
-        delta_valid: &delta.validity,
-    };
-    let rebuilt = enclave.merge(req)?;
-    *delta = EncryptedDeltaStore::new(
-        main_dict.table_name().to_string(),
-        main_dict.col_name().to_string(),
-        main_dict.max_len(),
-    );
-    Ok(rebuilt)
-}
-
-/// Convenience: run a search against main and delta and combine (validity
-/// of the main store applied via `main_validity`).
-///
-/// # Errors
-///
-/// Propagates enclave failures from either store.
-pub fn search_combined(
-    enclave: &mut DictEnclave,
-    main_dict: &EncryptedDictionary,
-    main_av: &AttributeVector,
-    main_validity: &ValidityVector,
-    delta: &EncryptedDeltaStore,
-    range: &EncryptedRange,
-) -> Result<CombinedSearchResult, EncdictError> {
-    let main_result: DictSearchResult = enclave.search(main_dict, range)?;
-    let main_rids = crate::avsearch::search(
-        main_av,
-        &main_result,
-        main_dict.len(),
-        crate::avsearch::SetSearchStrategy::PaperLinear,
-        crate::avsearch::Parallelism::Serial,
-    );
-    let main = main_rids
-        .into_iter()
-        .filter(|r| main_validity.is_valid(r.0 as usize))
-        .collect();
-    let delta_rids = delta.search(enclave, range)?;
-    Ok(CombinedSearchResult {
-        main,
-        delta: delta_rids,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::build_encrypted;
-    use crate::enclave_ops::encrypt_value_for_column;
-    use crate::range::RangeQuery;
+    use crate::build::{build_encrypted, BuildParams};
+    use crate::enclave_ops::{encrypt_value_for_column, DictEnclave, MergeRequest};
+    use crate::range::{EncryptedRange, RangeQuery};
     use colstore::column::Column;
+    use colstore::delta::ValidityVector;
+    use colstore::dictionary::ValueId;
     use encdbdb_crypto::hkdf::derive_column_key;
     use encdbdb_crypto::{Key128, Pae};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     struct Fixture {
         enclave: DictEnclave,
@@ -471,100 +300,137 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        /// The insert path: proxy ciphertext → `DictEnclave::reencrypt` →
+        /// `push_reencrypted`. Returns the proxy's ciphertext and the row.
+        fn insert(&mut self, delta: &mut EncryptedDeltaStore, value: &[u8]) -> (Vec<u8>, RecordId) {
+            let incoming = encrypt_value_for_column(&self.pae, &mut self.rng, value);
+            let fresh = self
+                .enclave
+                .reencrypt("t", "c", incoming.as_bytes())
+                .unwrap();
+            let rid = delta.push_reencrypted(fresh.as_bytes());
+            (incoming.into_bytes(), rid)
+        }
+
+        /// The delta search path: one ED9 linear-scan ECALL, then
+        /// `record_ids` on the reply.
+        fn search(&mut self, delta: &EncryptedDeltaStore, query: &RangeQuery) -> Vec<RecordId> {
+            let range = EncryptedRange::encrypt(&self.pae, &mut self.rng, query);
+            let dict = delta.as_dictionary().unwrap();
+            let results = self.enclave.search_multi(&dict, &[range], None).unwrap();
+            delta.record_ids(&results).unwrap()
+        }
+
+        /// RecordIDs matching `query` in one main store.
+        fn search_main(
+            &mut self,
+            dict: &EncryptedDictionary,
+            av: &AttributeVector,
+            query: &RangeQuery,
+        ) -> Vec<RecordId> {
+            let range = EncryptedRange::encrypt(&self.pae, &mut self.rng, query);
+            let result = self.enclave.search(dict, &range).unwrap();
+            crate::avsearch::search(
+                av,
+                &result,
+                dict.len(),
+                crate::avsearch::SetSearchStrategy::PaperLinear,
+                crate::avsearch::Parallelism::Serial,
+            )
+        }
+
+        /// One `Merge` ECALL: the valid rows of `dict`/`av` and of `delta`
+        /// rebuilt as a fresh main store of `kind`.
+        fn merge(
+            &mut self,
+            dict: &EncryptedDictionary,
+            av: &AttributeVector,
+            main_valid: &ValidityVector,
+            delta: &EncryptedDeltaStore,
+            delta_valid: &ValidityVector,
+            kind: EdKind,
+        ) -> (EncryptedDictionary, AttributeVector) {
+            let delta_seg = delta.segment_ref();
+            self.enclave
+                .merge(MergeRequest {
+                    table_name: "t",
+                    col_name: "c",
+                    max_len: 12,
+                    kind,
+                    bs_max: self.params.bs_max,
+                    main_head: dict.head_mem(),
+                    main_tail: dict.tail_mem(),
+                    main_len: dict.len(),
+                    main_av: av.as_slice(),
+                    main_valid,
+                    delta_head: delta_seg.head,
+                    delta_tail: delta_seg.tail,
+                    delta_len: delta_seg.len,
+                    delta_valid,
+                })
+                .unwrap()
+        }
+    }
+
     #[test]
     fn delta_insert_and_search() {
         let mut f = fixture(1);
         let mut delta = EncryptedDeltaStore::new("t", "c", 12);
         for v in ["mango", "apple", "peach", "apple"] {
-            let ct = encrypt_value_for_column(&f.pae, &mut f.rng, v.as_bytes());
-            delta.insert(&mut f.enclave, ct.as_bytes()).unwrap();
+            f.insert(&mut delta, v.as_bytes());
         }
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::equals("apple"));
-        let rids = delta.search(&mut f.enclave, &range).unwrap();
-        assert_eq!(rids.iter().map(|r| r.0).collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
-    fn delta_delete_hides_rows() {
-        let mut f = fixture(2);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        let ct = encrypt_value_for_column(&f.pae, &mut f.rng, b"gone");
-        let rid = delta.insert(&mut f.enclave, ct.as_bytes()).unwrap();
-        delta.delete(rid);
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::equals("gone"));
-        assert!(delta.search(&mut f.enclave, &range).unwrap().is_empty());
-        assert_eq!(delta.valid_len(), 0);
-        assert_eq!(delta.len(), 1);
+        assert_eq!(delta.len(), 4);
+        let rids = f.search(&delta, &RangeQuery::equals("apple"));
+        assert_eq!(rids, vec![RecordId(1), RecordId(3)]);
     }
 
     #[test]
     fn stored_bytes_unlinkable_to_insert_message() {
         let mut f = fixture(3);
         let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        let incoming = encrypt_value_for_column(&f.pae, &mut f.rng, b"secret");
-        let rid = delta.insert(&mut f.enclave, incoming.as_bytes()).unwrap();
-        assert_ne!(delta.ciphertext(rid), incoming.as_bytes());
+        let (incoming, rid) = f.insert(&mut delta, b"secret");
+        assert_ne!(delta.ciphertext(rid), &incoming[..]);
     }
 
+    /// Paper §4.3 end to end at the enclave API: a read runs on both
+    /// stores and the owner's validity bits mask the answers; the merge
+    /// folds exactly the valid rows into one store with the same content.
     #[test]
     fn combined_search_and_merge_flow() {
         let mut f = fixture(4);
         let sk_d = derive_column_key(&f.skdb, "t", "c");
-        // Main store: 5 values as ED2.
         let col = Column::from_strs("c", 12, ["b", "d", "a", "c", "e"]).unwrap();
         let (main_dict, main_av) =
             build_encrypted(&col, EdKind::Ed2, &f.params, &sk_d, &mut f.rng).unwrap();
-        let mut main_validity = ValidityVector::all_valid(5);
-        // Delete main row 1 ("d"), insert "cc" and "bb" into the delta.
-        main_validity.invalidate(1);
+        // Main row 1 ("d") and delta row 2 ("dd") are deleted.
+        let mut main_valid = ValidityVector::all_valid(5);
+        main_valid.invalidate(1);
         let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        for v in ["cc", "bb"] {
-            let ct = encrypt_value_for_column(&f.pae, &mut f.rng, v.as_bytes());
-            delta.insert(&mut f.enclave, ct.as_bytes()).unwrap();
+        for v in ["cc", "bb", "dd"] {
+            f.insert(&mut delta, v.as_bytes());
         }
+        let mut delta_valid = ValidityVector::all_valid(3);
+        delta_valid.invalidate(2);
 
-        // Query [b, d]: main matches b (row 0), c (row 3); d is deleted.
-        // Delta matches cc, bb.
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::between("b", "d"));
-        let combined = search_combined(
-            &mut f.enclave,
+        // [b, dd]: main matches b (row 0), d (row 1, deleted), c (row 3);
+        // the delta matches all three, one of them deleted.
+        let query = RangeQuery::between("b", "dd");
+        let main_rids = f.search_main(&main_dict, &main_av, &query);
+        assert_eq!(main_rids, vec![RecordId(0), RecordId(1), RecordId(3)]);
+        assert_eq!(f.search(&delta, &query).len(), 3);
+
+        let (new_dict, new_av) = f.merge(
             &main_dict,
             &main_av,
-            &main_validity,
+            &main_valid,
             &delta,
-            &range,
-        )
-        .unwrap();
-        assert_eq!(
-            combined.main.iter().map(|r| r.0).collect::<Vec<_>>(),
-            vec![0, 3]
-        );
-        assert_eq!(combined.delta.len(), 2);
-
-        // Merge and re-query: one store, same logical content.
-        let (new_dict, new_av) = merge_delta(
-            &mut f.enclave,
-            &main_dict,
-            &main_av,
-            &main_validity,
-            &mut delta,
-            &f.params,
+            &delta_valid,
             EdKind::Ed2,
-        )
-        .unwrap();
-        assert!(delta.is_empty());
-        assert_eq!(new_av.len(), 6); // 4 valid main + 2 delta
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::between("b", "d"));
-        let result = f.enclave.search(&new_dict, &range).unwrap();
-        let rids = crate::avsearch::search(
-            &new_av,
-            &result,
-            new_dict.len(),
-            crate::avsearch::SetSearchStrategy::PaperLinear,
-            crate::avsearch::Parallelism::Serial,
         );
-        // Logical values now: b, a, c, e, cc, bb → matching: b, c, cc, bb.
-        assert_eq!(rids.len(), 4);
+        assert_eq!(new_av.len(), 6); // 4 valid main + 2 valid delta
+                                     // Logical values now: b, a, c, e, cc, bb → matching: b, c, cc, bb.
+        assert_eq!(f.search_main(&new_dict, &new_av, &query).len(), 4);
     }
 
     #[test]
@@ -574,23 +440,16 @@ mod tests {
         let col = Column::from_strs("c", 12, ["x", "y"]).unwrap();
         let (main_dict, main_av) =
             build_encrypted(&col, EdKind::Ed9, &f.params, &sk_d, &mut f.rng).unwrap();
-        let old_cts: Vec<Vec<u8>> = (0..main_dict.len())
+        let mut old_cts: Vec<Vec<u8>> = (0..main_dict.len())
             .map(|i| main_dict.ciphertext(i).to_vec())
             .collect();
-        let validity = ValidityVector::all_valid(2);
         let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        let ct = encrypt_value_for_column(&f.pae, &mut f.rng, b"z");
-        delta.insert(&mut f.enclave, ct.as_bytes()).unwrap();
-        let (new_dict, _) = merge_delta(
-            &mut f.enclave,
-            &main_dict,
-            &main_av,
-            &validity,
-            &mut delta,
-            &f.params,
-            EdKind::Ed9,
-        )
-        .unwrap();
+        let (_, rid) = f.insert(&mut delta, b"z");
+        old_cts.push(delta.ciphertext(rid).to_vec());
+        let all = |n| ValidityVector::all_valid(n);
+        let (new_dict, new_av) =
+            f.merge(&main_dict, &main_av, &all(2), &delta, &all(1), EdKind::Ed9);
+        assert_eq!(new_av.len(), 3);
         for i in 0..new_dict.len() {
             assert!(
                 !old_cts.iter().any(|old| old == new_dict.ciphertext(i)),
@@ -600,85 +459,28 @@ mod tests {
     }
 
     #[test]
-    fn empty_delta_merge_is_a_noop() {
-        // Satellite regression: merging an empty delta over a fully valid
-        // main store must not rebuild (re-encrypt) anything — no ECALL, no
-        // untrusted loads, zero values decrypted, identical bytes out.
-        let mut f = fixture(6);
-        let sk_d = derive_column_key(&f.skdb, "t", "c");
-        let col = Column::from_strs("c", 12, ["x", "y", "z"]).unwrap();
-        let (main_dict, main_av) =
-            build_encrypted(&col, EdKind::Ed2, &f.params, &sk_d, &mut f.rng).unwrap();
-        let validity = ValidityVector::all_valid(3);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        f.enclave.enclave_mut().reset_counters();
-        let (new_dict, new_av) = merge_delta(
-            &mut f.enclave,
-            &main_dict,
-            &main_av,
-            &validity,
-            &mut delta,
-            &f.params,
-            EdKind::Ed2,
-        )
-        .unwrap();
-        let counters = f.enclave.enclave().counters();
-        assert_eq!(counters.ecalls, 0, "no-op merge must not enter the enclave");
-        assert_eq!(counters.untrusted_loads, 0, "zero values decrypted");
-        assert_eq!(new_av, main_av);
-        for i in 0..main_dict.len() {
-            assert_eq!(new_dict.ciphertext(i), main_dict.ciphertext(i));
-        }
-
-        // A deleted main row disqualifies the shortcut: the rebuild must
-        // actually purge it.
-        let mut validity = ValidityVector::all_valid(3);
-        validity.invalidate(1);
-        let (rebuilt, rebuilt_av) = merge_delta(
-            &mut f.enclave,
-            &main_dict,
-            &main_av,
-            &validity,
-            &mut delta,
-            &f.params,
-            EdKind::Ed2,
-        )
-        .unwrap();
-        assert_eq!(rebuilt_av.len(), 2);
-        assert!(f.enclave.enclave().counters().ecalls > 0);
-        assert_eq!(rebuilt.len(), 2);
-    }
-
-    #[test]
     fn prefix_and_drain_prefix_partition_the_delta() {
         let mut f = fixture(7);
         let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-        let values = ["alpha", "bravo", "charlie", "delta", "echo"];
-        for v in values {
-            let ct = encrypt_value_for_column(&f.pae, &mut f.rng, v.as_bytes());
-            delta.insert(&mut f.enclave, ct.as_bytes()).unwrap();
+        for v in ["alpha", "bravo", "charlie", "delta", "echo"] {
+            f.insert(&mut delta, v.as_bytes());
         }
-        delta.delete(RecordId(1));
-        delta.delete(RecordId(4));
 
         let frozen = delta.prefix(3);
         assert_eq!(frozen.len(), 3);
-        assert_eq!(frozen.valid_len(), 2); // "bravo" deleted
         for i in 0..3 {
             assert_eq!(
-                frozen.ciphertext(RecordId(i as u32)),
-                delta.ciphertext(RecordId(i as u32))
-            );
-            assert_eq!(
-                frozen.is_valid(RecordId(i as u32)),
-                delta.is_valid(RecordId(i as u32))
+                frozen.ciphertext(RecordId(i)),
+                delta.ciphertext(RecordId(i))
             );
         }
 
         // Searching the frozen prefix behaves like a store of rows 0..3.
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::equals("charlie"));
-        let rids = frozen.search(&mut f.enclave, &range).unwrap();
-        assert_eq!(rids, vec![RecordId(2)]);
+        assert_eq!(
+            f.search(&frozen, &RangeQuery::equals("charlie")),
+            vec![RecordId(2)]
+        );
+        assert!(f.search(&frozen, &RangeQuery::equals("delta")).is_empty());
 
         // Draining the prefix leaves rows 3.. renumbered from 0.
         let suffix_cts: Vec<Vec<u8>> = (3..5)
@@ -686,18 +488,62 @@ mod tests {
             .collect();
         delta.drain_prefix(3);
         assert_eq!(delta.len(), 2);
-        assert_eq!(delta.valid_len(), 1); // "echo" deleted
         assert_eq!(delta.ciphertext(RecordId(0)), &suffix_cts[0][..]);
         assert_eq!(delta.ciphertext(RecordId(1)), &suffix_cts[1][..]);
-        assert!(delta.is_valid(RecordId(0)));
-        assert!(!delta.is_valid(RecordId(1)));
-        let range = EncryptedRange::encrypt(&f.pae, &mut f.rng, &RangeQuery::equals("delta"));
         assert_eq!(
-            delta.search(&mut f.enclave, &range).unwrap(),
+            f.search(&delta, &RangeQuery::equals("delta")),
             vec![RecordId(0)]
         );
         delta.drain_prefix(2);
         assert!(delta.is_empty());
+    }
+
+    /// `record_ids` replaces a `search_union` over the delta's identity
+    /// attribute vector; on every reply shape an ED9 search can produce
+    /// (duplicates and overlaps across ranges, empty lists, ids at or past
+    /// the store length) the two agree.
+    #[test]
+    fn record_ids_equal_the_identity_av_union() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for len in [0usize, 1, 7, 64, 200] {
+            let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+            for _ in 0..len {
+                delta.push_reencrypted(b"opaque");
+            }
+            let identity: AttributeVector = (0..len as u32).map(ValueId).collect();
+            for lists in 0..6usize {
+                let results: Vec<DictSearchResult> = (0..lists)
+                    .map(|_| {
+                        let n = rng.gen_range(0..12usize);
+                        let mut ids: Vec<u32> =
+                            (0..n).map(|_| rng.gen_range(0..len as u32 + 5)).collect();
+                        ids.sort_unstable();
+                        DictSearchResult::Ids(ids)
+                    })
+                    .collect();
+                let expected = crate::avsearch::search_union(
+                    &identity,
+                    &results,
+                    len,
+                    crate::avsearch::SetSearchStrategy::PaperLinear,
+                    crate::avsearch::Parallelism::Serial,
+                );
+                assert_eq!(
+                    delta.record_ids(&results).unwrap(),
+                    expected,
+                    "len {len}, {results:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn record_ids_reject_a_range_reply() {
+        let delta = EncryptedDeltaStore::new("t", "c", 12);
+        let err = delta
+            .record_ids(&[DictSearchResult::empty_ranges()])
+            .unwrap_err();
+        assert!(matches!(err, EncdictError::CorruptDictionary(_)), "{err:?}");
     }
 
     #[test]

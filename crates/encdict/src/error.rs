@@ -33,10 +33,10 @@ pub enum EncdictError {
     Aggregate(&'static str),
     /// An underlying cryptographic operation failed (bad key, tampering).
     Crypto(CryptoError),
-    /// A shared batch round died before this request was dispatched: the
-    /// round leader panicked mid-transition, so the request was never
-    /// executed. The caller should fail the query (the enclave state
-    /// itself is unaffected — the request simply never ran).
+    /// A thread this request depended on panicked: the leader of a shared
+    /// batch round mid-transition (the request was never executed), or a
+    /// partition-scan worker of the query. The caller should fail the
+    /// query; enclave and stored state are unaffected.
     Poisoned(&'static str),
 }
 
@@ -58,7 +58,7 @@ impl fmt::Display for EncdictError {
             }
             EncdictError::Aggregate(what) => write!(f, "aggregate failure: {what}"),
             EncdictError::Crypto(e) => write!(f, "cryptographic failure: {e}"),
-            EncdictError::Poisoned(what) => write!(f, "poisoned batch round: {what}"),
+            EncdictError::Poisoned(what) => write!(f, "poisoned by a panicked thread: {what}"),
         }
     }
 }

@@ -28,7 +28,8 @@
 //! * [`dict`] — the §5 head/tail dictionary layout.
 //! * [`range`] — range queries and their encrypted wire form.
 //! * [`leakage`] — attacker-view analysis backing the security evaluation.
-//! * [`dynamic`] — the encrypted delta store and protected merge (§4.3).
+//! * [`dynamic`] — the encrypted delta store and the epoch-tagged main store
+//!   (§4.3); the merge itself is [`DictEnclave::merge`].
 //! * [`batch`] — owned request forms for the cross-session ECALL
 //!   batching scheduler (several sessions' calls coalesced into one
 //!   enclave transition).

@@ -11,7 +11,7 @@ use encdict::batch::{
     ReadCall, SegSource,
 };
 use encdict::build::{build_encrypted, BuildParams};
-use encdict::dynamic::{merge_delta, search_combined, EncryptedDeltaStore};
+use encdict::dynamic::EncryptedDeltaStore;
 use encdict::enclave_ops::{
     encrypt_value_for_column, DictCall, DictReply, MergeRequest, SearchRequest,
 };
@@ -117,6 +117,71 @@ fn missing_rotation_offset_rejected() {
     assert!(matches!(err, encdict::EncdictError::CorruptDictionary(_)));
 }
 
+/// Appends `value` to `delta` the way the server's insert path does: the
+/// proxy's ciphertext is re-encrypted by the enclave, then stored.
+fn delta_insert(
+    enclave: &mut DictEnclave,
+    delta: &mut EncryptedDeltaStore,
+    pae: &Pae,
+    rng: &mut StdRng,
+    value: &[u8],
+) {
+    let ct = encrypt_value_for_column(pae, rng, value);
+    let fresh = enclave.reencrypt("t", "c", ct.as_bytes()).unwrap();
+    delta.push_reencrypted(fresh.as_bytes());
+}
+
+/// One `Merge` ECALL folding every row of `delta` into every row of the
+/// main store `dict`/`av` — the request the server's compaction builds.
+fn merge(
+    enclave: &mut DictEnclave,
+    dict: &encdict::EncryptedDictionary,
+    av: &colstore::dictionary::AttributeVector,
+    delta: &EncryptedDeltaStore,
+    kind: EdKind,
+) -> Result<
+    (
+        encdict::EncryptedDictionary,
+        colstore::dictionary::AttributeVector,
+    ),
+    EncdictError,
+> {
+    let delta_seg = delta.segment_ref();
+    enclave.merge(MergeRequest {
+        table_name: "t",
+        col_name: "c",
+        max_len: 8,
+        kind,
+        bs_max: 2,
+        main_head: dict.head_mem(),
+        main_tail: dict.tail_mem(),
+        main_len: dict.len(),
+        main_av: av.as_slice(),
+        main_valid: &ValidityVector::all_valid(av.len()),
+        delta_head: delta_seg.head,
+        delta_tail: delta_seg.tail,
+        delta_len: delta_seg.len,
+        delta_valid: &ValidityVector::all_valid(delta.len()),
+    })
+}
+
+/// RecordIDs matching `range` in one main store.
+fn search_main(
+    enclave: &mut DictEnclave,
+    dict: &encdict::EncryptedDictionary,
+    av: &colstore::dictionary::AttributeVector,
+    range: &EncryptedRange,
+) -> Vec<colstore::dictionary::RecordId> {
+    let result = enclave.search(dict, range).unwrap();
+    encdict::avsearch::search(
+        av,
+        &result,
+        dict.len(),
+        encdict::avsearch::SetSearchStrategy::PaperLinear,
+        encdict::avsearch::Parallelism::Serial,
+    )
+}
+
 /// A `Merge` ECALL that fails mid-merge — here because a main-store
 /// ciphertext was corrupted, so the enclave's authenticated decryption
 /// errors partway through reassembling the column — must leave both the
@@ -127,15 +192,9 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed3);
     let mut delta = EncryptedDeltaStore::new("t", "c", 8);
     for v in ["e", "f"] {
-        let ct = encrypt_value_for_column(&pae, &mut rng, v.as_bytes());
-        delta.insert(&mut enclave, ct.as_bytes()).unwrap();
+        delta_insert(&mut enclave, &mut delta, &pae, &mut rng, v.as_bytes());
     }
-    let validity = ValidityVector::all_valid(av.len());
-    let params = BuildParams {
-        table_name: "t".into(),
-        col_name: "c".into(),
-        bs_max: 2,
-    };
+    let delta_before = delta.segment_copy();
 
     // Corrupt one main ciphertext byte via the persist round-trip (the
     // dictionary's internals are immutable from outside).
@@ -145,51 +204,34 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
     bad[tail_pos] ^= 0x40;
     let (bad_dict, _) = persist::from_bytes(&bad).expect("structurally intact");
 
-    let err = merge_delta(
-        &mut enclave,
-        &bad_dict,
-        &av,
-        &validity,
-        &mut delta,
-        &params,
-        EdKind::Ed3,
-    )
-    .unwrap_err();
+    let err = merge(&mut enclave, &bad_dict, &av, &delta, EdKind::Ed3).unwrap_err();
     assert!(matches!(err, encdict::EncdictError::Crypto(_)), "{err:?}");
 
-    // The delta was not reset by the failed merge...
+    // The delta was not touched by the failed merge...
     assert_eq!(delta.len(), 2);
-    assert_eq!(delta.valid_len(), 2);
+    let delta_after = delta.segment_copy();
+    assert_eq!(
+        (delta_after.head, delta_after.tail),
+        (delta_before.head, delta_before.tail)
+    );
     // ...and the *original* (uncorrupted) store plus the delta still
     // answer combined reads correctly.
     let range = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "f"));
-    let combined = search_combined(&mut enclave, &dict, &av, &validity, &delta, &range).unwrap();
-    assert_eq!(combined.main.len(), 5, "main rows a,b,c,d,a all match");
-    assert_eq!(combined.delta.len(), 2, "delta rows e,f both match");
+    let main_rids = search_main(&mut enclave, &dict, &av, &range);
+    assert_eq!(main_rids.len(), 5, "main rows a,b,c,d,a all match");
+    let delta_dict = delta.as_dictionary().unwrap();
+    let results = enclave
+        .search_multi(&delta_dict, std::slice::from_ref(&range), None)
+        .unwrap();
+    let delta_rids = delta.record_ids(&results).unwrap();
+    assert_eq!(delta_rids.len(), 2, "delta rows e,f both match");
 
     // The same merge against the intact store succeeds — recovery needs
     // no special handling.
-    let (new_dict, new_av) = merge_delta(
-        &mut enclave,
-        &dict,
-        &av,
-        &validity,
-        &mut delta,
-        &params,
-        EdKind::Ed3,
-    )
-    .unwrap();
-    assert!(delta.is_empty());
+    let (new_dict, new_av) = merge(&mut enclave, &dict, &av, &delta, EdKind::Ed3).unwrap();
     assert_eq!(new_av.len(), 7);
     let range = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "f"));
-    let result = enclave.search(&new_dict, &range).unwrap();
-    let rids = encdict::avsearch::search(
-        &new_av,
-        &result,
-        new_dict.len(),
-        encdict::avsearch::SetSearchStrategy::PaperLinear,
-        encdict::avsearch::Parallelism::Serial,
-    );
+    let rids = search_main(&mut enclave, &new_dict, &new_av, &range);
     assert_eq!(rids.len(), 7, "all merged rows match [a, f]");
 }
 
@@ -200,41 +242,15 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
 fn unprovisioned_merge_enclave_fails_cleanly() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed1);
     let mut delta = EncryptedDeltaStore::new("t", "c", 8);
-    let ct = encrypt_value_for_column(&pae, &mut rng, b"z");
-    delta.insert(&mut enclave, ct.as_bytes()).unwrap();
-    let validity = ValidityVector::all_valid(av.len());
-    let params = BuildParams {
-        table_name: "t".into(),
-        col_name: "c".into(),
-        bs_max: 2,
-    };
+    delta_insert(&mut enclave, &mut delta, &pae, &mut rng, b"z");
 
     let mut cold = DictEnclave::with_seed(999); // never provisioned
-    let err = merge_delta(
-        &mut cold,
-        &dict,
-        &av,
-        &validity,
-        &mut delta,
-        &params,
-        EdKind::Ed1,
-    )
-    .unwrap_err();
+    let err = merge(&mut cold, &dict, &av, &delta, EdKind::Ed1).unwrap_err();
     assert_eq!(err, encdict::EncdictError::KeyNotProvisioned);
     assert_eq!(delta.len(), 1, "failed merge must not consume the delta");
 
-    let (_, new_av) = merge_delta(
-        &mut enclave,
-        &dict,
-        &av,
-        &validity,
-        &mut delta,
-        &params,
-        EdKind::Ed1,
-    )
-    .unwrap();
+    let (_, new_av) = merge(&mut enclave, &dict, &av, &delta, EdKind::Ed1).unwrap();
     assert_eq!(new_av.len(), 6);
-    assert!(delta.is_empty());
 }
 
 /// A rotation offset re-encrypted under the wrong key is rejected before

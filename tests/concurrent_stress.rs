@@ -629,7 +629,7 @@ fn partition_parallel_join_spans_nest_correctly() {
                 assert_eq!(e.name, "ecall.search", "only searches under a scan");
             }
             // Nesting is temporal containment: the partition interval
-            // lies inside its scan (fan_out joins before the scan ends).
+            // lies inside its scan (the workers are joined before the scan ends).
             assert!(p.start_ns >= scan.start_ns, "partition starts in scan");
             assert!(
                 p.start_ns + p.dur_ns <= scan.start_ns + scan.dur_ns,
