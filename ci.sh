@@ -32,9 +32,19 @@ for root in src/lib.rs crates/*/src/lib.rs; do
     fi
 done
 
+# The §5 head/tail layout has one owner, `encdict::dict::Segment`
+# (DESIGN.md §1): a field or parameter `head: Vec<u8>` anywhere else is a
+# second copy of the layout growing back.
+SEGMENT_MODULE=crates/encdict/src/dict.rs
+if grep -rnE '^\s*(pub(\(crate\))? )?head: Vec<u8>' src crates/*/src --include='*.rs' |
+    grep -v "^$SEGMENT_MODULE:"; then
+    echo "a head/tail pair outside $SEGMENT_MODULE (listed above)"
+    exit 1
+fi
+
 # Non-test code lines of the three core crates (ROADMAP item 5's exit
-# criterion is stated in this number).
-run tools/code_lines.sh
+# criterion is stated in this number), and the ten largest files.
+run tools/code_lines.sh --files
 run cargo build --release --offline
 run cargo test -q --offline
 run cargo fmt --check
@@ -60,6 +70,17 @@ run env ENCDBDB_STRESS_THREADS=4 ENCDBDB_STRESS_ROWS=2000 \
 # tails, swapped snapshot files) and checkpoint/fsync-batching recovery.
 run env ENCDBDB_STRESS_THREADS=4 ENCDBDB_STRESS_ROWS=2000 \
     cargo test -q --offline --test crash_recovery
+# What the one head/tail segment promises (DESIGN.md §1, §9, §12): it
+# behaves as a list of entries whatever was pushed, frozen or drained; a
+# snapshot shares the delta stores and a write copies them only while one
+# does; and the bytes `persist` writes are the bytes it always wrote.
+run cargo test -q --offline -p encdict --lib -- \
+    segment_agrees_with_a_vec_of_entries \
+    scattered_tail_order_does_not_change_entries
+run cargo test -q --offline -p encdbdb --lib -- \
+    a_snapshot_shares_the_delta_and_a_write_copies_it_at_most_once
+run cargo test -q --offline -p encdict --test persist_roundtrip \
+    serialised_dictionaries_keep_their_pinned_digests
 # What the partition's four transitions (DESIGN.md §9) promise, on state
 # and not only on answers: a recovered partition equals the live one field
 # for field, and a failed merge changes nothing.

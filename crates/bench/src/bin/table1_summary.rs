@@ -23,31 +23,39 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workload::RangeQueryGen;
 
-/// The trusted computing base: everything that runs inside the enclave.
+/// One source file of the `encdict` crate, by its path under `src/`.
+macro_rules! encdict_source {
+    ($path:literal) => {
+        ($path, include_str!(concat!("../../../encdict/src/", $path)))
+    };
+}
+
+/// The trusted computing base: every `encdict` module that
+/// `DictLogic::dispatch` reaches — search (Algorithms 1–4 and `ENCODE`),
+/// the aggregate and join-bridge cores, the rebuild inside `Merge`, and
+/// the request, range, kind, error and head/tail types they read.
 const TCB_SOURCES: &[(&str, &str)] = &[
-    (
-        "enclave_ops.rs",
-        include_str!("../../../encdict/src/enclave_ops.rs"),
-    ),
-    (
-        "search/mod.rs",
-        include_str!("../../../encdict/src/search/mod.rs"),
-    ),
-    (
-        "search/sorted.rs",
-        include_str!("../../../encdict/src/search/sorted.rs"),
-    ),
-    (
-        "search/rotated.rs",
-        include_str!("../../../encdict/src/search/rotated.rs"),
-    ),
-    (
-        "search/unsorted.rs",
-        include_str!("../../../encdict/src/search/unsorted.rs"),
-    ),
-    ("encode.rs", include_str!("../../../encdict/src/encode.rs")),
-    ("bigint.rs", include_str!("../../../encdict/src/bigint.rs")),
+    encdict_source!("enclave_ops.rs"),
+    encdict_source!("search/mod.rs"),
+    encdict_source!("search/sorted.rs"),
+    encdict_source!("search/rotated.rs"),
+    encdict_source!("search/unsorted.rs"),
+    encdict_source!("encode.rs"),
+    encdict_source!("bigint.rs"),
+    encdict_source!("aggregate.rs"),
+    encdict_source!("build.rs"),
+    encdict_source!("bucket.rs"),
+    encdict_source!("range.rs"),
+    encdict_source!("batch.rs"),
+    encdict_source!("dict.rs"),
+    encdict_source!("kind.rs"),
+    encdict_source!("error.rs"),
 ];
+
+/// From this line on `enclave_ops.rs` is the host's handle to the enclave
+/// (`DictEnclave`) and the proxy's two value helpers: untrusted code,
+/// reported but not counted.
+const HOST_SIDE_STARTS: &str = "/// Host-side handle to the dictionary enclave.";
 
 /// Counts non-empty, non-comment, non-test lines (a simple LoC metric).
 fn count_loc(source: &str) -> usize {
@@ -146,12 +154,21 @@ fn main() {
     // --- Trusted LoC.
     println!("\ntrusted computing base (in-enclave code):");
     let mut total = 0usize;
+    let mut host_side = 0usize;
     for (name, source) in TCB_SOURCES {
-        let loc = count_loc(source);
+        let (trusted, host) = source.split_once(HOST_SIDE_STARTS).unwrap_or((source, ""));
+        let loc = count_loc(trusted);
         total += loc;
+        host_side += count_loc(host);
         println!("  {name:<20} {loc:>5} LoC");
     }
     println!("  {:<20} {total:>5} LoC (paper's C enclave: 1129)", "TOTAL");
+    println!(
+        "  not counted: {host_side} LoC of enclave_ops.rs from `DictEnclave` on (the host's \
+         handle and the proxy's helpers),"
+    );
+    println!("  and what the paper's count leaves to the SGX SDK: the crypto crate, the");
+    println!("  enclave runtime (enclave_sim) and colstore's Column, which Merge rebuilds from.");
     println!();
     println!("note: the software-AES substitution inflates the absolute performance");
     println!("overhead vs the paper's hardware AES-GCM; the shape (constant additive");

@@ -44,9 +44,10 @@ use crate::server::{
 use colstore::delta::DeltaStore;
 use colstore::dictionary::RecordId;
 use encdict::aggregate::{AggPlanSpec, AggSpec, GroupPartials, OutputItem};
-use encdict::batch::{AggPartitionData, AggregateRequest, ColumnData, SegSource};
+use encdict::batch::{AggPartitionData, AggregateRequest, ColumnData};
 use encdict::enclave_ops::AggCell;
 use encdict::PlainDictionary;
+use std::sync::Arc;
 
 /// Resolves the distinct touched codes of a PLAIN column to their values
 /// (main dictionary below `dict.len()`, delta rows above).
@@ -95,21 +96,12 @@ struct PartScan {
 
 impl DbaasServer {
     /// Executes a grouped aggregation (the `exec` engine's entry point)
-    /// over all partitions.
+    /// over the partitions in scope.
     ///
     /// # Errors
     ///
     /// Propagates lookup, plan-validation and enclave failures.
-    pub fn aggregate(
-        &self,
-        table: &str,
-        plan: &AggregatePlan,
-        filters: &[ServerFilter],
-    ) -> Result<SelectResponse, DbError> {
-        self.aggregate_scoped(table, plan, filters, None, SpanId::NONE)
-    }
-
-    pub(crate) fn aggregate_scoped(
+    pub(crate) fn aggregate(
         &self,
         table: &str,
         plan: &AggregatePlan,
@@ -225,10 +217,11 @@ impl DbaasServer {
         let agg_start = std::time::Instant::now();
         let rows: Vec<Vec<CellValue>> = if any_encrypted {
             // Partitions with no matching rows contribute no part. The
-            // request owns what it references (Arc'd main generations,
-            // copied delta segments) so it can ride a combined transition
-            // of the cross-session scheduler; its generation key is the
-            // maximum epoch among the included partition snapshots.
+            // request shares what it references (`Arc`s of the main
+            // generations and of the snapshot's delta stores) so it can
+            // ride a combined transition of the cross-session scheduler;
+            // its generation key is the maximum epoch among the included
+            // partition snapshots.
             let mut generation = 0u64;
             let part_data: Vec<AggPartitionData> = active
                 .iter()
@@ -246,8 +239,8 @@ impl DbaasServer {
                                         MainColumn::Encrypted(main),
                                         ColumnDelta::Encrypted(delta),
                                     ) => ColumnData::Encrypted {
-                                        main: SegSource::Shared(main.dict_arc()),
-                                        delta: delta.segment_copy(),
+                                        main: main.dict_arc(),
+                                        delta: Arc::clone(delta),
                                         codes: scan.remapped.codes[c].clone(),
                                         cache: Some((*pid as u64, snap.epoch())),
                                     },

@@ -314,21 +314,16 @@ pub(crate) fn execute_compaction(
                     DictChoice::Plain => unreachable!("schema/storage mismatch"),
                 };
                 let dict = main.dict();
-                let delta_seg = delta.segment_ref();
                 let req = MergeRequest {
                     table_name: dict.table_name(),
                     col_name: dict.col_name(),
                     max_len: dict.max_len(),
                     kind,
                     bs_max: spec.bs_max,
-                    main_head: dict.head_mem(),
-                    main_tail: dict.tail_mem(),
-                    main_len: dict.len(),
+                    main: dict.segment().view(),
                     main_av: main.av().as_slice(),
                     main_valid: &job.main_validity,
-                    delta_head: delta_seg.head,
-                    delta_tail: delta_seg.tail,
-                    delta_len: delta.len(),
+                    delta: delta.segment().view(),
                     delta_valid: &job.delta_validity,
                 };
                 // Merge traffic is dominated by the streamed dictionary

@@ -29,10 +29,11 @@ use crate::error::DbError;
 use crate::obs::SpanId;
 use crate::schema::DictChoice;
 use colstore::dictionary::RecordId;
-use encdict::batch::{ColumnData, JoinBridgeRequest, JoinSideData, SegSource};
+use encdict::batch::{ColumnData, JoinBridgeRequest, JoinSideData};
 use encdict::enclave_ops::bridge_key_tables;
 use encdict::RepetitionOption;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One scanned partition of one join side: its matching rows, each row's
 /// join-key code (main ValueID or offset delta row), and the distinct
@@ -126,21 +127,13 @@ fn resolve_plain_keys(snap_col: &MainColumn, delta: &ColumnDelta, codes: &[u32])
 type SideMaps = Vec<HashMap<u32, u32>>;
 
 impl DbaasServer {
-    /// Executes a two-table equi-join (public wrapper over the
+    /// Executes a two-table equi-join (the
     /// [`ServerQuery::Join`](super::ServerQuery::Join) path).
     ///
     /// # Errors
     ///
     /// Propagates lookup and enclave failures.
-    pub fn join(
-        &self,
-        left: &JoinSideQuery,
-        right: &JoinSideQuery,
-    ) -> Result<SelectResponse, DbError> {
-        self.join_inner(left, right, SpanId::NONE)
-    }
-
-    pub(crate) fn join_inner(
+    pub(crate) fn join(
         &self,
         left: &JoinSideQuery,
         right: &JoinSideQuery,
@@ -343,10 +336,10 @@ impl DbaasServer {
         }
 
         // The general case (mixed protections or both encrypted): one
-        // JoinBridge ECALL for the whole query. The request owns what it
-        // references (Arc'd main generations, copied delta segments) so
-        // it can ride a combined transition of the cross-session
-        // scheduler.
+        // JoinBridge ECALL for the whole query. The request shares what it
+        // references (`Arc`s of the main generations and of the delta
+        // stores the snapshots froze) so it can ride a combined
+        // transition of the cross-session scheduler.
         fn build_side(
             ts: &TableSnapshot,
             table: &str,
@@ -369,8 +362,8 @@ impl DbaasServer {
                         };
                         *generation = (*generation).max(snap.epoch());
                         ColumnData::Encrypted {
-                            main: SegSource::Shared(main.dict_arc()),
-                            delta: delta.segment_copy(),
+                            main: main.dict_arc(),
+                            delta: Arc::clone(delta),
                             codes: part.distinct.clone(),
                             cache: Some((*pid as u64, snap.epoch())),
                         }

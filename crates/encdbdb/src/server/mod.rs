@@ -35,10 +35,11 @@
 //! same storage, so any number of reader sessions can execute queries
 //! concurrently. Each partition's main store is an immutable, epoch-tagged
 //! [`MainSnapshot`](encdict::dynamic::MainSnapshot) published behind an
-//! `Arc`; queries acquire an owned partition snapshot (Arc clone of the
-//! main state plus a frozen copy of the small delta) under one short mutex
-//! and then run entirely lock-free. Writes append to the owning
-//! partition's delta store under the same short mutex.
+//! `Arc`; queries acquire an owned partition snapshot (`Arc` clones of the
+//! main state and of every delta store) under one short mutex and then run
+//! entirely lock-free. Writes append to the owning partition's delta store
+//! under the same short mutex, copying it first only if a snapshot still
+//! shares it.
 
 mod compaction;
 mod join;
@@ -307,8 +308,8 @@ impl DbaasServer {
             merge_enclave: Arc::new(Mutex::new(merge)),
             tables: Arc::new(RwLock::new(HashMap::new())),
             config: Arc::new(Mutex::new(Config {
-                // A bounded delta by default: snapshots copy the delta
-                // side, so it must not grow without limit.
+                // A bounded delta by default: every filtered read scans it
+                // linearly, so it must not grow without limit.
                 policy: Some(CompactionPolicy::default()),
                 merge_throttle: None,
             })),
@@ -346,8 +347,8 @@ impl DbaasServer {
     }
 
     /// Installs (or removes) the threshold-driven compaction policy. The
-    /// default is [`CompactionPolicy::default`] — read snapshots copy the
-    /// delta side, so each partition's delta must stay bounded. `None`
+    /// default is [`CompactionPolicy::default`] — reads scan the delta
+    /// side linearly, so each partition's delta must stay bounded. `None`
     /// disables automatic merges entirely (deterministic single-threaded
     /// deployments; the caller then owns keeping the deltas small via
     /// [`DbaasServer::merge_table`]).
@@ -693,7 +694,7 @@ impl DbaasServer {
                 columns,
                 filters,
                 scope,
-            } => Ok(QueryOutcome::Rows(self.select_inner(
+            } => Ok(QueryOutcome::Rows(self.select(
                 &table,
                 &columns,
                 &filters,
@@ -705,7 +706,7 @@ impl DbaasServer {
                 plan,
                 filters,
                 scope,
-            } => Ok(QueryOutcome::Rows(self.aggregate_scoped(
+            } => Ok(QueryOutcome::Rows(self.aggregate(
                 &table,
                 &plan,
                 &filters,
@@ -716,7 +717,7 @@ impl DbaasServer {
                 table,
                 rows,
                 partition_ids,
-            } => Ok(QueryOutcome::Affected(self.insert_inner(
+            } => Ok(QueryOutcome::Affected(self.insert(
                 &table,
                 &rows,
                 partition_ids.as_deref(),
@@ -726,14 +727,14 @@ impl DbaasServer {
                 table,
                 filters,
                 scope,
-            } => Ok(QueryOutcome::Affected(self.delete_inner(
+            } => Ok(QueryOutcome::Affected(self.delete(
                 &table,
                 &filters,
                 scope.as_deref(),
                 parent,
             )?)),
             ServerQuery::Join { left, right } => {
-                Ok(QueryOutcome::Rows(self.join_inner(&left, &right, parent)?))
+                Ok(QueryOutcome::Rows(self.join(&left, &right, parent)?))
             }
         }
     }

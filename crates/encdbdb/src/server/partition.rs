@@ -2,7 +2,8 @@
 //! stores, validity vectors and merge bookkeeping.
 //!
 //! A partition is the unit of both query fan-out and compaction: readers
-//! snapshot partitions independently (one short lock each), and a
+//! snapshot partitions independently (one short lock each, under which
+//! only `Arc`s are cloned — stores are shared, never copied), and a
 //! background merge captures/rebuilds/publishes exactly one partition
 //! while every other partition keeps serving reads and writes from its
 //! own state.
@@ -20,8 +21,8 @@ use super::lock;
 use crate::schema::{DictChoice, TableSchema};
 use colstore::delta::{DeltaStore, ValidityVector};
 use colstore::dictionary::{AttributeVector, RecordId};
-use encdict::dynamic::{EncryptedDeltaStore, MainSnapshot};
-use encdict::PlainDictionary;
+use encdict::dynamic::MainSnapshot;
+use encdict::{EncryptedDictionary, PlainDictionary};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -64,33 +65,37 @@ pub(crate) struct MainState {
     pub(crate) rows: usize,
 }
 
-/// One column's delta store. `Clone` freezes it as a snapshot.
+/// One column's delta store — for an encrypted column an ED9 dictionary
+/// that grows (paper §4.3). Shared copy-on-write: `Clone` is an `Arc`
+/// clone that freezes the store as a snapshot sees it, and the partition
+/// writes through [`Arc::make_mut`], which copies the store only while
+/// such a clone is alive.
 #[derive(Debug, Clone)]
 pub(crate) enum ColumnDelta {
-    Encrypted(EncryptedDeltaStore),
-    Plain(DeltaStore),
+    Encrypted(Arc<EncryptedDictionary>),
+    Plain(Arc<DeltaStore>),
 }
 
 impl ColumnDelta {
     fn prefix(&self, n: usize) -> ColumnDelta {
         match self {
-            ColumnDelta::Encrypted(d) => ColumnDelta::Encrypted(d.prefix(n)),
-            ColumnDelta::Plain(d) => ColumnDelta::Plain(d.prefix(n)),
+            ColumnDelta::Encrypted(d) => ColumnDelta::Encrypted(Arc::new(d.prefix(n))),
+            ColumnDelta::Plain(d) => ColumnDelta::Plain(Arc::new(d.prefix(n))),
         }
     }
 
     fn drain_prefix(&mut self, n: usize) {
         match self {
-            ColumnDelta::Encrypted(d) => d.drain_prefix(n),
-            ColumnDelta::Plain(d) => d.drain_prefix(n),
+            ColumnDelta::Encrypted(d) => Arc::make_mut(d).drain_prefix(n),
+            ColumnDelta::Plain(d) => Arc::make_mut(d).drain_prefix(n),
         }
     }
 }
 
-/// An owned, consistent view of one partition: the Arc'd main generation
-/// plus a frozen copy of the (small, threshold-bounded) delta side.
-/// Everything a read query touches lives here, so queries never hold a
-/// lock while searching, scanning or rendering.
+/// An owned, consistent view of one partition: `Arc` clones of the main
+/// generation, of every column's delta store and of both validity
+/// vectors. Everything a read query touches lives here, so queries never
+/// hold a lock while searching, scanning or rendering.
 #[derive(Debug)]
 pub(crate) struct PartitionSnapshot {
     pub(crate) main: Arc<MainState>,
@@ -101,8 +106,8 @@ pub(crate) struct PartitionSnapshot {
     pub(crate) main_valid_rows: usize,
     pub(crate) deltas: Vec<ColumnDelta>,
     /// One bit per delta row, shared by every column.
-    pub(crate) delta_validity: ValidityVector,
-    /// Valid delta rows, counted once at snapshot time.
+    pub(crate) delta_validity: Arc<ValidityVector>,
+    /// Valid delta rows, captured O(1) like `main_valid_rows`.
     pub(crate) delta_valid_rows: usize,
 }
 
@@ -135,8 +140,10 @@ pub(crate) struct CompactionJob {
 #[derive(Debug)]
 pub(crate) struct PartitionState {
     main: Arc<MainState>,
-    /// Copy-on-write: snapshots and merge jobs clone the `Arc`; deletes
-    /// (the rare path) pay the copy via `Arc::make_mut`.
+    /// Copy-on-write, like the deltas and `delta_validity` below:
+    /// snapshots clone the `Arc`; a write goes through `Arc::make_mut`
+    /// and pays a copy only if a snapshot taken since the previous write
+    /// is still alive.
     main_validity: Arc<ValidityVector>,
     /// Invalidated main rows — keeps the compaction-policy check O(1)
     /// instead of a popcount scan per write.
@@ -144,7 +151,9 @@ pub(crate) struct PartitionState {
     /// One store per column, all `delta_validity.len()` rows long.
     deltas: Vec<ColumnDelta>,
     /// The one validity vector of the delta side.
-    delta_validity: ValidityVector,
+    delta_validity: Arc<ValidityVector>,
+    /// Invalidated delta rows, so that a snapshot counts nothing.
+    delta_invalid: usize,
     merge_in_flight: bool,
     /// Delta rows below this watermark are being folded by the in-flight
     /// merge.
@@ -188,7 +197,7 @@ impl PartitionState {
 
     /// Rows a query can still see.
     pub(crate) fn valid_rows(&self) -> usize {
-        self.main.rows - self.main_invalid + self.delta_validity.count_valid()
+        self.main.rows - self.main_invalid + self.delta_rows() - self.delta_invalid
     }
 
     /// Whether a merge would change anything: delta rows to fold or
@@ -217,14 +226,16 @@ impl PartitionState {
                 let cell = cells.next().expect("callers validated the row arity");
                 match delta {
                     ColumnDelta::Encrypted(d) => {
-                        d.push_reencrypted(cell);
+                        Arc::make_mut(d).push(cell);
                     }
                     ColumnDelta::Plain(d) => {
-                        d.insert(cell).expect("callers validated the cell length");
+                        Arc::make_mut(d)
+                            .insert(cell)
+                            .expect("callers validated the cell length");
                     }
                 }
             }
-            self.delta_validity.push(true);
+            Arc::make_mut(&mut self.delta_validity).push(true);
         }
     }
 
@@ -251,12 +262,16 @@ impl PartitionState {
         }
         let mut flipped_delta = 0usize;
         let mut flipped_merged_delta = false;
-        for rid in delta_rids {
-            if self.delta_validity.is_valid(rid.0 as usize) {
-                self.delta_validity.invalidate(rid.0 as usize);
-                flipped_delta += 1;
-                flipped_merged_delta |= (rid.0 as usize) < self.merge_watermark;
+        if !delta_rids.is_empty() {
+            let validity = Arc::make_mut(&mut self.delta_validity);
+            for rid in delta_rids {
+                if validity.is_valid(rid.0 as usize) {
+                    validity.invalidate(rid.0 as usize);
+                    flipped_delta += 1;
+                    flipped_merged_delta |= (rid.0 as usize) < self.merge_watermark;
+                }
             }
+            self.delta_invalid += flipped_delta;
         }
         if self.merge_in_flight && (flipped_main > 0 || flipped_merged_delta) {
             self.deletes_during_merge = true;
@@ -318,7 +333,8 @@ impl PartitionState {
         for delta in &mut self.deltas {
             delta.drain_prefix(job.watermark);
         }
-        self.delta_validity = self.delta_validity.suffix(job.watermark);
+        self.delta_validity = Arc::new(self.delta_validity.suffix(job.watermark));
+        self.delta_invalid = self.delta_rows() - self.delta_validity.count_valid();
         self.drained_total += job.watermark as u64;
     }
 }
@@ -350,12 +366,10 @@ impl Partition {
             .columns
             .iter()
             .map(|spec| match spec.choice {
-                DictChoice::Encrypted(_) => ColumnDelta::Encrypted(EncryptedDeltaStore::new(
-                    schema.name.clone(),
-                    spec.name.clone(),
-                    spec.max_len,
+                DictChoice::Encrypted(_) => ColumnDelta::Encrypted(Arc::new(
+                    EncryptedDictionary::delta(&schema.name, &spec.name, spec.max_len),
                 )),
-                DictChoice::Plain => ColumnDelta::Plain(DeltaStore::new(spec.max_len)),
+                DictChoice::Plain => ColumnDelta::Plain(Arc::new(DeltaStore::new(spec.max_len))),
             })
             .collect();
         Partition {
@@ -369,7 +383,8 @@ impl Partition {
                 main_validity: Arc::new(ValidityVector::all_valid(rows)),
                 main_invalid: 0,
                 deltas,
-                delta_validity: ValidityVector::default(),
+                delta_validity: Arc::default(),
+                delta_invalid: 0,
                 merge_in_flight: false,
                 merge_watermark: 0,
                 deletes_during_merge: false,
@@ -379,18 +394,18 @@ impl Partition {
         }
     }
 
-    /// Acquires a consistent read snapshot of this partition (one short
-    /// lock).
+    /// Acquires a consistent read snapshot of this partition: one short
+    /// lock, under which only `Arc`s are cloned — O(columns), whatever the
+    /// delta holds.
     pub(crate) fn snapshot(&self) -> PartitionSnapshot {
         let state = lock(&self.state);
-        let delta_validity = state.delta_validity.clone();
         PartitionSnapshot {
             main: Arc::clone(&state.main),
             main_validity: Arc::clone(&state.main_validity),
             main_valid_rows: state.main.rows - state.main_invalid,
             deltas: state.deltas.clone(),
-            delta_valid_rows: delta_validity.count_valid(),
-            delta_validity,
+            delta_validity: Arc::clone(&state.delta_validity),
+            delta_valid_rows: state.delta_rows() - state.delta_invalid,
         }
     }
 

@@ -32,9 +32,9 @@
 //! join-bridge) plus store generation. Requests pinned to different
 //! snapshot epochs never share a round — a compaction publish mid-batch
 //! splits the queue at the epoch flip instead of mixing generations.
-//! (Correctness never depends on this: every request *owns* its segment
-//! data via `Arc`s or copies, so it always executes against the snapshot
-//! it was built from. The key is dispatch policy, keeping a round's
+//! (Correctness never depends on this: every request holds the stores it
+//! names by `Arc`, so it always executes against the snapshot it was
+//! built from. The key is dispatch policy, keeping a round's
 //! combined payload describable as "K requests against one store
 //! generation" for the leakage analysis.)
 //!
@@ -429,16 +429,11 @@ fn drain_matching(queue: &mut Vec<Pending>, key: BatchKey) -> Vec<Pending> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use encdict::batch::SegSource;
 
-    /// A search over an empty delta store materialized as an empty ED9
-    /// dictionary — the cheapest call obtainable through public API.
+    /// A search over an empty delta store — the cheapest call there is.
     fn empty_search() -> SearchCall {
-        let dict = encdict::dynamic::EncryptedDeltaStore::new("t", "c", 0)
-            .as_dictionary()
-            .expect("empty ED9 dictionary");
         SearchCall {
-            dict: SegSource::Owned(Box::new(dict)),
+            dict: Arc::new(encdict::EncryptedDictionary::delta("t", "c", 0)),
             ranges: Vec::new(),
             cache: None,
         }

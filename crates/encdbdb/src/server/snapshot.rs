@@ -17,10 +17,11 @@ use crate::obs::SpanId;
 use crate::schema::TableSchema;
 use colstore::dictionary::RecordId;
 use encdict::avsearch::{self, Parallelism, SetSearchStrategy};
-use encdict::batch::{SearchCall, SegSource};
+use encdict::batch::SearchCall;
 use encdict::plain::search_plain;
 use encdict::search::DictSearchResult;
-use encdict::{CacheTag, EncdictError, EncryptedRange};
+use encdict::{CacheTag, EncdictError, EncryptedDictionary, EncryptedRange};
+use std::sync::Arc;
 
 /// How a partition's attribute vector is scanned: the paper's linear
 /// membership test, on the calling thread — the partition fan-out is the
@@ -47,7 +48,7 @@ struct EnclaveCtx<'a> {
 fn sched_search(
     ctx: &EnclaveCtx<'_>,
     snap: &PartitionSnapshot,
-    dict: SegSource,
+    dict: Arc<EncryptedDictionary>,
     delta: bool,
     ranges: &[EncryptedRange],
     stats: &mut QueryStats,
@@ -64,34 +65,6 @@ fn sched_search(
     let (results, cost) = ctx.sched.search(call, snap.epoch(), ctx.parent)?;
     cost.absorb_into(stats);
     Ok(results)
-}
-
-/// Linear-merge union of two ascending RecordID lists (the `IN`
-/// disjunction combiner — the dual of
-/// [`intersect_sorted`](super::table::intersect_sorted)).
-pub(crate) fn union_sorted(a: &[RecordId], b: &[RecordId]) -> Vec<RecordId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// An owned, consistent view of one table for one query: the resolved
@@ -310,8 +283,7 @@ fn matching_rids(
             let main_rids = if dict.is_empty() || snap.main_valid_rows == 0 || ranges.is_empty() {
                 Vec::new()
             } else {
-                let source = SegSource::Shared(main.dict_arc());
-                let results = sched_search(ctx, snap, source, false, ranges, &mut stats)?;
+                let results = sched_search(ctx, snap, main.dict_arc(), false, ranges, &mut stats)?;
                 let av_start = std::time::Instant::now();
                 let rids = avsearch::search_union(
                     main.av(),
@@ -328,13 +300,11 @@ fn matching_rids(
             {
                 Vec::new()
             } else {
-                // The delta searches as a self-contained ED9 dictionary
-                // built from its own (small, snapshot-frozen) bytes: the
-                // request owns its segment copy, so it stays valid no
-                // matter when the scheduler dispatches it.
-                let source = SegSource::Owned(Box::new(delta.as_dictionary()?));
-                let results = sched_search(ctx, snap, source, true, ranges, &mut stats)?;
-                delta.record_ids(&results)?
+                // The delta is an ED9 dictionary; the request shares the
+                // store this snapshot froze, so it stays valid no matter
+                // when the scheduler dispatches it.
+                let results = sched_search(ctx, snap, Arc::clone(delta), true, ranges, &mut stats)?;
+                encdict::dynamic::record_ids(delta.len(), &results)?
             };
             (main_rids, delta_rids)
         }
@@ -343,20 +313,18 @@ fn matching_rids(
             ColumnDelta::Plain(delta),
             ServerFilter::Plain { ranges, .. },
         ) => {
-            let mut main_rids: Vec<RecordId> = Vec::new();
-            for range in ranges {
-                let dict_start = std::time::Instant::now();
-                let result = search_plain(dict, range)?;
-                stats.dict_search_ns += dict_start.elapsed().as_nanos() as u64;
-                let av_start = std::time::Instant::now();
-                let rids = avsearch::search(av, &result, dict.len(), SET_STRATEGY, AV_PARALLELISM);
-                stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
-                main_rids = if main_rids.is_empty() {
-                    rids
-                } else {
-                    union_sorted(&main_rids, &rids)
-                };
-            }
+            // As for an encrypted column: every range searched first,
+            // then one combined AV pass over the union.
+            let dict_start = std::time::Instant::now();
+            let results = ranges
+                .iter()
+                .map(|range| search_plain(dict, range))
+                .collect::<Result<Vec<_>, _>>()?;
+            stats.dict_search_ns += dict_start.elapsed().as_nanos() as u64;
+            let av_start = std::time::Instant::now();
+            let main_rids =
+                avsearch::search_union(av, &results, dict.len(), SET_STRATEGY, AV_PARALLELISM);
+            stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
             let delta_rids = (0..delta.len() as u32)
                 .map(RecordId)
                 .filter(|&rid| ranges.iter().any(|r| r.contains(delta.value(rid))))
@@ -395,51 +363,26 @@ pub(crate) fn render_main_cell(col: &MainColumn, rid: RecordId) -> CellValue {
 
 pub(crate) fn render_delta_cell(col: &ColumnDelta, rid: RecordId) -> CellValue {
     match col {
-        ColumnDelta::Encrypted(delta) => CellValue::Encrypted(delta.ciphertext(rid).to_vec()),
+        ColumnDelta::Encrypted(delta) => {
+            CellValue::Encrypted(delta.ciphertext(rid.0 as usize).to_vec())
+        }
         ColumnDelta::Plain(delta) => CellValue::Plain(delta.value(rid).to_vec()),
     }
 }
 
 impl DbaasServer {
-    /// Executes a select (Fig. 5 steps 6–13).
+    /// Executes a select (Fig. 5 steps 6–13) with a *conjunction* of
+    /// single-column filters — the prefiltering the paper sketches in step
+    /// 12 ("rid would be used to prefilter other columns in the same
+    /// table"). Each filter runs its own dictionary + attribute-vector
+    /// search; the RecordID lists are intersected. Partitioned tables
+    /// evaluate partition by partition, each against its own consistent
+    /// snapshot, in parallel on scoped threads.
     ///
     /// # Errors
     ///
     /// Propagates lookup and enclave failures.
-    pub fn select(
-        &self,
-        table: &str,
-        columns: &[String],
-        filter: Option<&ServerFilter>,
-    ) -> Result<SelectResponse, DbError> {
-        self.select_multi(
-            table,
-            columns,
-            filter.map(std::slice::from_ref).unwrap_or(&[]),
-        )
-    }
-
-    /// Executes a select with a *conjunction* of single-column filters —
-    /// the prefiltering the paper sketches in step 12 ("rid would be used
-    /// to prefilter other columns in the same table"). Each filter runs its
-    /// own dictionary + attribute-vector search; the RecordID lists are
-    /// intersected. Partitioned tables evaluate partition by partition,
-    /// each against its own consistent snapshot, in parallel on scoped
-    /// threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup and enclave failures.
-    pub fn select_multi(
-        &self,
-        table: &str,
-        columns: &[String],
-        filters: &[ServerFilter],
-    ) -> Result<SelectResponse, DbError> {
-        self.select_inner(table, columns, filters, None, SpanId::NONE)
-    }
-
-    pub(crate) fn select_inner(
+    pub(crate) fn select(
         &self,
         table: &str,
         columns: &[String],
@@ -512,37 +455,5 @@ impl DbaasServer {
             columns: projected,
             rows,
         })
-    }
-
-    /// Counts matching valid rows without rendering result columns — a
-    /// thin wrapper over [`DbaasServer::count_multi`] (the count
-    /// aggregation the paper notes is easier than range search).
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup and enclave failures.
-    pub fn count(&self, table: &str, filter: Option<&ServerFilter>) -> Result<usize, DbError> {
-        self.count_multi(table, filter.map(std::slice::from_ref).unwrap_or(&[]))
-    }
-
-    /// Counts rows matching a conjunction of filters, across all in-scope
-    /// partitions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup and enclave failures.
-    pub fn count_multi(&self, table: &str, filters: &[ServerFilter]) -> Result<usize, DbError> {
-        let ts = self
-            .snapshot_tables(&[(table, filters, None)])?
-            .pop()
-            .expect("one table requested");
-        let counts = self.scan_partitions(
-            &ts,
-            filters,
-            SpanId::NONE,
-            &mut QueryStats::default(),
-            |_, _, main, delta, _, _| Ok(main.len() + delta.len()),
-        )?;
-        Ok(counts.into_iter().sum())
     }
 }

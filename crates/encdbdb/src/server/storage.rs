@@ -930,7 +930,7 @@ fn decode_manifest(payload: &[u8]) -> Result<TableSchema, DbError> {
         let col_name = d.str_field()?;
         let choice = match d.u8()? {
             0 => DictChoice::Plain,
-            n => DictChoice::Encrypted(kind_from_number(n).ok_or_else(|| corrupt("bad kind"))?),
+            n => DictChoice::Encrypted(EdKind::from_number(n).ok_or_else(|| corrupt("bad kind"))?),
         };
         let max_len = d.u64()? as usize;
         let bs_max = d.u64()? as usize;
@@ -960,10 +960,6 @@ fn decode_manifest(payload: &[u8]) -> Result<TableSchema, DbError> {
     }
     d.finish()?;
     Ok(schema)
-}
-
-fn kind_from_number(n: u8) -> Option<EdKind> {
-    EdKind::ALL.into_iter().find(|k| k.number() == n)
 }
 
 // ---------------------------------------------------------------------------

@@ -240,11 +240,7 @@ impl DbaasServer {
     /// # Errors
     ///
     /// Propagates lookup, arity, routing and enclave failures.
-    pub fn insert(&self, table: &str, rows: &[Vec<CellValue>]) -> Result<usize, DbError> {
-        self.insert_inner(table, rows, None, SpanId::NONE)
-    }
-
-    pub(crate) fn insert_inner(
+    pub(crate) fn insert(
         &self,
         table: &str,
         rows: &[Vec<CellValue>],
@@ -369,7 +365,8 @@ impl DbaasServer {
         Ok(rows.len())
     }
 
-    /// Deletes rows matching a conjunction of filters.
+    /// Deletes rows matching a conjunction of filters (§4.3: "deletions
+    /// are realizable by an update on the validity bit").
     ///
     /// Per partition, the matching RecordIDs are computed against a
     /// snapshot; if a compaction publishes a new epoch in between
@@ -380,11 +377,7 @@ impl DbaasServer {
     ///
     /// Propagates lookup and enclave failures; returns
     /// [`DbError::MergeConflict`] if compactions keep racing the delete.
-    pub fn delete_multi(&self, table: &str, filters: &[ServerFilter]) -> Result<usize, DbError> {
-        self.delete_inner(table, filters, None, SpanId::NONE)
-    }
-
-    pub(crate) fn delete_inner(
+    pub(crate) fn delete(
         &self,
         table: &str,
         filters: &[ServerFilter],
@@ -460,17 +453,6 @@ impl DbaasServer {
         obs.add(Counter::RowsDeletedTotal, deleted as u64);
         span.finish();
         Ok(deleted)
-    }
-
-    /// Invalidates matching rows (§4.3: "deletions are realizable by an
-    /// update on the validity bit") — a thin wrapper over
-    /// [`DbaasServer::delete_multi`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates lookup and enclave failures.
-    pub fn delete(&self, table: &str, filter: Option<&ServerFilter>) -> Result<usize, DbError> {
-        self.delete_multi(table, filter.map(std::slice::from_ref).unwrap_or(&[]))
     }
 }
 

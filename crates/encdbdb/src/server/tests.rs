@@ -24,6 +24,52 @@ fn schema() -> TableSchema {
     )
 }
 
+/// The tests' way in is the proxy's: `execute_query`.
+fn affected(server: &DbaasServer, query: ServerQuery) -> Result<usize, DbError> {
+    match server.execute_query(query)? {
+        QueryOutcome::Affected(n) => Ok(n),
+        QueryOutcome::Rows(_) => panic!("a write answers with a row count"),
+    }
+}
+
+fn insert(server: &DbaasServer, table: &str, rows: &[Vec<CellValue>]) -> Result<usize, DbError> {
+    let (table, rows) = (table.to_string(), rows.to_vec());
+    affected(
+        server,
+        ServerQuery::Insert {
+            table,
+            rows,
+            partition_ids: None,
+        },
+    )
+}
+
+fn delete(server: &DbaasServer, table: &str, filters: &[ServerFilter]) -> Result<usize, DbError> {
+    let (table, filters) = (table.to_string(), filters.to_vec());
+    affected(
+        server,
+        ServerQuery::Delete {
+            table,
+            filters,
+            scope: None,
+        },
+    )
+}
+
+/// The rows of `SELECT * FROM table WHERE filters`.
+fn select(server: &DbaasServer, table: &str, filters: &[ServerFilter]) -> Vec<Vec<CellValue>> {
+    let query = ServerQuery::Select {
+        table: table.to_string(),
+        columns: Vec::new(),
+        filters: filters.to_vec(),
+        scope: None,
+    };
+    match server.execute_query(query).unwrap() {
+        QueryOutcome::Rows(response) => response.rows,
+        QueryOutcome::Affected(_) => panic!("a select answers with rows"),
+    }
+}
+
 #[test]
 fn create_empty_table_and_count() {
     let server = DbaasServer::with_enclave(DictEnclave::with_seed(1));
@@ -78,20 +124,18 @@ fn insert_requires_matching_arity_and_forms() {
     server.provision_direct(encdbdb_crypto::Key128::from_bytes([1; 16]));
     server.create_table(schema()).unwrap();
     // Wrong arity.
-    let err = server
-        .insert("t", &[vec![CellValue::Plain(b"x".to_vec())]])
-        .unwrap_err();
+    let err = insert(&server, "t", &[vec![CellValue::Plain(b"x".to_vec())]]).unwrap_err();
     assert!(matches!(err, DbError::ArityMismatch { .. }));
     // Wrong form (plain cell for encrypted column).
-    let err = server
-        .insert(
-            "t",
-            &[vec![
-                CellValue::Plain(b"x".to_vec()),
-                CellValue::Plain(b"y".to_vec()),
-            ]],
-        )
-        .unwrap_err();
+    let err = insert(
+        &server,
+        "t",
+        &[vec![
+            CellValue::Plain(b"x".to_vec()),
+            CellValue::Plain(b"y".to_vec()),
+        ]],
+    )
+    .unwrap_err();
     assert!(matches!(err, DbError::UnsupportedFilter(_)));
 }
 
@@ -115,16 +159,16 @@ fn plain_partition_column_routes_server_side() {
     let schema = TableSchema::new("r", vec![ColumnSpec::new("v", DictChoice::Plain, 8)])
         .with_partitioning(TablePartitioning::new("v", vec![b"m".to_vec()]));
     server.create_table(schema).unwrap();
-    server
-        .insert(
-            "r",
-            &[
-                vec![CellValue::Plain(b"apple".to_vec())],
-                vec![CellValue::Plain(b"zebra".to_vec())],
-                vec![CellValue::Plain(b"m".to_vec())],
-            ],
-        )
-        .unwrap();
+    insert(
+        &server,
+        "r",
+        &[
+            vec![CellValue::Plain(b"apple".to_vec())],
+            vec![CellValue::Plain(b"zebra".to_vec())],
+            vec![CellValue::Plain(b"m".to_vec())],
+        ],
+    )
+    .unwrap();
     // Shard 0: < "m" (apple); shard 1: >= "m" (zebra, m).
     let t = server.table_handle("r").unwrap();
     assert_eq!(lock(&t.partitions[0].state).delta_rows(), 1);
@@ -142,9 +186,7 @@ fn encrypted_partition_column_requires_routing_ids() {
     )
     .with_partitioning(TablePartitioning::new("v", vec![b"m".to_vec()]));
     server.create_table(schema).unwrap();
-    let err = server
-        .insert("e", &[vec![CellValue::Encrypted(vec![0; 16])]])
-        .unwrap_err();
+    let err = insert(&server, "e", &[vec![CellValue::Encrypted(vec![0; 16])]]).unwrap_err();
     assert!(matches!(err, DbError::Partition(_)));
 }
 
@@ -368,22 +410,22 @@ fn merge_on_an_unprovisioned_enclave_changes_nothing_and_retries() {
     server.create_table(one_column_schema()).unwrap();
     let mut col = Column::new(&key);
     let rows: Vec<_> = ["b", "d", "a", "c"].iter().map(|v| col.row(v)).collect();
-    server.insert("t", &rows).unwrap();
+    insert(&server, "t", &rows).unwrap();
     let gone = col.filter(RangeQuery::equals("d"));
-    assert_eq!(server.delete("t", Some(&gone)).unwrap(), 1);
+    assert_eq!(delete(&server, "t", &[gone]).unwrap(), 1);
 
     let err = server.merge_table("t").unwrap_err();
     assert_eq!(err, DbError::Dict(EncdictError::KeyNotProvisioned));
     assert_merge_failed_cleanly(&server, 4);
-    let all = col.filter(RangeQuery::between("a", "z"));
-    assert_eq!(server.count("t", Some(&all)).unwrap(), 3);
+    let all = [col.filter(RangeQuery::between("a", "z"))];
+    assert_eq!(select(&server, "t", &all).len(), 3);
 
     server.merge_enclave().provision_direct(key);
     server.merge_table("t").unwrap();
     let stats = server.compaction_stats("t").unwrap();
     assert_eq!((stats.epoch, stats.delta_rows), (1, 0));
     assert_eq!((stats.merges_completed, stats.merges_failed), (1, 1));
-    assert_eq!(server.count("t", Some(&all)).unwrap(), 3);
+    assert_eq!(select(&server, "t", &all).len(), 3);
 }
 
 #[test]
@@ -413,7 +455,7 @@ fn merge_over_a_tampered_main_store_changes_nothing() {
             vec![DeployedColumn::Encrypted(bad_dict, av)],
         )
         .unwrap();
-    server.insert("t", &[col.row("y"), col.row("z")]).unwrap();
+    insert(&server, "t", &[col.row("y"), col.row("z")]).unwrap();
 
     let err = server.merge_table("t").unwrap_err();
     assert!(
@@ -425,7 +467,82 @@ fn merge_over_a_tampered_main_store_changes_nothing() {
     // top of the domain never reads the tampered entry).
     assert_eq!(server.row_count("t").unwrap(), 6);
     let top = col.filter(RangeQuery::between("d", "z"));
-    assert_eq!(server.count("t", Some(&top)).unwrap(), 3);
+    assert_eq!(select(&server, "t", &[top]).len(), 3);
+}
+
+/// DESIGN.md §9: a snapshot shares every delta store with the live
+/// partition, and a write copies a store only while a snapshot still
+/// shares it — for an encrypted and for a PLAIN column.
+#[test]
+fn a_snapshot_shares_the_delta_and_a_write_copies_it_at_most_once() {
+    let key = Key128::from_bytes([9; 16]);
+    let server = DbaasServer::with_enclave(DictEnclave::with_seed(6));
+    server.provision_direct(key.clone());
+    server.set_compaction_policy(None); // every row stays in the delta
+    let schema = TableSchema::new(
+        "t",
+        vec![
+            ColumnSpec::new("v", DictChoice::Encrypted(EdKind::Ed1), 8),
+            ColumnSpec::new("city", DictChoice::Plain, 8),
+        ],
+    );
+    server.create_table(schema).unwrap();
+    let mut col = Column::new(&key);
+    let mut row = |v: &str| {
+        let mut row = col.row(v);
+        row.push(CellValue::Plain(v.as_bytes().to_vec()));
+        row
+    };
+    insert(&server, "t", &[row("a"), row("b")]).unwrap();
+
+    // Where each column's store lives; encrypted and PLAIN alike.
+    fn addresses(deltas: &[ColumnDelta]) -> Vec<*const ()> {
+        deltas
+            .iter()
+            .map(|delta| match delta {
+                ColumnDelta::Encrypted(d) => Arc::as_ptr(d).cast(),
+                ColumnDelta::Plain(d) => Arc::as_ptr(d).cast(),
+            })
+            .collect()
+    }
+    let cells = |snap: &partition::PartitionSnapshot| -> Vec<Vec<CellValue>> {
+        (0..snap.delta_validity.len() as u32)
+            .map(|i| {
+                let rid = colstore::RecordId(i);
+                let render = |d| snapshot::render_delta_cell(d, rid);
+                snap.deltas.iter().map(render).collect()
+            })
+            .collect()
+    };
+    let partition = &server.table_handle("t").unwrap().partitions[0];
+
+    // A snapshot's stores *are* the live stores.
+    let before = partition.snapshot();
+    assert_eq!(
+        addresses(&before.deltas),
+        addresses(&partition.snapshot().deltas)
+    );
+    let frozen = cells(&before);
+    assert_eq!(frozen.len(), 2);
+
+    // A write while the snapshot is alive leaves it as it was and moves
+    // the live stores to a copy.
+    insert(&server, "t", &[row("c")]).unwrap();
+    assert_eq!(cells(&before), frozen);
+    let live = addresses(&partition.snapshot().deltas);
+    for (then, now) in addresses(&before.deltas).iter().zip(&live) {
+        assert_ne!(then, now, "the write went to the store the snapshot reads");
+    }
+    assert_eq!(cells(&partition.snapshot()).len(), 3);
+
+    // With no snapshot alive, writes append in place: the allocation
+    // that holds each store never changes.
+    drop(before);
+    for i in 0..100 {
+        insert(&server, "t", &[row(&format!("r{i}"))]).unwrap();
+    }
+    assert_eq!(addresses(&partition.snapshot().deltas), live);
+    assert_eq!(select(&server, "t", &[]).len(), 103);
 }
 
 /// ROADMAP 5(5) + 6: a panicking shard worker fails its query with a
@@ -440,7 +557,7 @@ fn panicking_partition_scan_is_a_typed_error() {
         .iter()
         .map(|v| vec![CellValue::Plain(v.as_bytes().to_vec())])
         .collect();
-    server.insert("r", &rows).unwrap();
+    insert(&server, "r", &rows).unwrap();
 
     let ts = server
         .snapshot_tables(&[("r", &[], None)])
@@ -463,7 +580,7 @@ fn panicking_partition_scan_is_a_typed_error() {
         matches!(err, DbError::Dict(EncdictError::Poisoned(_))),
         "{err:?}"
     );
-    assert_eq!(server.count_multi("r", &[]).unwrap(), 3);
+    assert_eq!(select(&server, "r", &[]).len(), 3);
 }
 
 // Full end-to-end behaviour is covered by the proxy/session tests and

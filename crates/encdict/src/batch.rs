@@ -3,14 +3,11 @@
 //!
 //! A session hands its request to whichever thread leads the next enclave
 //! transition (the cross-session scheduler in `encdbdb`), so a request
-//! owns — or shares via [`Arc`] — everything it references; there is no
-//! borrowed flat-combining shortcut in safe Rust.
+//! owns what it references; a store — main generation or delta — it
+//! shares by [`Arc`], never copies.
 //! [`DictLogic`](crate::enclave_ops::DictLogic) reads these types by
-//! reference; there is no second, borrowed spelling of an aggregate or a
-//! bridge request to lower into. Only [`SearchCall`] resolves to the flat
-//! untrusted-pointer view [`SearchRequest`](crate::enclave_ops::SearchRequest),
-//! which [`DictEnclave::search`](crate::DictEnclave::search) also builds
-//! straight from a `&EncryptedDictionary` without cloning it.
+//! reference and names each store to its readers as a
+//! [`SegmentRef`](crate::dict::SegmentRef).
 //!
 //! A [`ReadCall`] is the unit of
 //! [`DictCall::Batch`](crate::enclave_ops::DictCall::Batch): a batch
@@ -24,64 +21,17 @@
 
 use crate::aggregate::AggPlanSpec;
 use crate::dict::EncryptedDictionary;
-use crate::enclave_ops::{CacheTag, SegmentRef};
+use crate::enclave_ops::CacheTag;
 use crate::range::EncryptedRange;
 use std::sync::Arc;
-
-/// An owned handle to one encrypted dictionary segment.
-///
-/// `Shared` keeps a published main-store generation alive through its
-/// [`Arc`] (no copy); `Owned` carries a materialized store — e.g. the ED9
-/// view of a frozen delta, whose bytes are small and already cloned per
-/// search today.
-#[derive(Debug, Clone)]
-pub enum SegSource {
-    /// A published, refcounted store generation.
-    Shared(Arc<EncryptedDictionary>),
-    /// A materialized private copy (delta stores). Boxed so the handle
-    /// stays pointer-sized inside the request envelopes.
-    Owned(Box<EncryptedDictionary>),
-}
-
-impl SegSource {
-    /// The dictionary this source resolves to.
-    pub fn dict(&self) -> &EncryptedDictionary {
-        match self {
-            SegSource::Shared(d) => d,
-            SegSource::Owned(d) => d,
-        }
-    }
-}
-
-/// A copy of one delta store's head/tail segment (aggregate and join
-/// requests reference raw delta segments rather than full dictionaries).
-#[derive(Debug, Clone, Default)]
-pub struct DeltaSegment {
-    /// Fixed-width head entries.
-    pub head: Vec<u8>,
-    /// Variable-width ciphertext tail.
-    pub tail: Vec<u8>,
-    /// Number of entries.
-    pub len: usize,
-}
-
-impl DeltaSegment {
-    /// This segment as the untrusted-memory view the enclave loads from.
-    pub fn segment_ref(&self) -> SegmentRef<'_> {
-        SegmentRef {
-            head: enclave_sim::UntrustedMemory::new(&self.head),
-            tail: enclave_sim::UntrustedMemory::new(&self.tail),
-            len: self.len,
-        }
-    }
-}
 
 /// A dictionary-search request: a dictionary handle plus the encrypted
 /// disjunction (Fig. 5 step 7).
 #[derive(Debug)]
 pub struct SearchCall {
-    /// The dictionary to search (main-store Arc or materialized delta).
-    pub dict: SegSource,
+    /// The dictionary to search: a published main generation, or a
+    /// delta store as a snapshot froze it.
+    pub dict: Arc<EncryptedDictionary>,
     /// The encrypted range filters τ, one per range of the disjunction —
     /// an `IN (...)` lowering batches all its equality ranges here so the
     /// whole disjunction costs a single call.
@@ -113,9 +63,9 @@ pub enum ColumnData {
     /// touched ValueID, not per row).
     Encrypted {
         /// Main-store dictionary.
-        main: SegSource,
-        /// Delta-store dictionary (ED9 layout).
-        delta: DeltaSegment,
+        main: Arc<EncryptedDictionary>,
+        /// Delta-store dictionary (ED9).
+        delta: Arc<EncryptedDictionary>,
         /// Distinct touched codes, ascending; value-table index `i`
         /// resolves to `codes[i]`.
         codes: Vec<u32>,
@@ -241,7 +191,7 @@ impl JoinBridgeRequest {
 /// their dedicated [`DictCall`](crate::enclave_ops::DictCall) variants.
 #[derive(Debug)]
 pub enum ReadCall {
-    /// A dictionary search (main or materialized delta store).
+    /// A dictionary search (main or delta store).
     Search(SearchCall),
     /// A grouped aggregation.
     Aggregate(AggregateRequest),
@@ -274,19 +224,14 @@ mod tests {
         }
     }
 
-    /// An empty delta store materializes as an empty ED9 dictionary — the
-    /// cheapest dictionary obtainable through public API.
-    fn empty_dict() -> SegSource {
-        let dict = crate::dynamic::EncryptedDeltaStore::new("t", "c", 8)
-            .as_dictionary()
-            .expect("empty ED9 dictionary");
-        SegSource::Owned(Box::new(dict))
+    fn empty_dict() -> Arc<EncryptedDictionary> {
+        Arc::new(EncryptedDictionary::delta("t", "c", 8))
     }
 
     fn coded(codes: &[u32]) -> ColumnData {
         ColumnData::Encrypted {
             main: empty_dict(),
-            delta: DeltaSegment::default(),
+            delta: empty_dict(),
             codes: codes.to_vec(),
             cache: None,
         }

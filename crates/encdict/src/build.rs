@@ -20,7 +20,7 @@
 //! [`build_plain`] runs steps 1–3 identically but stores plaintext values —
 //! producing the PlainDBDB twin the paper uses as its second baseline.
 
-use crate::dict::{write_head_entry, EncryptedDictionary, PlainDictionary};
+use crate::dict::{EncryptedDictionary, PlainDictionary, Segment};
 use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption, RepetitionOption};
 use colstore::column::Column;
@@ -185,38 +185,25 @@ pub fn build_encrypted<R: Rng + ?Sized>(
 ) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
     let split = split_column(column, kind, params.bs_max, rng)?;
     let pae = Pae::new(sk_d);
-    let n = split.entries.len();
-
     // §5: tail ciphertexts in random order, head offsets in dictionary order.
-    let mut tail_order: Vec<u32> = (0..n as u32).collect();
+    let mut tail_order: Vec<u32> = (0..split.entries.len() as u32).collect();
     tail_order.shuffle(rng);
-    let mut tail: Vec<u8> = Vec::new();
-    let mut locations: Vec<(u64, u32)> = vec![(0, 0); n];
-    for &dict_pos in &tail_order {
-        let ct = pae.encrypt_with_rng(rng, &split.entries[dict_pos as usize], DICT_VALUE_AAD);
-        locations[dict_pos as usize] = (tail.len() as u64, ct.len() as u32);
-        tail.extend_from_slice(ct.as_bytes());
-    }
-    let mut head = Vec::with_capacity(n * crate::dict::HEAD_ENTRY_BYTES);
-    for (offset, len) in &locations {
-        write_head_entry(&mut head, *offset, *len);
-    }
-
+    let segment = Segment::scattered(&tail_order, |pos| {
+        pae.encrypt_with_rng(rng, &split.entries[pos], DICT_VALUE_AAD)
+            .into_bytes()
+    });
     let enc_rnd_offset = split.rnd_offset.map(|off| {
         pae.encrypt_with_rng(rng, &off.to_le_bytes(), ROT_OFFSET_AAD)
             .into_bytes()
     });
-
-    let dict = EncryptedDictionary::from_parts(
+    let dict = EncryptedDictionary::new(
         kind,
         params.table_name.clone(),
         params.col_name.clone(),
         column.max_len(),
-        n,
-        head,
-        tail,
+        segment,
         enc_rnd_offset,
-    )?;
+    );
     Ok((dict, split.av))
 }
 
@@ -232,22 +219,10 @@ pub fn build_plain<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<(PlainDictionary, AttributeVector), EncdictError> {
     let split = split_column(column, kind, params.bs_max, rng)?;
-    let n = split.entries.len();
-    let mut tail_order: Vec<u32> = (0..n as u32).collect();
+    let mut tail_order: Vec<u32> = (0..split.entries.len() as u32).collect();
     tail_order.shuffle(rng);
-    let mut tail: Vec<u8> = Vec::new();
-    let mut locations: Vec<(u64, u32)> = vec![(0, 0); n];
-    for &dict_pos in &tail_order {
-        let v = &split.entries[dict_pos as usize];
-        locations[dict_pos as usize] = (tail.len() as u64, v.len() as u32);
-        tail.extend_from_slice(v);
-    }
-    let mut head = Vec::with_capacity(n * crate::dict::HEAD_ENTRY_BYTES);
-    for (offset, len) in &locations {
-        write_head_entry(&mut head, *offset, *len);
-    }
-    let dict =
-        PlainDictionary::from_parts(kind, column.max_len(), n, head, tail, split.rnd_offset)?;
+    let segment = Segment::scattered(&tail_order, |pos| &split.entries[pos]);
+    let dict = PlainDictionary::new(kind, column.max_len(), segment, split.rnd_offset);
     Ok((dict, split.av))
 }
 

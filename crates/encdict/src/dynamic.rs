@@ -1,5 +1,5 @@
-//! Dynamic data: the encrypted delta store and the epoch-tagged main store
-//! (paper §4.3).
+//! Dynamic data: the epoch-tagged main store and the untrusted half of a
+//! delta search (paper §4.3).
 //!
 //! "For EncDBDB, any encrypted dictionary can be used for the main store and
 //! ED9 should be employed for the delta store. New entries can simply be
@@ -8,6 +8,11 @@
 //! by performing the linear scan ... neither the data order nor the
 //! frequency is leaked during the insertion and search."
 //!
+//! So the delta store is not a type of its own: it is an
+//! [`EncryptedDictionary`] of kind ED9 that starts empty
+//! ([`EncryptedDictionary::delta`]) and grows by
+//! [`push`](EncryptedDictionary::push).
+//!
 //! The periodic merge ([`DictEnclave::merge`](crate::DictEnclave::merge))
 //! re-encrypts every value, re-rotates rotated columns and re-shuffles
 //! unsorted ones so the attacker cannot correlate the old and new main
@@ -15,9 +20,8 @@
 //! sees meanwhile is decided by the owner of these stores — the server's
 //! partition (`encdbdb::server`, DESIGN.md §9).
 
-use crate::dict::{head_entry, write_head_entry, EncryptedDictionary};
+use crate::dict::EncryptedDictionary;
 use crate::error::EncdictError;
-use crate::kind::EdKind;
 use crate::search::DictSearchResult;
 use colstore::dictionary::{AttributeVector, RecordId};
 use std::sync::Arc;
@@ -74,190 +78,36 @@ impl MainSnapshot {
     }
 }
 
-/// An encrypted delta store: an ED9 dictionary that grows by appending
-/// re-encrypted values. A delta row's ValueID *is* its RecordID, so there
-/// is no attribute vector; which rows are still valid is kept by the owner
-/// of the row space (one validity vector for all columns of a partition).
+/// The untrusted half of a delta search: turns the enclave's per-range
+/// replies to a search of a delta store of `delta_len` rows into
+/// ascending, deduplicated RecordIDs. An ED9 reply lists ValueIDs, and a
+/// delta's ValueIDs are its RecordIDs; ids at or past `delta_len` are
+/// dropped, as the attribute-vector scan this replaces never saw them.
 ///
-/// `Clone` produces a frozen snapshot of the store at its current length —
-/// the delta-side half of a consistent read snapshot.
-#[derive(Debug, Clone)]
-pub struct EncryptedDeltaStore {
-    table_name: String,
-    col_name: String,
-    max_len: usize,
-    /// ED9 head/tail grown incrementally.
-    head: Vec<u8>,
-    tail: Vec<u8>,
-    len: usize,
-}
-
-impl EncryptedDeltaStore {
-    /// Creates an empty delta store for the given column.
-    pub fn new(table_name: impl Into<String>, col_name: impl Into<String>, max_len: usize) -> Self {
-        EncryptedDeltaStore {
-            table_name: table_name.into(),
-            col_name: col_name.into(),
-            max_len,
-            head: Vec::new(),
-            tail: Vec::new(),
-            len: 0,
-        }
+/// # Errors
+///
+/// Returns [`EncdictError::CorruptDictionary`] for a ValueID-range reply,
+/// which no ED9 search produces.
+pub fn record_ids(
+    delta_len: usize,
+    results: &[DictSearchResult],
+) -> Result<Vec<RecordId>, EncdictError> {
+    let mut rids = Vec::new();
+    for result in results {
+        let DictSearchResult::Ids(ids) = result else {
+            return Err(EncdictError::CorruptDictionary(
+                "ED9 delta search answered with ValueID ranges",
+            ));
+        };
+        rids.extend(
+            ids.iter()
+                .filter(|&&id| (id as usize) < delta_len)
+                .map(|&id| RecordId(id)),
+        );
     }
-
-    /// Number of rows ever appended.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Appends a ciphertext the enclave re-encrypted with a fresh IV
-    /// ([`DictEnclave::reencrypt`](crate::DictEnclave::reencrypt), run
-    /// outside any storage lock), so the stored bytes are unlinkable to
-    /// the insert message.
-    pub fn push_reencrypted(&mut self, fresh: &[u8]) -> RecordId {
-        let rid = RecordId(self.len as u32);
-        write_head_entry(&mut self.head, self.tail.len() as u64, fresh.len() as u32);
-        self.tail.extend_from_slice(fresh);
-        self.len += 1;
-        rid
-    }
-
-    /// Tail offset where row `n` starts (the tail length for `n == len`).
-    fn tail_offset(&self, n: usize) -> usize {
-        if n == self.len {
-            self.tail.len()
-        } else {
-            head_entry(&self.head, n).0 as usize
-        }
-    }
-
-    /// A frozen copy of the first `n` rows — the compaction input captured
-    /// at a watermark while later inserts keep landing in the live store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn prefix(&self, n: usize) -> Self {
-        assert!(n <= self.len, "prefix {n} out of bounds {}", self.len);
-        EncryptedDeltaStore {
-            table_name: self.table_name.clone(),
-            col_name: self.col_name.clone(),
-            max_len: self.max_len,
-            head: self.head[..n * crate::dict::HEAD_ENTRY_BYTES].to_vec(),
-            tail: self.tail[..self.tail_offset(n)].to_vec(),
-            len: n,
-        }
-    }
-
-    /// Drops the first `n` rows after a compaction consumed them: row
-    /// `n + i` becomes row `i` and tail offsets are rebased.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn drain_prefix(&mut self, n: usize) {
-        assert!(n <= self.len, "drain_prefix {n} out of bounds {}", self.len);
-        if n == 0 {
-            return;
-        }
-        let tail_base = self.tail_offset(n);
-        let mut head = Vec::with_capacity((self.len - n) * crate::dict::HEAD_ENTRY_BYTES);
-        for i in n..self.len {
-            let (offset, clen) = head_entry(&self.head, i);
-            write_head_entry(&mut head, offset - tail_base as u64, clen);
-        }
-        self.head = head;
-        self.tail = self.tail.split_off(tail_base);
-        self.len -= n;
-    }
-
-    /// Materializes the delta as an ED9 [`EncryptedDictionary`] view for
-    /// searching.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncdictError::CorruptDictionary`] if internal state is
-    /// inconsistent (never expected).
-    pub fn as_dictionary(&self) -> Result<EncryptedDictionary, EncdictError> {
-        EncryptedDictionary::from_parts(
-            EdKind::Ed9,
-            self.table_name.clone(),
-            self.col_name.clone(),
-            self.max_len,
-            self.len,
-            self.head.clone(),
-            self.tail.clone(),
-            None,
-        )
-    }
-
-    /// The untrusted half of a delta search: turns the enclave's per-range
-    /// replies to a search of [`as_dictionary`](Self::as_dictionary) into
-    /// ascending, deduplicated RecordIDs. An ED9 reply lists ValueIDs, and
-    /// a delta's ValueIDs are its RecordIDs; ids at or past `len()` are
-    /// dropped, as the attribute-vector scan this replaces never saw them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EncdictError::CorruptDictionary`] for a ValueID-range
-    /// reply, which no ED9 search produces.
-    pub fn record_ids(&self, results: &[DictSearchResult]) -> Result<Vec<RecordId>, EncdictError> {
-        let mut rids = Vec::new();
-        for result in results {
-            let DictSearchResult::Ids(ids) = result else {
-                return Err(EncdictError::CorruptDictionary(
-                    "ED9 delta search answered with ValueID ranges",
-                ));
-            };
-            rids.extend(
-                ids.iter()
-                    .filter(|&&id| (id as usize) < self.len)
-                    .map(|&id| RecordId(id)),
-            );
-        }
-        rids.sort_unstable();
-        rids.dedup();
-        Ok(rids)
-    }
-
-    /// A copy of this delta store's segment bytes, for aggregate / join
-    /// requests, which outlive the caller's snapshot borrow.
-    pub fn segment_copy(&self) -> crate::batch::DeltaSegment {
-        crate::batch::DeltaSegment {
-            head: self.head.clone(),
-            tail: self.tail.clone(),
-            len: self.len,
-        }
-    }
-
-    /// This delta store as a [`crate::enclave_ops::SegmentRef`].
-    pub fn segment_ref(&self) -> crate::enclave_ops::SegmentRef<'_> {
-        crate::enclave_ops::SegmentRef {
-            head: enclave_sim::UntrustedMemory::new(&self.head),
-            tail: enclave_sim::UntrustedMemory::new(&self.tail),
-            len: self.len,
-        }
-    }
-
-    /// The stored ciphertext of a delta row (for result rendering).
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    pub fn ciphertext(&self, rid: RecordId) -> &[u8] {
-        let (offset, clen) = head_entry(&self.head, rid.0 as usize);
-        &self.tail[offset as usize..offset as usize + clen as usize]
-    }
-
-    /// Storage size in bytes.
-    pub fn storage_size(&self) -> usize {
-        self.head.len() + self.tail.len()
-    }
+    rids.sort_unstable();
+    rids.dedup();
+    Ok(rids)
 }
 
 #[cfg(test)]
@@ -265,6 +115,7 @@ mod tests {
     use super::*;
     use crate::build::{build_encrypted, BuildParams};
     use crate::enclave_ops::{encrypt_value_for_column, DictEnclave, MergeRequest};
+    use crate::kind::EdKind;
     use crate::range::{EncryptedRange, RangeQuery};
     use colstore::column::Column;
     use colstore::delta::ValidityVector;
@@ -302,24 +153,23 @@ mod tests {
 
     impl Fixture {
         /// The insert path: proxy ciphertext → `DictEnclave::reencrypt` →
-        /// `push_reencrypted`. Returns the proxy's ciphertext and the row.
-        fn insert(&mut self, delta: &mut EncryptedDeltaStore, value: &[u8]) -> (Vec<u8>, RecordId) {
+        /// `push`. Returns the proxy's ciphertext and the row.
+        fn insert(&mut self, delta: &mut EncryptedDictionary, value: &[u8]) -> (Vec<u8>, RecordId) {
             let incoming = encrypt_value_for_column(&self.pae, &mut self.rng, value);
             let fresh = self
                 .enclave
                 .reencrypt("t", "c", incoming.as_bytes())
                 .unwrap();
-            let rid = delta.push_reencrypted(fresh.as_bytes());
+            let rid = delta.push(fresh.as_bytes());
             (incoming.into_bytes(), rid)
         }
 
         /// The delta search path: one ED9 linear-scan ECALL, then
         /// `record_ids` on the reply.
-        fn search(&mut self, delta: &EncryptedDeltaStore, query: &RangeQuery) -> Vec<RecordId> {
+        fn search(&mut self, delta: &EncryptedDictionary, query: &RangeQuery) -> Vec<RecordId> {
             let range = EncryptedRange::encrypt(&self.pae, &mut self.rng, query);
-            let dict = delta.as_dictionary().unwrap();
-            let results = self.enclave.search_multi(&dict, &[range], None).unwrap();
-            delta.record_ids(&results).unwrap()
+            let results = self.enclave.search_multi(delta, &[range], None).unwrap();
+            record_ids(delta.len(), &results).unwrap()
         }
 
         /// RecordIDs matching `query` in one main store.
@@ -347,11 +197,10 @@ mod tests {
             dict: &EncryptedDictionary,
             av: &AttributeVector,
             main_valid: &ValidityVector,
-            delta: &EncryptedDeltaStore,
+            delta: &EncryptedDictionary,
             delta_valid: &ValidityVector,
             kind: EdKind,
         ) -> (EncryptedDictionary, AttributeVector) {
-            let delta_seg = delta.segment_ref();
             self.enclave
                 .merge(MergeRequest {
                     table_name: "t",
@@ -359,14 +208,10 @@ mod tests {
                     max_len: 12,
                     kind,
                     bs_max: self.params.bs_max,
-                    main_head: dict.head_mem(),
-                    main_tail: dict.tail_mem(),
-                    main_len: dict.len(),
+                    main: dict.segment().view(),
                     main_av: av.as_slice(),
                     main_valid,
-                    delta_head: delta_seg.head,
-                    delta_tail: delta_seg.tail,
-                    delta_len: delta_seg.len,
+                    delta: delta.segment().view(),
                     delta_valid,
                 })
                 .unwrap()
@@ -376,7 +221,7 @@ mod tests {
     #[test]
     fn delta_insert_and_search() {
         let mut f = fixture(1);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
         for v in ["mango", "apple", "peach", "apple"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -388,9 +233,9 @@ mod tests {
     #[test]
     fn stored_bytes_unlinkable_to_insert_message() {
         let mut f = fixture(3);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
         let (incoming, rid) = f.insert(&mut delta, b"secret");
-        assert_ne!(delta.ciphertext(rid), &incoming[..]);
+        assert_ne!(delta.ciphertext(rid.0 as usize), &incoming[..]);
     }
 
     /// Paper §4.3 end to end at the enclave API: a read runs on both
@@ -406,7 +251,7 @@ mod tests {
         // Main row 1 ("d") and delta row 2 ("dd") are deleted.
         let mut main_valid = ValidityVector::all_valid(5);
         main_valid.invalidate(1);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
         for v in ["cc", "bb", "dd"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -443,9 +288,9 @@ mod tests {
         let mut old_cts: Vec<Vec<u8>> = (0..main_dict.len())
             .map(|i| main_dict.ciphertext(i).to_vec())
             .collect();
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
         let (_, rid) = f.insert(&mut delta, b"z");
-        old_cts.push(delta.ciphertext(rid).to_vec());
+        old_cts.push(delta.ciphertext(rid.0 as usize).to_vec());
         let all = |n| ValidityVector::all_valid(n);
         let (new_dict, new_av) =
             f.merge(&main_dict, &main_av, &all(2), &delta, &all(1), EdKind::Ed9);
@@ -461,7 +306,7 @@ mod tests {
     #[test]
     fn prefix_and_drain_prefix_partition_the_delta() {
         let mut f = fixture(7);
-        let mut delta = EncryptedDeltaStore::new("t", "c", 12);
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
         for v in ["alpha", "bravo", "charlie", "delta", "echo"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -469,10 +314,7 @@ mod tests {
         let frozen = delta.prefix(3);
         assert_eq!(frozen.len(), 3);
         for i in 0..3 {
-            assert_eq!(
-                frozen.ciphertext(RecordId(i)),
-                delta.ciphertext(RecordId(i))
-            );
+            assert_eq!(frozen.ciphertext(i), delta.ciphertext(i));
         }
 
         // Searching the frozen prefix behaves like a store of rows 0..3.
@@ -483,13 +325,11 @@ mod tests {
         assert!(f.search(&frozen, &RangeQuery::equals("delta")).is_empty());
 
         // Draining the prefix leaves rows 3.. renumbered from 0.
-        let suffix_cts: Vec<Vec<u8>> = (3..5)
-            .map(|i| delta.ciphertext(RecordId(i)).to_vec())
-            .collect();
+        let suffix_cts: Vec<Vec<u8>> = (3..5).map(|i| delta.ciphertext(i).to_vec()).collect();
         delta.drain_prefix(3);
         assert_eq!(delta.len(), 2);
-        assert_eq!(delta.ciphertext(RecordId(0)), &suffix_cts[0][..]);
-        assert_eq!(delta.ciphertext(RecordId(1)), &suffix_cts[1][..]);
+        assert_eq!(delta.ciphertext(0), &suffix_cts[0][..]);
+        assert_eq!(delta.ciphertext(1), &suffix_cts[1][..]);
         assert_eq!(
             f.search(&delta, &RangeQuery::equals("delta")),
             vec![RecordId(0)]
@@ -506,10 +346,6 @@ mod tests {
     fn record_ids_equal_the_identity_av_union() {
         let mut rng = StdRng::seed_from_u64(11);
         for len in [0usize, 1, 7, 64, 200] {
-            let mut delta = EncryptedDeltaStore::new("t", "c", 12);
-            for _ in 0..len {
-                delta.push_reencrypted(b"opaque");
-            }
             let identity: AttributeVector = (0..len as u32).map(ValueId).collect();
             for lists in 0..6usize {
                 let results: Vec<DictSearchResult> = (0..lists)
@@ -529,7 +365,7 @@ mod tests {
                     crate::avsearch::Parallelism::Serial,
                 );
                 assert_eq!(
-                    delta.record_ids(&results).unwrap(),
+                    record_ids(len, &results).unwrap(),
                     expected,
                     "len {len}, {results:?}"
                 );
@@ -539,10 +375,7 @@ mod tests {
 
     #[test]
     fn record_ids_reject_a_range_reply() {
-        let delta = EncryptedDeltaStore::new("t", "c", 12);
-        let err = delta
-            .record_ids(&[DictSearchResult::empty_ranges()])
-            .unwrap_err();
+        let err = record_ids(0, &[DictSearchResult::empty_ranges()]).unwrap_err();
         assert!(matches!(err, EncdictError::CorruptDictionary(_)), "{err:?}");
     }
 

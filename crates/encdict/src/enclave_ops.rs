@@ -23,7 +23,7 @@
 //!   loaded through the counted [`enclave_sim::TrustedEnv::load`].
 
 use crate::batch::{AggregateRequest, ColumnData, JoinBridgeRequest, JoinSideData, ReadCall};
-use crate::dict::{EncryptedDictionary, HEAD_ENTRY_BYTES};
+use crate::dict::{EncryptedDictionary, SegmentRef, HEAD_ENTRY_BYTES};
 use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption};
 use crate::range::EncryptedRange;
@@ -31,7 +31,7 @@ use crate::search::{rotated, sorted, unsorted, DictEntryReader, DictSearchResult
 use encdbdb_crypto::ct::ct_eq;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Ciphertext, Key128, Pae};
-use enclave_sim::{Enclave, EnclaveLogic, TrustedEnv, UntrustedMemory};
+use enclave_sim::{Enclave, EnclaveLogic, TrustedEnv};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -47,12 +47,8 @@ pub struct SearchRequest<'a> {
     pub col_name: &'a str,
     /// Column fixed maximal value length.
     pub max_len: usize,
-    /// Number of dictionary entries.
-    pub dict_len: usize,
-    /// Untrusted view of the dictionary head.
-    pub head: UntrustedMemory<'a>,
-    /// Untrusted view of the dictionary tail.
-    pub tail: UntrustedMemory<'a>,
+    /// The dictionary's entries, in untrusted memory.
+    pub store: SegmentRef<'a>,
     /// Encrypted rotation offset for rotated kinds.
     pub enc_rnd_offset: Option<&'a [u8]>,
     /// The encrypted range filters τ — one per range of the column's
@@ -66,14 +62,9 @@ pub struct SearchRequest<'a> {
 }
 
 impl<'a> SearchRequest<'a> {
-    /// Builds a request for `dict` (the query engine's step 7 enrichment).
-    pub fn for_dictionary(dict: &'a EncryptedDictionary, range: &'a EncryptedRange) -> Self {
-        Self::for_dictionary_multi(dict, std::slice::from_ref(range), None)
-    }
-
-    /// [`SearchRequest::for_dictionary`] for a whole disjunction, with an
-    /// optional cache generation tag.
-    pub fn for_dictionary_multi(
+    /// Builds a request for `dict` (the query engine's step 7 enrichment):
+    /// a whole disjunction, with an optional cache generation tag.
+    pub fn for_dictionary(
         dict: &'a EncryptedDictionary,
         ranges: &'a [EncryptedRange],
         cache: Option<CacheTag>,
@@ -83,9 +74,7 @@ impl<'a> SearchRequest<'a> {
             table_name: dict.table_name(),
             col_name: dict.col_name(),
             max_len: dict.max_len(),
-            dict_len: dict.len(),
-            head: dict.head_mem(),
-            tail: dict.tail_mem(),
+            store: dict.segment().view(),
             enc_rnd_offset: dict.enc_rnd_offset(),
             ranges,
             cache,
@@ -140,36 +129,16 @@ pub struct MergeRequest<'a> {
     pub kind: EdKind,
     /// bs_max for smoothing kinds.
     pub bs_max: usize,
-    /// Main-store head.
-    pub main_head: UntrustedMemory<'a>,
-    /// Main-store tail.
-    pub main_tail: UntrustedMemory<'a>,
-    /// Number of main dictionary entries.
-    pub main_len: usize,
+    /// Main-store dictionary entries.
+    pub main: SegmentRef<'a>,
     /// Main attribute vector (ValueIDs).
     pub main_av: &'a [u32],
     /// Which main rows are still valid.
     pub main_valid: &'a colstore::delta::ValidityVector,
-    /// Delta-store head (ED9 layout).
-    pub delta_head: UntrustedMemory<'a>,
-    /// Delta-store tail.
-    pub delta_tail: UntrustedMemory<'a>,
-    /// Number of delta rows.
-    pub delta_len: usize,
+    /// Delta-store rows (ED9: entry `i` is row `i`).
+    pub delta: SegmentRef<'a>,
     /// Which delta rows are still valid.
     pub delta_valid: &'a colstore::delta::ValidityVector,
-}
-
-/// A reference to one encrypted dictionary segment (main store or delta
-/// store) living in untrusted memory, in the §5 head/tail layout.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentRef<'a> {
-    /// Fixed-width head entries.
-    pub head: UntrustedMemory<'a>,
-    /// Variable-width ciphertext tail.
-    pub tail: UntrustedMemory<'a>,
-    /// Number of entries.
-    pub len: usize,
 }
 
 /// The enclave's reply to a [`JoinBridgeRequest`].
@@ -631,11 +600,10 @@ struct CacheHandle<'e> {
 /// is [`EncdictError::CorruptDictionary`], never an out-of-range load.
 fn load_entry_ciphertext<'a>(
     env: &mut TrustedEnv,
-    head: UntrustedMemory<'a>,
-    tail: UntrustedMemory<'a>,
+    SegmentRef { head, tail, .. }: SegmentRef<'a>,
     i: usize,
 ) -> Result<&'a [u8], EncdictError> {
-    let within = |mem: UntrustedMemory<'_>, start: usize, len: usize| {
+    let within = |mem: enclave_sim::UntrustedMemory<'_>, start: usize, len: usize| {
         start.checked_add(len).is_some_and(|end| end <= mem.len())
     };
     let at = i
@@ -658,16 +626,14 @@ fn load_entry_ciphertext<'a>(
 /// load or decryption.
 struct EnclaveDictReader<'a, 'e> {
     env: &'e mut TrustedEnv,
-    head: UntrustedMemory<'a>,
-    tail: UntrustedMemory<'a>,
-    len: usize,
+    store: SegmentRef<'a>,
     pae: &'e Pae,
     cache: Option<CacheHandle<'e>>,
 }
 
 impl DictEntryReader for EnclaveDictReader<'_, '_> {
     fn len(&self) -> usize {
-        self.len
+        self.store.len
     }
 
     fn read_into(&mut self, i: usize, buf: &mut Vec<u8>) -> Result<(), EncdictError> {
@@ -679,7 +645,7 @@ impl DictEntryReader for EnclaveDictReader<'_, '_> {
                 return Ok(());
             }
         }
-        let ct = load_entry_ciphertext(self.env, self.head, self.tail, i)?;
+        let ct = load_entry_ciphertext(self.env, self.store, i)?;
         // Account the transient trusted buffer (ciphertext + plaintext).
         self.env.track_alloc(ct.len());
         let decrypted = self.pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, buf);
@@ -862,7 +828,8 @@ impl DictLogic {
         // An empty dictionary (freshly created table before any merge) has
         // nothing to search — and, for rotated kinds, no meaningful
         // rotation offset to validate.
-        if req.dict_len == 0 {
+        let dict_len = req.store.len;
+        if dict_len == 0 {
             return Ok(queries
                 .iter()
                 .map(|_| match req.kind.order() {
@@ -884,7 +851,7 @@ impl DictLogic {
                 .try_into()
                 .map_err(|_| EncdictError::CorruptDictionary("bad rotation offset"))?;
             let off = u64::from_le_bytes(off_bytes);
-            if req.dict_len > 0 && off >= req.dict_len as u64 {
+            if off >= dict_len as u64 {
                 return Err(EncdictError::CorruptDictionary(
                     "rotation offset out of range",
                 ));
@@ -898,7 +865,7 @@ impl DictLogic {
         // bypasses the cache (nothing probed, inserted or counted) and
         // observably behaves as an uncached search.
         let scan_outruns_cache =
-            req.kind.order() == OrderOption::Unsorted && req.dict_len > VALUE_CACHE_CAPACITY;
+            req.kind.order() == OrderOption::Unsorted && dict_len > VALUE_CACHE_CAPACITY;
         let cache = match req.cache {
             Some(tag) if !scan_outruns_cache => Some(CacheHandle {
                 cache: &mut self.value_cache,
@@ -908,9 +875,7 @@ impl DictLogic {
         };
         let mut reader = EnclaveDictReader {
             env,
-            head: req.head,
-            tail: req.tail,
-            len: req.dict_len,
+            store: req.store,
             pae,
             cache,
         };
@@ -962,31 +927,28 @@ impl DictLogic {
         let mut bytes_tracked = 0usize;
         // One plaintext buffer for the whole merge; `column.push` copies.
         let mut pt = Vec::new();
-        let mut push_entry = |env: &mut TrustedEnv,
-                              head: UntrustedMemory<'_>,
-                              tail: UntrustedMemory<'_>,
-                              i: usize|
-         -> Result<(), EncdictError> {
-            let ct = load_entry_ciphertext(env, head, tail, i)?;
-            pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, &mut pt)?;
-            bytes_tracked += pt.len();
-            env.track_alloc(pt.len());
-            column
-                .push(&pt)
-                .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))
-        };
+        let mut push_entry =
+            |env: &mut TrustedEnv, store: SegmentRef<'_>, i: usize| -> Result<(), EncdictError> {
+                let ct = load_entry_ciphertext(env, store, i)?;
+                pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, &mut pt)?;
+                bytes_tracked += pt.len();
+                env.track_alloc(pt.len());
+                column
+                    .push(&pt)
+                    .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))
+            };
         for (j, &vid) in req.main_av.iter().enumerate() {
             if !req.main_valid.is_valid(j) {
                 continue;
             }
-            if vid as usize >= req.main_len {
+            if vid as usize >= req.main.len {
                 return Err(EncdictError::CorruptDictionary("value id out of range"));
             }
-            push_entry(env, req.main_head, req.main_tail, vid as usize)?;
+            push_entry(env, req.main, vid as usize)?;
         }
-        for i in 0..req.delta_len {
+        for i in 0..req.delta.len {
             if req.delta_valid.is_valid(i) {
-                push_entry(env, req.delta_head, req.delta_tail, i)?;
+                push_entry(env, req.delta, i)?;
             }
         }
 
@@ -1023,7 +985,7 @@ impl DictLogic {
             env.count_cache_hit();
             return Ok((pt.to_vec(), true));
         }
-        let ct = load_entry_ciphertext(env, seg.head, seg.tail, i)?;
+        let ct = load_entry_ciphertext(env, seg, i)?;
         let pt = pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?;
         if let Some(gen) = gen {
             env.count_cache_miss();
@@ -1058,8 +1020,8 @@ impl DictLogic {
                 let gens = tag.map(|(part, epoch)| {
                     [false, true].map(|delta| Generation::new(colid, part, epoch, delta))
                 });
-                let main = main.dict().segment_ref();
-                let delta = delta.segment_ref();
+                let main = main.segment().view();
+                let delta = delta.segment().view();
                 let mut table = Vec::with_capacity(codes.len());
                 for &code in codes {
                     let code = code as usize;
@@ -1217,7 +1179,7 @@ impl DictLogic {
         let reply = match call {
             ReadCall::Search(s) => ReadReply::Search(self.search(
                 env,
-                SearchRequest::for_dictionary_multi(s.dict.dict(), &s.ranges, s.cache),
+                SearchRequest::for_dictionary(&s.dict, &s.ranges, s.cache),
             )),
             ReadCall::Aggregate(a) => ReadReply::Aggregated(self.aggregate(env, a, &mut tally)),
             ReadCall::JoinBridge(j) => ReadReply::Bridged(self.join_bridge(env, j, &mut tally)),
@@ -1376,7 +1338,7 @@ impl DictEnclave {
         ranges: &[EncryptedRange],
         cache: Option<CacheTag>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
-        let req = SearchRequest::for_dictionary_multi(dict, ranges, cache);
+        let req = SearchRequest::for_dictionary(dict, ranges, cache);
         match self.inner.ecall(DictCall::Search(req)) {
             DictReply::Search(r) => r,
             _ => unreachable!("search call returns search reply"),
@@ -1464,7 +1426,6 @@ pub fn decrypt_column_value(pae: &Pae, ciphertext: &[u8]) -> Result<Vec<u8>, Enc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{DeltaSegment, SegSource};
     use crate::build::{build_encrypted, BuildParams};
     use crate::range::RangeQuery;
     use colstore::column::Column;
@@ -1590,17 +1551,7 @@ mod tests {
     #[test]
     fn tampered_dictionary_rejected() {
         let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed3, &["a", "b"], 13);
-        // Corrupt a tail byte by rebuilding the dictionary with a flipped
-        // ciphertext (dictionary internals are immutable from outside, so
-        // tamper via the public parts accessor path: clone bytes).
-        let mut tampered_tail = dict.tail_mem();
-        let _ = &mut tampered_tail; // UntrustedMemory is read-only; rebuild instead.
-        let mut bytes_head = Vec::new();
-        for i in 0..dict.len() {
-            let ct = dict.ciphertext(i);
-            crate::dict::write_head_entry(&mut bytes_head, 0, ct.len() as u32);
-        }
-        // Simpler: flip a byte in a ciphertext copy and decrypt directly.
+        // Flip a byte in a ciphertext copy and decrypt directly.
         let mut ct = dict.ciphertext(0).to_vec();
         ct[5] ^= 1;
         assert!(decrypt_column_value(&pae, &ct).is_err());
@@ -1661,8 +1612,8 @@ mod tests {
             col_name: Some(col.into()),
             parts: vec![ColumnData::Encrypted {
                 codes: (0..dict.len() as u32).collect(),
-                main: SegSource::Owned(Box::new(dict)),
-                delta: DeltaSegment::default(),
+                main: std::sync::Arc::new(dict),
+                delta: std::sync::Arc::new(EncryptedDictionary::delta(table, col, 8)),
                 cache: None,
             }],
         };

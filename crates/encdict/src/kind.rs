@@ -126,22 +126,17 @@ impl EdKind {
         }
     }
 
+    /// The kind with the given [`number`](Self::number), if there is one.
+    pub fn from_number(n: u8) -> Option<Self> {
+        EdKind::ALL.into_iter().find(|kind| kind.number() == n)
+    }
+
     /// Parses `"ED5"` / `"ed5"` style names.
     pub fn parse(s: &str) -> Option<Self> {
-        let s = s.trim();
-        if s.len() != 3 || !s[..2].eq_ignore_ascii_case("ed") {
-            return None;
-        }
-        match s.as_bytes()[2] {
-            b'1' => Some(EdKind::Ed1),
-            b'2' => Some(EdKind::Ed2),
-            b'3' => Some(EdKind::Ed3),
-            b'4' => Some(EdKind::Ed4),
-            b'5' => Some(EdKind::Ed5),
-            b'6' => Some(EdKind::Ed6),
-            b'7' => Some(EdKind::Ed7),
-            b'8' => Some(EdKind::Ed8),
-            b'9' => Some(EdKind::Ed9),
+        match s.trim().as_bytes() {
+            [e, d, digit @ b'1'..=b'9'] if [*e, *d].eq_ignore_ascii_case(b"ed") => {
+                Self::from_number(digit - b'0')
+            }
             _ => None,
         }
     }
@@ -224,6 +219,16 @@ mod tests {
         assert_eq!(EdKind::parse("ED0"), None);
         assert_eq!(EdKind::parse("ED10"), None);
         assert_eq!(EdKind::parse("XY1"), None);
+        // Three bytes that are not three characters.
+        for not_ascii in ["€", "é5", "ED５"] {
+            assert_eq!(EdKind::parse(not_ascii), None, "{not_ascii}");
+        }
+        for n in 0..=u8::MAX {
+            assert_eq!(
+                EdKind::from_number(n).map(EdKind::number),
+                (1..=9).contains(&n).then_some(n)
+            );
+        }
     }
 
     #[test]

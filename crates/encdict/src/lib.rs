@@ -25,11 +25,13 @@
 //!   hosting the search logic inside the simulated enclave.
 //! * [`encode`]/[`bigint`] — the order-preserving `ENCODE` operation and
 //!   the fixed-width big integer replacing the paper's C++ bigint library.
-//! * [`dict`] — the §5 head/tail dictionary layout.
+//! * [`dict`] — the §5 head/tail dictionary layout: [`Segment`], its one
+//!   owner, and [`SegmentRef`], the one view the enclave reads it through.
 //! * [`range`] — range queries and their encrypted wire form.
 //! * [`leakage`] — attacker-view analysis backing the security evaluation.
-//! * [`dynamic`] — the encrypted delta store and the epoch-tagged main store
-//!   (§4.3); the merge itself is [`DictEnclave::merge`].
+//! * [`dynamic`] — the epoch-tagged main store (§4.3); the delta store is
+//!   an ED9 [`EncryptedDictionary`] that grows, the merge itself is
+//!   [`DictEnclave::merge`].
 //! * [`batch`] — owned request forms for the cross-session ECALL
 //!   batching scheduler (several sessions' calls coalesced into one
 //!   enclave transition).
@@ -100,7 +102,7 @@ pub mod plain;
 pub mod range;
 pub mod search;
 
-pub use dict::{EncryptedDictionary, PlainDictionary};
+pub use dict::{EncryptedDictionary, PlainDictionary, Segment, SegmentRef};
 pub use enclave_ops::{CacheTag, DictEnclave};
 pub use error::EncdictError;
 pub use kind::{EdKind, LeakageLevel, OrderOption, RepetitionOption};

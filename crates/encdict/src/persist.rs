@@ -6,7 +6,7 @@
 //! module provides a length-prefixed binary format mirroring
 //! `colstore::persist`.
 
-use crate::dict::{EncryptedDictionary, PlainDictionary};
+use crate::dict::{EncryptedDictionary, PlainDictionary, Segment};
 use crate::error::EncdictError;
 use crate::kind::EdKind;
 use colstore::dictionary::{AttributeVector, ValueId};
@@ -16,24 +16,16 @@ use std::path::Path;
 const MAGIC: &[u8; 8] = b"ENCDBED1";
 const PLAIN_MAGIC: &[u8; 8] = b"ENCDBPD1";
 
-fn kind_from_byte(b: u8) -> Result<EdKind, EncdictError> {
-    Ok(match b {
-        1 => EdKind::Ed1,
-        2 => EdKind::Ed2,
-        3 => EdKind::Ed3,
-        4 => EdKind::Ed4,
-        5 => EdKind::Ed5,
-        6 => EdKind::Ed6,
-        7 => EdKind::Ed7,
-        8 => EdKind::Ed8,
-        9 => EdKind::Ed9,
-        _ => return Err(EncdictError::CorruptDictionary("unknown kind")),
-    })
-}
-
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
     out.extend_from_slice(bytes);
+}
+
+fn put_av(out: &mut Vec<u8>, av: &AttributeVector) {
+    out.extend_from_slice(&(av.len() as u64).to_le_bytes());
+    for &id in av.as_slice() {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
 }
 
 /// Serializes an encrypted dictionary plus its attribute vector.
@@ -57,10 +49,7 @@ pub fn to_bytes(dict: &EncryptedDictionary, av: &AttributeVector) -> Vec<u8> {
         }
         None => out.push(0),
     }
-    out.extend_from_slice(&(av.len() as u64).to_le_bytes());
-    for &id in av.as_slice() {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
+    put_av(&mut out, av);
     out
 }
 
@@ -94,6 +83,46 @@ impl<'a> Reader<'a> {
         }
         self.take(len)
     }
+
+    fn kind(&mut self) -> Result<EdKind, EncdictError> {
+        EdKind::from_number(self.u8()?).ok_or(EncdictError::CorruptDictionary("unknown kind"))
+    }
+
+    /// The entry count and that many length-prefixed entries, none longer
+    /// than `max_entry`, as a segment in entry order.
+    fn segment(&mut self, max_entry: usize) -> Result<Segment, EncdictError> {
+        let len = self.u64()? as usize;
+        if len > self.bytes.len() {
+            return Err(EncdictError::CorruptDictionary("entry count overflow"));
+        }
+        let mut segment = Segment::with_capacity(len);
+        for _ in 0..len {
+            let entry = self.bytes_field()?;
+            if entry.len() > max_entry {
+                return Err(EncdictError::CorruptDictionary("value exceeds max_len"));
+            }
+            segment.push(entry);
+        }
+        Ok(segment)
+    }
+
+    /// The attribute vector that ends every blob.
+    fn av_to_end(&mut self) -> Result<AttributeVector, EncdictError> {
+        let av_len = self.u64()? as usize;
+        if av_len > self.bytes.len() {
+            return Err(EncdictError::CorruptDictionary("av count overflow"));
+        }
+        let mut av = AttributeVector::with_capacity(av_len);
+        for _ in 0..av_len {
+            av.push(ValueId(u32::from_le_bytes(
+                self.take(4)?.try_into().unwrap(),
+            )));
+        }
+        if self.pos != self.bytes.len() {
+            return Err(EncdictError::CorruptDictionary("trailing bytes"));
+        }
+        Ok(av)
+    }
 }
 
 /// Deserializes an encrypted dictionary plus attribute vector.
@@ -109,49 +138,22 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(EncryptedDictionary, AttributeVector)
     if r.take(8)? != MAGIC {
         return Err(EncdictError::CorruptDictionary("bad magic"));
     }
-    let kind = kind_from_byte(r.u8()?)?;
+    let kind = r.kind()?;
     let table_name = String::from_utf8(r.bytes_field()?.to_vec())
         .map_err(|_| EncdictError::CorruptDictionary("table name not utf-8"))?;
     let col_name = String::from_utf8(r.bytes_field()?.to_vec())
         .map_err(|_| EncdictError::CorruptDictionary("column name not utf-8"))?;
     let max_len = r.u64()? as usize;
-    let len = r.u64()? as usize;
-    if len > bytes.len() {
-        return Err(EncdictError::CorruptDictionary("entry count overflow"));
-    }
-    let mut head = Vec::with_capacity(len * crate::dict::HEAD_ENTRY_BYTES);
-    let mut tail = Vec::new();
-    for _ in 0..len {
-        let ct = r.bytes_field()?;
-        crate::dict::write_head_entry(&mut head, tail.len() as u64, ct.len() as u32);
-        tail.extend_from_slice(ct);
-    }
+    // Ciphertexts are longer than `max_len`; the enclave checks them.
+    let segment = r.segment(usize::MAX)?;
     let enc_rnd_offset = match r.u8()? {
         0 => None,
         1 => Some(r.bytes_field()?.to_vec()),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av_len = r.u64()? as usize;
-    if av_len > bytes.len() {
-        return Err(EncdictError::CorruptDictionary("av count overflow"));
-    }
-    let mut av = AttributeVector::with_capacity(av_len);
-    for _ in 0..av_len {
-        av.push(ValueId(u32::from_le_bytes(r.take(4)?.try_into().unwrap())));
-    }
-    if r.pos != bytes.len() {
-        return Err(EncdictError::CorruptDictionary("trailing bytes"));
-    }
-    let dict = EncryptedDictionary::from_parts(
-        kind,
-        table_name,
-        col_name,
-        max_len,
-        len,
-        head,
-        tail,
-        enc_rnd_offset,
-    )?;
+    let av = r.av_to_end()?;
+    let dict =
+        EncryptedDictionary::new(kind, table_name, col_name, max_len, segment, enc_rnd_offset);
     Ok((dict, av))
 }
 
@@ -177,10 +179,7 @@ pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
         }
         None => out.push(0),
     }
-    out.extend_from_slice(&(av.len() as u64).to_le_bytes());
-    for &id in av.as_slice() {
-        out.extend_from_slice(&id.to_le_bytes());
-    }
+    put_av(&mut out, av);
     out
 }
 
@@ -194,40 +193,16 @@ pub fn plain_from_bytes(bytes: &[u8]) -> Result<(PlainDictionary, AttributeVecto
     if r.take(8)? != PLAIN_MAGIC {
         return Err(EncdictError::CorruptDictionary("bad magic"));
     }
-    let kind = kind_from_byte(r.u8()?)?;
+    let kind = r.kind()?;
     let max_len = r.u64()? as usize;
-    let len = r.u64()? as usize;
-    if len > bytes.len() {
-        return Err(EncdictError::CorruptDictionary("entry count overflow"));
-    }
-    let mut head = Vec::with_capacity(len * crate::dict::HEAD_ENTRY_BYTES);
-    let mut tail = Vec::new();
-    for _ in 0..len {
-        let v = r.bytes_field()?;
-        if v.len() > max_len {
-            return Err(EncdictError::CorruptDictionary("value exceeds max_len"));
-        }
-        crate::dict::write_head_entry(&mut head, tail.len() as u64, v.len() as u32);
-        tail.extend_from_slice(v);
-    }
+    let segment = r.segment(max_len)?;
     let rnd_offset = match r.u8()? {
         0 => None,
         1 => Some(r.u64()?),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av_len = r.u64()? as usize;
-    if av_len > bytes.len() {
-        return Err(EncdictError::CorruptDictionary("av count overflow"));
-    }
-    let mut av = AttributeVector::with_capacity(av_len);
-    for _ in 0..av_len {
-        av.push(ValueId(u32::from_le_bytes(r.take(4)?.try_into().unwrap())));
-    }
-    if r.pos != bytes.len() {
-        return Err(EncdictError::CorruptDictionary("trailing bytes"));
-    }
-    let dict = PlainDictionary::from_parts(kind, max_len, len, head, tail, rnd_offset)?;
-    Ok((dict, av))
+    let av = r.av_to_end()?;
+    Ok((PlainDictionary::new(kind, max_len, segment, rnd_offset), av))
 }
 
 /// Writes a dictionary + attribute vector to a file.

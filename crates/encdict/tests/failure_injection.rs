@@ -7,25 +7,26 @@ use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
 use encdict::aggregate::{AggFunc, AggPlanSpec, AggSpec, OutputItem};
 use encdict::batch::{
-    AggPartitionData, AggregateRequest, ColumnData, DeltaSegment, JoinBridgeRequest, JoinSideData,
-    ReadCall, SegSource,
+    AggPartitionData, AggregateRequest, ColumnData, JoinBridgeRequest, JoinSideData, ReadCall,
 };
 use encdict::build::{build_encrypted, BuildParams};
-use encdict::dynamic::EncryptedDeltaStore;
+use encdict::dynamic::record_ids;
 use encdict::enclave_ops::{
     encrypt_value_for_column, DictCall, DictReply, MergeRequest, SearchRequest,
 };
 use encdict::persist;
-use encdict::{DictEnclave, EdKind, EncdictError, EncryptedRange, RangeQuery};
-use enclave_sim::UntrustedMemory;
+use encdict::{
+    DictEnclave, EdKind, EncdictError, EncryptedDictionary, EncryptedRange, RangeQuery, Segment,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn fixture(
     kind: EdKind,
 ) -> (
     DictEnclave,
-    encdict::EncryptedDictionary,
+    EncryptedDictionary,
     colstore::dictionary::AttributeVector,
     Pae,
     StdRng,
@@ -121,46 +122,35 @@ fn missing_rotation_offset_rejected() {
 /// proxy's ciphertext is re-encrypted by the enclave, then stored.
 fn delta_insert(
     enclave: &mut DictEnclave,
-    delta: &mut EncryptedDeltaStore,
+    delta: &mut EncryptedDictionary,
     pae: &Pae,
     rng: &mut StdRng,
     value: &[u8],
 ) {
     let ct = encrypt_value_for_column(pae, rng, value);
     let fresh = enclave.reencrypt("t", "c", ct.as_bytes()).unwrap();
-    delta.push_reencrypted(fresh.as_bytes());
+    delta.push(fresh.as_bytes());
 }
 
 /// One `Merge` ECALL folding every row of `delta` into every row of the
 /// main store `dict`/`av` — the request the server's compaction builds.
 fn merge(
     enclave: &mut DictEnclave,
-    dict: &encdict::EncryptedDictionary,
+    dict: &EncryptedDictionary,
     av: &colstore::dictionary::AttributeVector,
-    delta: &EncryptedDeltaStore,
+    delta: &EncryptedDictionary,
     kind: EdKind,
-) -> Result<
-    (
-        encdict::EncryptedDictionary,
-        colstore::dictionary::AttributeVector,
-    ),
-    EncdictError,
-> {
-    let delta_seg = delta.segment_ref();
+) -> Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError> {
     enclave.merge(MergeRequest {
         table_name: "t",
         col_name: "c",
         max_len: 8,
         kind,
         bs_max: 2,
-        main_head: dict.head_mem(),
-        main_tail: dict.tail_mem(),
-        main_len: dict.len(),
+        main: dict.segment().view(),
         main_av: av.as_slice(),
         main_valid: &ValidityVector::all_valid(av.len()),
-        delta_head: delta_seg.head,
-        delta_tail: delta_seg.tail,
-        delta_len: delta_seg.len,
+        delta: delta.segment().view(),
         delta_valid: &ValidityVector::all_valid(delta.len()),
     })
 }
@@ -168,7 +158,7 @@ fn merge(
 /// RecordIDs matching `range` in one main store.
 fn search_main(
     enclave: &mut DictEnclave,
-    dict: &encdict::EncryptedDictionary,
+    dict: &EncryptedDictionary,
     av: &colstore::dictionary::AttributeVector,
     range: &EncryptedRange,
 ) -> Vec<colstore::dictionary::RecordId> {
@@ -190,11 +180,11 @@ fn search_main(
 #[test]
 fn failed_merge_leaves_old_store_and_delta_intact() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed3);
-    let mut delta = EncryptedDeltaStore::new("t", "c", 8);
+    let mut delta = EncryptedDictionary::delta("t", "c", 8);
     for v in ["e", "f"] {
         delta_insert(&mut enclave, &mut delta, &pae, &mut rng, v.as_bytes());
     }
-    let delta_before = delta.segment_copy();
+    let delta_before = delta.clone();
 
     // Corrupt one main ciphertext byte via the persist round-trip (the
     // dictionary's internals are immutable from outside).
@@ -209,21 +199,19 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
 
     // The delta was not touched by the failed merge...
     assert_eq!(delta.len(), 2);
-    let delta_after = delta.segment_copy();
-    assert_eq!(
-        (delta_after.head, delta_after.tail),
-        (delta_before.head, delta_before.tail)
-    );
+    for i in 0..2 {
+        assert_eq!(delta.ciphertext(i), delta_before.ciphertext(i));
+    }
+    assert_eq!(delta.storage_size(), delta_before.storage_size());
     // ...and the *original* (uncorrupted) store plus the delta still
     // answer combined reads correctly.
     let range = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "f"));
     let main_rids = search_main(&mut enclave, &dict, &av, &range);
     assert_eq!(main_rids.len(), 5, "main rows a,b,c,d,a all match");
-    let delta_dict = delta.as_dictionary().unwrap();
     let results = enclave
-        .search_multi(&delta_dict, std::slice::from_ref(&range), None)
+        .search_multi(&delta, std::slice::from_ref(&range), None)
         .unwrap();
-    let delta_rids = delta.record_ids(&results).unwrap();
+    let delta_rids = record_ids(delta.len(), &results).unwrap();
     assert_eq!(delta_rids.len(), 2, "delta rows e,f both match");
 
     // The same merge against the intact store succeeds — recovery needs
@@ -241,7 +229,7 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
 #[test]
 fn unprovisioned_merge_enclave_fails_cleanly() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed1);
-    let mut delta = EncryptedDeltaStore::new("t", "c", 8);
+    let mut delta = EncryptedDictionary::delta("t", "c", 8);
     delta_insert(&mut enclave, &mut delta, &pae, &mut rng, b"z");
 
     let mut cold = DictEnclave::with_seed(999); // never provisioned
@@ -276,14 +264,13 @@ fn swapped_rotation_offset_rejected() {
     assert!(matches!(err, encdict::EncdictError::Crypto(_)));
 }
 
-/// `dict`'s head and tail as a malicious server may hand them to the
-/// enclave, honest except for one entry: entry 0 claims an offset whose
-/// sum with the length wraps `usize`; entry 0 claims a length that runs
-/// past the tail; the last entry is missing from the head altogether.
-/// Each item is `(lie, head, tail, index of the entry lied about)`.
-fn lying_segments(
-    dict: &encdict::EncryptedDictionary,
-) -> Vec<(&'static str, Vec<u8>, Vec<u8>, usize)> {
+/// `dict`'s store as a malicious server may hand it to the enclave, honest
+/// except for one entry: entry 0 claims an offset whose sum with the
+/// length wraps `usize`; entry 0 claims a length that runs past the tail;
+/// the last entry is missing from the head altogether. Each item is
+/// `(lie, store, index of the entry lied about)`; the stores come from
+/// [`Segment::from_raw_unchecked`], which exists for this.
+fn lying_segments(dict: &EncryptedDictionary) -> Vec<(&'static str, Segment, usize)> {
     let mut tail = Vec::new();
     let mut entries = Vec::new();
     for i in 0..dict.len() {
@@ -301,15 +288,16 @@ fn lying_segments(
     };
     let mut short = head_with(entries[0]);
     short.truncate(short.len() - encdict::dict::HEAD_ENTRY_BYTES);
+    let past_tail = head_with((entries[0].0, tail.len() as u32 + 1));
+    let liar = |head, tail: &Vec<u8>| Segment::from_raw_unchecked(head, tail.clone(), dict.len());
     vec![
-        ("offset wraps", head_with((u64::MAX, 2)), tail.clone(), 0),
+        ("offset wraps", liar(head_with((u64::MAX, 2)), &tail), 0),
+        ("length past the tail", liar(past_tail, &tail), 0),
         (
-            "length past the tail",
-            head_with((entries[0].0, tail.len() as u32 + 1)),
-            tail.clone(),
-            0,
+            "head shorter than claimed",
+            liar(short, &tail),
+            dict.len() - 1,
         ),
-        ("head shorter than claimed", short, tail, dict.len() - 1),
     ]
 }
 
@@ -328,15 +316,13 @@ fn assert_corrupt<T: std::fmt::Debug>(what: &str, lie: &str, reply: Result<T, En
 fn lying_head_fails_search() {
     let (mut enclave, dict, _, pae, mut rng) = fixture(EdKind::Ed3);
     let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "d"));
-    for (lie, head, tail, _) in lying_segments(&dict) {
+    for (lie, store, _) in lying_segments(&dict) {
         let req = SearchRequest {
             kind: EdKind::Ed3,
             table_name: "t",
             col_name: "c",
             max_len: 8,
-            dict_len: dict.len(),
-            head: UntrustedMemory::new(&head),
-            tail: UntrustedMemory::new(&tail),
+            store: store.view(),
             enc_rnd_offset: None,
             ranges: std::slice::from_ref(&tau),
             cache: None,
@@ -348,21 +334,20 @@ fn lying_head_fails_search() {
     }
 }
 
-/// The same lies in the delta segment of an aggregate and of a join
+/// The same lies in the delta store of an aggregate and of a join
 /// bridge, submitted the way the scheduler submits them (`ReadCall`).
 #[test]
 fn lying_head_fails_aggregate_and_join_bridge() {
     let (mut enclave, dict, _, _, _) = fixture(EdKind::Ed3);
-    for (lie, head, tail, entry) in lying_segments(&dict) {
-        // The column's main store is honest; its delta segment is the
+    let dict = Arc::new(dict);
+    for (lie, store, entry) in lying_segments(&dict) {
+        // The column's main store is honest; its delta store is the
         // liar, and the one requested code is the delta entry lied about.
+        let delta = EncryptedDictionary::new(EdKind::Ed9, "t".into(), "c".into(), 8, store, None);
+        let delta = Arc::new(delta);
         let column = || ColumnData::Encrypted {
-            main: SegSource::Owned(Box::new(dict.clone())),
-            delta: DeltaSegment {
-                head: head.clone(),
-                tail: tail.clone(),
-                len: dict.len(),
-            },
+            main: Arc::clone(&dict),
+            delta: Arc::clone(&delta),
             codes: vec![(dict.len() + entry) as u32],
             cache: None,
         };
@@ -408,22 +393,18 @@ fn lying_head_fails_aggregate_and_join_bridge() {
 fn lying_head_fails_merge() {
     let (mut enclave, dict, av, _, _) = fixture(EdKind::Ed3);
     let validity = ValidityVector::all_valid(av.len());
-    let no_rows = ValidityVector::all_valid(0);
-    for (lie, head, tail, _) in lying_segments(&dict) {
+    let (no_delta, no_rows) = (Segment::default(), ValidityVector::all_valid(0));
+    for (lie, store, _) in lying_segments(&dict) {
         let req = MergeRequest {
             table_name: "t",
             col_name: "c",
             max_len: 8,
             kind: EdKind::Ed3,
             bs_max: 2,
-            main_head: UntrustedMemory::new(&head),
-            main_tail: UntrustedMemory::new(&tail),
-            main_len: dict.len(),
+            main: store.view(),
             main_av: av.as_slice(),
             main_valid: &validity,
-            delta_head: UntrustedMemory::new(&[]),
-            delta_tail: UntrustedMemory::new(&[]),
-            delta_len: 0,
+            delta: no_delta.view(),
             delta_valid: &no_rows,
         };
         assert_corrupt("Merge", lie, enclave.merge(req));
@@ -464,9 +445,11 @@ fn bogus_column_names_hold_bounded_trusted_memory() {
     );
     assert_eq!(hot.untrusted_loads, warm.untrusted_loads);
 
+    let dict = Arc::new(dict);
+    let no_delta = Arc::new(EncryptedDictionary::delta("t", "c", 8));
     let column = |cache| ColumnData::Encrypted {
-        main: SegSource::Owned(Box::new(dict.clone())),
-        delta: DeltaSegment::default(),
+        main: Arc::clone(&dict),
+        delta: Arc::clone(&no_delta),
         codes: vec![0],
         cache,
     };

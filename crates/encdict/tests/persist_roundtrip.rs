@@ -116,3 +116,42 @@ proptest! {
         }
     }
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The on-disk dictionary formats are frozen (DESIGN.md §12): a sealed
+/// snapshot written by an older binary must load, and re-serialise to the
+/// same bytes, whatever the in-memory layout has become since. Digests of
+/// `to_bytes` / `plain_to_bytes` for a sorted, a rotated and an unsorted
+/// kind built from fixed seeds, recorded at the commit before `Segment`
+/// became the layout's owner.
+#[test]
+fn serialised_dictionaries_keep_their_pinned_digests() {
+    let values = (0..200u32).map(|i| format!("v{:03}", i * 7 % 61));
+    let col = Column::from_strs("c", 8, values).unwrap();
+    let sk_d = derive_column_key(&Key128::from_bytes([6; 16]), "t", "c");
+    for (kind, encrypted_pin, plain_pin) in [
+        (
+            EdKind::Ed1,
+            0xdb11_5a7c_b542_67a9u64,
+            0x5161_79b8_54c2_8f7au64,
+        ),
+        (EdKind::Ed5, 0x1e8e_fdcc_7cbe_1b39, 0xaab8_c01a_6c92_216e),
+        (EdKind::Ed9, 0x8c17_d4e7_fd09_71b8, 0x993b_5e4c_1f8c_ef4a),
+    ] {
+        let mut rng = StdRng::seed_from_u64(4200 + kind.number() as u64);
+        let (dict, av) = build_encrypted(&col, kind, &params(), &sk_d, &mut rng).unwrap();
+        let encrypted = fnv1a(&persist::to_bytes(&dict, &av));
+        let (dict, av) = build_plain(&col, kind, &params(), &mut rng).unwrap();
+        let plain = fnv1a(&persist::plain_to_bytes(&dict, &av));
+        assert_eq!(
+            (encrypted, plain),
+            (encrypted_pin, plain_pin),
+            "{kind}: (EdKind::{kind:?}, {encrypted:#018x}, {plain:#018x}),"
+        );
+    }
+}

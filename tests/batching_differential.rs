@@ -427,14 +427,14 @@ fn compaction_publish_mid_batch_stays_correct() {
 }
 
 /// Overlapping encrypted ranges over delta rows, handed to the public
-/// `select_multi` (SQL never produces them — the proxy de-duplicates
+/// `execute_query` (SQL never produces them — the proxy de-duplicates
 /// `IN` lists): each range's delta hits come back as their own id list,
 /// so `bytes_out` is 4 per id *per range*. A solo call and a call that
 /// shared a transition must both record exactly that, and the same
 /// `bytes_in`.
 #[test]
 fn overlapping_delta_ranges_record_the_reply_size_solo_and_coalesced() {
-    use encdbdb::server::ServerFilter;
+    use encdbdb::server::{QueryOutcome, ServerFilter, ServerQuery};
     use encdict::{EncryptedRange, RangeQuery};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -466,8 +466,16 @@ fn overlapping_delta_ranges_record_the_reply_size_solo_and_coalesced() {
     let select = || {
         let got = db
             .server()
-            .select_multi("t", &[], std::slice::from_ref(&filter))
+            .execute_query(ServerQuery::Select {
+                table: "t".into(),
+                columns: Vec::new(),
+                filters: vec![filter.clone()],
+                scope: None,
+            })
             .expect("select");
+        let QueryOutcome::Rows(got) = got else {
+            panic!("a select answers with rows");
+        };
         assert_eq!(got.rows.len(), 7, "the union 0002..=0008");
     };
 

@@ -497,7 +497,7 @@ fn linear_scans_larger_than_the_value_cache_bypass_it() {
 fn kept_column_ciphers_answer_like_a_fresh_enclave_per_statement() {
     use encdbdb_crypto::hkdf::derive_column_key;
     use encdbdb_crypto::{Key128, Pae};
-    use encdict::batch::{ReadCall, SearchCall, SegSource};
+    use encdict::batch::{ReadCall, SearchCall};
     use encdict::build::{build_encrypted, BuildParams};
     use encdict::{CacheTag, DictEnclave, EncryptedRange, RangeQuery};
     use rand::Rng;
@@ -540,7 +540,7 @@ fn kept_column_ciphers_answer_like_a_fresh_enclave_per_statement() {
                 })
                 .collect();
             let call = ReadCall::Search(SearchCall {
-                dict: SegSource::Shared(Arc::clone(dict)),
+                dict: Arc::clone(dict),
                 ranges,
                 cache: cached.then_some(CacheTag {
                     part: c as u64,
