@@ -17,9 +17,11 @@
 //! * [`table`] — named collections of columns.
 //! * [`stats`] — `un(C)`, `oc(C, v)` and storage-size accounting used by
 //!   the Table 6 reproduction.
-//! * [`persist`] — a simple binary on-disk format for columns, modelling
-//!   the "storage management stores all data on disk for persistency" part
-//!   of Fig. 5 step 4.
+//! * [`codec`] — the one bounds-checked byte reader and the writer every
+//!   on-disk and on-wire layout of the workspace goes through.
+//! * [`persist`] — the CRC-framed record stream that durable files are
+//!   made of (the "storage management stores all data on disk for
+//!   persistency" part of Fig. 5 step 4).
 //!
 //! # Example
 //!
@@ -37,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod column;
 pub mod delta;
 pub mod dictionary;

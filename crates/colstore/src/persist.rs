@@ -1,116 +1,19 @@
-//! Binary persistence for columns.
+//! CRC-framed record streams.
 //!
 //! In-memory databases keep the primary copy in RAM and use disk as
 //! secondary storage for durability (paper §2.1; Fig. 5 step 4: "The
 //! storage management of the in-memory database stores all data on disk for
-//! persistency and additionally loads it into main memory"). This module
-//! provides a small length-prefixed binary format for [`Column`]s so the
-//! DBMS layer can round-trip databases through disk.
-//!
-//! Encrypted dictionaries are persisted by serializing their untrusted
-//! representation (they are ciphertext already — `encdict` stores them
-//! outside the enclave).
+//! persistency and additionally loads it into main memory"). What rests on
+//! disk here is written by the layers above — sealed snapshots, a
+//! write-ahead log, a manifest (`encdbdb::server::format`), dictionary
+//! blobs (`encdict::persist`), all laid out with [`crate::codec`]. This
+//! module is the envelope they share: a self-delimiting record format
+//! that can distinguish a torn tail (a crash mid-write — expected,
+//! recoverable) from corruption (bit rot or tampering — reported). Each
+//! frame is `[len u32][crc32 u32][payload]`, both integers little-endian,
+//! the checksum over the payload only.
 
-use crate::column::Column;
-use crate::error::ColstoreError;
-use std::io::{Read, Write};
-use std::path::Path;
-
-const MAGIC: &[u8; 8] = b"ENCDBCL1";
-
-/// Serializes a column into the binary format.
-pub fn column_to_bytes(column: &Column) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    let name = column.name().as_bytes();
-    out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    out.extend_from_slice(name);
-    out.extend_from_slice(&(column.max_len() as u64).to_le_bytes());
-    out.extend_from_slice(&(column.len() as u64).to_le_bytes());
-    for v in column.iter() {
-        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-/// Deserializes a column from the binary format.
-///
-/// # Errors
-///
-/// Returns [`ColstoreError::CorruptPersistedData`] on any structural
-/// problem (bad magic, truncation, length overflow, oversized value).
-pub fn column_from_bytes(bytes: &[u8]) -> Result<Column, ColstoreError> {
-    let corrupt = ColstoreError::CorruptPersistedData;
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], ColstoreError> {
-        if *pos + n > bytes.len() {
-            return Err(corrupt("truncated"));
-        }
-        let s = &bytes[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    if take(&mut pos, 8)? != MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let name = std::str::from_utf8(take(&mut pos, name_len)?)
-        .map_err(|_| corrupt("column name not utf-8"))?
-        .to_string();
-    let max_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-    let rows = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-    if rows > bytes.len() {
-        // Each row costs at least 4 bytes of length prefix; a row count
-        // larger than the blob is certainly corrupt.
-        return Err(corrupt("row count exceeds blob size"));
-    }
-    let mut column = Column::new(name, max_len);
-    for _ in 0..rows {
-        let vlen = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let v = take(&mut pos, vlen)?;
-        column
-            .push(v)
-            .map_err(|_| corrupt("value exceeds column maximum"))?;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes"));
-    }
-    Ok(column)
-}
-
-/// Writes a column to a file.
-///
-/// # Errors
-///
-/// Returns [`ColstoreError::Io`] on filesystem failures.
-pub fn write_column(path: &Path, column: &Column) -> Result<(), ColstoreError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&column_to_bytes(column))?;
-    Ok(())
-}
-
-/// Reads a column from a file.
-///
-/// # Errors
-///
-/// Returns [`ColstoreError::Io`] on filesystem failures or
-/// [`ColstoreError::CorruptPersistedData`] on format problems.
-pub fn read_column(path: &Path) -> Result<Column, ColstoreError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    column_from_bytes(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// CRC-framed record streams
-// ---------------------------------------------------------------------------
-//
-// The durable layers above (the delta write-ahead log and sealed snapshot
-// files) need a self-delimiting record format that can distinguish a torn
-// tail (a crash mid-write — expected, recoverable) from corruption (bit
-// rot or tampering — reported). Each frame is `[len u32][crc32 u32][payload]`,
-// both integers little-endian, the checksum over the payload only.
+use crate::codec::{Reader, Writer};
 
 /// Bytes of framing overhead per frame (`len` + `crc` prefix).
 pub const FRAME_HEADER_BYTES: usize = 8;
@@ -149,9 +52,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Wraps `payload` in a `[len][crc][payload]` frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.put_len32(payload.len());
+    out.put_u32(crc32(payload));
+    out.put(payload);
     out
 }
 
@@ -193,23 +96,21 @@ impl FrameTail {
 /// complete frame is [`FrameTail::Corrupt`]. Parsing never panics.
 pub fn read_frames(bytes: &[u8]) -> (Vec<&[u8]>, FrameTail) {
     let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_HEADER_BYTES {
-            return (frames, FrameTail::Torn { offset: pos });
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        if remaining - FRAME_HEADER_BYTES < len {
-            return (frames, FrameTail::Torn { offset: pos });
-        }
-        let payload = &bytes[pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len];
+    let mut r = Reader::new(bytes);
+    while r.remaining() > 0 {
+        let offset = bytes.len() - r.remaining();
+        // A header or length that overruns the stream is an interrupted
+        // write as far as anyone can tell.
+        let (Ok(len), Ok(crc)) = (r.u32(), r.u32()) else {
+            return (frames, FrameTail::Torn { offset });
+        };
+        let Ok(payload) = r.take(len as usize) else {
+            return (frames, FrameTail::Torn { offset });
+        };
         if crc32(payload) != crc {
-            return (frames, FrameTail::Corrupt { offset: pos });
+            return (frames, FrameTail::Corrupt { offset });
         }
         frames.push(payload);
-        pos += FRAME_HEADER_BYTES + len;
     }
     (frames, FrameTail::Clean)
 }
@@ -217,57 +118,6 @@ pub fn read_frames(bytes: &[u8]) -> (Vec<&[u8]>, FrameTail) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_bytes() {
-        let c = Column::from_strs("fname", 12, ["Hans", "", "Jessica"]).unwrap();
-        let bytes = column_to_bytes(&c);
-        let back = column_from_bytes(&bytes).unwrap();
-        assert_eq!(back, c);
-    }
-
-    #[test]
-    fn roundtrip_file() {
-        let dir = std::env::temp_dir().join("encdbdb-persist-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("col.bin");
-        let c = Column::from_strs("x", 8, ["a", "bb", "ccc"]).unwrap();
-        write_column(&path, &c).unwrap();
-        let back = read_column(&path).unwrap();
-        assert_eq!(back, c);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let c = Column::from_strs("x", 8, ["a"]).unwrap();
-        let mut bytes = column_to_bytes(&c);
-        bytes[0] ^= 1;
-        assert!(column_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let c = Column::from_strs("x", 8, ["abc", "def"]).unwrap();
-        let bytes = column_to_bytes(&c);
-        for cut in [5usize, 12, bytes.len() - 1] {
-            assert!(column_from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_rejected() {
-        let c = Column::from_strs("x", 8, ["a"]).unwrap();
-        let mut bytes = column_to_bytes(&c);
-        bytes.push(0);
-        assert!(column_from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let err = read_column(Path::new("/nonexistent/encdbdb")).unwrap_err();
-        assert!(matches!(err, ColstoreError::Io(_)));
-    }
 
     #[test]
     fn crc32_known_vector() {

@@ -58,15 +58,6 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Column persistence round-trips arbitrary contents.
-    #[test]
-    fn persistence_roundtrip(values in values_strategy()) {
-        let col = Column::from_strs("col_name", 8, values.iter()).unwrap();
-        let bytes = persist::column_to_bytes(&col);
-        let back = persist::column_from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, col);
-    }
-
     /// Validity vectors count exactly the bits that were set.
     #[test]
     fn validity_count_matches_model(bits in prop::collection::vec(any::<bool>(), 0..200)) {

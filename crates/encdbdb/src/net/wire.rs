@@ -22,6 +22,7 @@
 //! the server multiplex shutdown checks with blocking sockets.
 
 use crate::error::DbError;
+use colstore::codec::{CodecError, Reader, Writer};
 use std::io::{Read, Write};
 use std::time::Instant;
 
@@ -102,136 +103,78 @@ impl Message {
     fn encode_payload(&self, buf: &mut Vec<u8>) {
         match self {
             Message::Hello { tenant, token } => {
-                put_bytes(buf, tenant.as_bytes());
-                put_bytes(buf, token.as_bytes());
+                buf.put_bytes32(tenant.as_bytes());
+                buf.put_bytes32(token.as_bytes());
             }
             Message::HelloOk | Message::Goodbye => {}
-            Message::Query { sql } => put_bytes(buf, sql.as_bytes()),
+            Message::Query { sql } => buf.put_bytes32(sql.as_bytes()),
             Message::Result { columns, rows } => {
-                put_u32(buf, columns.len() as u32);
-                for c in columns {
-                    put_bytes(buf, c.as_bytes());
-                }
-                put_u32(buf, rows.len() as u32);
-                for row in rows {
-                    put_u32(buf, row.len() as u32);
-                    for cell in row {
-                        put_bytes(buf, cell);
-                    }
-                }
+                buf.put_seq32(columns, |buf, c| buf.put_bytes32(c.as_bytes()));
+                buf.put_seq32(rows, |buf, row| {
+                    buf.put_seq32(row, |buf, cell| buf.put_bytes32(cell));
+                });
             }
             Message::Error { code, message } => {
-                buf.extend_from_slice(&code.to_le_bytes());
-                put_bytes(buf, message.as_bytes());
+                buf.put_u16(*code);
+                buf.put_bytes32(message.as_bytes());
             }
-            Message::Busy { retry_after_ms } => put_u32(buf, *retry_after_ms),
+            Message::Busy { retry_after_ms } => buf.put_u32(*retry_after_ms),
         }
     }
 
     fn decode(msg_type: u8, payload: &[u8]) -> Result<Message, DbError> {
-        let mut c = Cursor::new(payload);
+        Self::parse(msg_type, payload).map_err(|Malformed(why)| DbError::Net(why))
+    }
+
+    fn parse(msg_type: u8, payload: &[u8]) -> Result<Message, Malformed> {
+        let mut r = Reader::new(payload);
         let msg = match msg_type {
             1 => Message::Hello {
-                tenant: c.take_string()?,
-                token: c.take_string()?,
+                tenant: string(&mut r)?,
+                token: string(&mut r)?,
             },
             2 => Message::HelloOk,
             3 => Message::Query {
-                sql: c.take_string()?,
+                sql: string(&mut r)?,
             },
-            4 => {
-                let ncols = c.take_u32()? as usize;
-                let mut columns = Vec::with_capacity(ncols.min(1024));
-                for _ in 0..ncols {
-                    columns.push(c.take_string()?);
-                }
-                let nrows = c.take_u32()? as usize;
-                let mut rows = Vec::with_capacity(nrows.min(4096));
-                for _ in 0..nrows {
-                    let ncells = c.take_u32()? as usize;
-                    let mut row = Vec::with_capacity(ncells.min(1024));
-                    for _ in 0..ncells {
-                        row.push(c.take_bytes()?.to_vec());
-                    }
-                    rows.push(row);
-                }
-                Message::Result { columns, rows }
-            }
+            // A string, a row and a cell each cost at least their
+            // four-byte prefix.
+            4 => Message::Result {
+                columns: r.seq32(4, string)?,
+                rows: r.seq32(4, |r| {
+                    r.seq32(4, |r| r.bytes32(usize::MAX).map(<[u8]>::to_vec))
+                })?,
+            },
             5 => Message::Error {
-                code: c.take_u16()?,
-                message: c.take_string()?,
+                code: r.u16()?,
+                message: string(&mut r)?,
             },
             6 => Message::Busy {
-                retry_after_ms: c.take_u32()?,
+                retry_after_ms: r.u32()?,
             },
             7 => Message::Goodbye,
-            other => {
-                return Err(DbError::Net(format!("unknown message type {other}")));
-            }
+            other => return Err(Malformed(format!("unknown message type {other}"))),
         };
-        if !c.exhausted() {
-            return Err(DbError::Net("trailing bytes after message payload".into()));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Why a payload is not a message. The decoder's own error, so that a `?`
+/// on a codec failure cannot pick `DbError`'s durable-storage conversion.
+struct Malformed(String);
+
+impl From<CodecError> for Malformed {
+    fn from(e: CodecError) -> Self {
+        Malformed(format!("malformed message payload: {e}"))
+    }
 }
 
-fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-
-/// Bounds-checked payload reader.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| DbError::Net("truncated message payload".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn take_u16(&mut self) -> Result<u16, DbError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
-    }
-
-    fn take_u32(&mut self) -> Result<u32, DbError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn take_bytes(&mut self) -> Result<&'a [u8], DbError> {
-        let len = self.take_u32()? as usize;
-        self.take(len)
-    }
-
-    fn take_string(&mut self) -> Result<String, DbError> {
-        String::from_utf8(self.take_bytes()?.to_vec())
-            .map_err(|_| DbError::Net("string field is not valid UTF-8".into()))
-    }
-
-    fn exhausted(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+/// A frame is already bounded by [`MAX_FRAME`], so a field may be as long
+/// as the payload that carries it.
+fn string(r: &mut Reader<'_>) -> Result<String, Malformed> {
+    String::from_utf8(r.bytes32(usize::MAX)?.to_vec())
+        .map_err(|_| Malformed("string field is not valid UTF-8".into()))
 }
 
 /// What one [`FrameCodec::poll_recv`] call produced.
@@ -278,10 +221,10 @@ impl FrameCodec {
     ) -> Result<u64, DbError> {
         let buf = &mut self.encode_buf;
         buf.clear();
-        buf.extend_from_slice(&[0u8; 4]);
-        buf.push(WIRE_VERSION);
-        buf.push(msg.type_byte());
-        buf.extend_from_slice(&request_id.to_le_bytes());
+        buf.put_u32(0); // The length, patched in below.
+        buf.put_u8(WIRE_VERSION);
+        buf.put_u8(msg.type_byte());
+        buf.put_u64(request_id);
         msg.encode_payload(buf);
         let len = (buf.len() - 4) as u32;
         buf[0..4].copy_from_slice(&len.to_le_bytes());
@@ -387,9 +330,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn all_message_shapes_roundtrip() {
-        for msg in [
+    /// One message of every variant.
+    fn samples() -> [Message; 7] {
+        [
             Message::Hello {
                 tenant: "acme".into(),
                 token: "s3cret".into(),
@@ -411,10 +354,74 @@ mod tests {
             },
             Message::Busy { retry_after_ms: 15 },
             Message::Goodbye,
-        ] {
+        ]
+    }
+
+    #[test]
+    fn all_message_shapes_roundtrip() {
+        for msg in samples() {
             let (id, decoded) = roundtrip(msg.clone());
             assert_eq!(id, 42);
             assert_eq!(decoded, msg);
+        }
+    }
+
+    /// The wire format is frozen at `WIRE_VERSION` 1: digests of one whole
+    /// frame per message variant, recorded before the decoder moved onto
+    /// `colstore::codec`.
+    #[test]
+    fn frames_keep_their_pinned_digests() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut codec = FrameCodec::new();
+        let digests: Vec<u64> = samples()
+            .iter()
+            .map(|msg| {
+                let mut wire = Vec::new();
+                codec
+                    .send(&mut wire, 0x0102_0304_0506_0708, msg)
+                    .expect("encode");
+                fnv1a(&wire)
+            })
+            .collect();
+        let pins = [
+            0x383c_3082_913a_bbfd,
+            0xd14c_24ac_fb82_69f0,
+            0xff22_5bf7_3bc6_b9f2,
+            0xbb5a_ab3a_8e88_58b9,
+            0xa170_dfff_2fc9_2fa1,
+            0x0aed_21d4_d744_e4bf,
+            0x8277_1633_9833_d31f,
+        ];
+        assert_eq!(digests, pins, "got {digests:#018x?}");
+    }
+
+    /// Every single-byte flip and every truncation of every valid payload
+    /// ends in the message it now spells or in `DbError::Net` — never a
+    /// panic, never another variant (a stray `?` on a codec error would
+    /// surface as `DbError::Durability`).
+    #[test]
+    fn mutated_payloads_decode_to_a_message_or_a_net_error() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x77_1e);
+        for msg in samples() {
+            let mut payload = Vec::new();
+            msg.encode_payload(&mut payload);
+            let ty = msg.type_byte();
+            assert_eq!(Message::decode(ty, &payload).expect("valid"), msg);
+            for at in 0..payload.len() {
+                let cut = Message::decode(ty, &payload[..at]).expect_err("truncated");
+                assert!(matches!(cut, DbError::Net(_)), "{msg:?} cut at {at}: {cut}");
+                let mut flipped = payload.clone();
+                flipped[at] ^= rng.gen_range(1..=255u8);
+                if let Err(e) = Message::decode(ty, &flipped) {
+                    assert!(matches!(e, DbError::Net(_)), "{msg:?} flip at {at}: {e}");
+                }
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //! other shard proceed untouched, and the rebuild cost is proportional to
 //! one shard, not the table.
 
+use super::format::{MergeRecord, WalRecord};
 use super::partition::{ColumnDelta, CompactionJob, MainColumn, Partition};
-use super::storage;
 use super::table::ServerTable;
 use super::{lock, Config, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
@@ -448,7 +448,11 @@ fn publish_compaction(
     }
     if let (Some(s), Some(guard)) = (&storage, wal_guard.as_mut()) {
         let watermark_abs = state.drained_total() + job.watermark as u64;
-        let record = storage::encode_merge(partition.index, job.main.epoch, watermark_abs);
+        let record = WalRecord::Merge(MergeRecord {
+            pid: partition.index,
+            old_epoch: job.main.epoch,
+            watermark_abs,
+        });
         if let Err(e) = s.append_record(guard, &record) {
             // The merge has ended above; only the failure is left to count.
             drop(state);

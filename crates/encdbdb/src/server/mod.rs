@@ -42,6 +42,7 @@
 //! shares it.
 
 mod compaction;
+mod format;
 mod join;
 mod partition;
 mod scheduler;

@@ -21,6 +21,9 @@
 //!   epoch timeline matches the crashed process — and truncates torn
 //!   tails. Everything detected lands in [`DurabilityStats`].
 //!
+//! This module keeps files, sealing and recovery; what the sealed payloads
+//! look like inside is written down once, in `format.rs`.
+//!
 //! # Commit protocol
 //!
 //! Writes are **log-then-apply** under the per-table WAL mutex (lock
@@ -40,17 +43,17 @@
 //! the test recovers from disk.
 
 use super::compaction::execute_compaction;
-use super::partition::{MainColumn, MainState, Partition};
+use super::format::{self, corrupt, DeleteRecord, Floor, MergeRecord, WalRecord};
+use super::partition::{MainState, Partition};
 use super::table::ServerTable;
 use super::{lock, CellValue, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
 use crate::obs::{Counter, Hist, Obs, SpanId};
-use crate::schema::{ColumnSpec, DictChoice, TablePartitioning, TableSchema};
+use crate::schema::TableSchema;
 use crate::server::stats::DurabilityStats;
 use colstore::dictionary::RecordId;
 use colstore::persist::{frame, read_frames, FrameTail};
-use encdict::dynamic::MainSnapshot;
-use encdict::{DictEnclave, EdKind};
+use encdict::DictEnclave;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -107,19 +110,6 @@ pub enum FailPoint {
     CheckpointNoTruncate,
 }
 
-const WAL_VERSION: u8 = 1;
-const REC_HEADER: u8 = 0;
-const REC_INSERT: u8 = 1;
-const REC_DELETE: u8 = 2;
-const REC_MERGE: u8 = 3;
-const REC_CHECKPOINT: u8 = 4;
-
-const SNAPSHOT_MAGIC: &[u8; 8] = b"ENCDBSN1";
-const MANIFEST_MAGIC: &[u8; 8] = b"ENCDBMF1";
-
-const CELL_ENCRYPTED: u8 = 0;
-const CELL_PLAIN: u8 = 1;
-
 /// One open per-table WAL file plus its fsync-batching counter.
 #[derive(Debug)]
 pub(crate) struct WalFile {
@@ -158,9 +148,7 @@ impl Storage {
         enclave: Arc<Mutex<DictEnclave>>,
         obs: Obs,
     ) -> Result<Self, DbError> {
-        std::fs::create_dir_all(dir).map_err(|e| {
-            DbError::Durability(format!("creating storage dir {}: {e}", dir.display()))
-        })?;
+        std::fs::create_dir_all(dir).map_err(io_err("creating storage dir", dir))?;
         Ok(Storage {
             dir: dir.to_path_buf(),
             policy: DurabilityPolicy {
@@ -261,6 +249,19 @@ impl Storage {
             })
     }
 
+    /// The payload of a file that is one sealed frame; `what` names it.
+    fn read_sealed(&self, path: &Path, what: &str) -> Result<Vec<u8>, DbError> {
+        let bytes = std::fs::read(path).map_err(io_err("reading", path))?;
+        let (frames, tail) = read_frames(&bytes);
+        if frames.len() != 1 || tail != FrameTail::Clean {
+            return Err(DbError::Durability(format!(
+                "{what} {} is not one clean frame",
+                path.display()
+            )));
+        }
+        self.unseal(frames[0], &format!("{what} {}", path.display()))
+    }
+
     // -- WAL ---------------------------------------------------------------
 
     /// The WAL handle of a table, opening (and header-stamping) the file
@@ -276,28 +277,21 @@ impl Storage {
             return Ok(Arc::clone(w));
         }
         let dir = self.table_dir(table)?;
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| DbError::Durability(format!("creating {}: {e}", dir.display())))?;
+        std::fs::create_dir_all(&dir).map_err(io_err("creating", &dir))?;
         let path = dir.join("wal.log");
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| DbError::Durability(format!("opening {}: {e}", path.display())))?;
-        let is_empty = file
-            .metadata()
-            .map_err(|e| DbError::Durability(format!("stat {}: {e}", path.display())))?
-            .len()
-            == 0;
+            .map_err(io_err("opening", &path))?;
+        let is_empty = file.metadata().map_err(io_err("stat", &path))?.len() == 0;
         let mut wal = WalFile {
             file,
             path,
             pending_syncs: 0,
         };
         if is_empty {
-            let mut header = vec![WAL_VERSION, REC_HEADER];
-            put_bytes(&mut header, table.as_bytes());
-            self.append_record(&mut wal, &header)?;
+            self.append_record(&mut wal, &WalRecord::Header(table))?;
         }
         let handle = Arc::new(Mutex::new(wal));
         wals.insert(table.to_string(), Arc::clone(&handle));
@@ -308,27 +302,31 @@ impl Storage {
     /// Log-then-apply: callers append **before** mutating memory, so an
     /// error here (including an injected crash) means the operation simply
     /// did not happen.
-    pub(crate) fn append_record(&self, wal: &mut WalFile, payload: &[u8]) -> Result<(), DbError> {
+    pub(crate) fn append_record(
+        &self,
+        wal: &mut WalFile,
+        record: &WalRecord<'_>,
+    ) -> Result<(), DbError> {
         self.check_alive()?;
         let span = self.obs.span("wal.append", "durability", SpanId::NONE);
         let t0 = std::time::Instant::now();
-        let framed = frame(&self.seal(payload));
+        let framed = frame(&self.seal(&record.encode()));
         if *lock(&self.armed) == Some(FailPoint::WalTornAppend) {
             // A crash mid-write: half the frame reaches the file.
             let _ = wal.file.write_all(&framed[..framed.len() / 2]);
             return self.fire(FailPoint::WalTornAppend);
         }
-        wal.file.write_all(&framed).map_err(|e| {
-            DbError::Durability(format!("appending to {}: {e}", wal.path.display()))
-        })?;
+        wal.file
+            .write_all(&framed)
+            .map_err(io_err("appending to", &wal.path))?;
         self.fire(FailPoint::WalAppendNoFsync)?;
         wal.pending_syncs += 1;
         if wal.pending_syncs >= self.policy.wal_fsync_batch {
             let fsync_span = self.obs.span("wal.fsync", "durability", span.id());
             let f0 = std::time::Instant::now();
-            wal.file.sync_data().map_err(|e| {
-                DbError::Durability(format!("fsync of {}: {e}", wal.path.display()))
-            })?;
+            wal.file
+                .sync_data()
+                .map_err(io_err("fsync of", &wal.path))?;
             self.obs
                 .record(Hist::WalFsyncNs, f0.elapsed().as_nanos() as u64);
             fsync_span.finish();
@@ -355,28 +353,19 @@ impl Storage {
         &self,
         table: &str,
         wal: &mut WalFile,
-        floors: &[(u32, u64, u64)],
+        floors: &[Floor],
     ) -> Result<(), DbError> {
         self.check_alive()?;
         wal.file
             .set_len(0)
-            .map_err(|e| DbError::Durability(format!("truncating {}: {e}", wal.path.display())))?;
+            .map_err(io_err("truncating", &wal.path))?;
         wal.pending_syncs = 0;
         self.with_stats(|s| s.wal_truncations += 1);
-        let mut header = vec![WAL_VERSION, REC_HEADER];
-        put_bytes(&mut header, table.as_bytes());
-        self.append_record(wal, &header)?;
-        let mut ckpt = vec![WAL_VERSION, REC_CHECKPOINT];
-        put_u32(&mut ckpt, floors.len() as u32);
-        for &(pid, epoch, drained) in floors {
-            put_u32(&mut ckpt, pid);
-            put_u64(&mut ckpt, epoch);
-            put_u64(&mut ckpt, drained);
-        }
-        self.append_record(wal, &ckpt)?;
+        self.append_record(wal, &WalRecord::Header(table))?;
+        self.append_record(wal, &WalRecord::Checkpoint(floors.to_vec()))?;
         wal.file
             .sync_data()
-            .map_err(|e| DbError::Durability(format!("fsync of {}: {e}", wal.path.display())))?;
+            .map_err(io_err("fsync of", &wal.path))?;
         Ok(())
     }
 
@@ -400,20 +389,16 @@ impl Storage {
             .obs
             .span_arg("snapshot.persist", "durability", SpanId::NONE, pid as u64);
         let t0 = std::time::Instant::now();
-        let payload = encode_snapshot(schema, pid, main, drained_total)?;
+        let payload = format::encode_snapshot(schema, pid, main, drained_total);
         let framed = frame(&self.seal(&payload));
         let dir = self.table_dir(&schema.name)?;
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| DbError::Durability(format!("creating {}: {e}", dir.display())))?;
+        std::fs::create_dir_all(&dir).map_err(io_err("creating", &dir))?;
         let path = self.snapshot_path(&schema.name, pid, main.epoch)?;
         let tmp = dir.join(format!("p{pid}-e{}.snap.tmp", main.epoch));
         let write_tmp = |bytes: &[u8]| -> Result<(), DbError> {
-            let mut f = File::create(&tmp)
-                .map_err(|e| DbError::Durability(format!("creating {}: {e}", tmp.display())))?;
-            f.write_all(bytes)
-                .map_err(|e| DbError::Durability(format!("writing {}: {e}", tmp.display())))?;
-            f.sync_data()
-                .map_err(|e| DbError::Durability(format!("fsync of {}: {e}", tmp.display())))?;
+            let mut f = File::create(&tmp).map_err(io_err("creating", &tmp))?;
+            f.write_all(bytes).map_err(io_err("writing", &tmp))?;
+            f.sync_data().map_err(io_err("fsync of", &tmp))?;
             Ok(())
         };
         if *lock(&self.armed) == Some(FailPoint::SnapshotTornWrite) {
@@ -422,9 +407,7 @@ impl Storage {
         }
         write_tmp(&framed)?;
         self.fire(FailPoint::SnapshotNoRename)?;
-        std::fs::rename(&tmp, &path).map_err(|e| {
-            DbError::Durability(format!("publishing snapshot {}: {e}", path.display()))
-        })?;
+        std::fs::rename(&tmp, &path).map_err(io_err("publishing snapshot", &path))?;
         self.with_stats(|s| s.snapshots_persisted += 1);
         self.obs.add(Counter::SnapshotsPersistedTotal, 1);
         self.obs
@@ -501,11 +484,14 @@ impl Storage {
         &self,
         schema: &TableSchema,
         pid: usize,
-    ) -> Result<LoadedPartition, DbError> {
+    ) -> Result<Partition, DbError> {
         let candidates = self.list_snapshots(&schema.name, pid)?;
         let mut rejected = 0usize;
         for (epoch, path) in &candidates {
-            match self.try_load_snapshot(schema, pid, *epoch, path) {
+            let loaded = self
+                .read_sealed(path, "snapshot")
+                .and_then(|payload| format::decode_snapshot(schema, pid, *epoch, &payload));
+            match loaded {
                 Ok(loaded) => {
                     self.with_stats(|s| {
                         s.snapshots_loaded += 1;
@@ -528,26 +514,6 @@ impl Storage {
         )))
     }
 
-    fn try_load_snapshot(
-        &self,
-        schema: &TableSchema,
-        pid: usize,
-        epoch: u64,
-        path: &Path,
-    ) -> Result<LoadedPartition, DbError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| DbError::Durability(format!("reading {}: {e}", path.display())))?;
-        let (frames, tail) = read_frames(&bytes);
-        if frames.len() != 1 || tail != FrameTail::Clean {
-            return Err(DbError::Durability(format!(
-                "snapshot {} is not one clean frame",
-                path.display()
-            )));
-        }
-        let payload = self.unseal(frames[0], &format!("snapshot {}", path.display()))?;
-        decode_snapshot(schema, pid, epoch, &payload)
-    }
-
     // -- Manifest ----------------------------------------------------------
 
     /// Writes the sealed table manifest (schema + partitioning); failure
@@ -556,31 +522,19 @@ impl Storage {
     fn persist_manifest(&self, schema: &TableSchema) -> Result<(), DbError> {
         self.check_alive()?;
         let dir = self.table_dir(&schema.name)?;
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| DbError::Durability(format!("creating {}: {e}", dir.display())))?;
-        let framed = frame(&self.seal(&encode_manifest(schema)));
+        std::fs::create_dir_all(&dir).map_err(io_err("creating", &dir))?;
+        let framed = frame(&self.seal(&format::encode_manifest(schema)));
         let path = dir.join("table.manifest");
         let tmp = dir.join("table.manifest.tmp");
-        std::fs::write(&tmp, &framed)
-            .map_err(|e| DbError::Durability(format!("writing {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| DbError::Durability(format!("publishing {}: {e}", path.display())))?;
+        std::fs::write(&tmp, &framed).map_err(io_err("writing", &tmp))?;
+        std::fs::rename(&tmp, &path).map_err(io_err("publishing", &path))?;
         Ok(())
     }
 
     fn load_manifest(&self, table: &str) -> Result<TableSchema, DbError> {
         let path = self.table_dir(table)?.join("table.manifest");
-        let bytes = std::fs::read(&path)
-            .map_err(|e| DbError::Durability(format!("reading {}: {e}", path.display())))?;
-        let (frames, tail) = read_frames(&bytes);
-        if frames.len() != 1 || tail != FrameTail::Clean {
-            return Err(DbError::Durability(format!(
-                "manifest {} is not one clean frame",
-                path.display()
-            )));
-        }
-        let payload = self.unseal(frames[0], &format!("manifest {}", path.display()))?;
-        let schema = decode_manifest(&payload)?;
+        let payload = self.read_sealed(&path, "manifest")?;
+        let schema = format::decode_manifest(&payload)?;
         if schema.name != table {
             return Err(DbError::Durability(format!(
                 "manifest in {table}/ describes table {}",
@@ -640,8 +594,7 @@ impl Storage {
     /// Table names found in the storage directory (dirs with a manifest).
     fn stored_tables(&self) -> Result<Vec<String>, DbError> {
         let mut out = Vec::new();
-        let entries = std::fs::read_dir(&self.dir)
-            .map_err(|e| DbError::Durability(format!("reading {}: {e}", self.dir.display())))?;
+        let entries = std::fs::read_dir(&self.dir).map_err(io_err("reading", &self.dir))?;
         for entry in entries.flatten() {
             if !entry.path().is_dir() || !entry.path().join("table.manifest").exists() {
                 continue;
@@ -655,311 +608,61 @@ impl Storage {
     }
 }
 
-/// A partition reloaded from its sealed snapshot.
-struct LoadedPartition {
-    epoch: u64,
-    drained_total: u64,
-    rows: usize,
-    columns: Vec<MainColumn>,
+fn already_attached() -> DbError {
+    DbError::Durability("durable storage is already attached".to_string())
 }
 
-// ---------------------------------------------------------------------------
-// Record / snapshot / manifest encodings (inside the sealed payloads)
-// ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// The text of an I/O failure on a storage file.
+fn io_err<'a>(verb: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> DbError + 'a {
+    move |e| DbError::Durability(format!("{verb} {}: {e}", path.display()))
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Why replay stopped at a record.
+enum ReplayStop {
+    /// The record does not unseal, decode or meet the replayed state: the
+    /// log is cut here and the prefix stands.
+    Rejected,
+    /// The directory as a whole cannot be served — another table's log, a
+    /// checkpoint floor above the loaded snapshots: recovery refuses.
+    Unrecoverable(DbError),
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-/// Bounds-checked little-endian reader over a decoded payload.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Dec { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(DbError::Durability("truncated durable payload".to_string()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DbError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DbError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DbError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bytes_field(&mut self) -> Result<&'a [u8], DbError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
-    fn str_field(&mut self) -> Result<String, DbError> {
-        String::from_utf8(self.bytes_field()?.to_vec())
-            .map_err(|_| DbError::Durability("durable payload string not utf-8".to_string()))
-    }
-
-    fn finish(&self) -> Result<(), DbError> {
-        if self.pos != self.bytes.len() {
-            return Err(DbError::Durability(
-                "trailing bytes in durable payload".to_string(),
-            ));
-        }
-        Ok(())
+impl From<DbError> for ReplayStop {
+    fn from(_: DbError) -> Self {
+        ReplayStop::Rejected
     }
 }
 
-/// One per-partition group of an insert record.
-pub(crate) struct InsertGroup<'a> {
-    pub(crate) pid: usize,
-    /// Absolute delta position of the group's first row.
-    pub(crate) base_abs: u64,
-    pub(crate) rows: &'a [Vec<CellValue>],
-}
-
-pub(crate) fn encode_insert(groups: &[InsertGroup<'_>]) -> Vec<u8> {
-    let mut out = vec![WAL_VERSION, REC_INSERT];
-    put_u32(&mut out, groups.len() as u32);
-    for g in groups {
-        put_u32(&mut out, g.pid as u32);
-        put_u64(&mut out, g.base_abs);
-        put_u32(&mut out, g.rows.len() as u32);
-        for row in g.rows {
-            put_u32(&mut out, row.len() as u32);
-            for cell in row {
-                match cell {
-                    CellValue::Encrypted(ct) => {
-                        out.push(CELL_ENCRYPTED);
-                        put_bytes(&mut out, ct);
-                    }
-                    CellValue::Plain(v) => {
-                        out.push(CELL_PLAIN);
-                        put_bytes(&mut out, v);
-                    }
-                }
+/// Flips at an older epoch are already folded into the loaded (or
+/// merge-replayed) main store; at the current epoch they re-apply
+/// idempotently.
+fn replay_delete(storage: &Storage, p: &Partition, mut d: DeleteRecord) -> Result<(), DbError> {
+    let mut state = lock(&p.state);
+    if d.epoch > state.main().epoch {
+        return Err(corrupt("delete epoch ahead of the replayed timeline"));
+    }
+    if d.epoch < state.main().epoch {
+        d.main_rids.clear();
+    } else if d
+        .main_rids
+        .iter()
+        .any(|rid| rid.0 as usize >= state.main().rows)
+    {
+        return Err(corrupt("delete main rid out of range"));
+    }
+    let mut delta_rids = Vec::with_capacity(d.delta_abs.len());
+    for abs in d.delta_abs {
+        // Below the base: folded by a merge the timeline already passed.
+        if let Some(local) = abs.checked_sub(state.drained_total()) {
+            if local >= state.delta_rows() as u64 {
+                return Err(corrupt("delete delta position out of range"));
             }
+            delta_rids.push(RecordId(local as u32));
         }
     }
-    out
-}
-
-pub(crate) fn encode_delete(
-    pid: usize,
-    epoch: u64,
-    main_rids: &[colstore::dictionary::RecordId],
-    drained_total: u64,
-    delta_rids: &[colstore::dictionary::RecordId],
-) -> Vec<u8> {
-    let mut out = vec![WAL_VERSION, REC_DELETE];
-    put_u32(&mut out, pid as u32);
-    put_u64(&mut out, epoch);
-    put_u32(&mut out, main_rids.len() as u32);
-    for rid in main_rids {
-        put_u32(&mut out, rid.0);
-    }
-    put_u32(&mut out, delta_rids.len() as u32);
-    for rid in delta_rids {
-        put_u64(&mut out, drained_total + rid.0 as u64);
-    }
-    out
-}
-
-pub(crate) fn encode_merge(pid: usize, old_epoch: u64, watermark_abs: u64) -> Vec<u8> {
-    let mut out = vec![WAL_VERSION, REC_MERGE];
-    put_u32(&mut out, pid as u32);
-    put_u64(&mut out, old_epoch);
-    put_u64(&mut out, watermark_abs);
-    out
-}
-
-fn encode_snapshot(
-    schema: &TableSchema,
-    pid: usize,
-    main: &MainState,
-    drained_total: u64,
-) -> Result<Vec<u8>, DbError> {
-    let mut out = Vec::new();
-    out.extend_from_slice(SNAPSHOT_MAGIC);
-    put_bytes(&mut out, schema.name.as_bytes());
-    put_u32(&mut out, pid as u32);
-    put_u64(&mut out, main.epoch);
-    put_u64(&mut out, drained_total);
-    put_u64(&mut out, main.rows as u64);
-    put_u32(&mut out, main.columns.len() as u32);
-    for column in &main.columns {
-        match column {
-            MainColumn::Encrypted(snap) => {
-                out.push(CELL_ENCRYPTED);
-                let body = encdict::persist::to_bytes(snap.dict(), snap.av());
-                put_u64(&mut out, body.len() as u64);
-                out.extend_from_slice(&body);
-            }
-            MainColumn::Plain { dict, av } => {
-                out.push(CELL_PLAIN);
-                let body = encdict::persist::plain_to_bytes(dict, av);
-                put_u64(&mut out, body.len() as u64);
-                out.extend_from_slice(&body);
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn decode_snapshot(
-    schema: &TableSchema,
-    expect_pid: usize,
-    expect_epoch: u64,
-    payload: &[u8],
-) -> Result<LoadedPartition, DbError> {
-    let corrupt = |msg: &str| DbError::Durability(format!("snapshot payload: {msg}"));
-    let mut d = Dec::new(payload);
-    if d.take(8)? != SNAPSHOT_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let table = d.str_field()?;
-    let pid = d.u32()? as usize;
-    let epoch = d.u64()?;
-    // The embedded identity must match both the schema and the filename:
-    // with one shared sealing key, this is what rejects a snapshot file
-    // swapped between partitions, epochs or tables.
-    if table != schema.name || pid != expect_pid || epoch != expect_epoch {
-        return Err(corrupt("embedded identity does not match the file"));
-    }
-    let drained_total = d.u64()?;
-    let rows = d.u64()? as usize;
-    let ncols = d.u32()? as usize;
-    if ncols != schema.columns.len() {
-        return Err(corrupt("column count does not match the schema"));
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for spec in &schema.columns {
-        let tag = d.u8()?;
-        let body_len = d.u64()? as usize;
-        let body = d.take(body_len)?;
-        match (tag, &spec.choice) {
-            (CELL_ENCRYPTED, DictChoice::Encrypted(_)) => {
-                let (dict, av) = encdict::persist::from_bytes(body)?;
-                if av.len() != rows {
-                    return Err(corrupt("column is not row-aligned"));
-                }
-                columns.push(MainColumn::Encrypted(MainSnapshot::new(epoch, dict, av)));
-            }
-            (CELL_PLAIN, DictChoice::Plain) => {
-                let (dict, av) = encdict::persist::plain_from_bytes(body)?;
-                if av.len() != rows {
-                    return Err(corrupt("column is not row-aligned"));
-                }
-                columns.push(MainColumn::Plain {
-                    dict: Arc::new(dict),
-                    av: Arc::new(av),
-                });
-            }
-            _ => return Err(corrupt("column protection does not match the schema")),
-        }
-    }
-    d.finish()?;
-    Ok(LoadedPartition {
-        epoch,
-        drained_total,
-        rows,
-        columns,
-    })
-}
-
-fn encode_manifest(schema: &TableSchema) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MANIFEST_MAGIC);
-    put_bytes(&mut out, schema.name.as_bytes());
-    put_u32(&mut out, schema.columns.len() as u32);
-    for spec in &schema.columns {
-        put_bytes(&mut out, spec.name.as_bytes());
-        out.push(match spec.choice {
-            DictChoice::Plain => 0,
-            DictChoice::Encrypted(kind) => kind.number(),
-        });
-        put_u64(&mut out, spec.max_len as u64);
-        put_u64(&mut out, spec.bs_max as u64);
-    }
-    match &schema.partitioning {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            put_bytes(&mut out, p.column.as_bytes());
-            put_u32(&mut out, p.split_points.len() as u32);
-            for split in &p.split_points {
-                put_bytes(&mut out, split);
-            }
-        }
-    }
-    out
-}
-
-fn decode_manifest(payload: &[u8]) -> Result<TableSchema, DbError> {
-    let corrupt = |msg: &str| DbError::Durability(format!("manifest payload: {msg}"));
-    let mut d = Dec::new(payload);
-    if d.take(8)? != MANIFEST_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let name = d.str_field()?;
-    let ncols = d.u32()? as usize;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let col_name = d.str_field()?;
-        let choice = match d.u8()? {
-            0 => DictChoice::Plain,
-            n => DictChoice::Encrypted(EdKind::from_number(n).ok_or_else(|| corrupt("bad kind"))?),
-        };
-        let max_len = d.u64()? as usize;
-        let bs_max = d.u64()? as usize;
-        columns.push(ColumnSpec {
-            name: col_name,
-            choice,
-            max_len,
-            bs_max,
-        });
-    }
-    let mut schema = TableSchema::new(name, columns);
-    match d.u8()? {
-        0 => {}
-        1 => {
-            let column = d.str_field()?;
-            let nsplits = d.u32()? as usize;
-            let mut split_points = Vec::with_capacity(nsplits);
-            for _ in 0..nsplits {
-                split_points.push(d.bytes_field()?.to_vec());
-            }
-            schema = schema.with_partitioning(TablePartitioning {
-                column,
-                split_points,
-            });
-        }
-        _ => return Err(corrupt("bad partitioning flag")),
-    }
-    d.finish()?;
-    Ok(schema)
+    let flipped = state.invalidate(&d.main_rids, &delta_rids);
+    storage.note_replay(flipped > 0);
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -970,6 +673,11 @@ impl DbaasServer {
     /// The attached durable storage, if any.
     pub(crate) fn storage(&self) -> Option<Arc<Storage>> {
         lock(&self.storage).clone()
+    }
+
+    fn attached_storage(&self) -> Result<Arc<Storage>, DbError> {
+        self.storage()
+            .ok_or_else(|| DbError::Durability("no durable storage attached".to_string()))
     }
 
     /// Attaches durable storage under `dir` to a running server: every
@@ -998,9 +706,7 @@ impl DbaasServer {
         policy: DurabilityPolicy,
     ) -> Result<(), DbError> {
         if lock(&self.storage).is_some() {
-            return Err(DbError::Durability(
-                "durable storage is already attached".to_string(),
-            ));
+            return Err(already_attached());
         }
         for _attempt in 0..MERGE_RETRIES {
             // Fold outside the storage lock: the publish path of these
@@ -1014,9 +720,7 @@ impl DbaasServer {
             }
             let mut slot = lock(&self.storage);
             if slot.is_some() {
-                return Err(DbError::Durability(
-                    "durable storage is already attached".to_string(),
-                ));
+                return Err(already_attached());
             }
             // Hold the tables write lock across the quiescence check and
             // the initial persistence so no deploy or new write slips
@@ -1068,9 +772,7 @@ impl DbaasServer {
     pub fn recover(&self, dir: impl AsRef<Path>, policy: DurabilityPolicy) -> Result<(), DbError> {
         let mut slot = lock(&self.storage);
         if slot.is_some() {
-            return Err(DbError::Durability(
-                "durable storage is already attached".to_string(),
-            ));
+            return Err(already_attached());
         }
         let storage = Arc::new(Storage::new(
             dir.as_ref(),
@@ -1108,15 +810,7 @@ impl DbaasServer {
         let load_span = self.obs().span("recovery.load", "durability", parent);
         let mut partitions = Vec::with_capacity(schema.partition_count());
         for pid in 0..schema.partition_count() {
-            let loaded = storage.load_partition_snapshot(&schema, pid)?;
-            partitions.push(Arc::new(Partition::new(
-                pid,
-                &schema,
-                loaded.columns,
-                loaded.rows,
-                loaded.epoch,
-                loaded.drained_total,
-            )));
+            partitions.push(Arc::new(storage.load_partition_snapshot(&schema, pid)?));
         }
         load_span.finish();
         let table = Arc::new(ServerTable::from_parts(schema, partitions));
@@ -1141,24 +835,14 @@ impl DbaasServer {
         let mut valid_prefix = tail.valid_prefix(bytes.len());
         let mut consumed = 0usize;
         for (i, sealed) in frames.iter().enumerate() {
-            let framed_len = sealed.len() + colstore::persist::FRAME_HEADER_BYTES;
-            let record = match storage
+            let replayed = storage
                 .unseal(sealed, &format!("WAL record {i} of {}", t.schema.name))
-                .and_then(|payload| self.replay_record(storage, t, i, &payload))
-            {
-                Ok(()) => {
-                    consumed += framed_len;
-                    continue;
-                }
-                Err(e) => e,
-            };
-            match record {
-                // Unusable on-disk state detected *by* replay (checkpoint
-                // floor above the loaded snapshots) is unrecoverable.
-                DbError::Durability(msg) if msg.starts_with("unrecoverable") => {
-                    return Err(DbError::Durability(msg));
-                }
-                _ => {
+                .map_err(ReplayStop::from)
+                .and_then(|payload| self.replay_record(storage, t, i, &payload));
+            match replayed {
+                Ok(()) => consumed += sealed.len() + colstore::persist::FRAME_HEADER_BYTES,
+                Err(ReplayStop::Unrecoverable(e)) => return Err(e),
+                Err(ReplayStop::Rejected) => {
                     storage.with_stats(|s| s.wal_records_rejected += 1);
                     valid_prefix = valid_prefix.min(consumed);
                     break;
@@ -1169,9 +853,9 @@ impl DbaasServer {
             let file = OpenOptions::new()
                 .write(true)
                 .open(&path)
-                .map_err(|e| DbError::Durability(format!("truncating {}: {e}", path.display())))?;
+                .map_err(io_err("truncating", &path))?;
             file.set_len(valid_prefix as u64)
-                .map_err(|e| DbError::Durability(format!("truncating {}: {e}", path.display())))?;
+                .map_err(io_err("truncating", &path))?;
             storage.with_stats(|s| {
                 s.wal_torn_tails += 1;
                 s.wal_torn_tail_bytes += (bytes.len() - valid_prefix) as u64;
@@ -1180,197 +864,80 @@ impl DbaasServer {
         Ok(())
     }
 
+    /// Decodes one record whole, checks it against the partitions it names
+    /// and only then applies it, by the transition the live path called:
+    /// rejecting a record must leave none of it applied, or the recovered
+    /// memory state would run ahead of the log it is supposed to equal.
     fn replay_record(
         &self,
         storage: &Storage,
         t: &ServerTable,
         index: usize,
         payload: &[u8],
-    ) -> Result<(), DbError> {
-        let corrupt = |msg: &str| DbError::Durability(format!("WAL record: {msg}"));
-        let mut d = Dec::new(payload);
-        if d.u8()? != WAL_VERSION {
-            return Err(corrupt("unknown version"));
-        }
-        match d.u8()? {
-            REC_HEADER => {
-                let table = d.str_field()?;
-                d.finish()?;
-                if table != t.schema.name {
-                    return Err(DbError::Durability(format!(
-                        "unrecoverable: WAL of {} found in {}/ (file swap?)",
-                        table, t.schema.name
-                    )));
+    ) -> Result<(), ReplayStop> {
+        let partition = |pid: usize| {
+            t.partitions
+                .get(pid)
+                .ok_or_else(|| corrupt("pid out of range"))
+        };
+        match WalRecord::decode(payload, &t.schema)? {
+            WalRecord::Header(table) if table != t.schema.name => {
+                Err(ReplayStop::Unrecoverable(DbError::Durability(format!(
+                    "unrecoverable: WAL of {table} found in {}/ (file swap?)",
+                    t.schema.name
+                ))))
+            }
+            WalRecord::Header(_) if index != 0 => {
+                Err(corrupt("header record past the start").into())
+            }
+            WalRecord::Header(_) => Ok(()),
+            WalRecord::Insert(groups) => {
+                // The live path logs one group per touched partition, in
+                // partition order, each starting at that partition's tail.
+                let mut apply = Vec::with_capacity(groups.len());
+                for (i, g) in groups.iter().enumerate() {
+                    if i > 0 && groups[i - 1].pid >= g.pid {
+                        return Err(corrupt("insert groups out of partition order").into());
+                    }
+                    let state = lock(&partition(g.pid)?.state);
+                    let tail = state.drained_total() + state.delta_rows() as u64;
+                    if g.base_abs == tail {
+                        apply.push(g);
+                    } else if g.base_abs.saturating_add(g.rows.len() as u64) > state.drained_total()
+                    {
+                        return Err(corrupt("insert group does not meet the delta tail").into());
+                    } // Else fully folded into the loaded snapshot.
                 }
-                if index != 0 {
-                    return Err(corrupt("header record past the start"));
+                for g in &apply {
+                    lock(&t.partitions[g.pid].state)
+                        .append_rows(g.rows.iter().map(|row| row.iter().map(CellValue::bytes)));
                 }
+                storage.note_replay(!apply.is_empty());
                 Ok(())
             }
-            REC_INSERT => self.replay_insert(storage, t, &mut d),
-            REC_DELETE => self.replay_delete(storage, t, &mut d),
-            REC_MERGE => self.replay_merge(storage, t, &mut d),
-            REC_CHECKPOINT => {
-                let nparts = d.u32()? as usize;
-                for _ in 0..nparts {
-                    let pid = d.u32()? as usize;
-                    let epoch = d.u64()?;
-                    let drained = d.u64()?;
-                    let p = t
-                        .partitions
-                        .get(pid)
-                        .ok_or_else(|| corrupt("checkpoint pid out of range"))?;
-                    let state = lock(&p.state);
+            WalRecord::Delete(d) => Ok(replay_delete(storage, partition(d.pid)?, d)?),
+            WalRecord::Merge(m) => Ok(self.replay_merge(storage, t, partition(m.pid)?, m)?),
+            WalRecord::Checkpoint(floors) => {
+                for f in floors {
+                    let state = lock(&partition(f.pid)?.state);
                     // The checkpoint truncated every record that could
                     // advance an older snapshot to this floor; a loaded
                     // snapshot below it cannot be caught up.
-                    if state.main().epoch != epoch || state.drained_total() != drained {
-                        return Err(DbError::Durability(format!(
-                            "unrecoverable: partition {pid} of {} recovered at epoch {} \
-                             but the WAL was truncated at checkpoint epoch {epoch}",
+                    if state.main().epoch != f.epoch || state.drained_total() != f.drained_total {
+                        return Err(ReplayStop::Unrecoverable(DbError::Durability(format!(
+                            "unrecoverable: partition {} of {} recovered at epoch {} \
+                             but the WAL was truncated at checkpoint epoch {}",
+                            f.pid,
                             t.schema.name,
-                            state.main().epoch
-                        )));
+                            state.main().epoch,
+                            f.epoch
+                        ))));
                     }
                 }
-                d.finish()?;
                 storage.note_replay(true);
                 Ok(())
             }
-            _ => Err(corrupt("unknown record type")),
         }
-    }
-
-    fn replay_insert(
-        &self,
-        storage: &Storage,
-        t: &ServerTable,
-        d: &mut Dec<'_>,
-    ) -> Result<(), DbError> {
-        let corrupt = |msg: &str| DbError::Durability(format!("WAL insert record: {msg}"));
-        // Decode and validate the *whole* record before touching any
-        // partition: rejecting a record must leave zero of its rows
-        // applied, or the recovered memory state would run ahead of the
-        // durable log it is supposed to equal.
-        struct Group<'a> {
-            pid: usize,
-            apply: bool,
-            rows: Vec<Vec<&'a [u8]>>,
-        }
-        let ngroups = d.u32()? as usize;
-        let mut groups: Vec<Group<'_>> = Vec::new();
-        // Per-partition delta tails as the apply phase would advance them.
-        let mut tails: HashMap<usize, u64> = HashMap::new();
-        for _ in 0..ngroups {
-            let pid = d.u32()? as usize;
-            let base_abs = d.u64()?;
-            let nrows = d.u32()? as usize;
-            let p = t
-                .partitions
-                .get(pid)
-                .ok_or_else(|| corrupt("pid out of range"))?;
-            let (drained_total, live_pos) = {
-                let state = lock(&p.state);
-                (
-                    state.drained_total(),
-                    state.drained_total() + state.delta_rows() as u64,
-                )
-            };
-            let pos = *tails.entry(pid).or_insert(live_pos);
-            let apply = if base_abs == pos {
-                tails.insert(pid, pos + nrows as u64);
-                true
-            } else if base_abs + nrows as u64 <= drained_total {
-                false // Fully folded into the loaded snapshot.
-            } else {
-                return Err(corrupt("group position does not meet the delta tail"));
-            };
-            let mut rows = Vec::new();
-            for _ in 0..nrows {
-                let ncells = d.u32()? as usize;
-                if ncells != t.schema.columns.len() {
-                    return Err(corrupt("cell arity does not match the schema"));
-                }
-                let mut cells = Vec::with_capacity(ncells);
-                for spec in &t.schema.columns {
-                    let tag = d.u8()?;
-                    let bytes = d.bytes_field()?;
-                    match (tag, &spec.choice) {
-                        (CELL_ENCRYPTED, DictChoice::Encrypted(_)) => {}
-                        (CELL_PLAIN, DictChoice::Plain) => {
-                            if bytes.len() > spec.max_len {
-                                return Err(corrupt("cell longer than the column maximum"));
-                            }
-                        }
-                        _ => return Err(corrupt("cell form does not match the column")),
-                    }
-                    cells.push(bytes);
-                }
-                rows.push(cells);
-            }
-            groups.push(Group { pid, apply, rows });
-        }
-        d.finish()?;
-        // Apply phase — the transition the live insert called. Everything
-        // was validated above, and recovery is single-threaded, so the
-        // tails the validation simulated still hold.
-        let mut replayed = false;
-        for g in groups.iter().filter(|g| g.apply) {
-            lock(&t.partitions[g.pid].state)
-                .append_rows(g.rows.iter().map(|row| row.iter().copied()));
-            replayed = true;
-        }
-        storage.note_replay(replayed);
-        Ok(())
-    }
-
-    fn replay_delete(
-        &self,
-        storage: &Storage,
-        t: &ServerTable,
-        d: &mut Dec<'_>,
-    ) -> Result<(), DbError> {
-        let corrupt = |msg: &str| DbError::Durability(format!("WAL delete record: {msg}"));
-        let pid = d.u32()? as usize;
-        let epoch = d.u64()?;
-        let p = t
-            .partitions
-            .get(pid)
-            .ok_or_else(|| corrupt("pid out of range"))?;
-        let mut state = lock(&p.state);
-        if epoch > state.main().epoch {
-            return Err(corrupt("record epoch ahead of the replayed timeline"));
-        }
-        // Decode and validate the whole record before flipping any bit, as
-        // for inserts. Flips at an older epoch are already folded into the
-        // loaded (or merge-replayed) main store; at the current epoch they
-        // re-apply idempotently.
-        let mut main_rids = Vec::new();
-        for _ in 0..d.u32()? {
-            let rid = d.u32()?;
-            if epoch == state.main().epoch {
-                if rid as usize >= state.main().rows {
-                    return Err(corrupt("main rid out of range"));
-                }
-                main_rids.push(RecordId(rid));
-            }
-        }
-        let mut delta_rids = Vec::new();
-        for _ in 0..d.u32()? {
-            let abs = d.u64()?;
-            // Below the base: folded by a merge the timeline already passed.
-            if let Some(local) = abs.checked_sub(state.drained_total()) {
-                if local >= state.delta_rows() as u64 {
-                    return Err(corrupt("delta position out of range"));
-                }
-                delta_rids.push(RecordId(local as u32));
-            }
-        }
-        d.finish()?;
-        // The transition the live delete called.
-        let flipped = state.invalidate(&main_rids, &delta_rids);
-        storage.note_replay(flipped > 0);
-        Ok(())
     }
 
     /// Re-executes a logged epoch publish. The merge enclave reassembles
@@ -1382,30 +949,22 @@ impl DbaasServer {
         &self,
         storage: &Storage,
         t: &ServerTable,
-        d: &mut Dec<'_>,
+        p: &Partition,
+        m: MergeRecord,
     ) -> Result<(), DbError> {
-        let corrupt = |msg: &str| DbError::Durability(format!("WAL merge record: {msg}"));
-        let pid = d.u32()? as usize;
-        let old_epoch = d.u64()?;
-        let watermark_abs = d.u64()?;
-        d.finish()?;
-        let p = t
-            .partitions
-            .get(pid)
-            .ok_or_else(|| corrupt("pid out of range"))?;
         let job = {
             let mut state = lock(&p.state);
-            if old_epoch < state.main().epoch {
+            if m.old_epoch < state.main().epoch {
                 // The loaded snapshot already contains this publish.
                 storage.note_replay(false);
                 return Ok(());
             }
-            if old_epoch > state.main().epoch || watermark_abs < state.drained_total() {
-                return Err(corrupt("record epoch ahead of the replayed timeline"));
+            if m.old_epoch > state.main().epoch || m.watermark_abs < state.drained_total() {
+                return Err(corrupt("merge epoch ahead of the replayed timeline"));
             }
-            let watermark = watermark_abs - state.drained_total();
+            let watermark = m.watermark_abs - state.drained_total();
             if watermark > state.delta_rows() as u64 {
-                return Err(corrupt("watermark past the replayed delta"));
+                return Err(corrupt("merge watermark past the replayed delta"));
             }
             state.capture(watermark as usize)
         };
@@ -1433,11 +992,7 @@ impl DbaasServer {
     /// [`DbError::Durability`] without attached storage, on I/O failure or
     /// at an injected crash point; merge errors propagate.
     pub fn checkpoint(&self, table: &str) -> Result<bool, DbError> {
-        let Some(storage) = self.storage() else {
-            return Err(DbError::Durability(
-                "no durable storage attached".to_string(),
-            ));
-        };
+        let storage = self.attached_storage()?;
         self.merge_table(table)?;
         let t = self.table_handle(table)?;
         let wal = storage.wal_handle(table)?;
@@ -1455,13 +1010,17 @@ impl DbaasServer {
             // Writers are blocked on the WAL mutex we hold, so the
             // quiescence verified above cannot be invalidated here.
             storage.ensure_snapshot(&t.schema, p.index, &main, drained)?;
-            floors.push((p.index as u32, main.epoch, drained));
+            floors.push(Floor {
+                pid: p.index,
+                epoch: main.epoch,
+                drained_total: drained,
+            });
         }
         storage.fire(FailPoint::CheckpointNoTruncate)?;
         storage.truncate_wal(table, &mut wal_guard, &floors)?;
         drop(wal_guard);
-        for &(pid, epoch, _) in &floors {
-            storage.prune_snapshots(table, pid as usize, epoch, 1)?;
+        for f in &floors {
+            storage.prune_snapshots(table, f.pid, f.epoch, 1)?;
         }
         Ok(true)
     }
@@ -1480,12 +1039,7 @@ impl DbaasServer {
     ///
     /// [`DbError::Durability`] without attached storage.
     pub fn arm_fail_point(&self, point: FailPoint) -> Result<(), DbError> {
-        let Some(storage) = self.storage() else {
-            return Err(DbError::Durability(
-                "no durable storage attached".to_string(),
-            ));
-        };
-        storage.arm(point);
+        self.attached_storage()?.arm(point);
         Ok(())
     }
 }

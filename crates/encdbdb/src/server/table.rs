@@ -2,9 +2,9 @@
 //! table-wide compaction counters, partition routing for writes and
 //! range pruning for reads.
 
+use super::format::{DeleteRecord, InsertGroup, WalRecord};
 use super::partition::{MainColumn, Partition, PartitionSnapshot};
 use super::snapshot::TableSnapshot;
-use super::storage;
 use super::{
     lock, CellValue, DbaasServer, DeployedColumn, QueryStats, ServerFilter, MERGE_RETRIES,
 };
@@ -14,6 +14,7 @@ use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::RecordId;
 use encdict::dynamic::MainSnapshot;
 use encdict::{EncryptedDictionary, PlainDictionary};
+use std::borrow::Cow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 
@@ -339,13 +340,13 @@ impl DbaasServer {
                     continue;
                 }
                 let state = lock(&t.partitions[pid].state);
-                groups.push(storage::InsertGroup {
+                groups.push(InsertGroup {
                     pid,
                     base_abs: state.drained_total() + state.delta_rows() as u64,
-                    rows,
+                    rows: Cow::Borrowed(rows.as_slice()),
                 });
             }
-            s.append_record(guard, &storage::encode_insert(&groups))?;
+            s.append_record(guard, &WalRecord::Insert(groups))?;
         }
         let mut touched = Vec::new();
         for (pid, rows) in per_partition.iter().enumerate() {
@@ -431,13 +432,13 @@ impl DbaasServer {
                     // already-invalid; replay re-checks validity bits).
                     if let (Some(s), Some(guard)) = (&storage, wal_guard.as_mut()) {
                         if !main_rids.is_empty() || !delta_rids.is_empty() {
-                            let record = storage::encode_delete(
+                            let base = state.drained_total();
+                            let record = WalRecord::Delete(DeleteRecord {
                                 pid,
                                 epoch,
-                                &main_rids,
-                                state.drained_total(),
-                                &delta_rids,
-                            );
+                                main_rids: main_rids.clone(),
+                                delta_abs: delta_rids.iter().map(|r| base + r.0 as u64).collect(),
+                            });
                             s.append_record(guard, &record)?;
                         }
                     }

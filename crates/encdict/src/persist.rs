@@ -3,126 +3,92 @@
 //! The paper's in-memory DBMS keeps the primary copy in RAM and writes all
 //! data to disk for durability (Fig. 5 step 4). Encrypted dictionaries are
 //! ciphertext already, so they can rest on untrusted disk verbatim; this
-//! module provides a length-prefixed binary format mirroring
-//! `colstore::persist`.
+//! module lays them out with `colstore::codec` (`u64` length prefixes).
 
 use crate::dict::{EncryptedDictionary, PlainDictionary, Segment};
 use crate::error::EncdictError;
 use crate::kind::EdKind;
+use colstore::codec::{CodecError, Reader, Writer};
 use colstore::dictionary::{AttributeVector, ValueId};
-use std::io::{Read, Write};
-use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"ENCDBED1";
 const PLAIN_MAGIC: &[u8; 8] = b"ENCDBPD1";
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-    out.extend_from_slice(bytes);
+impl From<CodecError> for EncdictError {
+    fn from(e: CodecError) -> Self {
+        EncdictError::CorruptDictionary(e.what())
+    }
 }
 
 fn put_av(out: &mut Vec<u8>, av: &AttributeVector) {
-    out.extend_from_slice(&(av.len() as u64).to_le_bytes());
+    out.put_u64(av.len() as u64);
     for &id in av.as_slice() {
-        out.extend_from_slice(&id.to_le_bytes());
+        out.put_u32(id);
     }
 }
 
 /// Serializes an encrypted dictionary plus its attribute vector.
 pub fn to_bytes(dict: &EncryptedDictionary, av: &AttributeVector) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.push(dict.kind().number());
-    put_bytes(&mut out, dict.table_name().as_bytes());
-    put_bytes(&mut out, dict.col_name().as_bytes());
-    out.extend_from_slice(&(dict.max_len() as u64).to_le_bytes());
-    out.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+    out.put(MAGIC);
+    out.put_u8(dict.kind().number());
+    out.put_bytes64(dict.table_name().as_bytes());
+    out.put_bytes64(dict.col_name().as_bytes());
+    out.put_u64(dict.max_len() as u64);
+    out.put_u64(dict.len() as u64);
     // Head and tail are reconstructed from the per-entry ciphertexts so
     // the format is independent of the in-memory layout details.
     for i in 0..dict.len() {
-        put_bytes(&mut out, dict.ciphertext(i));
+        out.put_bytes64(dict.ciphertext(i));
     }
     match dict.enc_rnd_offset() {
         Some(enc) => {
-            out.push(1);
-            put_bytes(&mut out, enc);
+            out.put_u8(1);
+            out.put_bytes64(enc);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
     put_av(&mut out, av);
     out
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn magic(r: &mut Reader<'_>, want: &[u8; 8]) -> Result<(), EncdictError> {
+    if r.take(8)? != want {
+        return Err(EncdictError::CorruptDictionary("bad magic"));
+    }
+    Ok(())
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EncdictError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(EncdictError::CorruptDictionary("truncated blob"));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
+fn ed_kind(r: &mut Reader<'_>) -> Result<EdKind, EncdictError> {
+    EdKind::from_number(r.u8()?).ok_or(EncdictError::CorruptDictionary("unknown kind"))
+}
 
-    fn u64(&mut self) -> Result<u64, EncdictError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
+fn name(r: &mut Reader<'_>, what: &'static str) -> Result<String, EncdictError> {
+    String::from_utf8(r.bytes64(usize::MAX)?.to_vec())
+        .map_err(|_| EncdictError::CorruptDictionary(what))
+}
 
-    fn u8(&mut self) -> Result<u8, EncdictError> {
-        Ok(self.take(1)?[0])
+/// The entry count and that many length-prefixed entries, none longer
+/// than `max_entry`, as a segment in entry order. An entry costs at least
+/// its eight-byte prefix, which is what bounds the reservation.
+fn entries(r: &mut Reader<'_>, max_entry: usize) -> Result<Segment, EncdictError> {
+    let len = r.count64(8)?;
+    let mut segment = Segment::with_capacity(len);
+    for _ in 0..len {
+        segment.push(r.bytes64(max_entry)?);
     }
+    Ok(segment)
+}
 
-    fn bytes_field(&mut self) -> Result<&'a [u8], EncdictError> {
-        let len = self.u64()? as usize;
-        if len > self.bytes.len() {
-            return Err(EncdictError::CorruptDictionary("field length overflow"));
-        }
-        self.take(len)
+/// The attribute vector that ends every blob.
+fn av_to_end(mut r: Reader<'_>) -> Result<AttributeVector, EncdictError> {
+    let av_len = r.count64(4)?;
+    let mut av = AttributeVector::with_capacity(av_len);
+    for _ in 0..av_len {
+        av.push(ValueId(r.u32()?));
     }
-
-    fn kind(&mut self) -> Result<EdKind, EncdictError> {
-        EdKind::from_number(self.u8()?).ok_or(EncdictError::CorruptDictionary("unknown kind"))
-    }
-
-    /// The entry count and that many length-prefixed entries, none longer
-    /// than `max_entry`, as a segment in entry order.
-    fn segment(&mut self, max_entry: usize) -> Result<Segment, EncdictError> {
-        let len = self.u64()? as usize;
-        if len > self.bytes.len() {
-            return Err(EncdictError::CorruptDictionary("entry count overflow"));
-        }
-        let mut segment = Segment::with_capacity(len);
-        for _ in 0..len {
-            let entry = self.bytes_field()?;
-            if entry.len() > max_entry {
-                return Err(EncdictError::CorruptDictionary("value exceeds max_len"));
-            }
-            segment.push(entry);
-        }
-        Ok(segment)
-    }
-
-    /// The attribute vector that ends every blob.
-    fn av_to_end(&mut self) -> Result<AttributeVector, EncdictError> {
-        let av_len = self.u64()? as usize;
-        if av_len > self.bytes.len() {
-            return Err(EncdictError::CorruptDictionary("av count overflow"));
-        }
-        let mut av = AttributeVector::with_capacity(av_len);
-        for _ in 0..av_len {
-            av.push(ValueId(u32::from_le_bytes(
-                self.take(4)?.try_into().unwrap(),
-            )));
-        }
-        if self.pos != self.bytes.len() {
-            return Err(EncdictError::CorruptDictionary("trailing bytes"));
-        }
-        Ok(av)
-    }
+    r.finish()?;
+    Ok(av)
 }
 
 /// Deserializes an encrypted dictionary plus attribute vector.
@@ -134,24 +100,20 @@ impl<'a> Reader<'a> {
 /// tampered entries at decryption time, which is the paper's trust model
 /// (integrity is end-to-end via AES-GCM, not via the storage layer).
 pub fn from_bytes(bytes: &[u8]) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(8)? != MAGIC {
-        return Err(EncdictError::CorruptDictionary("bad magic"));
-    }
-    let kind = r.kind()?;
-    let table_name = String::from_utf8(r.bytes_field()?.to_vec())
-        .map_err(|_| EncdictError::CorruptDictionary("table name not utf-8"))?;
-    let col_name = String::from_utf8(r.bytes_field()?.to_vec())
-        .map_err(|_| EncdictError::CorruptDictionary("column name not utf-8"))?;
+    let mut r = Reader::new(bytes);
+    magic(&mut r, MAGIC)?;
+    let kind = ed_kind(&mut r)?;
+    let table_name = name(&mut r, "table name not utf-8")?;
+    let col_name = name(&mut r, "column name not utf-8")?;
     let max_len = r.u64()? as usize;
     // Ciphertexts are longer than `max_len`; the enclave checks them.
-    let segment = r.segment(usize::MAX)?;
+    let segment = entries(&mut r, usize::MAX)?;
     let enc_rnd_offset = match r.u8()? {
         0 => None,
-        1 => Some(r.bytes_field()?.to_vec()),
+        1 => Some(r.bytes64(usize::MAX)?.to_vec()),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av = r.av_to_end()?;
+    let av = av_to_end(r)?;
     let dict =
         EncryptedDictionary::new(kind, table_name, col_name, max_len, segment, enc_rnd_offset);
     Ok((dict, av))
@@ -165,19 +127,19 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(EncryptedDictionary, AttributeVector)
 /// to wrap the whole blob in enclave sealing before it touches disk.
 pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(PLAIN_MAGIC);
-    out.push(dict.kind().number());
-    out.extend_from_slice(&(dict.max_len() as u64).to_le_bytes());
-    out.extend_from_slice(&(dict.len() as u64).to_le_bytes());
+    out.put(PLAIN_MAGIC);
+    out.put_u8(dict.kind().number());
+    out.put_u64(dict.max_len() as u64);
+    out.put_u64(dict.len() as u64);
     for i in 0..dict.len() {
-        put_bytes(&mut out, dict.value(i));
+        out.put_bytes64(dict.value(i));
     }
     match dict.rnd_offset() {
         Some(off) => {
-            out.push(1);
-            out.extend_from_slice(&off.to_le_bytes());
+            out.put_u8(1);
+            out.put_u64(off);
         }
-        None => out.push(0),
+        None => out.put_u8(0),
     }
     put_av(&mut out, av);
     out
@@ -189,47 +151,18 @@ pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
 ///
 /// Returns [`EncdictError::CorruptDictionary`] on any structural problem.
 pub fn plain_from_bytes(bytes: &[u8]) -> Result<(PlainDictionary, AttributeVector), EncdictError> {
-    let mut r = Reader { bytes, pos: 0 };
-    if r.take(8)? != PLAIN_MAGIC {
-        return Err(EncdictError::CorruptDictionary("bad magic"));
-    }
-    let kind = r.kind()?;
+    let mut r = Reader::new(bytes);
+    magic(&mut r, PLAIN_MAGIC)?;
+    let kind = ed_kind(&mut r)?;
     let max_len = r.u64()? as usize;
-    let segment = r.segment(max_len)?;
+    let segment = entries(&mut r, max_len)?;
     let rnd_offset = match r.u8()? {
         0 => None,
         1 => Some(r.u64()?),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av = r.av_to_end()?;
+    let av = av_to_end(r)?;
     Ok((PlainDictionary::new(kind, max_len, segment, rnd_offset), av))
-}
-
-/// Writes a dictionary + attribute vector to a file.
-///
-/// # Errors
-///
-/// Returns [`EncdictError::CorruptDictionary`] wrapping I/O failures is
-/// not appropriate here, so I/O errors are surfaced via `std::io::Error`.
-pub fn write_file(
-    path: &Path,
-    dict: &EncryptedDictionary,
-    av: &AttributeVector,
-) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&to_bytes(dict, av))
-}
-
-/// Reads a dictionary + attribute vector from a file.
-///
-/// # Errors
-///
-/// I/O failures via `std::io::Error`; format failures are converted into
-/// `InvalidData` errors carrying the [`EncdictError`].
-pub fn read_file(path: &Path) -> std::io::Result<(EncryptedDictionary, AttributeVector)> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    from_bytes(&bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -288,12 +221,12 @@ mod tests {
         };
         let (dict, av) = build_encrypted(&col, EdKind::Ed2, &params, &sk_d, &mut rng).unwrap();
 
-        let dir = std::env::temp_dir().join("encdict-persist");
+        let dir = std::env::temp_dir().join(format!("encdict-persist-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("d.bin");
-        write_file(&path, &dict, &av).unwrap();
-        let (dict2, av2) = read_file(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        std::fs::write(&path, to_bytes(&dict, &av)).unwrap();
+        let (dict2, av2) = from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
 
         // The reloaded dictionary is searchable with the same key.
         let mut enclave = DictEnclave::with_seed(51);
@@ -356,6 +289,38 @@ mod tests {
         let mut bad_kind = blob;
         bad_kind[8] = 0;
         assert!(plain_from_bytes(&bad_kind).is_err());
+    }
+
+    /// Every truncation fails and a seeded single-byte flip at every offset
+    /// either still decodes or fails — always as `CorruptDictionary`, never
+    /// as a panic or an allocation sized by a flipped count.
+    #[test]
+    fn mutated_blobs_end_in_corrupt_dictionary() {
+        use crate::build::build_plain;
+        use rand::Rng;
+        fn mutate<T>(blob: &[u8], decode: impl Fn(&[u8]) -> Result<T, EncdictError>) {
+            let mut rng = StdRng::seed_from_u64(blob.len() as u64);
+            assert!(decode(blob).is_ok());
+            for at in 0..blob.len() {
+                let mut flipped = blob.to_vec();
+                flipped[at] ^= rng.gen_range(1..=255u8);
+                for bad in [&blob[..at], &flipped[..]] {
+                    if let Err(e) = decode(bad) {
+                        assert!(matches!(e, EncdictError::CorruptDictionary(_)), "{at}: {e}");
+                    } else {
+                        assert_eq!(bad.len(), blob.len(), "cut at {at} decoded");
+                    }
+                }
+            }
+        }
+        let col = Column::from_strs("c", 8, ["x", "y", "x", "z", ""]).unwrap();
+        for kind in [EdKind::Ed1, EdKind::Ed5, EdKind::Ed9] {
+            let (dict, av) = sample(kind);
+            mutate(&to_bytes(&dict, &av), from_bytes);
+            let mut rng = StdRng::seed_from_u64(kind.number() as u64);
+            let (dict, av) = build_plain(&col, kind, &BuildParams::default(), &mut rng).unwrap();
+            mutate(&plain_to_bytes(&dict, &av), plain_from_bytes);
+        }
     }
 
     #[test]

@@ -228,22 +228,17 @@ fn repeated_merge_cycles_stay_consistent() {
     }
 }
 
-/// Persistence round trip: a column written to disk and reloaded deploys
-/// and queries identically.
+/// Persistence round trip: a column deployed into a durable session is
+/// written to disk, and the reopened deployment queries identically.
 #[test]
 fn persisted_column_redeploys() {
-    let dir = std::env::temp_dir().join("encdbdb-e2e");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("col.bin");
+    let dir = std::env::temp_dir().join(format!("encdbdb-e2e-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
     let column = Column::from_strs("c", 8, ["x1", "x2", "x3", "x2"]).unwrap();
-    colstore::persist::write_column(&path, &column).unwrap();
-    let reloaded = colstore::persist::read_column(&path).unwrap();
-    assert_eq!(reloaded, column);
-
-    let mut db = Session::with_seed(555).unwrap();
+    let mut db = Session::with_seed_durable(555, &dir).unwrap();
     let mut table = Table::new("t");
-    table.add_column(reloaded).unwrap();
+    table.add_column(column).unwrap();
     db.load_table(
         &table,
         TableSchema::new(
@@ -252,9 +247,15 @@ fn persisted_column_redeploys() {
         ),
     )
     .unwrap();
-    let r = db.execute("SELECT c FROM t WHERE c = 'x2'").unwrap();
-    assert_eq!(r.row_count(), 2);
-    std::fs::remove_file(&path).ok();
+    let live = db.execute("SELECT c FROM t WHERE c = 'x2'").unwrap();
+    assert_eq!(live.row_count(), 2);
+    let key = db.master_key();
+    drop(db);
+
+    let mut db = Session::open(&dir, key, 556).unwrap();
+    let reloaded = db.execute("SELECT c FROM t WHERE c = 'x2'").unwrap();
+    assert_eq!(reloaded.rows_as_strings(), live.rows_as_strings());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The workload generator and the full pipeline compose: a C2-like column
