@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use encdbdb_crypto::aes::Aes128;
+use encdbdb_crypto::gcm::LANES;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::keys::{Key128, Key256};
 use encdbdb_crypto::{sha256, x25519, Pae};
@@ -36,6 +37,24 @@ fn bench_crypto(c: &mut Criterion) {
         });
         group.bench_function(format!("decrypt_10B{suffix}"), |b| {
             b.iter(|| pae.decrypt(&ct, AAD).unwrap())
+        });
+    }
+    group.finish();
+
+    // The same value, one batch of `LANES` per iteration: what a linear
+    // dictionary scan and a dictionary build pay per entry (DESIGN.md §6).
+    let mut group = c.benchmark_group("pae_batch");
+    group.throughput(Throughput::Elements(LANES as u64));
+    for (suffix, pae) in [("", Pae::new(&key)), ("_portable", Pae::portable(&key))] {
+        let values = [&b"aaaaabbbbb"[..]; LANES];
+        let cts = pae.encrypt_many_with_rng(&mut rng, &values, AAD);
+        let cts: Vec<&[u8]> = cts.iter().map(|ct| ct.as_bytes()).collect();
+        let mut outs: [Vec<u8>; LANES] = Default::default();
+        group.bench_function(format!("encrypt_10B_x{LANES}{suffix}"), |b| {
+            b.iter(|| pae.encrypt_many_with_rng(&mut rng, &values, AAD))
+        });
+        group.bench_function(format!("decrypt_10B_x{LANES}{suffix}"), |b| {
+            b.iter(|| pae.decrypt_many_into(&cts, AAD, &mut outs).unwrap())
         });
     }
     group.finish();

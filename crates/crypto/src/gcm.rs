@@ -22,6 +22,10 @@ pub const IV_LEN: usize = 12;
 pub const TAG_LEN: usize = 16;
 /// Total ciphertext expansion over the plaintext length.
 pub const OVERHEAD: usize = IV_LEN + TAG_LEN;
+/// Entries one backend call of [`Pae::decrypt_many_into`] or
+/// [`Pae::encrypt_many_with_rng`] takes: the hardware kernel keeps this
+/// many independent AES chains in flight.
+pub const LANES: usize = 8;
 
 /// GHASH: universal hashing over GF(2^128) using a 4-bit table.
 #[derive(Clone)]
@@ -227,6 +231,53 @@ impl Portable {
     }
 }
 
+/// A serialized ciphertext, split after its IV.
+#[derive(Clone, Copy)]
+pub(crate) struct Sealed<'a> {
+    pub(crate) iv: &'a [u8; IV_LEN],
+    /// `body ‖ tag`. Every 16-byte block that starts in the body ends
+    /// within these bytes, so the hardware kernels read whole blocks.
+    pub(crate) body_tag: &'a [u8],
+}
+
+impl<'a> Sealed<'a> {
+    /// A placeholder that fills the unused slots of a batch.
+    const EMPTY: Sealed<'static> = Sealed {
+        iv: &[0; IV_LEN],
+        body_tag: &[0; TAG_LEN],
+    };
+
+    fn split(bytes: &'a [u8]) -> Result<Self, CryptoError> {
+        match bytes.split_first_chunk::<IV_LEN>() {
+            Some((iv, body_tag)) if body_tag.len() >= TAG_LEN => Ok(Sealed { iv, body_tag }),
+            _ => Err(CryptoError::Truncated {
+                got: bytes.len(),
+                need: OVERHEAD,
+            }),
+        }
+    }
+
+    /// Splits each of `cts` (at most [`LANES`]) into `slots`, returning
+    /// the filled prefix.
+    fn split_batch<'s>(
+        cts: &[&'a [u8]],
+        slots: &'s mut [Sealed<'a>; LANES],
+    ) -> Result<&'s [Sealed<'a>], CryptoError> {
+        for (slot, ct) in slots.iter_mut().zip(cts) {
+            *slot = Sealed::split(ct)?;
+        }
+        Ok(&slots[..cts.len()])
+    }
+
+    pub(crate) fn body(&self) -> &'a [u8] {
+        &self.body_tag[..self.body_tag.len() - TAG_LEN]
+    }
+
+    fn tag(&self) -> &'a [u8] {
+        &self.body_tag[self.body_tag.len() - TAG_LEN..]
+    }
+}
+
 /// The one GCM implementation a [`Pae`] holds, chosen once per key.
 #[derive(Clone)]
 enum Backend {
@@ -260,6 +311,67 @@ impl Backend {
             Backend::Hardware(hw) => hw.tag(iv, aad, ct),
         }
     }
+
+    // The batch operations below take up to `LANES` entries that share
+    // one AAD. Two or more go to the hardware's interleaved kernels; a
+    // lone entry has nothing to interleave with and takes the
+    // single-entry kernels, as every entry does on the portable backend.
+
+    /// The tag each of `entries` should carry, into `tags`.
+    fn tags(&self, aad: &[u8], entries: &[Sealed<'_>], tags: &mut [[u8; TAG_LEN]]) {
+        match (self, entries) {
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Hardware(hw), [_, _, ..]) => hw.tags(aad, entries, tags),
+            _ => {
+                for (e, tag) in entries.iter().zip(tags) {
+                    *tag = self.tag(e.iv, aad, e.body());
+                }
+            }
+        }
+    }
+
+    /// Writes the plaintext of each of `entries` into the matching `out`,
+    /// replacing its contents. Tags are the caller's to check first.
+    fn open_many(&self, entries: &[Sealed<'_>], outs: &mut [Vec<u8>]) {
+        match (self, entries) {
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Hardware(hw), [_, _, ..]) => hw.open_many(entries, outs),
+            _ => {
+                for (e, out) in entries.iter().zip(outs) {
+                    out.clear();
+                    out.extend_from_slice(e.body());
+                    self.ctr_xor(e.iv, out);
+                }
+            }
+        }
+    }
+
+    /// Seals each `IV ‖ plaintext` buffer into `IV ‖ ciphertext ‖ tag`.
+    fn seal_many(&self, aad: &[u8], bufs: &mut [Vec<u8>]) {
+        match (self, bufs.len()) {
+            #[cfg(target_arch = "x86_64")]
+            (Backend::Hardware(hw), 2..) => hw.seal_many(aad, bufs),
+            _ => {
+                for buf in bufs {
+                    let (iv, body) = buf
+                        .split_first_chunk_mut::<IV_LEN>()
+                        .expect("a seal buffer starts with its IV");
+                    self.ctr_xor(iv, body);
+                    let tag = self.tag(iv, aad, body);
+                    buf.extend_from_slice(&tag);
+                }
+            }
+        }
+    }
+}
+
+/// `IV ‖ plaintext`, with room for the tag: what [`Backend::seal_many`]
+/// takes.
+fn seal_buffer(iv: &[u8; IV_LEN], plaintext: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
+    out.extend_from_slice(iv);
+    out.extend_from_slice(plaintext);
+    out
 }
 
 /// Probabilistic authenticated encryption: AES-128-GCM.
@@ -303,12 +415,8 @@ impl Pae {
     /// Use [`Pae::encrypt_with_rng`] in production paths; explicit IVs exist
     /// for deterministic tests and for the paper's algorithm descriptions.
     pub fn encrypt(&self, iv: &[u8; IV_LEN], plaintext: &[u8], aad: &[u8]) -> Ciphertext {
-        let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
-        out.extend_from_slice(iv);
-        out.extend_from_slice(plaintext);
-        self.backend.ctr_xor(iv, &mut out[IV_LEN..]);
-        let tag = self.backend.tag(iv, aad, &out[IV_LEN..]);
-        out.extend_from_slice(&tag);
+        let mut out = seal_buffer(iv, plaintext);
+        self.backend.seal_many(aad, std::slice::from_mut(&mut out));
         Ciphertext(out)
     }
 
@@ -322,6 +430,30 @@ impl Pae {
         let mut iv = [0u8; IV_LEN];
         rng.fill_bytes(&mut iv);
         self.encrypt(&iv, plaintext, aad)
+    }
+
+    /// [`Pae::encrypt_with_rng`] over many plaintexts under one `aad`.
+    /// The IVs are drawn exactly as a loop of `encrypt_with_rng` draws
+    /// them — one 12-byte fill per plaintext, in order — so the bytes are
+    /// that loop's; the hardware backend seals [`LANES`] per kernel call.
+    pub fn encrypt_many_with_rng<R: RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        plaintexts: &[&[u8]],
+        aad: &[u8],
+    ) -> Vec<Ciphertext> {
+        let mut bufs: Vec<Vec<u8>> = plaintexts
+            .iter()
+            .map(|plaintext| {
+                let mut iv = [0u8; IV_LEN];
+                rng.fill_bytes(&mut iv);
+                seal_buffer(&iv, plaintext)
+            })
+            .collect();
+        for batch in bufs.chunks_mut(LANES) {
+            self.backend.seal_many(aad, batch);
+        }
+        bufs.into_iter().map(Ciphertext).collect()
     }
 
     /// `PAE Dec(SK, c)` on a serialized `IV ‖ body ‖ tag` byte string,
@@ -341,18 +473,60 @@ impl Pae {
         aad: &[u8],
         out: &mut Vec<u8>,
     ) -> Result<(), CryptoError> {
-        let truncated = CryptoError::Truncated {
-            got: bytes.len(),
-            need: OVERHEAD,
-        };
-        let (iv, rest) = bytes.split_first_chunk::<IV_LEN>().ok_or(truncated)?;
-        let (body, tag) = rest.split_last_chunk::<TAG_LEN>().ok_or(truncated)?;
-        if !ct_eq(&self.backend.tag(iv, aad, body), tag) {
+        let entry = Sealed::split(bytes)?;
+        if !ct_eq(&self.backend.tag(entry.iv, aad, entry.body()), entry.tag()) {
             return Err(CryptoError::TagMismatch);
         }
         out.clear();
-        out.extend_from_slice(body);
-        self.backend.ctr_xor(iv, out);
+        out.extend_from_slice(entry.body());
+        self.backend.ctr_xor(entry.iv, out);
+        Ok(())
+    }
+
+    /// [`Pae::decrypt_into`] over many ciphertexts under one `aad`: the
+    /// plaintext of `cts[i]` replaces the contents of `outs[i]`. The
+    /// hardware backend opens [`LANES`] entries per kernel call, with
+    /// their AES rounds interleaved and GHASH over `aad` absorbed once.
+    /// Every tag is compared in constant time, and all of them verify
+    /// before any plaintext is written: on error every `out` is left
+    /// exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Pae::decrypt_into`], if any one ciphertext fails.
+    ///
+    /// # Panics
+    ///
+    /// If `cts` and `outs` differ in length.
+    pub fn decrypt_many_into(
+        &self,
+        cts: &[&[u8]],
+        aad: &[u8],
+        outs: &mut [Vec<u8>],
+    ) -> Result<(), CryptoError> {
+        assert_eq!(cts.len(), outs.len(), "one output buffer per ciphertext");
+        if let ([ct], [out]) = (cts, &mut *outs) {
+            return self.decrypt_into(ct, aad, out);
+        }
+        let mut slots = [Sealed::EMPTY; LANES];
+        let mut tags = [[0u8; TAG_LEN]; LANES];
+        for batch in cts.chunks(LANES) {
+            let entries = Sealed::split_batch(batch, &mut slots)?;
+            let tags = &mut tags[..entries.len()];
+            self.backend.tags(aad, entries, tags);
+            // `&`, not `&&`: every comparison runs, whichever fails.
+            let verified = entries
+                .iter()
+                .zip(tags.iter())
+                .fold(true, |ok, (e, tag)| ok & ct_eq(tag, e.tag()));
+            if !verified {
+                return Err(CryptoError::TagMismatch);
+            }
+        }
+        for (batch, outs) in cts.chunks(LANES).zip(outs.chunks_mut(LANES)) {
+            let entries = Sealed::split_batch(batch, &mut slots)?;
+            self.backend.open_many(entries, outs);
+        }
         Ok(())
     }
 
@@ -508,6 +682,89 @@ mod tests {
                         .decrypt_into(b.as_bytes(), &aad, &mut out)
                         .expect("detected decrypts portable");
                     assert_eq!(out, pt);
+                }
+            }
+        }
+    }
+
+    /// A batch of `size` plaintexts whose lengths cycle through the
+    /// block-boundary cases, starting at a different one per `salt`.
+    fn mixed_batch(rng: &mut StdRng, size: usize, salt: usize) -> Vec<Vec<u8>> {
+        const LENGTHS: [usize; 10] = [0, 1, 15, 16, 17, 31, 32, 33, 100, 257];
+        (0..size)
+            .map(|i| {
+                let len = LENGTHS[(i + salt) % LENGTHS.len()];
+                (0..len).map(|_| rng.gen()).collect()
+            })
+            .collect()
+    }
+
+    /// Both batched calls give the single-entry calls' bytes on both
+    /// backends, across batch sizes that fill zero, one, part of one and
+    /// several kernel calls, mixed body lengths and every AAD length that
+    /// spans zero to three GHASH blocks.
+    #[test]
+    fn batched_calls_match_single_entry_calls() {
+        let mut rng = StdRng::seed_from_u64(0xBA7C);
+        let key = Key128::generate(&mut rng);
+        let reference = Pae::portable(&key);
+        for (name, pae) in backends(&key) {
+            for size in (0..=9).chain([17]) {
+                for aad_len in 0..=40 {
+                    let aad: Vec<u8> = (0..aad_len).map(|_| rng.gen()).collect();
+                    let pts = mixed_batch(&mut rng, size, aad_len);
+                    let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
+                    let seed = rng.gen();
+                    let many =
+                        pae.encrypt_many_with_rng(&mut StdRng::seed_from_u64(seed), &pt_refs, &aad);
+                    let mut single_rng = StdRng::seed_from_u64(seed);
+                    let single: Vec<Ciphertext> = pt_refs
+                        .iter()
+                        .map(|pt| reference.encrypt_with_rng(&mut single_rng, pt, &aad))
+                        .collect();
+                    assert_eq!(many, single, "{name}: size {size} aad {aad_len}");
+
+                    let ct_refs: Vec<&[u8]> = single.iter().map(Ciphertext::as_bytes).collect();
+                    let mut outs = vec![b"stale".to_vec(); size];
+                    pae.decrypt_many_into(&ct_refs, &aad, &mut outs).unwrap();
+                    for (i, (out, ct)) in outs.iter().zip(&ct_refs).enumerate() {
+                        let mut one = Vec::new();
+                        reference.decrypt_into(ct, &aad, &mut one).unwrap();
+                        assert_eq!(out, &one, "{name}: size {size} aad {aad_len} entry {i}");
+                        assert_eq!(out, &pts[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One flipped byte anywhere in one entry of a batch that spans two
+    /// kernel calls fails the whole call, and no output is touched.
+    #[test]
+    fn batched_open_releases_nothing_when_any_tag_fails() {
+        let mut rng = StdRng::seed_from_u64(0x7A6);
+        let key = Key128::generate(&mut rng);
+        for (name, pae) in backends(&key) {
+            let pts = mixed_batch(&mut rng, LANES + 1, 3);
+            let pt_refs: Vec<&[u8]> = pts.iter().map(Vec::as_slice).collect();
+            let cts: Vec<Vec<u8>> = pae
+                .encrypt_many_with_rng(&mut rng, &pt_refs, b"aad")
+                .into_iter()
+                .map(Ciphertext::into_bytes)
+                .collect();
+            let before: Vec<Vec<u8>> = (0..cts.len()).map(|i| vec![i as u8; i]).collect();
+            for victim in 0..cts.len() {
+                for byte in 0..cts[victim].len() {
+                    let mut tampered = cts.clone();
+                    tampered[victim][byte] ^= 0x01;
+                    let refs: Vec<&[u8]> = tampered.iter().map(Vec::as_slice).collect();
+                    let mut outs = before.clone();
+                    assert_eq!(
+                        pae.decrypt_many_into(&refs, b"aad", &mut outs),
+                        Err(CryptoError::TagMismatch),
+                        "{name}: entry {victim} byte {byte}"
+                    );
+                    assert_eq!(outs, before, "{name}: entry {victim} byte {byte}");
                 }
             }
         }

@@ -395,17 +395,11 @@ impl Storage {
         std::fs::create_dir_all(&dir).map_err(io_err("creating", &dir))?;
         let path = self.snapshot_path(&schema.name, pid, main.epoch)?;
         let tmp = dir.join(format!("p{pid}-e{}.snap.tmp", main.epoch));
-        let write_tmp = |bytes: &[u8]| -> Result<(), DbError> {
-            let mut f = File::create(&tmp).map_err(io_err("creating", &tmp))?;
-            f.write_all(bytes).map_err(io_err("writing", &tmp))?;
-            f.sync_data().map_err(io_err("fsync of", &tmp))?;
-            Ok(())
-        };
         if *lock(&self.armed) == Some(FailPoint::SnapshotTornWrite) {
-            let _ = write_tmp(&framed[..framed.len() / 2]);
+            let _ = write_synced(&tmp, &framed[..framed.len() / 2]);
             return self.fire(FailPoint::SnapshotTornWrite);
         }
-        write_tmp(&framed)?;
+        write_synced(&tmp, &framed)?;
         self.fire(FailPoint::SnapshotNoRename)?;
         std::fs::rename(&tmp, &path).map_err(io_err("publishing snapshot", &path))?;
         self.with_stats(|s| s.snapshots_persisted += 1);
@@ -526,7 +520,7 @@ impl Storage {
         let framed = frame(&self.seal(&format::encode_manifest(schema)));
         let path = dir.join("table.manifest");
         let tmp = dir.join("table.manifest.tmp");
-        std::fs::write(&tmp, &framed).map_err(io_err("writing", &tmp))?;
+        write_synced(&tmp, &framed)?;
         std::fs::rename(&tmp, &path).map_err(io_err("publishing", &path))?;
         Ok(())
     }
@@ -615,6 +609,14 @@ fn already_attached() -> DbError {
 /// The text of an I/O failure on a storage file.
 fn io_err<'a>(verb: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> DbError + 'a {
     move |e| DbError::Durability(format!("{verb} {}: {e}", path.display()))
+}
+
+/// Writes `bytes` as the file `tmp` and syncs its data, so that the rename
+/// publishing it can never expose a file whose contents a crash may lose.
+fn write_synced(tmp: &Path, bytes: &[u8]) -> Result<(), DbError> {
+    let mut f = File::create(tmp).map_err(io_err("creating", tmp))?;
+    f.write_all(bytes).map_err(io_err("writing", tmp))?;
+    f.sync_data().map_err(io_err("fsync of", tmp))
 }
 
 /// Why replay stopped at a record.

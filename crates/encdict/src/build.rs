@@ -25,8 +25,9 @@ use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption, RepetitionOption};
 use colstore::column::Column;
 use colstore::dictionary::{AttributeVector, ValueId};
+use encdbdb_crypto::gcm::LANES;
 use encdbdb_crypto::keys::Key128;
-use encdbdb_crypto::Pae;
+use encdbdb_crypto::{Ciphertext, Pae};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -58,9 +59,10 @@ impl Default for BuildParams {
 }
 
 /// Intermediate plaintext dictionary produced by steps 1–3.
-struct PlainSplit {
-    /// Plaintext dictionary values in final dictionary order.
-    entries: Vec<Vec<u8>>,
+struct PlainSplit<'c> {
+    /// Plaintext dictionary values in final dictionary order, borrowed
+    /// from the column.
+    entries: Vec<&'c [u8]>,
     /// The attribute vector (already remapped to final order).
     av: AttributeVector,
     /// Rotation offset, for rotated kinds.
@@ -68,12 +70,12 @@ struct PlainSplit {
 }
 
 /// Steps 1–3: repetition expansion + ordering + attribute vector.
-fn split_column<R: Rng + ?Sized>(
-    column: &Column,
+fn split_column<'c, R: Rng + ?Sized>(
+    column: &'c Column,
     kind: EdKind,
     bs_max: usize,
     rng: &mut R,
-) -> Result<PlainSplit, EncdictError> {
+) -> Result<PlainSplit<'c>, EncdictError> {
     // Group occurrence row-indices by value, preserving a deterministic
     // (first-occurrence) grouping order.
     let mut order: Vec<&[u8]> = Vec::new();
@@ -148,9 +150,9 @@ fn split_column<R: Rng + ?Sized>(
     }
 
     // Step 3: final entries + attribute vector.
-    let mut final_entries: Vec<Vec<u8>> = vec![Vec::new(); n];
+    let mut final_entries: Vec<&[u8]> = vec![&[]; n];
     for (k, pos) in position.iter().enumerate() {
-        final_entries[*pos as usize] = entries[k].to_vec();
+        final_entries[*pos as usize] = entries[k];
     }
     let av: AttributeVector = assignment
         .iter()
@@ -188,10 +190,16 @@ pub fn build_encrypted<R: Rng + ?Sized>(
     // §5: tail ciphertexts in random order, head offsets in dictionary order.
     let mut tail_order: Vec<u32> = (0..split.entries.len() as u32).collect();
     tail_order.shuffle(rng);
-    let segment = Segment::scattered(&tail_order, |pos| {
-        pae.encrypt_with_rng(rng, &split.entries[pos], DICT_VALUE_AAD)
-            .into_bytes()
+    // Sealed in tail order, `LANES` per batch: the IVs are drawn in the
+    // order one `encrypt_with_rng` per entry would draw them.
+    let sealed = tail_order.chunks(LANES).flat_map(|batch| {
+        let mut plaintexts: [&[u8]; LANES] = Default::default();
+        for (pt, &pos) in plaintexts.iter_mut().zip(batch) {
+            *pt = split.entries[pos as usize];
+        }
+        pae.encrypt_many_with_rng(rng, &plaintexts[..batch.len()], DICT_VALUE_AAD)
     });
+    let segment = Segment::scattered(&tail_order, sealed.map(Ciphertext::into_bytes));
     let enc_rnd_offset = split.rnd_offset.map(|off| {
         pae.encrypt_with_rng(rng, &off.to_le_bytes(), ROT_OFFSET_AAD)
             .into_bytes()
@@ -221,7 +229,10 @@ pub fn build_plain<R: Rng + ?Sized>(
     let split = split_column(column, kind, params.bs_max, rng)?;
     let mut tail_order: Vec<u32> = (0..split.entries.len() as u32).collect();
     tail_order.shuffle(rng);
-    let segment = Segment::scattered(&tail_order, |pos| &split.entries[pos]);
+    let segment = Segment::scattered(
+        &tail_order,
+        tail_order.iter().map(|&pos| split.entries[pos as usize]),
+    );
     let dict = PlainDictionary::new(kind, column.max_len(), segment, split.rnd_offset);
     Ok((dict, split.av))
 }

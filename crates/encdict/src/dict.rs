@@ -40,19 +40,24 @@ impl Segment {
         }
     }
 
-    /// The builder's layout: `entry(i)` produces the bytes of dictionary
-    /// position `i`; they are appended to the tail in the order
-    /// `tail_order` lists the positions (a permutation of
-    /// `0..tail_order.len()`), while the head stays in dictionary order —
-    /// "stored sequentially in a random order" (§5).
+    /// The builder's layout: `entries` yields the bytes of the dictionary
+    /// positions in the order `tail_order` lists them (a permutation of
+    /// `0..tail_order.len()`), and they are appended to the tail in that
+    /// order, while the head stays in dictionary order — "stored
+    /// sequentially in a random order" (§5).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` yields fewer items than `tail_order` holds.
     pub fn scattered<B: AsRef<[u8]>>(
         tail_order: &[u32],
-        mut entry: impl FnMut(usize) -> B,
+        entries: impl IntoIterator<Item = B>,
     ) -> Self {
         let mut tail = Vec::new();
         let mut locations = vec![(0u64, 0u32); tail_order.len()];
+        let mut entries = entries.into_iter();
         for &pos in tail_order {
-            let bytes = entry(pos as usize);
+            let bytes = entries.next().expect("one entry per tail position");
             let bytes = bytes.as_ref();
             locations[pos as usize] = (tail.len() as u64, bytes.len() as u32);
             tail.extend_from_slice(bytes);
@@ -506,7 +511,8 @@ mod tests {
             let model: Vec<Vec<u8>> = entries.into_iter().map(String::into_bytes).collect();
             let mut tail_order: Vec<u32> = (0..model.len() as u32).collect();
             tail_order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-            let segment = Segment::scattered(&tail_order, |i| &model[i]);
+            let segment =
+                Segment::scattered(&tail_order, tail_order.iter().map(|&i| &model[i as usize]));
             assert_matches_model(&segment, &model)?;
             // The tail really is in `tail_order`: its first bytes are the
             // entry listed first.

@@ -29,6 +29,7 @@ use crate::kind::{EdKind, OrderOption};
 use crate::range::EncryptedRange;
 use crate::search::{rotated, sorted, unsorted, DictEntryReader, DictSearchResult};
 use encdbdb_crypto::ct::ct_eq;
+use encdbdb_crypto::gcm::LANES;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Ciphertext, Key128, Pae};
 use enclave_sim::{Enclave, EnclaveLogic, TrustedEnv};
@@ -518,9 +519,15 @@ impl ValueCache {
         None
     }
 
-    fn get(&self, gen: &Generation, idx: u32) -> Option<&[u8]> {
-        self.find(gen.bucket(idx), &gen.key(idx))
-            .map(|at| self.slots[at].value.as_slice())
+    /// The cached value of `idx`, as a probe made after `pending` more
+    /// inserts of absent keys would find it: FIFO evicts the oldest live
+    /// entries first, so a value those inserts would push out is already
+    /// a miss.
+    fn get(&self, gen: &Generation, idx: u32, pending: usize) -> Option<&[u8]> {
+        let at = self.find(gen.bucket(idx), &gen.key(idx))?;
+        let evicted = (self.live + pending).saturating_sub(VALUE_CACHE_CAPACITY);
+        let age = (at + VALUE_CACHE_CAPACITY - self.first) % VALUE_CACHE_CAPACITY;
+        (age >= evicted).then(|| self.slots[at].value.as_slice())
     }
 
     /// Takes the oldest entry out of the index and the accounting; its
@@ -586,13 +593,6 @@ impl ValueCache {
     }
 }
 
-/// A [`ValueCache`] scoped to one column store generation, handed to the
-/// entry readers.
-struct CacheHandle<'e> {
-    cache: &'e mut ValueCache,
-    gen: Generation,
-}
-
 /// Loads the ciphertext of entry `i` of a head/tail segment — the one
 /// place the enclave follows a head entry into the tail. Head and tail are
 /// untrusted bytes: an index past the head, or a head entry whose offset
@@ -619,16 +619,128 @@ fn load_entry_ciphertext<'a>(
     Ok(env.load(tail, offset, clen))
 }
 
+/// One entry to read: its segment, its index there, and the segment's
+/// value-cache generation (`None` bypasses the cache).
+type EntryRef<'a> = (SegmentRef<'a>, usize, Option<Generation>);
+
+/// The enclave's reads in flight: misses loaded but not yet decrypted —
+/// up to [`LANES`] ciphertexts that one [`Pae::decrypt_many_into`] opens
+/// together — and the buffers it opens them into. A reader keeps its batch
+/// across reads, so a warm one allocates nothing.
+#[derive(Default)]
+struct Batch<'a> {
+    cts: [&'a [u8]; LANES],
+    /// The output slot of each, and its cache key if it is to be cached.
+    dest: [(usize, Option<(Generation, u32)>); LANES],
+    n: usize,
+    plaintexts: [Vec<u8>; LANES],
+}
+
+impl<'a> Batch<'a> {
+    /// Reads `entries` into `outs`, one each and in order — the enclave's
+    /// one path from a store to plaintext, the "load into the enclave
+    /// individually, decrypt them there" loop of Algorithm 1. A cache hit
+    /// is copied from trusted memory with no load or decryption; misses
+    /// are loaded in entry order and decrypted [`LANES`] at a time, then
+    /// cached. `opened` sees every value decrypted.
+    ///
+    /// Loads, decryptions and cache hit/miss counts are exactly those of
+    /// reading the entries one at a time: before a probe that the pending
+    /// misses would have answered differently (their own key, or a value
+    /// FIFO would evict to make room for them), they are opened.
+    fn read(
+        &mut self,
+        cache: &mut ValueCache,
+        env: &mut TrustedEnv,
+        pae: &Pae,
+        entries: impl IntoIterator<Item = EntryRef<'a>>,
+        outs: &mut [Vec<u8>],
+        mut opened: impl FnMut(&mut TrustedEnv, &[u8]),
+    ) -> Result<(), EncdictError> {
+        for (slot, (seg, i, gen)) in entries.into_iter().enumerate() {
+            if let Some(gen) = &gen {
+                if self.holds(gen, i as u32) {
+                    self.open(cache, env, pae, outs, &mut opened)?;
+                }
+                if let Some(pt) = cache.get(gen, i as u32, self.inserts()) {
+                    env.count_cache_hit();
+                    outs[slot].clear();
+                    outs[slot].extend_from_slice(pt);
+                    continue;
+                }
+            }
+            self.cts[self.n] = load_entry_ciphertext(env, seg, i)?;
+            self.dest[self.n] = (slot, gen.map(|gen| (gen, i as u32)));
+            self.n += 1;
+            if self.n == LANES {
+                self.open(cache, env, pae, outs, &mut opened)?;
+            }
+        }
+        self.open(cache, env, pae, outs, &mut opened)
+    }
+
+    /// Cache inserts the pending entries will make.
+    fn inserts(&self) -> usize {
+        self.dest[..self.n]
+            .iter()
+            .filter(|(_, key)| key.is_some())
+            .count()
+    }
+
+    /// Whether `gen`'s entry `idx` is among the pending ones.
+    fn holds(&self, gen: &Generation, idx: u32) -> bool {
+        self.dest[..self.n]
+            .iter()
+            .any(|(_, key)| key.is_some_and(|(g, i)| g.key(i) == gen.key(idx)))
+    }
+
+    /// Opens the pending entries, caches the ones with a key, and moves
+    /// each plaintext into its slot of `outs` (swapping buffers, so neither
+    /// side allocates once warm).
+    fn open(
+        &mut self,
+        cache: &mut ValueCache,
+        env: &mut TrustedEnv,
+        pae: &Pae,
+        outs: &mut [Vec<u8>],
+        opened: &mut impl FnMut(&mut TrustedEnv, &[u8]),
+    ) -> Result<(), EncdictError> {
+        let n = std::mem::take(&mut self.n);
+        if n == 0 {
+            return Ok(());
+        }
+        // Account the transient trusted buffers: one batch of ciphertexts.
+        let bytes = self.cts[..n].iter().map(|ct| ct.len()).sum();
+        env.track_alloc(bytes);
+        let decrypted = pae.decrypt_many_into(
+            &self.cts[..n],
+            crate::build::DICT_VALUE_AAD,
+            &mut self.plaintexts[..n],
+        );
+        env.track_free(bytes);
+        decrypted?;
+        for (&(slot, key), pt) in self.dest[..n].iter().zip(&mut self.plaintexts) {
+            if let Some((gen, idx)) = key {
+                env.count_cache_miss();
+                cache.insert(env, &gen, idx, pt);
+            }
+            opened(env, pt);
+            std::mem::swap(&mut outs[slot], pt);
+        }
+        Ok(())
+    }
+}
+
 /// Reads dictionary entries from untrusted memory, decrypting inside the
-/// enclave — the "load into the enclave individually, decrypt them there"
-/// loop of Algorithm 1. With a [`CacheHandle`], entries already decrypted
-/// this generation are served from trusted memory without any untrusted
-/// load or decryption.
+/// enclave, through one [`Batch`]. With a cache generation, entries
+/// already decrypted this generation are served from trusted memory.
 struct EnclaveDictReader<'a, 'e> {
     env: &'e mut TrustedEnv,
     store: SegmentRef<'a>,
     pae: &'e Pae,
-    cache: Option<CacheHandle<'e>>,
+    cache: &'e mut ValueCache,
+    gen: Option<Generation>,
+    batch: Batch<'a>,
 }
 
 impl DictEntryReader for EnclaveDictReader<'_, '_> {
@@ -637,25 +749,24 @@ impl DictEntryReader for EnclaveDictReader<'_, '_> {
     }
 
     fn read_into(&mut self, i: usize, buf: &mut Vec<u8>) -> Result<(), EncdictError> {
-        if let Some(h) = &self.cache {
-            if let Some(pt) = h.cache.get(&h.gen, i as u32) {
+        // A binary search's lone read has nothing to batch with: a hit is
+        // answered here, without the batch's bookkeeping.
+        if let Some(gen) = &self.gen {
+            if let Some(pt) = self.cache.get(gen, i as u32, self.batch.inserts()) {
                 self.env.count_cache_hit();
                 buf.clear();
                 buf.extend_from_slice(pt);
                 return Ok(());
             }
         }
-        let ct = load_entry_ciphertext(self.env, self.store, i)?;
-        // Account the transient trusted buffer (ciphertext + plaintext).
-        self.env.track_alloc(ct.len());
-        let decrypted = self.pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, buf);
-        self.env.track_free(ct.len());
-        decrypted?;
-        if let Some(h) = &mut self.cache {
-            self.env.count_cache_miss();
-            h.cache.insert(self.env, &h.gen, i as u32, buf);
-        }
-        Ok(())
+        self.read_chunk_into(i, std::slice::from_mut(buf))
+    }
+
+    fn read_chunk_into(&mut self, start: usize, bufs: &mut [Vec<u8>]) -> Result<(), EncdictError> {
+        let (store, gen) = (self.store, self.gen);
+        let entries = (start..start + bufs.len()).map(|i| (store, i, gen));
+        self.batch
+            .read(self.cache, self.env, self.pae, entries, bufs, |_, _| {})
     }
 }
 
@@ -866,18 +977,19 @@ impl DictLogic {
         // observably behaves as an uncached search.
         let scan_outruns_cache =
             req.kind.order() == OrderOption::Unsorted && dict_len > VALUE_CACHE_CAPACITY;
-        let cache = match req.cache {
-            Some(tag) if !scan_outruns_cache => Some(CacheHandle {
-                cache: &mut self.value_cache,
-                gen: Generation::new(colid, tag.part, tag.epoch, tag.delta),
-            }),
+        let gen = match req.cache {
+            Some(tag) if !scan_outruns_cache => {
+                Some(Generation::new(colid, tag.part, tag.epoch, tag.delta))
+            }
             _ => None,
         };
         let mut reader = EnclaveDictReader {
             env,
             store: req.store,
             pae,
-            cache,
+            cache: &mut self.value_cache,
+            gen,
+            batch: Batch::default(),
         };
         match req.kind.order() {
             OrderOption::Sorted => queries
@@ -925,30 +1037,43 @@ impl DictLogic {
         // memory instead (visible in trusted_heap_peak).
         let mut column = colstore::column::Column::new(req.col_name, req.max_len);
         let mut bytes_tracked = 0usize;
-        // One plaintext buffer for the whole merge; `column.push` copies.
-        let mut pt = Vec::new();
-        let mut push_entry =
-            |env: &mut TrustedEnv, store: SegmentRef<'_>, i: usize| -> Result<(), EncdictError> {
-                let ct = load_entry_ciphertext(env, store, i)?;
-                pae.decrypt_into(ct, crate::build::DICT_VALUE_AAD, &mut pt)?;
-                bytes_tracked += pt.len();
-                env.track_alloc(pt.len());
+        let main_rows = (req.main_av.iter().enumerate())
+            .filter(|&(j, _)| req.main_valid.is_valid(j))
+            .map(|(_, &vid)| match vid as usize {
+                vid if vid < req.main.len => Ok((req.main, vid, None)),
+                _ => Err(EncdictError::CorruptDictionary("value id out of range")),
+            });
+        let delta_rows = (0..req.delta.len)
+            .filter(|&i| req.delta_valid.is_valid(i))
+            .map(|i| Ok((req.delta, i, None)));
+        let mut rows = main_rows.chain(delta_rows);
+        // `LANES` rows at a time through one batch and one set of plaintext
+        // buffers; `column.push` copies.
+        let mut chunk = Vec::with_capacity(LANES);
+        let (mut batch, mut pts) = (Batch::default(), <[Vec<u8>; LANES]>::default());
+        loop {
+            for row in rows.by_ref().take(LANES) {
+                chunk.push(row?);
+            }
+            let pts = &mut pts[..chunk.len()];
+            if pts.is_empty() {
+                break;
+            }
+            batch.read(
+                &mut self.value_cache,
+                env,
+                &pae,
+                chunk.drain(..),
+                pts,
+                |env, pt| {
+                    bytes_tracked += pt.len();
+                    env.track_alloc(pt.len());
+                },
+            )?;
+            for pt in pts.iter() {
                 column
-                    .push(&pt)
-                    .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))
-            };
-        for (j, &vid) in req.main_av.iter().enumerate() {
-            if !req.main_valid.is_valid(j) {
-                continue;
-            }
-            if vid as usize >= req.main.len {
-                return Err(EncdictError::CorruptDictionary("value id out of range"));
-            }
-            push_entry(env, req.main, vid as usize)?;
-        }
-        for i in 0..req.delta.len {
-            if req.delta_valid.is_valid(i) {
-                push_entry(env, req.delta, i)?;
+                    .push(pt)
+                    .map_err(|_| EncdictError::CorruptDictionary("merged value exceeds maximum"))?;
             }
         }
 
@@ -961,37 +1086,6 @@ impl DictLogic {
             crate::build::build_encrypted(&column, req.kind, &params, &sk_d, &mut self.rng);
         env.track_free(bytes_tracked);
         rebuilt
-    }
-
-    /// Reads and decrypts entry `i` of a head/tail segment — the batched
-    /// `DecryptValue` primitive shared by aggregation and the join bridge.
-    ///
-    /// `gen` is the segment's value-cache generation or `None` to bypass
-    /// the cache. Returns `(plaintext, hit)`; on a hit nothing crossed the
-    /// enclave boundary and nothing was decrypted, so callers must skip
-    /// their `values_decrypted`/heap accounting.
-    fn read_segment_entry(
-        cache: &mut ValueCache,
-        env: &mut TrustedEnv,
-        seg: SegmentRef<'_>,
-        pae: &Pae,
-        gen: Option<&Generation>,
-        i: usize,
-    ) -> Result<(Vec<u8>, bool), EncdictError> {
-        if i >= seg.len {
-            return Err(EncdictError::CorruptDictionary("code out of range"));
-        }
-        if let Some(pt) = gen.and_then(|gen| cache.get(gen, i as u32)) {
-            env.count_cache_hit();
-            return Ok((pt.to_vec(), true));
-        }
-        let ct = load_entry_ciphertext(env, seg, i)?;
-        let pt = pae.decrypt_bytes(ct, crate::build::DICT_VALUE_AAD)?;
-        if let Some(gen) = gen {
-            env.count_cache_miss();
-            cache.insert(env, gen, i as u32, &pt);
-        }
-        Ok((pt, false))
     }
 
     /// Decrypts one column's distinct touched codes into its plaintext
@@ -1022,23 +1116,22 @@ impl DictLogic {
                 });
                 let main = main.segment().view();
                 let delta = delta.segment().view();
-                let mut table = Vec::with_capacity(codes.len());
-                for &code in codes {
-                    let code = code as usize;
-                    let (seg, i, side) = if code < main.len {
-                        (main, code, 0)
-                    } else {
-                        (delta, code - main.len, 1)
-                    };
-                    let gen = gens.as_ref().map(|gens| &gens[side]);
-                    let (pt, hit) = Self::read_segment_entry(cache, env, seg, pae, gen, i)?;
-                    if !hit {
-                        tally.values += 1;
-                        tally.bytes += pt.len();
-                        env.track_alloc(pt.len());
-                    }
-                    table.push(pt);
+                if codes
+                    .iter()
+                    .any(|&code| code as usize >= main.len + delta.len)
+                {
+                    return Err(EncdictError::CorruptDictionary("code out of range"));
                 }
+                let entries = codes.iter().map(|&code| match code as usize {
+                    code if code < main.len => (main, code, gens.map(|[main, _]| main)),
+                    code => (delta, code - main.len, gens.map(|[_, delta]| delta)),
+                });
+                let mut table = vec![Vec::new(); codes.len()];
+                Batch::default().read(cache, env, pae, entries, &mut table, |env, pt| {
+                    tally.values += 1;
+                    tally.bytes += pt.len();
+                    env.track_alloc(pt.len());
+                })?;
                 Ok(table)
             }
             (ColumnData::Plain { values }, None) => Ok(values.clone()),
@@ -1488,19 +1581,115 @@ mod tests {
     #[test]
     fn trusted_heap_is_constant_in_dict_size() {
         // The paper: "the required enclave memory is independent of |D|".
+        // A binary search holds one entry at a time, a linear scan one
+        // batch of ciphertexts.
         let small: Vec<String> = (0..64).map(|i| format!("v{i:04}")).collect();
         let large: Vec<String> = (0..8192).map(|i| format!("v{i:04}")).collect();
-        let mut peaks = Vec::new();
-        for values in [&small, &large] {
-            let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-            let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed1, &refs, 8);
-            enclave.enclave_mut().reset_heap_peak();
-            let range =
-                EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("v0001", "v0100"));
-            let _ = enclave.search(&dict, &range).unwrap();
-            peaks.push(enclave.enclave().trusted_heap_peak());
+        for kind in [EdKind::Ed1, EdKind::Ed3, EdKind::Ed9] {
+            let mut peaks = Vec::new();
+            for values in [&small, &large] {
+                let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+                let (mut enclave, dict, pae, mut rng) = setup(kind, &refs, 8);
+                enclave.enclave_mut().reset_heap_peak();
+                let range =
+                    EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("v0001", "v0100"));
+                let _ = enclave.search(&dict, &range).unwrap();
+                peaks.push(enclave.enclave().trusted_heap_peak());
+            }
+            assert_eq!(
+                peaks[0], peaks[1],
+                "{kind}: heap peak must not grow with |D|"
+            );
         }
-        assert_eq!(peaks[0], peaks[1], "heap peak must not grow with |D|");
+    }
+
+    /// Hit, miss and load counts of repeated cached ED9 scans, which the
+    /// batched reader must keep exactly as one-at-a-time reads make them.
+    #[test]
+    fn cached_scans_count_hits_and_misses_as_single_reads_do() {
+        let cached = |part| {
+            Some(CacheTag {
+                part,
+                epoch: 0,
+                delta: false,
+            })
+        };
+        let values = |n: usize| -> Vec<String> { (0..n).map(|i| format!("v{i:05}")).collect() };
+        let scan = |enclave: &mut DictEnclave, dict: &EncryptedDictionary, tau, part| {
+            enclave.enclave_mut().reset_counters();
+            enclave.search_multi(dict, tau, cached(part)).unwrap();
+            let c = enclave.enclave().counters();
+            (c.cache_hits, c.cache_misses, c.untrusted_loads)
+        };
+
+        // Below capacity: the first scan fills the cache, the next two
+        // are served from it.
+        let small = values(1000);
+        let refs: Vec<&str> = small.iter().map(String::as_str).collect();
+        let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed9, &refs, 16);
+        let tau = [EncryptedRange::encrypt(
+            &pae,
+            &mut rng,
+            &RangeQuery::equals("v00042"),
+        )];
+        let counts: Vec<_> = (0..3).map(|_| scan(&mut enclave, &dict, &tau, 0)).collect();
+        assert_eq!(counts, [(0, 1000, 2000), (1000, 0, 0), (1000, 0, 0)]);
+
+        // At capacity, after another store evicted the four oldest
+        // entries: each miss evicts the entry the scan reaches next, so a
+        // one-at-a-time scan misses everywhere. A batch that probed ahead
+        // of its pending misses would hit entries 4..8.
+        let full = values(VALUE_CACHE_CAPACITY);
+        let refs: Vec<&str> = full.iter().map(String::as_str).collect();
+        let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed9, &refs, 17);
+        let (other, _) = build_encrypted(
+            &Column::from_strs("c", 12, ["a", "b", "c", "d"]).unwrap(),
+            EdKind::Ed9,
+            &BuildParams {
+                table_name: "t".into(),
+                col_name: "c".into(),
+                bs_max: 3,
+            },
+            &derive_column_key(&Key128::from_bytes([9; 16]), "t", "c"),
+            &mut rng,
+        )
+        .unwrap();
+        let tau = [EncryptedRange::encrypt(
+            &pae,
+            &mut rng,
+            &RangeQuery::equals("v00042"),
+        )];
+        let n = VALUE_CACHE_CAPACITY as u64;
+        assert_eq!(scan(&mut enclave, &dict, &tau, 0), (0, n, 2 * n));
+        assert_eq!(scan(&mut enclave, &dict, &tau, 0), (n, 0, 0));
+        assert_eq!(scan(&mut enclave, &other, &tau, 1), (0, 4, 8));
+        assert_eq!(scan(&mut enclave, &dict, &tau, 0), (0, n, 2 * n));
+    }
+
+    #[test]
+    fn a_tampered_entry_inside_a_batch_fails_the_scan() {
+        let values: Vec<String> = (0..20).map(|i| format!("v{i:05}")).collect();
+        let refs: Vec<&str> = values.iter().map(String::as_str).collect();
+        let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed3, &refs, 18);
+        // Entry 11 sits in the middle of the second batch.
+        let mut segment = crate::dict::Segment::default();
+        for i in 0..dict.len() {
+            let mut ct = dict.ciphertext(i).to_vec();
+            if i == 11 {
+                ct[encdbdb_crypto::gcm::IV_LEN] ^= 1;
+            }
+            segment.push(&ct);
+        }
+        let tampered =
+            EncryptedDictionary::new(EdKind::Ed3, "t".into(), "c".into(), 12, segment, None);
+        let range = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::equals("v00003"));
+        enclave.enclave_mut().reset_counters();
+        assert_eq!(
+            enclave.search(&tampered, &range).unwrap_err(),
+            EncdictError::Crypto(encdbdb_crypto::CryptoError::TagMismatch)
+        );
+        let loads = enclave.enclave().counters().untrusted_loads;
+        assert!(loads <= 2 * dict.len() as u64, "loads = {loads}");
     }
 
     #[test]
@@ -1716,7 +1905,7 @@ mod tests {
                 let (gen, idx) = (&gens[g], rng.gen_range(0..INDICES));
                 if rng.gen_bool(0.5) {
                     assert_eq!(
-                        cache.get(gen, idx),
+                        cache.get(gen, idx, 0),
                         oracle.get(&gen.key(idx)).map(Vec::as_slice),
                         "seed {seed} step {step}: get"
                     );
@@ -1745,9 +1934,9 @@ mod tests {
             // cache that works.
             cache.clear(&mut env);
             assert_eq!(env.heap_current(), 0);
-            assert_eq!(cache.get(&gens[1], 7), None);
+            assert_eq!(cache.get(&gens[1], 7, 0), None);
             cache.insert(&mut env, &gens[1], 7, b"back");
-            assert_eq!(cache.get(&gens[1], 7), Some(&b"back"[..]));
+            assert_eq!(cache.get(&gens[1], 7, 0), Some(&b"back"[..]));
         }
     }
 

@@ -42,6 +42,20 @@ pub trait DictEntryReader {
     /// Returns [`EncdictError::Crypto`] if decryption fails (tampered
     /// dictionary) or [`EncdictError::CorruptDictionary`] on layout errors.
     fn read_into(&mut self, i: usize, buf: &mut Vec<u8>) -> Result<(), EncdictError>;
+
+    /// Reads entries `start..start + bufs.len()` into `bufs`, in order —
+    /// what a linear scan asks for, so a reader that can serve a run of
+    /// entries faster than one at a time overrides it.
+    ///
+    /// # Errors
+    ///
+    /// As [`DictEntryReader::read_into`].
+    fn read_chunk_into(&mut self, start: usize, bufs: &mut [Vec<u8>]) -> Result<(), EncdictError> {
+        for (i, buf) in (start..).zip(bufs) {
+            self.read_into(i, buf)?;
+        }
+        Ok(())
+    }
 }
 
 /// An inclusive range of ValueIDs `[lo, hi]` returned by a dictionary

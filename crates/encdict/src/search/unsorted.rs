@@ -7,6 +7,7 @@
 use super::{DictEntryReader, DictSearchResult};
 use crate::error::EncdictError;
 use crate::range::RangeQuery;
+use encdbdb_crypto::gcm::LANES;
 
 /// `EnclDictSearch 3/6/9`: scans the whole dictionary and returns every
 /// ValueID whose plaintext falls into `range`, in ascending ValueID order.
@@ -19,21 +20,18 @@ pub fn search_unsorted<R: DictEntryReader>(
     reader: &mut R,
     range: &RangeQuery,
 ) -> Result<DictSearchResult, EncdictError> {
-    let mut vids = Vec::new();
-    let mut buf = Vec::new();
-    for i in 0..reader.len() {
-        reader.read_into(i, &mut buf)?;
-        if range.contains(&buf) {
-            vids.push(i as u32);
-        }
-    }
-    Ok(DictSearchResult::Ids(vids))
+    let mut results = search_unsorted_multi(reader, std::slice::from_ref(range))?;
+    Ok(results.pop().expect("one result per range"))
 }
 
 /// Batched [`search_unsorted`]: answers a whole disjunction in *one* pass
 /// over the dictionary. Each entry is loaded and decrypted once and tested
 /// against every range, so the decrypt cost stays `|D|` instead of
 /// `|D| · ranges`. Returns one result per range, in request order.
+///
+/// The pass reads [`LANES`] entries per
+/// [`DictEntryReader::read_chunk_into`] call: one batched GCM kernel call
+/// for the enclave's reader.
 ///
 /// # Errors
 ///
@@ -46,12 +44,15 @@ pub fn search_unsorted_multi<R: DictEntryReader>(
         return Ok(Vec::new());
     }
     let mut out: Vec<Vec<u32>> = vec![Vec::new(); ranges.len()];
-    let mut buf = Vec::new();
-    for i in 0..reader.len() {
-        reader.read_into(i, &mut buf)?;
-        for (vids, q) in out.iter_mut().zip(ranges) {
-            if q.contains(&buf) {
-                vids.push(i as u32);
+    let mut bufs: [Vec<u8>; LANES] = Default::default();
+    for start in (0..reader.len()).step_by(LANES) {
+        let bufs = &mut bufs[..LANES.min(reader.len() - start)];
+        reader.read_chunk_into(start, bufs)?;
+        for (i, buf) in (start..).zip(bufs.iter()) {
+            for (vids, q) in out.iter_mut().zip(ranges) {
+                if q.contains(buf) {
+                    vids.push(i as u32);
+                }
             }
         }
     }
