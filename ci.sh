@@ -60,9 +60,10 @@ run cargo build --release --offline
 # bounded: a fixed reader thread count and table size so CI machines of any
 # width behave alike.
 run env ENCDBDB_STRESS_THREADS=4 ENCDBDB_STRESS_ROWS=2000 cargo test -q --offline
-# The intrinsics kernels and their differential tests again, optimized:
-# release codegen is what runs them in production (DESIGN.md §6).
-run cargo test --release -q --offline -p encdbdb-crypto -p encdict
+# The intrinsics kernels, the attribute-vector widths and the scan kernel,
+# and their differential tests again, optimized: release codegen is what
+# runs them in production (DESIGN.md §6, §14.1).
+run cargo test --release -q --offline -p encdbdb-crypto -p encdict -p colstore
 run cargo fmt --check
 run cargo clippy --all-targets --offline -- -D warnings
 # Rustdoc must stay warning-free (broken intra-doc links, bad code fences).

@@ -32,10 +32,6 @@ pub enum ColstoreError {
         /// Rows in the column being added.
         got: usize,
     },
-    /// A persisted blob was malformed.
-    CorruptPersistedData(&'static str),
-    /// An I/O error occurred while persisting or loading.
-    Io(String),
 }
 
 impl fmt::Display for ColstoreError {
@@ -57,21 +53,11 @@ impl fmt::Display for ColstoreError {
                     "row count mismatch: table has {expected}, column has {got}"
                 )
             }
-            ColstoreError::CorruptPersistedData(what) => {
-                write!(f, "corrupt persisted data: {what}")
-            }
-            ColstoreError::Io(msg) => write!(f, "i/o failure: {msg}"),
         }
     }
 }
 
 impl Error for ColstoreError {}
-
-impl From<std::io::Error> for ColstoreError {
-    fn from(e: std::io::Error) -> Self {
-        ColstoreError::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -82,12 +68,5 @@ mod tests {
         let e = ColstoreError::ValueTooLong { got: 20, max: 10 };
         assert!(e.to_string().contains("20"));
         assert!(e.to_string().contains("10"));
-    }
-
-    #[test]
-    fn io_conversion() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "gone");
-        let e = ColstoreError::from(io);
-        assert!(matches!(e, ColstoreError::Io(_)));
     }
 }

@@ -11,7 +11,7 @@
 //! frequency weighting replaces per-row work.
 
 use crate::error::DbError;
-use colstore::dictionary::RecordId;
+use colstore::dictionary::{AttributeVector, RecordId};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
@@ -34,7 +34,7 @@ thread_local! {
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnCodes<'a> {
     /// The column's main-store attribute vector.
-    pub av: &'a [u32],
+    pub av: &'a AttributeVector,
     /// Main dictionary length — the offset of the delta code space.
     pub main_len: usize,
 }
@@ -96,9 +96,7 @@ fn count_chunk(
                     buf[j * ncols + c] = base + rid.0;
                 }
             } else {
-                for (j, &rid) in rids.iter().enumerate() {
-                    buf[j * ncols + c] = col.av[rid.0 as usize];
-                }
+                col.av.gather(rids, |j, code| buf[j * ncols + c] = code);
             }
         }
         // Probe with the gathered row-major tuples and only clone on
@@ -124,9 +122,7 @@ fn dense_count_chunk(col: ColumnCodes<'_>, rids: &[RecordId], delta: bool, count
             counts[base + rid.0 as usize] += 1;
         }
     } else {
-        for &rid in rids {
-            counts[col.av[rid.0 as usize] as usize] += 1;
-        }
+        col.av.gather(rids, |_, code| counts[code as usize] += 1);
     }
 }
 
@@ -254,11 +250,15 @@ mod tests {
         v.iter().map(|&i| RecordId(i)).collect()
     }
 
+    fn av(ids: impl IntoIterator<Item = u32>) -> AttributeVector {
+        ids.into_iter().map(colstore::dictionary::ValueId).collect()
+    }
+
     #[test]
     fn histogram_counts_tuples_and_offsets_delta() {
         // Two columns over 6 main rows; delta rows get codes main_len + rid.
-        let av_a = [0u32, 1, 0, 1, 0, 2];
-        let av_b = [5u32, 5, 5, 6, 5, 6];
+        let av_a = av([0, 1, 0, 1, 0, 2]);
+        let av_b = av([5, 5, 5, 6, 5, 6]);
         let cols = [
             ColumnCodes {
                 av: &av_a,
@@ -293,7 +293,7 @@ mod tests {
         // A main dictionary this long leaves no room for delta rid 1:
         // main_len + 1 == 2^32, one past u32::MAX. Before the check this
         // wrapped to code 0 and aliased the delta row into main value 0.
-        let av: Vec<u32> = vec![0];
+        let av = av([0]);
         let cols = [ColumnCodes {
             av: &av,
             main_len: u32::MAX as usize,
@@ -322,7 +322,7 @@ mod tests {
         // Single column, small code space: exercises the dense fast path
         // and pins its output against the generic hash-map path (forced by
         // adding a second identical column, whose tuples we project away).
-        let av: Vec<u32> = (0..10_000).map(|i| (i * 7) % 251).collect();
+        let av = av((0..10_000).map(|i| (i * 7) % 251));
         let cols = [ColumnCodes {
             av: &av,
             main_len: 251,

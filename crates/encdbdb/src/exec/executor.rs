@@ -184,7 +184,7 @@ impl DbaasServer {
                 let cols: Vec<ColumnCodes<'_>> = ref_idx
                     .iter()
                     .map(|&idx| ColumnCodes {
-                        av: snap.main.columns[idx].av_slice(),
+                        av: snap.main.columns[idx].av(),
                         main_len: snap.main.columns[idx].main_len(),
                     })
                     .collect();

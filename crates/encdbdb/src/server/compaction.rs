@@ -321,7 +321,7 @@ pub(crate) fn execute_compaction(
                     kind,
                     bs_max: spec.bs_max,
                     main: dict.segment().view(),
-                    main_av: main.av().as_slice(),
+                    main_av: main.av(),
                     main_valid: &job.main_validity,
                     delta: delta.segment().view(),
                     delta_valid: &job.delta_validity,
@@ -363,7 +363,7 @@ pub(crate) fn execute_compaction(
             (MainColumn::Plain { dict, av }, ColumnDelta::Plain(delta)) => {
                 // Rebuild the plain column: valid main + valid delta rows.
                 let mut column = colstore::column::Column::new(&spec.name, spec.max_len);
-                for (j, &vid) in av.as_slice().iter().enumerate() {
+                for (j, vid) in av.iter().enumerate() {
                     if job.main_validity.is_valid(j) {
                         column.push(dict.value(vid as usize))?;
                     }

@@ -301,7 +301,7 @@ pub(crate) fn decode_snapshot(
             }
             _ => return Err(corrupt("column protection does not match the schema")),
         };
-        if column.av_slice().len() != rows {
+        if column.av().len() != rows {
             return Err(corrupt("column is not row-aligned"));
         }
         columns.push(column);
@@ -509,7 +509,7 @@ mod tests {
         let state = partition.state.lock().unwrap();
         assert_eq!((partition.index, state.main().epoch), (1, 2));
         assert_eq!((state.main().rows, state.drained_total()), (4, 9));
-        assert_eq!(state.main().columns[1].av_slice().len(), 4);
+        assert_eq!(state.main().columns[1].av().len(), 4);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn scan_side(
         parent,
         stats,
         |_, snap, main_rids, delta_rids, _, _| {
-            let av = snap.main.columns[key_idx].av_slice();
+            let av = snap.main.columns[key_idx].av();
             let main_len = snap.main.columns[key_idx].main_len();
             // Delta rows get codes `main_len + rid`; prove up front that the
             // highest one fits in u32 so the append below cannot wrap and
@@ -88,7 +88,7 @@ fn scan_side(
             }
             let main_len = main_len as u32;
             let mut row_codes = Vec::with_capacity(main_rids.len() + delta_rids.len());
-            row_codes.extend(main_rids.iter().map(|rid| av[rid.0 as usize]));
+            av.gather(&main_rids, |_, code| row_codes.push(code));
             row_codes.extend(delta_rids.iter().map(|rid| main_len + rid.0));
             let distinct: Vec<u32> = row_codes
                 .iter()

@@ -39,11 +39,11 @@ pub(crate) enum MainColumn {
 }
 
 impl MainColumn {
-    /// The attribute-vector ValueIDs of the main store.
-    pub(crate) fn av_slice(&self) -> &[u32] {
+    /// The attribute vector of the main store.
+    pub(crate) fn av(&self) -> &AttributeVector {
         match self {
-            MainColumn::Encrypted(snap) => snap.av().as_slice(),
-            MainColumn::Plain { av, .. } => av.as_slice(),
+            MainColumn::Encrypted(snap) => snap.av(),
+            MainColumn::Plain { av, .. } => av,
         }
     }
 

@@ -177,7 +177,7 @@ fn build_partition(
                 av: Arc::new(av),
             },
         };
-        let got = column.av_slice().len();
+        let got = column.av().len();
         match rows {
             None => rows = Some(got),
             Some(r) if r == got => {}

@@ -16,23 +16,29 @@
 //! be linear in the number of threads"; pass `Parallelism::Threads(n)` to
 //! use std scoped threads over row chunks.
 //!
-//! # Kernel shape (DESIGN.md §14)
+//! # Kernel shape (DESIGN.md §14.1)
 //!
-//! The predicate is dispatched *once per scan*, not once per row: each
-//! shape (single range, double range, k-range disjunction, id list,
-//! bitmap) becomes a 0/1 mask closure monomorphized into its own scan
-//! loop. Range and id-list scans use *branch-free compaction* — the
-//! candidate RecordID is written unconditionally and the output cursor
-//! advances by the mask, leaving no data-dependent branch to predict —
-//! while the bitmap probe, which already pays a memory load per row and
-//! targets sparse id sets, keeps the classic store-on-match filter
-//! (`compact_chunk`). Chunks are compacted into a reusable per-worker
-//! scratch buffer (`SCAN_CHUNK_ROWS` rows) instead of allocating per
-//! query. The pre-existing scalar loops are kept verbatim in the
-//! [`mod@reference`] module for differential tests and A/B benchmarks.
+//! One kernel serves every stored width and every predicate shape. The
+//! attribute vector's width ([`AvIds`]) is matched once per scan; the
+//! predicate (single range, double range, k-range disjunction, id list,
+//! bitmap) is clamped to that width's maximum and monomorphized into its
+//! own loop, so rows are compared in their stored `u8`/`u16`/`u32`. Rows go
+//! through a reusable per-worker scratch buffer in `SCAN_CHUNK_ROWS`-row
+//! chunks, each along one of two paths:
+//!
+//! * **dense** — branch-free compaction over the whole chunk: every
+//!   candidate RecordID is written unconditionally and the output cursor
+//!   advances by the 0/1 match, leaving no data-dependent branch;
+//! * **sparse** — an OR-reduce over each `BLOCK_ROWS`-row block, written
+//!   without early exit so it auto-vectorizes, and the compaction only for
+//!   blocks that hold a match.
+//!
+//! The previous chunk's match count picks the next chunk's path: sparse
+//! while its matches could touch under a quarter of a chunk's blocks. The
+//! kernel is safe, portable Rust — no intrinsics and no feature detection.
 
 use crate::search::{DictSearchResult, VidRange};
-use colstore::dictionary::{AttributeVector, RecordId};
+use colstore::dictionary::{AttributeVector, AvIds, RecordId};
 use std::cell::RefCell;
 
 /// How the attribute-vector scan is executed.
@@ -58,6 +64,9 @@ pub enum SetSearchStrategy {
 /// Rows per compaction chunk; also the minimum row count for threading.
 const SCAN_CHUNK_ROWS: usize = 4096;
 
+/// Rows per block a sparse chunk tests for any match before compacting it.
+const BLOCK_ROWS: usize = 64;
+
 thread_local! {
     /// Per-worker compaction scratch: candidate RecordIDs of one chunk.
     /// Reused across chunks and across queries on the same worker thread.
@@ -67,60 +76,166 @@ thread_local! {
     static BITMAP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// A scan predicate; [`scan_pred`] lowers each shape to a 0/1 mask
-/// closure monomorphized into its own scan loop.
-enum Pred<'a> {
-    /// ValueID in any of these inclusive ranges (sorted/rotated replies;
-    /// more than two entries under batched disjunctions).
-    Ranges(&'a [VidRange]),
-    /// ValueID in this explicit list (the paper's linear membership test).
-    IdList(&'a [u32]),
-    /// ValueID's bit set in this `|D|`-bit map.
-    Bitmap(&'a [u64]),
+/// A stored ValueID width; the kernel compares rows in it.
+trait Width: Copy + Eq + Ord + Into<u32> + Send + Sync {
+    /// The largest ValueID this width holds.
+    const MAX: u32;
+    /// `v` in this width; callers pass `v <= MAX`.
+    fn narrow(v: u32) -> Self;
+    fn wrapping_sub(self, rhs: Self) -> Self;
 }
 
-/// `lo <= id <= hi` as a single unsigned compare after rebasing:
-/// `id - lo <= hi - lo` (wrapping keeps ids below `lo` out — they rebase
-/// to huge values).
+macro_rules! width {
+    ($($t:ty),*) => {$(
+        impl Width for $t {
+            const MAX: u32 = <$t>::MAX as u32;
+            #[inline(always)]
+            fn narrow(v: u32) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn wrapping_sub(self, rhs: Self) -> Self {
+                <$t>::wrapping_sub(self, rhs)
+            }
+        }
+    )*};
+}
+width!(u8, u16, u32);
+
+/// A scan predicate over ValueIDs of width `T`. Kernels take it by value,
+/// so it lives in registers rather than behind a pointer the compaction
+/// stores might alias.
+trait Pred<T: Width>: Copy + Send + Sync {
+    /// Compact by storing on match only, instead of branch-free: for a
+    /// predicate that already pays a memory load per row, the unconditional
+    /// store is pure overhead, and the match branch predicts well when
+    /// matches are rare.
+    const BRANCHY: bool = false;
+
+    /// Whether one row matches.
+    fn hit(&self, id: T) -> bool;
+
+    /// Whether any row of `block` matches. Every row is OR-ed in without an
+    /// early exit, so the loop is branch-free and vectorizes across rows.
+    #[inline(always)]
+    fn any(&self, block: &[T]) -> bool {
+        block.iter().fold(false, |m, &id| m | self.hit(id))
+    }
+}
+
+/// The inclusive range `lo..=lo + span` in width `T`.
+#[derive(Debug, Clone, Copy)]
+struct Span<T> {
+    lo: T,
+    span: T,
+}
+
+impl<T: Width> Span<T> {
+    /// `r` cut to the ids width `T` holds; `None` when it holds none of
+    /// them (or `r` is empty).
+    fn clamp(r: VidRange) -> Option<Self> {
+        let hi = r.hi.min(T::MAX);
+        (r.lo <= hi).then(|| Span {
+            lo: T::narrow(r.lo),
+            span: T::narrow(hi - r.lo),
+        })
+    }
+}
+
+impl<T: Width> Pred<T> for Span<T> {
+    /// One unsigned compare after rebasing: ids below `lo` wrap to values
+    /// above `span`.
+    #[inline(always)]
+    fn hit(&self, id: T) -> bool {
+        id.wrapping_sub(self.lo) <= self.span
+    }
+}
+
+/// Two ranges: the rotated dictionary's wrap-around reply.
+impl<T: Width> Pred<T> for [Span<T>; 2] {
+    #[inline(always)]
+    fn hit(&self, id: T) -> bool {
+        self[0].hit(id) | self[1].hit(id)
+    }
+}
+
+/// A k-range disjunction (batched `IN` lists and multi-range filters).
+impl<T: Width> Pred<T> for &[Span<T>] {
+    #[inline(always)]
+    fn hit(&self, id: T) -> bool {
+        self.iter().fold(false, |m, r| m | r.hit(id))
+    }
+
+    /// Ranges outermost, so each pass is one vectorizable compare.
+    #[inline(always)]
+    fn any(&self, block: &[T]) -> bool {
+        self.iter().any(|r| r.any(block))
+    }
+}
+
+/// The paper's explicit ValueID list (unsorted kinds).
+#[derive(Clone, Copy)]
+struct IdList<'a, T>(&'a [T]);
+
+impl<T: Width> Pred<T> for IdList<'_, T> {
+    /// Every vid compared without an early exit, which vectorizes across
+    /// the list at any width.
+    #[inline(always)]
+    fn hit(&self, id: T) -> bool {
+        self.0.iter().fold(false, |m, &v| m | (id == v))
+    }
+
+    /// Vids outermost and rows innermost, so each pass is one compare
+    /// across the block that vectorizes.
+    #[inline(always)]
+    fn any(&self, block: &[T]) -> bool {
+        (self.0.iter()).any(|&v| block.iter().fold(false, |m, &id| m | (id == v)))
+    }
+}
+
+/// A `|D|`-bit map of matching ValueIDs.
+#[derive(Clone, Copy)]
+struct Bitmap<'a>(&'a [u64]);
+
+impl<T: Width> Pred<T> for Bitmap<'_> {
+    const BRANCHY: bool = true;
+
+    #[inline(always)]
+    fn hit(&self, id: T) -> bool {
+        let id: u32 = id.into();
+        let word = self.0.get((id / 64) as usize).copied().unwrap_or(0);
+        (word >> (id % 64)) & 1 != 0
+    }
+}
+
+/// Compacts the matching positions of `rows` (record positions `base..`)
+/// into `buf`, returning how many matched. Branch-free unless
+/// [`Pred::BRANCHY`]: each candidate is written unconditionally and the
+/// cursor advances by the 0/1 match.
 #[inline(always)]
-fn in_range(id: u32, r: VidRange) -> u32 {
-    (id.wrapping_sub(r.lo) <= r.hi.wrapping_sub(r.lo)) as u32
-}
-
-/// Compacts one chunk's matching positions into `buf`, returning how many
-/// matched. `mask` is monomorphized per predicate shape (see
-/// [`scan_pred`]) — an enum dispatch or dynamic-length range walk per row
-/// would defeat the compiler's ability to keep the loop body a fixed
-/// compare chain.
-///
-/// Two inner-loop styles, chosen statically per predicate:
-///
-/// * `BRANCHY = false` — branch-free: write each candidate position
-///   unconditionally and advance the cursor by the 0/1 mask. Immune to
-///   branch misprediction, so it wins for cheap ALU predicates (range
-///   compares) and for predicates whose per-row cost dwarfs the store
-///   (linear id-list membership).
-/// * `BRANCHY = true` — classic filter: store only on match. The
-///   unconditional store is pure overhead when matches are rare and the
-///   predicate already pays a memory load per row, as the bitmap probe
-///   does; the match branch predicts almost perfectly at low selectivity.
-#[inline]
-fn compact_chunk<const BRANCHY: bool, F: Fn(u32) -> u32>(
-    chunk: &[u32],
-    base: u32,
-    mask: &F,
-    buf: &mut [u32],
-) -> usize {
+fn compact<T: Width, P: Pred<T>>(rows: &[T], base: u32, pred: P, buf: &mut [u32]) -> usize {
     let mut n = 0usize;
-    for (j, &id) in chunk.iter().enumerate() {
-        if BRANCHY {
-            if mask(id) != 0 {
+    for (j, &id) in rows.iter().enumerate() {
+        if P::BRANCHY {
+            if pred.hit(id) {
                 buf[n] = base + j as u32;
                 n += 1;
             }
         } else {
             buf[n] = base + j as u32;
-            n += mask(id) as usize;
+            n += pred.hit(id) as usize;
+        }
+    }
+    n
+}
+
+/// [`compact`] over only those blocks of `chunk` that hold a match.
+#[inline(always)]
+fn compact_blocks<T: Width, P: Pred<T>>(chunk: &[T], base: u32, pred: P, buf: &mut [u32]) -> usize {
+    let mut n = 0usize;
+    for (b, block) in chunk.chunks(BLOCK_ROWS).enumerate() {
+        if pred.any(block) {
+            n += compact(block, base + (b * BLOCK_ROWS) as u32, pred, &mut buf[n..]);
         }
     }
     n
@@ -128,41 +243,36 @@ fn compact_chunk<const BRANCHY: bool, F: Fn(u32) -> u32>(
 
 /// Scans `ids` (record positions `base..base + ids.len()`) chunk by chunk
 /// through this thread's scratch buffer.
-fn scan_span<const BRANCHY: bool, F: Fn(u32) -> u32>(
-    ids: &[u32],
-    base: u32,
-    mask: &F,
-    out: &mut Vec<RecordId>,
-) {
+fn scan_span<T: Width, P: Pred<T>>(ids: &[T], base: u32, pred: P, out: &mut Vec<RecordId>) {
     SCAN_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
         if buf.len() < SCAN_CHUNK_ROWS {
             buf.resize(SCAN_CHUNK_ROWS, 0);
         }
+        let mut sparse = true;
         for (c, chunk) in ids.chunks(SCAN_CHUNK_ROWS).enumerate() {
             let chunk_base = base + (c * SCAN_CHUNK_ROWS) as u32;
-            let n = compact_chunk::<BRANCHY, F>(chunk, chunk_base, mask, &mut buf);
+            let n = if sparse {
+                compact_blocks(chunk, chunk_base, pred, &mut buf)
+            } else {
+                compact(chunk, chunk_base, pred, &mut buf)
+            };
+            // `n` matches touch at most `n` blocks: skipping pays while
+            // those would be under a quarter of the chunk.
+            sparse = n * BLOCK_ROWS * 4 < chunk.len();
             out.extend(buf[..n].iter().map(|&p| RecordId(p)));
         }
     });
 }
 
-fn scan_mask<const BRANCHY: bool, F>(
-    av: &AttributeVector,
-    parallelism: Parallelism,
-    mask: F,
-) -> Vec<RecordId>
-where
-    F: Fn(u32) -> u32 + Sync,
-{
-    let ids = av.as_slice();
+fn scan<T: Width, P: Pred<T>>(ids: &[T], parallelism: Parallelism, pred: P) -> Vec<RecordId> {
     let threads = match parallelism {
         Parallelism::Serial => 1,
         Parallelism::Threads(n) => n.max(1),
     };
     if threads == 1 || ids.len() < SCAN_CHUNK_ROWS {
         let mut out = Vec::new();
-        scan_span::<BRANCHY, F>(ids, 0, &mask, &mut out);
+        scan_span(ids, 0, pred, &mut out);
         return out;
     }
     let chunk_len = ids.len().div_ceil(threads);
@@ -171,10 +281,9 @@ where
             .chunks(chunk_len)
             .enumerate()
             .map(|(c, chunk)| {
-                let mask = &mask;
                 scope.spawn(move || {
                     let mut out = Vec::new();
-                    scan_span::<BRANCHY, F>(chunk, (c * chunk_len) as u32, mask, &mut out);
+                    scan_span(chunk, (c * chunk_len) as u32, pred, &mut out);
                     out
                 })
             })
@@ -187,31 +296,53 @@ where
     partials.concat()
 }
 
-/// Dispatches one predicate to a monomorphized [`scan_mask`] instance:
-/// the common arities (one range, two ranges) get fixed compare chains,
-/// longer disjunctions fall back to a per-row range walk.
-fn scan_pred(av: &AttributeVector, parallelism: Parallelism, pred: Pred<'_>) -> Vec<RecordId> {
-    match pred {
-        Pred::Ranges(ranges) => match *ranges {
-            [] => Vec::new(),
-            [r] => scan_mask::<false, _>(av, parallelism, move |id| in_range(id, r)),
-            [r1, r2] => scan_mask::<false, _>(av, parallelism, move |id| {
-                in_range(id, r1) | in_range(id, r2)
-            }),
-            _ => scan_mask::<false, _>(av, parallelism, move |id| {
-                ranges.iter().fold(0u32, |m, &r| m | in_range(id, r))
-            }),
-        },
-        Pred::IdList(vids) => {
-            scan_mask::<false, _>(av, parallelism, move |id| vids.contains(&id) as u32)
+/// A scan predicate as the dictionary search states it, in `u32` ValueIDs.
+#[derive(Clone, Copy)]
+enum Shape<'a> {
+    /// ValueID in any of these inclusive ranges (sorted/rotated replies;
+    /// more than two entries under batched disjunctions).
+    Ranges(&'a [VidRange]),
+    /// ValueID in this explicit list (the paper's linear membership test).
+    IdList(&'a [u32]),
+    /// ValueID's bit set in this `|D|`-bit map.
+    Bitmap(&'a [u64]),
+}
+
+/// The one width dispatch of a scan.
+fn scan_pred(av: &AttributeVector, parallelism: Parallelism, shape: Shape<'_>) -> Vec<RecordId> {
+    match av.ids() {
+        AvIds::U8(ids) => scan_shape(ids, parallelism, shape),
+        AvIds::U16(ids) => scan_shape(ids, parallelism, shape),
+        AvIds::U32(ids) => scan_shape(ids, parallelism, shape),
+    }
+}
+
+/// Clamps `shape` to width `T` and dispatches it to a monomorphized
+/// [`scan`]. No stored id exceeds `T::MAX`, so a range starting above it
+/// and a vid above it are dropped, and a range's end is cut to it.
+fn scan_shape<T: Width>(ids: &[T], parallelism: Parallelism, shape: Shape<'_>) -> Vec<RecordId> {
+    match shape {
+        Shape::Ranges(ranges) => {
+            let spans: Vec<Span<T>> = ranges.iter().filter_map(|&r| Span::clamp(r)).collect();
+            match *spans {
+                [] => Vec::new(),
+                [r] => scan(ids, parallelism, r),
+                [r1, r2] => scan(ids, parallelism, [r1, r2]),
+                _ => scan(ids, parallelism, &spans[..]),
+            }
         }
-        // Branchy: the probe already costs a load per row and bitmap
-        // strategies are picked for sparse id sets, where the match
-        // branch predicts almost perfectly.
-        Pred::Bitmap(bitmap) => scan_mask::<true, _>(av, parallelism, move |id| {
-            let word = bitmap.get((id / 64) as usize).copied().unwrap_or(0);
-            (word >> (id % 64)) as u32 & 1
-        }),
+        Shape::IdList(vids) => {
+            let vids: Vec<T> = (vids.iter())
+                .filter(|&&v| v <= T::MAX)
+                .map(|&v| T::narrow(v))
+                .collect();
+            if vids.is_empty() {
+                Vec::new()
+            } else {
+                scan(ids, parallelism, IdList(&vids))
+            }
+        }
+        Shape::Bitmap(words) => scan(ids, parallelism, Bitmap(words)),
     }
 }
 
@@ -231,7 +362,7 @@ pub fn search_ranges(
     if n == 0 {
         return Vec::new();
     }
-    scan_pred(av, parallelism, Pred::Ranges(&rs[..n]))
+    scan_pred(av, parallelism, Shape::Ranges(&rs[..n]))
 }
 
 /// `AttrVectSearch 3/6/9`: returns the RecordIDs whose ValueID appears in
@@ -247,7 +378,7 @@ pub fn search_ids(
         return Vec::new();
     }
     match strategy {
-        SetSearchStrategy::PaperLinear => scan_pred(av, parallelism, Pred::IdList(vids)),
+        SetSearchStrategy::PaperLinear => scan_pred(av, parallelism, Shape::IdList(vids)),
         SetSearchStrategy::Bitmap => BITMAP_SCRATCH.with(|cell| {
             let mut bitmap = cell.borrow_mut();
             bitmap.clear();
@@ -255,7 +386,7 @@ pub fn search_ids(
             for &u in vids {
                 bitmap[(u / 64) as usize] |= 1 << (u % 64);
             }
-            scan_pred(av, parallelism, Pred::Bitmap(&bitmap))
+            scan_pred(av, parallelism, Shape::Bitmap(&bitmap))
         }),
     }
 }
@@ -299,7 +430,7 @@ pub fn search_union(
     }
     match (ranges.is_empty(), ids.is_empty()) {
         (true, true) => Vec::new(),
-        (false, true) => scan_pred(av, parallelism, Pred::Ranges(&ranges)),
+        (false, true) => scan_pred(av, parallelism, Shape::Ranges(&ranges)),
         (true, false) => search_ids(av, &ids, dict_len, strategy, parallelism),
         // One dictionary answers every range of a disjunction in the same
         // shape, so mixed results cannot occur on a real reply; stay
@@ -312,96 +443,6 @@ pub fn search_union(
             out.sort_unstable_by_key(|r| r.0);
             out.dedup_by_key(|r| r.0);
             out
-        }
-    }
-}
-
-/// The pre-vectorization scalar scans, kept as the differential baseline:
-/// `tests/` and the A/B benchmarks assert the branch-free kernels above
-/// return bit-identical results.
-pub mod reference {
-    use super::*;
-
-    fn scan_chunks<F>(av: &AttributeVector, parallelism: Parallelism, matcher: F) -> Vec<RecordId>
-    where
-        F: Fn(u32) -> bool + Sync,
-    {
-        let ids = av.as_slice();
-        let threads = match parallelism {
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-        };
-        if threads == 1 || ids.len() < SCAN_CHUNK_ROWS {
-            return ids
-                .iter()
-                .enumerate()
-                .filter(|(_, &id)| matcher(id))
-                .map(|(j, _)| RecordId(j as u32))
-                .collect();
-        }
-        let chunk_len = ids.len().div_ceil(threads);
-        let partials: Vec<Vec<RecordId>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ids
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(c, chunk)| {
-                    let matcher = &matcher;
-                    scope.spawn(move || {
-                        let base = (c * chunk_len) as u32;
-                        chunk
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &id)| matcher(id))
-                            .map(|(j, _)| RecordId(base + j as u32))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("attribute-vector scan worker panicked"))
-                .collect()
-        });
-        partials.concat()
-    }
-
-    /// Scalar [`super::search_ranges`].
-    pub fn search_ranges_scalar(
-        av: &AttributeVector,
-        ranges: &[Option<VidRange>; 2],
-        parallelism: Parallelism,
-    ) -> Vec<RecordId> {
-        match (ranges[0], ranges[1]) {
-            (None, None) => Vec::new(),
-            (Some(r), None) | (None, Some(r)) => scan_chunks(av, parallelism, |id| r.contains(id)),
-            (Some(r1), Some(r2)) => {
-                scan_chunks(av, parallelism, |id| r1.contains(id) || r2.contains(id))
-            }
-        }
-    }
-
-    /// Scalar [`super::search_ids`].
-    pub fn search_ids_scalar(
-        av: &AttributeVector,
-        vids: &[u32],
-        dict_len: usize,
-        strategy: SetSearchStrategy,
-        parallelism: Parallelism,
-    ) -> Vec<RecordId> {
-        if vids.is_empty() {
-            return Vec::new();
-        }
-        match strategy {
-            SetSearchStrategy::PaperLinear => scan_chunks(av, parallelism, |id| vids.contains(&id)),
-            SetSearchStrategy::Bitmap => {
-                let mut bitmap = vec![0u64; dict_len.div_ceil(64)];
-                for &u in vids {
-                    bitmap[(u / 64) as usize] |= 1 << (u % 64);
-                }
-                scan_chunks(av, parallelism, |id| {
-                    bitmap[(id / 64) as usize] & (1 << (id % 64)) != 0
-                })
-            }
         }
     }
 }
@@ -539,39 +580,109 @@ mod tests {
         assert_eq!(rids(&from_ranges), vec![1, 3]);
     }
 
-    /// The branch-free kernels must be bit-identical to the scalar
-    /// reference on every shape, chunk boundary, and thread count.
+    /// The differential reference: a plain filter over `av.iter()`.
+    fn naive(av: &AttributeVector, hit: impl Fn(u32) -> bool) -> Vec<RecordId> {
+        (av.iter().enumerate())
+            .filter(|&(_, id)| hit(id))
+            .map(|(j, _)| RecordId(j as u32))
+            .collect()
+    }
+
+    /// Every shape on every width, row count, density and thread count
+    /// equals the naive filter. Hit ids are `0..=3` and `top - 3..=top`,
+    /// miss ids lie strictly between them and need the width's full range,
+    /// and each density draws hits at its own rate — the last one per chunk,
+    /// so a scan runs sparse, dense, sparse, dense, sparse chunks.
     #[test]
-    fn vectorized_matches_scalar_reference() {
-        // Sizes straddle the 4096-row chunk boundary and the threading
-        // threshold; the id pattern mixes runs and jumps.
-        for rows in [0usize, 1, 7, 4095, 4096, 4097, 20_000] {
-            let ids: Vec<u32> = (0..rows as u32)
-                .map(|i| i.wrapping_mul(2654435761) % 257)
-                .collect();
-            let a = av(&ids);
-            for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-                for ranges in [
-                    [VidRange::new(10, 40), None],
-                    [VidRange::new(0, 0), VidRange::new(250, 256)],
-                    [None, None],
-                ] {
-                    assert_eq!(
-                        search_ranges(&a, &ranges, par),
-                        reference::search_ranges_scalar(&a, &ranges, par),
-                        "rows={rows} ranges={ranges:?}"
-                    );
-                }
-                let vids: Vec<u32> = (0..40).map(|i| (i * 37) % 257).collect();
-                for strat in [SetSearchStrategy::PaperLinear, SetSearchStrategy::Bitmap] {
-                    assert_eq!(
-                        search_ids(&a, &vids, 257, strat, par),
-                        reference::search_ids_scalar(&a, &vids, 257, strat, par),
-                        "rows={rows} strat={strat:?}"
-                    );
+    fn kernel_matches_naive_filter() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut widths_seen = std::collections::BTreeMap::new();
+        for (top, miss_lo) in [(255u32, 8u32), (65_535, 300), (200_000, 70_000)] {
+            let upper = VidRange::new(top - 3, top);
+            let both = [VidRange::new(0, 3), upper];
+            let hit_ids: Vec<u32> = (0..=3).chain(top - 3..=top).collect();
+            let is_hit = |id: u32| id <= 3 || id >= top - 3;
+            for rows in [0usize, 1, 63, 64, 65, 4095, 4096, 4097, 20_000] {
+                let one_hit = rows / 2;
+                let densities: [&dyn Fn(usize) -> f64; 6] = [
+                    &|_| 0.0,
+                    &|j| (j == one_hit) as u8 as f64,
+                    &|_| 0.01,
+                    &|_| 0.5,
+                    &|_| 1.0,
+                    &|j| [0.0005, 0.5][j / SCAN_CHUNK_ROWS % 2],
+                ];
+                for (d, density) in densities.iter().enumerate() {
+                    let ids: Vec<u32> = (0..rows)
+                        .map(|j| match rng.gen_bool(density(j)) {
+                            true => hit_ids[rng.gen_range(0..hit_ids.len())],
+                            false => rng.gen_range(miss_lo..top - 8),
+                        })
+                        .collect();
+                    let a = av(&ids);
+                    *widths_seen.entry(a.id_width()).or_insert(0usize) += 1;
+                    let ctx = format!("top={top} rows={rows} density#{d}");
+                    let upper_hit = |id: u32| id >= top - 3 && id <= top;
+                    let dict_len = top as usize + 1;
+                    let k_ranges = [
+                        DictSearchResult::Ranges([VidRange::new(0, 1), VidRange::new(2, 3)]),
+                        DictSearchResult::Ranges([upper, None]),
+                    ];
+                    for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+                        let ranges = |rs| search_ranges(&a, &rs, par);
+                        assert_eq!(ranges([upper, None]), naive(&a, upper_hit), "{ctx}");
+                        assert_eq!(ranges(both), naive(&a, is_hit), "{ctx}");
+                        assert_eq!(ranges([None, None]), vec![], "{ctx}");
+                        let union = |strategy| search_union(&a, &k_ranges, dict_len, strategy, par);
+                        assert_eq!(union(SetSearchStrategy::PaperLinear), naive(&a, is_hit));
+                        for strategy in [SetSearchStrategy::PaperLinear, SetSearchStrategy::Bitmap]
+                        {
+                            let ids = |vids| search_ids(&a, vids, dict_len, strategy, par);
+                            assert_eq!(ids(&hit_ids), naive(&a, is_hit), "{ctx} {strategy:?}");
+                            assert_eq!(ids(&[]), vec![], "{ctx} {strategy:?}");
+                        }
+                    }
                 }
             }
         }
+        assert_eq!(widths_seen.keys().collect::<Vec<_>>(), [&1, &2, &4]);
+        assert!(widths_seen.values().all(|&n| n >= 40), "{widths_seen:?}");
+    }
+
+    /// Ranges and vids above the stored width's maximum are clamped, never
+    /// truncated: on a `u8` AV, 300 is not 44, and 65 539 on a `u16` AV is
+    /// not 3.
+    #[test]
+    fn queries_beyond_the_width_clamp_instead_of_truncating() {
+        let narrow = av(&[3, 44, 250, 255, 0, 44]);
+        assert_eq!(narrow.id_width(), 1);
+        let ranges = |a, rs| rids(&search_ranges(a, &rs, Parallelism::Serial));
+        assert_eq!(ranges(&narrow, [VidRange::new(300, 400), None]), vec![]);
+        assert_eq!(ranges(&narrow, [VidRange::new(256, 259), None]), vec![]);
+        assert_eq!(ranges(&narrow, [VidRange::new(250, 300), None]), vec![2, 3]);
+        assert_eq!(ranges(&narrow, [VidRange::new(0, u32::MAX), None]).len(), 6);
+        let lying = [Some(VidRange { lo: 44, hi: 3 }), None];
+        assert_eq!(ranges(&narrow, lying), vec![]);
+        let ids = |a, vids: &[u32]| {
+            rids(&search_ids(
+                a,
+                vids,
+                70_000,
+                SetSearchStrategy::PaperLinear,
+                Parallelism::Serial,
+            ))
+        };
+        assert_eq!(ids(&narrow, &[300, 259]), vec![]);
+        assert_eq!(ids(&narrow, &[300, 44]), vec![1, 5]);
+
+        let mid = av(&[3, 65_535, 256, 3]);
+        assert_eq!(mid.id_width(), 2);
+        assert_eq!(ranges(&mid, [VidRange::new(65_539, 70_000), None]), vec![]);
+        assert_eq!(ranges(&mid, [VidRange::new(65_530, 70_000), None]), vec![1]);
+        assert_eq!(ids(&mid, &[65_539, 65_536]), vec![]);
+        assert_eq!(ids(&mid, &[65_539, 256]), vec![2]);
     }
 
     /// One combined pass over the AV must equal per-range scans unioned

@@ -244,7 +244,7 @@ pub fn verify_plain_split(column: &Column, dict: &PlainDictionary, av: &Attribut
         return false;
     }
     (0..column.len()).all(|j| {
-        let vid = av.as_slice()[j] as usize;
+        let vid = av.get(j) as usize;
         vid < dict.len() && dict.value(vid) == column.value(j)
     })
 }
@@ -327,7 +327,7 @@ mod tests {
         assert_eq!(dict.value(1), b"Ella");
         assert_eq!(dict.value(2), b"Hans");
         assert_eq!(dict.value(3), b"Jessica");
-        assert_eq!(av.as_slice(), &[2, 3, 0, 1, 3, 3]);
+        assert_eq!(av.iter().collect::<Vec<_>>(), [2, 3, 0, 1, 3, 3]);
     }
 
     #[test]
@@ -369,7 +369,7 @@ mod tests {
         };
         let (_, av) = build_plain(&col, EdKind::Ed4, &p, &mut rng).unwrap();
         let mut counts = std::collections::HashMap::new();
-        for &id in av.as_slice() {
+        for id in av.iter() {
             *counts.entry(id).or_insert(0usize) += 1;
         }
         assert!(counts.values().all(|&c| c <= 5), "counts: {counts:?}");
@@ -384,7 +384,7 @@ mod tests {
             let (dict, av) = build_plain(&col, kind, &params(), &mut rng).unwrap();
             assert_eq!(dict.len(), av.len());
             let mut seen = vec![false; dict.len()];
-            for &id in av.as_slice() {
+            for id in av.iter() {
                 assert!(!seen[id as usize], "ValueID {id} reused in {kind}");
                 seen[id as usize] = true;
             }
@@ -403,7 +403,7 @@ mod tests {
             // Decrypt every entry via the untrusted accessor and re-verify
             // split correctness on plaintexts.
             for j in 0..col.len() {
-                let vid = av.as_slice()[j] as usize;
+                let vid = av.get(j) as usize;
                 let ct = dict.ciphertext(vid);
                 let pt = pae.decrypt_bytes(ct, DICT_VALUE_AAD).unwrap();
                 assert_eq!(pt, col.value(j), "row {j} kind {kind}");
@@ -450,6 +450,23 @@ mod tests {
             let (dict, av) = build_encrypted(&col, kind, &params(), &key, &mut rng).unwrap();
             assert!(dict.is_empty());
             assert!(av.is_empty());
+        }
+    }
+
+    /// An ED1 build stores its AV at the narrowest width that addresses
+    /// `|D|` entries: one byte up to 256, two up to 65 536, then four —
+    /// exactly the width `packed_size` already counted.
+    #[test]
+    fn ed1_av_width_follows_dictionary_size() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let key = Key128::from_bytes([7; 16]);
+        for (distinct, width) in [(256usize, 1), (257, 2), (65_536, 2), (65_537, 4)] {
+            let values = (0..distinct).rev().map(|i| format!("{i:06}"));
+            let col = Column::from_strs("c", 8, values).unwrap();
+            let (dict, av) = build_encrypted(&col, EdKind::Ed1, &params(), &key, &mut rng).unwrap();
+            assert_eq!((dict.len(), av.id_width()), (distinct, width));
+            assert_eq!(av.packed_size(dict.len()), distinct * width);
+            assert_eq!((av.get(0), av.get(distinct - 1)), (distinct as u32 - 1, 0));
         }
     }
 

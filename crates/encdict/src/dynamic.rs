@@ -209,7 +209,7 @@ mod tests {
                     kind,
                     bs_max: self.params.bs_max,
                     main: dict.segment().view(),
-                    main_av: av.as_slice(),
+                    main_av: av,
                     main_valid,
                     delta: delta.segment().view(),
                     delta_valid,
@@ -276,6 +276,48 @@ mod tests {
         assert_eq!(new_av.len(), 6); // 4 valid main + 2 valid delta
                                      // Logical values now: b, a, c, e, cc, bb → matching: b, c, cc, bb.
         assert_eq!(f.search_main(&new_dict, &new_av, &query).len(), 4);
+    }
+
+    /// A merge whose delta takes an ED1 dictionary from 250 to 260 entries
+    /// publishes a `u16` attribute vector, and range answers over it equal
+    /// the MonetDB baseline over the merged plaintext rows.
+    #[test]
+    fn merge_across_the_u8_boundary_publishes_a_u16_av() {
+        let mut f = fixture(6);
+        let sk_d = derive_column_key(&f.skdb, "t", "c");
+        let main_values: Vec<String> = (0..500).map(|i| format!("v{:03}", i % 250)).collect();
+        let col = Column::from_strs("c", 12, &main_values).unwrap();
+        let (main_dict, main_av) =
+            build_encrypted(&col, EdKind::Ed1, &f.params, &sk_d, &mut f.rng).unwrap();
+        assert_eq!((main_dict.len(), main_av.id_width()), (250, 1));
+        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let delta_values: Vec<String> = (0..10).map(|i| format!("w{i:03}")).collect();
+        for v in &delta_values {
+            f.insert(&mut delta, v.as_bytes());
+        }
+        let all = |n| ValidityVector::all_valid(n);
+        let (new_dict, new_av) = f.merge(
+            &main_dict,
+            &main_av,
+            &all(500),
+            &delta,
+            &all(10),
+            EdKind::Ed1,
+        );
+        assert_eq!((new_dict.len(), new_av.id_width()), (260, 2));
+
+        let merged = Column::from_strs("c", 12, main_values.iter().chain(&delta_values)).unwrap();
+        let monet = colstore::monetdb::MonetColumn::ingest(&merged);
+        for (lo, hi) in [
+            ("v100", "v120"),
+            ("v245", "w005"),
+            ("w009", "w009"),
+            ("a", "z"),
+        ] {
+            let got = f.search_main(&new_dict, &new_av, &RangeQuery::between(lo, hi));
+            let want = monet.range_search_inclusive(lo.as_bytes(), hi.as_bytes());
+            assert_eq!(got, want, "[{lo}, {hi}]");
+        }
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub struct MergeRequest<'a> {
     /// Main-store dictionary entries.
     pub main: SegmentRef<'a>,
     /// Main attribute vector (ValueIDs).
-    pub main_av: &'a [u32],
+    pub main_av: &'a colstore::dictionary::AttributeVector,
     /// Which main rows are still valid.
     pub main_valid: &'a colstore::delta::ValidityVector,
     /// Delta-store rows (ED9: entry `i` is row `i`).
@@ -1039,7 +1039,7 @@ impl DictLogic {
         let mut bytes_tracked = 0usize;
         let main_rows = (req.main_av.iter().enumerate())
             .filter(|&(j, _)| req.main_valid.is_valid(j))
-            .map(|(_, &vid)| match vid as usize {
+            .map(|(_, vid)| match vid as usize {
                 vid if vid < req.main.len => Ok((req.main, vid, None)),
                 _ => Err(EncdictError::CorruptDictionary("value id out of range")),
             });

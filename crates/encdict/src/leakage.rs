@@ -29,7 +29,7 @@ impl FrequencyProfile {
     /// Computes the profile of an attribute vector.
     pub fn of(av: &AttributeVector) -> Self {
         let mut counts = HashMap::new();
-        for &id in av.as_slice() {
+        for id in av.iter() {
             *counts.entry(id).or_insert(0usize) += 1;
         }
         FrequencyProfile { counts }

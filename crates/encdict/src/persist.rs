@@ -22,7 +22,7 @@ impl From<CodecError> for EncdictError {
 
 fn put_av(out: &mut Vec<u8>, av: &AttributeVector) {
     out.put_u64(av.len() as u64);
-    for &id in av.as_slice() {
+    for id in av.iter() {
         out.put_u32(id);
     }
 }
@@ -201,6 +201,40 @@ mod tests {
             for i in 0..dict.len() {
                 assert_eq!(dict2.ciphertext(i), dict.ciphertext(i), "{kind} entry {i}");
             }
+        }
+    }
+
+    /// On disk the AV stays one little-endian `u32` per row whatever the
+    /// in-memory width, and loading narrows it again: `u8` and `u16` AVs
+    /// round-trip to the same bytes and the same width.
+    #[test]
+    fn narrow_avs_roundtrip_to_the_same_bytes() {
+        use crate::build::build_plain;
+        for (distinct, width) in [(200usize, 1), (300, 2)] {
+            let values = (0..2 * distinct).map(|i| format!("{:04}", i % distinct));
+            let col = Column::from_strs("c", 8, values).unwrap();
+            let mut rng = StdRng::seed_from_u64(distinct as u64);
+            let key = Key128::from_bytes([3; 16]);
+            let (dict, av) =
+                build_encrypted(&col, EdKind::Ed1, &BuildParams::default(), &key, &mut rng)
+                    .unwrap();
+            assert_eq!(av.id_width(), width);
+            let blob = to_bytes(&dict, &av);
+            let on_disk = &blob[blob.len() - 4 * av.len()..];
+            let ids = on_disk
+                .chunks(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()));
+            assert!(ids.eq(av.iter()));
+            let (dict2, av2) = from_bytes(&blob).unwrap();
+            assert_eq!((av2.id_width(), &av2), (width, &av));
+            assert_eq!(to_bytes(&dict2, &av2), blob);
+
+            let (dict, av) =
+                build_plain(&col, EdKind::Ed1, &BuildParams::default(), &mut rng).unwrap();
+            let blob = plain_to_bytes(&dict, &av);
+            let (dict2, av2) = plain_from_bytes(&blob).unwrap();
+            assert_eq!((av2.id_width(), &av2), (width, &av));
+            assert_eq!(plain_to_bytes(&dict2, &av2), blob);
         }
     }
 

@@ -148,7 +148,7 @@ fn merge(
         kind,
         bs_max: 2,
         main: dict.segment().view(),
-        main_av: av.as_slice(),
+        main_av: av,
         main_valid: &ValidityVector::all_valid(av.len()),
         delta: delta.segment().view(),
         delta_valid: &ValidityVector::all_valid(delta.len()),
@@ -402,7 +402,7 @@ fn lying_head_fails_merge() {
             kind: EdKind::Ed3,
             bs_max: 2,
             main: store.view(),
-            main_av: av.as_slice(),
+            main_av: &av,
             main_valid: &validity,
             delta: no_delta.view(),
             delta_valid: &no_rows,

@@ -52,7 +52,7 @@ proptest! {
             prop_assert_eq!(back.col_name(), dict.col_name());
             prop_assert_eq!(back.max_len(), dict.max_len());
             prop_assert_eq!(back.len(), dict.len());
-            prop_assert_eq!(back_av.as_slice(), av.as_slice());
+            prop_assert_eq!(&back_av, &av);
             prop_assert_eq!(persist::to_bytes(&back, &back_av), bytes);
         }
     }
@@ -96,7 +96,7 @@ proptest! {
         for i in 0..dict.len() {
             prop_assert_eq!(back.value(i), dict.value(i));
         }
-        prop_assert_eq!(back_av.as_slice(), av.as_slice());
+        prop_assert_eq!(&back_av, &av);
         prop_assert_eq!(persist::plain_to_bytes(&back, &back_av), bytes);
     }
 

@@ -120,7 +120,7 @@ proptest! {
         let (dict, av) = build_encrypted(&column, kind, &params, &sk_d, &mut rng).unwrap();
         let pae = Pae::new(&sk_d);
         for j in 0..column.len() {
-            let vid = av.as_slice()[j] as usize;
+            let vid = av.get(j) as usize;
             let pt = decrypt_column_value(&pae, dict.ciphertext(vid)).unwrap();
             prop_assert_eq!(pt.as_slice(), column.value(j));
         }
@@ -135,7 +135,7 @@ proptest! {
         let params = BuildParams { bs_max, ..BuildParams::default() };
         let (_, av) = build_plain(&column, EdKind::Ed4, &params, &mut rng).unwrap();
         let mut counts = std::collections::HashMap::new();
-        for &id in av.as_slice() {
+        for id in av.iter() {
             *counts.entry(id).or_insert(0usize) += 1;
         }
         prop_assert!(counts.values().all(|&c| c <= bs_max));

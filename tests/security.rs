@@ -81,8 +81,7 @@ fn frequency_hiding_attribute_vector_is_flat_after_load() {
     let profile = FrequencyProfile::of(&av);
     assert!(profile.is_flat(), "ED7 AV must not reveal frequencies");
     // Sanity: the AV still references |C| distinct ValueIDs.
-    let distinct: std::collections::HashSet<ValueId> =
-        av.as_slice().iter().map(|&v| ValueId(v)).collect();
+    let distinct: std::collections::HashSet<ValueId> = av.iter().map(ValueId).collect();
     assert_eq!(distinct.len(), values.len());
 }
 

@@ -60,7 +60,7 @@ fn all_nine_kinds_round_trip_against_monetdb_baseline() {
         // Decrypt round-trip: every row's ciphertext, located through the
         // attribute vector, decrypts back to the row's plaintext value.
         for j in 0..column.len() {
-            let vid = av.as_slice()[j] as usize;
+            let vid = av.get(j) as usize;
             let pt = decrypt_column_value(&pae, dict.ciphertext(vid)).unwrap();
             assert_eq!(
                 pt.as_slice(),
