@@ -52,6 +52,17 @@ if grep -rnE 'fn take\(&mut self, n: usize\)|fn put_u32' src crates/*/src --incl
     exit 1
 fi
 
+# The attribute-vector scan has one entry point, `avsearch::scan` (DESIGN.md
+# §14.1). The old five-argument `search` and its two one-variant enums stay
+# only for benchmark/src/layers.rs (not searched here): a new caller
+# anywhere else is the second entry point growing back.
+AVSEARCH_MODULE=crates/encdict/src/avsearch.rs
+if grep -rnE 'Parallelism|SetSearchStrategy|avsearch::search\(' src crates tests examples \
+    --include='*.rs' | grep -v "^$AVSEARCH_MODULE:"; then
+    echo "the avsearch compatibility shim named outside $AVSEARCH_MODULE (listed above)"
+    exit 1
+fi
+
 # Non-test code lines of the three core crates (ROADMAP item 5's exit
 # criterion is stated in this number), and the ten largest files.
 run tools/code_lines.sh --files

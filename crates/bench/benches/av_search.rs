@@ -1,11 +1,11 @@
-//! Criterion benchmarks for AttrVectSearch: serial vs parallel range scans,
-//! the paper-linear vs bitmap set-membership strategies, and the range
-//! kernel across selectivities and stored widths.
+//! Criterion benchmarks for AttrVectSearch: a range scan and the paper's
+//! linear id-list scan, and the range kernel across selectivities and
+//! stored widths.
 
 use colstore::dictionary::{AttributeVector, ValueId};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use encdict::avsearch::{search_ids, search_ranges, Parallelism, SetSearchStrategy};
-use encdict::VidRange;
+use encdict::avsearch::scan;
+use encdict::{DictSearchResult, VidRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -15,47 +15,20 @@ fn bench_av_search(c: &mut Criterion) {
     let av: AttributeVector = (0..rows)
         .map(|i| ValueId(((i * 2654435761) % dict_len) as u32))
         .collect();
-    let ranges = [VidRange::new(100, 200), None];
+    let ranges = [DictSearchResult::Ranges([VidRange::new(100, 200), None])];
 
     let mut group = c.benchmark_group("av_range_scan");
     group.throughput(Throughput::Elements(rows as u64));
-    for threads in [1usize, 2, 4] {
-        let p = if threads == 1 {
-            Parallelism::Serial
-        } else {
-            Parallelism::Threads(threads)
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &p, |b, p| {
-            b.iter(|| search_ranges(&av, &ranges, *p))
-        });
-    }
+    group.bench_function(BenchmarkId::from_parameter(1), |b| {
+        b.iter(|| scan(&av, &ranges))
+    });
     group.finish();
 
     let vids: Vec<u32> = (0..50u32).map(|i| i * 97 % dict_len as u32).collect();
+    let ids = [DictSearchResult::Ids(vids)];
     let mut group = c.benchmark_group("av_id_list");
     group.throughput(Throughput::Elements(rows as u64));
-    group.bench_function("paper_linear", |b| {
-        b.iter(|| {
-            search_ids(
-                &av,
-                &vids,
-                dict_len,
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            )
-        })
-    });
-    group.bench_function("bitmap", |b| {
-        b.iter(|| {
-            search_ids(
-                &av,
-                &vids,
-                dict_len,
-                SetSearchStrategy::Bitmap,
-                Parallelism::Serial,
-            )
-        })
-    });
+    group.bench_function("paper_linear", |b| b.iter(|| scan(&av, &ids)));
     group.finish();
 }
 
@@ -65,7 +38,7 @@ fn bench_av_search(c: &mut Criterion) {
 /// path's best case; 1 % and up take the dense path.
 fn bench_av_selectivity(c: &mut Criterion) {
     let rows = 1_000_000usize;
-    let hits = [VidRange::new(0, 1), None];
+    let hits = [DictSearchResult::Ranges([VidRange::new(0, 1), None])];
     let mut group = c.benchmark_group("av_selectivity");
     group.throughput(Throughput::Elements(rows as u64));
     for (name, rate) in [
@@ -85,7 +58,7 @@ fn bench_av_selectivity(c: &mut Criterion) {
             let av: AttributeVector = ids.iter().copied().chain([ValueId(last)]).collect();
             assert_eq!(av.id_width(), bytes);
             group.bench_function(BenchmarkId::new(width, name), |b| {
-                b.iter(|| search_ranges(&av, &hits, Parallelism::Serial))
+                b.iter(|| scan(&av, &hits))
             });
         }
     }

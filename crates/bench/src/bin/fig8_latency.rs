@@ -6,7 +6,7 @@
 //! Usage:
 //! ```text
 //! cargo run -p encdbdb-bench --release --bin fig8_latency -- \
-//!     [--group a|b|c|all] [--rows N] [--queries N] [--threads N] [--monetdb]
+//!     [--group a|b|c|all] [--rows N] [--queries N] [--monetdb]
 //! ```
 //!
 //! Defaults are sized for a quick run (100 k rows, 50 queries per point;
@@ -18,7 +18,7 @@
 
 use colstore::monetdb::MonetColumn;
 use encdbdb_bench::*;
-use encdict::avsearch::{self, Parallelism, SetSearchStrategy};
+use encdict::avsearch;
 use encdict::plain::search_plain;
 use encdict::{DictEnclave, EdKind, EncryptedRange, OrderOption};
 use rand::rngs::StdRng;
@@ -28,7 +28,6 @@ use workload::RangeQueryGen;
 struct Config {
     rows: usize,
     queries: usize,
-    parallelism: Parallelism,
     run_monetdb: bool,
 }
 
@@ -84,14 +83,7 @@ fn run_plaindbdb(
     for q in gen.draw_batch(&mut rng, queries) {
         let (n, d) = time(|| {
             let result = search_plain(&dict, &q).expect("plain search");
-            avsearch::search(
-                &av,
-                &result,
-                dict.len(),
-                SetSearchStrategy::PaperLinear,
-                cfg.parallelism,
-            )
-            .len()
+            avsearch::scan(&av, &[result]).len()
         });
         std::hint::black_box(n);
         durations.push(d);
@@ -115,14 +107,7 @@ fn run_encdbdb(prepared: &PreparedColumn, kind: EdKind, rs: usize, cfg: &Config)
         let tau = EncryptedRange::encrypt(&pae, &mut rng, &q);
         let (n, d) = time(|| {
             let result = enclave.search(&dict, &tau).expect("enclave search");
-            avsearch::search(
-                &av,
-                &result,
-                dict.len(),
-                SetSearchStrategy::PaperLinear,
-                cfg.parallelism,
-            )
-            .len()
+            avsearch::scan(&av, &[result]).len()
         });
         std::hint::black_box(n);
         durations.push(d);
@@ -136,10 +121,6 @@ fn main() {
     let cfg = Config {
         rows: cli.usize_of("rows", 100_000),
         queries: cli.usize_of("queries", 50),
-        parallelism: match cli.usize_of("threads", 1) {
-            0 | 1 => Parallelism::Serial,
-            n => Parallelism::Threads(n),
-        },
         run_monetdb: cli.has_flag("monetdb") || cli.usize_of("rows", 100_000) <= 1_000_000,
     };
     println!(

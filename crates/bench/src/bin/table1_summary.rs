@@ -16,7 +16,7 @@
 
 use colstore::monetdb::MonetColumn;
 use encdbdb_bench::*;
-use encdict::avsearch::{self, Parallelism, SetSearchStrategy};
+use encdict::avsearch;
 use encdict::plain::search_plain;
 use encdict::{DictEnclave, EdKind, EncryptedRange};
 use rand::rngs::StdRng;
@@ -109,14 +109,7 @@ fn main() {
     for q in &batch {
         let (n, d) = time(|| {
             let r = search_plain(&pdict, q).expect("plain search");
-            avsearch::search(
-                &pav,
-                &r,
-                pdict.len(),
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            )
-            .len()
+            avsearch::scan(&pav, &[r]).len()
         });
         std::hint::black_box(n);
         plain_durs.push(d);
@@ -129,14 +122,7 @@ fn main() {
         let tau = EncryptedRange::encrypt(&pae, &mut rng, q);
         let (n, d) = time(|| {
             let r = enclave.search(&dict, &tau).expect("enclave search");
-            avsearch::search(
-                &av,
-                &r,
-                dict.len(),
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            )
-            .len()
+            avsearch::scan(&av, &[r]).len()
         });
         std::hint::black_box(n);
         enc_durs.push(d);

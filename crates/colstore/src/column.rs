@@ -121,11 +121,6 @@ impl Column {
     pub fn plaintext_file_size(&self) -> usize {
         self.data.len()
     }
-
-    /// In-memory heap footprint (arena plus offset table).
-    pub fn heap_size(&self) -> usize {
-        self.data.len() + self.offsets.len() * std::mem::size_of::<u64>()
-    }
 }
 
 #[cfg(test)]

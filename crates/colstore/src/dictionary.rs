@@ -67,11 +67,6 @@ impl Dictionary {
         (0..self.len()).map(move |i| (ValueId(i as u32), self.value(ValueId(i as u32))))
     }
 
-    /// In-memory heap footprint in bytes.
-    pub fn heap_size(&self) -> usize {
-        self.data.len() + self.offsets.len() * std::mem::size_of::<u64>()
-    }
-
     /// Sum of raw value bytes (without the offset table).
     pub fn value_bytes(&self) -> usize {
         self.data.len()

@@ -1,4 +1,4 @@
-//! Column statistics: `un(C)`, `oc(C, v)` and storage accounting.
+//! Column statistics: `un(C)` and `oc(C, v)`.
 //!
 //! Paper §2.1 notation: `un(C)` is the set of unique values in a column,
 //! `|un(C)|` their count, `oc(C, v)` the occurrence indices of value `v`,
@@ -67,37 +67,6 @@ impl ColumnStats {
     }
 }
 
-/// Storage-size report for one column representation, in bytes.
-///
-/// Rows of the paper's Table 6 are instances of this struct for different
-/// representations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StorageReport {
-    /// Bytes held by the dictionary (value arena incl. per-value overheads).
-    pub dictionary_bytes: usize,
-    /// Bytes held by the (packed) attribute vector.
-    pub attribute_vector_bytes: usize,
-}
-
-impl StorageReport {
-    /// Total bytes.
-    pub fn total(&self) -> usize {
-        self.dictionary_bytes + self.attribute_vector_bytes
-    }
-}
-
-impl std::fmt::Display for StorageReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:.1} MB (dict {:.1} MB + av {:.1} MB)",
-            self.total() as f64 / 1e6,
-            self.dictionary_bytes as f64 / 1e6,
-            self.attribute_vector_bytes as f64 / 1e6
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +103,5 @@ mod tests {
         }
         // Smaller bs_max -> more duplicates -> larger dictionary.
         assert!(s.expected_smoothed_dict_size(2) > s.expected_smoothed_dict_size(100));
-    }
-
-    #[test]
-    fn storage_report_totals() {
-        let r = StorageReport {
-            dictionary_bytes: 100,
-            attribute_vector_bytes: 50,
-        };
-        assert_eq!(r.total(), 150);
-        assert!(r.to_string().contains("MB"));
     }
 }

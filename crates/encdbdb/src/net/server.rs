@@ -378,6 +378,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
         shared.config.poll_interval_ms.max(1),
     )));
     let mut codec = FrameCodec::new();
+    codec.pre_auth = true;
 
     // Handshake: the first frame must be a HELLO naming a provisioned
     // tenant with the right token.
@@ -396,6 +397,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
                 ) {
                     return;
                 }
+                codec.pre_auth = false;
                 tenant
             } else {
                 shared.obs.add(Counter::NetAuthFailuresTotal, 1);
@@ -659,5 +661,39 @@ mod tests {
         assert!(token_admits(&tenants, "open", ""));
         assert!(!token_admits(&tenants, "open", "s3cret-token"));
         assert!(!token_admits(&tenants, "acme", ""));
+    }
+
+    /// A length prefix declaring 256 MiB before HELLO gets the protocol
+    /// error and a closed socket, not a 256 MiB buffer, and the server goes
+    /// on serving the next connection.
+    #[test]
+    fn an_oversized_frame_before_hello_is_refused() {
+        use std::io::Write;
+        let session = Session::with_seed(0x150_0005).expect("session");
+        let tenants = vec![TenantSpec::new("acme", "tok")];
+        let handle =
+            NetServer::start(session, tenants, NetServerConfig::default()).expect("server start");
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        stream
+            .write_all(&(256u32 << 20).to_le_bytes())
+            .expect("prefix");
+        let mut codec = FrameCodec::new();
+        match codec.poll_recv(&mut stream).expect("reply") {
+            Recv::Frame {
+                msg: Message::Error { code, message },
+                ..
+            } => assert_eq!((code, message.as_str()), (ERR_PROTOCOL, "malformed frame")),
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        assert!(matches!(codec.poll_recv(&mut stream), Ok(Recv::Eof)));
+
+        let mut client = super::super::NetClient::connect(handle.addr(), "acme", "tok")
+            .expect("second connection");
+        client.execute("CREATE TABLE t (v ED2(8))").expect("create");
+        client.close();
+        handle.shutdown().expect("shutdown");
     }
 }

@@ -36,6 +36,11 @@ const HEADER_AFTER_LEN: usize = 1 + 1 + 8;
 /// length prefix must not drive an unbounded allocation.
 const MAX_FRAME: usize = 256 << 20;
 
+/// The ceiling while [`FrameCodec::pre_auth`] is set: room for any HELLO
+/// with a tenant name and token under 32 KiB each, and the most one
+/// unauthenticated connection can make the server allocate.
+const PRE_AUTH_FRAME: usize = 64 << 10;
+
 /// Error code: malformed or unexpected frame.
 pub(crate) const ERR_PROTOCOL: u16 = 1;
 /// Error code: authentication / provisioning rejection.
@@ -205,6 +210,9 @@ pub(crate) struct FrameCodec {
     recv_buf: Vec<u8>,
     filled: usize,
     first_byte: Option<Instant>,
+    /// Caps frames at [`PRE_AUTH_FRAME`] instead of [`MAX_FRAME`]; the
+    /// server sets it until the connection's HELLO is accepted.
+    pub(crate) pre_auth: bool,
 }
 
 impl FrameCodec {
@@ -248,7 +256,12 @@ impl FrameCodec {
             } else {
                 let len =
                     u32::from_le_bytes(self.recv_buf[0..4].try_into().expect("4 bytes")) as usize;
-                if !(HEADER_AFTER_LEN..=MAX_FRAME).contains(&len) {
+                let max = if self.pre_auth {
+                    PRE_AUTH_FRAME
+                } else {
+                    MAX_FRAME
+                };
+                if !(HEADER_AFTER_LEN..=max).contains(&len) {
                     return Err(DbError::Net(format!("invalid frame length {len}")));
                 }
                 4 + len
@@ -524,6 +537,43 @@ mod tests {
             let mut reader = wire.as_slice();
             let err = codec.poll_recv(&mut reader).expect_err("bad length");
             assert!(err.to_string().contains("frame length"), "{err}");
+        }
+    }
+
+    /// While `pre_auth` is set a prefix declaring 1 MiB is refused before
+    /// the receive buffer grows toward it; once the HELLO is in, the same
+    /// frame decodes.
+    #[test]
+    fn frames_over_the_pre_auth_cap_wait_for_the_handshake() {
+        let big = Message::Query {
+            sql: "x".repeat(1 << 20),
+        };
+        let hello = Message::Hello {
+            tenant: "acme".into(),
+            token: "tok".into(),
+        };
+        let (mut hello_wire, mut big_wire) = (Vec::new(), Vec::new());
+        let mut sender = FrameCodec::new();
+        sender.send(&mut hello_wire, 1, &hello).expect("encode");
+        sender.send(&mut big_wire, 2, &big).expect("encode");
+
+        let mut refusing = FrameCodec::new();
+        refusing.pre_auth = true;
+        let err = refusing
+            .poll_recv(&mut big_wire.as_slice())
+            .expect_err("capped");
+        assert!(err.to_string().contains("frame length"), "{err}");
+        assert!(refusing.recv_buf.capacity() <= PRE_AUTH_FRAME);
+
+        let mut codec = FrameCodec::new();
+        codec.pre_auth = true;
+        let frames = [(hello_wire, hello), (big_wire, big)];
+        for (wire, sent) in frames {
+            match codec.poll_recv(&mut wire.as_slice()).expect("decode") {
+                Recv::Frame { msg, .. } => assert_eq!(msg, sent),
+                other => panic!("expected frame, got {other:?}"),
+            }
+            codec.pre_auth = false;
         }
     }
 

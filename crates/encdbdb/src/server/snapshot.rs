@@ -16,18 +16,12 @@ use crate::error::DbError;
 use crate::obs::SpanId;
 use crate::schema::TableSchema;
 use colstore::dictionary::RecordId;
-use encdict::avsearch::{self, Parallelism, SetSearchStrategy};
+use encdict::avsearch;
 use encdict::batch::SearchCall;
 use encdict::plain::search_plain;
 use encdict::search::DictSearchResult;
 use encdict::{CacheTag, EncdictError, EncryptedDictionary, EncryptedRange};
 use std::sync::Arc;
-
-/// How a partition's attribute vector is scanned: the paper's linear
-/// membership test, on the calling thread — the partition fan-out is the
-/// server's parallelism.
-const SET_STRATEGY: SetSearchStrategy = SetSearchStrategy::PaperLinear;
-const AV_PARALLELISM: Parallelism = Parallelism::Serial;
 
 /// The scheduler handle a partition scan issues its search ECALLs
 /// through, with the span their ledger entries belong under (typically
@@ -285,13 +279,7 @@ fn matching_rids(
             } else {
                 let results = sched_search(ctx, snap, main.dict_arc(), false, ranges, &mut stats)?;
                 let av_start = std::time::Instant::now();
-                let rids = avsearch::search_union(
-                    main.av(),
-                    &results,
-                    dict.len(),
-                    SET_STRATEGY,
-                    AV_PARALLELISM,
-                );
+                let rids = avsearch::scan(main.av(), &results);
                 stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
                 rids
             };
@@ -322,8 +310,7 @@ fn matching_rids(
                 .collect::<Result<Vec<_>, _>>()?;
             stats.dict_search_ns += dict_start.elapsed().as_nanos() as u64;
             let av_start = std::time::Instant::now();
-            let main_rids =
-                avsearch::search_union(av, &results, dict.len(), SET_STRATEGY, AV_PARALLELISM);
+            let main_rids = avsearch::scan(av, &results);
             stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
             let delta_rids = (0..delta.len() as u32)
                 .map(RecordId)

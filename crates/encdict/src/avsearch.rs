@@ -2,29 +2,29 @@
 //! realm.
 //!
 //! After the enclave returns the matching ValueIDs, the attribute vector is
-//! scanned linearly for them (paper §2.1/§4.1). Two result shapes exist:
+//! scanned linearly for them (paper §2.1/§4.1). [`scan`] is the one entry
+//! point; it takes every result of a (possibly batched) dictionary search
+//! and answers them in one pass. Two result shapes exist:
 //!
 //! * sorted/rotated kinds return up to two contiguous ValueID *ranges* —
 //!   the scan does one or two integer comparisons per row;
 //! * unsorted kinds return an explicit ValueID *list* — the paper compares
-//!   "every v ∈ AV with every u ∈ vid", an `O(|AV| · |vid|)` scan
-//!   ([`SetSearchStrategy::PaperLinear`]); we additionally provide a bitmap
-//!   strategy ([`SetSearchStrategy::Bitmap`]) as an engineering extension,
-//!   quantified in the ablation benchmarks.
+//!   "every v ∈ AV with every u ∈ vid", an `O(|AV| · |vid|)` scan.
 //!
 //! The paper notes the scan "is parallelizable with a speedup expected to
-//! be linear in the number of threads"; pass `Parallelism::Threads(n)` to
-//! use std scoped threads over row chunks.
+//! be linear in the number of threads". Here the server's partition fan-out
+//! is that parallelism; one partition's attribute vector is scanned on the
+//! calling thread.
 //!
 //! # Kernel shape (DESIGN.md §14.1)
 //!
 //! One kernel serves every stored width and every predicate shape. The
 //! attribute vector's width ([`AvIds`]) is matched once per scan; the
-//! predicate (single range, double range, k-range disjunction, id list,
-//! bitmap) is clamped to that width's maximum and monomorphized into its
-//! own loop, so rows are compared in their stored `u8`/`u16`/`u32`. Rows go
-//! through a reusable per-worker scratch buffer in `SCAN_CHUNK_ROWS`-row
-//! chunks, each along one of two paths:
+//! predicate (single range, double range, k-range disjunction, id list) is
+//! clamped to that width's maximum and monomorphized into its own loop, so
+//! rows are compared in their stored `u8`/`u16`/`u32`. Rows go through a
+//! reusable per-thread scratch buffer in `SCAN_CHUNK_ROWS`-row chunks, each
+//! along one of two paths:
 //!
 //! * **dense** — branch-free compaction over the whole chunk: every
 //!   candidate RecordID is written unconditionally and the output cursor
@@ -41,43 +41,20 @@ use crate::search::{DictSearchResult, VidRange};
 use colstore::dictionary::{AttributeVector, AvIds, RecordId};
 use std::cell::RefCell;
 
-/// How the attribute-vector scan is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Single-threaded scan.
-    Serial,
-    /// Scan with this many worker threads (clamped to at least 1).
-    Threads(usize),
-}
-
-/// Membership-test strategy for explicit ValueID lists (unsorted kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SetSearchStrategy {
-    /// The paper's strategy: compare each attribute-vector entry against
-    /// each returned ValueID (`O(|AV| · |vid|)`, early exit on match).
-    PaperLinear,
-    /// Engineering extension: precompute a `|D|`-bit bitmap of matching
-    /// ValueIDs, then scan with O(1) membership tests.
-    Bitmap,
-}
-
-/// Rows per compaction chunk; also the minimum row count for threading.
+/// Rows per compaction chunk.
 const SCAN_CHUNK_ROWS: usize = 4096;
 
 /// Rows per block a sparse chunk tests for any match before compacting it.
 const BLOCK_ROWS: usize = 64;
 
 thread_local! {
-    /// Per-worker compaction scratch: candidate RecordIDs of one chunk.
-    /// Reused across chunks and across queries on the same worker thread.
+    /// Per-thread compaction scratch: candidate RecordIDs of one chunk.
+    /// Reused across chunks and across queries on the same thread.
     static SCAN_SCRATCH: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread ValueID bitmap, reused across queries (zeroed, not
-    /// reallocated, when the dictionary size allows).
-    static BITMAP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A stored ValueID width; the kernel compares rows in it.
-trait Width: Copy + Eq + Ord + Into<u32> + Send + Sync {
+trait Width: Copy + Eq + Ord {
     /// The largest ValueID this width holds.
     const MAX: u32;
     /// `v` in this width; callers pass `v <= MAX`.
@@ -105,13 +82,7 @@ width!(u8, u16, u32);
 /// A scan predicate over ValueIDs of width `T`. Kernels take it by value,
 /// so it lives in registers rather than behind a pointer the compaction
 /// stores might alias.
-trait Pred<T: Width>: Copy + Send + Sync {
-    /// Compact by storing on match only, instead of branch-free: for a
-    /// predicate that already pays a memory load per row, the unconditional
-    /// store is pure overhead, and the match branch predicts well when
-    /// matches are rare.
-    const BRANCHY: bool = false;
-
+trait Pred<T: Width>: Copy {
     /// Whether one row matches.
     fn hit(&self, id: T) -> bool;
 
@@ -193,38 +164,15 @@ impl<T: Width> Pred<T> for IdList<'_, T> {
     }
 }
 
-/// A `|D|`-bit map of matching ValueIDs.
-#[derive(Clone, Copy)]
-struct Bitmap<'a>(&'a [u64]);
-
-impl<T: Width> Pred<T> for Bitmap<'_> {
-    const BRANCHY: bool = true;
-
-    #[inline(always)]
-    fn hit(&self, id: T) -> bool {
-        let id: u32 = id.into();
-        let word = self.0.get((id / 64) as usize).copied().unwrap_or(0);
-        (word >> (id % 64)) & 1 != 0
-    }
-}
-
 /// Compacts the matching positions of `rows` (record positions `base..`)
-/// into `buf`, returning how many matched. Branch-free unless
-/// [`Pred::BRANCHY`]: each candidate is written unconditionally and the
-/// cursor advances by the 0/1 match.
+/// into `buf`, returning how many matched. Branch-free: each candidate is
+/// written unconditionally and the cursor advances by the 0/1 match.
 #[inline(always)]
 fn compact<T: Width, P: Pred<T>>(rows: &[T], base: u32, pred: P, buf: &mut [u32]) -> usize {
     let mut n = 0usize;
     for (j, &id) in rows.iter().enumerate() {
-        if P::BRANCHY {
-            if pred.hit(id) {
-                buf[n] = base + j as u32;
-                n += 1;
-            }
-        } else {
-            buf[n] = base + j as u32;
-            n += pred.hit(id) as usize;
-        }
+        buf[n] = base + j as u32;
+        n += pred.hit(id) as usize;
     }
     n
 }
@@ -265,186 +213,84 @@ fn scan_span<T: Width, P: Pred<T>>(ids: &[T], base: u32, pred: P, out: &mut Vec<
     });
 }
 
-fn scan<T: Width, P: Pred<T>>(ids: &[T], parallelism: Parallelism, pred: P) -> Vec<RecordId> {
-    let threads = match parallelism {
-        Parallelism::Serial => 1,
-        Parallelism::Threads(n) => n.max(1),
-    };
-    if threads == 1 || ids.len() < SCAN_CHUNK_ROWS {
-        let mut out = Vec::new();
-        scan_span(ids, 0, pred, &mut out);
-        return out;
-    }
-    let chunk_len = ids.len().div_ceil(threads);
-    let partials: Vec<Vec<RecordId>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ids
-            .chunks(chunk_len)
-            .enumerate()
-            .map(|(c, chunk)| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    scan_span(chunk, (c * chunk_len) as u32, pred, &mut out);
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("attribute-vector scan worker panicked"))
-            .collect()
-    });
-    partials.concat()
-}
-
-/// A scan predicate as the dictionary search states it, in `u32` ValueIDs.
-#[derive(Clone, Copy)]
-enum Shape<'a> {
-    /// ValueID in any of these inclusive ranges (sorted/rotated replies;
-    /// more than two entries under batched disjunctions).
-    Ranges(&'a [VidRange]),
-    /// ValueID in this explicit list (the paper's linear membership test).
-    IdList(&'a [u32]),
-    /// ValueID's bit set in this `|D|`-bit map.
-    Bitmap(&'a [u64]),
-}
-
-/// The one width dispatch of a scan.
-fn scan_pred(av: &AttributeVector, parallelism: Parallelism, shape: Shape<'_>) -> Vec<RecordId> {
+/// `AttrVectSearch`: the RecordIDs whose ValueID any of `results` names,
+/// ascending and deduplicated (a row matching several ranges is emitted
+/// once).
+///
+/// All ranges of a batched disjunction are folded into one predicate, so a
+/// k-range `IN (...)` costs one pass over the attribute vector, not k scans
+/// and k−1 merges; all id lists likewise. One dictionary answers every
+/// range in the same shape, so a real reply never mixes ranges and ids;
+/// such input still gets a correct answer: one pass per shape, merged.
+pub fn scan(av: &AttributeVector, results: &[DictSearchResult]) -> Vec<RecordId> {
     match av.ids() {
-        AvIds::U8(ids) => scan_shape(ids, parallelism, shape),
-        AvIds::U16(ids) => scan_shape(ids, parallelism, shape),
-        AvIds::U32(ids) => scan_shape(ids, parallelism, shape),
+        AvIds::U8(ids) => scan_width(ids, results),
+        AvIds::U16(ids) => scan_width(ids, results),
+        AvIds::U32(ids) => scan_width(ids, results),
     }
 }
 
-/// Clamps `shape` to width `T` and dispatches it to a monomorphized
-/// [`scan`]. No stored id exceeds `T::MAX`, so a range starting above it
-/// and a vid above it are dropped, and a range's end is cut to it.
-fn scan_shape<T: Width>(ids: &[T], parallelism: Parallelism, shape: Shape<'_>) -> Vec<RecordId> {
-    match shape {
-        Shape::Ranges(ranges) => {
-            let spans: Vec<Span<T>> = ranges.iter().filter_map(|&r| Span::clamp(r)).collect();
-            match *spans {
-                [] => Vec::new(),
-                [r] => scan(ids, parallelism, r),
-                [r1, r2] => scan(ids, parallelism, [r1, r2]),
-                _ => scan(ids, parallelism, &spans[..]),
+/// [`scan`] at one stored width. No stored id exceeds `T::MAX`, so a range
+/// starting above it and a vid above it are dropped, and a range's end is
+/// cut to it; each surviving shape runs as its own monomorphized
+/// [`scan_span`].
+fn scan_width<T: Width>(ids: &[T], results: &[DictSearchResult]) -> Vec<RecordId> {
+    let (mut spans, mut vids) = (Vec::<Span<T>>::new(), Vec::<T>::new());
+    for result in results {
+        match result {
+            DictSearchResult::Ranges(rs) => {
+                spans.extend(rs.iter().flatten().filter_map(|&r| Span::clamp(r)))
+            }
+            DictSearchResult::Ids(vs) => {
+                vids.extend(vs.iter().filter(|&&v| v <= T::MAX).map(|&v| T::narrow(v)))
             }
         }
-        Shape::IdList(vids) => {
-            let vids: Vec<T> = (vids.iter())
-                .filter(|&&v| v <= T::MAX)
-                .map(|&v| T::narrow(v))
-                .collect();
-            if vids.is_empty() {
-                Vec::new()
-            } else {
-                scan(ids, parallelism, IdList(&vids))
-            }
+    }
+    let mut out = Vec::new();
+    match *spans {
+        [] => {}
+        [r] => scan_span(ids, 0, r, &mut out),
+        [r1, r2] => scan_span(ids, 0, [r1, r2], &mut out),
+        _ => scan_span(ids, 0, &spans[..], &mut out),
+    }
+    if !vids.is_empty() {
+        let ranged = out.len();
+        scan_span(ids, 0, IdList(&vids), &mut out);
+        // Both shapes matched: two ascending runs, merged.
+        if ranged > 0 {
+            out.sort_unstable_by_key(|r| r.0);
+            out.dedup_by_key(|r| r.0);
         }
-        Shape::Bitmap(words) => scan(ids, parallelism, Bitmap(words)),
     }
+    out
 }
 
-/// `AttrVectSearch 1/2/4/5/7/8`: returns the RecordIDs whose ValueID falls
-/// into any of the returned ranges.
-pub fn search_ranges(
-    av: &AttributeVector,
-    ranges: &[Option<VidRange>; 2],
-    parallelism: Parallelism,
-) -> Vec<RecordId> {
-    let mut rs = [VidRange { lo: 0, hi: 0 }; 2];
-    let mut n = 0usize;
-    for r in ranges.iter().flatten() {
-        rs[n] = *r;
-        n += 1;
-    }
-    if n == 0 {
-        return Vec::new();
-    }
-    scan_pred(av, parallelism, Shape::Ranges(&rs[..n]))
+// `benchmark/src/layers.rs:291` (the `avsearch.scan_ns_per_krow` probe)
+// still imports `Parallelism` and `SetSearchStrategy` and calls the
+// five-argument `search`, and that directory changes only with the
+// benchmark itself. The next change to `benchmark/` moves the probe to
+// `scan` and deletes all three items below. Each enum has one variant, so
+// neither selects anything.
+
+#[doc(hidden)]
+pub enum Parallelism {
+    Serial,
 }
 
-/// `AttrVectSearch 3/6/9`: returns the RecordIDs whose ValueID appears in
-/// the explicit `vids` list.
-pub fn search_ids(
-    av: &AttributeVector,
-    vids: &[u32],
-    dict_len: usize,
-    strategy: SetSearchStrategy,
-    parallelism: Parallelism,
-) -> Vec<RecordId> {
-    if vids.is_empty() {
-        return Vec::new();
-    }
-    match strategy {
-        SetSearchStrategy::PaperLinear => scan_pred(av, parallelism, Shape::IdList(vids)),
-        SetSearchStrategy::Bitmap => BITMAP_SCRATCH.with(|cell| {
-            let mut bitmap = cell.borrow_mut();
-            bitmap.clear();
-            bitmap.resize(dict_len.div_ceil(64), 0);
-            for &u in vids {
-                bitmap[(u / 64) as usize] |= 1 << (u % 64);
-            }
-            scan_pred(av, parallelism, Shape::Bitmap(&bitmap))
-        }),
-    }
+#[doc(hidden)]
+pub enum SetSearchStrategy {
+    PaperLinear,
 }
 
-/// Dispatches on the dictionary-search result shape.
+#[doc(hidden)]
 pub fn search(
     av: &AttributeVector,
     result: &DictSearchResult,
-    dict_len: usize,
-    strategy: SetSearchStrategy,
-    parallelism: Parallelism,
+    _dict_len: usize,
+    _: SetSearchStrategy,
+    _: Parallelism,
 ) -> Vec<RecordId> {
-    match result {
-        DictSearchResult::Ranges(ranges) => search_ranges(av, ranges, parallelism),
-        DictSearchResult::Ids(vids) => search_ids(av, vids, dict_len, strategy, parallelism),
-    }
-}
-
-/// Unions a batched disjunction's per-range results in **one** pass over
-/// the attribute vector: all ranges (or all id lists) are folded into a
-/// single mask predicate, so a k-range `IN (...)` costs one scan instead
-/// of k scans plus k−1 sorted merges. RecordIDs come back ascending and
-/// deduplicated (a row matching several ranges is emitted once).
-pub fn search_union(
-    av: &AttributeVector,
-    results: &[DictSearchResult],
-    dict_len: usize,
-    strategy: SetSearchStrategy,
-    parallelism: Parallelism,
-) -> Vec<RecordId> {
-    if results.len() == 1 {
-        return search(av, &results[0], dict_len, strategy, parallelism);
-    }
-    let mut ranges: Vec<VidRange> = Vec::new();
-    let mut ids: Vec<u32> = Vec::new();
-    for r in results {
-        match r {
-            DictSearchResult::Ranges(rs) => ranges.extend(rs.iter().flatten().copied()),
-            DictSearchResult::Ids(v) => ids.extend_from_slice(v),
-        }
-    }
-    match (ranges.is_empty(), ids.is_empty()) {
-        (true, true) => Vec::new(),
-        (false, true) => scan_pred(av, parallelism, Shape::Ranges(&ranges)),
-        (true, false) => search_ids(av, &ids, dict_len, strategy, parallelism),
-        // One dictionary answers every range of a disjunction in the same
-        // shape, so mixed results cannot occur on a real reply; stay
-        // correct anyway via per-result scans merged into a sorted union.
-        (false, false) => {
-            let mut out: Vec<RecordId> = results
-                .iter()
-                .flat_map(|r| search(av, r, dict_len, strategy, parallelism))
-                .collect();
-            out.sort_unstable_by_key(|r| r.0);
-            out.dedup_by_key(|r| r.0);
-            out
-        }
-    }
+    scan(av, std::slice::from_ref(result))
 }
 
 #[cfg(test)]
@@ -460,122 +306,48 @@ mod tests {
         v.iter().map(|r| r.0).collect()
     }
 
+    /// [`scan`] of one range reply.
+    fn ranges(a: &AttributeVector, rs: [Option<VidRange>; 2]) -> Vec<RecordId> {
+        scan(a, &[DictSearchResult::Ranges(rs)])
+    }
+
+    /// [`scan`] of one id-list reply.
+    fn ids(a: &AttributeVector, vids: &[u32]) -> Vec<RecordId> {
+        scan(a, &[DictSearchResult::Ids(vids.to_vec())])
+    }
+
     #[test]
     fn single_range_scan() {
         // Figure 1: vid = {0, 2} over AV (1,0,2,2,1,1)... here as a range.
         let a = av(&[1, 0, 2, 2, 1, 1]);
-        let got = search_ranges(&a, &[VidRange::new(1, 2), None], Parallelism::Serial);
+        let got = ranges(&a, [VidRange::new(1, 2), None]);
         assert_eq!(rids(&got), vec![0, 2, 3, 4, 5]);
     }
 
     #[test]
     fn two_range_scan_covers_wrap() {
         let a = av(&[0, 1, 2, 3, 4, 5]);
-        let got = search_ranges(
-            &a,
-            &[VidRange::new(0, 1), VidRange::new(4, 5)],
-            Parallelism::Serial,
-        );
+        let got = ranges(&a, [VidRange::new(0, 1), VidRange::new(4, 5)]);
         assert_eq!(rids(&got), vec![0, 1, 4, 5]);
     }
 
     #[test]
     fn empty_ranges_match_nothing() {
         let a = av(&[0, 1, 2]);
-        assert!(search_ranges(&a, &[None, None], Parallelism::Serial).is_empty());
-    }
-
-    #[test]
-    fn id_list_strategies_agree() {
-        let a = av(&[5, 3, 9, 3, 7, 5, 0]);
-        let vids = vec![3, 7];
-        let linear = search_ids(
-            &a,
-            &vids,
-            10,
-            SetSearchStrategy::PaperLinear,
-            Parallelism::Serial,
-        );
-        let bitmap = search_ids(
-            &a,
-            &vids,
-            10,
-            SetSearchStrategy::Bitmap,
-            Parallelism::Serial,
-        );
-        assert_eq!(rids(&linear), vec![1, 3, 4]);
-        assert_eq!(linear, bitmap);
+        assert!(ranges(&a, [None, None]).is_empty());
     }
 
     #[test]
     fn empty_vid_list() {
         let a = av(&[0, 1]);
-        assert!(search_ids(
-            &a,
-            &[],
-            2,
-            SetSearchStrategy::PaperLinear,
-            Parallelism::Serial
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn parallel_matches_serial_in_order() {
-        let ids: Vec<u32> = (0..100_000).map(|i| i % 97).collect();
-        let a = av(&ids);
-        let serial = search_ranges(&a, &[VidRange::new(10, 20), None], Parallelism::Serial);
-        for threads in [2usize, 4, 7] {
-            let parallel = search_ranges(
-                &a,
-                &[VidRange::new(10, 20), None],
-                Parallelism::Threads(threads),
-            );
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
-        // RecordIDs must come back in ascending order.
-        assert!(serial.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn parallel_id_list_matches_serial() {
-        let ids: Vec<u32> = (0..50_000).map(|i| (i * 31) % 1000).collect();
-        let a = av(&ids);
-        let vids: Vec<u32> = (0..50).map(|i| i * 13 % 1000).collect();
-        let serial = search_ids(
-            &a,
-            &vids,
-            1000,
-            SetSearchStrategy::Bitmap,
-            Parallelism::Serial,
-        );
-        let parallel = search_ids(
-            &a,
-            &vids,
-            1000,
-            SetSearchStrategy::Bitmap,
-            Parallelism::Threads(4),
-        );
-        assert_eq!(serial, parallel);
+        assert!(ids(&a, &[]).is_empty());
     }
 
     #[test]
     fn dispatch_handles_both_shapes() {
         let a = av(&[0, 1, 2, 1]);
-        let from_ranges = search(
-            &a,
-            &DictSearchResult::Ranges([VidRange::new(1, 1), None]),
-            3,
-            SetSearchStrategy::PaperLinear,
-            Parallelism::Serial,
-        );
-        let from_ids = search(
-            &a,
-            &DictSearchResult::Ids(vec![1]),
-            3,
-            SetSearchStrategy::PaperLinear,
-            Parallelism::Serial,
-        );
+        let from_ranges = ranges(&a, [VidRange::new(1, 1), None]);
+        let from_ids = ids(&a, &[1]);
         assert_eq!(from_ranges, from_ids);
         assert_eq!(rids(&from_ranges), vec![1, 3]);
     }
@@ -588,11 +360,11 @@ mod tests {
             .collect()
     }
 
-    /// Every shape on every width, row count, density and thread count
-    /// equals the naive filter. Hit ids are `0..=3` and `top - 3..=top`,
-    /// miss ids lie strictly between them and need the width's full range,
-    /// and each density draws hits at its own rate — the last one per chunk,
-    /// so a scan runs sparse, dense, sparse, dense, sparse chunks.
+    /// Every shape on every width, row count and density equals the naive
+    /// filter. Hit ids are `0..=3` and `top - 3..=top`, miss ids lie
+    /// strictly between them and need the width's full range, and each
+    /// density draws hits at its own rate — the last one per chunk, so a
+    /// scan runs sparse, dense, sparse, dense, sparse chunks.
     #[test]
     fn kernel_matches_naive_filter() {
         use rand::rngs::StdRng;
@@ -615,35 +387,26 @@ mod tests {
                     &|j| [0.0005, 0.5][j / SCAN_CHUNK_ROWS % 2],
                 ];
                 for (d, density) in densities.iter().enumerate() {
-                    let ids: Vec<u32> = (0..rows)
+                    let row_ids: Vec<u32> = (0..rows)
                         .map(|j| match rng.gen_bool(density(j)) {
                             true => hit_ids[rng.gen_range(0..hit_ids.len())],
                             false => rng.gen_range(miss_lo..top - 8),
                         })
                         .collect();
-                    let a = av(&ids);
+                    let a = av(&row_ids);
                     *widths_seen.entry(a.id_width()).or_insert(0usize) += 1;
                     let ctx = format!("top={top} rows={rows} density#{d}");
                     let upper_hit = |id: u32| id >= top - 3 && id <= top;
-                    let dict_len = top as usize + 1;
                     let k_ranges = [
                         DictSearchResult::Ranges([VidRange::new(0, 1), VidRange::new(2, 3)]),
                         DictSearchResult::Ranges([upper, None]),
                     ];
-                    for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-                        let ranges = |rs| search_ranges(&a, &rs, par);
-                        assert_eq!(ranges([upper, None]), naive(&a, upper_hit), "{ctx}");
-                        assert_eq!(ranges(both), naive(&a, is_hit), "{ctx}");
-                        assert_eq!(ranges([None, None]), vec![], "{ctx}");
-                        let union = |strategy| search_union(&a, &k_ranges, dict_len, strategy, par);
-                        assert_eq!(union(SetSearchStrategy::PaperLinear), naive(&a, is_hit));
-                        for strategy in [SetSearchStrategy::PaperLinear, SetSearchStrategy::Bitmap]
-                        {
-                            let ids = |vids| search_ids(&a, vids, dict_len, strategy, par);
-                            assert_eq!(ids(&hit_ids), naive(&a, is_hit), "{ctx} {strategy:?}");
-                            assert_eq!(ids(&[]), vec![], "{ctx} {strategy:?}");
-                        }
-                    }
+                    assert_eq!(ranges(&a, [upper, None]), naive(&a, upper_hit), "{ctx}");
+                    assert_eq!(ranges(&a, both), naive(&a, is_hit), "{ctx}");
+                    assert_eq!(ranges(&a, [None, None]), vec![], "{ctx}");
+                    assert_eq!(scan(&a, &k_ranges), naive(&a, is_hit), "{ctx}");
+                    assert_eq!(ids(&a, &hit_ids), naive(&a, is_hit), "{ctx}");
+                    assert_eq!(ids(&a, &[]), vec![], "{ctx}");
                 }
             }
         }
@@ -658,22 +421,14 @@ mod tests {
     fn queries_beyond_the_width_clamp_instead_of_truncating() {
         let narrow = av(&[3, 44, 250, 255, 0, 44]);
         assert_eq!(narrow.id_width(), 1);
-        let ranges = |a, rs| rids(&search_ranges(a, &rs, Parallelism::Serial));
+        let ranges = |a, rs| rids(&ranges(a, rs));
         assert_eq!(ranges(&narrow, [VidRange::new(300, 400), None]), vec![]);
         assert_eq!(ranges(&narrow, [VidRange::new(256, 259), None]), vec![]);
         assert_eq!(ranges(&narrow, [VidRange::new(250, 300), None]), vec![2, 3]);
         assert_eq!(ranges(&narrow, [VidRange::new(0, u32::MAX), None]).len(), 6);
         let lying = [Some(VidRange { lo: 44, hi: 3 }), None];
         assert_eq!(ranges(&narrow, lying), vec![]);
-        let ids = |a, vids: &[u32]| {
-            rids(&search_ids(
-                a,
-                vids,
-                70_000,
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            ))
-        };
+        let ids = |a, vids: &[u32]| rids(&ids(a, vids));
         assert_eq!(ids(&narrow, &[300, 259]), vec![]);
         assert_eq!(ids(&narrow, &[300, 44]), vec![1, 5]);
 
@@ -685,47 +440,49 @@ mod tests {
         assert_eq!(ids(&mid, &[65_539, 256]), vec![2]);
     }
 
-    /// One combined pass over the AV must equal per-range scans unioned
+    /// One combined pass over the AV must equal per-result scans unioned
     /// and deduplicated.
     #[test]
     fn union_scan_matches_per_result_union() {
-        let ids: Vec<u32> = (0..30_000).map(|i| (i * 13) % 500).collect();
-        let a = av(&ids);
+        let row_ids: Vec<u32> = (0..30_000).map(|i| (i * 13) % 500).collect();
+        let a = av(&row_ids);
+        let per_result_union = |results: &[DictSearchResult]| {
+            let mut expected: Vec<RecordId> = (results.iter())
+                .flat_map(|r| scan(&a, std::slice::from_ref(r)))
+                .collect();
+            expected.sort_unstable_by_key(|r| r.0);
+            expected.dedup_by_key(|r| r.0);
+            expected
+        };
         let results = vec![
             DictSearchResult::Ranges([VidRange::new(5, 30), None]),
             // Overlaps the first range: rows in both must dedup.
             DictSearchResult::Ranges([VidRange::new(20, 60), VidRange::new(400, 450)]),
             DictSearchResult::Ranges([None, None]),
         ];
-        for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-            let combined = search_union(&a, &results, 500, SetSearchStrategy::Bitmap, par);
-            let mut expected: Vec<RecordId> = results
-                .iter()
-                .flat_map(|r| search(&a, r, 500, SetSearchStrategy::Bitmap, par))
-                .collect();
-            expected.sort_unstable_by_key(|r| r.0);
-            expected.dedup_by_key(|r| r.0);
-            assert_eq!(combined, expected);
-            assert!(combined.windows(2).all(|w| w[0].0 < w[1].0));
-        }
+        let combined = scan(&a, &results);
+        assert_eq!(combined, per_result_union(&results));
+        assert!(combined.windows(2).all(|w| w[0].0 < w[1].0));
 
         // Id-list shape (unsorted kinds).
         let id_results = vec![
             DictSearchResult::Ids(vec![3, 9, 100]),
             DictSearchResult::Ids(vec![9, 250]),
         ];
-        for strat in [SetSearchStrategy::PaperLinear, SetSearchStrategy::Bitmap] {
-            let combined = search_union(&a, &id_results, 500, strat, Parallelism::Serial);
-            let mut expected: Vec<RecordId> = id_results
-                .iter()
-                .flat_map(|r| search(&a, r, 500, strat, Parallelism::Serial))
-                .collect();
-            expected.sort_unstable_by_key(|r| r.0);
-            expected.dedup_by_key(|r| r.0);
-            assert_eq!(combined, expected);
-        }
-        assert!(
-            search_union(&a, &[], 500, SetSearchStrategy::Bitmap, Parallelism::Serial).is_empty()
-        );
+        assert_eq!(scan(&a, &id_results), per_result_union(&id_results));
+        assert!(scan(&a, &[]).is_empty());
+
+        // Mixed shapes never come from one dictionary, but still get the
+        // right answer: one pass per shape, merged. Vid 9 also lies in the
+        // first range, so its rows must dedup across the two passes.
+        let mixed = vec![
+            DictSearchResult::Ranges([VidRange::new(5, 30), VidRange::new(400, 450)]),
+            DictSearchResult::Ids(vec![9, 100, 250]),
+        ];
+        let in_mixed =
+            |id| (5..=30).contains(&id) || (400..=450).contains(&id) || [100, 250].contains(&id);
+        let combined = scan(&a, &mixed);
+        assert_eq!(combined, naive(&a, in_mixed));
+        assert!(combined.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }

@@ -181,13 +181,7 @@ mod tests {
         ) -> Vec<RecordId> {
             let range = EncryptedRange::encrypt(&self.pae, &mut self.rng, query);
             let result = self.enclave.search(dict, &range).unwrap();
-            crate::avsearch::search(
-                av,
-                &result,
-                dict.len(),
-                crate::avsearch::SetSearchStrategy::PaperLinear,
-                crate::avsearch::Parallelism::Serial,
-            )
+            crate::avsearch::scan(av, &[result])
         }
 
         /// One `Merge` ECALL: the valid rows of `dict`/`av` and of `delta`
@@ -380,7 +374,7 @@ mod tests {
         assert!(delta.is_empty());
     }
 
-    /// `record_ids` replaces a `search_union` over the delta's identity
+    /// `record_ids` replaces an `avsearch::scan` over the delta's identity
     /// attribute vector; on every reply shape an ED9 search can produce
     /// (duplicates and overlaps across ranges, empty lists, ids at or past
     /// the store length) the two agree.
@@ -399,13 +393,7 @@ mod tests {
                         DictSearchResult::Ids(ids)
                     })
                     .collect();
-                let expected = crate::avsearch::search_union(
-                    &identity,
-                    &results,
-                    len,
-                    crate::avsearch::SetSearchStrategy::PaperLinear,
-                    crate::avsearch::Parallelism::Serial,
-                );
+                let expected = crate::avsearch::scan(&identity, &results);
                 assert_eq!(
                     record_ids(len, &results).unwrap(),
                     expected,

@@ -19,8 +19,8 @@
 //!   rotation-oblivious special binary search (Algorithms 2+3), and the
 //!   linear scan (Algorithm 4), all written against a reader abstraction
 //!   shared by the enclave and PlainDBDB.
-//! * [`avsearch`] — `AttrVectSearch` in the untrusted realm, serial or
-//!   parallel.
+//! * [`avsearch`] — `AttrVectSearch` in the untrusted realm: one linear
+//!   scan of the attribute vector for the returned ValueIDs.
 //! * [`enclave_ops`] — the trusted computing base: [`enclave_ops::DictEnclave`]
 //!   hosting the search logic inside the simulated enclave.
 //! * [`encode`]/[`bigint`] — the order-preserving `ENCODE` operation and
@@ -45,7 +45,7 @@
 //! use colstore::column::Column;
 //! use encdbdb_crypto::hkdf::derive_column_key;
 //! use encdbdb_crypto::{Key128, Pae};
-//! use encdict::avsearch::{search, Parallelism, SetSearchStrategy};
+//! use encdict::avsearch;
 //! use encdict::build::{build_encrypted, BuildParams};
 //! use encdict::enclave_ops::DictEnclave;
 //! use encdict::kind::EdKind;
@@ -76,7 +76,7 @@
 //! let pae = Pae::new(&sk_d);
 //! let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("Archie", "Hans"));
 //! let vids = enclave.search(&dict, &tau)?;
-//! let rids = search(&av, &vids, dict.len(), SetSearchStrategy::PaperLinear, Parallelism::Serial);
+//! let rids = avsearch::scan(&av, &[vids]);
 //! assert_eq!(rids.iter().map(|r| r.0).collect::<Vec<_>>(), vec![0, 2, 3]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

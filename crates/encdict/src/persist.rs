@@ -271,13 +271,7 @@ mod tests {
             &RangeQuery::equals("a"),
         );
         let result = enclave.search(&dict2, &tau).unwrap();
-        let rids = crate::avsearch::search(
-            &av2,
-            &result,
-            dict2.len(),
-            crate::avsearch::SetSearchStrategy::PaperLinear,
-            crate::avsearch::Parallelism::Serial,
-        );
+        let rids = crate::avsearch::scan(&av2, &[result]);
         assert_eq!(rids.iter().map(|r| r.0).collect::<Vec<_>>(), vec![1, 3]);
     }
 

@@ -94,7 +94,7 @@ mod tests {
     fn end_to_end_rids_match_column_scan() {
         // Dictionary search + attribute-vector search must return exactly
         // the rows a direct column scan finds — for every kind.
-        use crate::avsearch::{search, Parallelism, SetSearchStrategy};
+        use crate::avsearch::scan;
         let values = ["d", "b", "a", "c", "b", "e", "a", "b"];
         let col = Column::from_strs("c", 4, values).unwrap();
         let q = RangeQuery::between("b", "d");
@@ -108,13 +108,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(80 + i as u64);
             let (dict, av) = build_plain(&col, *kind, &BuildParams::default(), &mut rng).unwrap();
             let res = search_plain(&dict, &q).unwrap();
-            let rids = search(
-                &av,
-                &res,
-                dict.len(),
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            );
+            let rids = scan(&av, &[res]);
             let got: Vec<u32> = rids.iter().map(|r| r.0).collect();
             assert_eq!(got, expected, "kind {kind}");
         }

@@ -163,13 +163,7 @@ fn search_main(
     range: &EncryptedRange,
 ) -> Vec<colstore::dictionary::RecordId> {
     let result = enclave.search(dict, range).unwrap();
-    encdict::avsearch::search(
-        av,
-        &result,
-        dict.len(),
-        encdict::avsearch::SetSearchStrategy::PaperLinear,
-        encdict::avsearch::Parallelism::Serial,
-    )
+    encdict::avsearch::scan(av, &[result])
 }
 
 /// A `Merge` ECALL that fails mid-merge — here because a main-store

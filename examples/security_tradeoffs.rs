@@ -12,7 +12,7 @@
 use encdbdb_bench::{
     build_ed, build_plain_ed, column_pae, fmt_bytes, fmt_duration, master_key, prepare_c2,
 };
-use encdict::avsearch::{search, Parallelism, SetSearchStrategy};
+use encdict::avsearch::scan;
 use encdict::leakage::analyze;
 use encdict::{DictEnclave, EdKind, EncryptedRange, RangeQuery};
 use rand::rngs::StdRng;
@@ -60,13 +60,7 @@ fn main() {
         let tau = EncryptedRange::encrypt(&pae, &mut rng, &query);
         let start = std::time::Instant::now();
         let result = enclave.search(&dict, &tau).expect("search");
-        let rids = search(
-            &av,
-            &result,
-            dict.len(),
-            SetSearchStrategy::PaperLinear,
-            Parallelism::Serial,
-        );
+        let rids = scan(&av, &[result]);
         let latency = start.elapsed();
 
         println!(

@@ -3,7 +3,7 @@
 use colstore::column::Column;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
-use encdict::avsearch::{search, Parallelism, SetSearchStrategy};
+use encdict::avsearch::scan;
 use encdict::build::{build_encrypted, build_plain, BuildParams};
 use encdict::enclave_ops::decrypt_column_value;
 use encdict::plain::search_plain;
@@ -64,7 +64,7 @@ proptest! {
         let query = RangeQuery::between(lo.as_bytes(), hi.as_bytes());
         let tau = EncryptedRange::encrypt(&Pae::new(&sk_d), &mut rng, &query);
         let result = enclave.search(&dict, &tau).unwrap();
-        let rids = search(&av, &result, dict.len(), SetSearchStrategy::PaperLinear, Parallelism::Serial);
+        let rids = scan(&av, &[result]);
         let got: Vec<u32> = rids.iter().map(|r| r.0).collect();
         let expected: Vec<u32> = values
             .iter()

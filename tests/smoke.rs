@@ -6,7 +6,7 @@ use colstore::column::Column;
 use colstore::monetdb::MonetColumn;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
-use encdict::avsearch::{search, Parallelism, SetSearchStrategy};
+use encdict::avsearch::scan;
 use encdict::build::{build_encrypted, BuildParams};
 use encdict::enclave_ops::decrypt_column_value;
 use encdict::{DictEnclave, EdKind, EncryptedRange, RangeQuery};
@@ -77,13 +77,7 @@ fn all_nine_kinds_round_trip_against_monetdb_baseline() {
             let query = RangeQuery::between(lo, hi);
             let tau = EncryptedRange::encrypt(&pae, &mut rng, &query);
             let result = enclave.search(&dict, &tau).unwrap();
-            let rids = search(
-                &av,
-                &result,
-                dict.len(),
-                SetSearchStrategy::PaperLinear,
-                Parallelism::Serial,
-            );
+            let rids = scan(&av, &[result]);
             let got: Vec<u32> = rids.iter().map(|r| r.0).collect();
             let expected: Vec<u32> = monet
                 .range_search_inclusive(lo, hi)
