@@ -15,18 +15,22 @@
 //!     [--mode both|batched|bypass] [--sweep] [--tcp] [--samples 3]
 //! ```
 //!
-//! `--sweep` runs the 1/4/16/64 session ladder used by
-//! `benches/concurrency.rs` and `baselines/BENCH_concurrency.json`.
+//! `--sweep` runs the 1/4/16/64 session ladder. Each (sessions, mode)
+//! point replays its wave — every session drains its stream once —
+//! `--samples` times (default 3). When `ENCDBDB_BENCH_JSON` names a
+//! directory, the wave-duration median and p95 of every point land in
+//! `BENCH_concurrency.json` (ids `qps/<n>/<mode>`, DESIGN.md §13.4);
+//! `baselines/BENCH_concurrency.json` is written this way under
+//! `ENCDBDB_SIM_TRANSITION_NS=500000` with `--sweep --rows 256
+//! --queries 16`.
 //!
 //! `--tcp` drives the same ladder over the networked service layer
 //! (DESIGN.md §16): one `NetServer` on an ephemeral loopback port, N
-//! real TCP client connections, and the scheduler behind them. Each
-//! (connections, mode) point replays the wave `--samples` times and,
-//! when `ENCDBDB_BENCH_JSON` names a directory, lands the wave-duration
-//! stats as `BENCH_network.json` (ids `tcp_wave/<n>/<mode>`) in the
-//! same schema the criterion benches emit. The enclave transition cost
-//! is pinned to 500µs unless `ENCDBDB_SIM_TRANSITION_NS` is already
-//! set, matching `baselines/BENCH_concurrency.json`.
+//! real TCP client connections, and the scheduler behind them. Its
+//! points land in `BENCH_network.json` (ids `tcp_wave/<n>/<mode>`). The
+//! enclave transition cost is pinned to 500µs unless
+//! `ENCDBDB_SIM_TRANSITION_NS` is already set, matching
+//! `baselines/BENCH_network.json`.
 
 use colstore::column::Column;
 use colstore::table::Table;
@@ -89,7 +93,25 @@ fn query_streams(sessions: usize, queries: usize) -> Vec<Vec<String>> {
         .collect()
 }
 
+/// One bench-JSON record: a point's id and its wave-duration median, p95
+/// and sample count, in nanoseconds.
+type BenchEntry = (String, u64, u64, usize);
+
+fn percentile<T: Copy>(sorted: &[T], pct: usize) -> T {
+    sorted[(sorted.len() * pct).div_ceil(100).max(1) - 1]
+}
+
+/// The bench-JSON record of one point from its per-wave durations.
+fn wave_entry(id: String, wave_ns: &[u64]) -> BenchEntry {
+    let mut sorted = wave_ns.to_vec();
+    sorted.sort_unstable();
+    let median = sorted[sorted.len() / 2];
+    (id, median, percentile(&sorted, 95), sorted.len())
+}
+
 struct LegResult {
+    /// Wall-clock duration of each sampled wave, in nanoseconds.
+    wave_ns: Vec<u64>,
     qps: f64,
     p50: Duration,
     p95: Duration,
@@ -98,44 +120,50 @@ struct LegResult {
     batched_calls: u64,
 }
 
-/// Runs one leg: `sessions` reader threads each executing its stream,
-/// with the scheduler either batching or bypassed.
-fn run_leg(db: &Session, streams: &[Vec<String>], batched: bool) -> LegResult {
+/// Runs one leg: `samples` waves of `sessions` reader threads each
+/// executing its stream, with the scheduler either batching or bypassed.
+fn run_leg(db: &Session, streams: &[Vec<String>], batched: bool, samples: usize) -> LegResult {
     db.server().set_ecall_batching(batched);
     let report0 = db.server().obs().metrics_report();
-    let readers: Vec<_> = (0..streams.len())
+    let mut readers: Vec<_> = (0..streams.len())
         .map(|i| db.reader(0x5EED + i as u64))
         .collect();
-    let wall = Instant::now();
-    let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = readers
-            .into_iter()
-            .zip(streams)
-            .map(|(mut reader, stream)| {
-                scope.spawn(move || {
-                    let mut lat = Vec::with_capacity(stream.len());
-                    for q in stream {
-                        let t0 = Instant::now();
-                        reader.execute(q).expect("query");
-                        lat.push(t0.elapsed());
-                    }
-                    lat
+    let mut wave_ns = Vec::with_capacity(samples);
+    let mut latencies: Vec<Duration> = Vec::new();
+    for _ in 0..samples {
+        let wall = Instant::now();
+        let wave: Vec<Vec<Duration>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = readers
+                .iter_mut()
+                .zip(streams)
+                .map(|(reader, stream)| {
+                    scope.spawn(move || {
+                        let mut lat = Vec::with_capacity(stream.len());
+                        for q in stream {
+                            let t0 = Instant::now();
+                            reader.execute(q).expect("query");
+                            lat.push(t0.elapsed());
+                        }
+                        lat
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("reader thread"))
-            .collect()
-    });
-    let wall = wall.elapsed();
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("reader thread"))
+                .collect()
+        });
+        wave_ns.push(wall.elapsed().as_nanos().max(1) as u64);
+        latencies.extend(wave.into_iter().flatten());
+    }
     let report1 = db.server().obs().metrics_report();
     latencies.sort_unstable();
-    let total = latencies.len();
+    let wall_s = wave_ns.iter().sum::<u64>() as f64 / 1e9;
     LegResult {
-        qps: total as f64 / wall.as_secs_f64(),
-        p50: latencies[total / 2],
-        p95: latencies[(total * 95).div_ceil(100).max(1) - 1],
+        qps: latencies.len() as f64 / wall_s,
+        p50: latencies[latencies.len() / 2],
+        p95: percentile(&latencies, 95),
+        wave_ns,
         transitions: report1.counter("ecalls_total") - report0.counter("ecalls_total"),
         batches: report1.counter("ecall_batches_total") - report0.counter("ecall_batches_total"),
         batched_calls: report1.counter("batched_calls_total")
@@ -147,12 +175,22 @@ fn fmt_ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
-fn run_point(db: &Session, sessions: usize, queries: usize, modes: &[(&str, bool)]) {
+/// Runs one in-process ladder point in every mode, returning its
+/// bench-JSON records.
+fn run_point(
+    db: &Session,
+    sessions: usize,
+    queries: usize,
+    samples: usize,
+    modes: &[(&str, bool)],
+) -> Vec<BenchEntry> {
     let streams = query_streams(sessions, queries);
-    let issued: usize = streams.iter().map(Vec::len).sum();
+    let issued: usize = streams.iter().map(Vec::len).sum::<usize>() * samples;
     let mut batched_qps = None;
+    let mut entries = Vec::new();
     for &(name, on) in modes {
-        let r = run_leg(db, &streams, on);
+        let r = run_leg(db, &streams, on, samples);
+        entries.push(wave_entry(format!("qps/{sessions}/{name}"), &r.wave_ns));
         if on {
             batched_qps = Some(r.qps);
         }
@@ -171,6 +209,7 @@ fn run_point(db: &Session, sessions: usize, queries: usize, modes: &[(&str, bool
             r.batched_calls,
         );
     }
+    entries
 }
 
 /// One (connections, scheduler-mode) point of the TCP ladder.
@@ -184,10 +223,6 @@ struct TcpPoint {
     p50: Duration,
     p95: Duration,
     transitions: u64,
-}
-
-fn percentile(sorted: &[Duration], pct: usize) -> Duration {
-    sorted[(sorted.len() * pct).div_ceil(100).max(1) - 1]
 }
 
 /// Runs one TCP point: starts a fresh server around the session (the
@@ -281,16 +316,14 @@ fn run_tcp_point(
     (db, point)
 }
 
-/// Writes `BENCH_network.json` into `$ENCDBDB_BENCH_JSON` using the
-/// same schema the criterion shim emits (`tools/validate_bench_json.py`
-/// schema 1): loadgen is a plain binary, so it renders the file itself.
-fn emit_bench_json(entries: &[(String, u64, u64, usize)], env: &BTreeMap<String, String>) {
+/// Writes `BENCH_<area>.json` into `$ENCDBDB_BENCH_JSON`, if set, in the
+/// bench-JSON schema 1 (DESIGN.md §13.4).
+fn emit_bench_json(area: &str, entries: &[BenchEntry], env: &BTreeMap<String, String>) {
     let Ok(dir) = std::env::var("ENCDBDB_BENCH_JSON") else {
         return;
     };
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out =
-        String::from("{\n  \"schema\": 1,\n  \"area\": \"network\",\n  \"benchmarks\": [\n");
+    let mut out = format!("{{\n  \"schema\": 1,\n  \"area\": \"{area}\",\n  \"benchmarks\": [\n");
     for (i, (id, median, p95, samples)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
@@ -305,14 +338,14 @@ fn emit_bench_json(entries: &[(String, u64, u64, usize)], env: &BTreeMap<String,
         out.push_str(&format!("    \"{}\": \"{}\"{comma}\n", esc(k), esc(v)));
     }
     out.push_str("  }\n}\n");
-    let path = std::path::Path::new(&dir).join("BENCH_network.json");
-    std::fs::write(&path, out).expect("write BENCH_network.json");
+    let path = std::path::Path::new(&dir).join(format!("BENCH_{area}.json"));
+    std::fs::write(&path, out).expect("write bench JSON");
     println!("wrote {}", path.display());
 }
 
 /// The `--tcp` ladder: 1/4/16/64 real connections against one server,
 /// batched and bypass scheduler legs, wave-duration stats per point.
-fn run_tcp(cli: &CliArgs, modes: &[(&str, bool)]) {
+fn run_tcp(cli: &CliArgs, ladder: &[usize], modes: &[(&str, bool)], samples: usize) {
     // Pin the enclave transition cost before the first enclave call so
     // the landed baseline is comparable across machines.
     if std::env::var("ENCDBDB_SIM_TRANSITION_NS").is_err() {
@@ -323,19 +356,13 @@ fn run_tcp(cli: &CliArgs, modes: &[(&str, bool)]) {
     // concurrency pay), not bound by per-row decrypt work.
     let rows = cli.usize_of("rows", 512);
     let queries = cli.usize_of("queries", 16);
-    let samples = cli.usize_of("samples", 3).max(1);
-    let ladder: Vec<usize> = if cli.has_flag("sweep") {
-        vec![1, 4, 16, 64]
-    } else {
-        vec![cli.usize_of("sessions", 16)]
-    };
 
     let mut db = build_session_named(rows, &tenant_table_name(TCP_TENANT, "t"));
     println!(
         "loadgen --tcp: {rows} preloaded rows, {queries} read queries per connection, \
          {samples} waves per point"
     );
-    let mut entries: Vec<(String, u64, u64, usize)> = Vec::new();
+    let mut entries = Vec::new();
     let mut env: BTreeMap<String, String> = BTreeMap::new();
     env.insert(
         "ENCDBDB_SIM_TRANSITION_NS".into(),
@@ -345,15 +372,12 @@ fn run_tcp(cli: &CliArgs, modes: &[(&str, bool)]) {
     env.insert("ENCDBDB_NET_QUERIES".into(), queries.to_string());
     env.insert("ENCDBDB_NET_SAMPLES".into(), samples.to_string());
 
-    for &n in &ladder {
+    for &n in ladder {
         let streams = query_streams(n, queries);
         for &(name, on) in modes {
             let (db2, point) = run_tcp_point(db, &streams, on, samples);
             db = db2;
-            let mut sorted = point.wave_ns.clone();
-            sorted.sort_unstable();
-            let median = sorted[sorted.len() / 2];
-            let p95 = sorted[(sorted.len() * 95).div_ceil(100).max(1) - 1];
+            let entry = wave_entry(format!("tcp_wave/{n}/{name}"), &point.wave_ns);
             let qps = point.issued as f64 * samples as f64
                 / (point.wave_ns.iter().sum::<u64>() as f64 / 1e9);
             println!(
@@ -361,11 +385,11 @@ fn run_tcp(cli: &CliArgs, modes: &[(&str, bool)]) {
                  wave median {:.1} ms  {} transitions  {} busy replies",
                 fmt_ms(point.p50),
                 fmt_ms(point.p95),
-                median as f64 / 1e6,
+                entry.1 as f64 / 1e6,
                 point.transitions,
                 point.busy,
             );
-            entries.push((format!("tcp_wave/{n}/{name}"), median, p95, samples));
+            entries.push(entry);
             env.insert(format!("ENCDBDB_NET_ISSUED_{n}"), point.issued.to_string());
             env.insert(
                 format!("ENCDBDB_NET_BUSY_{n}_{name}"),
@@ -373,14 +397,19 @@ fn run_tcp(cli: &CliArgs, modes: &[(&str, bool)]) {
             );
         }
     }
-    emit_bench_json(&entries, &env);
+    emit_bench_json("network", &entries, &env);
 }
 
 fn main() {
     let cli = CliArgs::from_env();
     let rows = cli.usize_of("rows", 20_000);
     let queries = cli.usize_of("queries", 200);
-    let sessions = cli.usize_of("sessions", 16);
+    let samples = cli.usize_of("samples", 3).max(1);
+    let ladder = if cli.has_flag("sweep") {
+        vec![1, 4, 16, 64]
+    } else {
+        vec![cli.usize_of("sessions", 16)]
+    };
     let mode = cli.value_of("mode").unwrap_or("both");
     let modes: Vec<(&str, bool)> = match mode {
         "batched" => vec![("batched", true)],
@@ -389,20 +418,28 @@ fn main() {
     };
 
     if cli.has_flag("tcp") {
-        run_tcp(&cli, &modes);
+        run_tcp(&cli, &ladder, &modes, samples);
         return;
     }
 
     let db = build_session(rows);
     println!(
         "loadgen: {rows} preloaded rows, {queries} read queries per session \
-         (workload range/agg mix)"
+         (workload range/agg mix), {samples} waves per point"
     );
-    if cli.has_flag("sweep") {
-        for n in [1usize, 4, 16, 64] {
-            run_point(&db, n, queries, &modes);
-        }
-    } else {
-        run_point(&db, sessions, queries, &modes);
-    }
+    let entries: Vec<BenchEntry> = ladder
+        .into_iter()
+        .flat_map(|n| run_point(&db, n, queries, samples, &modes))
+        .collect();
+    let env = BTreeMap::from([
+        (
+            "ENCDBDB_SIM_TRANSITION_NS".to_string(),
+            std::env::var("ENCDBDB_SIM_TRANSITION_NS").unwrap_or_default(),
+        ),
+        (
+            "loadgen".to_string(),
+            std::env::args().skip(1).collect::<Vec<_>>().join(" "),
+        ),
+    ]);
+    emit_bench_json("concurrency", &entries, &env);
 }

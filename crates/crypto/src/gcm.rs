@@ -402,7 +402,7 @@ impl Pae {
     }
 
     /// A PAE instance pinned to the portable backend, whatever the CPU
-    /// offers — for the backend-differential tests and `benches/crypto.rs`.
+    /// offers — for the backend-differential tests and the `micro` binary.
     #[doc(hidden)]
     pub fn portable(key: &Key128) -> Self {
         Pae {

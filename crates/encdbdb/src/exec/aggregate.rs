@@ -11,7 +11,9 @@
 //! frequency weighting replaces per-row work.
 
 use crate::error::DbError;
+use colstore::delta::DeltaStore;
 use colstore::dictionary::{AttributeVector, RecordId};
+use encdict::PlainDictionary;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 
@@ -51,9 +53,12 @@ pub struct Histogram {
 
 /// Rejects a column whose concatenated main + delta code space exceeds
 /// `u32`: the delta code `main_len + rid` would silently wrap and alias
-/// two distinct values into one histogram bucket. Checked once up front
-/// so the per-row kernels can add without branching.
-fn check_code_space(cols: &[ColumnCodes<'_>], delta_rids: &[RecordId]) -> Result<(), DbError> {
+/// two distinct values into one histogram bucket or join key. Checked
+/// once up front so the per-row kernels can add without branching.
+pub(crate) fn check_code_space(
+    cols: &[ColumnCodes<'_>],
+    delta_rids: &[RecordId],
+) -> Result<(), DbError> {
     let Some(max_rid) = delta_rids.iter().map(|r| r.0).max() else {
         return Ok(());
     };
@@ -66,6 +71,25 @@ fn check_code_space(cols: &[ColumnCodes<'_>], delta_rids: &[RecordId]) -> Result
         }
     }
     Ok(())
+}
+
+/// Resolves the distinct touched codes of a PLAIN column to their values
+/// (main dictionary below `dict.len()`, delta rows above).
+pub(crate) fn resolve_plain(
+    dict: &PlainDictionary,
+    delta: &DeltaStore,
+    codes: &[u32],
+) -> Vec<Vec<u8>> {
+    codes
+        .iter()
+        .map(|&code| {
+            if (code as usize) < dict.len() {
+                dict.value(code as usize).to_vec()
+            } else {
+                delta.value(RecordId(code - dict.len() as u32)).to_vec()
+            }
+        })
+        .collect()
 }
 
 fn count_chunk(

@@ -35,57 +35,16 @@
 //! by one search per filtered dictionary plus one `Aggregate` per query.
 
 use crate::error::DbError;
-use crate::exec::aggregate::{build_histogram, remap_codes, ColumnCodes, Remapped};
+use crate::exec::aggregate::{build_histogram, remap_codes, resolve_plain, ColumnCodes, Remapped};
 use crate::exec::plan::AggregatePlan;
 use crate::obs::SpanId;
 use crate::server::{
     CellValue, ColumnDelta, DbaasServer, MainColumn, QueryStats, SelectResponse, ServerFilter,
 };
-use colstore::delta::DeltaStore;
-use colstore::dictionary::RecordId;
-use encdict::aggregate::{AggPlanSpec, AggSpec, GroupPartials, OutputItem};
+use encdict::aggregate::{AggPlanSpec, AggSpec, GroupPartials};
 use encdict::batch::{AggPartitionData, AggregateRequest, ColumnData};
 use encdict::enclave_ops::AggCell;
-use encdict::PlainDictionary;
 use std::sync::Arc;
-
-/// Resolves the distinct touched codes of a PLAIN column to their values
-/// (main dictionary below `dict.len()`, delta rows above).
-fn resolve_plain(dict: &PlainDictionary, delta: &DeltaStore, codes: &[u32]) -> Vec<Vec<u8>> {
-    codes
-        .iter()
-        .map(|&code| {
-            if (code as usize) < dict.len() {
-                dict.value(code as usize).to_vec()
-            } else {
-                delta.value(RecordId(code - dict.len() as u32)).to_vec()
-            }
-        })
-        .collect()
-}
-
-/// Checks a caller-supplied plan for internal consistency (the compiler
-/// produces valid plans; `aggregate` is a public API).
-fn validate_plan(plan: &AggregatePlan) -> Result<(), DbError> {
-    if plan.item_names.len() != plan.items.len() {
-        return Err(DbError::Plan("item names misaligned with items".into()));
-    }
-    for item in &plan.items {
-        let ok = match item {
-            OutputItem::Group(i) => *i < plan.group_cols.len(),
-            OutputItem::Agg(j) => *j < plan.aggregates.len(),
-        };
-        if !ok {
-            return Err(DbError::Plan("plan item out of range".into()));
-        }
-    }
-    for key in &plan.sort {
-        if key.item >= plan.items.len() {
-            return Err(DbError::Plan("sort key out of range".into()));
-        }
-    }
-    Ok(())
-}
 
 /// One scanned partition's contribution: its remapped histogram plus the
 /// PLAIN columns' resolved value tables.
@@ -109,19 +68,6 @@ impl DbaasServer {
         scope: Option<&[usize]>,
         parent: SpanId,
     ) -> Result<SelectResponse, DbError> {
-        validate_plan(plan)?;
-        let obs = self.obs().clone();
-        // Partition scope (pruning) + per-partition snapshots via the
-        // shared N-table acquisition path; empty shards are skipped
-        // without any ECALL.
-        let snap_span = obs.span("snapshot", "query", parent);
-        let ts = self
-            .snapshot_tables(&[(table, filters, scope)])?
-            .pop()
-            .expect("one table requested");
-        snap_span.finish();
-        let t = &ts.table;
-
         // Referenced columns (group keys first, then aggregate inputs),
         // deduplicated — they define the histogram's tuple order.
         let mut ref_names: Vec<String> = Vec::new();
@@ -150,6 +96,21 @@ impl DbaasServer {
             sort: plan.sort.clone(),
             limit: plan.limit,
         };
+        // The compiler produces valid plans; `aggregate` is a public API.
+        if plan.item_names.len() != plan.items.len() || spec.check(ref_names.len()).is_err() {
+            return Err(DbError::Plan("plan item or sort key out of range".into()));
+        }
+        let obs = self.obs().clone();
+        // Partition scope (pruning) + per-partition snapshots via the
+        // shared N-table acquisition path; empty shards are skipped
+        // without any ECALL.
+        let snap_span = obs.span("snapshot", "query", parent);
+        let ts = self
+            .snapshot_tables(&[(table, filters, scope)])?
+            .pop()
+            .expect("one table requested");
+        snap_span.finish();
+        let t = &ts.table;
         // Schema positions of the referenced columns, and whether each is
         // encrypted (uniform across partitions — one schema).
         let mut ref_idx = Vec::with_capacity(ref_names.len());

@@ -26,6 +26,7 @@ use super::{
     CellValue, ColumnDelta, DbaasServer, JoinSideQuery, MainColumn, QueryStats, SelectResponse,
 };
 use crate::error::DbError;
+use crate::exec::aggregate::{check_code_space, resolve_plain, ColumnCodes};
 use crate::obs::SpanId;
 use crate::schema::DictChoice;
 use colstore::dictionary::RecordId;
@@ -73,20 +74,13 @@ fn scan_side(
         parent,
         stats,
         |_, snap, main_rids, delta_rids, _, _| {
-            let av = snap.main.columns[key_idx].av();
-            let main_len = snap.main.columns[key_idx].main_len();
-            // Delta rows get codes `main_len + rid`; prove up front that the
-            // highest one fits in u32 so the append below cannot wrap and
-            // alias two distinct keys into one code.
-            if let Some(max_rid) = delta_rids.iter().map(|r| r.0).max() {
-                if main_len as u64 + max_rid as u64 > u32::MAX as u64 {
-                    return Err(DbError::CodeSpaceOverflow {
-                        main_len,
-                        delta_rid: max_rid,
-                    });
-                }
-            }
-            let main_len = main_len as u32;
+            let key = ColumnCodes {
+                av: snap.main.columns[key_idx].av(),
+                main_len: snap.main.columns[key_idx].main_len(),
+            };
+            // Delta rows get codes `main_len + rid`.
+            check_code_space(&[key], &delta_rids)?;
+            let (av, main_len) = (key.av, key.main_len as u32);
             let mut row_codes = Vec::with_capacity(main_rids.len() + delta_rids.len());
             av.gather(&main_rids, |_, code| row_codes.push(code));
             row_codes.extend(delta_rids.iter().map(|rid| main_len + rid.0));
@@ -104,23 +98,6 @@ fn scan_side(
             })
         },
     )
-}
-
-/// Resolves the plaintext values of a PLAIN key column's distinct codes.
-fn resolve_plain_keys(snap_col: &MainColumn, delta: &ColumnDelta, codes: &[u32]) -> Vec<Vec<u8>> {
-    let (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) = (snap_col, delta) else {
-        unreachable!("caller checked the key protection");
-    };
-    codes
-        .iter()
-        .map(|&code| {
-            if (code as usize) < dict.len() {
-                dict.value(code as usize).to_vec()
-            } else {
-                delta.value(RecordId(code - dict.len() as u32)).to_vec()
-            }
-        })
-        .collect()
 }
 
 /// Per-partition code→bridge-id maps of one side.
@@ -279,11 +256,12 @@ impl DbaasServer {
                         .iter()
                         .zip(scan)
                         .map(|((_, snap), part)| {
-                            resolve_plain_keys(
-                                &snap.main.columns[key_idx],
-                                &snap.deltas[key_idx],
-                                &part.distinct,
-                            )
+                            match (&snap.main.columns[key_idx], &snap.deltas[key_idx]) {
+                                (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) => {
+                                    resolve_plain(dict, delta, &part.distinct)
+                                }
+                                _ => unreachable!("a PLAIN key column has a PLAIN delta"),
+                            }
                         })
                         .collect(),
                 ),

@@ -148,6 +148,33 @@ pub struct AggPlanSpec {
 }
 
 impl AggPlanSpec {
+    /// Checks every index in the plan: group and aggregate columns below
+    /// `ncols` (the request's referenced-column count), output items
+    /// naming an existing group column or aggregate, sort keys naming an
+    /// existing item. The server sends the plan, so the enclave checks it
+    /// before anything indexes with it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EncdictError::CorruptDictionary`] on the first index out
+    /// of range.
+    pub fn check(&self, ncols: usize) -> Result<(), EncdictError> {
+        let mut cols = (self.group_cols.iter()).chain(self.aggregates.iter().flat_map(|a| &a.col));
+        let item_ok = |item: &OutputItem| match *item {
+            OutputItem::Group(i) => i < self.group_cols.len(),
+            OutputItem::Agg(j) => j < self.aggregates.len(),
+        };
+        let ok = cols.all(|&c| c < ncols)
+            && self.items.iter().all(item_ok)
+            && self.sort.iter().all(|key| key.item < self.items.len());
+        match ok {
+            true => Ok(()),
+            false => Err(EncdictError::CorruptDictionary(
+                "aggregate plan index out of range",
+            )),
+        }
+    }
+
     /// The comparison kind of output item `i`.
     pub fn item_kind(&self, i: usize) -> ValueKind {
         match self.items[i] {

@@ -1192,6 +1192,9 @@ impl DictLogic {
         req: &AggregateRequest,
         tally: &mut DecryptTally,
     ) -> Result<AggregateReply, EncdictError> {
+        // Every index below — partial folding, finalize, sort and the
+        // re-encryption of each cell — comes from this server-sent plan.
+        req.plan.check(req.col_names.len())?;
         // One cipher per referenced encrypted column, shared by every
         // partition (partitions of a table are protected by the same
         // column keys). The ids are all in use at once, so the table makes

@@ -5,7 +5,7 @@ use colstore::column::Column;
 use colstore::delta::ValidityVector;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
-use encdict::aggregate::{AggFunc, AggPlanSpec, AggSpec, OutputItem};
+use encdict::aggregate::{AggFunc, AggPlanSpec, AggSpec, OutputItem, SortSpec};
 use encdict::batch::{
     AggPartitionData, AggregateRequest, ColumnData, JoinBridgeRequest, JoinSideData, ReadCall,
 };
@@ -507,4 +507,179 @@ fn bogus_column_names_hold_bounded_trusted_memory() {
     let hot = enclave.enclave().counters();
     assert_eq!(hot.untrusted_loads, warm.untrusted_loads);
     assert!(enclave.enclave().trusted_heap_current() <= TRUSTED_HEAP_BOUND);
+}
+
+/// The aggregate plan is server-sent too, and the enclave indexes with
+/// it: the group key and accumulators when it finalizes, the items when
+/// it sorts, the request's columns when it re-encrypts a cell. Each lie
+/// below names an index the request does not have and used to panic
+/// inside the enclave. Each is now refused as `CorruptDictionary` before
+/// a cipher is built or a value decrypted, so the trusted heap does not
+/// move.
+#[test]
+fn lying_aggregate_plan_is_a_typed_error() {
+    let (mut enclave, dict, _, _, _) = fixture(EdKind::Ed1);
+    let (dict, no_delta) = (
+        Arc::new(dict),
+        Arc::new(EncryptedDictionary::delta("t", "c", 8)),
+    );
+    let count = |col| AggSpec {
+        func: AggFunc::Count,
+        col,
+    };
+    let plan = |group_cols, aggregates, items, sort| AggPlanSpec {
+        group_cols,
+        aggregates,
+        items,
+        sort,
+        limit: None,
+    };
+    let (group, agg) = (OutputItem::Group, OutputItem::Agg);
+    let past_items = SortSpec {
+        item: 1,
+        desc: false,
+    };
+    // (lie, plan, whether the request carries a partition of two groups)
+    let lies = [
+        (
+            "an item names a missing group column",
+            plan(vec![], vec![], vec![group(0)], vec![]),
+            false,
+        ),
+        (
+            "an item names a missing aggregate",
+            plan(vec![], vec![count(None)], vec![agg(1)], vec![]),
+            false,
+        ),
+        (
+            "an aggregate reads a missing column",
+            plan(vec![], vec![count(Some(1))], vec![agg(0)], vec![]),
+            false,
+        ),
+        (
+            "a sort key names a missing item",
+            plan(vec![0], vec![], vec![group(0)], vec![past_items]),
+            true,
+        ),
+    ];
+    for (lie, plan, with_part) in lies {
+        let part = AggPartitionData {
+            columns: vec![ColumnData::Encrypted {
+                main: Arc::clone(&dict),
+                delta: Arc::clone(&no_delta),
+                codes: vec![0, 1],
+                cache: None,
+            }],
+            tuples: vec![(vec![0], 1), (vec![1], 1)],
+        };
+        let call = ReadCall::Aggregate(AggregateRequest {
+            table_name: "t".into(),
+            col_names: vec![Some("c".into())],
+            parts: if with_part { vec![part] } else { vec![] },
+            plan,
+        });
+        let before = enclave.enclave().trusted_heap_current();
+        let reply = enclave.batch(vec![&call]).pop().expect("one reply").reply;
+        assert_corrupt("Aggregate", lie, reply.into_aggregated());
+        assert_eq!(enclave.enclave().trusted_heap_current(), before, "{lie}");
+    }
+}
+
+/// A column's entries served under another column's name: column `a`'s
+/// store relabelled as column `b` of the same table. The enclave opens
+/// `b`'s entries under `b`'s key, so none authenticates — not even with
+/// `a`'s values cached under the same partition and epoch, because the
+/// cache keys by column too.
+#[test]
+fn entries_relabelled_to_another_column_fail_authentication() {
+    let skdb = Key128::from_bytes([6; 16]);
+    let key = |col| derive_column_key(&skdb, "t", col);
+    let column = Column::from_strs("a", 8, ["d", "a", "c", "b", "a"]).unwrap();
+    let params = BuildParams {
+        table_name: "t".into(),
+        col_name: "a".into(),
+        bs_max: 2,
+    };
+    let query = RangeQuery::between("a", "d");
+    let tag = Some(encdict::CacheTag {
+        part: 0,
+        epoch: 0,
+        delta: false,
+    });
+    for kind in [EdKind::Ed1, EdKind::Ed2, EdKind::Ed3] {
+        let mut rng = StdRng::seed_from_u64(kind.number() as u64);
+        let (dict, _) = build_encrypted(&column, kind, &params, &key("a"), &mut rng).unwrap();
+        let mut enclave = DictEnclave::with_seed(7);
+        enclave.provision_direct(skdb.clone());
+        let tau = [EncryptedRange::encrypt(
+            &Pae::new(&key("a")),
+            &mut rng,
+            &query,
+        )];
+        enclave.search_multi(&dict, &tau, tag).unwrap();
+
+        let offset = dict.enc_rnd_offset().map(<[u8]>::to_vec);
+        let segment = dict.segment().clone();
+        let b = EncryptedDictionary::new(kind, "t".into(), "b".into(), 8, segment, offset);
+        let tau = [EncryptedRange::encrypt(
+            &Pae::new(&key("b")),
+            &mut rng,
+            &query,
+        )];
+        let reply = enclave.search_multi(&b, &tau, tag);
+        assert!(
+            matches!(reply, Err(EncdictError::Crypto(_))),
+            "{kind} Search: {reply:?}"
+        );
+
+        let (b, no_delta) = (
+            Arc::new(b),
+            Arc::new(EncryptedDictionary::delta("t", "b", 8)),
+        );
+        let column = || ColumnData::Encrypted {
+            main: Arc::clone(&b),
+            delta: Arc::clone(&no_delta),
+            codes: vec![0, 1],
+            cache: Some((0, 0)),
+        };
+        let aggregate = ReadCall::Aggregate(AggregateRequest {
+            table_name: "t".into(),
+            col_names: vec![Some("b".into())],
+            parts: vec![AggPartitionData {
+                columns: vec![column()],
+                tuples: vec![(vec![0], 1), (vec![1], 1)],
+            }],
+            plan: AggPlanSpec {
+                group_cols: vec![0],
+                aggregates: vec![],
+                items: vec![OutputItem::Group(0)],
+                sort: vec![],
+                limit: None,
+            },
+        });
+        let side = || JoinSideData {
+            table_name: "t".into(),
+            col_name: Some("b".into()),
+            parts: vec![column()],
+        };
+        let bridge = ReadCall::JoinBridge(JoinBridgeRequest {
+            left: side(),
+            right: side(),
+        });
+        let mut replies = enclave.batch(vec![&aggregate, &bridge]).into_iter();
+        let reply = replies
+            .next()
+            .expect("aggregate reply")
+            .reply
+            .into_aggregated();
+        assert!(
+            matches!(reply, Err(EncdictError::Crypto(_))),
+            "{kind} Aggregate: {reply:?}"
+        );
+        let reply = replies.next().expect("bridge reply").reply.into_bridged();
+        assert!(
+            matches!(reply, Err(EncdictError::Crypto(_))),
+            "{kind} JoinBridge: {reply:?}"
+        );
+    }
 }

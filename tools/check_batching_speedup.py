@@ -2,7 +2,7 @@
 """Gate on the cross-session ECALL batching speedup (DESIGN.md §15/§16).
 
 Default mode reads a BENCH_concurrency.json emitted by
-`benches/concurrency.rs` and asserts that at 16 concurrent sessions the
+`loadgen --sweep` and asserts that at 16 concurrent sessions the
 batched scheduler leg is at least MIN_SPEEDUP (default 2.0) times faster
 than the bypass leg, i.e.
 
