@@ -77,10 +77,21 @@ if [ -n "$SECOND_TIMER" ]; then
     exit 1
 fi
 
+run cargo build --release --offline
 # Non-test code lines of the three core crates (ROADMAP item 5's exit
 # criterion is stated in this number), and the ten largest files.
 run tools/code_lines.sh --files
-run cargo build --release --offline
+# The trusted core: table1_summary's count of the code the enclave runs
+# (ROADMAP item 14). A total above the recorded one is trusted code
+# growing back; lower the bound when the count falls.
+TRUSTED_MAX=2351
+TRUSTED_LINE=$(./target/release/table1_summary --rows 2000 --queries 5 | grep -E '^ +TOTAL ')
+echo "$TRUSTED_LINE"
+TRUSTED=$(awk '{ print $2 }' <<<"$TRUSTED_LINE")
+if [ -z "$TRUSTED" ] || [ "$TRUSTED" -gt "$TRUSTED_MAX" ]; then
+    echo "trusted core: ${TRUSTED:-no} lines, more than $TRUSTED_MAX"
+    exit 1
+fi
 # Every suite once, the stress, differential and crash-recovery ones
 # bounded: a fixed reader thread count and table size so CI machines of any
 # width behave alike.

@@ -31,8 +31,8 @@ macro_rules! encdict_source {
 }
 
 /// The trusted computing base: every `encdict` module that
-/// `DictLogic::dispatch` reaches — search (Algorithms 1–4 and `ENCODE`),
-/// the aggregate and join-bridge cores, the rebuild inside `Merge`, and
+/// `DictLogic::dispatch` reaches — search (Algorithms 1–4, the rotated
+/// one by byte comparison rather than `ENCODE`), the aggregate and join-bridge cores, the rebuild inside `Merge`, and
 /// the request, range, kind, error and head/tail types they read.
 const TCB_SOURCES: &[(&str, &str)] = &[
     encdict_source!("enclave_ops.rs"),
@@ -40,8 +40,6 @@ const TCB_SOURCES: &[(&str, &str)] = &[
     encdict_source!("search/sorted.rs"),
     encdict_source!("search/rotated.rs"),
     encdict_source!("search/unsorted.rs"),
-    encdict_source!("encode.rs"),
-    encdict_source!("bigint.rs"),
     encdict_source!("aggregate.rs"),
     encdict_source!("build.rs"),
     encdict_source!("bucket.rs"),

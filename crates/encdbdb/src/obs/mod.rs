@@ -248,11 +248,6 @@ impl SpanGuard {
         self.id
     }
 
-    /// Sets the span's numeric argument (recorded at close).
-    pub fn set_arg(&mut self, arg: u64) {
-        self.arg = arg;
-    }
-
     /// Closes the span now (equivalent to dropping it).
     pub fn finish(self) {}
 }

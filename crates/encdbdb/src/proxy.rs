@@ -140,75 +140,6 @@ impl Proxy {
         }
     }
 
-    /// Converts an AST filter into a single plaintext range query —
-    /// the w.l.o.g. conversion of Fig. 5 step 5.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::UnsupportedFilter`] for multi-column filters,
-    /// contradictory conjunctions, or multi-value `IN` lists (which need
-    /// the disjunctive [`Proxy::filter_to_ranges`] path).
-    pub fn filter_to_range(filter: &Filter) -> Result<(String, RangeQuery), DbError> {
-        let column = filter
-            .column()
-            .ok_or_else(|| {
-                DbError::UnsupportedFilter("filters must target a single column".to_string())
-            })?
-            .to_string();
-        let range = Self::range_of(filter)?;
-        Ok((column, range))
-    }
-
-    /// Decomposes a (possibly multi-column) conjunctive filter into, per
-    /// referenced column, a *disjunction* of plaintext ranges: comparisons
-    /// and `BETWEEN` contribute one range, `IN (...)` one equality range
-    /// per listed value; conjuncts on the same column intersect pairwise,
-    /// and different columns produce separate entries whose RecordID
-    /// results the server intersects (the step 12 prefiltering).
-    ///
-    /// References that differ in their qualifier stay separate entries
-    /// even when the bare name matches — callers resolve qualifiers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates intersection failures.
-    pub fn filter_to_ranges(filter: &Filter) -> Result<Vec<(ColumnRef, Vec<RangeQuery>)>, DbError> {
-        let mut leaves = Vec::new();
-        collect_leaves(filter, &mut leaves);
-        let mut out: Vec<(ColumnRef, Vec<RangeQuery>)> = Vec::new();
-        for leaf in leaves {
-            let (col, disjuncts) = leaf_ranges(leaf)?;
-            merge_column_ranges(&mut out, col, disjuncts)?;
-        }
-        Ok(out)
-    }
-
-    fn range_of(filter: &Filter) -> Result<RangeQuery, DbError> {
-        Ok(match filter {
-            Filter::Compare { op, value, .. } => match op {
-                CompareOp::Eq => RangeQuery::equals(value.clone()),
-                CompareOp::Lt => RangeQuery::less_than(value.clone()),
-                CompareOp::Le => RangeQuery::at_most(value.clone()),
-                CompareOp::Gt => RangeQuery::greater_than(value.clone()),
-                CompareOp::Ge => RangeQuery::at_least(value.clone()),
-            },
-            Filter::Between { low, high, .. } => RangeQuery::between(low.clone(), high.clone()),
-            Filter::In { values, .. } => match values.as_slice() {
-                [one] => RangeQuery::equals(one.clone()),
-                _ => {
-                    return Err(DbError::UnsupportedFilter(
-                        "multi-value IN is a disjunction; use filter_to_ranges".to_string(),
-                    ))
-                }
-            },
-            Filter::And(a, b) => {
-                let ra = Self::range_of(a)?;
-                let rb = Self::range_of(b)?;
-                intersect(ra, rb)?
-            }
-        })
-    }
-
     /// Builds the server-side filter for one column's range disjunction,
     /// encrypting every bound for encrypted columns.
     fn server_filter<R: Rng + ?Sized>(
@@ -847,9 +778,31 @@ fn collect_leaves<'a>(f: &'a Filter, out: &mut Vec<&'a Filter>) {
     }
 }
 
-/// One leaf filter as a (column, range-disjunction) pair.
+/// One leaf filter as a (column, range-disjunction) pair — the w.l.o.g.
+/// conversion of Fig. 5 step 5: a comparison or `BETWEEN` is one range, an
+/// `IN (...)` list one equality range per distinct value.
+///
+/// # Errors
+///
+/// [`DbError::UnsupportedFilter`] for an `AND`, which [`collect_leaves`]
+/// splits before any leaf gets here.
 fn leaf_ranges(leaf: &Filter) -> Result<(ColumnRef, Vec<RangeQuery>), DbError> {
     Ok(match leaf {
+        Filter::Compare { column, op, value } => {
+            let value = value.clone();
+            let range = match op {
+                CompareOp::Eq => RangeQuery::equals(value),
+                CompareOp::Lt => RangeQuery::less_than(value),
+                CompareOp::Le => RangeQuery::at_most(value),
+                CompareOp::Gt => RangeQuery::greater_than(value),
+                CompareOp::Ge => RangeQuery::at_least(value),
+            };
+            (column.clone(), vec![range])
+        }
+        Filter::Between { column, low, high } => (
+            column.clone(),
+            vec![RangeQuery::between(low.clone(), high.clone())],
+        ),
         Filter::In { column, values } => {
             // One equality range per distinct listed value; each costs one
             // dictionary search, so duplicates are dropped up front.
@@ -862,13 +815,10 @@ fn leaf_ranges(leaf: &Filter) -> Result<(ColumnRef, Vec<RangeQuery>), DbError> {
                     .collect(),
             )
         }
-        other => {
-            let range = Proxy::range_of(other)?;
-            let column = other
-                .column_ref()
-                .expect("leaves target a single column")
-                .clone();
-            (column, vec![range])
+        Filter::And(..) => {
+            return Err(DbError::UnsupportedFilter(
+                "a conjunction is not a leaf".to_string(),
+            ))
         }
     })
 }
@@ -981,22 +931,35 @@ mod tests {
         }
     }
 
+    /// The per-column ranges of a conjunctive filter, the way statements
+    /// build them.
+    fn column_ranges(filter: &Filter) -> Vec<(ColumnRef, Vec<RangeQuery>)> {
+        let mut leaves = Vec::new();
+        collect_leaves(filter, &mut leaves);
+        let mut out = Vec::new();
+        for leaf in leaves {
+            let (col, disjuncts) = leaf_ranges(leaf).unwrap();
+            merge_column_ranges(&mut out, col, disjuncts).unwrap();
+        }
+        out
+    }
+
     #[test]
     fn filter_conversion_covers_all_shapes() {
-        let (col, r) = Proxy::filter_to_range(&cmp(CompareOp::Eq, "x")).unwrap();
-        assert_eq!(col, "c");
-        assert_eq!(r, RangeQuery::equals("x"));
-        let (_, r) = Proxy::filter_to_range(&cmp(CompareOp::Lt, "x")).unwrap();
-        assert_eq!(r, RangeQuery::less_than("x"));
-        let (_, r) = Proxy::filter_to_range(&cmp(CompareOp::Ge, "x")).unwrap();
-        assert_eq!(r, RangeQuery::at_least("x"));
-        let (_, r) = Proxy::filter_to_range(&Filter::Between {
+        let (col, r) = leaf_ranges(&cmp(CompareOp::Eq, "x")).unwrap();
+        assert_eq!(col, ColumnRef::bare("c"));
+        assert_eq!(r, [RangeQuery::equals("x")]);
+        let (_, r) = leaf_ranges(&cmp(CompareOp::Lt, "x")).unwrap();
+        assert_eq!(r, [RangeQuery::less_than("x")]);
+        let (_, r) = leaf_ranges(&cmp(CompareOp::Ge, "x")).unwrap();
+        assert_eq!(r, [RangeQuery::at_least("x")]);
+        let (_, r) = leaf_ranges(&Filter::Between {
             column: "c".into(),
             low: b"a".to_vec(),
             high: b"f".to_vec(),
         })
         .unwrap();
-        assert_eq!(r, RangeQuery::between("a", "f"));
+        assert_eq!(r, [RangeQuery::between("a", "f")]);
     }
 
     #[test]
@@ -1005,14 +968,11 @@ mod tests {
             Box::new(cmp(CompareOp::Ge, "b")),
             Box::new(cmp(CompareOp::Lt, "m")),
         );
-        let (_, r) = Proxy::filter_to_range(&f).unwrap();
-        assert_eq!(
-            r,
-            RangeQuery {
-                start: RangeBound::Inclusive(b"b".to_vec()),
-                end: RangeBound::Exclusive(b"m".to_vec()),
-            }
-        );
+        let r = RangeQuery {
+            start: RangeBound::Inclusive(b"b".to_vec()),
+            end: RangeBound::Exclusive(b"m".to_vec()),
+        };
+        assert_eq!(column_ranges(&f), [(ColumnRef::bare("c"), vec![r])]);
     }
 
     #[test]
@@ -1021,12 +981,15 @@ mod tests {
             Box::new(cmp(CompareOp::Ge, "b")),
             Box::new(cmp(CompareOp::Gt, "c")),
         );
-        let (_, r) = Proxy::filter_to_range(&f).unwrap();
-        assert_eq!(r.start, RangeBound::Exclusive(b"c".to_vec()));
+        let [(_, r)] = &column_ranges(&f)[..] else {
+            panic!("one column");
+        };
+        assert_eq!(r[0].start, RangeBound::Exclusive(b"c".to_vec()));
     }
 
     #[test]
     fn multi_column_and_rejected() {
+        // Two columns are two entries, never one intersected range.
         let f = Filter::And(
             Box::new(cmp(CompareOp::Ge, "b")),
             Box::new(Filter::Compare {
@@ -1035,6 +998,7 @@ mod tests {
                 value: b"m".to_vec(),
             }),
         );
-        assert!(Proxy::filter_to_range(&f).is_err());
+        let cols: Vec<ColumnRef> = column_ranges(&f).into_iter().map(|(c, _)| c).collect();
+        assert_eq!(cols, [ColumnRef::bare("c"), ColumnRef::bare("other")]);
     }
 }

@@ -88,18 +88,6 @@ impl DbaasServer {
         Ok(())
     }
 
-    /// Synchronously merges one partition (see [`DbaasServer::merge_table`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DbaasServer::merge_table`]; [`DbError::Partition`] for an
-    /// out-of-range index.
-    pub fn merge_partition(&self, table: &str, partition: usize) -> Result<(), DbError> {
-        let t = self.table_handle(table)?;
-        let p = partition_handle(&t, partition)?;
-        self.merge_partition_inner(&t, &p)
-    }
-
     fn merge_partition_inner(
         &self,
         t: &Arc<ServerTable>,

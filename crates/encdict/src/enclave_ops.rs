@@ -6,8 +6,7 @@
 //! re-encryption for delta-store merges) and the [`DictEnclave`] host-side
 //! wrapper. The read-path requests it serves — search, aggregate, join
 //! bridge — are described once, in [`crate::batch`]; this module holds the
-//! flat [`SearchRequest`] view, the write-path requests, the replies and
-//! their payload sizes.
+//! write-path requests, the replies and their payload sizes.
 //!
 //! Key properties the paper claims, enforced or measured here:
 //!
@@ -35,53 +34,6 @@ use encdbdb_crypto::{Ciphertext, Key128, Pae};
 use enclave_sim::{Enclave, EnclaveLogic, TrustedEnv};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-
-/// A dictionary-search ECALL request: references into untrusted memory plus
-/// the metadata the query engine attaches in Fig. 5 step 7.
-#[derive(Debug)]
-pub struct SearchRequest<'a> {
-    /// The encrypted-dictionary kind.
-    pub kind: EdKind,
-    /// Table name (key-derivation metadata).
-    pub table_name: &'a str,
-    /// Column name (key-derivation metadata).
-    pub col_name: &'a str,
-    /// Column fixed maximal value length.
-    pub max_len: usize,
-    /// The dictionary's entries, in untrusted memory.
-    pub store: SegmentRef<'a>,
-    /// Encrypted rotation offset for rotated kinds.
-    pub enc_rnd_offset: Option<&'a [u8]>,
-    /// The encrypted range filters τ — one per range of the column's
-    /// disjunction. A plain comparison/BETWEEN is a one-element slice; an
-    /// `IN (...)` lowering batches all its equality ranges into this one
-    /// request so the whole disjunction costs a single ECALL.
-    pub ranges: &'a [EncryptedRange],
-    /// Generation tag enabling the in-enclave decrypted-value cache for
-    /// this store; `None` disables caching (exact per-call load counts).
-    pub cache: Option<CacheTag>,
-}
-
-impl<'a> SearchRequest<'a> {
-    /// Builds a request for `dict` (the query engine's step 7 enrichment):
-    /// a whole disjunction, with an optional cache generation tag.
-    pub fn for_dictionary(
-        dict: &'a EncryptedDictionary,
-        ranges: &'a [EncryptedRange],
-        cache: Option<CacheTag>,
-    ) -> Self {
-        SearchRequest {
-            kind: dict.kind(),
-            table_name: dict.table_name(),
-            col_name: dict.col_name(),
-            max_len: dict.max_len(),
-            store: dict.segment().view(),
-            enc_rnd_offset: dict.enc_rnd_offset(),
-            ranges,
-            cache,
-        }
-    }
-}
 
 /// Identifies one generation of one column store for the in-enclave
 /// decrypted-value cache (DESIGN.md §14). A cached entry is only ever
@@ -204,7 +156,15 @@ impl AggregateReply {
 pub enum DictCall<'a> {
     /// One dictionary search over a caller-borrowed dictionary (Fig. 5
     /// step 8) — [`DictEnclave::search`].
-    Search(SearchRequest<'a>),
+    Search {
+        /// The dictionary to search, in untrusted memory.
+        dict: &'a EncryptedDictionary,
+        /// The encrypted range filters τ, one per range of the column's
+        /// disjunction, all answered by this one call.
+        ranges: &'a [EncryptedRange],
+        /// Value-cache generation tag; `None` disables caching.
+        cache: Option<CacheTag>,
+    },
     /// Value re-encryption for delta inserts (§4.3).
     Reencrypt(ReencryptRequest<'a>),
     /// Delta-store merge into a fresh main store (§4.3).
@@ -924,26 +884,31 @@ impl DictLogic {
     fn search(
         &mut self,
         env: &mut TrustedEnv,
-        req: SearchRequest<'_>,
+        dict: &EncryptedDictionary,
+        ranges: &[EncryptedRange],
+        cache: Option<CacheTag>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
-        let (colid, pae) =
-            self.columns
-                .get(env, &mut self.value_cache, req.table_name, req.col_name)?;
+        let (colid, pae) = self.columns.get(
+            env,
+            &mut self.value_cache,
+            dict.table_name(),
+            dict.col_name(),
+        )?;
         // Line 2: decrypt the ranges inside the enclave — the whole
         // disjunction arrives in one ECALL.
-        let queries = req
-            .ranges
+        let queries = ranges
             .iter()
             .map(|r| r.decrypt(pae))
             .collect::<Result<Vec<_>, _>>()?;
         // An empty dictionary (freshly created table before any merge) has
         // nothing to search — and, for rotated kinds, no meaningful
         // rotation offset to validate.
-        let dict_len = req.store.len;
+        let order = dict.kind().order();
+        let dict_len = dict.len();
         if dict_len == 0 {
             return Ok(queries
                 .iter()
-                .map(|_| match req.kind.order() {
+                .map(|_| match order {
                     OrderOption::Unsorted => DictSearchResult::Ids(Vec::new()),
                     _ => DictSearchResult::empty_ranges(),
                 })
@@ -953,9 +918,9 @@ impl DictLogic {
         // line 3). The offset itself is not needed by our variant of the
         // special binary search — everything derives from eD[0] — but a
         // tampered offset must still be rejected.
-        if req.kind.order() == OrderOption::Rotated {
-            let enc = req
-                .enc_rnd_offset
+        if order == OrderOption::Rotated {
+            let enc = dict
+                .enc_rnd_offset()
                 .ok_or(EncdictError::CorruptDictionary("missing rotation offset"))?;
             let off = pae.decrypt_bytes(enc, crate::build::ROT_OFFSET_AAD)?;
             let off_bytes: [u8; 8] = off
@@ -975,9 +940,8 @@ impl DictLogic {
         // eviction per entry and flush every other column's entries. It
         // bypasses the cache (nothing probed, inserted or counted) and
         // observably behaves as an uncached search.
-        let scan_outruns_cache =
-            req.kind.order() == OrderOption::Unsorted && dict_len > VALUE_CACHE_CAPACITY;
-        let gen = match req.cache {
+        let scan_outruns_cache = order == OrderOption::Unsorted && dict_len > VALUE_CACHE_CAPACITY;
+        let gen = match cache {
             Some(tag) if !scan_outruns_cache => {
                 Some(Generation::new(colid, tag.part, tag.epoch, tag.delta))
             }
@@ -985,20 +949,20 @@ impl DictLogic {
         };
         let mut reader = EnclaveDictReader {
             env,
-            store: req.store,
+            store: dict.segment().view(),
             pae,
             cache: &mut self.value_cache,
             gen,
             batch: Batch::default(),
         };
-        match req.kind.order() {
+        match order {
             OrderOption::Sorted => queries
                 .iter()
                 .map(|q| sorted::search_sorted(&mut reader, q))
                 .collect(),
             OrderOption::Rotated => queries
                 .iter()
-                .map(|q| rotated::search_rotated(&mut reader, q, req.max_len))
+                .map(|q| rotated::search_rotated(&mut reader, q))
                 .collect(),
             // A single pass over the dictionary answers every query at
             // once — the decrypt cost stays `|D|`, not `|D| · ranges`.
@@ -1273,10 +1237,7 @@ impl DictLogic {
     fn read(&mut self, env: &mut TrustedEnv, call: &ReadCall) -> ReadReply {
         let mut tally = DecryptTally::default();
         let reply = match call {
-            ReadCall::Search(s) => ReadReply::Search(self.search(
-                env,
-                SearchRequest::for_dictionary(&s.dict, &s.ranges, s.cache),
-            )),
+            ReadCall::Search(s) => ReadReply::Search(self.search(env, &s.dict, &s.ranges, s.cache)),
             ReadCall::Aggregate(a) => ReadReply::Aggregated(self.aggregate(env, a, &mut tally)),
             ReadCall::JoinBridge(j) => ReadReply::Bridged(self.join_bridge(env, j, &mut tally)),
         };
@@ -1312,7 +1273,11 @@ impl EnclaveLogic for DictLogic {
     fn dispatch(&mut self, env: &mut TrustedEnv, call: DictCall<'_>) -> DictReply {
         self.columns.follow_master_key(env, &mut self.value_cache);
         match call {
-            DictCall::Search(req) => DictReply::Search(self.search(env, req)),
+            DictCall::Search {
+                dict,
+                ranges,
+                cache,
+            } => DictReply::Search(self.search(env, dict, ranges, cache)),
             DictCall::Reencrypt(req) => DictReply::Reencrypted(self.reencrypt(env, req)),
             DictCall::Merge(req) => DictReply::Merged(self.merge(env, req)),
             DictCall::Batch(calls) => {
@@ -1434,8 +1399,11 @@ impl DictEnclave {
         ranges: &[EncryptedRange],
         cache: Option<CacheTag>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
-        let req = SearchRequest::for_dictionary(dict, ranges, cache);
-        match self.inner.ecall(DictCall::Search(req)) {
+        match self.inner.ecall(DictCall::Search {
+            dict,
+            ranges,
+            cache,
+        }) {
             DictReply::Search(r) => r,
             _ => unreachable!("search call returns search reply"),
         }

@@ -15,13 +15,6 @@ pub enum EncdictError {
         /// The column's fixed maximal length.
         max: usize,
     },
-    /// The column's fixed maximal length is too large for the ENCODE domain.
-    MaxLenTooLarge {
-        /// The requested maximum length.
-        got: usize,
-        /// The largest supported maximum length.
-        max: usize,
-    },
     /// bs_max must be at least 1 for frequency smoothing.
     InvalidBucketSize,
     /// A dictionary byte layout was malformed (head/tail mismatch).
@@ -45,9 +38,6 @@ impl fmt::Display for EncdictError {
         match self {
             EncdictError::ValueTooLong { got, max } => {
                 write!(f, "value of {got} bytes exceeds column maximum of {max}")
-            }
-            EncdictError::MaxLenTooLarge { got, max } => {
-                write!(f, "column maximum {got} exceeds encodable maximum {max}")
             }
             EncdictError::InvalidBucketSize => write!(f, "bs_max must be at least 1"),
             EncdictError::CorruptDictionary(what) => {

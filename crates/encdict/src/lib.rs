@@ -16,15 +16,14 @@
 //!   (§4.1), including the PlainDBDB twin.
 //! * [`bucket`] — the frequency-smoothing random experiment (Algorithm 5).
 //! * [`search`] — `EnclDictSearch`: binary search (Algorithm 1), the
-//!   rotation-oblivious special binary search (Algorithms 2+3), and the
+//!   rotation-oblivious special binary search (Algorithms 2+3, comparing
+//!   bytes where the paper's `ENCODE` does big-integer arithmetic), and the
 //!   linear scan (Algorithm 4), all written against a reader abstraction
 //!   shared by the enclave and PlainDBDB.
 //! * [`avsearch`] — `AttrVectSearch` in the untrusted realm: one linear
 //!   scan of the attribute vector for the returned ValueIDs.
 //! * [`enclave_ops`] — the trusted computing base: [`enclave_ops::DictEnclave`]
 //!   hosting the search logic inside the simulated enclave.
-//! * [`encode`]/[`bigint`] — the order-preserving `ENCODE` operation and
-//!   the fixed-width big integer replacing the paper's C++ bigint library.
 //! * [`dict`] — the §5 head/tail dictionary layout: [`Segment`], its one
 //!   owner, and [`SegmentRef`], the one view the enclave reads it through.
 //! * [`range`] — range queries and their encrypted wire form.
@@ -87,13 +86,11 @@
 pub mod aggregate;
 pub mod avsearch;
 pub mod batch;
-pub mod bigint;
 pub mod bucket;
 pub mod build;
 pub mod dict;
 pub mod dynamic;
 pub mod enclave_ops;
-pub mod encode;
 pub mod error;
 pub mod kind;
 pub mod leakage;

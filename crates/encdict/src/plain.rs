@@ -36,8 +36,8 @@ impl DictEntryReader for PlainDictReader<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`EncdictError::MaxLenTooLarge`] for rotated kinds whose column
-/// maximum exceeds the encodable limit.
+/// Never fails: the shared algorithms only propagate their reader's
+/// errors, and a plaintext reader has none.
 pub fn search_plain(
     dict: &PlainDictionary,
     range: &RangeQuery,
@@ -45,7 +45,7 @@ pub fn search_plain(
     let mut reader = PlainDictReader { dict };
     match dict.kind().order() {
         OrderOption::Sorted => sorted::search_sorted(&mut reader, range),
-        OrderOption::Rotated => rotated::search_rotated(&mut reader, range, dict.max_len()),
+        OrderOption::Rotated => rotated::search_rotated(&mut reader, range),
         OrderOption::Unsorted => unsorted::search_unsorted(&mut reader, range),
     }
 }

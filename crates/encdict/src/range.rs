@@ -31,7 +31,9 @@ impl RangeBound {
         }
     }
 
-    fn value(&self) -> &[u8] {
+    /// The bound's value; the empty string, the smallest value, when
+    /// unbounded.
+    pub(crate) fn value(&self) -> &[u8] {
         match self {
             RangeBound::Inclusive(v) | RangeBound::Exclusive(v) => v,
             RangeBound::Unbounded => &[],
@@ -118,14 +120,20 @@ impl RangeQuery {
 
     /// Whether a value matches this range.
     pub fn contains(&self, v: &[u8]) -> bool {
-        let lo_ok = match &self.start {
+        self.after_start(v) && self.before_end(v)
+    }
+
+    /// Whether `v` satisfies the start bound: `v ≥ s`, `v > s`, or no start.
+    pub(crate) fn after_start(&self, v: &[u8]) -> bool {
+        match &self.start {
             RangeBound::Inclusive(s) => v >= s.as_slice(),
             RangeBound::Exclusive(s) => v > s.as_slice(),
             RangeBound::Unbounded => true,
-        };
-        if !lo_ok {
-            return false;
         }
+    }
+
+    /// Whether `v` satisfies the end bound: `v ≤ e`, `v < e`, or no end.
+    pub(crate) fn before_end(&self, v: &[u8]) -> bool {
         match &self.end {
             RangeBound::Inclusive(e) => v <= e.as_slice(),
             RangeBound::Exclusive(e) => v < e.as_slice(),

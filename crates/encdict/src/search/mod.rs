@@ -4,10 +4,13 @@
 //!
 //! * [`sorted`] — leftmost/rightmost binary search (Algorithm 1), shared by
 //!   ED1/ED4/ED7 (repetitions are handled inherently).
-//! * [`rotated`] — the special binary search on offset-shifted encodings
-//!   (Algorithms 2 + 3) for ED2/ED5/ED8, including the equal-boundary
+//! * [`rotated`] — the special binary search (Algorithms 2 + 3) for
+//!   ED2/ED5/ED8 in the order `D[0]` starts, including the equal-boundary
 //!   corner case of ED5/ED8.
 //! * [`unsorted`] — the linear scan (Algorithm 4) for ED3/ED6/ED9.
+//!
+//! Sorted and rotated run one binary search, `first_where`, with
+//! different predicates.
 //!
 //! All algorithms are written against the [`DictEntryReader`] abstraction so
 //! the *same code* runs inside the enclave (reading + decrypting untrusted
@@ -56,6 +59,32 @@ pub trait DictEntryReader {
         }
         Ok(())
     }
+}
+
+/// The first index in `0..len` whose entry satisfies `pred`, or `len` if
+/// none does. `pred` must be false up to some index and true from there
+/// on; the indices read depend only on `len` and where that switch is.
+///
+/// # Errors
+///
+/// Propagates reader failures.
+pub(crate) fn first_where<R: DictEntryReader>(
+    reader: &mut R,
+    len: usize,
+    mut pred: impl FnMut(&[u8]) -> bool,
+) -> Result<usize, EncdictError> {
+    let (mut lo, mut hi) = (0, len);
+    let mut buf = Vec::new();
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        reader.read_into(mid, &mut buf)?;
+        if pred(&buf) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Ok(lo)
 }
 
 /// An inclusive range of ValueIDs `[lo, hi]` returned by a dictionary

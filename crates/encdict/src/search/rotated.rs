@@ -2,168 +2,36 @@
 //!
 //! ED2/ED5/ED8 store a lexicographically sorted dictionary rotated by a
 //! secret uniform offset. Algorithm 3 makes binary search possible without
-//! leaking the offset through the access pattern: every value is mapped
-//! through `t(v) = (ENCODE(v) − ENCODE(D[0])) mod N`, where `N` is the
-//! domain size of the column. Relative to the rotation point, `t` is
-//! monotone along the *rotated* index order, so ordinary leftmost/rightmost
-//! binary searches on `t` work and their access pattern depends only on
-//! `|D|` — not on the offset.
+//! leaking the offset through the access pattern: it searches on
+//! `t(v) = (ENCODE(v) − ENCODE(D[0])) mod N`, which is monotone along the
+//! *rotated* index order, so ordinary leftmost/rightmost binary searches
+//! work and their access pattern depends only on `|D|` — not on the offset.
+//!
+//! `ENCODE` preserves order, so `t` sorts values exactly as the key
+//! `(v < D[0], v)` does: first the values at or above `D[0]`, then the
+//! values below it, each arc in byte order. The search compares those keys
+//! directly — a byte comparison where the paper does 256-bit arithmetic —
+//! so it needs no column maximum and takes bounds of any length.
 //!
 //! The postprocessing of Algorithm 2 then decides whether the matching
 //! ValueIDs form one contiguous range or wrap around the dictionary end
-//! (two ranges). We branch on the *transformed bounds* (`t(R_s) > t(R_e)`
-//! ⟺ the range straddles the rotation point), which is equivalent to the
-//! paper's offset-based case analysis but needs no extra state.
+//! (two ranges). We branch on the bounds' keys (the start's above the
+//! end's ⟺ the range straddles the rotation point), which is equivalent
+//! to the paper's offset-based case analysis but needs no extra state.
 //!
 //! **ED5/ED8 corner case** (paper: "the plaintext value of the last and
 //! first entry in D might be equal"): duplicates of `D[0]`'s plaintext that
-//! rotate to the *end* of the dictionary have `t = 0` and would break the
-//! monotonicity of `t`. We strip that trailing run with a bounded backward
-//! scan first, binary-search the remaining region, and re-attach the run if
-//! its value matches the range. The scan costs `O(dup)` extra loads where
-//! `dup` is the boundary value's duplicate count — at most `bs_max` for
-//! ED5, and 0 for ED2 (no duplicates exist).
+//! rotate to the *end* of the dictionary come first in the key order and
+//! would break its monotonicity along the index order. We strip that
+//! trailing run with a bounded backward scan first, binary-search the
+//! remaining region, and re-attach the run if its value matches the range.
+//! The scan costs `O(dup)` extra loads where `dup` is the boundary value's
+//! duplicate count — at most `bs_max` for ED5, and 0 for ED2 (no duplicates
+//! exist).
 
-use super::{DictEntryReader, DictSearchResult, VidRange};
-use crate::bigint::U256;
-use crate::encode::{domain_size, encode};
+use super::{first_where, DictEntryReader, DictSearchResult, VidRange};
 use crate::error::EncdictError;
 use crate::range::{RangeBound, RangeQuery};
-
-/// Transformed bound: the `t`-encoding of a range endpoint plus whether the
-/// endpoint itself is included.
-struct TBound {
-    t: U256,
-    inclusive: bool,
-}
-
-fn start_bound(
-    bound: &RangeBound,
-    e0: U256,
-    n: U256,
-    max_len: usize,
-) -> Result<TBound, EncdictError> {
-    Ok(match bound {
-        RangeBound::Inclusive(s) => TBound {
-            t: encode(s, max_len)?.sub_mod(e0, n),
-            inclusive: true,
-        },
-        RangeBound::Exclusive(s) => TBound {
-            t: encode(s, max_len)?.sub_mod(e0, n),
-            inclusive: false,
-        },
-        // -∞ is the smallest domain value (the empty string, encoding 0).
-        RangeBound::Unbounded => TBound {
-            t: U256::ZERO.sub_mod(e0, n),
-            inclusive: true,
-        },
-    })
-}
-
-fn end_bound(
-    bound: &RangeBound,
-    e0: U256,
-    n: U256,
-    max_len: usize,
-) -> Result<TBound, EncdictError> {
-    Ok(match bound {
-        RangeBound::Inclusive(e) => TBound {
-            t: encode(e, max_len)?.sub_mod(e0, n),
-            inclusive: true,
-        },
-        RangeBound::Exclusive(e) => TBound {
-            t: encode(e, max_len)?.sub_mod(e0, n),
-            inclusive: false,
-        },
-        // +∞ is the largest domain value, encoding N - 1.
-        RangeBound::Unbounded => TBound {
-            t: n.wrapping_sub(U256::ONE).sub_mod(e0, n),
-            inclusive: true,
-        },
-    })
-}
-
-/// Whether the range is syntactically empty (start above end in the
-/// plaintext domain), which must be caught before the modular transform.
-fn range_is_empty(range: &RangeQuery) -> bool {
-    let (s, s_incl) = match &range.start {
-        RangeBound::Inclusive(v) => (v, true),
-        RangeBound::Exclusive(v) => (v, false),
-        RangeBound::Unbounded => return false,
-    };
-    let (e, e_incl) = match &range.end {
-        RangeBound::Inclusive(v) => (v, true),
-        RangeBound::Exclusive(v) => (v, false),
-        RangeBound::Unbounded => return false,
-    };
-    match s.cmp(e) {
-        std::cmp::Ordering::Greater => true,
-        std::cmp::Ordering::Equal => !(s_incl && e_incl),
-        std::cmp::Ordering::Less => false,
-    }
-}
-
-/// First region index whose transformed value satisfies the start bound
-/// (`t ≥ ts`, or `t > ts` for an exclusive start) — `BinSearchSpecialS`.
-fn lower_bound_t<R: DictEntryReader>(
-    reader: &mut R,
-    region_len: usize,
-    bound: &TBound,
-    e0: U256,
-    n: U256,
-    max_len: usize,
-) -> Result<usize, EncdictError> {
-    let mut lo = 0usize;
-    let mut hi = region_len;
-    let mut buf = Vec::new();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        reader.read_into(mid, &mut buf)?;
-        let t = encode(&buf, max_len)?.sub_mod(e0, n);
-        let qualifies = if bound.inclusive {
-            t >= bound.t
-        } else {
-            t > bound.t
-        };
-        if qualifies {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
-}
-
-/// One past the last region index whose transformed value satisfies the end
-/// bound (`t ≤ te`, or `t < te` for an exclusive end) — `BinSearchSpecialE`.
-fn upper_bound_t<R: DictEntryReader>(
-    reader: &mut R,
-    region_len: usize,
-    bound: &TBound,
-    e0: U256,
-    n: U256,
-    max_len: usize,
-) -> Result<usize, EncdictError> {
-    let mut lo = 0usize;
-    let mut hi = region_len;
-    let mut buf = Vec::new();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        reader.read_into(mid, &mut buf)?;
-        let t = encode(&buf, max_len)?.sub_mod(e0, n);
-        let exceeds = if bound.inclusive {
-            t > bound.t
-        } else {
-            t >= bound.t
-        };
-        if exceeds {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
-}
 
 /// `EnclDictSearch 2/5/8`: dictionary search over a rotated dictionary.
 ///
@@ -173,28 +41,24 @@ fn upper_bound_t<R: DictEntryReader>(
 ///
 /// # Errors
 ///
-/// Propagates reader failures and [`EncdictError::MaxLenTooLarge`] if the
-/// column maximum exceeds the encodable length.
+/// Propagates reader failures.
 pub fn search_rotated<R: DictEntryReader>(
     reader: &mut R,
     range: &RangeQuery,
-    max_len: usize,
 ) -> Result<DictSearchResult, EncdictError> {
     let dict_len = reader.len();
-    if dict_len == 0 || range_is_empty(range) {
+    if dict_len == 0 || range.is_provably_empty() {
         return Ok(DictSearchResult::empty_ranges());
     }
-    let n = domain_size(max_len)?;
 
-    // r = ENCODE(PAE_Dec(SK_D, eD[0])) — Algorithm 3 line 2.
-    let mut buf = Vec::new();
-    reader.read_into(0, &mut buf)?;
-    let v0 = buf.clone();
-    let e0 = encode(&v0, max_len)?;
+    // D[0] = PAE_Dec(SK_D, eD[0]) — Algorithm 3 line 2.
+    let mut v0 = Vec::new();
+    reader.read_into(0, &mut v0)?;
 
     // Corner case: strip the trailing run of entries equal to D[0]'s value
     // (duplicates wrapped past the rotation point in ED5/ED8).
     let mut tail_dups = 0usize;
+    let mut buf = Vec::new();
     while tail_dups + 1 < dict_len {
         reader.read_into(dict_len - 1 - tail_dups, &mut buf)?;
         if buf == v0 {
@@ -205,15 +69,37 @@ pub fn search_rotated<R: DictEntryReader>(
     }
     let region_len = dict_len - tail_dups;
 
-    let ts = start_bound(&range.start, e0, n, max_len)?;
-    let te = end_bound(&range.end, e0, n, max_len)?;
+    // Which arc each value and bound lies on: a value and a bound on the
+    // same arc compare as bytes, and across arcs the lower arc comes later.
+    // An absent start is the empty string; an absent end is +∞, the end
+    // of the upper arc.
+    let lower = |v: &[u8]| v < v0.as_slice();
+    let start_lower = lower(range.start.value());
+    let end_lower = range.end != RangeBound::Unbounded && lower(range.end.value());
+    let after_start = |v: &[u8]| {
+        if lower(v) == start_lower {
+            range.after_start(v)
+        } else {
+            lower(v)
+        }
+    };
+    let past_end = |v: &[u8]| {
+        if lower(v) == end_lower {
+            !range.before_end(v)
+        } else {
+            lower(v)
+        }
+    };
+    // The range is not provably empty, so its start's key lies above its
+    // end's exactly when the start is on the lower arc and the end is not.
+    let straddles = start_lower && !end_lower;
 
     let mut ranges: Vec<VidRange> = Vec::new();
-    if ts.t <= te.t {
+    if !straddles {
         // The plaintext range does not straddle the rotation point: one
         // contiguous run in rotated index order.
-        let lo = lower_bound_t(reader, region_len, &ts, e0, n, max_len)?;
-        let hi = upper_bound_t(reader, region_len, &te, e0, n, max_len)?;
+        let lo = first_where(reader, region_len, after_start)?;
+        let hi = first_where(reader, region_len, past_end)?;
         if lo < hi {
             ranges.push(VidRange {
                 lo: lo as u32,
@@ -221,16 +107,17 @@ pub fn search_rotated<R: DictEntryReader>(
             });
         }
     } else {
-        // Straddling range: matches are t ≥ ts (top of the region) plus
-        // t ≤ te (bottom of the region) — Algorithm 2's two-range case.
-        let hi = upper_bound_t(reader, region_len, &te, e0, n, max_len)?;
+        // Straddling range: matches are the keys from the start on (top of
+        // the region) plus those up to the end (bottom of the region) —
+        // Algorithm 2's two-range case.
+        let hi = first_where(reader, region_len, past_end)?;
         if hi > 0 {
             ranges.push(VidRange {
                 lo: 0,
                 hi: (hi - 1) as u32,
             });
         }
-        let lo = lower_bound_t(reader, region_len, &ts, e0, n, max_len)?;
+        let lo = first_where(reader, region_len, after_start)?;
         if lo < region_len {
             ranges.push(VidRange {
                 lo: lo as u32,
@@ -289,9 +176,11 @@ mod tests {
             .collect()
     }
 
-    fn check(values: &[&str], offset: usize, range: &RangeQuery) {
+    /// Checks one search against the reference and returns the indices it
+    /// read, in order.
+    fn check(values: &[&str], offset: usize, range: &RangeQuery) -> Vec<usize> {
         let mut r = rotated(values, offset);
-        let res = search_rotated(&mut r, range, 12).unwrap();
+        let res = search_rotated(&mut r, range).unwrap();
         let mut got = res.to_vid_list();
         got.sort_unstable();
         assert_eq!(
@@ -299,6 +188,21 @@ mod tests {
             expected(&r, range),
             "values {values:?} offset {offset} range {range:?}"
         );
+        r.probes
+    }
+
+    /// FNV-1a over probe sequences, each prefixed by its length: one number
+    /// that pins a test's whole access pattern.
+    fn digest(sequences: &[Vec<usize>]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seq in sequences {
+            for x in std::iter::once(seq.len()).chain(seq.iter().copied()) {
+                for b in (x as u64).to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
     }
 
     #[test]
@@ -306,7 +210,7 @@ mod tests {
         // Figure 3 (c): sorted (Archie, Ella, Hans, Jessica) rotated by 3 →
         // (Ella, Hans, Jessica, Archie).
         let mut r = VecReader::new(["Ella", "Hans", "Jessica", "Archie"]);
-        let res = search_rotated(&mut r, &RangeQuery::between("Archie", "Hans"), 12).unwrap();
+        let res = search_rotated(&mut r, &RangeQuery::between("Archie", "Hans")).unwrap();
         let mut got = res.to_vid_list();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 3]); // Ella, Hans, Archie
@@ -327,18 +231,24 @@ mod tests {
             RangeQuery::at_least("fig"),
             RangeQuery::between("blueberry", "coconut"),
         ];
+        let mut probes = Vec::new();
         for offset in 0..values.len() {
             for q in &queries {
-                check(&values, offset, q);
+                probes.push(check(&values, offset, q));
             }
         }
+        assert_eq!(
+            digest(&probes),
+            0xa486_569e_48f5_e867,
+            "access pattern moved"
+        );
     }
 
     #[test]
     fn wrapped_result_produces_two_ranges() {
         // Sorted a..f rotated by 3: (d e f a b c). Query [b, e] wraps.
         let mut r = rotated(&["a", "b", "c", "d", "e", "f"], 3);
-        let res = search_rotated(&mut r, &RangeQuery::between("b", "e"), 4).unwrap();
+        let res = search_rotated(&mut r, &RangeQuery::between("b", "e")).unwrap();
         match &res {
             DictSearchResult::Ranges([Some(_), Some(_)]) => {}
             other => panic!("expected two ranges, got {other:?}"),
@@ -354,6 +264,7 @@ mod tests {
         // Sorted: a a b b b c; offset 2 → (b c a a b b): D[0] = "b" and the
         // tail run "b b" equals it.
         let values = ["a", "a", "b", "b", "b", "c"];
+        let mut probes = Vec::new();
         for offset in 0..values.len() {
             for q in [
                 RangeQuery::equals("b"),
@@ -363,9 +274,14 @@ mod tests {
                 RangeQuery::greater_than("b"),
                 RangeQuery::less_than("b"),
             ] {
-                check(&values, offset, &q);
+                probes.push(check(&values, offset, &q));
             }
         }
+        assert_eq!(
+            digest(&probes),
+            0xb37e_840d_adc0_ab8d,
+            "access pattern moved"
+        );
     }
 
     #[test]
@@ -388,29 +304,35 @@ mod tests {
     #[test]
     fn syntactically_empty_range() {
         let mut r = rotated(&["a", "b", "c"], 1);
-        let res = search_rotated(&mut r, &RangeQuery::between("z", "a"), 4).unwrap();
+        let res = search_rotated(&mut r, &RangeQuery::between("z", "a")).unwrap();
         assert_eq!(res.match_count(), 0);
         // Exclusive-equal bounds are empty too.
         let q = RangeQuery {
             start: RangeBound::Inclusive(b"b".to_vec()),
             end: RangeBound::Exclusive(b"b".to_vec()),
         };
-        let res = search_rotated(&mut r, &q, 4).unwrap();
+        let res = search_rotated(&mut r, &q).unwrap();
         assert_eq!(res.match_count(), 0);
     }
 
     #[test]
     fn unbounded_queries_wrap_correctly() {
         let values = ["alpha", "beta", "gamma", "delta", "epsilon"];
+        let mut probes = Vec::new();
         for offset in 0..values.len() {
-            check(&values, offset, &RangeQuery::at_least("beta"));
-            check(&values, offset, &RangeQuery::at_most("delta"));
+            probes.push(check(&values, offset, &RangeQuery::at_least("beta")));
+            probes.push(check(&values, offset, &RangeQuery::at_most("delta")));
             let all = RangeQuery {
                 start: RangeBound::Unbounded,
                 end: RangeBound::Unbounded,
             };
-            check(&values, offset, &all);
+            probes.push(check(&values, offset, &all));
         }
+        assert_eq!(
+            digest(&probes),
+            0x61f1_8069_c1dc_af6d,
+            "access pattern moved"
+        );
     }
 
     #[test]
@@ -418,9 +340,9 @@ mod tests {
         let values: Vec<String> = (0..8192).map(|i| format!("{i:08}")).collect();
         let refs: Vec<&str> = values.iter().map(String::as_str).collect();
         let mut r = rotated(&refs, 3000);
-        let _ = search_rotated(&mut r, &RangeQuery::between("00001000", "00002000"), 10).unwrap();
+        let _ = search_rotated(&mut r, &RangeQuery::between("00001000", "00002000")).unwrap();
         // 1 read of D[0], 1 corner probe, 2 binary searches of ≤ 14 reads.
-        assert!(r.reads <= 2 + 2 * 14, "reads = {}", r.reads);
+        assert!(r.probes.len() <= 2 + 2 * 14, "reads = {}", r.probes.len());
     }
 
     #[test]
@@ -432,8 +354,8 @@ mod tests {
         let mut read_counts = std::collections::HashSet::new();
         for offset in [0usize, 1, 97, 511, 1023] {
             let mut r = rotated(&refs, offset);
-            let _ = search_rotated(&mut r, &RangeQuery::between("000100", "000200"), 8).unwrap();
-            read_counts.insert(r.reads);
+            let _ = search_rotated(&mut r, &RangeQuery::between("000100", "000200")).unwrap();
+            read_counts.insert(r.probes.len());
         }
         // Same dictionary size, same bounds -> identical number of loads
         // regardless of the offset.

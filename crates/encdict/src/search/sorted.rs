@@ -5,61 +5,9 @@
 //! ED4 and ED7 reuse it unchanged because "leftmost and rightmost binary
 //! searches inherently handle repetitions".
 
-use super::{DictEntryReader, DictSearchResult, VidRange};
+use super::{first_where, DictEntryReader, DictSearchResult, VidRange};
 use crate::error::EncdictError;
-use crate::range::{RangeBound, RangeQuery};
-
-/// First index whose value satisfies the *start* bound, i.e. the leftmost
-/// binary search of Algorithm 1. Returns `len` if no value qualifies.
-pub(crate) fn lower_bound<R: DictEntryReader>(
-    reader: &mut R,
-    bound: &RangeBound,
-) -> Result<usize, EncdictError> {
-    let mut lo = 0usize;
-    let mut hi = reader.len();
-    let mut buf = Vec::new();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        reader.read_into(mid, &mut buf)?;
-        let qualifies = match bound {
-            RangeBound::Inclusive(s) => buf.as_slice() >= s.as_slice(),
-            RangeBound::Exclusive(s) => buf.as_slice() > s.as_slice(),
-            RangeBound::Unbounded => true,
-        };
-        if qualifies {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
-}
-
-/// One past the last index whose value satisfies the *end* bound, i.e. the
-/// rightmost binary search of Algorithm 1 (as an exclusive upper index).
-pub(crate) fn upper_bound<R: DictEntryReader>(
-    reader: &mut R,
-    bound: &RangeBound,
-) -> Result<usize, EncdictError> {
-    let mut lo = 0usize;
-    let mut hi = reader.len();
-    let mut buf = Vec::new();
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        reader.read_into(mid, &mut buf)?;
-        let exceeds = match bound {
-            RangeBound::Inclusive(e) => buf.as_slice() > e.as_slice(),
-            RangeBound::Exclusive(e) => buf.as_slice() >= e.as_slice(),
-            RangeBound::Unbounded => false,
-        };
-        if exceeds {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    Ok(lo)
-}
+use crate::range::RangeQuery;
 
 /// `EnclDictSearch 1/4/7`: dictionary search over a sorted dictionary.
 ///
@@ -77,8 +25,10 @@ pub fn search_sorted<R: DictEntryReader>(
     if reader.is_empty() {
         return Ok(DictSearchResult::empty_ranges());
     }
-    let vid_min = lower_bound(reader, &range.start)?;
-    let vid_end = upper_bound(reader, &range.end)?; // exclusive
+    // The leftmost and rightmost binary searches; `vid_end` is exclusive.
+    let len = reader.len();
+    let vid_min = first_where(reader, len, |v| range.after_start(v))?;
+    let vid_end = first_where(reader, len, |v| !range.before_end(v))?;
     if vid_min >= vid_end {
         return Ok(DictSearchResult::empty_ranges());
     }
@@ -91,18 +41,20 @@ pub fn search_sorted<R: DictEntryReader>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::range::RangeBound;
 
-    /// A plain in-memory reader for algorithm tests.
+    /// A plain in-memory reader for algorithm tests; `probes` records the
+    /// index of every read, in order — the search's access pattern.
     pub(crate) struct VecReader {
         pub values: Vec<Vec<u8>>,
-        pub reads: usize,
+        pub probes: Vec<usize>,
     }
 
     impl VecReader {
         pub(crate) fn new<S: AsRef<[u8]>>(values: impl IntoIterator<Item = S>) -> Self {
             VecReader {
                 values: values.into_iter().map(|v| v.as_ref().to_vec()).collect(),
-                reads: 0,
+                probes: Vec::new(),
             }
         }
     }
@@ -112,7 +64,7 @@ pub(crate) mod tests {
             self.values.len()
         }
         fn read_into(&mut self, i: usize, buf: &mut Vec<u8>) -> Result<(), EncdictError> {
-            self.reads += 1;
+            self.probes.push(i);
             buf.clear();
             buf.extend_from_slice(&self.values[i]);
             Ok(())
@@ -210,7 +162,7 @@ pub(crate) mod tests {
         let _ = search_sorted(&mut r, &RangeQuery::between("00001000", "00001999")).unwrap();
         // Two binary searches over 4096 entries: ~2 * 12 reads, certainly
         // far below a linear scan.
-        assert!(r.reads <= 2 * 13, "reads = {}", r.reads);
+        assert!(r.probes.len() <= 2 * 13, "reads = {}", r.probes.len());
     }
 
     #[test]

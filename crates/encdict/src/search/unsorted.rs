@@ -76,7 +76,7 @@ mod tests {
     fn scan_touches_every_entry() {
         let mut r = VecReader::new(["q", "a", "z", "m"]);
         let _ = search_unsorted(&mut r, &RangeQuery::equals("a")).unwrap();
-        assert_eq!(r.reads, 4, "linear scan must read all |D| entries");
+        assert_eq!(r.probes.len(), 4, "linear scan must read all |D| entries");
     }
 
     #[test]
@@ -114,7 +114,7 @@ mod tests {
         ];
         let multi = search_unsorted_multi(&mut r, &ranges).unwrap();
         // One pass: |D| reads total, not |D| per range.
-        assert_eq!(r.reads, 6, "batched scan reads each entry once");
+        assert_eq!(r.probes.len(), 6, "batched scan reads each entry once");
         assert_eq!(multi.len(), 3);
         for (res, q) in multi.iter().zip(&ranges) {
             let mut fresh = VecReader::new(["q", "a", "z", "m", "a", "q"]);

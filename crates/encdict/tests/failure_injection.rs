@@ -11,9 +11,7 @@ use encdict::batch::{
 };
 use encdict::build::{build_encrypted, BuildParams};
 use encdict::dynamic::record_ids;
-use encdict::enclave_ops::{
-    encrypt_value_for_column, DictCall, DictReply, MergeRequest, SearchRequest,
-};
+use encdict::enclave_ops::{encrypt_value_for_column, DictCall, DictReply, MergeRequest};
 use encdict::persist;
 use encdict::{
     DictEnclave, EdKind, EncdictError, EncryptedDictionary, EncryptedRange, RangeQuery, Segment,
@@ -311,17 +309,13 @@ fn lying_head_fails_search() {
     let (mut enclave, dict, _, pae, mut rng) = fixture(EdKind::Ed3);
     let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "d"));
     for (lie, store, _) in lying_segments(&dict) {
-        let req = SearchRequest {
-            kind: EdKind::Ed3,
-            table_name: "t",
-            col_name: "c",
-            max_len: 8,
-            store: store.view(),
-            enc_rnd_offset: None,
+        let dict = EncryptedDictionary::new(EdKind::Ed3, "t".into(), "c".into(), 8, store, None);
+        let req = DictCall::Search {
+            dict: &dict,
             ranges: std::slice::from_ref(&tau),
             cache: None,
         };
-        let DictReply::Search(reply) = enclave.enclave_mut().ecall(DictCall::Search(req)) else {
+        let DictReply::Search(reply) = enclave.enclave_mut().ecall(req) else {
             panic!("search call returns search reply");
         };
         assert_corrupt("Search", lie, reply);

@@ -26,106 +26,116 @@ fn all_kinds_agree_with_reference_scan() {
         .chain(inserted.map(String::from))
         .collect();
 
-    let choices = EdKind::ALL
-        .map(DictChoice::Encrypted)
-        .into_iter()
-        .chain([DictChoice::Plain]);
-    for (i, choice) in choices.enumerate() {
-        let mut db = Session::with_seed(9101 + i as u64).unwrap();
-        db.set_compaction_policy(None);
-        let mut table = Table::new("t");
-        table
-            .add_column(Column::from_strs("c", 8, main.iter()).unwrap())
-            .unwrap();
-        let schema = TableSchema::new("t", vec![ColumnSpec::new("c", choice, 8)]);
-        db.load_table(&table, schema).unwrap();
-        db.execute(&format!(
-            "INSERT INTO t VALUES ('{}')",
-            inserted.join("'), ('")
-        ))
-        .unwrap();
-
-        type Pred = fn(&str) -> bool;
-        let queries: [(&str, Pred); 7] = [
-            ("SELECT c FROM t WHERE c = 'v0005'", |v| v == "v0005"),
-            ("SELECT c FROM t WHERE c < 'v0010'", |v| v < "v0010"),
-            ("SELECT c FROM t WHERE c >= 'v0030'", |v| v >= "v0030"),
-            ("SELECT c FROM t WHERE c BETWEEN 'v0010' AND 'v0020'", |v| {
-                ("v0010"..="v0020").contains(&v)
-            }),
-            // `IN` lists: one search per store and one attribute-vector
-            // pass whatever their length.
-            ("SELECT c FROM t WHERE c IN ('v0012')", |v| v == "v0012"),
-            ("SELECT c FROM t WHERE c IN ('v0012', 'v0041')", |v| {
-                ["v0012", "v0041"].contains(&v)
-            }),
-            (
-                "SELECT c FROM t WHERE c IN ('v0003', 'v0005', 'v0012', 'v0039', 'v0077')",
-                |v| ["v0003", "v0005", "v0012", "v0039", "v0077"].contains(&v),
-            ),
-        ];
-        for (sql, pred) in queries {
-            let mut got: Vec<String> = db
-                .execute(sql)
-                .unwrap()
-                .rows_as_strings()
-                .into_iter()
-                .map(|mut r| r.remove(0))
-                .collect();
-            got.sort();
-            let mut expected: Vec<String> = values.iter().filter(|v| pred(v)).cloned().collect();
-            expected.sort();
-            assert_eq!(got, expected, "{choice:?}, query {sql}");
-        }
-
-        // Overlapping ranges on a PLAIN column — SQL cannot say this, the
-        // server's query entry can: a row both ranges match comes back
-        // once, as from the MonetDB baseline's scans unioned.
-        if choice == DictChoice::Plain {
-            use colstore::monetdb::MonetColumn;
-            use encdbdb::server::{CellValue, QueryOutcome, ServerFilter, ServerQuery};
-            use encdict::RangeQuery;
-            let ranges = [("v0005", "v0015"), ("v0010", "v0020"), ("v0012", "v0012")];
-            let outcome = db
-                .server()
-                .execute_query(ServerQuery::Select {
-                    table: "t".into(),
-                    columns: Vec::new(),
-                    filters: vec![ServerFilter::Plain {
-                        column: "c".into(),
-                        ranges: ranges.map(|(lo, hi)| RangeQuery::between(lo, hi)).to_vec(),
-                    }],
-                    scope: None,
-                })
+    // Rotated kinds once capped the column at 31 bytes; 40 is past that.
+    for width in [8, 40] {
+        let choices = EdKind::ALL
+            .map(DictChoice::Encrypted)
+            .into_iter()
+            .chain([DictChoice::Plain]);
+        for (i, choice) in choices.enumerate() {
+            let mut db = Session::with_seed(9101 + i as u64).unwrap();
+            db.set_compaction_policy(None);
+            let mut table = Table::new("t");
+            table
+                .add_column(Column::from_strs("c", width, main.iter()).unwrap())
                 .unwrap();
-            let QueryOutcome::Rows(response) = outcome else {
-                panic!("a select answers with rows");
-            };
-            let mut got: Vec<Vec<u8>> = response
-                .rows
-                .into_iter()
-                .map(|row| match &row[0] {
-                    CellValue::Plain(v) => v.clone(),
-                    CellValue::Encrypted(_) => panic!("a PLAIN column renders plaintext"),
-                })
-                .collect();
-            got.sort();
-            let column = Column::from_strs("c", 8, values.iter()).unwrap();
-            let monet = MonetColumn::ingest(&column);
-            let rids: std::collections::BTreeSet<_> = ranges
-                .iter()
-                .flat_map(|(lo, hi)| monet.range_search_inclusive(lo.as_bytes(), hi.as_bytes()))
-                .collect();
-            let mut expected: Vec<Vec<u8>> = rids
-                .into_iter()
-                .map(|rid| monet.value(rid).to_vec())
-                .collect();
-            expected.sort();
-            assert_eq!(got, expected, "PLAIN, overlapping ranges");
-            assert!(
-                expected.len() > inserted.len(),
-                "the ranges match main rows too"
-            );
+            let schema = TableSchema::new("t", vec![ColumnSpec::new("c", choice, width)]);
+            db.load_table(&table, schema).unwrap();
+            db.execute(&format!(
+                "INSERT INTO t VALUES ('{}')",
+                inserted.join("'), ('")
+            ))
+            .unwrap();
+
+            type Pred = fn(&str) -> bool;
+            let queries: [(&str, Pred); 8] = [
+                ("SELECT c FROM t WHERE c = 'v0005'", |v| v == "v0005"),
+                ("SELECT c FROM t WHERE c < 'v0010'", |v| v < "v0010"),
+                ("SELECT c FROM t WHERE c >= 'v0030'", |v| v >= "v0030"),
+                // A bound longer than the column compares as bytes like any
+                // other.
+                (
+                    "SELECT c FROM t WHERE c < 'v0020-longer-than-the-column'",
+                    |v| v < "v0020-longer-than-the-column",
+                ),
+                ("SELECT c FROM t WHERE c BETWEEN 'v0010' AND 'v0020'", |v| {
+                    ("v0010"..="v0020").contains(&v)
+                }),
+                // `IN` lists: one search per store and one attribute-vector
+                // pass whatever their length.
+                ("SELECT c FROM t WHERE c IN ('v0012')", |v| v == "v0012"),
+                ("SELECT c FROM t WHERE c IN ('v0012', 'v0041')", |v| {
+                    ["v0012", "v0041"].contains(&v)
+                }),
+                (
+                    "SELECT c FROM t WHERE c IN ('v0003', 'v0005', 'v0012', 'v0039', 'v0077')",
+                    |v| ["v0003", "v0005", "v0012", "v0039", "v0077"].contains(&v),
+                ),
+            ];
+            for (sql, pred) in queries {
+                let mut got: Vec<String> = db
+                    .execute(sql)
+                    .unwrap()
+                    .rows_as_strings()
+                    .into_iter()
+                    .map(|mut r| r.remove(0))
+                    .collect();
+                got.sort();
+                let mut expected: Vec<String> =
+                    values.iter().filter(|v| pred(v)).cloned().collect();
+                expected.sort();
+                assert_eq!(got, expected, "{choice:?}({width}), query {sql}");
+            }
+
+            // Overlapping ranges on a PLAIN column — SQL cannot say this, the
+            // server's query entry can: a row both ranges match comes back
+            // once, as from the MonetDB baseline's scans unioned.
+            if choice == DictChoice::Plain {
+                use colstore::monetdb::MonetColumn;
+                use encdbdb::server::{CellValue, QueryOutcome, ServerFilter, ServerQuery};
+                use encdict::RangeQuery;
+                let ranges = [("v0005", "v0015"), ("v0010", "v0020"), ("v0012", "v0012")];
+                let outcome = db
+                    .server()
+                    .execute_query(ServerQuery::Select {
+                        table: "t".into(),
+                        columns: Vec::new(),
+                        filters: vec![ServerFilter::Plain {
+                            column: "c".into(),
+                            ranges: ranges.map(|(lo, hi)| RangeQuery::between(lo, hi)).to_vec(),
+                        }],
+                        scope: None,
+                    })
+                    .unwrap();
+                let QueryOutcome::Rows(response) = outcome else {
+                    panic!("a select answers with rows");
+                };
+                let mut got: Vec<Vec<u8>> = response
+                    .rows
+                    .into_iter()
+                    .map(|row| match &row[0] {
+                        CellValue::Plain(v) => v.clone(),
+                        CellValue::Encrypted(_) => panic!("a PLAIN column renders plaintext"),
+                    })
+                    .collect();
+                got.sort();
+                let column = Column::from_strs("c", 8, values.iter()).unwrap();
+                let monet = MonetColumn::ingest(&column);
+                let rids: std::collections::BTreeSet<_> = ranges
+                    .iter()
+                    .flat_map(|(lo, hi)| monet.range_search_inclusive(lo.as_bytes(), hi.as_bytes()))
+                    .collect();
+                let mut expected: Vec<Vec<u8>> = rids
+                    .into_iter()
+                    .map(|rid| monet.value(rid).to_vec())
+                    .collect();
+                expected.sort();
+                assert_eq!(got, expected, "PLAIN, overlapping ranges");
+                assert!(
+                    expected.len() > inserted.len(),
+                    "the ranges match main rows too"
+                );
+            }
         }
     }
 }
