@@ -63,6 +63,15 @@ if grep -rnE 'Parallelism|SetSearchStrategy|avsearch::search\(' src crates tests
     exit 1
 fi
 
+# The server reads one clock, `obs::trace::now_ns`, and times every layer by
+# spans on it (DESIGN.md §13.2): an `Instant` anywhere else in the encdbdb
+# crate is a hand-rolled timer growing back.
+CLOCK_MODULE=crates/encdbdb/src/obs/trace.rs
+if grep -rn Instant crates/encdbdb/src --include='*.rs' | grep -v "^$CLOCK_MODULE:"; then
+    echo "an Instant outside $CLOCK_MODULE (listed above)"
+    exit 1
+fi
+
 # One timing system: the repo benchmark (benchmark/, BENCHMARK.json), with
 # loadgen carrying the batching gates and the `micro` binary the quoted
 # micro rows (DESIGN.md §3). A criterion dependency, a [[bench]] target or a

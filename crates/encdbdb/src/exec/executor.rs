@@ -66,7 +66,7 @@ impl DbaasServer {
         plan: &AggregatePlan,
         filters: &[ServerFilter],
         scope: Option<&[usize]>,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<SelectResponse, DbError> {
         // Referenced columns (group keys first, then aggregate inputs),
         // deduplicated — they define the histogram's tuple order.
@@ -140,8 +140,8 @@ impl DbaasServer {
             filters,
             scan_span.id(),
             &mut stats,
-            |_, snap, main_rids, delta_rids, part_stats, _| {
-                let scan_start = std::time::Instant::now();
+            |_, snap, main_rids, delta_rids, part_stats, pspan| {
+                let scan = obs.span("av.scan", "query", pspan);
                 let cols: Vec<ColumnCodes<'_>> = ref_idx
                     .iter()
                     .map(|&idx| ColumnCodes {
@@ -150,7 +150,7 @@ impl DbaasServer {
                     })
                     .collect();
                 let hist = build_histogram(&cols, &main_rids, &delta_rids)?;
-                part_stats.av_search_ns += scan_start.elapsed().as_nanos() as u64;
+                scan.finish();
                 part_stats.chunks_scanned += hist.chunks;
                 let remapped = remap_codes(cols.len(), hist.tuples);
                 let plain_tables: Vec<Option<Vec<Vec<u8>>>> = ref_idx
@@ -175,7 +175,7 @@ impl DbaasServer {
 
         // Grouped aggregation over the distinct touched values of every
         // partition, with the partial-aggregate merge in the trusted core.
-        let agg_start = std::time::Instant::now();
+        let agg_span = obs.span("aggregate", "query", parent);
         let rows: Vec<Vec<CellValue>> = if any_encrypted {
             // Partitions with no matching rows contribute no part. The
             // request shares what it references (`Arc`s of the main
@@ -233,7 +233,7 @@ impl DbaasServer {
                     parts: part_data,
                     plan: spec.clone(),
                 };
-                let (reply, cost) = self.scheduler().aggregate(req, generation, parent)?;
+                let (reply, cost) = self.scheduler().aggregate(req, generation, agg_span.id())?;
                 cost.absorb_into(&mut stats);
                 reply
                     .rows
@@ -268,9 +268,9 @@ impl DbaasServer {
                 .map(|row| row.into_iter().map(CellValue::Plain).collect())
                 .collect()
         };
-        stats.aggregate_ns += agg_start.elapsed().as_nanos() as u64;
+        agg_span.finish();
         stats.result_rows = rows.len();
-        self.store_stats(stats);
+        self.store_stats(stats, parent);
         Ok(SelectResponse {
             columns: plan.item_names.clone(),
             rows,

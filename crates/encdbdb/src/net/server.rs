@@ -23,7 +23,7 @@ use super::wire::{
     net_io, FrameCodec, Message, Recv, ERR_AUTH, ERR_PROTOCOL, ERR_QUERY, ERR_QUOTA,
 };
 use crate::error::DbError;
-use crate::obs::{Counter, Hist, Obs, SpanId};
+use crate::obs::{now_ns, Counter, Hist, Obs, SpanId};
 use crate::server::lock;
 use crate::session::{ReaderSession, Session};
 use crate::sql::{parse, Statement};
@@ -33,7 +33,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Provisioning record for one tenant admitted to a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -316,14 +316,15 @@ fn recv_frame(shared: &Shared, codec: &mut FrameCodec, stream: &mut TcpStream) -
                 request_id,
                 msg,
                 frame_bytes,
-                recv_ns,
+                first_byte_ns,
             }) => {
                 shared.obs.add(Counter::NetBytesInTotal, frame_bytes);
+                let received = (first_byte_ns, now_ns());
+                let recv_ns =
+                    shared
+                        .obs
+                        .interval("net.recv", "net", &SpanId::NONE, received, frame_bytes);
                 shared.obs.record(Hist::NetRecvNs, recv_ns);
-                shared
-                    .obs
-                    .span_arg("net.recv", "net", SpanId::NONE, frame_bytes)
-                    .finish();
                 return RecvStep::Frame { request_id, msg };
             }
             Ok(Recv::Idle) => {
@@ -356,13 +357,9 @@ fn send_reply(
     request_id: u64,
     msg: &Message,
 ) -> bool {
-    let span = shared.obs.span("net.send", "net", SpanId::NONE);
-    let t0 = Instant::now();
+    let span = shared.obs.span("net.send", "net", &SpanId::NONE);
     let sent = codec.send(stream, request_id, msg);
-    shared
-        .obs
-        .record(Hist::NetSendNs, t0.elapsed().as_nanos() as u64);
-    span.finish();
+    span.finish_into(Hist::NetSendNs);
     match sent {
         Ok(bytes) => {
             shared.obs.add(Counter::NetBytesOutTotal, bytes);

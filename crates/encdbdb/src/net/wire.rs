@@ -22,9 +22,9 @@
 //! the server multiplex shutdown checks with blocking sockets.
 
 use crate::error::DbError;
+use crate::obs::now_ns;
 use colstore::codec::{CodecError, Reader, Writer};
 use std::io::{Read, Write};
-use std::time::Instant;
 
 /// Protocol version carried in every frame header.
 pub(crate) const WIRE_VERSION: u8 = 1;
@@ -193,8 +193,8 @@ pub(crate) enum Recv {
         msg: Message,
         /// Total frame size on the wire, length prefix included.
         frame_bytes: u64,
-        /// First-byte-to-complete receive latency of this frame.
-        recv_ns: u64,
+        /// When this frame's first byte arrived, on the process clock.
+        first_byte_ns: u64,
     },
     /// No bytes available within the read timeout (poll tick elapsed).
     Idle,
@@ -209,7 +209,7 @@ pub(crate) struct FrameCodec {
     encode_buf: Vec<u8>,
     recv_buf: Vec<u8>,
     filled: usize,
-    first_byte: Option<Instant>,
+    first_byte_ns: u64,
     /// Caps frames at [`PRE_AUTH_FRAME`] instead of [`MAX_FRAME`]; the
     /// server sets it until the connection's HELLO is accepted.
     pub(crate) pre_auth: bool,
@@ -277,16 +277,12 @@ impl FrameCodec {
                 let request_id =
                     u64::from_le_bytes(self.recv_buf[6..14].try_into().expect("8 bytes"));
                 let msg = Message::decode(msg_type, &self.recv_buf[14..target])?;
-                let recv_ns = self
-                    .first_byte
-                    .take()
-                    .map_or(0, |t| t.elapsed().as_nanos() as u64);
                 self.filled = 0;
                 return Ok(Recv::Frame {
                     request_id,
                     msg,
                     frame_bytes: target as u64,
-                    recv_ns,
+                    first_byte_ns: self.first_byte_ns,
                 });
             }
             if self.recv_buf.len() < target {
@@ -302,7 +298,7 @@ impl FrameCodec {
                 }
                 Ok(n) => {
                     if self.filled == 0 {
-                        self.first_byte = Some(Instant::now());
+                        self.first_byte_ns = now_ns();
                     }
                     self.filled += n;
                 }

@@ -107,8 +107,6 @@ pub struct EcallRecord {
     /// Values served from the in-enclave decrypted-value cache during
     /// this call (each hit saved two untrusted loads and one decrypt).
     pub cache_hits: u64,
-    /// Wall-clock duration of the call, in nanoseconds.
-    pub dur_ns: u64,
     /// Coalesced sub-calls executed in this transition: 1 for a native
     /// call, ≥ 2 for an [`EcallKind::Batch`] record.
     pub batch_size: u64,
@@ -276,7 +274,6 @@ mod tests {
             untrusted_loads: 4,
             untrusted_bytes: 64,
             cache_hits: 0,
-            dur_ns: 100,
             batch_size: 1,
         }
     }

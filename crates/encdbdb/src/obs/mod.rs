@@ -10,7 +10,8 @@
 //! * [`registry`] — monotone atomic counters plus log₂-bucketed
 //!   nanosecond histograms, snapshotted as a [`MetricsReport`];
 //! * [`trace`] — per-query and per-background-op spans in a bounded
-//!   ring, exportable as Chrome trace JSON (`Session::export_trace`);
+//!   ring, exportable as Chrome trace JSON (`Session::export_trace`),
+//!   and the one clock every duration here is read from;
 //! * [`ledger`] — one record per enclave transition, the observable
 //!   leakage surface checked by `tests/security.rs`.
 //!
@@ -29,10 +30,11 @@ pub mod trace;
 
 pub use ledger::{EcallKind, EcallRecord, KindTotals, LedgerReport};
 pub use registry::{Counter, Hist, HistogramSummary, MetricsReport};
-pub use trace::{SpanId, TraceEvent};
+pub(crate) use trace::now_ns;
+pub use trace::{Layer, LayerTimes, SpanId, TraceEvent};
 
 use std::sync::Arc;
-use std::time::Instant;
+use trace::Request;
 
 /// Cheap-clonable handle to one observability domain (registry +
 /// trace ring + ledger). All methods are safe to call from any thread.
@@ -43,8 +45,6 @@ pub struct Obs {
 
 #[derive(Debug)]
 struct ObsInner {
-    /// Zero point of every `start_ns` timestamp in traces.
-    epoch: Instant,
     registry: registry::MetricsRegistry,
     trace: trace::TraceBuffer,
     ledger: ledger::Ledger,
@@ -57,21 +57,15 @@ impl Default for Obs {
 }
 
 impl Obs {
-    /// Creates an empty observability domain; its trace epoch is now.
+    /// Creates an empty observability domain.
     pub fn new() -> Self {
         Obs {
             inner: Arc::new(ObsInner {
-                epoch: Instant::now(),
                 registry: registry::MetricsRegistry::new(),
                 trace: trace::TraceBuffer::new(),
                 ledger: ledger::Ledger::new(),
             }),
         }
-    }
-
-    /// Nanoseconds since this domain's epoch (the `start_ns` clock).
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.inner.epoch.elapsed().as_nanos() as u64
     }
 
     /// Adds `n` to a registry counter.
@@ -84,10 +78,10 @@ impl Obs {
         self.inner.registry.record(key, ns);
     }
 
-    /// Opens a span; it is recorded into the trace ring when the guard
-    /// is dropped (or [`SpanGuard::finish`]ed). Pass
-    /// [`SpanId::NONE`] for a root span.
-    pub(crate) fn span(&self, name: &'static str, cat: &'static str, parent: SpanId) -> SpanGuard {
+    /// Opens a span; it is recorded when the guard is dropped (or
+    /// [`SpanGuard::finish`]ed). Under [`SpanId::NONE`] it is a root and
+    /// opens a request: its tree moves to the trace ring when it closes.
+    pub(crate) fn span(&self, name: &'static str, cat: &'static str, parent: &SpanId) -> SpanGuard {
         self.span_arg(name, cat, parent, 0)
     }
 
@@ -96,58 +90,99 @@ impl Obs {
         &self,
         name: &'static str,
         cat: &'static str,
-        parent: SpanId,
+        parent: &SpanId,
         arg: u64,
     ) -> SpanGuard {
+        let id = self.inner.trace.fresh_id();
+        let request = match &parent.request {
+            Some(r) => Arc::clone(r),
+            None => Request::new(),
+        };
         SpanGuard {
             obs: self.clone(),
-            id: self.inner.trace.fresh_id(),
-            parent,
+            me: SpanId {
+                id,
+                request: Some(request),
+            },
+            parent: parent.id,
             name,
             cat,
             arg,
-            start_ns: self.now_ns(),
-            start: Instant::now(),
+            start_ns: now_ns(),
             done: false,
         }
     }
 
-    fn push_event(&self, ev: TraceEvent) {
-        if self.inner.trace.push(ev) {
-            self.add(Counter::TraceEventsDroppedTotal, 1);
+    /// Records a completed span `[start_ns, end_ns)` under `parent`, for an
+    /// interval whose ends were read on different threads or before the
+    /// span could be opened. Returns its duration.
+    pub(crate) fn interval(
+        &self,
+        name: &'static str,
+        cat: &'static str,
+        parent: &SpanId,
+        (start_ns, end_ns): (u64, u64),
+        arg: u64,
+    ) -> u64 {
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        self.emit(
+            parent,
+            TraceEvent {
+                id: self.inner.trace.fresh_id(),
+                parent: parent.raw(),
+                name,
+                cat,
+                start_ns,
+                dur_ns,
+                tid: trace::current_tid(),
+                arg,
+            },
+        );
+        dur_ns
+    }
+
+    /// Records a closed span into the request of `span` (its parent, or
+    /// itself), or into the ring when there is none or it has closed.
+    fn emit(&self, span: &SpanId, ev: TraceEvent) {
+        let stray = match &span.request {
+            Some(request) => request.push(ev),
+            None => Some(ev),
+        };
+        if let Some(ev) = stray {
+            self.push_events([ev]);
+        }
+    }
+
+    fn push_events(&self, events: impl IntoIterator<Item = TraceEvent>) {
+        let dropped = self.inner.trace.push_all(events);
+        if dropped > 0 {
+            self.add(Counter::TraceEventsDroppedTotal, dropped);
         }
     }
 
     /// Records one completed enclave transition: appends the ledger
     /// record, bumps the ECALL registry counters and histogram, and
-    /// emits the matching `"ecall.*"` trace span (so trace span counts
-    /// and ledger call counts always agree).
+    /// emits the matching `"ecall.*"` trace span over `interval` (so trace
+    /// span counts and ledger call counts always agree). A transition that
+    /// coalesced `batch_size` ≥ 2 sub-calls (the cross-session ECALL
+    /// scheduler) is still ONE record, ONE `ecalls_total` increment and ONE
+    /// span, but the record carries the batch size and the batch
+    /// counters/occupancy histogram are bumped so batching stays auditable.
     pub(crate) fn ecall(
         &self,
         kind: EcallKind,
         io: EcallIo,
-        start_ns: u64,
-        dur_ns: u64,
-        parent: SpanId,
-    ) {
-        self.ecall_batched(kind, io, start_ns, dur_ns, parent, 1);
-    }
-
-    /// [`Obs::ecall`] for a transition that coalesced `batch_size`
-    /// sub-calls (the cross-session ECALL scheduler). Still ONE ledger
-    /// record, ONE `ecalls_total` increment and ONE trace span — the
-    /// whole point is that the transition count stays 1 — but the record
-    /// carries the batch size and the batch counters/occupancy histogram
-    /// are bumped so batching stays auditable.
-    pub(crate) fn ecall_batched(
-        &self,
-        kind: EcallKind,
-        io: EcallIo,
-        start_ns: u64,
-        dur_ns: u64,
-        parent: SpanId,
+        interval: (u64, u64),
+        parent: &SpanId,
         batch_size: u64,
     ) {
+        let dur_ns = self.interval(
+            kind.span_name(),
+            "ecall",
+            parent,
+            interval,
+            io.values_decrypted,
+        );
         self.inner.ledger.append(EcallRecord {
             seq: 0,
             kind,
@@ -157,7 +192,6 @@ impl Obs {
             untrusted_loads: io.untrusted_loads,
             untrusted_bytes: io.untrusted_bytes,
             cache_hits: io.cache_hits,
-            dur_ns,
             batch_size,
         });
         if batch_size > 1 {
@@ -172,16 +206,6 @@ impl Obs {
         self.add(Counter::ValueCacheHitsTotal, io.cache_hits);
         self.add(Counter::ValueCacheMissesTotal, io.cache_misses);
         self.record(Hist::EcallNs, dur_ns);
-        self.push_event(TraceEvent {
-            id: self.inner.trace.fresh_id().raw(),
-            parent: parent.raw(),
-            name: kind.span_name(),
-            cat: "ecall",
-            start_ns,
-            dur_ns,
-            tid: trace::current_tid(),
-            arg: io.values_decrypted,
-        });
     }
 
     /// Snapshots every counter and histogram.
@@ -200,7 +224,8 @@ impl Obs {
         self.inner.ledger.records()
     }
 
-    /// The completed spans currently in the trace ring, oldest first.
+    /// The completed requests' spans currently in the trace ring, oldest
+    /// first.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.inner.trace.snapshot()
     }
@@ -226,49 +251,68 @@ pub(crate) struct EcallIo {
 }
 
 /// An open span. Dropping (or [`SpanGuard::finish`]ing) the guard
-/// records the completed interval into the trace ring; children created
-/// with this guard's [`SpanGuard::id`] as parent therefore always close
-/// before it does.
+/// records the completed interval; children created with this guard's
+/// [`SpanGuard::id`] as parent therefore always close before it does.
 #[derive(Debug)]
 pub struct SpanGuard {
     obs: Obs,
-    id: SpanId,
-    parent: SpanId,
+    /// This span as its children's parent; its request is the parent's,
+    /// or its own for a root.
+    me: SpanId,
+    /// The parent's id, 0 for a root.
+    parent: u64,
     name: &'static str,
     cat: &'static str,
     arg: u64,
     start_ns: u64,
-    start: Instant,
     done: bool,
 }
 
 impl SpanGuard {
-    /// This span's id, for parenting child spans.
-    pub fn id(&self) -> SpanId {
-        self.id
+    /// This span, for parenting child spans.
+    pub fn id(&self) -> &SpanId {
+        &self.me
     }
 
     /// Closes the span now (equivalent to dropping it).
     pub fn finish(self) {}
+
+    /// Closes the span now and records its duration into `hist`.
+    pub(crate) fn finish_into(mut self, hist: Hist) {
+        let dur_ns = self.close();
+        self.obs.record(hist, dur_ns);
+    }
+
+    fn close(&mut self) -> u64 {
+        self.done = true;
+        let dur_ns = now_ns().saturating_sub(self.start_ns);
+        let ev = TraceEvent {
+            id: self.me.raw(),
+            parent: self.parent,
+            name: self.name,
+            cat: self.cat,
+            start_ns: self.start_ns,
+            dur_ns,
+            tid: trace::current_tid(),
+            arg: self.arg,
+        };
+        if self.parent != SpanId::NONE.id {
+            self.obs.emit(&self.me, ev);
+        } else if let Some(request) = &self.me.request {
+            // A root: its tree, itself last, moves to the ring.
+            let mut tree = request.take();
+            tree.push(ev);
+            self.obs.push_events(tree);
+        }
+        dur_ns
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.done {
-            return;
+        if !self.done {
+            self.close();
         }
-        self.done = true;
-        let ev = TraceEvent {
-            id: self.id.raw(),
-            parent: self.parent.raw(),
-            name: self.name,
-            cat: self.cat,
-            start_ns: self.start_ns,
-            dur_ns: self.start.elapsed().as_nanos() as u64,
-            tid: trace::current_tid(),
-            arg: self.arg,
-        };
-        self.obs.push_event(ev);
     }
 }
 
@@ -279,11 +323,17 @@ mod tests {
     #[test]
     fn spans_nest_and_close_child_first() {
         let obs = Obs::new();
-        let root = obs.span("query", "query", SpanId::NONE);
+        let root = obs.span("query", "query", &SpanId::NONE);
         let child = obs.span_arg("partition", "query", root.id(), 3);
         let root_id = root.id().raw();
         let child_id = child.id().raw();
         child.finish();
+        assert!(
+            obs.trace_events().is_empty(),
+            "a request's spans reach the ring when its root closes"
+        );
+        let open = root.id().closed_layers();
+        assert_eq!(open.total(), open.get(Layer::Fanout));
         root.finish();
         let events = obs.trace_events();
         assert_eq!(events.len(), 2);
@@ -297,6 +347,26 @@ mod tests {
         assert!(
             events[0].start_ns + events[0].dur_ns <= events[1].start_ns + events[1].dur_ns,
             "child must end before its parent"
+        );
+        let layers = LayerTimes::of_tree(&events, root_id).expect("root in the ring");
+        assert_eq!(layers.total(), events[1].dur_ns);
+    }
+
+    #[test]
+    fn a_request_buffers_no_more_than_the_ring_holds() {
+        let obs = Obs::new();
+        let root = obs.span("insert", "query", &SpanId::NONE);
+        let limit = trace::TRACE_CAPACITY as u64;
+        for _ in 0..limit + 3 {
+            obs.span("ecall.reencrypt", "ecall", root.id()).finish();
+        }
+        assert_eq!(obs.trace_events().len(), 3, "the overflow went to the ring");
+        root.finish();
+        let events = obs.trace_events();
+        assert_eq!(events.last().expect("the root").name, "insert");
+        assert_eq!(
+            obs.metrics_report().counter("trace_events_dropped_total"),
+            4
         );
     }
 
@@ -315,9 +385,9 @@ mod tests {
                     cache_hits: i,
                     cache_misses: 1,
                 },
-                obs.now_ns(),
-                10,
-                SpanId::NONE,
+                (now_ns(), now_ns() + 10),
+                &SpanId::NONE,
+                1,
             );
         }
         let ledger = obs.ledger_report();
@@ -340,7 +410,7 @@ mod tests {
     #[test]
     fn export_trace_is_wellformed_json_shape() {
         let obs = Obs::new();
-        obs.span("query", "query", SpanId::NONE).finish();
+        obs.span("query", "query", &SpanId::NONE).finish();
         let json = obs.export_trace();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"query\""));

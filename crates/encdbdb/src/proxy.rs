@@ -262,15 +262,13 @@ impl Proxy {
         rng: &mut R,
     ) -> Result<QueryResult, DbError> {
         let obs = server.obs().clone();
-        let root = obs.span("query", "query", SpanId::NONE);
-        let t0 = std::time::Instant::now();
+        let root = obs.span("query", "query", &SpanId::NONE);
         obs.add(Counter::QueriesTotal, 1);
         let parse_span = obs.span("parse", "query", root.id());
         let stmt = parse(sql)?;
         parse_span.finish();
         let result = self.dispatch(server, stmt, rng, &obs, root.id());
-        obs.record(Hist::QueryNs, t0.elapsed().as_nanos() as u64);
-        root.finish();
+        root.finish_into(Hist::QueryNs);
         result
     }
 
@@ -290,12 +288,10 @@ impl Proxy {
         rng: &mut R,
     ) -> Result<QueryResult, DbError> {
         let obs = server.obs().clone();
-        let root = obs.span("query", "query", SpanId::NONE);
-        let t0 = std::time::Instant::now();
+        let root = obs.span("query", "query", &SpanId::NONE);
         obs.add(Counter::QueriesTotal, 1);
         let result = self.dispatch(server, stmt, rng, &obs, root.id());
-        obs.record(Hist::QueryNs, t0.elapsed().as_nanos() as u64);
-        root.finish();
+        root.finish_into(Hist::QueryNs);
         result
     }
 
@@ -307,7 +303,7 @@ impl Proxy {
         stmt: Statement,
         rng: &mut R,
         obs: &crate::obs::Obs,
-        root: SpanId,
+        root: &SpanId,
     ) -> Result<QueryResult, DbError> {
         match stmt {
             Statement::CreateTable {
@@ -516,7 +512,7 @@ impl Proxy {
         order_by: &[OrderKey],
         limit: Option<usize>,
         rng: &mut R,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<QueryResult, DbError> {
         let obs = server.obs().clone();
         obs.add(Counter::JoinsTotal, 1);

@@ -12,6 +12,7 @@
 
 use super::format::{MergeRecord, WalRecord};
 use super::partition::{ColumnDelta, CompactionJob, MainColumn, Partition};
+use super::scheduler::direct_ecall;
 use super::table::ServerTable;
 use super::{lock, Config, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
@@ -215,7 +216,7 @@ impl DbaasServer {
     /// `None` when a merge is already running on this partition or there
     /// is nothing to compact.
     fn begin_compaction(&self, partition: &Partition) -> Option<CompactionJob> {
-        let span = self.obs().span("capture", "compaction", SpanId::NONE);
+        let span = self.obs().span("capture", "compaction", &SpanId::NONE);
         let job = lock(&partition.state).begin();
         span.finish();
         job
@@ -286,7 +287,7 @@ pub(crate) fn execute_compaction(
     throttle: Option<Duration>,
     obs: &Obs,
 ) -> Result<(Vec<MainColumn>, usize), DbError> {
-    let rebuild_span = obs.span_arg("rebuild", "compaction", SpanId::NONE, job.main.epoch);
+    let rebuild_span = obs.span_arg("rebuild", "compaction", &SpanId::NONE, job.main.epoch);
     let mut new_columns = Vec::with_capacity(job.main.columns.len());
     let mut new_rows = None;
     for ((spec, main_col), delta_col) in schema
@@ -316,31 +317,19 @@ pub(crate) fn execute_compaction(
                 };
                 // Merge traffic is dominated by the streamed dictionary
                 // reads; bytes_out approximates the published AV payload.
-                let start_ns = obs.now_ns();
-                let t0 = std::time::Instant::now();
-                let mut enclave = lock(merge_enclave);
-                let before = enclave.enclave().counters();
-                let (new_dict, new_av) = enclave.merge(req)?;
-                let after = enclave.enclave().counters();
-                drop(enclave);
-                let dur_ns = t0.elapsed().as_nanos() as u64;
-                let loads = after.untrusted_loads - before.untrusted_loads;
-                let bytes = after.untrusted_bytes - before.untrusted_bytes;
-                obs.ecall(
+                let ((new_dict, new_av), dur_ns) = direct_ecall(
+                    merge_enclave,
+                    obs,
                     EcallKind::Merge,
-                    EcallIo {
-                        bytes_in: bytes,
-                        bytes_out: 4 * new_av.len() as u64,
-                        values_decrypted: loads / 2,
-                        untrusted_loads: loads,
-                        untrusted_bytes: bytes,
-                        cache_hits: 0,
-                        cache_misses: 0,
-                    },
-                    start_ns,
-                    dur_ns,
                     rebuild_span.id(),
-                );
+                    |e| e.merge(req),
+                    |(_, av), traffic| EcallIo {
+                        bytes_in: traffic.untrusted_bytes,
+                        bytes_out: 4 * av.len() as u64,
+                        values_decrypted: traffic.untrusted_loads / 2,
+                        ..traffic
+                    },
+                )?;
                 obs.record(Hist::CompactionMergeNs, dur_ns);
                 let rows = new_av.len();
                 (
@@ -409,7 +398,7 @@ fn publish_compaction(
     let span = obs.span_arg(
         "publish",
         "compaction",
-        SpanId::NONE,
+        &SpanId::NONE,
         partition.index as u64,
     );
     let storage = server.storage();
@@ -472,7 +461,7 @@ fn publish_compaction(
 /// Error path of a merge that will not publish: end it, leaving the old
 /// store and the delta untouched and queryable, and count the failure.
 fn fail_compaction(obs: &Obs, t: &ServerTable, partition: &Partition, e: &DbError) {
-    let abort_span = obs.span("abort", "compaction", SpanId::NONE);
+    let abort_span = obs.span("abort", "compaction", &SpanId::NONE);
     lock(&partition.state).end_merge();
     t.merges_failed.fetch_add(1, Ordering::SeqCst);
     note_error(obs, t, e);

@@ -60,7 +60,7 @@ fn scan_side(
     server: &DbaasServer,
     ts: &TableSnapshot,
     q: &JoinSideQuery,
-    parent: SpanId,
+    parent: &SpanId,
     stats: &mut QueryStats,
 ) -> Result<Vec<SidePartScan>, DbError> {
     let (key_idx, _) = ts
@@ -114,7 +114,7 @@ impl DbaasServer {
         &self,
         left: &JoinSideQuery,
         right: &JoinSideQuery,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<SelectResponse, DbError> {
         let obs = self.obs().clone();
         // Both tables under one tight acquisition pass.
@@ -143,7 +143,6 @@ impl DbaasServer {
 
         // Build the per-partition code→bridge-id maps.
         let bridge_span = obs.span("bridge", "query", parent);
-        let bridge_start = std::time::Instant::now();
         let (left_maps, right_maps) = self.bridge_keys(
             &lts,
             left,
@@ -154,7 +153,6 @@ impl DbaasServer {
             &mut stats,
             bridge_span.id(),
         )?;
-        stats.bridge_ns = bridge_start.elapsed().as_nanos() as u64;
         bridge_span.finish();
 
         // Untrusted hash build over the left side's bridge ids...
@@ -172,7 +170,6 @@ impl DbaasServer {
         let lcols = column_indices(&lts, &left.columns)?;
         let rcols = column_indices(&rts, &right.columns)?;
         let render_span = obs.span("render", "query", parent);
-        let render_start = std::time::Instant::now();
         let mut rows: Vec<Vec<CellValue>> = Vec::new();
         for (q, part) in rscan.iter().enumerate() {
             for (ord, code) in part.row_codes.iter().enumerate() {
@@ -190,10 +187,9 @@ impl DbaasServer {
                 }
             }
         }
-        stats.render_ns += render_start.elapsed().as_nanos() as u64;
         render_span.finish();
         stats.result_rows = rows.len();
-        self.store_stats(stats);
+        self.store_stats(stats, parent);
 
         let columns = left
             .columns
@@ -218,7 +214,7 @@ impl DbaasServer {
         right: &JoinSideQuery,
         rscan: &[SidePartScan],
         stats: &mut QueryStats,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<(SideMaps, SideMaps), DbError> {
         let empty = (
             vec![HashMap::new(); lscan.len()],

@@ -636,12 +636,14 @@ impl DbaasServer {
     }
 
     /// Publishes a completed query's [`QueryStats`] — the single
-    /// query-path hook into the metrics registry. ECALL-level counters
-    /// (`ecalls_total`, `values_decrypted_total`, …) are *not* derived
-    /// from `stats` here: each enclave transition already recorded
-    /// itself through [`Obs::ecall`], and double counting would break
-    /// the ledger/registry agreement.
-    pub(crate) fn store_stats(&self, stats: QueryStats) {
+    /// query-path hook into the metrics registry. Its timing fields are
+    /// read from the closed spans of `span`'s request. ECALL-level
+    /// counters (`ecalls_total`, `values_decrypted_total`, …) are *not*
+    /// derived from `stats` here: each enclave transition already
+    /// recorded itself through [`Obs::ecall`], and double counting would
+    /// break the ledger/registry agreement.
+    pub(crate) fn store_stats(&self, mut stats: QueryStats, span: &SpanId) {
+        stats.set_times(&span.closed_layers());
         self.obs
             .add(Counter::RowsReturnedTotal, stats.result_rows as u64);
         self.obs.add(
@@ -677,7 +679,8 @@ impl DbaasServer {
     ///
     /// Propagates lookup, arity and enclave failures.
     pub fn execute_query(&self, query: ServerQuery) -> Result<QueryOutcome, DbError> {
-        self.execute_query_traced(query, SpanId::NONE)
+        let root = self.obs.span("query", "query", &SpanId::NONE);
+        self.execute_query_traced(query, root.id())
     }
 
     /// [`DbaasServer::execute_query`] with an explicit trace parent —
@@ -687,7 +690,7 @@ impl DbaasServer {
     pub(crate) fn execute_query_traced(
         &self,
         query: ServerQuery,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<QueryOutcome, DbError> {
         match query {
             ServerQuery::Select {

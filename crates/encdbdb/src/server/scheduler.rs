@@ -45,8 +45,12 @@
 //! ledgers are those of an unscheduled call. A round of K ≥ 2 is one
 //! parentless [`EcallKind::Batch`] entry whose totals are the sums over
 //! the coalesced requests, plus `ecall_batches_total` /
-//! `batched_calls_total` and the batch-occupancy histogram. Per-request
-//! queue wait lands in `ecall_wait_ns`.
+//! `batched_calls_total` and the batch-occupancy histogram. Each submitter
+//! then records its own queue wait as a `sched.wait` span (and the
+//! `ecall_wait_ns` histogram), and its share of a K ≥ 2 round as a
+//! `shared.*` span, so its request's span tree covers the whole submit.
+//! The unscheduled calls — an insert's re-encryption, a compaction merge —
+//! are recorded by [`direct_ecall`].
 //!
 //! Crash-safety: a leader that panics mid-round (an enclave bug, or the
 //! injected test hook) must not wedge its followers' condvar waits. The
@@ -59,13 +63,12 @@
 
 use super::{lock, QueryStats};
 use crate::error::DbError;
-use crate::obs::{EcallIo, EcallKind, Hist, Obs, SpanId};
+use crate::obs::{now_ns, EcallIo, EcallKind, Hist, Obs, SpanId};
 use encdict::batch::{AggregateRequest, JoinBridgeRequest, ReadCall, SearchCall};
 use encdict::enclave_ops::{AggregateReply, JoinBridgeReply, ReadReply};
 use encdict::{DictEnclave, DictSearchResult, EncdictError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Dispatch-compatibility key: only requests with equal keys coalesce
 /// into one combined transition.
@@ -82,10 +85,8 @@ struct BatchKey {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EcallCost {
     kind: EcallKind,
-    /// Wall-clock duration of the enclave transition.
-    dur_ns: u64,
-    /// Submit-to-dispatch queue wait.
-    wait_ns: u64,
+    /// The transition's interval on the process clock.
+    round: (u64, u64),
     /// Batch occupancy of the transition (1 = ran alone).
     peers: usize,
     /// Value-cache hits scored by this sub-call.
@@ -96,19 +97,15 @@ pub(crate) struct EcallCost {
 
 impl EcallCost {
     /// Folds this call into its query's stats: the logical enclave-call
-    /// count (per request, shared transition or not), cache hits, queue
-    /// wait and the number of peer requests that shared the transition. A
-    /// search is *timed* (`dict_search_ns`); an aggregate or bridge is
-    /// timed by its caller's phase clock and *counted* by the values it
-    /// decrypted.
+    /// count (per request, shared transition or not), cache hits and the
+    /// number of peer requests that shared the transition. An aggregate
+    /// or bridge also counts the values it decrypted. Times come from the
+    /// query's span tree.
     pub(crate) fn absorb_into(&self, stats: &mut QueryStats) {
         stats.enclave_calls += 1;
         stats.cache_hits += self.cache_hits as usize;
-        stats.ecall_wait_ns += self.wait_ns;
         stats.batch_peers += self.peers - 1;
-        if self.kind == EcallKind::Search {
-            stats.dict_search_ns += self.dur_ns;
-        } else {
+        if self.kind != EcallKind::Search {
             stats.values_decrypted += self.values_decrypted as usize;
         }
     }
@@ -119,14 +116,13 @@ impl EcallCost {
 type Delivery = Result<(ReadReply, EcallCost), EncdictError>;
 
 /// One queued request: the call, its compatibility key, the span its
-/// ledger entry belongs under, the reply slot its session is blocked on,
-/// and its enqueue time.
+/// ledger entry belongs under and the reply slot its session is blocked
+/// on.
 struct Pending {
     call: ReadCall,
     key: BatchKey,
     parent: SpanId,
     slot: Arc<ReplySlot>,
-    enqueued: Instant,
 }
 
 /// A one-shot reply mailbox.
@@ -226,7 +222,7 @@ impl EcallScheduler {
         &self,
         call: SearchCall,
         generation: u64,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<(Vec<DictSearchResult>, EcallCost), DbError> {
         let (reply, cost) = self.submit(ReadCall::Search(call), generation, parent)?;
         Ok((reply.into_search()?, cost))
@@ -237,7 +233,7 @@ impl EcallScheduler {
         &self,
         req: AggregateRequest,
         generation: u64,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<(AggregateReply, EcallCost), DbError> {
         let (reply, cost) = self.submit(ReadCall::Aggregate(req), generation, parent)?;
         Ok((reply.into_aggregated()?, cost))
@@ -248,7 +244,7 @@ impl EcallScheduler {
         &self,
         req: JoinBridgeRequest,
         generation: u64,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<(JoinBridgeReply, EcallCost), DbError> {
         let (reply, cost) = self.submit(ReadCall::JoinBridge(req), generation, parent)?;
         Ok((reply.into_bridged()?, cost))
@@ -257,20 +253,21 @@ impl EcallScheduler {
     /// Submits one call and blocks until its reply is available — by
     /// executing it (as leader, possibly coalescing peers, or alone when
     /// batching is off) or by waiting for the active leader to dispatch
-    /// it.
-    fn submit(&self, call: ReadCall, generation: u64, parent: SpanId) -> Delivery {
-        let kind = match call {
-            ReadCall::Search(_) => EcallKind::Search,
-            ReadCall::Aggregate(_) => EcallKind::Aggregate,
-            ReadCall::JoinBridge(_) => EcallKind::JoinBridge,
+    /// it — then records the wait, and a shared round's interval, under
+    /// `parent`.
+    fn submit(&self, call: ReadCall, generation: u64, parent: &SpanId) -> Delivery {
+        let (kind, shared) = match call {
+            ReadCall::Search(_) => (EcallKind::Search, "shared.search"),
+            ReadCall::Aggregate(_) => (EcallKind::Aggregate, "shared.aggregate"),
+            ReadCall::JoinBridge(_) => (EcallKind::JoinBridge, "shared.join_bridge"),
         };
+        let enqueued_ns = now_ns();
         let slot = Arc::new(ReplySlot::default());
         let pending = Pending {
             call,
             key: BatchKey { kind, generation },
-            parent,
+            parent: parent.clone(),
             slot: Arc::clone(&slot),
-            enqueued: Instant::now(),
         };
         if !self.enabled() {
             self.execute_round(vec![pending], false);
@@ -284,7 +281,14 @@ impl EcallScheduler {
                 self.lead(pending);
             }
         }
-        slot.wait()
+        let (reply, cost) = slot.wait()?;
+        let waited = (enqueued_ns, cost.round.0);
+        let wait_ns = self.obs.interval("sched.wait", "query", parent, waited, 0);
+        self.obs.record(Hist::EcallWaitNs, wait_ns);
+        if cost.peers > 1 {
+            self.obs.interval(shared, "query", parent, cost.round, 0);
+        }
+        Ok((reply, cost))
     }
 
     /// Leader loop: run the own call's round, then keep draining rounds
@@ -317,12 +321,7 @@ impl EcallScheduler {
     /// instead of leaving the followers wedged on their condvars.
     fn execute_round(&self, round: Vec<Pending>, leading: bool) {
         let peers = round.len();
-        let start_ns = self.obs.now_ns();
-        let started = Instant::now();
-        let waits_ns: Vec<u64> = round
-            .iter()
-            .map(|p| p.enqueued.elapsed().as_nanos() as u64)
-            .collect();
+        let start_ns = now_ns();
         let mut guard = RoundGuard {
             sched: self,
             round,
@@ -334,7 +333,7 @@ impl EcallScheduler {
         }
         let items = enclave.batch(guard.round.iter().map(|p| &p.call).collect());
         drop(enclave);
-        let dur_ns = started.elapsed().as_nanos() as u64;
+        let round = (start_ns, now_ns());
         debug_assert_eq!(items.len(), peers, "one reply per coalesced request");
 
         // One ledger entry per transition, written before any session
@@ -353,19 +352,16 @@ impl EcallScheduler {
             io.cache_misses += item.cache_misses;
         }
         let (kind, parent) = match guard.round.as_slice() {
-            [only] => (only.key.kind, only.parent),
-            _ => (EcallKind::Batch, SpanId::NONE),
+            [only] => (only.key.kind, &only.parent),
+            _ => (EcallKind::Batch, &SpanId::NONE),
         };
-        self.obs
-            .ecall_batched(kind, io, start_ns, dur_ns, parent, peers as u64);
+        self.obs.ecall(kind, io, round, parent, peers as u64);
         // Drain leaves the guard's round empty, so its Drop is a no-op
         // on the normal path.
-        for ((pending, item), wait_ns) in guard.round.drain(..).zip(items).zip(waits_ns) {
-            self.obs.record(Hist::EcallWaitNs, wait_ns);
+        for (pending, item) in guard.round.drain(..).zip(items) {
             let cost = EcallCost {
                 kind: pending.key.kind,
-                dur_ns,
-                wait_ns,
+                round,
                 peers,
                 cache_hits: item.cache_hits,
                 values_decrypted: item.reply.values_decrypted(item.untrusted_loads),
@@ -373,6 +369,36 @@ impl EcallScheduler {
             pending.slot.fill(Ok((item.reply, cost)));
         }
     }
+}
+
+/// Runs one unscheduled enclave call — an insert's re-encryption or a
+/// compaction merge — and records it as one `kind` transition under
+/// `parent`. The enclave's untrusted-traffic counters are read before and
+/// after while the lock is held, and `io` completes the payload
+/// accounting from the call's result and those deltas. A refused call
+/// records nothing. Returns the result and the transition's duration.
+pub(crate) fn direct_ecall<T>(
+    enclave: &Mutex<DictEnclave>,
+    obs: &Obs,
+    kind: EcallKind,
+    parent: &SpanId,
+    call: impl FnOnce(&mut DictEnclave) -> Result<T, EncdictError>,
+    io: impl FnOnce(&T, EcallIo) -> EcallIo,
+) -> Result<(T, u64), DbError> {
+    let start_ns = now_ns();
+    let mut guard = lock(enclave);
+    let before = guard.enclave().counters();
+    let out = call(&mut guard)?;
+    let after = guard.enclave().counters();
+    drop(guard);
+    let traffic = EcallIo {
+        untrusted_loads: after.untrusted_loads - before.untrusted_loads,
+        untrusted_bytes: after.untrusted_bytes - before.untrusted_bytes,
+        ..EcallIo::default()
+    };
+    let interval = (start_ns, now_ns());
+    obs.ecall(kind, io(&out, traffic), interval, parent, 1);
+    Ok((out, interval.1 - interval.0))
 }
 
 /// Owns a dispatching round for the duration of its enclave transition.
@@ -445,7 +471,6 @@ mod tests {
             key: BatchKey { kind, generation },
             parent: SpanId::NONE,
             slot: Arc::new(ReplySlot::default()),
-            enqueued: Instant::now(),
         }
     }
 
@@ -539,7 +564,7 @@ mod tests {
         // happened — it is recorded like any other, with an empty reply.
         let enclave = Arc::new(Mutex::new(DictEnclave::with_seed(1)));
         let sched = EcallScheduler::new(enclave, Obs::new());
-        let err = sched.search(empty_search(), 1, SpanId::NONE).unwrap_err();
+        let err = sched.search(empty_search(), 1, &SpanId::NONE).unwrap_err();
         assert!(matches!(
             err,
             DbError::Dict(EncdictError::KeyNotProvisioned)
@@ -573,7 +598,7 @@ mod tests {
         // round of one.
         let pin = lock(&enclave);
         let submit = |generation: u64| {
-            let span = obs.span("submitter", "query", SpanId::NONE);
+            let span = obs.span("submitter", "query", &SpanId::NONE);
             sched
                 .search(empty_search(), generation, span.id())
                 .expect("search");

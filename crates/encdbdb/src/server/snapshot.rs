@@ -13,7 +13,7 @@ use super::scheduler::EcallScheduler;
 use super::table::intersect_sorted;
 use super::{CellValue, DbaasServer, QueryStats, SelectResponse, ServerFilter};
 use crate::error::DbError;
-use crate::obs::SpanId;
+use crate::obs::{Obs, SpanId};
 use crate::schema::TableSchema;
 use colstore::dictionary::RecordId;
 use encdict::avsearch;
@@ -24,11 +24,12 @@ use encdict::{CacheTag, EncdictError, EncryptedDictionary, EncryptedRange};
 use std::sync::Arc;
 
 /// The scheduler handle a partition scan issues its search ECALLs
-/// through, with the span their ledger entries belong under (typically
-/// the per-partition scan span).
+/// through, with the span they and the scan's other phases are recorded
+/// under (the per-partition span).
 struct EnclaveCtx<'a> {
     sched: &'a EcallScheduler,
-    parent: SpanId,
+    obs: &'a Obs,
+    parent: &'a SpanId,
     /// Partition discriminator for the in-enclave decrypted-value cache
     /// (the partition index of the scanned snapshot). Paired with the
     /// snapshot epoch it forms the [`encdict::CacheTag`]; see DESIGN.md
@@ -142,7 +143,7 @@ impl DbaasServer {
         &self,
         ts: &TableSnapshot,
         filters: &[ServerFilter],
-        parent: SpanId,
+        parent: &SpanId,
         stats: &mut QueryStats,
         work: F,
     ) -> Result<Vec<T>, DbError>
@@ -154,7 +155,7 @@ impl DbaasServer {
                 Vec<RecordId>,
                 Vec<RecordId>,
                 &mut QueryStats,
-                SpanId,
+                &SpanId,
             ) -> Result<T, DbError>
             + Sync,
     {
@@ -164,6 +165,7 @@ impl DbaasServer {
                 .span_arg("partition", "query", parent, pid as u64);
             let ctx = EnclaveCtx {
                 sched: self.scheduler(),
+                obs: self.obs(),
                 parent: span.id(),
                 part: pid as u64,
             };
@@ -278,10 +280,8 @@ fn matching_rids(
                 Vec::new()
             } else {
                 let results = sched_search(ctx, snap, main.dict_arc(), false, ranges, &mut stats)?;
-                let av_start = std::time::Instant::now();
-                let rids = avsearch::scan(main.av(), &results);
-                stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
-                rids
+                let _scan = ctx.obs.span("av.scan", "query", ctx.parent);
+                avsearch::scan(main.av(), &results)
             };
             // The empty (or fully-deleted) delta needs no ECALL either.
             let delta_rids = if delta.is_empty() || snap.delta_valid_rows == 0 || ranges.is_empty()
@@ -303,15 +303,15 @@ fn matching_rids(
         ) => {
             // As for an encrypted column: every range searched first,
             // then one combined AV pass over the union.
-            let dict_start = std::time::Instant::now();
+            let search = ctx.obs.span("search.plain", "query", ctx.parent);
             let results = ranges
                 .iter()
                 .map(|range| search_plain(dict, range))
                 .collect::<Result<Vec<_>, _>>()?;
-            stats.dict_search_ns += dict_start.elapsed().as_nanos() as u64;
-            let av_start = std::time::Instant::now();
+            search.finish();
+            let scan = ctx.obs.span("av.scan", "query", ctx.parent);
             let main_rids = avsearch::scan(av, &results);
-            stats.av_search_ns += av_start.elapsed().as_nanos() as u64;
+            scan.finish();
             let delta_rids = (0..delta.len() as u32)
                 .map(RecordId)
                 .filter(|&rid| ranges.iter().any(|r| r.contains(delta.value(rid))))
@@ -375,7 +375,7 @@ impl DbaasServer {
         columns: &[String],
         filters: &[ServerFilter],
         scope: Option<&[usize]>,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<SelectResponse, DbError> {
         let obs = self.obs().clone();
         let snap_span = obs.span("snapshot", "query", parent);
@@ -410,9 +410,8 @@ impl DbaasServer {
             filters,
             scan_span.id(),
             &mut stats,
-            |_, snap, main_rids, delta_rids, part_stats, pspan| {
-                let render_span = obs.span("render", "query", pspan);
-                let render_start = std::time::Instant::now();
+            |_, snap, main_rids, delta_rids, _, pspan| {
+                let _render = obs.span("render", "query", pspan);
                 let mut rows = Vec::with_capacity(main_rids.len() + delta_rids.len());
                 for &rid in &main_rids {
                     let mut row = Vec::with_capacity(col_indices.len());
@@ -428,8 +427,6 @@ impl DbaasServer {
                     }
                     rows.push(row);
                 }
-                render_span.finish();
-                part_stats.render_ns = render_start.elapsed().as_nanos() as u64;
                 Ok(rows)
             },
         )?;
@@ -437,7 +434,7 @@ impl DbaasServer {
 
         let rows: Vec<Vec<CellValue>> = per_partition.into_iter().flatten().collect();
         stats.result_rows = rows.len();
-        self.store_stats(stats);
+        self.store_stats(stats, parent);
         Ok(SelectResponse {
             columns: projected,
             rows,

@@ -1,5 +1,7 @@
 //! Observable execution and compaction statistics.
 
+use crate::obs::{Layer, LayerTimes};
+
 /// Execution statistics for one query (latency breakdowns for the
 /// Figure 8 harness, plus the `exec` engine's boundary accounting and the
 /// partition layer's pruning accounting).
@@ -11,32 +13,37 @@
 ///
 /// * **Fold-additive** — summed by `QueryStats::absorb` when
 ///   per-partition (or per-join-side) contributions fold into the query
-///   total: the latency components (`dict_search_ns`, `av_search_ns`,
-///   `aggregate_ns`, `render_ns`, `bridge_ns`), the boundary counters
-///   (`chunks_scanned`, `enclave_calls`, `values_decrypted`), the join
-///   counters (`join_build_rows`, `join_probe_rows`, `bridge_entries`),
-///   and `snapshot_epoch` (which folds by *maximum*, not sum).
+///   total: the boundary counters (`chunks_scanned`, `enclave_calls`,
+///   `values_decrypted`), the join counters (`join_build_rows`,
+///   `join_probe_rows`, `bridge_entries`), and `snapshot_epoch` (which
+///   folds by *maximum*, not sum).
 /// * **Set-once** — assigned exactly once at the top level of the query
 ///   and deliberately **not** folded, because per-side values would
 ///   double-count or are meaningless to add: `result_rows` (joined rows
-///   ≠ left rows + right rows), and `partitions_total` /
+///   ≠ left rows + right rows), `partitions_total` /
 ///   `partitions_scanned` / `partitions_pruned` (the join path reports
-///   the *sum over both sides*, set after both scans complete).
+///   the *sum over both sides*, set after both scans complete), and the
+///   times (`dict_search_ns`, `av_search_ns`, `aggregate_ns`,
+///   `render_ns`, `bridge_ns`, `ecall_wait_ns`), read from the query's
+///   span tree when it completes. Parallel partitions share the wall
+///   clock there, so the times of one query never sum to more than its
+///   duration.
 ///
 /// When adding a field, extend `QueryStats::absorb`: its exhaustive
 /// destructuring makes the compiler flag the new field, forcing an
 /// explicit fold-additive-or-set-once decision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Nanoseconds spent in the enclave dictionary search.
+    /// Nanoseconds spent in dictionary search ([`Layer::DictSearch`]):
+    /// search ECALLs, or the plaintext search of PLAIN columns.
     pub dict_search_ns: u64,
-    /// Nanoseconds spent scanning the attribute vector (including the
-    /// histogram scan of aggregate queries).
+    /// Nanoseconds spent scanning the attribute vector, including the
+    /// histogram scan of aggregate queries ([`Layer::AvScan`]).
     pub av_search_ns: u64,
-    /// Nanoseconds spent in the enclave aggregation ECALL (or the local
-    /// aggregation for all-PLAIN queries).
+    /// Nanoseconds spent aggregating: the `Aggregate` ECALL, or the local
+    /// aggregation of all-PLAIN queries ([`Layer::Aggregate`]).
     pub aggregate_ns: u64,
-    /// Nanoseconds spent rendering the result columns.
+    /// Nanoseconds spent rendering the result columns ([`Layer::Render`]).
     pub render_ns: u64,
     /// Number of result rows (groups for aggregate queries).
     pub result_rows: usize,
@@ -70,13 +77,13 @@ pub struct QueryStats {
     /// Distinct join keys present on both sides (the size of the
     /// ValueID↔ValueID bridge the `JoinBridge` ECALL returned).
     pub bridge_entries: usize,
-    /// Nanoseconds spent building the join-key bridge (the `JoinBridge`
-    /// ECALL, or the local match for all-PLAIN keys).
+    /// Nanoseconds spent building the join-key bridge: the `JoinBridge`
+    /// ECALL, or the local match for all-PLAIN keys ([`Layer::Bridge`]).
     pub bridge_ns: u64,
     /// Nanoseconds this query's enclave calls spent queued in the
     /// cross-session ECALL scheduler before their transition started
-    /// (DESIGN.md §15). With batching off a call never queues, so this
-    /// is only the time to reach the executor.
+    /// (DESIGN.md §15; [`Layer::SchedWait`]). With batching off a call
+    /// never queues, so this is only the time to reach the executor.
     pub ecall_wait_ns: u64,
     /// Total number of *other* sessions' requests that shared enclave
     /// transitions with this query's calls: the sum over this query's
@@ -85,9 +92,19 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Sets the timing fields from the layer times of the query's spans.
+    pub(crate) fn set_times(&mut self, t: &LayerTimes) {
+        self.dict_search_ns = t.get(Layer::DictSearch);
+        self.av_search_ns = t.get(Layer::AvScan);
+        self.aggregate_ns = t.get(Layer::Aggregate);
+        self.render_ns = t.get(Layer::Render);
+        self.bridge_ns = t.get(Layer::Bridge);
+        self.ecall_wait_ns = t.get(Layer::SchedWait);
+    }
+
     /// Folds another partition's (or join side's) stats into this one —
     /// fold-additive fields sum, `snapshot_epoch` takes the maximum, and
-    /// the set-once fields (`result_rows`, `partitions_*`) are
+    /// the set-once fields (`result_rows`, `partitions_*`, the times) are
     /// *deliberately discarded*: the caller assigns them once at the top
     /// level (see the struct docs for the field classification).
     ///
@@ -96,10 +113,6 @@ impl QueryStats {
     /// classified.
     pub(crate) fn absorb(&mut self, other: &QueryStats) {
         let QueryStats {
-            dict_search_ns,
-            av_search_ns,
-            aggregate_ns,
-            render_ns,
             chunks_scanned,
             enclave_calls,
             values_decrypted,
@@ -108,8 +121,6 @@ impl QueryStats {
             join_build_rows,
             join_probe_rows,
             bridge_entries,
-            bridge_ns,
-            ecall_wait_ns,
             batch_peers,
             // Set-once fields: assigned by the top-level query path,
             // never folded (see struct docs).
@@ -117,11 +128,13 @@ impl QueryStats {
             partitions_total: _,
             partitions_scanned: _,
             partitions_pruned: _,
+            dict_search_ns: _,
+            av_search_ns: _,
+            aggregate_ns: _,
+            render_ns: _,
+            bridge_ns: _,
+            ecall_wait_ns: _,
         } = *other;
-        self.dict_search_ns += dict_search_ns;
-        self.av_search_ns += av_search_ns;
-        self.aggregate_ns += aggregate_ns;
-        self.render_ns += render_ns;
         self.chunks_scanned += chunks_scanned;
         self.enclave_calls += enclave_calls;
         self.values_decrypted += values_decrypted;
@@ -130,8 +143,6 @@ impl QueryStats {
         self.join_build_rows += join_build_rows;
         self.join_probe_rows += join_probe_rows;
         self.bridge_entries += bridge_entries;
-        self.bridge_ns += bridge_ns;
-        self.ecall_wait_ns += ecall_wait_ns;
         self.batch_peers += batch_peers;
     }
 }
@@ -268,13 +279,6 @@ mod tests {
 
         // Fold-additive: sums.
         assert_eq!(
-            total.dict_search_ns,
-            before.dict_search_ns + side.dict_search_ns
-        );
-        assert_eq!(total.av_search_ns, before.av_search_ns + side.av_search_ns);
-        assert_eq!(total.aggregate_ns, before.aggregate_ns + side.aggregate_ns);
-        assert_eq!(total.render_ns, before.render_ns + side.render_ns);
-        assert_eq!(
             total.chunks_scanned,
             before.chunks_scanned + side.chunks_scanned
         );
@@ -299,11 +303,6 @@ mod tests {
             total.bridge_entries,
             before.bridge_entries + side.bridge_entries
         );
-        assert_eq!(total.bridge_ns, before.bridge_ns + side.bridge_ns);
-        assert_eq!(
-            total.ecall_wait_ns,
-            before.ecall_wait_ns + side.ecall_wait_ns
-        );
         assert_eq!(total.batch_peers, before.batch_peers + side.batch_peers);
 
         // Fold-by-max.
@@ -318,6 +317,12 @@ mod tests {
         assert_eq!(total.partitions_total, before.partitions_total);
         assert_eq!(total.partitions_scanned, before.partitions_scanned);
         assert_eq!(total.partitions_pruned, before.partitions_pruned);
+        assert_eq!(total.dict_search_ns, before.dict_search_ns);
+        assert_eq!(total.av_search_ns, before.av_search_ns);
+        assert_eq!(total.aggregate_ns, before.aggregate_ns);
+        assert_eq!(total.render_ns, before.render_ns);
+        assert_eq!(total.bridge_ns, before.bridge_ns);
+        assert_eq!(total.ecall_wait_ns, before.ecall_wait_ns);
     }
 
     #[test]
@@ -325,7 +330,7 @@ mod tests {
         let mut total = QueryStats::default();
         let side = dense(5);
         total.absorb(&side);
-        assert_eq!(total.dict_search_ns, side.dict_search_ns);
+        assert_eq!(total.enclave_calls, side.enclave_calls);
         assert_eq!(total.snapshot_epoch, side.snapshot_epoch);
         assert_eq!(total.result_rows, 0, "set-once field must not fold");
         assert_eq!(total.partitions_scanned, 0, "set-once field must not fold");

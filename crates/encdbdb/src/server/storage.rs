@@ -308,8 +308,7 @@ impl Storage {
         record: &WalRecord<'_>,
     ) -> Result<(), DbError> {
         self.check_alive()?;
-        let span = self.obs.span("wal.append", "durability", SpanId::NONE);
-        let t0 = std::time::Instant::now();
+        let span = self.obs.span("wal.append", "durability", &SpanId::NONE);
         let framed = frame(&self.seal(&record.encode()));
         if *lock(&self.armed) == Some(FailPoint::WalTornAppend) {
             // A crash mid-write: half the frame reaches the file.
@@ -323,13 +322,10 @@ impl Storage {
         wal.pending_syncs += 1;
         if wal.pending_syncs >= self.policy.wal_fsync_batch {
             let fsync_span = self.obs.span("wal.fsync", "durability", span.id());
-            let f0 = std::time::Instant::now();
             wal.file
                 .sync_data()
                 .map_err(io_err("fsync of", &wal.path))?;
-            self.obs
-                .record(Hist::WalFsyncNs, f0.elapsed().as_nanos() as u64);
-            fsync_span.finish();
+            fsync_span.finish_into(Hist::WalFsyncNs);
             wal.pending_syncs = 0;
             self.obs.add(Counter::WalFsyncsTotal, 1);
             self.with_stats(|s| s.wal_fsyncs += 1);
@@ -339,9 +335,7 @@ impl Storage {
             s.wal_bytes_appended += framed.len() as u64;
         });
         self.obs.add(Counter::WalRecordsTotal, 1);
-        self.obs
-            .record(Hist::WalAppendNs, t0.elapsed().as_nanos() as u64);
-        span.finish();
+        span.finish_into(Hist::WalAppendNs);
         Ok(())
     }
 
@@ -387,8 +381,7 @@ impl Storage {
         self.check_alive()?;
         let span = self
             .obs
-            .span_arg("snapshot.persist", "durability", SpanId::NONE, pid as u64);
-        let t0 = std::time::Instant::now();
+            .span_arg("snapshot.persist", "durability", &SpanId::NONE, pid as u64);
         let payload = format::encode_snapshot(schema, pid, main, drained_total);
         let framed = frame(&self.seal(&payload));
         let dir = self.table_dir(&schema.name)?;
@@ -404,10 +397,8 @@ impl Storage {
         std::fs::rename(&tmp, &path).map_err(io_err("publishing snapshot", &path))?;
         self.with_stats(|s| s.snapshots_persisted += 1);
         self.obs.add(Counter::SnapshotsPersistedTotal, 1);
-        self.obs
-            .record(Hist::SnapshotPersistNs, t0.elapsed().as_nanos() as u64);
         self.prune_snapshots(&schema.name, pid, main.epoch, self.policy.snapshot_history)?;
-        span.finish();
+        span.finish_into(Hist::SnapshotPersistNs);
         Ok(())
     }
 
@@ -789,16 +780,14 @@ impl DbaasServer {
             ));
         }
         let obs = self.obs().clone();
-        let span = obs.span("recover", "durability", SpanId::NONE);
-        let t0 = std::time::Instant::now();
+        let span = obs.span("recover", "durability", &SpanId::NONE);
         for name in storage.stored_tables()? {
             let table = self.recover_table(&storage, &name, span.id())?;
             tables.insert(name, table);
         }
         *slot = Some(storage);
         obs.add(Counter::RecoveriesTotal, 1);
-        obs.record(Hist::RecoveryNs, t0.elapsed().as_nanos() as u64);
-        span.finish();
+        span.finish_into(Hist::RecoveryNs);
         Ok(())
     }
 
@@ -806,7 +795,7 @@ impl DbaasServer {
         &self,
         storage: &Storage,
         name: &str,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<Arc<ServerTable>, DbError> {
         let schema = storage.load_manifest(name)?;
         let load_span = self.obs().span("recovery.load", "durability", parent);

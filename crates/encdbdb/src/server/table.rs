@@ -4,6 +4,7 @@
 
 use super::format::{DeleteRecord, InsertGroup, WalRecord};
 use super::partition::{MainColumn, Partition, PartitionSnapshot};
+use super::scheduler::direct_ecall;
 use super::snapshot::TableSnapshot;
 use super::{
     lock, CellValue, DbaasServer, DeployedColumn, QueryStats, ServerFilter, MERGE_RETRIES,
@@ -246,7 +247,7 @@ impl DbaasServer {
         table: &str,
         rows: &[Vec<CellValue>],
         partition_ids: Option<&[usize]>,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<usize, DbError> {
         let obs = self.obs().clone();
         let span = obs.span_arg("insert", "query", parent, rows.len() as u64);
@@ -271,28 +272,19 @@ impl DbaasServer {
                         // One ECALL per encrypted cell: the enclave
                         // decrypts the owner ciphertext and re-encrypts
                         // it under the delta-entry regime.
-                        let start_ns = obs.now_ns();
-                        let t0 = std::time::Instant::now();
-                        let mut enclave = self.enclave();
-                        let before = enclave.enclave().counters();
-                        let fresh = enclave.reencrypt(&t.schema.name, &spec.name, ct)?;
-                        let after = enclave.enclave().counters();
-                        drop(enclave);
-                        obs.ecall(
+                        let (fresh, _) = direct_ecall(
+                            &self.enclave,
+                            &obs,
                             EcallKind::Reencrypt,
-                            EcallIo {
+                            span.id(),
+                            |e| e.reencrypt(&t.schema.name, &spec.name, ct),
+                            |fresh, traffic| EcallIo {
                                 bytes_in: ct.len() as u64,
                                 bytes_out: fresh.as_bytes().len() as u64,
                                 values_decrypted: 1,
-                                untrusted_loads: after.untrusted_loads - before.untrusted_loads,
-                                untrusted_bytes: after.untrusted_bytes - before.untrusted_bytes,
-                                cache_hits: 0,
-                                cache_misses: 0,
+                                ..traffic
                             },
-                            start_ns,
-                            t0.elapsed().as_nanos() as u64,
-                            span.id(),
-                        );
+                        )?;
                         out.push(CellValue::Encrypted(fresh.into_bytes()));
                     }
                     (DictChoice::Plain, CellValue::Plain(v)) => {
@@ -383,7 +375,7 @@ impl DbaasServer {
         table: &str,
         filters: &[ServerFilter],
         scope: Option<&[usize]>,
-        parent: SpanId,
+        parent: &SpanId,
     ) -> Result<usize, DbError> {
         let obs = self.obs().clone();
         let span = obs.span("delete", "query", parent);

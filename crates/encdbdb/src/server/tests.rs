@@ -568,7 +568,7 @@ fn panicking_partition_scan_is_a_typed_error() {
         .scan_partitions(
             &ts,
             &[],
-            SpanId::NONE,
+            &SpanId::NONE,
             &mut QueryStats::default(),
             |pid, _, main, delta, _, _| {
                 assert_ne!(pid, 1, "injected shard-worker panic");

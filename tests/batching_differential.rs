@@ -25,8 +25,13 @@
 //!   size, not the size of the unioned row list, whether the call ran
 //!   alone or shared a transition.
 //!
+//! Every read of the paired legs also checks its span tree: the layers
+//! it folds into sum to the query's duration, and `QueryStats`' times are
+//! exactly those layers.
+//!
 //! Thread/case counts are bounded for CI via `ENCDBDB_STRESS_THREADS`.
 
+use encdbdb::obs::{Layer, LayerTimes};
 use encdbdb::{EcallKind, Session};
 use proptest::prelude::*;
 
@@ -103,6 +108,35 @@ fn sorted_col(r: encdbdb::QueryResult) -> Vec<String> {
     got
 }
 
+/// Checks the newest query's span tree in `db`'s trace ring: its layer
+/// times sum to the root's duration, `last_stats`' times are those
+/// layers, and the layers a filtered read crosses are non-zero.
+fn layers_match_stats(db: &Session, what: &str) -> Result<(), TestCaseError> {
+    let events = db.server().obs().trace_events();
+    let root = events
+        .iter()
+        .filter(|e| e.name == "query" && e.parent == 0)
+        .max_by_key(|e| e.id)
+        .expect("a query root in the ring");
+    let t = LayerTimes::of_tree(&events, root.id).expect("the root's tree");
+    prop_assert_eq!(t.total(), root.dur_ns, "{}: layers sum to the query", what);
+    let s = db.server().last_stats();
+    for (layer, ns) in [
+        (Layer::SchedWait, s.ecall_wait_ns),
+        (Layer::DictSearch, s.dict_search_ns),
+        (Layer::AvScan, s.av_search_ns),
+        (Layer::Aggregate, s.aggregate_ns),
+        (Layer::Bridge, s.bridge_ns),
+        (Layer::Render, s.render_ns),
+    ] {
+        prop_assert_eq!(t.get(layer), ns, "{}: {:?} vs QueryStats", what, layer);
+    }
+    for layer in [Layer::Parse, Layer::Plan, Layer::Snapshot, Layer::Fanout] {
+        prop_assert!(t.get(layer) > 0, "{}: {:?} untimed", what, layer);
+    }
+    Ok(())
+}
+
 /// Runs one schedule through both legs and checks every observable —
 /// results, row counts and (serial ⇒ singleton rounds only) the full
 /// per-kind leakage ledger — for equality.
@@ -156,7 +190,9 @@ fn run_legs(choice: &str, seed: u64, triples: &[(u8, u32, u32)]) -> Result<(), T
             Op::Range(lo, hi) => {
                 let q = format!("SELECT v FROM t WHERE v BETWEEN '{lo}' AND '{hi}'");
                 let got_b = sorted_col(batched.execute(&q).expect("range (batched)"));
+                layers_match_stats(&batched, "range (batched)")?;
                 let got_d = sorted_col(bypass.execute(&q).expect("range (bypass)"));
+                layers_match_stats(&bypass, "range (bypass)")?;
                 prop_assert_eq!(
                     &got_b,
                     &got_d,
@@ -180,7 +216,9 @@ fn run_legs(choice: &str, seed: u64, triples: &[(u8, u32, u32)]) -> Result<(), T
                     .execute(&q)
                     .expect("agg (batched)")
                     .rows_as_strings();
+                layers_match_stats(&batched, "agg (batched)")?;
                 let rows_d = bypass.execute(&q).expect("agg (bypass)").rows_as_strings();
+                layers_match_stats(&bypass, "agg (bypass)")?;
                 prop_assert_eq!(&rows_b, &rows_d, "{} step {}: aggregate legs", choice, step);
                 let hit = matched(&rows, lo, hi);
                 let sum = if hit.is_empty() {

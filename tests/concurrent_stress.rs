@@ -19,6 +19,7 @@
 
 use colstore::column::Column;
 use colstore::table::Table;
+use encdbdb::obs::{Layer, LayerTimes};
 use encdbdb::{
     ColumnSpec, CompactionPolicy, DictChoice, Session, TablePartitioning, TableSchema, TraceEvent,
 };
@@ -658,6 +659,26 @@ fn partition_parallel_join_spans_nest_correctly() {
             "dangling parent link in {e:?}"
         );
     }
+
+    // The four orders partitions ran in parallel, yet the layers split
+    // the join's wall clock: they sum to the root's duration, and the
+    // query's stats are those layers.
+    let layers = LayerTimes::of_tree(&events, root.id).expect("the join's tree");
+    assert_eq!(layers.total(), root.dur_ns);
+    let stats = db.server().last_stats();
+    assert_eq!(layers.get(Layer::Bridge), stats.bridge_ns);
+    assert_eq!(layers.get(Layer::DictSearch), stats.dict_search_ns);
+    assert!(stats.bridge_ns > 0 && stats.dict_search_ns > 0);
+    let timed = stats.ecall_wait_ns
+        + stats.dict_search_ns
+        + stats.av_search_ns
+        + stats.bridge_ns
+        + stats.render_ns;
+    assert!(
+        timed <= root.dur_ns,
+        "{timed} ns timed in a {} ns join",
+        root.dur_ns
+    );
 }
 
 #[test]

@@ -13,6 +13,7 @@
 
 use colstore::column::Column;
 use colstore::monetdb::MonetColumn;
+use encdbdb::obs::{Layer, LayerTimes};
 use encdbdb::Session;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -624,6 +625,19 @@ fn run_join_schedule(
                 choice,
                 step
             );
+            // The join's span tree splits its duration into layers, over
+            // parallel shards too, and the stats' times are those layers.
+            let events = db.server().obs().trace_events();
+            let root = events
+                .iter()
+                .filter(|e| e.name == "query" && e.parent == 0)
+                .max_by_key(|e| e.id)
+                .expect("the join's root span");
+            let layers = LayerTimes::of_tree(&events, root.id).expect("the join's tree");
+            prop_assert_eq!(layers.total(), root.dur_ns, "{} step {}", choice, step);
+            prop_assert_eq!(layers.get(Layer::Bridge), stats.bridge_ns);
+            prop_assert_eq!(layers.get(Layer::Render), stats.render_ns);
+            prop_assert_eq!(layers.get(Layer::AvScan), stats.av_search_ns);
             Ok(())
         };
     for (step, &(kind, a)) in steps.iter().enumerate() {
