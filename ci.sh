@@ -72,6 +72,15 @@ if grep -rn Instant crates/encdbdb/src --include='*.rs' | grep -v "^$CLOCK_MODUL
     exit 1
 fi
 
+# One differential harness, tests/harness, drives the one op stream
+# (`workload::schedule`) through every execution mode, and the kind list is
+# `workload::KINDS`: a schedule `enum Op` or `fn decode(`, or a copy of the
+# kind literal, anywhere under tests/ is a forked runner growing back.
+if grep -rnE 'enum Op\b|fn decode\(|"ED1", "ED2", "ED3"' tests; then
+    echo "a schedule runner outside workload::schedule, or a copied kind list (listed above)"
+    exit 1
+fi
+
 # One timing system: the repo benchmark (benchmark/, BENCHMARK.json), with
 # loadgen carrying the batching gates and the `micro` binary the quoted
 # micro rows (DESIGN.md §3). A criterion dependency, a [[bench]] target or a

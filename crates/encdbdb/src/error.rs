@@ -15,9 +15,11 @@ pub enum DbError {
     TableExists(String),
     /// A referenced column does not exist in the table.
     ColumnNotFound(String),
-    /// An INSERT row has the wrong number of values.
+    /// A row has the wrong number of values: an INSERT row against its
+    /// table, or a result row the untrusted server sent against the
+    /// query's columns.
     ArityMismatch {
-        /// Columns in the table.
+        /// Columns in the table or result.
         expected: usize,
         /// Values supplied.
         got: usize,
@@ -92,7 +94,7 @@ impl fmt::Display for DbError {
             DbError::ArityMismatch { expected, got } => {
                 write!(
                     f,
-                    "insert arity mismatch: table has {expected} columns, got {got} values"
+                    "row arity mismatch: {expected} columns, got {got} values"
                 )
             }
             DbError::UnsupportedFilter(msg) => write!(f, "unsupported filter: {msg}"),

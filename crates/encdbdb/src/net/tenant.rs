@@ -138,14 +138,17 @@ mod tests {
             panic!("expected insert");
         };
         assert_eq!(table, "acme__t");
-        let Statement::Delete { table, filter } = rewrite("DELETE FROM t WHERE c = 'x'", "acme")
+        let Statement::Delete {
+            table,
+            filter: Some(Filter::Compare { column, .. }),
+        } = rewrite("DELETE FROM t WHERE c = 'x'", "acme")
         else {
             panic!("expected delete");
         };
         assert_eq!(table, "acme__t");
         // Bare filter columns stay bare — they resolve against the
         // (already rewritten) target table.
-        assert_eq!(filter.unwrap().column_ref().unwrap().table, None);
+        assert_eq!(column.table, None);
     }
 
     #[test]
@@ -185,11 +188,10 @@ mod tests {
         };
         assert_eq!(*agg_col, ColumnRef::qualified("acme__b", "y"));
         // Both conjuncts of the AND filter are rewritten.
-        let Filter::And(a, b) = filter.expect("filter") else {
-            panic!("expected AND");
-        };
-        assert_eq!(a.column_ref().unwrap().table.as_deref(), Some("acme__a"));
-        assert_eq!(b.column_ref().unwrap().table.as_deref(), Some("acme__a"));
+        assert_eq!(
+            filter.expect("filter").to_string(),
+            "acme__a.x >= 'm' AND acme__a.x < 'z'"
+        );
         assert_eq!(group_by[0], ColumnRef::qualified("acme__a", "x"));
         let OrderTarget::Column(target) = &order_by[0].target else {
             panic!("expected column order target");

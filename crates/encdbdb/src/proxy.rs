@@ -739,13 +739,21 @@ impl Proxy {
     }
 }
 
-/// Decrypts a cell matrix against per-column optional keys.
+/// Decrypts a cell matrix against per-column optional keys. The server is
+/// untrusted, so a row whose width is not the key count is an error, not
+/// a short or long result row.
 fn decrypt_cells(
     rows: Vec<Vec<CellValue>>,
     paes: &[Option<Pae>],
 ) -> Result<Vec<Vec<Vec<u8>>>, DbError> {
     let mut out_rows = Vec::with_capacity(rows.len());
     for row in rows {
+        if row.len() != paes.len() {
+            return Err(DbError::ArityMismatch {
+                expected: paes.len(),
+                got: row.len(),
+            });
+        }
         let mut out = Vec::with_capacity(row.len());
         for (cell, pae) in row.into_iter().zip(paes) {
             out.push(match (cell, pae) {
@@ -938,6 +946,24 @@ mod tests {
             merge_column_ranges(&mut out, col, disjuncts).unwrap();
         }
         out
+    }
+
+    #[test]
+    fn server_rows_of_the_wrong_width_are_rejected() {
+        let paes = [None, None];
+        let cell = || CellValue::Plain(b"v".to_vec());
+        let ok = decrypt_cells(vec![vec![cell(), cell()]], &paes).unwrap();
+        assert_eq!(ok, [[b"v".to_vec(), b"v".to_vec()]]);
+        for width in [1, 3] {
+            let err = decrypt_cells(vec![vec![cell(); width]], &paes).unwrap_err();
+            assert_eq!(
+                err,
+                DbError::ArityMismatch {
+                    expected: 2,
+                    got: width
+                }
+            );
+        }
     }
 
     #[test]

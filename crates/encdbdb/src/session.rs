@@ -262,24 +262,6 @@ impl ReaderSession {
     pub fn server(&self) -> &DbaasServer {
         &self.server
     }
-
-    /// Snapshot of the shared deployment's metrics (see
-    /// [`Session::metrics_report`]).
-    pub fn metrics_report(&self) -> crate::MetricsReport {
-        self.server.obs().metrics_report()
-    }
-
-    /// The shared deployment's ECALL leakage ledger (see
-    /// [`Session::leakage_ledger`]).
-    pub fn leakage_ledger(&self) -> crate::LedgerReport {
-        self.server.obs().ledger_report()
-    }
-
-    /// Exports the shared trace ring as Chrome-trace JSON (see
-    /// [`Session::export_trace`]).
-    pub fn export_trace(&self) -> String {
-        self.server.obs().export_trace()
-    }
 }
 
 #[cfg(test)]

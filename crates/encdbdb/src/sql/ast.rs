@@ -47,11 +47,6 @@ impl ColumnRef {
             column: column.into(),
         }
     }
-
-    /// The bare column name, qualifier stripped.
-    pub fn name(&self) -> &str {
-        &self.column
-    }
 }
 
 impl From<&str> for ColumnRef {
@@ -136,32 +131,6 @@ pub enum Filter {
     },
     /// Two filters joined by `AND`, e.g. `c >= 'a' AND c < 'b'`.
     And(Box<Filter>, Box<Filter>),
-}
-
-impl Filter {
-    /// The single column this filter targets, if consistent (bare name;
-    /// qualifiers must agree too — see [`Filter::column_ref`]).
-    pub fn column(&self) -> Option<&str> {
-        self.column_ref().map(ColumnRef::name)
-    }
-
-    /// The single column reference this filter targets, if consistent.
-    pub fn column_ref(&self) -> Option<&ColumnRef> {
-        match self {
-            Filter::Compare { column, .. }
-            | Filter::Between { column, .. }
-            | Filter::In { column, .. } => Some(column),
-            Filter::And(a, b) => {
-                let ca = a.column_ref()?;
-                let cb = b.column_ref()?;
-                if ca == cb {
-                    Some(ca)
-                } else {
-                    None
-                }
-            }
-        }
-    }
 }
 
 impl fmt::Display for Filter {
@@ -449,52 +418,6 @@ impl fmt::Display for Statement {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filter_column_consistency() {
-        let f = Filter::And(
-            Box::new(Filter::Compare {
-                column: "c".into(),
-                op: CompareOp::Ge,
-                value: b"a".to_vec(),
-            }),
-            Box::new(Filter::Compare {
-                column: "c".into(),
-                op: CompareOp::Lt,
-                value: b"m".to_vec(),
-            }),
-        );
-        assert_eq!(f.column(), Some("c"));
-
-        let mixed = Filter::And(
-            Box::new(Filter::Compare {
-                column: "c".into(),
-                op: CompareOp::Ge,
-                value: b"a".to_vec(),
-            }),
-            Box::new(Filter::Compare {
-                column: "d".into(),
-                op: CompareOp::Lt,
-                value: b"m".to_vec(),
-            }),
-        );
-        assert_eq!(mixed.column(), None);
-
-        // Same bare name under different qualifiers is NOT one column.
-        let cross = Filter::And(
-            Box::new(Filter::Compare {
-                column: ColumnRef::qualified("a", "k"),
-                op: CompareOp::Ge,
-                value: b"a".to_vec(),
-            }),
-            Box::new(Filter::Compare {
-                column: ColumnRef::qualified("b", "k"),
-                op: CompareOp::Lt,
-                value: b"m".to_vec(),
-            }),
-        );
-        assert_eq!(cross.column(), None);
-    }
 
     #[test]
     fn display_renders_canonical_sql() {

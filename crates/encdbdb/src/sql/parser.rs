@@ -520,7 +520,7 @@ mod tests {
                         SelectItem::Column("b".into())
                     ]
                 );
-                assert_eq!(filter.unwrap().column(), Some("a"));
+                assert_eq!(filter.unwrap().to_string(), "a >= 'x' AND a < 'y'");
             }
             other => panic!("wrong statement: {other:?}"),
         }

@@ -4,7 +4,9 @@
 //! LIMIT) via `Display`: parse → display → parse is the identity on the
 //! parsed representation.
 
-use encdbdb::sql::{parse, ColumnRef, JoinClause, OrderKey, OrderTarget, SelectItem, Statement};
+use encdbdb::sql::{
+    parse, ColumnRef, Filter, JoinClause, OrderKey, OrderTarget, SelectItem, Statement,
+};
 use encdict::aggregate::AggFunc;
 use proptest::prelude::*;
 
@@ -69,8 +71,9 @@ proptest! {
         let sql = format!("SELECT {col} FROM t WHERE {col} BETWEEN '{lo}' AND '{hi}'");
         let stmt = parse(&sql).expect("generated SQL parses");
         match stmt {
-            Statement::Select { filter: Some(f), .. } => {
-                prop_assert_eq!(f.column(), Some(col.as_str()));
+            Statement::Select { filter: Some(Filter::Between { column, low, high }), .. } => {
+                prop_assert_eq!(column, ColumnRef::from(col.as_str()));
+                prop_assert_eq!((low, high), (lo.into_bytes(), hi.into_bytes()));
             }
             other => prop_assert!(false, "wrong statement {:?}", other),
         }

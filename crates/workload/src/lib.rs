@@ -32,5 +32,5 @@ pub mod spec;
 pub mod zipf;
 
 pub use queries::RangeQueryGen;
-pub use schedule::{HotShardSpec, Op, ScheduleGen, ScheduleSpec};
+pub use schedule::{HotShardSpec, Op, ScheduleGen, ScheduleSpec, KINDS};
 pub use spec::{generate, ColumnSpec, JoinQueryGen, JoinQueryShape};

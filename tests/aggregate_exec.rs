@@ -8,6 +8,7 @@ use colstore::column::Column;
 use colstore::monetdb::MonetColumn;
 use encdbdb::{DbError, Session};
 use std::collections::BTreeMap;
+use workload::KINDS;
 
 /// One logical row of the plaintext mirror: (group, value, plain-value).
 type MirrorRow = (String, String, String);
@@ -94,13 +95,9 @@ fn grouped_sums(rows: &[&MirrorRow]) -> BTreeMap<String, i128> {
     sums
 }
 
-const ALL_CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
-
 #[test]
 fn flagship_grouped_sum_matches_baseline_on_all_kinds() {
-    for (i, choice) in ALL_CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut db, mirror) = build(choice, 900 + i as u64);
         let (lo, hi) = ("0050", "0250");
         let result = db
@@ -129,7 +126,7 @@ fn flagship_grouped_sum_matches_baseline_on_all_kinds() {
 
 #[test]
 fn full_aggregate_battery_matches_baseline_on_all_kinds() {
-    for (i, choice) in ALL_CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut db, mirror) = build(choice, 930 + i as u64);
         let (lo, hi) = ("0020", "0270");
         let result = db
@@ -183,7 +180,7 @@ fn multi_partition_aggregates_match_the_monolithic_table_on_all_kinds() {
         // PLAIN aggregate grouped by the encrypted partition column.
         "SELECT v, SUM(p) FROM t WHERE v >= '0200' GROUP BY v ORDER BY 1 LIMIT 8",
     ];
-    for (i, choice) in ALL_CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut mono, mirror_mono) = build_with(choice, 910 + i as u64, false);
         let (mut sharded, mirror_sharded) = build_with(choice, 910 + i as u64, true);
         assert_eq!(mirror_mono, mirror_sharded, "same logical content");

@@ -1,17 +1,11 @@
-//! Differential proof that the cross-session ECALL batching scheduler
-//! (DESIGN.md §15) is invisible in query results and — for serial
-//! workloads — byte-for-byte invisible in the leakage ledger.
+//! Forced-concurrency proofs that the cross-session ECALL batching
+//! scheduler (DESIGN.md §15) is invisible in query results. The serial
+//! batched-vs-bypass comparison — results and per-byte ledgers over
+//! generated interleavings — runs through the differential harness
+//! (`tests/harness`).
 //!
-//! Four angles:
+//! Three angles:
 //!
-//! * **Paired legs.** Proptest-generated interleavings of insert /
-//!   delete / range select / aggregate / compact run twice from the same
-//!   seed — once with batching on (the default), once through the
-//!   bypass (`set_ecall_batching(false)`, the pre-scheduler
-//!   lock-per-call path). Every read must match the other leg *and* a
-//!   plaintext model, for all nine ED kinds plus PLAIN; and because a
-//!   serial client only ever produces rounds of one, the two legs'
-//!   leakage ledgers must agree exactly, per kind and per byte.
 //! * **Forced coalescing.** Readers are pinned behind a held enclave
 //!   lock so their searches provably share a transition, then their
 //!   replies are checked bit-for-bit against answers precomputed
@@ -25,19 +19,13 @@
 //!   size, not the size of the unioned row list, whether the call ran
 //!   alone or shared a transition.
 //!
-//! Every read of the paired legs also checks its span tree: the layers
-//! it folds into sum to the query's duration, and `QueryStats`' times are
-//! exactly those layers.
-//!
 //! Thread/case counts are bounded for CI via `ENCDBDB_STRESS_THREADS`.
 
-use encdbdb::obs::{Layer, LayerTimes};
+mod harness;
+
 use encdbdb::{EcallKind, Session};
 use proptest::prelude::*;
-
-const CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
+use workload::KINDS;
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -50,54 +38,6 @@ fn value(x: u32) -> String {
     format!("{:04}", x % 60)
 }
 
-fn bounds(a: u32, b: u32) -> (String, String) {
-    let (lo, hi) = if a % 60 <= b % 60 { (a, b) } else { (b, a) };
-    (value(lo), value(hi))
-}
-
-/// One schedule step, decoded from a generated `(kind, a, b)` triple
-/// (same distribution as `dynamic_differential.rs`, with `Restart`
-/// folded into `Compact` — batching is orthogonal to durability).
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(String),
-    Delete(String, String),
-    Range(String, String),
-    Agg(String, String),
-    Compact,
-}
-
-fn decode(kind: u8, a: u32, b: u32) -> Op {
-    match kind % 10 {
-        0..=3 => Op::Insert(value(a)),
-        4 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Delete(lo, hi)
-        }
-        5 | 6 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Range(lo, hi)
-        }
-        7 | 8 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Agg(lo, hi)
-        }
-        _ => Op::Compact,
-    }
-}
-
-/// The plaintext model: values in `[lo, hi]`, sorted. The fixed-width
-/// zero-padded domain makes lexicographic order numeric order.
-fn matched(rows: &[String], lo: &str, hi: &str) -> Vec<String> {
-    let mut out: Vec<String> = rows
-        .iter()
-        .filter(|v| v.as_str() >= lo && v.as_str() <= hi)
-        .cloned()
-        .collect();
-    out.sort();
-    out
-}
-
 fn sorted_col(r: encdbdb::QueryResult) -> Vec<String> {
     let mut got: Vec<String> = r
         .rows_as_strings()
@@ -106,213 +46,6 @@ fn sorted_col(r: encdbdb::QueryResult) -> Vec<String> {
         .collect();
     got.sort();
     got
-}
-
-/// Checks the newest query's span tree in `db`'s trace ring: its layer
-/// times sum to the root's duration, `last_stats`' times are those
-/// layers, and the layers a filtered read crosses are non-zero.
-fn layers_match_stats(db: &Session, what: &str) -> Result<(), TestCaseError> {
-    let events = db.server().obs().trace_events();
-    let root = events
-        .iter()
-        .filter(|e| e.name == "query" && e.parent == 0)
-        .max_by_key(|e| e.id)
-        .expect("a query root in the ring");
-    let t = LayerTimes::of_tree(&events, root.id).expect("the root's tree");
-    prop_assert_eq!(t.total(), root.dur_ns, "{}: layers sum to the query", what);
-    let s = db.server().last_stats();
-    for (layer, ns) in [
-        (Layer::SchedWait, s.ecall_wait_ns),
-        (Layer::DictSearch, s.dict_search_ns),
-        (Layer::AvScan, s.av_search_ns),
-        (Layer::Aggregate, s.aggregate_ns),
-        (Layer::Bridge, s.bridge_ns),
-        (Layer::Render, s.render_ns),
-    ] {
-        prop_assert_eq!(t.get(layer), ns, "{}: {:?} vs QueryStats", what, layer);
-    }
-    for layer in [Layer::Parse, Layer::Plan, Layer::Snapshot, Layer::Fanout] {
-        prop_assert!(t.get(layer) > 0, "{}: {:?} untimed", what, layer);
-    }
-    Ok(())
-}
-
-/// Runs one schedule through both legs and checks every observable —
-/// results, row counts and (serial ⇒ singleton rounds only) the full
-/// per-kind leakage ledger — for equality.
-fn run_legs(choice: &str, seed: u64, triples: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
-    let mut batched = Session::with_seed(seed).expect("batched session");
-    let mut bypass = Session::with_seed(seed).expect("bypass session");
-    assert!(batched.server().ecall_batching(), "batching is the default");
-    bypass.server().set_ecall_batching(false);
-    // Only explicit `Compact` steps merge: the threshold-driven policy
-    // would race background rebuilds against the schedule, and a merge
-    // publishing mid-delete retries the delete's searches — making the
-    // per-byte ledger comparison below timing-dependent in *both* legs.
-    batched.server().set_compaction_policy(None);
-    bypass.server().set_compaction_policy(None);
-
-    let create = format!("CREATE TABLE t (v {choice}(8))");
-    batched.execute(&create).expect("create (batched)");
-    bypass.execute(&create).expect("create (bypass)");
-    let mut rows: Vec<String> = Vec::new();
-
-    for (step, &(kind, a, b)) in triples.iter().enumerate() {
-        let op = decode(kind, a, b);
-        match &op {
-            Op::Insert(v) => {
-                let q = format!("INSERT INTO t VALUES ('{v}')");
-                batched.execute(&q).expect("insert (batched)");
-                bypass.execute(&q).expect("insert (bypass)");
-                rows.push(v.clone());
-            }
-            Op::Delete(lo, hi) => {
-                let q = format!("DELETE FROM t WHERE v BETWEEN '{lo}' AND '{hi}'");
-                let rb = batched.execute(&q).expect("delete (batched)");
-                let rd = bypass.execute(&q).expect("delete (bypass)");
-                let expected = matched(&rows, lo, hi).len().to_string();
-                prop_assert_eq!(
-                    rb.rows_as_strings()[0][0].clone(),
-                    expected.clone(),
-                    "{} step {}: batched delete count",
-                    choice,
-                    step
-                );
-                prop_assert_eq!(
-                    rd.rows_as_strings()[0][0].clone(),
-                    expected,
-                    "{} step {}: bypass delete count",
-                    choice,
-                    step
-                );
-                rows.retain(|v| v.as_str() < lo.as_str() || v.as_str() > hi.as_str());
-            }
-            Op::Range(lo, hi) => {
-                let q = format!("SELECT v FROM t WHERE v BETWEEN '{lo}' AND '{hi}'");
-                let got_b = sorted_col(batched.execute(&q).expect("range (batched)"));
-                layers_match_stats(&batched, "range (batched)")?;
-                let got_d = sorted_col(bypass.execute(&q).expect("range (bypass)"));
-                layers_match_stats(&bypass, "range (bypass)")?;
-                prop_assert_eq!(
-                    &got_b,
-                    &got_d,
-                    "{} step {}: legs disagree on [{}, {}]",
-                    choice,
-                    step,
-                    lo,
-                    hi
-                );
-                prop_assert_eq!(
-                    got_b,
-                    matched(&rows, lo, hi),
-                    "{} step {}: batched leg vs model",
-                    choice,
-                    step
-                );
-            }
-            Op::Agg(lo, hi) => {
-                let q = format!("SELECT COUNT(*), SUM(v) FROM t WHERE v BETWEEN '{lo}' AND '{hi}'");
-                let rows_b = batched
-                    .execute(&q)
-                    .expect("agg (batched)")
-                    .rows_as_strings();
-                layers_match_stats(&batched, "agg (batched)")?;
-                let rows_d = bypass.execute(&q).expect("agg (bypass)").rows_as_strings();
-                layers_match_stats(&bypass, "agg (bypass)")?;
-                prop_assert_eq!(&rows_b, &rows_d, "{} step {}: aggregate legs", choice, step);
-                let hit = matched(&rows, lo, hi);
-                let sum = if hit.is_empty() {
-                    String::new()
-                } else {
-                    hit.iter()
-                        .map(|v| v.parse::<u64>().expect("numeric domain"))
-                        .sum::<u64>()
-                        .to_string()
-                };
-                prop_assert_eq!(
-                    rows_b,
-                    vec![vec![hit.len().to_string(), sum]],
-                    "{} step {}: aggregate vs model",
-                    choice,
-                    step
-                );
-            }
-            Op::Compact => {
-                batched.merge("t").expect("merge (batched)");
-                bypass.merge("t").expect("merge (bypass)");
-            }
-        }
-        prop_assert_eq!(
-            batched.server().row_count("t").expect("row count"),
-            rows.len(),
-            "{} step {}: row count after {:?}",
-            choice,
-            step,
-            op
-        );
-    }
-
-    let got_b = sorted_col(batched.execute("SELECT v FROM t").expect("final (batched)"));
-    let got_d = sorted_col(bypass.execute("SELECT v FROM t").expect("final (bypass)"));
-    prop_assert_eq!(&got_b, &got_d, "{}: final contents differ", choice);
-    let mut expected = rows.clone();
-    expected.sort();
-    prop_assert_eq!(got_b, expected, "{}: final contents vs model", choice);
-
-    // A serial client never shares a transition, so the enabled
-    // scheduler records native kinds exactly like the bypass: the two
-    // ledgers must agree per kind and per byte, and neither leg may
-    // contain a Batch record.
-    let lb = batched.leakage_ledger();
-    let ld = bypass.leakage_ledger();
-    for kind in [
-        EcallKind::Search,
-        EcallKind::Aggregate,
-        EcallKind::JoinBridge,
-        EcallKind::Batch,
-    ] {
-        let (b, d) = (lb.kind(kind), ld.kind(kind));
-        prop_assert_eq!(b.calls, d.calls, "{}: {:?} call count", choice, kind);
-        prop_assert_eq!(b.bytes_in, d.bytes_in, "{}: {:?} bytes_in", choice, kind);
-        prop_assert_eq!(b.bytes_out, d.bytes_out, "{}: {:?} bytes_out", choice, kind);
-        prop_assert_eq!(
-            b.values_decrypted,
-            d.values_decrypted,
-            "{}: {:?} values_decrypted",
-            choice,
-            kind
-        );
-        prop_assert_eq!(
-            b.untrusted_loads,
-            d.untrusted_loads,
-            "{}: {:?} untrusted_loads",
-            choice,
-            kind
-        );
-    }
-    prop_assert_eq!(
-        lb.kind(EcallKind::Batch).calls,
-        0,
-        "{}: a serial client must never produce a shared round",
-        choice
-    );
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Batched ≡ bypass for every interleaving, across all nine ED kinds
-    /// plus PLAIN — results, row counts and serial leakage ledgers.
-    #[test]
-    fn interleavings_batched_equals_bypass(
-        triples in prop::collection::vec((0u8..10, 0u32..600, 0u32..600), 1..24),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_legs(choice, seed, &triples)?;
-        }
-    }
 }
 
 /// Preloads `t(v CHOICE(8))` with 240 merged rows (values 0000–0059,
@@ -334,7 +67,7 @@ fn preloaded(choice: &str, seed: u64) -> Session {
 #[test]
 fn forced_coalescing_is_bit_identical() {
     let threads = env_usize("ENCDBDB_STRESS_THREADS", 6).max(3);
-    for choice in CHOICES {
+    for choice in KINDS {
         let db = preloaded(choice, 0x9A);
         let queries: Vec<String> = (0..threads)
             .map(|i| {
@@ -546,4 +279,16 @@ fn overlapping_delta_ranges_record_the_reply_size_solo_and_coalesced() {
     let n = threads as u64;
     assert_eq!(single.bytes_in + shared.bytes_in, n * bytes_in);
     assert_eq!(single.bytes_out + shared.bytes_out, n * bytes_out);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    /// Two of the volatile single-shard quadrant's ten streams: batched and
+    /// bypass cells answer alike and record equal per-kind ledgers with no
+    /// shared round.
+    #[test]
+    fn interleavings_batched_equals_bypass(seed in any::<u64>()) {
+        harness::check_modes(false, false, seed)?;
+    }
 }

@@ -22,10 +22,7 @@
 use encdbdb::{DbError, DurabilityPolicy, FailPoint, Session};
 use encdbdb_crypto::keys::Key128;
 use std::path::{Path, PathBuf};
-
-const CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
+use workload::KINDS;
 
 /// Split points matching the 0..60 numeric-string domain used below.
 const SPLITS: &str = "'0015', '0030', '0045'";
@@ -153,7 +150,7 @@ fn crash_matrix_preserves_committed_rows() {
         FailPoint::CheckpointNoTruncate,
     ];
     for &shards in &[1usize, 4] {
-        for choice in CHOICES {
+        for choice in KINDS {
             for (i, &point) in points.iter().enumerate() {
                 let dir = storage_dir(&format!("matrix-{choice}-{shards}-{i}"));
                 run_crash_case(choice, shards, point, &dir);
@@ -269,7 +266,7 @@ fn multi_partition_insert_is_atomic_across_the_crash() {
 #[test]
 fn graceful_restart_restores_all_kinds() {
     for &shards in &[1usize, 4] {
-        for choice in CHOICES {
+        for choice in KINDS {
             let dir = storage_dir(&format!("graceful-{choice}-{shards}"));
             let (db, mut model) = build_fixture(choice, shards, &dir);
             let key = db.master_key();

@@ -1,377 +1,26 @@
-//! Model-based differential testing of the dynamic-data path (§4.3):
-//! proptest-generated interleavings of insert / delete / range select /
-//! aggregate / compact run against every encrypted dictionary kind plus
-//! PLAIN, and every operation's result is checked against a plaintext
-//! model whose reads go through the MonetDB-style baseline column
-//! (`MonetColumn` linear range scan).
-//!
-//! The schedules deliberately interleave compactions with reads and
-//! writes so every operation is exercised against main-only, delta-only
-//! and mixed main+delta states, across merge generations.
-//!
-//! The same schedules also run against **range-partitioned** tables
-//! (split points inside the value domain, so inserts land on and around
-//! the boundaries and range/delete/aggregate ops straddle the splits):
-//! per-partition deltas, per-partition merges and the partition-parallel
-//! executor must be indistinguishable from the monolithic table — and
-//! from the plaintext baseline.
-//!
-//! Finally, the schedules run in **durable** mode (DESIGN.md §12):
-//! `Restart` steps tear the whole session down — enclaves, keys, every
-//! in-memory table — and reopen it from sealed snapshots plus the WAL.
-//! The recovered server must keep answering exactly like the plaintext
-//! model, mid-schedule and after a final restart, with zero owner
-//! re-deployment.
+//! Range-partition boundaries (§4.3, DESIGN.md §9): rows on, just below
+//! and just above every split point, queried with point and straddling
+//! ranges, for all nine encrypted dictionary kinds plus PLAIN. Generated
+//! insert/delete/read/compact interleavings on one table and on four
+//! shards run through the differential harness (`tests/harness`), over
+//! every {in-process, TCP} × {batched, bypass} × kind cell.
 
-use colstore::column::Column;
-use colstore::monetdb::MonetColumn;
+mod harness;
+
 use encdbdb::Session;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use workload::KINDS;
 
-const CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
-
-/// One schedule step, decoded from a generated `(kind, a, b)` triple.
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(String),
-    Delete(String, String),
-    Range(String, String),
-    Agg(String, String),
-    Compact,
-    Restart,
-}
-
-/// Where the schedule's tables live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Purely in memory (the pre-durability behavior): `Restart` degrades
-    /// to a merge, keeping these schedules byte-identical to what they
-    /// exercised before durable storage existed.
-    InMemory,
-    /// Backed by sealed snapshots and a WAL in a temp directory; `Restart`
-    /// drops the entire session and recovers it from disk.
-    Durable,
-}
-
-fn value(x: u32) -> String {
-    format!("{:04}", x % 60)
-}
-
-fn bounds(a: u32, b: u32) -> (String, String) {
-    let (lo, hi) = if a % 60 <= b % 60 { (a, b) } else { (b, a) };
-    (value(lo), value(hi))
-}
-
-fn decode(kind: u8, a: u32, b: u32) -> Op {
-    match kind % 10 {
-        0..=3 => Op::Insert(value(a)),
-        4 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Delete(lo, hi)
-        }
-        5 | 6 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Range(lo, hi)
-        }
-        7 | 8 => {
-            let (lo, hi) = bounds(a, b);
-            Op::Agg(lo, hi)
-        }
-        _ => {
-            if a % 2 == 1 {
-                Op::Restart
-            } else {
-                Op::Compact
-            }
-        }
-    }
-}
-
-/// A fresh per-schedule storage directory for durable runs.
-fn durable_dir() -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "encdbdb-diff-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// The plaintext model: the logical multiset of valid rows, read through
-/// the MonetDB baseline.
-#[derive(Debug, Default)]
-struct Model {
-    rows: Vec<String>,
-}
-
-impl Model {
-    fn baseline(&self) -> MonetColumn {
-        let column = Column::from_strs("v", 8, self.rows.iter()).expect("model values fit");
-        MonetColumn::ingest(&column)
-    }
-
-    /// Values matched by `[lo, hi]`, via the baseline's linear range scan.
-    fn range(&self, lo: &str, hi: &str) -> Vec<String> {
-        if self.rows.is_empty() {
-            return Vec::new();
-        }
-        let baseline = self.baseline();
-        let mut out: Vec<String> = baseline
-            .range_search_inclusive(lo.as_bytes(), hi.as_bytes())
-            .into_iter()
-            .map(|rid| String::from_utf8_lossy(baseline.value(rid)).into_owned())
-            .collect();
-        out.sort();
-        out
-    }
-}
-
-/// Split points for the partitioned runs: inside the 0..60 domain, so
-/// partition 0 covers `< "0015"`, 1 covers `["0015", "0030")`, 2 covers
-/// `["0030", "0045")` and 3 covers `>= "0045"`. Domain values hit the
-/// split points exactly (boundary rows) and random ranges straddle them.
+/// Split points inside a 0..60 domain: partition 0 covers `< "0015"`,
+/// 1 covers `["0015", "0030")`, 2 covers `["0030", "0045")` and 3 covers
+/// `>= "0045"`.
 const SPLITS: &str = "'0015', '0030', '0045'";
-
-fn run_schedule(
-    choice: &str,
-    seed: u64,
-    triples: &[(u8, u32, u32)],
-    partitioned: bool,
-    mode: Mode,
-) -> Result<(), TestCaseError> {
-    let dir = durable_dir();
-    let mut db = match mode {
-        Mode::InMemory => Session::with_seed(seed).expect("session setup"),
-        Mode::Durable => Session::with_seed_durable(seed, &dir).expect("durable session setup"),
-    };
-    let partition_clause = if partitioned {
-        format!(" PARTITION BY RANGE (v) SPLIT ({SPLITS})")
-    } else {
-        String::new()
-    };
-    db.execute(&format!("CREATE TABLE t (v {choice}(8)){partition_clause}"))
-        .expect("create table");
-    let mut model = Model::default();
-
-    for (step, &(kind, a, b)) in triples.iter().enumerate() {
-        let op = decode(kind, a, b);
-        match &op {
-            Op::Insert(v) => {
-                db.execute(&format!("INSERT INTO t VALUES ('{v}')"))
-                    .expect("insert");
-                model.rows.push(v.clone());
-            }
-            Op::Delete(lo, hi) => {
-                let r = db
-                    .execute(&format!("DELETE FROM t WHERE v BETWEEN '{lo}' AND '{hi}'"))
-                    .expect("delete");
-                let expected = model.range(lo, hi).len();
-                prop_assert_eq!(
-                    r.rows_as_strings()[0][0].clone(),
-                    expected.to_string(),
-                    "{} step {}: delete count for [{}, {}]",
-                    choice,
-                    step,
-                    lo,
-                    hi
-                );
-                model
-                    .rows
-                    .retain(|v| v.as_str() < lo.as_str() || v.as_str() > hi.as_str());
-            }
-            Op::Range(lo, hi) => {
-                let r = db
-                    .execute(&format!(
-                        "SELECT v FROM t WHERE v BETWEEN '{lo}' AND '{hi}'"
-                    ))
-                    .expect("range select");
-                let mut got: Vec<String> = r
-                    .rows_as_strings()
-                    .into_iter()
-                    .map(|mut row| row.remove(0))
-                    .collect();
-                got.sort();
-                prop_assert_eq!(
-                    got,
-                    model.range(lo, hi),
-                    "{} step {}: range [{}, {}]",
-                    choice,
-                    step,
-                    lo,
-                    hi
-                );
-            }
-            Op::Agg(lo, hi) => {
-                let r = db
-                    .execute(&format!(
-                        "SELECT COUNT(*), SUM(v) FROM t WHERE v BETWEEN '{lo}' AND '{hi}'"
-                    ))
-                    .expect("aggregate");
-                let matched = model.range(lo, hi);
-                let expected_sum = if matched.is_empty() {
-                    String::new()
-                } else {
-                    matched
-                        .iter()
-                        .map(|v| v.parse::<u64>().expect("numeric domain"))
-                        .sum::<u64>()
-                        .to_string()
-                };
-                let rows = r.rows_as_strings();
-                prop_assert_eq!(rows.len(), 1, "{} step {}: one aggregate row", choice, step);
-                prop_assert_eq!(
-                    rows[0].clone(),
-                    vec![matched.len().to_string(), expected_sum],
-                    "{} step {}: COUNT/SUM over [{}, {}]",
-                    choice,
-                    step,
-                    lo,
-                    hi
-                );
-            }
-            Op::Compact => {
-                db.merge("t").expect("merge");
-            }
-            Op::Restart => match mode {
-                // In memory there is nothing to restart from; degrade to a
-                // merge so the schedule distribution stays unchanged.
-                Mode::InMemory => db.merge("t").expect("merge"),
-                Mode::Durable => {
-                    db.server().wait_for_compaction("t").expect("quiesce");
-                    let key = db.master_key();
-                    drop(db);
-                    db = Session::open(&dir, key, seed.wrapping_add(1000 + step as u64))
-                        .expect("recover from disk");
-                }
-            },
-        }
-        // Invariant after every operation: the server's logical row count
-        // matches the model.
-        prop_assert_eq!(
-            db.server().row_count("t").expect("row count"),
-            model.rows.len(),
-            "{} step {}: row count after {:?}",
-            choice,
-            step,
-            op
-        );
-    }
-
-    // Durable runs always end with one more full restart, so every case
-    // proves the recovered server — not just the original one — holds the
-    // final answer.
-    if mode == Mode::Durable {
-        db.server().wait_for_compaction("t").expect("quiesce");
-        let key = db.master_key();
-        drop(db);
-        db = Session::open(&dir, key, seed.wrapping_add(7777)).expect("final recover");
-    }
-
-    // Final full-table check across whatever main/delta split the schedule
-    // left behind.
-    let r = db.execute("SELECT v FROM t").expect("final select");
-    let mut got: Vec<String> = r
-        .rows_as_strings()
-        .into_iter()
-        .map(|mut row| row.remove(0))
-        .collect();
-    got.sort();
-    let mut expected = model.rows.clone();
-    expected.sort();
-    prop_assert_eq!(got, expected, "{}: final table contents", choice);
-
-    if mode == Mode::Durable {
-        db.server().wait_for_compaction("t").expect("quiesce");
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Every interleaving, against all nine encrypted dictionary kinds
-    /// plus PLAIN, behaves exactly like the plaintext MonetDB baseline.
-    #[test]
-    fn interleavings_match_the_plaintext_model(
-        triples in prop::collection::vec((0u8..10, 0u32..600, 0u32..600), 1..28),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_schedule(choice, seed, &triples, false, Mode::InMemory)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The same interleavings over a four-shard range-partitioned table:
-    /// per-partition deltas, per-partition merges (a `Compact` op merges
-    /// every shard that has work) and partition-parallel range/aggregate
-    /// execution stay byte-identical to the plaintext MonetDB baseline,
-    /// for all nine ED kinds plus PLAIN — including rows inserted exactly
-    /// on split points and ranges straddling them.
-    #[test]
-    fn partitioned_interleavings_match_the_plaintext_model(
-        triples in prop::collection::vec((0u8..10, 0u32..600, 0u32..600), 1..28),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_schedule(choice, seed, &triples, true, Mode::InMemory)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// The same interleavings against a durable deployment, with `Restart`
-    /// steps dropping the session (enclaves, keys, all in-memory state)
-    /// mid-schedule and recovering it from sealed snapshots plus the WAL —
-    /// plus one guaranteed final restart before the last full-table check.
-    /// The recovered server must stay indistinguishable from the plaintext
-    /// MonetDB baseline for all nine ED kinds plus PLAIN.
-    #[test]
-    fn durable_interleavings_survive_restarts(
-        triples in prop::collection::vec((0u8..10, 0u32..600, 0u32..600), 1..20),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_schedule(choice, seed, &triples, false, Mode::Durable)?;
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2))]
-
-    /// Durable restarts over the four-shard partitioned table: recovery
-    /// reassembles every partition (its own snapshot epoch and WAL suffix)
-    /// and the partition-parallel executor keeps matching the baseline.
-    #[test]
-    fn durable_partitioned_interleavings_survive_restarts(
-        triples in prop::collection::vec((0u8..10, 0u32..600, 0u32..600), 1..20),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_schedule(choice, seed, &triples, true, Mode::Durable)?;
-        }
-    }
-}
 
 /// Deterministic boundary regression: rows on, just below and just above
 /// every split point, exercised with point and straddling queries.
 #[test]
 fn split_point_boundaries_route_and_query_exactly() {
-    for choice in CHOICES {
+    for choice in KINDS {
         let mut db = Session::with_seed(0xB0).expect("session setup");
         db.execute(&format!(
             "CREATE TABLE t (v {choice}(8)) PARTITION BY RANGE (v) SPLIT ({SPLITS})"
@@ -415,5 +64,25 @@ fn split_point_boundaries_route_and_query_exactly() {
         assert_eq!(r.row_count(), 9, "{choice}: post-merge straddle");
         let stats = db.server().compaction_stats("t").unwrap();
         assert_eq!(stats.partition_epochs, vec![1, 1, 1, 1], "{choice}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Four of the volatile single-shard quadrant's ten streams.
+    #[test]
+    fn interleavings_match_the_plaintext_model(seed in any::<u64>()) {
+        harness::check_modes(false, false, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Five of the volatile four-shard quadrant's ten streams.
+    #[test]
+    fn partitioned_interleavings_match_the_plaintext_model(seed in any::<u64>()) {
+        harness::check_modes(false, true, seed)?;
     }
 }

@@ -3,24 +3,23 @@
 //! `MonetColumn`'s linear range scan, the join itself as a plain Rust
 //! nested loop) — across all nine encrypted dictionary kinds plus PLAIN,
 //! with delta-store rows and deletions on both sides, across 1-shard ×
-//! 4-shard table combinations, and under proptest-interleaved
-//! insert/delete/compact schedules on both tables.
+//! 4-shard table combinations. Generated insert/delete/compact schedules
+//! on both tables, over every execution mode, run through the
+//! differential harness (`tests/harness`).
 //!
 //! The boundary properties of DESIGN.md §11 are asserted through
 //! `QueryStats`: a two-table equi-join issues exactly one `JoinBridge`
 //! ECALL, decrypts each distinct join-key code at most once per side, and
 //! reports build/probe/bridge accounting.
 
+mod harness;
+
 use colstore::column::Column;
 use colstore::monetdb::MonetColumn;
-use encdbdb::obs::{Layer, LayerTimes};
 use encdbdb::Session;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-const CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
+use workload::KINDS;
 
 /// One logical row of a side's plaintext mirror: (join key, payload).
 type Row = (String, String);
@@ -138,7 +137,7 @@ const JOIN_SQL: &str = "SELECT users.x, orders.y FROM users JOIN orders ON users
 
 #[test]
 fn flagship_join_matches_baseline_on_all_kinds() {
-    for (i, choice) in CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut db, left, right) = build_pair(choice, 1200 + i as u64, false);
         // Unfiltered join.
         let r = db.execute(JOIN_SQL).unwrap();
@@ -204,7 +203,7 @@ fn one_shard_by_four_shard_join_matches_monolithic() {
         // Filter on the 1-shard side only.
         format!("{JOIN_SQL} WHERE users.k >= '0025'"),
     ];
-    for (i, choice) in CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut mono, l1, r1) = build_pair(choice, 1300 + i as u64, false);
         let (mut sharded, l2, r2) = build_pair(choice, 1300 + i as u64, true);
         assert_eq!(l1, l2, "same logical content");
@@ -467,7 +466,7 @@ fn aggregates_distinct_and_in_compose_with_joins() {
 
 #[test]
 fn in_predicate_matches_baseline_on_single_tables() {
-    for (i, choice) in CHOICES.iter().enumerate() {
+    for (i, choice) in KINDS.iter().enumerate() {
         let (mut db, left, _) = build_pair(choice, 1900 + i as u64, false);
         let keys = ["0013", "0026", "0039", "0013"]; // duplicate on purpose
         let r = db
@@ -548,161 +547,24 @@ fn select_distinct_decrypts_once_per_distinct_value() {
     assert_eq!(stats.values_decrypted, 9, "one decrypt per distinct value");
 }
 
-/// Interleaved schedules over BOTH tables: inserts, range deletes and
-/// compactions on either side, with the join checked against the
-/// baseline after every mutation batch.
-#[derive(Debug, Clone)]
-enum Op {
-    InsertL(usize),
-    InsertR(usize),
-    DeleteL(String),
-    DeleteR(String),
-    CompactL,
-    CompactR,
-    Join,
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
 
-fn decode(kind: u8, a: u32) -> Op {
-    let i = a as usize;
-    match kind % 10 {
-        0 | 1 => Op::InsertL(i),
-        2..=4 => Op::InsertR(i),
-        5 => Op::DeleteL(key_of(i)),
-        6 => Op::DeleteR(key_of(i)),
-        7 => Op::CompactL,
-        8 => Op::CompactR,
-        _ => Op::Join,
+    /// Two of the volatile single-shard quadrant's ten streams, joining
+    /// `t ⋈ u` at every aggregate read and at the end.
+    #[test]
+    fn interleaved_join_schedules_match_the_baseline(seed in any::<u64>()) {
+        harness::check_modes(false, false, seed)?;
     }
-}
-
-fn run_join_schedule(
-    choice: &str,
-    seed: u64,
-    steps: &[(u8, u32)],
-    shards: bool,
-) -> Result<(), TestCaseError> {
-    let mut db = Session::with_seed(seed).expect("session setup");
-    let clause = if shards {
-        " PARTITION BY RANGE (k) SPLIT ('0010', '0020', '0030')"
-    } else {
-        ""
-    };
-    db.execute(&format!(
-        "CREATE TABLE users (k {choice}(8), x {choice}(8))"
-    ))
-    .expect("create users");
-    db.execute(&format!(
-        "CREATE TABLE orders (k {choice}(8), y {choice}(8)){clause}"
-    ))
-    .expect("create orders");
-    let mut left: Vec<Row> = Vec::new();
-    let mut right: Vec<Row> = Vec::new();
-    let check_join =
-        |db: &mut Session, left: &[Row], right: &[Row], step: usize| -> Result<(), TestCaseError> {
-            let r = db.execute(JOIN_SQL).expect("join");
-            prop_assert_eq!(
-                sorted_rows(&r),
-                baseline_join(left, right, None, None),
-                "{} step {}: join vs baseline",
-                choice,
-                step
-            );
-            let stats = db.server().last_stats();
-            let has_rows = !left.is_empty() && !right.is_empty();
-            let bridged = has_rows && choice != "PLAIN";
-            // Search ECALLs never fire (unfiltered), so the call count is the
-            // bridge alone — or zero for PLAIN keys and empty sides.
-            prop_assert_eq!(
-                stats.enclave_calls,
-                usize::from(bridged),
-                "{} step {}: exactly one JoinBridge ECALL",
-                choice,
-                step
-            );
-            prop_assert!(
-                stats.values_decrypted <= left.len() + right.len(),
-                "{} step {}: decrypts bounded by distinct codes",
-                choice,
-                step
-            );
-            // The join's span tree splits its duration into layers, over
-            // parallel shards too, and the stats' times are those layers.
-            let events = db.server().obs().trace_events();
-            let root = events
-                .iter()
-                .filter(|e| e.name == "query" && e.parent == 0)
-                .max_by_key(|e| e.id)
-                .expect("the join's root span");
-            let layers = LayerTimes::of_tree(&events, root.id).expect("the join's tree");
-            prop_assert_eq!(layers.total(), root.dur_ns, "{} step {}", choice, step);
-            prop_assert_eq!(layers.get(Layer::Bridge), stats.bridge_ns);
-            prop_assert_eq!(layers.get(Layer::Render), stats.render_ns);
-            prop_assert_eq!(layers.get(Layer::AvScan), stats.av_search_ns);
-            Ok(())
-        };
-    for (step, &(kind, a)) in steps.iter().enumerate() {
-        match decode(kind, a) {
-            Op::InsertL(i) => {
-                let row = (key_of(i), pay_of("u", i));
-                db.execute(&format!(
-                    "INSERT INTO users VALUES ('{}', '{}')",
-                    row.0, row.1
-                ))
-                .expect("insert users");
-                left.push(row);
-            }
-            Op::InsertR(i) => {
-                let row = (key_of(i), pay_of("o", i));
-                db.execute(&format!(
-                    "INSERT INTO orders VALUES ('{}', '{}')",
-                    row.0, row.1
-                ))
-                .expect("insert orders");
-                right.push(row);
-            }
-            Op::DeleteL(k) => {
-                db.execute(&format!("DELETE FROM users WHERE k = '{k}'"))
-                    .expect("delete users");
-                left.retain(|r| r.0 != k);
-            }
-            Op::DeleteR(k) => {
-                db.execute(&format!("DELETE FROM orders WHERE k = '{k}'"))
-                    .expect("delete orders");
-                right.retain(|r| r.0 != k);
-            }
-            Op::CompactL => db.merge("users").expect("merge users"),
-            Op::CompactR => db.merge("orders").expect("merge orders"),
-            Op::Join => check_join(&mut db, &left, &right, step)?,
-        }
-    }
-    // Final join across whatever main/delta split the schedule left.
-    check_join(&mut db, &left, &right, steps.len())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Interleaved inserts/deletes/compactions on both tables keep the
-    /// join byte-identical to the plaintext baseline — for all nine ED
-    /// kinds plus PLAIN, with exactly one JoinBridge ECALL per join.
+    /// Five of the volatile four-shard quadrant's ten streams: both join
+    /// sides sharded, every kind.
     #[test]
-    fn interleaved_join_schedules_match_the_baseline(
-        steps in prop::collection::vec((0u8..10, 0u32..600), 1..18),
-        seed in 0u64..100_000,
-    ) {
-        for choice in CHOICES {
-            run_join_schedule(choice, seed, &steps, false)?;
-        }
-    }
-
-    /// The same schedules with the orders table split into four shards.
-    #[test]
-    fn interleaved_sharded_join_schedules_match_the_baseline(
-        steps in prop::collection::vec((0u8..10, 0u32..600), 1..14),
-        seed in 0u64..100_000,
-    ) {
-        for choice in ["ED1", "ED5", "ED9", "PLAIN"] {
-            run_join_schedule(choice, seed, &steps, true)?;
-        }
+    fn interleaved_sharded_join_schedules_match_the_baseline(seed in any::<u64>()) {
+        harness::check_modes(false, true, seed)?;
     }
 }

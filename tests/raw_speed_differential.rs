@@ -8,14 +8,7 @@
 //! load nor a decrypt.
 
 use encdbdb::{EcallKind, Session};
-
-const CHOICES: [&str; 10] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9", "PLAIN",
-];
-
-const ENCRYPTED: [&str; 9] = [
-    "ED1", "ED2", "ED3", "ED4", "ED5", "ED6", "ED7", "ED8", "ED9",
-];
+use workload::KINDS;
 
 /// A table with duplicates in the main store and a non-empty delta, so
 /// every query below exercises both stores.
@@ -53,7 +46,7 @@ fn sorted_rows(db: &mut Session, sql: &str) -> Vec<Vec<String>> {
 /// per store, not one per disjunct.
 #[test]
 fn batched_disjunctions_answer_like_per_range_queries() {
-    for choice in CHOICES {
+    for choice in KINDS {
         let mut db = deploy(choice, 8100);
         let per_range: Vec<Vec<String>> = ["0010", "0040", "0085"]
             .iter()
@@ -103,7 +96,8 @@ fn batched_disjunctions_answer_like_per_range_queries() {
 /// decrypts and zero untrusted loads for the cached entries.
 #[test]
 fn warm_value_cache_tightens_decrypt_bounds_without_skipping_ecalls() {
-    for choice in ENCRYPTED {
+    for choice in &KINDS[..9] {
+        // Every kind but PLAIN: the nine encrypted dictionaries.
         let mut db = deploy(choice, 8200);
         let q = "SELECT v FROM t WHERE v BETWEEN '0020' AND '0060'";
 
@@ -163,7 +157,8 @@ fn warm_value_cache_tightens_decrypt_bounds_without_skipping_ecalls() {
 /// entries are cached.
 #[test]
 fn warm_cache_aggregates_stay_bit_identical() {
-    for choice in ENCRYPTED {
+    for choice in &KINDS[..9] {
+        // Every kind but PLAIN: the nine encrypted dictionaries.
         let mut db = deploy(choice, 8300);
         let q = "SELECT v, COUNT(*) FROM t WHERE v BETWEEN '0000' AND '0099' GROUP BY v ORDER BY 1";
         let cold = db.execute(q).unwrap().rows_as_strings();
