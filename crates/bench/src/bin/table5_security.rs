@@ -20,7 +20,7 @@ use encdbdb_bench::*;
 use encdict::leakage::{analyze, LeakageReport};
 use encdict::EdKind;
 
-fn dict_plaintexts(dict: &encdict::PlainDictionary) -> Vec<Vec<u8>> {
+fn dict_plaintexts(dict: &encdict::Dictionary) -> Vec<Vec<u8>> {
     (0..dict.len()).map(|i| dict.value(i).to_vec()).collect()
 }
 

@@ -13,7 +13,7 @@ use colstore::stats::ColumnStats;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
 use encdict::build::{build_encrypted, build_plain, BuildParams};
-use encdict::{EdKind, EncryptedDictionary, PlainDictionary};
+use encdict::{Dictionary, EdKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -124,7 +124,7 @@ pub fn build_ed(
     kind: EdKind,
     bs_max: usize,
     seed: u64,
-) -> (EncryptedDictionary, colstore::dictionary::AttributeVector) {
+) -> (Dictionary, colstore::dictionary::AttributeVector) {
     let mut rng = StdRng::seed_from_u64(seed);
     let sk_d = derive_column_key(&master_key(), "bw", &prepared.spec.name);
     build_encrypted(
@@ -143,7 +143,7 @@ pub fn build_plain_ed(
     kind: EdKind,
     bs_max: usize,
     seed: u64,
-) -> (PlainDictionary, colstore::dictionary::AttributeVector) {
+) -> (Dictionary, colstore::dictionary::AttributeVector) {
     let mut rng = StdRng::seed_from_u64(seed);
     build_plain(
         &prepared.column,

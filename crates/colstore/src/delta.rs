@@ -1,4 +1,4 @@
-//! Delta store (differential buffer) for dynamic data.
+//! Validity for the delta store (differential buffer) of dynamic data.
 //!
 //! Paper §4.3: each column is split into a read-optimized *main store* and a
 //! write-optimized *delta store*. Inserts append to the delta; updates
@@ -7,14 +7,10 @@
 //! while checking validity. Periodic merges fold the delta into the main
 //! store to keep reads fast.
 //!
-//! This module provides the plaintext machinery ([`ValidityVector`],
-//! [`DeltaStore`]); the *encrypted* delta store (always ED9) lives in
+//! This module provides the [`ValidityVector`]; the delta store itself —
+//! an ED9 dictionary for every column, encrypted or PLAIN — lives in
 //! `encdict::dynamic`, and the owner of a row space — one validity vector
 //! per store side, every state transition — is the server's partition.
-
-use crate::column::Column;
-use crate::dictionary::RecordId;
-use crate::error::ColstoreError;
 
 /// A bitmap recording which rows of a store are valid.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -146,90 +142,6 @@ impl ValidityVector {
     }
 }
 
-/// The write-optimized delta store of one PLAIN column: an append-only
-/// column. Which of its rows are still valid is not its business — the
-/// owner of the row space keeps one [`ValidityVector`] for all columns.
-#[derive(Debug, Clone)]
-pub struct DeltaStore {
-    values: Column,
-}
-
-impl DeltaStore {
-    /// Creates an empty delta store for values up to `max_len` bytes.
-    pub fn new(max_len: usize) -> Self {
-        DeltaStore {
-            values: Column::new("delta", max_len),
-        }
-    }
-
-    /// Appends a new value; returns its delta-local RecordId.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ColstoreError::ValueTooLong`] if the value exceeds the
-    /// column maximum.
-    pub fn insert(&mut self, value: &[u8]) -> Result<RecordId, ColstoreError> {
-        self.values.push(value)?;
-        Ok(RecordId((self.values.len() - 1) as u32))
-    }
-
-    /// Number of rows ever appended.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the delta is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Value of delta row `rid`.
-    pub fn value(&self, rid: RecordId) -> &[u8] {
-        self.values.value(rid.0 as usize)
-    }
-
-    /// The column's fixed maximal value length.
-    pub fn max_len(&self) -> usize {
-        self.values.max_len()
-    }
-
-    /// A frozen copy of the first `n` rows — the compaction input captured
-    /// at a watermark while later inserts keep landing in the live store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn prefix(&self, n: usize) -> DeltaStore {
-        assert!(n <= self.len(), "prefix {n} out of bounds {}", self.len());
-        self.rows(0..n)
-    }
-
-    /// Drops the first `n` rows after a compaction consumed them: row
-    /// `n + i` becomes row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > len()`.
-    pub fn drain_prefix(&mut self, n: usize) {
-        assert!(
-            n <= self.len(),
-            "drain_prefix {n} out of bounds {}",
-            self.len()
-        );
-        *self = self.rows(n..self.len());
-    }
-
-    fn rows(&self, range: std::ops::Range<usize>) -> DeltaStore {
-        let mut values = Column::new("delta", self.values.max_len());
-        for i in range {
-            values
-                .push(self.values.value(i))
-                .expect("value came from a column with the same max_len");
-        }
-        DeltaStore { values }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,52 +204,5 @@ mod tests {
     fn validity_out_of_bounds_panics() {
         let v = ValidityVector::all_valid(3);
         let _ = v.is_valid(3);
-    }
-
-    #[test]
-    fn delta_insert_and_iterate() {
-        let mut d = DeltaStore::new(16);
-        let r0 = d.insert(b"new-a").unwrap();
-        let r1 = d.insert(b"new-b").unwrap();
-        assert_eq!((r0, r1), (RecordId(0), RecordId(1)));
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.value(r0), b"new-a");
-        assert_eq!(d.value(r1), b"new-b");
-    }
-
-    #[test]
-    fn delta_prefix_and_drain_prefix_partition() {
-        let mut d = DeltaStore::new(16);
-        for v in [b"aa" as &[u8], b"bb", b"cc", b"dd"] {
-            d.insert(v).unwrap();
-        }
-        let frozen = d.prefix(2);
-        assert_eq!(frozen.len(), 2);
-        assert_eq!(frozen.value(RecordId(1)), b"bb");
-        d.drain_prefix(2);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.value(RecordId(0)), b"cc");
-        assert_eq!(d.value(RecordId(1)), b"dd");
-        assert_eq!(d.max_len(), 16);
-    }
-
-    #[test]
-    fn delta_drain_resets() {
-        let mut d = DeltaStore::new(16);
-        d.insert(b"a").unwrap();
-        d.insert(b"b").unwrap();
-        d.drain_prefix(2);
-        assert!(d.is_empty());
-        assert_eq!(d.max_len(), 16);
-        // Row numbering restarts with the drained store.
-        assert_eq!(d.insert(b"c").unwrap(), RecordId(0));
-        assert_eq!(d.value(RecordId(0)), b"c");
-    }
-
-    #[test]
-    fn value_too_long_propagates() {
-        let mut d = DeltaStore::new(4);
-        assert!(d.insert(b"way-too-long").is_err());
-        assert!(d.is_empty());
     }
 }

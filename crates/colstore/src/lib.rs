@@ -12,8 +12,8 @@
 //!   dictionary with hash-based dedup (paper §5) and range scans that do a
 //!   linear number of *string* comparisons, which is the behaviour the
 //!   paper benchmarks EncDBDB against in Figure 8.
-//! * [`delta`] — the plaintext delta store (differential buffer) and the
-//!   validity vector, used for dynamic data (§4.3).
+//! * [`delta`] — the validity vector of the delta store (differential
+//!   buffer), used for dynamic data (§4.3).
 //! * [`table`] — named collections of columns.
 //! * [`stats`] — `un(C)`, `oc(C, v)` and storage-size accounting used by
 //!   the Table 6 reproduction.

@@ -11,11 +11,14 @@
 //! frequency weighting replaces per-row work.
 
 use crate::error::DbError;
-use colstore::delta::DeltaStore;
+use crate::schema::DictChoice;
 use colstore::dictionary::{AttributeVector, RecordId};
-use encdict::PlainDictionary;
+use encdict::batch::ColumnData;
+use encdict::dynamic::MainSnapshot;
+use encdict::Dictionary;
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Rows per histogram batch (one vectorized execution unit).
 pub const CHUNK_ROWS: usize = 4096;
@@ -73,23 +76,36 @@ pub(crate) fn check_code_space(
     Ok(())
 }
 
-/// Resolves the distinct touched codes of a PLAIN column to their values
-/// (main dictionary below `dict.len()`, delta rows above).
-pub(crate) fn resolve_plain(
-    dict: &PlainDictionary,
-    delta: &DeltaStore,
-    codes: &[u32],
-) -> Vec<Vec<u8>> {
-    codes
-        .iter()
-        .map(|&code| {
-            if (code as usize) < dict.len() {
-                dict.value(code as usize).to_vec()
-            } else {
-                delta.value(RecordId(code - dict.len() as u32)).to_vec()
+/// The value source of one column's distinct touched `codes` in one
+/// partition — main ValueIDs below `main.dict().len()`, delta rows above —
+/// for an aggregate or a join bridge: a PLAIN column's entries, resolved
+/// here, or an encrypted column's stores, for the enclave to decrypt
+/// (tagged `cache` for its value cache).
+pub(crate) fn column_data(
+    choice: &DictChoice,
+    main: &MainSnapshot,
+    delta: &Arc<Dictionary>,
+    codes: Vec<u32>,
+    cache: (u64, u64),
+) -> ColumnData {
+    match choice {
+        DictChoice::Plain => {
+            let main_len = main.dict().len() as u32;
+            let value = |code: u32| match code.checked_sub(main_len) {
+                None => main.dict().value(code as usize),
+                Some(row) => delta.value(row as usize),
+            };
+            ColumnData::Plain {
+                values: codes.into_iter().map(|c| value(c).to_vec()).collect(),
             }
-        })
-        .collect()
+        }
+        DictChoice::Encrypted(_) => ColumnData::Encrypted {
+            main: main.dict_arc(),
+            delta: Arc::clone(delta),
+            codes,
+            cache: Some(cache),
+        },
+    }
 }
 
 fn count_chunk(

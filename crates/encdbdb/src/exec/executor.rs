@@ -35,23 +35,13 @@
 //! by one search per filtered dictionary plus one `Aggregate` per query.
 
 use crate::error::DbError;
-use crate::exec::aggregate::{build_histogram, remap_codes, resolve_plain, ColumnCodes, Remapped};
+use crate::exec::aggregate::{build_histogram, column_data, remap_codes, ColumnCodes};
 use crate::exec::plan::AggregatePlan;
 use crate::obs::SpanId;
-use crate::server::{
-    CellValue, ColumnDelta, DbaasServer, MainColumn, QueryStats, SelectResponse, ServerFilter,
-};
+use crate::server::{CellValue, DbaasServer, QueryStats, SelectResponse, ServerFilter};
 use encdict::aggregate::{AggPlanSpec, AggSpec, GroupPartials};
 use encdict::batch::{AggPartitionData, AggregateRequest, ColumnData};
 use encdict::enclave_ops::AggCell;
-use std::sync::Arc;
-
-/// One scanned partition's contribution: its remapped histogram plus the
-/// PLAIN columns' resolved value tables.
-struct PartScan {
-    remapped: Remapped,
-    plain_tables: Vec<Option<Vec<Vec<u8>>>>,
-}
 
 impl DbaasServer {
     /// Executes a grouped aggregation (the `exec` engine's entry point)
@@ -133,41 +123,42 @@ impl DbaasServer {
         ts.seed_stats(&mut stats);
 
         // Per-partition, fanned out on scoped threads: filter → chunked
-        // histogram scan → dense remap → resolve PLAIN value tables.
+        // histogram scan → dense remap → each column's value source.
         let scan_span = obs.span_arg("scan", "query", parent, active.len() as u64);
-        let parts: Vec<PartScan> = self.scan_partitions(
+        let parts: Vec<AggPartitionData> = self.scan_partitions(
             &ts,
             filters,
             scan_span.id(),
             &mut stats,
-            |_, snap, main_rids, delta_rids, part_stats, pspan| {
+            |pid, snap, main_rids, delta_rids, part_stats, pspan| {
                 let scan = obs.span("av.scan", "query", pspan);
                 let cols: Vec<ColumnCodes<'_>> = ref_idx
                     .iter()
                     .map(|&idx| ColumnCodes {
                         av: snap.main.columns[idx].av(),
-                        main_len: snap.main.columns[idx].main_len(),
+                        main_len: snap.main.columns[idx].dict().len(),
                     })
                     .collect();
                 let hist = build_histogram(&cols, &main_rids, &delta_rids)?;
                 scan.finish();
                 part_stats.chunks_scanned += hist.chunks;
                 let remapped = remap_codes(cols.len(), hist.tuples);
-                let plain_tables: Vec<Option<Vec<Vec<u8>>>> = ref_idx
+                let columns = ref_idx
                     .iter()
-                    .enumerate()
-                    .map(
-                        |(c, &idx)| match (&snap.main.columns[idx], &snap.deltas[idx]) {
-                            (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) => {
-                                Some(resolve_plain(dict, delta, &remapped.codes[c]))
-                            }
-                            _ => None,
-                        },
-                    )
+                    .zip(remapped.codes)
+                    .map(|(&idx, codes)| {
+                        column_data(
+                            &t.schema.columns[idx].choice,
+                            &snap.main.columns[idx],
+                            &snap.deltas[idx],
+                            codes,
+                            (pid as u64, snap.epoch()),
+                        )
+                    })
                     .collect();
-                Ok(PartScan {
-                    remapped,
-                    plain_tables,
+                Ok(AggPartitionData {
+                    columns,
+                    tuples: remapped.tuples,
                 })
             },
         )?;
@@ -186,35 +177,11 @@ impl DbaasServer {
             let mut generation = 0u64;
             let part_data: Vec<AggPartitionData> = active
                 .iter()
-                .zip(&parts)
-                .filter(|(_, scan)| !scan.remapped.tuples.is_empty())
-                .map(|((pid, snap), scan)| {
+                .zip(parts)
+                .filter(|(_, part)| !part.tuples.is_empty())
+                .map(|((_, snap), part)| {
                     generation = generation.max(snap.epoch());
-                    AggPartitionData {
-                        columns: ref_idx
-                            .iter()
-                            .enumerate()
-                            .map(
-                                |(c, &idx)| match (&snap.main.columns[idx], &snap.deltas[idx]) {
-                                    (
-                                        MainColumn::Encrypted(main),
-                                        ColumnDelta::Encrypted(delta),
-                                    ) => ColumnData::Encrypted {
-                                        main: main.dict_arc(),
-                                        delta: Arc::clone(delta),
-                                        codes: scan.remapped.codes[c].clone(),
-                                        cache: Some((*pid as u64, snap.epoch())),
-                                    },
-                                    _ => ColumnData::Plain {
-                                        values: scan.plain_tables[c]
-                                            .clone()
-                                            .expect("resolved above"),
-                                    },
-                                },
-                            )
-                            .collect(),
-                        tuples: scan.remapped.tuples.clone(),
-                    }
+                    part
                 })
                 .collect();
             if part_data.is_empty() && !spec.group_cols.is_empty() {
@@ -252,14 +219,17 @@ impl DbaasServer {
             // All-PLAIN: same trusted-core partial merge, run locally
             // (value tables move out of the scan — no per-query copy).
             let mut partials = GroupPartials::new();
-            for scan in parts {
-                let tables: Vec<Vec<Vec<u8>>> = scan
-                    .plain_tables
+            for part in parts {
+                let tables: Vec<Vec<Vec<u8>>> = part
+                    .columns
                     .into_iter()
-                    .map(|t| t.expect("all columns are PLAIN"))
+                    .map(|column| match column {
+                        ColumnData::Plain { values } => values,
+                        ColumnData::Encrypted { .. } => unreachable!("all columns are PLAIN"),
+                    })
                     .collect();
                 let mut partial = GroupPartials::new();
-                partial.accumulate(&tables, &scan.remapped.tuples, &spec)?;
+                partial.accumulate(&tables, &part.tuples, &spec)?;
                 partials.merge(partial);
             }
             partials

@@ -114,17 +114,14 @@ impl DataOwner {
                 col_name: spec.name.clone(),
                 bs_max: spec.bs_max,
             };
-            match spec.choice {
+            let (dict, av) = match spec.choice {
                 DictChoice::Encrypted(kind) => {
                     let sk_d = derive_column_key(&self.skdb, &schema.name, &spec.name);
-                    let (dict, av) = build_encrypted(column, kind, &params, &sk_d, rng)?;
-                    deployed.push(DeployedColumn::Encrypted(dict, av));
+                    build_encrypted(column, kind, &params, &sk_d, rng)?
                 }
-                DictChoice::Plain => {
-                    let (dict, av) = build_plain(column, encdict::EdKind::Ed1, &params, rng)?;
-                    deployed.push(DeployedColumn::Plain(dict, av));
-                }
-            }
+                DictChoice::Plain => build_plain(column, encdict::EdKind::Ed1, &params, rng)?,
+            };
+            deployed.push(DeployedColumn { dict, av });
         }
         Ok(deployed)
     }
@@ -277,20 +274,20 @@ mod tests {
         );
         let deployed = owner.encrypt_table(&table, &schema, &mut rng).unwrap();
         assert_eq!(deployed.len(), 2);
-        match &deployed[0] {
-            DeployedColumn::Encrypted(dict, av) => {
-                assert_eq!(av.len(), 3);
-                assert_eq!(dict.kind(), EdKind::Ed5);
-            }
-            other => panic!("expected encrypted column, got {other:?}"),
-        }
-        match &deployed[1] {
-            DeployedColumn::Plain(dict, av) => {
-                assert_eq!(av.len(), 3);
-                assert_eq!(dict.len(), 3);
-            }
-            other => panic!("expected plain column, got {other:?}"),
-        }
+        let DeployedColumn { dict, av } = &deployed[0];
+        assert_eq!(av.len(), 3);
+        assert_eq!(dict.kind(), EdKind::Ed5);
+        assert_ne!(
+            dict.value(0),
+            b"x",
+            "an encrypted column stores ciphertexts"
+        );
+        // The PLAIN column is a sorted (ED1) dictionary of its values.
+        let DeployedColumn { dict, av } = &deployed[1];
+        assert_eq!(av.len(), 3);
+        assert_eq!(dict.kind(), EdKind::Ed1);
+        let values: Vec<&[u8]> = (0..dict.len()).map(|i| dict.value(i)).collect();
+        assert_eq!(values, [b"1", b"2", b"3"]);
     }
 
     #[test]

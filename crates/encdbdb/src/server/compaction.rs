@@ -11,16 +11,17 @@
 //! one shard, not the table.
 
 use super::format::{MergeRecord, WalRecord};
-use super::partition::{ColumnDelta, CompactionJob, MainColumn, Partition};
+use super::partition::{CompactionJob, Partition};
 use super::scheduler::direct_ecall;
 use super::table::ServerTable;
 use super::{lock, Config, DbaasServer, MERGE_RETRIES};
 use crate::error::DbError;
 use crate::obs::{Counter, EcallIo, EcallKind, Hist, Obs, SpanId};
 use crate::schema::{DictChoice, TableSchema};
-use colstore::dictionary::{AttributeVector, RecordId};
+use colstore::dictionary::AttributeVector;
+use encdict::dynamic::MainSnapshot;
 use encdict::enclave_ops::MergeRequest;
-use encdict::{DictEnclave, PlainDictionary};
+use encdict::{DictEnclave, Dictionary};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -286,7 +287,7 @@ pub(crate) fn execute_compaction(
     job: &CompactionJob,
     throttle: Option<Duration>,
     obs: &Obs,
-) -> Result<(Vec<MainColumn>, usize), DbError> {
+) -> Result<(Vec<MainSnapshot>, usize), DbError> {
     let rebuild_span = obs.span_arg("rebuild", "compaction", &SpanId::NONE, job.main.epoch);
     let mut new_columns = Vec::with_capacity(job.main.columns.len());
     let mut new_rows = None;
@@ -296,13 +297,9 @@ pub(crate) fn execute_compaction(
         .zip(&job.main.columns)
         .zip(&job.delta_prefixes)
     {
-        let (column, rows) = match (main_col, delta_col) {
-            (MainColumn::Encrypted(main), ColumnDelta::Encrypted(delta)) => {
-                let kind = match spec.choice {
-                    DictChoice::Encrypted(kind) => kind,
-                    DictChoice::Plain => unreachable!("schema/storage mismatch"),
-                };
-                let dict = main.dict();
+        let dict = main_col.dict();
+        let (new_dict, new_av) = match spec.choice {
+            DictChoice::Encrypted(kind) => {
                 let req = MergeRequest {
                     table_name: dict.table_name(),
                     col_name: dict.col_name(),
@@ -310,14 +307,14 @@ pub(crate) fn execute_compaction(
                     kind,
                     bs_max: spec.bs_max,
                     main: dict.segment().view(),
-                    main_av: main.av(),
+                    main_av: main_col.av(),
                     main_valid: &job.main_validity,
-                    delta: delta.segment().view(),
+                    delta: delta_col.segment().view(),
                     delta_valid: &job.delta_validity,
                 };
                 // Merge traffic is dominated by the streamed dictionary
                 // reads; bytes_out approximates the published AV payload.
-                let ((new_dict, new_av), dur_ns) = direct_ecall(
+                let (merged, dur_ns) = direct_ecall(
                     merge_enclave,
                     obs,
                     EcallKind::Merge,
@@ -331,35 +328,12 @@ pub(crate) fn execute_compaction(
                     },
                 )?;
                 obs.record(Hist::CompactionMergeNs, dur_ns);
-                let rows = new_av.len();
-                (
-                    MainColumn::Encrypted(main.next_generation(new_dict, new_av)),
-                    rows,
-                )
+                merged
             }
-            (MainColumn::Plain { dict, av }, ColumnDelta::Plain(delta)) => {
-                // Rebuild the plain column: valid main + valid delta rows.
-                let mut column = colstore::column::Column::new(&spec.name, spec.max_len);
-                for (j, vid) in av.iter().enumerate() {
-                    if job.main_validity.is_valid(j) {
-                        column.push(dict.value(vid as usize))?;
-                    }
-                }
-                for j in 0..delta.len() {
-                    if job.delta_validity.is_valid(j) {
-                        column.push(delta.value(RecordId(j as u32)))?;
-                    }
-                }
-                let rows = column.len();
-                let (new_dict, new_av) = rebuild_plain(&column)?;
-                let column = MainColumn::Plain {
-                    dict: Arc::new(new_dict),
-                    av: Arc::new(new_av),
-                };
-                (column, rows)
-            }
-            _ => unreachable!("schema/storage mismatch"),
+            DictChoice::Plain => rebuild_plain(spec, main_col, delta_col, job)?,
         };
+        let rows = new_av.len();
+        let column = main_col.next_generation(new_dict, new_av);
         debug_assert!(
             new_rows.is_none_or(|r| r == rows),
             "columns must stay row-aligned"
@@ -392,7 +366,7 @@ fn publish_compaction(
     t: &ServerTable,
     partition: &Partition,
     job: &CompactionJob,
-    (columns, rows): (Vec<MainColumn>, usize),
+    (columns, rows): (Vec<MainSnapshot>, usize),
 ) -> bool {
     let obs = server.obs();
     let span = obs.span_arg(
@@ -474,13 +448,26 @@ fn note_error(obs: &Obs, t: &ServerTable, e: &DbError) {
     *lock(&t.last_error) = Some(e.to_string());
 }
 
-/// Rebuilds a plain (sorted) dictionary from a column.
+/// Rebuilds a PLAIN column locally: the valid main and delta rows, in
+/// that order, as a fresh sorted (ED1) dictionary.
 fn rebuild_plain(
-    column: &colstore::column::Column,
-) -> Result<(PlainDictionary, AttributeVector), DbError> {
+    spec: &crate::schema::ColumnSpec,
+    main: &MainSnapshot,
+    delta: &Dictionary,
+    job: &CompactionJob,
+) -> Result<(Dictionary, AttributeVector), DbError> {
+    let mut column = colstore::column::Column::new(&spec.name, spec.max_len);
+    for (j, vid) in main.av().iter().enumerate() {
+        if job.main_validity.is_valid(j) {
+            column.push(main.dict().value(vid as usize))?;
+        }
+    }
+    for j in (0..delta.len()).filter(|&j| job.delta_validity.is_valid(j)) {
+        column.push(delta.value(j))?;
+    }
     let mut rng = rand::rngs::mock::StepRng::new(0, 1);
     Ok(encdict::build::build_plain(
-        column,
+        &column,
         encdict::EdKind::Ed1,
         &Default::default(),
         &mut rng,

@@ -7,7 +7,7 @@
 //! record meets the state of the partition it names is the replay's
 //! business (`storage.rs`).
 
-use super::partition::{MainColumn, MainState, Partition};
+use super::partition::{MainState, Partition};
 use super::CellValue;
 use crate::error::DbError;
 use crate::schema::{ColumnSpec, DictChoice, TablePartitioning, TableSchema};
@@ -16,7 +16,6 @@ use colstore::dictionary::RecordId;
 use encdict::dynamic::MainSnapshot;
 use encdict::EdKind;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 const WAL_VERSION: u8 = 1;
 const REC_HEADER: u8 = 0;
@@ -240,16 +239,20 @@ pub(crate) fn encode_snapshot(
     out.put_u64(main.epoch);
     out.put_u64(drained_total);
     out.put_u64(main.rows as u64);
-    out.put_seq32(&main.columns, |out, column| match column {
-        MainColumn::Encrypted(snap) => {
-            out.put_u8(CELL_ENCRYPTED);
-            out.put_bytes64(&encdict::persist::to_bytes(snap.dict(), snap.av()));
+    out.put_len32(main.columns.len());
+    for (spec, column) in schema.columns.iter().zip(&main.columns) {
+        let (dict, av) = (column.dict(), column.av());
+        match spec.choice {
+            DictChoice::Encrypted(_) => {
+                out.put_u8(CELL_ENCRYPTED);
+                out.put_bytes64(&encdict::persist::to_bytes(dict, av));
+            }
+            DictChoice::Plain => {
+                out.put_u8(CELL_PLAIN);
+                out.put_bytes64(&encdict::persist::plain_to_bytes(dict, av));
+            }
         }
-        MainColumn::Plain { dict, av } => {
-            out.put_u8(CELL_PLAIN);
-            out.put_bytes64(&encdict::persist::plain_to_bytes(dict, av));
-        }
-    });
+    }
     out
 }
 
@@ -289,18 +292,12 @@ pub(crate) fn decode_snapshot(
     for spec in &schema.columns {
         let tag = r.u8()?;
         let body = r.bytes64(usize::MAX)?;
-        let column = match (tag, &spec.choice) {
-            (CELL_ENCRYPTED, DictChoice::Encrypted(_)) => {
-                let (dict, av) = encdict::persist::from_bytes(body)?;
-                MainColumn::Encrypted(MainSnapshot::new(epoch, dict, av))
-            }
-            (CELL_PLAIN, DictChoice::Plain) => {
-                let (dict, av) = encdict::persist::plain_from_bytes(body)?;
-                let (dict, av) = (Arc::new(dict), Arc::new(av));
-                MainColumn::Plain { dict, av }
-            }
+        let (dict, av) = match (tag, &spec.choice) {
+            (CELL_ENCRYPTED, DictChoice::Encrypted(_)) => encdict::persist::from_bytes(body)?,
+            (CELL_PLAIN, DictChoice::Plain) => encdict::persist::plain_from_bytes(body)?,
             _ => return Err(corrupt("column protection does not match the schema")),
         };
+        let column = MainSnapshot::new(epoch, dict, av);
         if column.av().len() != rows {
             return Err(corrupt("column is not row-aligned"));
         }
@@ -463,12 +460,11 @@ mod tests {
         let key = Key128::from_bytes([4; 16]);
         let params = BuildParams::default();
         let (dict, av) = build_encrypted(&a, EdKind::Ed5, &params, &key, &mut rng).unwrap();
-        let encrypted = MainColumn::Encrypted(MainSnapshot::new(2, dict, av));
+        let encrypted = MainSnapshot::new(2, dict, av);
         let (dict, av) = build_plain(&b, EdKind::Ed1, &params, &mut rng).unwrap();
-        let (dict, av) = (Arc::new(dict), Arc::new(av));
         let main = MainState {
             epoch: 2,
-            columns: vec![encrypted, MainColumn::Plain { dict, av }],
+            columns: vec![encrypted, MainSnapshot::new(2, dict, av)],
             rows: 4,
         };
         encode_snapshot(&schema(), 1, &main, 9)

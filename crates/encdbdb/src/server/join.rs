@@ -21,20 +21,17 @@
 //!   smoothing/hiding kinds never qualify — their dictionaries map one
 //!   value to many entries, so only the bridge sees equality.
 
-use super::snapshot::TableSnapshot;
-use super::{
-    CellValue, ColumnDelta, DbaasServer, JoinSideQuery, MainColumn, QueryStats, SelectResponse,
-};
+use super::snapshot::{render_delta_cell, render_main_cell, TableSnapshot};
+use super::{CellValue, DbaasServer, JoinSideQuery, QueryStats, SelectResponse};
 use crate::error::DbError;
-use crate::exec::aggregate::{check_code_space, resolve_plain, ColumnCodes};
+use crate::exec::aggregate::{check_code_space, column_data, ColumnCodes};
 use crate::obs::SpanId;
-use crate::schema::DictChoice;
+use crate::schema::{ColumnSpec, DictChoice};
 use colstore::dictionary::RecordId;
 use encdict::batch::{ColumnData, JoinBridgeRequest, JoinSideData};
 use encdict::enclave_ops::bridge_key_tables;
 use encdict::RepetitionOption;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 /// One scanned partition of one join side: its matching rows, each row's
 /// join-key code (main ValueID or offset delta row), and the distinct
@@ -76,7 +73,7 @@ fn scan_side(
         |_, snap, main_rids, delta_rids, _, _| {
             let key = ColumnCodes {
                 av: snap.main.columns[key_idx].av(),
-                main_len: snap.main.columns[key_idx].main_len(),
+                main_len: snap.main.columns[key_idx].dict().len(),
             };
             // Delta rows get codes `main_len + rid`.
             check_code_space(&[key], &delta_rids)?;
@@ -238,40 +235,36 @@ impl DbaasServer {
             .column(&right.key)
             .ok_or_else(|| DbError::ColumnNotFound(right.key.clone()))?;
 
-        // Resolve each PLAIN key side's distinct values up front: the
-        // local all-PLAIN match and the mixed-protection bridge request
-        // share these tables.
-        let build_plain = |ts: &TableSnapshot,
-                           key_idx: usize,
-                           choice: &DictChoice,
-                           scan: &[SidePartScan]|
-         -> Option<Vec<Vec<Vec<u8>>>> {
-            match choice {
-                DictChoice::Plain => Some(
-                    ts.active
-                        .iter()
-                        .zip(scan)
-                        .map(|((_, snap), part)| {
-                            match (&snap.main.columns[key_idx], &snap.deltas[key_idx]) {
-                                (MainColumn::Plain { dict, .. }, ColumnDelta::Plain(delta)) => {
-                                    resolve_plain(dict, delta, &part.distinct)
-                                }
-                                _ => unreachable!("a PLAIN key column has a PLAIN delta"),
-                            }
-                        })
-                        .collect(),
-                ),
-                DictChoice::Encrypted(_) => None,
-            }
-        };
-        let lplain = build_plain(lts, lkey_idx, &lkey_spec.choice, lscan);
-        let rplain = build_plain(rts, rkey_idx, &rkey_spec.choice, rscan);
+        // Each side's key codes, per partition: a PLAIN side's values
+        // resolved here, an encrypted side's stores for the enclave. The
+        // generation key is the maximum epoch among the included
+        // partition snapshots.
+        let mut generation = 0u64;
+        let mut key_data =
+            |ts: &TableSnapshot, key_idx: usize, spec: &ColumnSpec, scan: &[SidePartScan]| {
+                ts.active
+                    .iter()
+                    .zip(scan)
+                    .map(|((pid, snap), part)| {
+                        generation = generation.max(snap.epoch());
+                        column_data(
+                            &spec.choice,
+                            &snap.main.columns[key_idx],
+                            &snap.deltas[key_idx],
+                            part.distinct.clone(),
+                            (*pid as u64, snap.epoch()),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+        let lparts = key_data(lts, lkey_idx, lkey_spec, lscan);
+        let rparts = key_data(rts, rkey_idx, rkey_spec, rscan);
 
         // All-PLAIN keys: the same bridge core the enclave runs
         // (`encdict::enclave_ops::bridge_key_tables`), executed locally
         // with no shuffle — the server sees these plaintexts anyway.
-        if let (Some(lvals), Some(rvals)) = (&lplain, &rplain) {
-            let (lids, rids, entries) = bridge_key_tables(lvals, rvals, |_| {});
+        if let (Some(lvals), Some(rvals)) = (plain_values(&lparts), plain_values(&rparts)) {
+            let (lids, rids, entries) = bridge_key_tables(&lvals, &rvals, |_| {});
             stats.bridge_entries = entries;
             return Ok((to_maps(lscan, &lids), to_maps(rscan, &rids)));
         }
@@ -288,7 +281,7 @@ impl DbaasServer {
             && lts.active[0].0 == rts.active[0].0
             && lts.active[0].1.epoch() == rts.active[0].1.epoch()
         {
-            let main_len = lts.active[0].1.main.columns[lkey_idx].main_len() as u32;
+            let main_len = lts.active[0].1.main.columns[lkey_idx].dict().len() as u32;
             let no_delta_codes = |scan: &[SidePartScan]| {
                 scan.iter()
                     .all(|p| p.distinct.iter().all(|&c| c < main_len))
@@ -314,79 +307,31 @@ impl DbaasServer {
         // references (`Arc`s of the main generations and of the delta
         // stores the snapshots froze) so it can ride a combined
         // transition of the cross-session scheduler.
-        fn build_side(
-            ts: &TableSnapshot,
-            table: &str,
-            key: &str,
-            key_idx: usize,
-            encrypted: bool,
-            scan: &[SidePartScan],
-            plain: &Option<Vec<Vec<Vec<u8>>>>,
-            generation: &mut u64,
-        ) -> JoinSideData {
-            let parts = if encrypted {
-                ts.active
-                    .iter()
-                    .zip(scan)
-                    .map(|((pid, snap), part)| {
-                        let (MainColumn::Encrypted(main), ColumnDelta::Encrypted(delta)) =
-                            (&snap.main.columns[key_idx], &snap.deltas[key_idx])
-                        else {
-                            unreachable!("schema says the key column is encrypted");
-                        };
-                        *generation = (*generation).max(snap.epoch());
-                        ColumnData::Encrypted {
-                            main: main.dict_arc(),
-                            delta: Arc::clone(delta),
-                            codes: part.distinct.clone(),
-                            cache: Some((*pid as u64, snap.epoch())),
-                        }
-                    })
-                    .collect()
-            } else {
-                plain
-                    .as_ref()
-                    .expect("resolved above")
-                    .iter()
-                    .map(|values| ColumnData::Plain {
-                        values: values.clone(),
-                    })
-                    .collect()
-            };
-            JoinSideData {
-                table_name: table.to_string(),
-                col_name: encrypted.then(|| key.to_string()),
-                parts,
-            }
-        }
-        let mut generation = 0u64;
+        let side = |table: &str, spec: &ColumnSpec, parts| JoinSideData {
+            table_name: table.to_string(),
+            col_name: matches!(spec.choice, DictChoice::Encrypted(_)).then(|| spec.name.clone()),
+            parts,
+        };
         let req = JoinBridgeRequest {
-            left: build_side(
-                lts,
-                &left.table,
-                &left.key,
-                lkey_idx,
-                matches!(lkey_spec.choice, DictChoice::Encrypted(_)),
-                lscan,
-                &lplain,
-                &mut generation,
-            ),
-            right: build_side(
-                rts,
-                &right.table,
-                &right.key,
-                rkey_idx,
-                matches!(rkey_spec.choice, DictChoice::Encrypted(_)),
-                rscan,
-                &rplain,
-                &mut generation,
-            ),
+            left: side(&left.table, lkey_spec, lparts),
+            right: side(&right.table, rkey_spec, rparts),
         };
         let (reply, cost) = self.scheduler().bridge(req, generation, parent)?;
         cost.absorb_into(stats);
         stats.bridge_entries = reply.bridge_entries;
         Ok((to_maps(lscan, &reply.left), to_maps(rscan, &reply.right)))
     }
+}
+
+/// A PLAIN key side's per-partition values; `None` for an encrypted side.
+fn plain_values(parts: &[ColumnData]) -> Option<Vec<Vec<Vec<u8>>>> {
+    parts
+        .iter()
+        .map(|part| match part {
+            ColumnData::Plain { values } => Some(values.clone()),
+            ColumnData::Encrypted { .. } => None,
+        })
+        .collect()
 }
 
 /// Converts per-partition optional bridge ids (aligned index-for-index
@@ -429,13 +374,12 @@ fn render_side_cells(
 ) {
     let (_, snap) = &ts.active[part_idx];
     for &idx in col_indices {
+        let choice = &ts.table.schema.columns[idx].choice;
         row.push(if ord < part.main_rids.len() {
-            super::snapshot::render_main_cell(&snap.main.columns[idx], part.main_rids[ord])
+            render_main_cell(choice, &snap.main.columns[idx], part.main_rids[ord])
         } else {
-            super::snapshot::render_delta_cell(
-                &snap.deltas[idx],
-                part.delta_rids[ord - part.main_rids.len()],
-            )
+            let rid = part.delta_rids[ord - part.main_rids.len()];
+            render_delta_cell(choice, &snap.deltas[idx], rid)
         });
     }
 }

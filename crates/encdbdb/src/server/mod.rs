@@ -55,7 +55,6 @@ pub use compaction::CompactionPolicy;
 pub use stats::{CompactionStats, DurabilityStats, QueryStats};
 pub use storage::{DurabilityPolicy, FailPoint};
 
-pub(crate) use partition::{ColumnDelta, MainColumn};
 pub(crate) use scheduler::EcallScheduler;
 pub(crate) use table::ServerTable;
 
@@ -63,7 +62,7 @@ use crate::error::DbError;
 use crate::obs::{Counter, Hist, Obs, SpanId};
 use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::AttributeVector;
-use encdict::{DictEnclave, EncryptedDictionary, EncryptedRange, PlainDictionary, RangeQuery};
+use encdict::{DictEnclave, Dictionary, EncryptedRange, RangeQuery};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -89,6 +88,14 @@ pub enum CellValue {
 }
 
 impl CellValue {
+    /// A stored entry as a cell of a column of protection `choice`.
+    pub(crate) fn new(choice: &DictChoice, bytes: &[u8]) -> Self {
+        match choice {
+            DictChoice::Encrypted(_) => CellValue::Encrypted(bytes.to_vec()),
+            DictChoice::Plain => CellValue::Plain(bytes.to_vec()),
+        }
+    }
+
     /// The cell's bytes: the ciphertext or the plaintext value.
     pub(crate) fn bytes(&self) -> &[u8] {
         match self {
@@ -143,6 +150,15 @@ impl ServerFilter {
     pub(crate) fn column(&self) -> &str {
         match self {
             ServerFilter::Encrypted { column, .. } | ServerFilter::Plain { column, .. } => column,
+        }
+    }
+
+    /// Whether the disjunction is empty: the filter provably matches
+    /// nothing.
+    pub(crate) fn matches_nothing(&self) -> bool {
+        match self {
+            ServerFilter::Encrypted { ranges, .. } => ranges.is_empty(),
+            ServerFilter::Plain { ranges, .. } => ranges.is_empty(),
         }
     }
 }
@@ -245,13 +261,15 @@ pub struct SelectResponse {
     pub rows: Vec<Vec<CellValue>>,
 }
 
-/// A deployed column as prepared by the data owner (step 3/4 of Fig. 5).
+/// A deployed column as prepared by the data owner (step 3/4 of Fig. 5):
+/// its dictionary and attribute vector — from `build_encrypted` for an
+/// encrypted column, from `build_plain` for a PLAIN one.
 #[derive(Debug)]
-pub enum DeployedColumn {
-    /// Encrypted dictionary + attribute vector.
-    Encrypted(EncryptedDictionary, AttributeVector),
-    /// Plaintext dictionary + attribute vector.
-    Plain(PlainDictionary, AttributeVector),
+pub struct DeployedColumn {
+    /// The main dictionary.
+    pub dict: Dictionary,
+    /// The attribute vector over `dict`.
+    pub av: AttributeVector,
 }
 
 /// Shared, copy-on-read server configuration.
@@ -465,15 +483,9 @@ impl DbaasServer {
             schema
                 .columns
                 .iter()
-                .map(|spec| match spec.choice {
-                    DictChoice::Encrypted(kind) => {
-                        let dict = table::empty_encrypted_dict(&schema.name, spec, kind);
-                        DeployedColumn::Encrypted(dict, AttributeVector::new())
-                    }
-                    DictChoice::Plain => {
-                        let dict = table::empty_plain_dict(spec.max_len);
-                        DeployedColumn::Plain(dict, AttributeVector::new())
-                    }
+                .map(|spec| DeployedColumn {
+                    dict: table::empty_dict(&schema.name, spec),
+                    av: AttributeVector::new(),
                 })
                 .collect::<Vec<_>>()
         };
@@ -505,8 +517,9 @@ impl DbaasServer {
             .sum())
     }
 
-    /// Storage size in bytes of one column's main representation
-    /// (Table 6), summed over partitions.
+    /// Storage size in bytes of one column — main dictionary, its packed
+    /// attribute vector and the delta store (Table 6) — summed over
+    /// partitions.
     ///
     /// # Errors
     ///
@@ -520,17 +533,10 @@ impl DbaasServer {
         let mut total = 0usize;
         for partition in &t.partitions {
             let snap = partition.snapshot();
-            total += match (&snap.main.columns[idx], &snap.deltas[idx]) {
-                (MainColumn::Encrypted(main), ColumnDelta::Encrypted(delta)) => {
-                    main.dict().storage_size()
-                        + main.av().packed_size(main.dict().len())
-                        + delta.storage_size()
-                }
-                (MainColumn::Plain { dict, av }, _) => {
-                    dict.storage_size() + av.packed_size(dict.len())
-                }
-                _ => unreachable!("schema/storage mismatch"),
-            };
+            let main = &snap.main.columns[idx];
+            total += main.dict().storage_size()
+                + main.av().packed_size(main.dict().len())
+                + snap.deltas[idx].storage_size();
         }
         Ok(total)
     }

@@ -18,78 +18,22 @@
 //! a recovered partition equals the live one by construction.
 
 use super::lock;
-use crate::schema::{DictChoice, TableSchema};
-use colstore::delta::{DeltaStore, ValidityVector};
-use colstore::dictionary::{AttributeVector, RecordId};
+use crate::schema::TableSchema;
+use colstore::delta::ValidityVector;
+use colstore::dictionary::RecordId;
 use encdict::dynamic::MainSnapshot;
-use encdict::{EncryptedDictionary, PlainDictionary};
+use encdict::Dictionary;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-/// Per-column immutable main store within one partition epoch.
-#[derive(Debug, Clone)]
-pub(crate) enum MainColumn {
-    /// Encrypted dictionary + attribute vector (epoch-tagged).
-    Encrypted(MainSnapshot),
-    /// Plaintext dictionary + attribute vector.
-    Plain {
-        dict: Arc<PlainDictionary>,
-        av: Arc<AttributeVector>,
-    },
-}
-
-impl MainColumn {
-    /// The attribute vector of the main store.
-    pub(crate) fn av(&self) -> &AttributeVector {
-        match self {
-            MainColumn::Encrypted(snap) => snap.av(),
-            MainColumn::Plain { av, .. } => av,
-        }
-    }
-
-    /// The main dictionary length (= offset of the delta code space).
-    pub(crate) fn main_len(&self) -> usize {
-        match self {
-            MainColumn::Encrypted(snap) => snap.dict().len(),
-            MainColumn::Plain { dict, .. } => dict.len(),
-        }
-    }
-}
-
 /// The immutable main state of one partition: one generation, swapped
-/// wholesale when a compaction publishes.
+/// wholesale when a compaction publishes. One dictionary + attribute
+/// vector per column, encrypted or PLAIN alike.
 #[derive(Debug)]
 pub(crate) struct MainState {
     pub(crate) epoch: u64,
-    pub(crate) columns: Vec<MainColumn>,
+    pub(crate) columns: Vec<MainSnapshot>,
     pub(crate) rows: usize,
-}
-
-/// One column's delta store — for an encrypted column an ED9 dictionary
-/// that grows (paper §4.3). Shared copy-on-write: `Clone` is an `Arc`
-/// clone that freezes the store as a snapshot sees it, and the partition
-/// writes through [`Arc::make_mut`], which copies the store only while
-/// such a clone is alive.
-#[derive(Debug, Clone)]
-pub(crate) enum ColumnDelta {
-    Encrypted(Arc<EncryptedDictionary>),
-    Plain(Arc<DeltaStore>),
-}
-
-impl ColumnDelta {
-    fn prefix(&self, n: usize) -> ColumnDelta {
-        match self {
-            ColumnDelta::Encrypted(d) => ColumnDelta::Encrypted(Arc::new(d.prefix(n))),
-            ColumnDelta::Plain(d) => ColumnDelta::Plain(Arc::new(d.prefix(n))),
-        }
-    }
-
-    fn drain_prefix(&mut self, n: usize) {
-        match self {
-            ColumnDelta::Encrypted(d) => Arc::make_mut(d).drain_prefix(n),
-            ColumnDelta::Plain(d) => Arc::make_mut(d).drain_prefix(n),
-        }
-    }
 }
 
 /// An owned, consistent view of one partition: `Arc` clones of the main
@@ -104,7 +48,7 @@ pub(crate) struct PartitionSnapshot {
     /// executor skip search ECALLs on empty or fully-invalid partitions
     /// without a popcount.
     pub(crate) main_valid_rows: usize,
-    pub(crate) deltas: Vec<ColumnDelta>,
+    pub(crate) deltas: Vec<Arc<Dictionary>>,
     /// One bit per delta row, shared by every column.
     pub(crate) delta_validity: Arc<ValidityVector>,
     /// Valid delta rows, captured O(1) like `main_valid_rows`.
@@ -129,7 +73,7 @@ impl PartitionSnapshot {
 pub(crate) struct CompactionJob {
     pub(crate) main: Arc<MainState>,
     pub(crate) main_validity: Arc<ValidityVector>,
-    pub(crate) delta_prefixes: Vec<ColumnDelta>,
+    pub(crate) delta_prefixes: Vec<Dictionary>,
     pub(crate) delta_validity: ValidityVector,
     /// Delta rows `0..watermark` are folded by this job.
     pub(crate) watermark: usize,
@@ -148,8 +92,12 @@ pub(crate) struct PartitionState {
     /// Invalidated main rows — keeps the compaction-policy check O(1)
     /// instead of a popcount scan per write.
     main_invalid: usize,
-    /// One store per column, all `delta_validity.len()` rows long.
-    deltas: Vec<ColumnDelta>,
+    /// One ED9 store per column, all `delta_validity.len()` rows long
+    /// (paper §4.3). Shared copy-on-write: a snapshot clones the `Arc`,
+    /// freezing the store as it saw it, and the partition writes through
+    /// [`Arc::make_mut`], which copies the store only while such a clone
+    /// is alive.
+    deltas: Vec<Arc<Dictionary>>,
     /// The one validity vector of the delta side.
     delta_validity: Arc<ValidityVector>,
     /// Invalidated delta rows, so that a snapshot counts nothing.
@@ -214,8 +162,9 @@ impl PartitionState {
 
     /// **Transition 1 — insert.** Appends rows to the delta stores, all
     /// valid: one item per row, one cell (the stored bytes) per column in
-    /// schema order. Callers have validated arity and lengths and, with
-    /// durable storage, logged the rows first.
+    /// schema order. Callers have validated arity and lengths,
+    /// re-encrypted encrypted cells and, with durable storage, logged the
+    /// rows first.
     pub(crate) fn append_rows<'a, R>(&mut self, rows: impl IntoIterator<Item = R>)
     where
         R: IntoIterator<Item = &'a [u8]>,
@@ -224,16 +173,7 @@ impl PartitionState {
             let mut cells = row.into_iter();
             for delta in &mut self.deltas {
                 let cell = cells.next().expect("callers validated the row arity");
-                match delta {
-                    ColumnDelta::Encrypted(d) => {
-                        Arc::make_mut(d).push(cell);
-                    }
-                    ColumnDelta::Plain(d) => {
-                        Arc::make_mut(d)
-                            .insert(cell)
-                            .expect("callers validated the cell length");
-                    }
-                }
+                Arc::make_mut(delta).push(cell);
             }
             Arc::make_mut(&mut self.delta_validity).push(true);
         }
@@ -318,7 +258,7 @@ impl PartitionState {
     /// **Transition 4 — publish.** Swaps in the main generation rebuilt
     /// from `job` (all rows valid, next epoch), drops the folded delta
     /// prefix and rebases delta validity and the absolute position base.
-    pub(crate) fn publish(&mut self, job: &CompactionJob, columns: Vec<MainColumn>, rows: usize) {
+    pub(crate) fn publish(&mut self, job: &CompactionJob, columns: Vec<MainSnapshot>, rows: usize) {
         debug_assert_eq!(
             self.main.epoch, job.main.epoch,
             "merges are serialized per partition"
@@ -331,7 +271,7 @@ impl PartitionState {
         self.main_validity = Arc::new(ValidityVector::all_valid(rows));
         self.main_invalid = 0;
         for delta in &mut self.deltas {
-            delta.drain_prefix(job.watermark);
+            Arc::make_mut(delta).drain_prefix(job.watermark);
         }
         self.delta_validity = Arc::new(self.delta_validity.suffix(job.watermark));
         self.delta_invalid = self.delta_rows() - self.delta_validity.count_valid();
@@ -357,7 +297,7 @@ impl Partition {
     pub(crate) fn new(
         index: usize,
         schema: &TableSchema,
-        columns: Vec<MainColumn>,
+        columns: Vec<MainSnapshot>,
         rows: usize,
         epoch: u64,
         drained_total: u64,
@@ -365,12 +305,7 @@ impl Partition {
         let deltas = schema
             .columns
             .iter()
-            .map(|spec| match spec.choice {
-                DictChoice::Encrypted(_) => ColumnDelta::Encrypted(Arc::new(
-                    EncryptedDictionary::delta(&schema.name, &spec.name, spec.max_len),
-                )),
-                DictChoice::Plain => ColumnDelta::Plain(Arc::new(DeltaStore::new(spec.max_len))),
-            })
+            .map(|spec| Arc::new(Dictionary::delta(&schema.name, &spec.name, spec.max_len)))
             .collect();
         Partition {
             index,

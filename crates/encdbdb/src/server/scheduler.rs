@@ -459,7 +459,7 @@ mod tests {
     /// A search over an empty delta store — the cheapest call there is.
     fn empty_search() -> SearchCall {
         SearchCall {
-            dict: Arc::new(encdict::EncryptedDictionary::delta("t", "c", 0)),
+            dict: Arc::new(encdict::Dictionary::delta("t", "c", 0)),
             ranges: Vec::new(),
             cache: None,
         }

@@ -8,19 +8,20 @@
 //! empty-delta no-op: a search over a shard that provably holds no valid
 //! row never enters the enclave.
 
-use super::partition::{ColumnDelta, MainColumn, PartitionSnapshot};
+use super::partition::PartitionSnapshot;
 use super::scheduler::EcallScheduler;
 use super::table::intersect_sorted;
 use super::{CellValue, DbaasServer, QueryStats, SelectResponse, ServerFilter};
 use crate::error::DbError;
 use crate::obs::{Obs, SpanId};
-use crate::schema::TableSchema;
+use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::RecordId;
 use encdict::avsearch;
 use encdict::batch::SearchCall;
+use encdict::dynamic::MainSnapshot;
 use encdict::plain::search_plain;
 use encdict::search::DictSearchResult;
-use encdict::{CacheTag, EncdictError, EncryptedDictionary, EncryptedRange};
+use encdict::{CacheTag, Dictionary, EncdictError, EncryptedRange};
 use std::sync::Arc;
 
 /// The scheduler handle a partition scan issues its search ECALLs
@@ -43,7 +44,7 @@ struct EnclaveCtx<'a> {
 fn sched_search(
     ctx: &EnclaveCtx<'_>,
     snap: &PartitionSnapshot,
-    dict: Arc<EncryptedDictionary>,
+    dict: Arc<Dictionary>,
     delta: bool,
     ranges: &[EncryptedRange],
     stats: &mut QueryStats,
@@ -259,70 +260,46 @@ fn matching_rids(
         return Ok((main, delta, stats));
     };
 
-    let (idx, _) = schema
+    let (idx, spec) = schema
         .column(filter.column())
         .ok_or_else(|| DbError::ColumnNotFound(filter.column().to_string()))?;
-
-    let (main_rids, delta_rids) = match (&snap.main.columns[idx], &snap.deltas[idx], filter) {
-        (
-            MainColumn::Encrypted(main),
-            ColumnDelta::Encrypted(delta),
-            ServerFilter::Encrypted { ranges, .. },
-        ) => {
-            let dict = main.dict();
-            // An empty or fully-invalid main store provably matches
-            // nothing — skip the search ECALL (the partition-layer
-            // analogue of the PR 3 empty-delta no-op). The whole
-            // disjunction (`IN` / multi-range) is batched into *one*
-            // ECALL per store; the per-range results are unioned in one
-            // combined AV pass.
-            let main_rids = if dict.is_empty() || snap.main_valid_rows == 0 || ranges.is_empty() {
-                Vec::new()
-            } else {
-                let results = sched_search(ctx, snap, main.dict_arc(), false, ranges, &mut stats)?;
-                let _scan = ctx.obs.span("av.scan", "query", ctx.parent);
-                avsearch::scan(main.av(), &results)
-            };
-            // The empty (or fully-deleted) delta needs no ECALL either.
-            let delta_rids = if delta.is_empty() || snap.delta_valid_rows == 0 || ranges.is_empty()
-            {
-                Vec::new()
-            } else {
-                // The delta is an ED9 dictionary; the request shares the
-                // store this snapshot froze, so it stays valid no matter
-                // when the scheduler dispatches it.
-                let results = sched_search(ctx, snap, Arc::clone(delta), true, ranges, &mut stats)?;
-                encdict::dynamic::record_ids(delta.len(), &results)?
-            };
-            (main_rids, delta_rids)
+    // The whole disjunction (`IN` / multi-range) is searched in one go
+    // per store: for an encrypted column one scheduled ECALL, for a PLAIN
+    // one PlainDBDB's search of the same layout, with no ECALL.
+    let mut search = |dict: Arc<Dictionary>, delta: bool| match (&spec.choice, filter) {
+        (DictChoice::Encrypted(_), ServerFilter::Encrypted { ranges, .. }) => {
+            sched_search(ctx, snap, dict, delta, ranges, &mut stats)
         }
-        (
-            MainColumn::Plain { dict, av },
-            ColumnDelta::Plain(delta),
-            ServerFilter::Plain { ranges, .. },
-        ) => {
-            // As for an encrypted column: every range searched first,
-            // then one combined AV pass over the union.
-            let search = ctx.obs.span("search.plain", "query", ctx.parent);
-            let results = ranges
-                .iter()
-                .map(|range| search_plain(dict, range))
-                .collect::<Result<Vec<_>, _>>()?;
-            search.finish();
-            let scan = ctx.obs.span("av.scan", "query", ctx.parent);
-            let main_rids = avsearch::scan(av, &results);
-            scan.finish();
-            let delta_rids = (0..delta.len() as u32)
-                .map(RecordId)
-                .filter(|&rid| ranges.iter().any(|r| r.contains(delta.value(rid))))
-                .collect();
-            (main_rids, delta_rids)
+        (DictChoice::Plain, ServerFilter::Plain { ranges, .. }) => {
+            let _search = ctx.obs.span("search.plain", "query", ctx.parent);
+            let results = ranges.iter().map(|range| search_plain(&dict, range));
+            Ok(results.collect::<Result<_, _>>()?)
         }
-        _ => {
-            return Err(DbError::UnsupportedFilter(
-                "filter form does not match column protection".to_string(),
-            ))
-        }
+        _ => Err(DbError::UnsupportedFilter(
+            "filter form does not match column protection".to_string(),
+        )),
+    };
+    let main = &snap.main.columns[idx];
+    let delta = &snap.deltas[idx];
+    // An empty or fully-invalid store, or a provably contradictory
+    // filter, matches nothing — no search at all (for an encrypted column
+    // the partition-layer analogue of the empty-delta no-op). The per-range
+    // results of the main store are unioned in one combined AV pass.
+    let nothing = filter.matches_nothing();
+    let main_rids = if main.dict().is_empty() || snap.main_valid_rows == 0 || nothing {
+        Vec::new()
+    } else {
+        let results = search(main.dict_arc(), false)?;
+        let _scan = ctx.obs.span("av.scan", "query", ctx.parent);
+        avsearch::scan(main.av(), &results)
+    };
+    // The delta is an ED9 dictionary whose ValueIDs are its RecordIDs; a
+    // scheduled request shares the store this snapshot froze, so it stays
+    // valid no matter when the scheduler dispatches it.
+    let delta_rids = if delta.is_empty() || snap.delta_valid_rows == 0 || nothing {
+        Vec::new()
+    } else {
+        encdict::dynamic::record_ids(delta.len(), &search(Arc::clone(delta), true)?)?
     };
     let main = main_rids
         .into_iter()
@@ -335,26 +312,20 @@ fn matching_rids(
     Ok((main, delta, stats))
 }
 
-pub(crate) fn render_main_cell(col: &MainColumn, rid: RecordId) -> CellValue {
-    match col {
-        MainColumn::Encrypted(main) => {
-            let vid = main.av().value_id(rid);
-            CellValue::Encrypted(main.dict().ciphertext(vid.0 as usize).to_vec())
-        }
-        MainColumn::Plain { dict, av } => {
-            let vid = av.value_id(rid);
-            CellValue::Plain(dict.value(vid.0 as usize).to_vec())
-        }
-    }
+/// Renders the cell of main-store row `rid`, undoing the split (Fig. 5
+/// step 12): a ciphertext for an encrypted column, a PLAIN column's value.
+pub(crate) fn render_main_cell(
+    choice: &DictChoice,
+    col: &MainSnapshot,
+    rid: RecordId,
+) -> CellValue {
+    let vid = col.av().value_id(rid);
+    CellValue::new(choice, col.dict().value(vid.0 as usize))
 }
 
-pub(crate) fn render_delta_cell(col: &ColumnDelta, rid: RecordId) -> CellValue {
-    match col {
-        ColumnDelta::Encrypted(delta) => {
-            CellValue::Encrypted(delta.ciphertext(rid.0 as usize).to_vec())
-        }
-        ColumnDelta::Plain(delta) => CellValue::Plain(delta.value(rid).to_vec()),
-    }
+/// Renders the cell of delta-store row `rid`.
+pub(crate) fn render_delta_cell(choice: &DictChoice, col: &Dictionary, rid: RecordId) -> CellValue {
+    CellValue::new(choice, col.value(rid.0 as usize))
 }
 
 impl DbaasServer {
@@ -416,14 +387,16 @@ impl DbaasServer {
                 for &rid in &main_rids {
                     let mut row = Vec::with_capacity(col_indices.len());
                     for &idx in &col_indices {
-                        row.push(render_main_cell(&snap.main.columns[idx], rid));
+                        let choice = &t.schema.columns[idx].choice;
+                        row.push(render_main_cell(choice, &snap.main.columns[idx], rid));
                     }
                     rows.push(row);
                 }
                 for &rid in &delta_rids {
                     let mut row = Vec::with_capacity(col_indices.len());
                     for &idx in &col_indices {
-                        row.push(render_delta_cell(&snap.deltas[idx], rid));
+                        let choice = &t.schema.columns[idx].choice;
+                        row.push(render_delta_cell(choice, &snap.deltas[idx], rid));
                     }
                     rows.push(row);
                 }

@@ -3,7 +3,7 @@
 //! range pruning for reads.
 
 use super::format::{DeleteRecord, InsertGroup, WalRecord};
-use super::partition::{MainColumn, Partition, PartitionSnapshot};
+use super::partition::{Partition, PartitionSnapshot};
 use super::scheduler::direct_ecall;
 use super::snapshot::TableSnapshot;
 use super::{
@@ -14,7 +14,7 @@ use crate::obs::{Counter, EcallIo, EcallKind, SpanId};
 use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::RecordId;
 use encdict::dynamic::MainSnapshot;
-use encdict::{EncryptedDictionary, PlainDictionary};
+use encdict::Dictionary;
 use std::borrow::Cow;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -168,16 +168,8 @@ fn build_partition(
     }
     let mut rows = None;
     let mut main_columns = Vec::with_capacity(columns.len());
-    for deployed in columns {
-        let column = match deployed {
-            DeployedColumn::Encrypted(dict, av) => {
-                MainColumn::Encrypted(MainSnapshot::new(0, dict, av))
-            }
-            DeployedColumn::Plain(dict, av) => MainColumn::Plain {
-                dict: Arc::new(dict),
-                av: Arc::new(av),
-            },
-        };
+    for DeployedColumn { dict, av } in columns {
+        let column = MainSnapshot::new(0, dict, av);
         let got = column.av().len();
         match rows {
             None => rows = Some(got),
@@ -196,34 +188,29 @@ fn build_partition(
     ))
 }
 
-/// Builds an empty encrypted dictionary placeholder for `CREATE TABLE`.
-pub(crate) fn empty_encrypted_dict(
-    table: &str,
-    spec: &crate::schema::ColumnSpec,
-    kind: encdict::EdKind,
-) -> EncryptedDictionary {
-    // An empty column encrypts to an empty dictionary; no key material is
-    // needed since there are zero ciphertexts.
+/// Builds an empty dictionary placeholder for `CREATE TABLE`: the
+/// column's kind for an encrypted column, ED1 for a PLAIN one — what the
+/// data owner would deploy for a column of no rows.
+pub(crate) fn empty_dict(table: &str, spec: &crate::schema::ColumnSpec) -> Dictionary {
     let column = colstore::column::Column::new(&spec.name, spec.max_len);
     let params = encdict::build::BuildParams {
         table_name: table.to_string(),
         col_name: spec.name.clone(),
         bs_max: spec.bs_max.max(1),
     };
-    let throwaway = encdbdb_crypto::Key128::from_bytes([0u8; 16]);
     let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-    let (dict, _) = encdict::build::build_encrypted(&column, kind, &params, &throwaway, &mut rng)
-        .expect("empty column always builds");
-    dict
-}
-
-pub(crate) fn empty_plain_dict(max_len: usize) -> PlainDictionary {
-    let column = colstore::column::Column::new("c", max_len);
-    let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-    let (dict, _) =
-        encdict::build::build_plain(&column, encdict::EdKind::Ed1, &Default::default(), &mut rng)
-            .expect("empty column always builds");
-    dict
+    let built = match spec.choice {
+        // An empty column encrypts to an empty dictionary; no key material
+        // is needed since there are zero ciphertexts.
+        DictChoice::Encrypted(kind) => {
+            let throwaway = encdbdb_crypto::Key128::from_bytes([0u8; 16]);
+            encdict::build::build_encrypted(&column, kind, &params, &throwaway, &mut rng)
+        }
+        DictChoice::Plain => {
+            encdict::build::build_plain(&column, encdict::EdKind::Ed1, &params, &mut rng)
+        }
+    };
+    built.expect("empty column always builds").0
 }
 
 impl DbaasServer {

@@ -139,6 +139,31 @@ fn insert_requires_matching_arity_and_forms() {
     assert!(matches!(err, DbError::UnsupportedFilter(_)));
 }
 
+/// A column's storage size counts its delta store, whatever the column's
+/// protection: an INSERT into a PLAIN column grows it, and a merge that
+/// folds the row moves the bytes into the main store. An over-long PLAIN
+/// cell is refused before it reaches the delta.
+#[test]
+fn plain_column_storage_size_counts_its_delta() {
+    let server = DbaasServer::with_enclave(DictEnclave::with_seed(11));
+    server.set_compaction_policy(None);
+    let schema = TableSchema::new("p", vec![ColumnSpec::new("v", DictChoice::Plain, 8)]);
+    server.create_table(schema).unwrap();
+    let empty = server.column_storage_size("p", "v").unwrap();
+    let long = vec![CellValue::Plain(b"ninebytes".to_vec())];
+    let err = insert(&server, "p", &[long]).unwrap_err();
+    assert!(
+        matches!(err, DbError::ValueTooLong { got: 9, max: 8 }),
+        "{err:?}"
+    );
+    assert_eq!(server.column_storage_size("p", "v").unwrap(), empty);
+    insert(&server, "p", &[vec![CellValue::Plain(b"apple".to_vec())]]).unwrap();
+    let with_delta = server.column_storage_size("p", "v").unwrap();
+    assert!(with_delta > empty, "{with_delta} <= {empty}");
+    server.merge_table("p").unwrap();
+    assert!(server.column_storage_size("p", "v").unwrap() > empty);
+}
+
 #[test]
 fn compaction_policy_thresholds() {
     let policy = CompactionPolicy {
@@ -209,7 +234,7 @@ struct PartitionImage {
     main_invalid: usize,
     main_validity: Vec<bool>,
     delta_validity: Vec<bool>,
-    delta_cells: Vec<Vec<CellValue>>,
+    delta_cells: Vec<Vec<Vec<u8>>>,
 }
 
 fn images(server: &DbaasServer, table: &str) -> Vec<PartitionImage> {
@@ -240,13 +265,8 @@ fn images(server: &DbaasServer, table: &str) -> Vec<PartitionImage> {
                 delta_validity: (0..delta_rows)
                     .map(|i| snap.delta_validity.is_valid(i))
                     .collect(),
-                delta_cells: (0..delta_rows as u32)
-                    .map(|i| {
-                        snap.deltas
-                            .iter()
-                            .map(|d| snapshot::render_delta_cell(d, colstore::RecordId(i)))
-                            .collect()
-                    })
+                delta_cells: (0..delta_rows)
+                    .map(|i| snap.deltas.iter().map(|d| d.value(i).to_vec()).collect())
                     .collect(),
             }
         })
@@ -452,7 +472,7 @@ fn merge_over_a_tampered_main_store_changes_nothing() {
     server
         .deploy_table(
             one_column_schema(),
-            vec![DeployedColumn::Encrypted(bad_dict, av)],
+            vec![DeployedColumn { dict: bad_dict, av }],
         )
         .unwrap();
     insert(&server, "t", &[col.row("y"), col.row("z")]).unwrap();
@@ -496,22 +516,12 @@ fn a_snapshot_shares_the_delta_and_a_write_copies_it_at_most_once() {
     insert(&server, "t", &[row("a"), row("b")]).unwrap();
 
     // Where each column's store lives; encrypted and PLAIN alike.
-    fn addresses(deltas: &[ColumnDelta]) -> Vec<*const ()> {
-        deltas
-            .iter()
-            .map(|delta| match delta {
-                ColumnDelta::Encrypted(d) => Arc::as_ptr(d).cast(),
-                ColumnDelta::Plain(d) => Arc::as_ptr(d).cast(),
-            })
-            .collect()
+    fn addresses(deltas: &[Arc<Dictionary>]) -> Vec<*const Dictionary> {
+        deltas.iter().map(Arc::as_ptr).collect()
     }
-    let cells = |snap: &partition::PartitionSnapshot| -> Vec<Vec<CellValue>> {
-        (0..snap.delta_validity.len() as u32)
-            .map(|i| {
-                let rid = colstore::RecordId(i);
-                let render = |d| snapshot::render_delta_cell(d, rid);
-                snap.deltas.iter().map(render).collect()
-            })
+    let cells = |snap: &partition::PartitionSnapshot| -> Vec<Vec<Vec<u8>>> {
+        (0..snap.delta_validity.len())
+            .map(|i| snap.deltas.iter().map(|d| d.value(i).to_vec()).collect())
             .collect()
     };
     let partition = &server.table_handle("t").unwrap().partitions[0];

@@ -20,7 +20,7 @@
 //! ([`ReadReply::payload_bytes`](crate::enclave_ops::ReadReply::payload_bytes)).
 
 use crate::aggregate::AggPlanSpec;
-use crate::dict::EncryptedDictionary;
+use crate::dict::Dictionary;
 use crate::enclave_ops::CacheTag;
 use crate::range::EncryptedRange;
 use std::sync::Arc;
@@ -31,7 +31,7 @@ use std::sync::Arc;
 pub struct SearchCall {
     /// The dictionary to search: a published main generation, or a
     /// delta store as a snapshot froze it.
-    pub dict: Arc<EncryptedDictionary>,
+    pub dict: Arc<Dictionary>,
     /// The encrypted range filters τ, one per range of the disjunction —
     /// an `IN (...)` lowering batches all its equality ranges here so the
     /// whole disjunction costs a single call.
@@ -63,9 +63,9 @@ pub enum ColumnData {
     /// touched ValueID, not per row).
     Encrypted {
         /// Main-store dictionary.
-        main: Arc<EncryptedDictionary>,
+        main: Arc<Dictionary>,
         /// Delta-store dictionary (ED9).
-        delta: Arc<EncryptedDictionary>,
+        delta: Arc<Dictionary>,
         /// Distinct touched codes, ascending; value-table index `i`
         /// resolves to `codes[i]`.
         codes: Vec<u32>,
@@ -224,8 +224,8 @@ mod tests {
         }
     }
 
-    fn empty_dict() -> Arc<EncryptedDictionary> {
-        Arc::new(EncryptedDictionary::delta("t", "c", 8))
+    fn empty_dict() -> Arc<Dictionary> {
+        Arc::new(Dictionary::delta("t", "c", 8))
     }
 
     fn coded(codes: &[u32]) -> ColumnData {

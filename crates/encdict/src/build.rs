@@ -17,10 +17,11 @@
 //!    with a fresh random IV, storing ciphertexts in the tail in a random
 //!    order with head offsets in dictionary order (§5).
 //!
-//! [`build_plain`] runs steps 1–3 identically but stores plaintext values —
-//! producing the PlainDBDB twin the paper uses as its second baseline.
+//! [`build_plain`] runs steps 1–3 identically but stores plaintext values
+//! in the same [`Dictionary`] layout — the PlainDBDB twin the paper uses as
+//! its second baseline, and the store of every PLAIN column.
 
-use crate::dict::{EncryptedDictionary, PlainDictionary, Segment};
+use crate::dict::{Dictionary, Segment};
 use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption, RepetitionOption};
 use colstore::column::Column;
@@ -184,7 +185,7 @@ pub fn build_encrypted<R: Rng + ?Sized>(
     params: &BuildParams,
     sk_d: &Key128,
     rng: &mut R,
-) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
+) -> Result<(Dictionary, AttributeVector), EncdictError> {
     let split = split_column(column, kind, params.bs_max, rng)?;
     let pae = Pae::new(sk_d);
     // §5: tail ciphertexts in random order, head offsets in dictionary order.
@@ -200,22 +201,23 @@ pub fn build_encrypted<R: Rng + ?Sized>(
         pae.encrypt_many_with_rng(rng, &plaintexts[..batch.len()], DICT_VALUE_AAD)
     });
     let segment = Segment::scattered(&tail_order, sealed.map(Ciphertext::into_bytes));
-    let enc_rnd_offset = split.rnd_offset.map(|off| {
+    let rnd_offset = split.rnd_offset.map(|off| {
         pae.encrypt_with_rng(rng, &off.to_le_bytes(), ROT_OFFSET_AAD)
             .into_bytes()
     });
-    let dict = EncryptedDictionary::new(
+    let dict = Dictionary::new(
         kind,
         params.table_name.clone(),
         params.col_name.clone(),
         column.max_len(),
         segment,
-        enc_rnd_offset,
+        rnd_offset,
     );
     Ok((dict, split.av))
 }
 
-/// Builds the PlainDBDB twin: same split, same layout, plaintext values.
+/// Builds the PlainDBDB twin: same split, same layout, plaintext values
+/// and a plaintext rotation offset (eight little-endian bytes).
 ///
 /// # Errors
 ///
@@ -225,7 +227,7 @@ pub fn build_plain<R: Rng + ?Sized>(
     kind: EdKind,
     params: &BuildParams,
     rng: &mut R,
-) -> Result<(PlainDictionary, AttributeVector), EncdictError> {
+) -> Result<(Dictionary, AttributeVector), EncdictError> {
     let split = split_column(column, kind, params.bs_max, rng)?;
     let mut tail_order: Vec<u32> = (0..split.entries.len() as u32).collect();
     tail_order.shuffle(rng);
@@ -233,13 +235,20 @@ pub fn build_plain<R: Rng + ?Sized>(
         &tail_order,
         tail_order.iter().map(|&pos| split.entries[pos as usize]),
     );
-    let dict = PlainDictionary::new(kind, column.max_len(), segment, split.rnd_offset);
+    let dict = Dictionary::new(
+        kind,
+        params.table_name.clone(),
+        params.col_name.clone(),
+        column.max_len(),
+        segment,
+        split.rnd_offset.map(|off| off.to_le_bytes().to_vec()),
+    );
     Ok((dict, split.av))
 }
 
 /// Verifies split correctness (Definition 1) of a *plaintext* twin against
 /// its source column: `∀j: D[AV[j]] = C[j]`.
-pub fn verify_plain_split(column: &Column, dict: &PlainDictionary, av: &AttributeVector) -> bool {
+pub fn verify_plain_split(column: &Column, dict: &Dictionary, av: &AttributeVector) -> bool {
     if av.len() != column.len() {
         return false;
     }
@@ -335,7 +344,8 @@ mod tests {
         let col = fig3_column();
         let mut rng = StdRng::seed_from_u64(5);
         let (dict, _) = build_plain(&col, EdKind::Ed2, &params(), &mut rng).unwrap();
-        let off = dict.rnd_offset().expect("rotated kind has an offset") as usize;
+        let off = dict.rnd_offset().expect("rotated kind has an offset");
+        let off = u64::from_le_bytes(off.try_into().unwrap()) as usize;
         let n = dict.len();
         // Undo the rotation: sorted[j] = D[(j + off) % n].
         let unrotated: Vec<&[u8]> = (0..n).map(|j| dict.value((j + off) % n)).collect();
@@ -351,7 +361,7 @@ mod tests {
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let (dict, _) = build_plain(&col, EdKind::Ed2, &params(), &mut rng).unwrap();
-                dict.rnd_offset().unwrap()
+                u64::from_le_bytes(dict.rnd_offset().unwrap().try_into().unwrap())
             })
             .collect();
         assert!(offsets.len() > 1, "offset must be random");
@@ -404,7 +414,7 @@ mod tests {
             // split correctness on plaintexts.
             for j in 0..col.len() {
                 let vid = av.get(j) as usize;
-                let ct = dict.ciphertext(vid);
+                let ct = dict.value(vid);
                 let pt = pae.decrypt_bytes(ct, DICT_VALUE_AAD).unwrap();
                 assert_eq!(pt, col.value(j), "row {j} kind {kind}");
             }
@@ -419,8 +429,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let key = Key128::from_bytes([7; 16]);
         let (dict, _) = build_encrypted(&col, EdKind::Ed7, &params(), &key, &mut rng).unwrap();
-        assert_ne!(dict.ciphertext(0), dict.ciphertext(1));
-        assert_ne!(dict.ciphertext(1), dict.ciphertext(2));
+        assert_ne!(dict.value(0), dict.value(1));
+        assert_ne!(dict.value(1), dict.value(2));
     }
 
     #[test]
@@ -430,14 +440,14 @@ mod tests {
         let key = Key128::from_bytes([7; 16]);
         for kind in [EdKind::Ed2, EdKind::Ed5, EdKind::Ed8] {
             let (dict, _) = build_encrypted(&col, kind, &params(), &key, &mut rng).unwrap();
-            let enc = dict.enc_rnd_offset().expect("rotated kinds carry offset");
+            let enc = dict.rnd_offset().expect("rotated kinds carry offset");
             let off_bytes = Pae::new(&key).decrypt_bytes(enc, ROT_OFFSET_AAD).unwrap();
             let off = u64::from_le_bytes(off_bytes.try_into().unwrap());
             assert!((off as usize) < dict.len());
         }
         for kind in [EdKind::Ed1, EdKind::Ed3, EdKind::Ed9] {
             let (dict, _) = build_encrypted(&col, kind, &params(), &key, &mut rng).unwrap();
-            assert!(dict.enc_rnd_offset().is_none());
+            assert!(dict.rnd_offset().is_none());
         }
     }
 

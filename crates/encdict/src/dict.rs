@@ -1,4 +1,4 @@
-//! Encrypted (and plaintext-twin) dictionary layouts.
+//! The dictionary layout, shared by encrypted and PLAIN columns.
 //!
 //! Paper §5: *"We further split each dictionary into a dictionary head and
 //! dictionary tail. The dictionary tail contains variable length values
@@ -20,8 +20,8 @@ use enclave_sim::UntrustedMemory;
 pub const HEAD_ENTRY_BYTES: usize = 12;
 
 /// One head/tail pair — the only owner of the §5 layout. Every store in
-/// the system (encrypted main dictionary, its plaintext twin, the growing
-/// ED9 delta) is metadata around one `Segment`; untrusted code reads it
+/// the system (a main dictionary, encrypted or PLAIN, and the growing ED9
+/// delta) is a [`Dictionary`] around one `Segment`; untrusted code reads it
 /// through [`entry`](Self::entry), the enclave through
 /// [`view`](Self::view).
 #[derive(Debug, Clone, Default)]
@@ -162,14 +162,19 @@ impl Segment {
 pub struct SegmentRef<'a> {
     /// Fixed-width head entries.
     pub head: UntrustedMemory<'a>,
-    /// Variable-width ciphertext tail.
+    /// Variable-width entry tail.
     pub tail: UntrustedMemory<'a>,
     /// Number of entries.
     pub len: usize,
 }
 
-/// An encrypted dictionary `eD`: a [`Segment`] of ciphertexts plus column
-/// metadata.
+/// A dictionary `D` of paper §5: a [`Segment`] plus column metadata —
+/// the one store type behind every column.
+///
+/// An encrypted column's entries are PAE ciphertexts `eD`; a PLAIN
+/// column's are its plaintext values, laid out by the same builder and
+/// read by the same searches (PlainDBDB, §6.3). The dictionary does not
+/// know which: the column's protection in the schema decides.
 ///
 /// The metadata (`table_name`, `col_name`, `max_len`) is what the query
 /// evaluation engine attaches in step 7 of Fig. 5 so the enclave can derive
@@ -179,33 +184,35 @@ pub struct SegmentRef<'a> {
 /// order is insertion order and it has one entry per row, so it grows by
 /// [`push`](Self::push) and a row's ValueID is its RecordID.
 #[derive(Debug, Clone)]
-pub struct EncryptedDictionary {
+pub struct Dictionary {
     kind: EdKind,
     table_name: String,
     col_name: String,
     max_len: usize,
     segment: Segment,
-    /// `PAE_Enc(SK_D, rndOffset)` for rotated kinds (ED2/ED5/ED8).
-    enc_rnd_offset: Option<Vec<u8>>,
+    /// The rotation offset of a rotated kind (ED2/ED5/ED8):
+    /// `PAE_Enc(SK_D, rndOffset)`, or the offset's eight little-endian
+    /// bytes in a PLAIN column.
+    rnd_offset: Option<Vec<u8>>,
 }
 
-impl EncryptedDictionary {
-    /// Wraps a segment of ciphertexts laid out as `kind` prescribes.
+impl Dictionary {
+    /// Wraps a segment of entries laid out as `kind` prescribes.
     pub fn new(
         kind: EdKind,
         table_name: String,
         col_name: String,
         max_len: usize,
         segment: Segment,
-        enc_rnd_offset: Option<Vec<u8>>,
+        rnd_offset: Option<Vec<u8>>,
     ) -> Self {
-        EncryptedDictionary {
+        Dictionary {
             kind,
             table_name,
             col_name,
             max_len,
             segment,
-            enc_rnd_offset,
+            rnd_offset,
         }
     }
 
@@ -226,7 +233,7 @@ impl EncryptedDictionary {
         )
     }
 
-    /// The encrypted-dictionary kind (ED1–ED9).
+    /// The dictionary kind (ED1–ED9) whose layout the entries follow.
     pub fn kind(&self) -> EdKind {
         self.kind
     }
@@ -256,35 +263,36 @@ impl EncryptedDictionary {
         self.segment.is_empty()
     }
 
-    /// The head/tail segment holding the ciphertexts.
+    /// The head/tail segment holding the entries.
     pub fn segment(&self) -> &Segment {
         &self.segment
     }
 
-    /// The encrypted rotation offset, present for rotated kinds.
-    pub fn enc_rnd_offset(&self) -> Option<&[u8]> {
-        self.enc_rnd_offset.as_deref()
+    /// The stored rotation offset, present for rotated kinds.
+    pub fn rnd_offset(&self) -> Option<&[u8]> {
+        self.rnd_offset.as_deref()
     }
 
-    /// Raw ciphertext bytes of entry `i` (untrusted code can copy but not
-    /// decrypt them; used for result rendering, Fig. 5 step 12).
+    /// The stored bytes of entry `i` — a ciphertext, which untrusted code
+    /// can copy but not decrypt (result rendering, Fig. 5 step 12), or a
+    /// PLAIN column's value.
     ///
     /// # Panics
     ///
     /// Panics if `i >= len()`.
     #[inline]
-    pub fn ciphertext(&self, i: usize) -> &[u8] {
+    pub fn value(&self, i: usize) -> &[u8] {
         self.segment.entry(i)
     }
 
-    /// Total storage size in bytes (head + tail + rotation ciphertext):
-    /// the ED rows of the paper's Table 6.
+    /// Total storage size in bytes (head + tail + rotation offset): the
+    /// ED rows of the paper's Table 6.
     pub fn storage_size(&self) -> usize {
-        self.segment.storage_size() + self.enc_rnd_offset.as_ref().map_or(0, Vec::len)
+        self.segment.storage_size() + self.rnd_offset.as_ref().map_or(0, Vec::len)
     }
 
-    /// Appends one row to a delta store: a ciphertext the enclave
-    /// re-encrypted with a fresh IV
+    /// Appends one row to a delta store. In an encrypted column `fresh`
+    /// is a ciphertext the enclave re-encrypted with a fresh IV
     /// ([`DictEnclave::reencrypt`](crate::DictEnclave::reencrypt), run
     /// outside any storage lock), so the stored bytes are unlinkable to
     /// the insert message. Defined for ED9 only — the one kind whose order
@@ -308,11 +316,11 @@ impl EncryptedDictionary {
     ///
     /// Panics if `n > len()`.
     pub fn prefix(&self, n: usize) -> Self {
-        EncryptedDictionary {
+        Dictionary {
             segment: self.segment.prefix(n),
             table_name: self.table_name.clone(),
             col_name: self.col_name.clone(),
-            enc_rnd_offset: self.enc_rnd_offset.clone(),
+            rnd_offset: self.rnd_offset.clone(),
             ..*self
         }
     }
@@ -348,73 +356,6 @@ pub fn write_head_entry(head: &mut Vec<u8>, offset: u64, len: u32) {
     head.extend_from_slice(&len.to_le_bytes());
 }
 
-/// The plaintext twin used by PlainDBDB (§6.3): identical head/tail layout
-/// and search algorithms, but values and the rotation offset are stored in
-/// the clear and no enclave is involved.
-#[derive(Debug, Clone)]
-pub struct PlainDictionary {
-    kind: EdKind,
-    max_len: usize,
-    segment: Segment,
-    rnd_offset: Option<u64>,
-}
-
-impl PlainDictionary {
-    pub(crate) fn new(
-        kind: EdKind,
-        max_len: usize,
-        segment: Segment,
-        rnd_offset: Option<u64>,
-    ) -> Self {
-        PlainDictionary {
-            kind,
-            max_len,
-            segment,
-            rnd_offset,
-        }
-    }
-
-    /// The dictionary kind whose layout this plaintext twin mirrors.
-    pub fn kind(&self) -> EdKind {
-        self.kind
-    }
-
-    /// The column's fixed maximal value length.
-    pub fn max_len(&self) -> usize {
-        self.max_len
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.segment.len()
-    }
-
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.segment.is_empty()
-    }
-
-    /// The plaintext rotation offset for rotated kinds.
-    pub fn rnd_offset(&self) -> Option<u64> {
-        self.rnd_offset
-    }
-
-    /// The plaintext value of entry `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if out of bounds.
-    #[inline]
-    pub fn value(&self, i: usize) -> &[u8] {
-        self.segment.entry(i)
-    }
-
-    /// Storage size in bytes (head + tail).
-    pub fn storage_size(&self) -> usize {
-        self.segment.storage_size()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +377,7 @@ mod tests {
         for v in [&b"abc"[..], b"de"] {
             segment.push(v);
         }
-        let d = PlainDictionary::new(EdKind::Ed1, 10, segment, None);
+        let d = Dictionary::new(EdKind::Ed1, "t".into(), "c".into(), 10, segment, None);
         assert_eq!(d.value(0), b"abc");
         assert_eq!(d.value(1), b"de");
         assert_eq!(d.storage_size(), 2 * HEAD_ENTRY_BYTES + 5);
@@ -445,9 +386,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "only an ED9 dictionary grows")]
     fn push_is_defined_for_ed9_only() {
-        let mut sorted = EncryptedDictionary {
+        let mut sorted = Dictionary {
             kind: EdKind::Ed1,
-            ..EncryptedDictionary::delta("t", "c", 8)
+            ..Dictionary::delta("t", "c", 8)
         };
         sorted.push(b"opaque");
     }

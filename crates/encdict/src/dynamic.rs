@@ -8,10 +8,11 @@
 //! by performing the linear scan ... neither the data order nor the
 //! frequency is leaked during the insertion and search."
 //!
-//! So the delta store is not a type of its own: it is an
-//! [`EncryptedDictionary`] of kind ED9 that starts empty
-//! ([`EncryptedDictionary::delta`]) and grows by
-//! [`push`](EncryptedDictionary::push).
+//! So the delta store is not a type of its own: it is a [`Dictionary`] of
+//! kind ED9 that starts empty ([`Dictionary::delta`]) and grows by
+//! [`push`](Dictionary::push). A PLAIN column's delta is the same store
+//! holding plaintext values, searched by PlainDBDB's
+//! [`search_plain`](crate::plain::search_plain) instead of the enclave.
 //!
 //! The periodic merge ([`DictEnclave::merge`](crate::DictEnclave::merge))
 //! re-encrypts every value, re-rotates rotated columns and re-shuffles
@@ -20,7 +21,7 @@
 //! sees meanwhile is decided by the owner of these stores — the server's
 //! partition (`encdbdb::server`, DESIGN.md §9).
 
-use crate::dict::EncryptedDictionary;
+use crate::dict::Dictionary;
 use crate::error::EncdictError;
 use crate::search::DictSearchResult;
 use colstore::dictionary::{AttributeVector, RecordId};
@@ -36,13 +37,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct MainSnapshot {
     epoch: u64,
-    dict: Arc<EncryptedDictionary>,
+    dict: Arc<Dictionary>,
     av: Arc<AttributeVector>,
 }
 
 impl MainSnapshot {
     /// Wraps a freshly built main store as generation `epoch`.
-    pub fn new(epoch: u64, dict: EncryptedDictionary, av: AttributeVector) -> Self {
+    pub fn new(epoch: u64, dict: Dictionary, av: AttributeVector) -> Self {
         MainSnapshot {
             epoch,
             dict: Arc::new(dict),
@@ -55,15 +56,15 @@ impl MainSnapshot {
         self.epoch
     }
 
-    /// The encrypted dictionary of this generation.
-    pub fn dict(&self) -> &EncryptedDictionary {
+    /// The dictionary of this generation.
+    pub fn dict(&self) -> &Dictionary {
         &self.dict
     }
 
     /// A shared handle to this generation's dictionary — what a batched
     /// ECALL request holds so the segment stays alive even if a concurrent
     /// compaction publishes the next generation mid-batch.
-    pub fn dict_arc(&self) -> Arc<EncryptedDictionary> {
+    pub fn dict_arc(&self) -> Arc<Dictionary> {
         Arc::clone(&self.dict)
     }
 
@@ -73,7 +74,7 @@ impl MainSnapshot {
     }
 
     /// Wraps the output of a merge as the next generation (`epoch + 1`).
-    pub fn next_generation(&self, dict: EncryptedDictionary, av: AttributeVector) -> Self {
+    pub fn next_generation(&self, dict: Dictionary, av: AttributeVector) -> Self {
         MainSnapshot::new(self.epoch + 1, dict, av)
     }
 }
@@ -154,7 +155,7 @@ mod tests {
     impl Fixture {
         /// The insert path: proxy ciphertext → `DictEnclave::reencrypt` →
         /// `push`. Returns the proxy's ciphertext and the row.
-        fn insert(&mut self, delta: &mut EncryptedDictionary, value: &[u8]) -> (Vec<u8>, RecordId) {
+        fn insert(&mut self, delta: &mut Dictionary, value: &[u8]) -> (Vec<u8>, RecordId) {
             let incoming = encrypt_value_for_column(&self.pae, &mut self.rng, value);
             let fresh = self
                 .enclave
@@ -166,7 +167,7 @@ mod tests {
 
         /// The delta search path: one ED9 linear-scan ECALL, then
         /// `record_ids` on the reply.
-        fn search(&mut self, delta: &EncryptedDictionary, query: &RangeQuery) -> Vec<RecordId> {
+        fn search(&mut self, delta: &Dictionary, query: &RangeQuery) -> Vec<RecordId> {
             let range = EncryptedRange::encrypt(&self.pae, &mut self.rng, query);
             let results = self.enclave.search_multi(delta, &[range], None).unwrap();
             record_ids(delta.len(), &results).unwrap()
@@ -175,7 +176,7 @@ mod tests {
         /// RecordIDs matching `query` in one main store.
         fn search_main(
             &mut self,
-            dict: &EncryptedDictionary,
+            dict: &Dictionary,
             av: &AttributeVector,
             query: &RangeQuery,
         ) -> Vec<RecordId> {
@@ -188,13 +189,13 @@ mod tests {
         /// rebuilt as a fresh main store of `kind`.
         fn merge(
             &mut self,
-            dict: &EncryptedDictionary,
+            dict: &Dictionary,
             av: &AttributeVector,
             main_valid: &ValidityVector,
-            delta: &EncryptedDictionary,
+            delta: &Dictionary,
             delta_valid: &ValidityVector,
             kind: EdKind,
-        ) -> (EncryptedDictionary, AttributeVector) {
+        ) -> (Dictionary, AttributeVector) {
             self.enclave
                 .merge(MergeRequest {
                     table_name: "t",
@@ -215,7 +216,7 @@ mod tests {
     #[test]
     fn delta_insert_and_search() {
         let mut f = fixture(1);
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         for v in ["mango", "apple", "peach", "apple"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -227,9 +228,9 @@ mod tests {
     #[test]
     fn stored_bytes_unlinkable_to_insert_message() {
         let mut f = fixture(3);
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         let (incoming, rid) = f.insert(&mut delta, b"secret");
-        assert_ne!(delta.ciphertext(rid.0 as usize), &incoming[..]);
+        assert_ne!(delta.value(rid.0 as usize), &incoming[..]);
     }
 
     /// Paper §4.3 end to end at the enclave API: a read runs on both
@@ -245,7 +246,7 @@ mod tests {
         // Main row 1 ("d") and delta row 2 ("dd") are deleted.
         let mut main_valid = ValidityVector::all_valid(5);
         main_valid.invalidate(1);
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         for v in ["cc", "bb", "dd"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -284,7 +285,7 @@ mod tests {
         let (main_dict, main_av) =
             build_encrypted(&col, EdKind::Ed1, &f.params, &sk_d, &mut f.rng).unwrap();
         assert_eq!((main_dict.len(), main_av.id_width()), (250, 1));
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         let delta_values: Vec<String> = (0..10).map(|i| format!("w{i:03}")).collect();
         for v in &delta_values {
             f.insert(&mut delta, v.as_bytes());
@@ -322,18 +323,18 @@ mod tests {
         let (main_dict, main_av) =
             build_encrypted(&col, EdKind::Ed9, &f.params, &sk_d, &mut f.rng).unwrap();
         let mut old_cts: Vec<Vec<u8>> = (0..main_dict.len())
-            .map(|i| main_dict.ciphertext(i).to_vec())
+            .map(|i| main_dict.value(i).to_vec())
             .collect();
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         let (_, rid) = f.insert(&mut delta, b"z");
-        old_cts.push(delta.ciphertext(rid.0 as usize).to_vec());
+        old_cts.push(delta.value(rid.0 as usize).to_vec());
         let all = |n| ValidityVector::all_valid(n);
         let (new_dict, new_av) =
             f.merge(&main_dict, &main_av, &all(2), &delta, &all(1), EdKind::Ed9);
         assert_eq!(new_av.len(), 3);
         for i in 0..new_dict.len() {
             assert!(
-                !old_cts.iter().any(|old| old == new_dict.ciphertext(i)),
+                !old_cts.iter().any(|old| old == new_dict.value(i)),
                 "ciphertext {i} links old and new store"
             );
         }
@@ -342,7 +343,7 @@ mod tests {
     #[test]
     fn prefix_and_drain_prefix_partition_the_delta() {
         let mut f = fixture(7);
-        let mut delta = EncryptedDictionary::delta("t", "c", 12);
+        let mut delta = Dictionary::delta("t", "c", 12);
         for v in ["alpha", "bravo", "charlie", "delta", "echo"] {
             f.insert(&mut delta, v.as_bytes());
         }
@@ -350,7 +351,7 @@ mod tests {
         let frozen = delta.prefix(3);
         assert_eq!(frozen.len(), 3);
         for i in 0..3 {
-            assert_eq!(frozen.ciphertext(i), delta.ciphertext(i));
+            assert_eq!(frozen.value(i), delta.value(i));
         }
 
         // Searching the frozen prefix behaves like a store of rows 0..3.
@@ -361,11 +362,11 @@ mod tests {
         assert!(f.search(&frozen, &RangeQuery::equals("delta")).is_empty());
 
         // Draining the prefix leaves rows 3.. renumbered from 0.
-        let suffix_cts: Vec<Vec<u8>> = (3..5).map(|i| delta.ciphertext(i).to_vec()).collect();
+        let suffix_cts: Vec<Vec<u8>> = (3..5).map(|i| delta.value(i).to_vec()).collect();
         delta.drain_prefix(3);
         assert_eq!(delta.len(), 2);
-        assert_eq!(delta.ciphertext(0), &suffix_cts[0][..]);
-        assert_eq!(delta.ciphertext(1), &suffix_cts[1][..]);
+        assert_eq!(delta.value(0), &suffix_cts[0][..]);
+        assert_eq!(delta.value(1), &suffix_cts[1][..]);
         assert_eq!(
             f.search(&delta, &RangeQuery::equals("delta")),
             vec![RecordId(0)]

@@ -22,7 +22,7 @@
 //!   loaded through the counted [`enclave_sim::TrustedEnv::load`].
 
 use crate::batch::{AggregateRequest, ColumnData, JoinBridgeRequest, JoinSideData, ReadCall};
-use crate::dict::{EncryptedDictionary, SegmentRef, HEAD_ENTRY_BYTES};
+use crate::dict::{Dictionary, SegmentRef, HEAD_ENTRY_BYTES};
 use crate::error::EncdictError;
 use crate::kind::{EdKind, OrderOption};
 use crate::range::EncryptedRange;
@@ -158,7 +158,7 @@ pub enum DictCall<'a> {
     /// step 8) — [`DictEnclave::search`].
     Search {
         /// The dictionary to search, in untrusted memory.
-        dict: &'a EncryptedDictionary,
+        dict: &'a Dictionary,
         /// The encrypted range filters τ, one per range of the column's
         /// disjunction, all answered by this one call.
         ranges: &'a [EncryptedRange],
@@ -186,7 +186,7 @@ pub enum DictReply {
     /// Re-encrypted ciphertext bytes.
     Reencrypted(Result<Vec<u8>, EncdictError>),
     /// Rebuilt main store.
-    Merged(Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError>),
+    Merged(Result<(Dictionary, colstore::dictionary::AttributeVector), EncdictError>),
     /// One reply per sub-call of a [`DictCall::Batch`], in request order.
     Batch(Vec<BatchItemReply>),
 }
@@ -884,7 +884,7 @@ impl DictLogic {
     fn search(
         &mut self,
         env: &mut TrustedEnv,
-        dict: &EncryptedDictionary,
+        dict: &Dictionary,
         ranges: &[EncryptedRange],
         cache: Option<CacheTag>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
@@ -920,7 +920,7 @@ impl DictLogic {
         // tampered offset must still be rejected.
         if order == OrderOption::Rotated {
             let enc = dict
-                .enc_rnd_offset()
+                .rnd_offset()
                 .ok_or(EncdictError::CorruptDictionary("missing rotation offset"))?;
             let off = pae.decrypt_bytes(enc, crate::build::ROT_OFFSET_AAD)?;
             let off_bytes: [u8; 8] = off
@@ -989,7 +989,7 @@ impl DictLogic {
         &mut self,
         env: &mut TrustedEnv,
         req: MergeRequest<'_>,
-    ) -> Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError> {
+    ) -> Result<(Dictionary, colstore::dictionary::AttributeVector), EncdictError> {
         let skdb = env.master_key().ok_or(EncdictError::KeyNotProvisioned)?;
         let sk_d = derive_column_key(skdb, req.table_name, req.col_name);
         let pae = Pae::new(&sk_d);
@@ -1378,7 +1378,7 @@ impl DictEnclave {
     /// [`EncdictError::Crypto`] on tampered inputs.
     pub fn search(
         &mut self,
-        dict: &EncryptedDictionary,
+        dict: &Dictionary,
         range: &EncryptedRange,
     ) -> Result<DictSearchResult, EncdictError> {
         let mut results = self.search_multi(dict, std::slice::from_ref(range), None)?;
@@ -1395,7 +1395,7 @@ impl DictEnclave {
     /// As [`DictEnclave::search`].
     pub fn search_multi(
         &mut self,
-        dict: &EncryptedDictionary,
+        dict: &Dictionary,
         ranges: &[EncryptedRange],
         cache: Option<CacheTag>,
     ) -> Result<Vec<DictSearchResult>, EncdictError> {
@@ -1441,7 +1441,7 @@ impl DictEnclave {
     pub fn merge(
         &mut self,
         req: MergeRequest<'_>,
-    ) -> Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError> {
+    ) -> Result<(Dictionary, colstore::dictionary::AttributeVector), EncdictError> {
         match self.inner.ecall(DictCall::Merge(req)) {
             DictReply::Merged(r) => r,
             _ => unreachable!("merge call returns merge reply"),
@@ -1495,11 +1495,7 @@ mod tests {
     use colstore::column::Column;
     use encdbdb_crypto::Key128;
 
-    fn setup(
-        kind: EdKind,
-        values: &[&str],
-        seed: u64,
-    ) -> (DictEnclave, EncryptedDictionary, Pae, StdRng) {
+    fn setup(kind: EdKind, values: &[&str], seed: u64) -> (DictEnclave, Dictionary, Pae, StdRng) {
         let mut rng = StdRng::seed_from_u64(seed);
         let skdb = Key128::from_bytes([9; 16]);
         let sk_d = derive_column_key(&skdb, "t", "c");
@@ -1530,7 +1526,7 @@ mod tests {
             assert!(count >= 3, "{kind}: {count} matches");
             // Verify every returned ValueID decrypts into the range.
             for vid in result.to_vid_list() {
-                let pt = decrypt_column_value(&pae, dict.ciphertext(vid as usize)).unwrap();
+                let pt = decrypt_column_value(&pae, dict.value(vid as usize)).unwrap();
                 assert!(
                     RangeQuery::between("Archie", "Hans").contains(&pt),
                     "{kind}: vid {vid} -> {:?} outside range",
@@ -1586,7 +1582,7 @@ mod tests {
             })
         };
         let values = |n: usize| -> Vec<String> { (0..n).map(|i| format!("v{i:05}")).collect() };
-        let scan = |enclave: &mut DictEnclave, dict: &EncryptedDictionary, tau, part| {
+        let scan = |enclave: &mut DictEnclave, dict: &Dictionary, tau, part| {
             enclave.enclave_mut().reset_counters();
             enclave.search_multi(dict, tau, cached(part)).unwrap();
             let c = enclave.enclave().counters();
@@ -1645,14 +1641,13 @@ mod tests {
         // Entry 11 sits in the middle of the second batch.
         let mut segment = crate::dict::Segment::default();
         for i in 0..dict.len() {
-            let mut ct = dict.ciphertext(i).to_vec();
+            let mut ct = dict.value(i).to_vec();
             if i == 11 {
                 ct[encdbdb_crypto::gcm::IV_LEN] ^= 1;
             }
             segment.push(&ct);
         }
-        let tampered =
-            EncryptedDictionary::new(EdKind::Ed3, "t".into(), "c".into(), 12, segment, None);
+        let tampered = Dictionary::new(EdKind::Ed3, "t".into(), "c".into(), 12, segment, None);
         let range = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::equals("v00003"));
         enclave.enclave_mut().reset_counters();
         assert_eq!(
@@ -1712,7 +1707,7 @@ mod tests {
     fn tampered_dictionary_rejected() {
         let (mut enclave, dict, pae, mut rng) = setup(EdKind::Ed3, &["a", "b"], 13);
         // Flip a byte in a ciphertext copy and decrypt directly.
-        let mut ct = dict.ciphertext(0).to_vec();
+        let mut ct = dict.value(0).to_vec();
         ct[5] ^= 1;
         assert!(decrypt_column_value(&pae, &ct).is_err());
         // And a tampered range is rejected end-to-end.
@@ -1767,13 +1762,13 @@ mod tests {
         enclave.provision_direct(skdb);
         enclave.enclave_mut().reset_counters();
 
-        let side = |table: &str, col: &str, dict: EncryptedDictionary| JoinSideData {
+        let side = |table: &str, col: &str, dict: Dictionary| JoinSideData {
             table_name: table.into(),
             col_name: Some(col.into()),
             parts: vec![ColumnData::Encrypted {
                 codes: (0..dict.len() as u32).collect(),
                 main: std::sync::Arc::new(dict),
-                delta: std::sync::Arc::new(EncryptedDictionary::delta(table, col, 8)),
+                delta: std::sync::Arc::new(Dictionary::delta(table, col, 8)),
                 cache: None,
             }],
         };
@@ -1799,7 +1794,7 @@ mod tests {
         // ED9 shuffles entries, so locate 'b' codes by decrypting.
         let pae_r = Pae::new(&sk_r);
         let b_codes: Vec<usize> = (0..dict_r.len())
-            .filter(|&i| decrypt_column_value(&pae_r, dict_r.ciphertext(i)).unwrap() == b"b")
+            .filter(|&i| decrypt_column_value(&pae_r, dict_r.value(i)).unwrap() == b"b")
             .collect();
         assert_eq!(b_codes.len(), 2, "ED9 keeps one entry per occurrence");
         for (i, id) in reply.right[0].iter().enumerate() {

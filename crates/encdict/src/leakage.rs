@@ -132,7 +132,7 @@ mod tests {
         Column::from_strs("c", 8, values.iter()).unwrap()
     }
 
-    fn dict_plaintexts(dict: &crate::dict::PlainDictionary) -> Vec<Vec<u8>> {
+    fn dict_plaintexts(dict: &crate::dict::Dictionary) -> Vec<Vec<u8>> {
         (0..dict.len()).map(|i| dict.value(i).to_vec()).collect()
     }
 
@@ -193,7 +193,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (dict, _) =
                 build_plain(&col, EdKind::Ed2, &BuildParams::default(), &mut rng).unwrap();
-            if dict.rnd_offset().unwrap() == 0 {
+            if dict.rnd_offset().unwrap() == [0; 8] {
                 continue;
             }
             let pts = dict_plaintexts(&dict);

@@ -29,7 +29,7 @@
 //! * [`range`] — range queries and their encrypted wire form.
 //! * [`leakage`] — attacker-view analysis backing the security evaluation.
 //! * [`dynamic`] — the epoch-tagged main store (§4.3); the delta store is
-//!   an ED9 [`EncryptedDictionary`] that grows, the merge itself is
+//!   an ED9 [`Dictionary`] that grows, the merge itself is
 //!   [`DictEnclave::merge`].
 //! * [`batch`] — owned request forms for the cross-session ECALL
 //!   batching scheduler (several sessions' calls coalesced into one
@@ -99,7 +99,7 @@ pub mod plain;
 pub mod range;
 pub mod search;
 
-pub use dict::{EncryptedDictionary, PlainDictionary, Segment, SegmentRef};
+pub use dict::{Dictionary, Segment, SegmentRef};
 pub use enclave_ops::{CacheTag, DictEnclave};
 pub use error::EncdictError;
 pub use kind::{EdKind, LeakageLevel, OrderOption, RepetitionOption};

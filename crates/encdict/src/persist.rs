@@ -5,7 +5,7 @@
 //! ciphertext already, so they can rest on untrusted disk verbatim; this
 //! module lays them out with `colstore::codec` (`u64` length prefixes).
 
-use crate::dict::{EncryptedDictionary, PlainDictionary, Segment};
+use crate::dict::{Dictionary, Segment};
 use crate::error::EncdictError;
 use crate::kind::EdKind;
 use colstore::codec::{CodecError, Reader, Writer};
@@ -28,7 +28,7 @@ fn put_av(out: &mut Vec<u8>, av: &AttributeVector) {
 }
 
 /// Serializes an encrypted dictionary plus its attribute vector.
-pub fn to_bytes(dict: &EncryptedDictionary, av: &AttributeVector) -> Vec<u8> {
+pub fn to_bytes(dict: &Dictionary, av: &AttributeVector) -> Vec<u8> {
     let mut out = Vec::new();
     out.put(MAGIC);
     out.put_u8(dict.kind().number());
@@ -39,9 +39,9 @@ pub fn to_bytes(dict: &EncryptedDictionary, av: &AttributeVector) -> Vec<u8> {
     // Head and tail are reconstructed from the per-entry ciphertexts so
     // the format is independent of the in-memory layout details.
     for i in 0..dict.len() {
-        out.put_bytes64(dict.ciphertext(i));
+        out.put_bytes64(dict.value(i));
     }
-    match dict.enc_rnd_offset() {
+    match dict.rnd_offset() {
         Some(enc) => {
             out.put_u8(1);
             out.put_bytes64(enc);
@@ -80,12 +80,19 @@ fn entries(r: &mut Reader<'_>, max_entry: usize) -> Result<Segment, EncdictError
     Ok(segment)
 }
 
-/// The attribute vector that ends every blob.
-fn av_to_end(mut r: Reader<'_>) -> Result<AttributeVector, EncdictError> {
+/// The attribute vector that ends every blob, every ValueID below
+/// `dict_len` — a larger one would name no entry, or another store's.
+fn av_to_end(mut r: Reader<'_>, dict_len: usize) -> Result<AttributeVector, EncdictError> {
     let av_len = r.count64(4)?;
     let mut av = AttributeVector::with_capacity(av_len);
     for _ in 0..av_len {
-        av.push(ValueId(r.u32()?));
+        let vid = r.u32()?;
+        if vid as usize >= dict_len {
+            return Err(EncdictError::CorruptDictionary(
+                "ValueID beyond the dictionary",
+            ));
+        }
+        av.push(ValueId(vid));
     }
     r.finish()?;
     Ok(av)
@@ -99,7 +106,7 @@ fn av_to_end(mut r: Reader<'_>) -> Result<AttributeVector, EncdictError> {
 /// Ciphertext *authenticity* is not checked here — the enclave rejects
 /// tampered entries at decryption time, which is the paper's trust model
 /// (integrity is end-to-end via AES-GCM, not via the storage layer).
-pub fn from_bytes(bytes: &[u8]) -> Result<(EncryptedDictionary, AttributeVector), EncdictError> {
+pub fn from_bytes(bytes: &[u8]) -> Result<(Dictionary, AttributeVector), EncdictError> {
     let mut r = Reader::new(bytes);
     magic(&mut r, MAGIC)?;
     let kind = ed_kind(&mut r)?;
@@ -108,24 +115,31 @@ pub fn from_bytes(bytes: &[u8]) -> Result<(EncryptedDictionary, AttributeVector)
     let max_len = r.u64()? as usize;
     // Ciphertexts are longer than `max_len`; the enclave checks them.
     let segment = entries(&mut r, usize::MAX)?;
-    let enc_rnd_offset = match r.u8()? {
+    let rnd_offset = match r.u8()? {
         0 => None,
         1 => Some(r.bytes64(usize::MAX)?.to_vec()),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av = av_to_end(r)?;
-    let dict =
-        EncryptedDictionary::new(kind, table_name, col_name, max_len, segment, enc_rnd_offset);
+    let av = av_to_end(r, segment.len())?;
+    let dict = Dictionary::new(kind, table_name, col_name, max_len, segment, rnd_offset);
     Ok((dict, av))
 }
 
-/// Serializes a plaintext dictionary plus its attribute vector.
+/// Serializes a PLAIN column's dictionary plus its attribute vector.
 ///
 /// PLAIN columns have no ciphertext to rest on disk verbatim, so the
 /// durable layer serializes the dictionary's values and rotation offset in
 /// the clear and relies on the caller (the server's sealed-snapshot layer)
-/// to wrap the whole blob in enclave sealing before it touches disk.
-pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
+/// to wrap the whole blob in enclave sealing before it touches disk. The
+/// table and column names are not part of this format.
+///
+/// # Panics
+///
+/// Panics if a rotation offset is not the eight bytes [`build_plain`]
+/// stores.
+///
+/// [`build_plain`]: crate::build::build_plain
+pub fn plain_to_bytes(dict: &Dictionary, av: &AttributeVector) -> Vec<u8> {
     let mut out = Vec::new();
     out.put(PLAIN_MAGIC);
     out.put_u8(dict.kind().number());
@@ -137,7 +151,9 @@ pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
     match dict.rnd_offset() {
         Some(off) => {
             out.put_u8(1);
-            out.put_u64(off);
+            out.put_u64(u64::from_le_bytes(
+                off.try_into().expect("an 8-byte offset"),
+            ));
         }
         None => out.put_u8(0),
     }
@@ -145,12 +161,13 @@ pub fn plain_to_bytes(dict: &PlainDictionary, av: &AttributeVector) -> Vec<u8> {
     out
 }
 
-/// Deserializes a plaintext dictionary plus attribute vector.
+/// Deserializes a PLAIN column's dictionary plus attribute vector; the
+/// dictionary's table and column names are empty.
 ///
 /// # Errors
 ///
 /// Returns [`EncdictError::CorruptDictionary`] on any structural problem.
-pub fn plain_from_bytes(bytes: &[u8]) -> Result<(PlainDictionary, AttributeVector), EncdictError> {
+pub fn plain_from_bytes(bytes: &[u8]) -> Result<(Dictionary, AttributeVector), EncdictError> {
     let mut r = Reader::new(bytes);
     magic(&mut r, PLAIN_MAGIC)?;
     let kind = ed_kind(&mut r)?;
@@ -158,11 +175,19 @@ pub fn plain_from_bytes(bytes: &[u8]) -> Result<(PlainDictionary, AttributeVecto
     let segment = entries(&mut r, max_len)?;
     let rnd_offset = match r.u8()? {
         0 => None,
-        1 => Some(r.u64()?),
+        1 => Some(r.take(8)?.to_vec()),
         _ => return Err(EncdictError::CorruptDictionary("bad offset flag")),
     };
-    let av = av_to_end(r)?;
-    Ok((PlainDictionary::new(kind, max_len, segment, rnd_offset), av))
+    let av = av_to_end(r, segment.len())?;
+    let dict = Dictionary::new(
+        kind,
+        String::new(),
+        String::new(),
+        max_len,
+        segment,
+        rnd_offset,
+    );
+    Ok((dict, av))
 }
 
 #[cfg(test)]
@@ -174,7 +199,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sample(kind: EdKind) -> (EncryptedDictionary, AttributeVector) {
+    fn sample(kind: EdKind) -> (Dictionary, AttributeVector) {
         let col = Column::from_strs("c", 8, ["x", "y", "x", "z"]).unwrap();
         let mut rng = StdRng::seed_from_u64(kind.number() as u64);
         build_encrypted(
@@ -196,10 +221,10 @@ mod tests {
             assert_eq!(dict2.kind(), kind);
             assert_eq!(dict2.len(), dict.len());
             assert_eq!(dict2.max_len(), dict.max_len());
-            assert_eq!(dict2.enc_rnd_offset(), dict.enc_rnd_offset());
+            assert_eq!(dict2.rnd_offset(), dict.rnd_offset());
             assert_eq!(av2, av);
             for i in 0..dict.len() {
-                assert_eq!(dict2.ciphertext(i), dict.ciphertext(i), "{kind} entry {i}");
+                assert_eq!(dict2.value(i), dict.value(i), "{kind} entry {i}");
             }
         }
     }
@@ -292,6 +317,48 @@ mod tests {
             for i in 0..dict.len() {
                 assert_eq!(dict2.value(i), dict.value(i), "{kind} entry {i}");
             }
+        }
+    }
+
+    /// Rewrites the last stored ValueID of `blob` (the final `u32`).
+    fn with_last_vid(blob: &[u8], vid: u32) -> Vec<u8> {
+        let mut out = blob.to_vec();
+        let at = out.len() - 4;
+        out[at..].copy_from_slice(&vid.to_le_bytes());
+        out
+    }
+
+    /// A ValueID at or past |D| names no entry: rendering its row would
+    /// panic, and an aggregate would read it as a delta row. The decoder
+    /// refuses it; the largest valid id still loads.
+    #[test]
+    fn encrypted_blob_with_a_valueid_beyond_the_dictionary_is_corrupt() {
+        let (dict, av) = sample(EdKind::Ed1);
+        let blob = to_bytes(&dict, &av);
+        let len = dict.len() as u32;
+        assert!(from_bytes(&with_last_vid(&blob, len - 1)).is_ok());
+        for vid in [len, u32::MAX] {
+            assert!(matches!(
+                from_bytes(&with_last_vid(&blob, vid)),
+                Err(EncdictError::CorruptDictionary(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn plain_blob_with_a_valueid_beyond_the_dictionary_is_corrupt() {
+        use crate::build::build_plain;
+        let col = Column::from_strs("c", 8, ["x", "y", "x", "z"]).unwrap();
+        let mut rng = StdRng::seed_from_u64(78);
+        let (dict, av) = build_plain(&col, EdKind::Ed1, &BuildParams::default(), &mut rng).unwrap();
+        let blob = plain_to_bytes(&dict, &av);
+        let len = dict.len() as u32;
+        assert!(plain_from_bytes(&with_last_vid(&blob, len - 1)).is_ok());
+        for vid in [len, u32::MAX] {
+            assert!(matches!(
+                plain_from_bytes(&with_last_vid(&blob, vid)),
+                Err(EncdictError::CorruptDictionary(_))
+            ));
         }
     }
 

@@ -6,10 +6,12 @@
 //! encryption and SGX."
 //!
 //! The search functions here run the exact same [`crate::search`] algorithms
-//! through a plaintext [`DictEntryReader`], so any latency difference to the
-//! encrypted path isolates the crypto + boundary cost.
+//! through a plaintext [`DictEntryReader`] over the same [`Dictionary`]
+//! type, so any latency difference to the encrypted path isolates the
+//! crypto + boundary cost. A PLAIN column's main and delta stores are
+//! searched here, without an ECALL.
 
-use crate::dict::PlainDictionary;
+use crate::dict::Dictionary;
 use crate::error::EncdictError;
 use crate::kind::OrderOption;
 use crate::range::RangeQuery;
@@ -17,7 +19,7 @@ use crate::search::{rotated, sorted, unsorted, DictEntryReader, DictSearchResult
 
 /// Plaintext dictionary-entry reader (no decryption, no enclave).
 struct PlainDictReader<'a> {
-    dict: &'a PlainDictionary,
+    dict: &'a Dictionary,
 }
 
 impl DictEntryReader for PlainDictReader<'_> {
@@ -39,7 +41,7 @@ impl DictEntryReader for PlainDictReader<'_> {
 /// Never fails: the shared algorithms only propagate their reader's
 /// errors, and a plaintext reader has none.
 pub fn search_plain(
-    dict: &PlainDictionary,
+    dict: &Dictionary,
     range: &RangeQuery,
 ) -> Result<DictSearchResult, EncdictError> {
     let mut reader = PlainDictReader { dict };

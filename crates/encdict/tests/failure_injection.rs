@@ -13,9 +13,7 @@ use encdict::build::{build_encrypted, BuildParams};
 use encdict::dynamic::record_ids;
 use encdict::enclave_ops::{encrypt_value_for_column, DictCall, DictReply, MergeRequest};
 use encdict::persist;
-use encdict::{
-    DictEnclave, EdKind, EncdictError, EncryptedDictionary, EncryptedRange, RangeQuery, Segment,
-};
+use encdict::{DictEnclave, Dictionary, EdKind, EncdictError, EncryptedRange, RangeQuery, Segment};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -24,7 +22,7 @@ fn fixture(
     kind: EdKind,
 ) -> (
     DictEnclave,
-    EncryptedDictionary,
+    Dictionary,
     colstore::dictionary::AttributeVector,
     Pae,
     StdRng,
@@ -103,7 +101,7 @@ fn missing_rotation_offset_rejected() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed2);
     let blob = persist::to_bytes(&dict, &av);
     let av_bytes = 8 + av.len() * 4;
-    let enc_off_len = dict.enc_rnd_offset().unwrap().len();
+    let enc_off_len = dict.rnd_offset().unwrap().len();
     let flag_pos = blob.len() - av_bytes - (8 + enc_off_len) - 1;
     assert_eq!(blob[flag_pos], 1, "flag located");
     let mut bad = Vec::new();
@@ -120,7 +118,7 @@ fn missing_rotation_offset_rejected() {
 /// proxy's ciphertext is re-encrypted by the enclave, then stored.
 fn delta_insert(
     enclave: &mut DictEnclave,
-    delta: &mut EncryptedDictionary,
+    delta: &mut Dictionary,
     pae: &Pae,
     rng: &mut StdRng,
     value: &[u8],
@@ -134,11 +132,11 @@ fn delta_insert(
 /// main store `dict`/`av` — the request the server's compaction builds.
 fn merge(
     enclave: &mut DictEnclave,
-    dict: &EncryptedDictionary,
+    dict: &Dictionary,
     av: &colstore::dictionary::AttributeVector,
-    delta: &EncryptedDictionary,
+    delta: &Dictionary,
     kind: EdKind,
-) -> Result<(EncryptedDictionary, colstore::dictionary::AttributeVector), EncdictError> {
+) -> Result<(Dictionary, colstore::dictionary::AttributeVector), EncdictError> {
     enclave.merge(MergeRequest {
         table_name: "t",
         col_name: "c",
@@ -156,7 +154,7 @@ fn merge(
 /// RecordIDs matching `range` in one main store.
 fn search_main(
     enclave: &mut DictEnclave,
-    dict: &EncryptedDictionary,
+    dict: &Dictionary,
     av: &colstore::dictionary::AttributeVector,
     range: &EncryptedRange,
 ) -> Vec<colstore::dictionary::RecordId> {
@@ -172,7 +170,7 @@ fn search_main(
 #[test]
 fn failed_merge_leaves_old_store_and_delta_intact() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed3);
-    let mut delta = EncryptedDictionary::delta("t", "c", 8);
+    let mut delta = Dictionary::delta("t", "c", 8);
     for v in ["e", "f"] {
         delta_insert(&mut enclave, &mut delta, &pae, &mut rng, v.as_bytes());
     }
@@ -192,7 +190,7 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
     // The delta was not touched by the failed merge...
     assert_eq!(delta.len(), 2);
     for i in 0..2 {
-        assert_eq!(delta.ciphertext(i), delta_before.ciphertext(i));
+        assert_eq!(delta.value(i), delta_before.value(i));
     }
     assert_eq!(delta.storage_size(), delta_before.storage_size());
     // ...and the *original* (uncorrupted) store plus the delta still
@@ -221,7 +219,7 @@ fn failed_merge_leaves_old_store_and_delta_intact() {
 #[test]
 fn unprovisioned_merge_enclave_fails_cleanly() {
     let (mut enclave, dict, av, pae, mut rng) = fixture(EdKind::Ed1);
-    let mut delta = EncryptedDictionary::delta("t", "c", 8);
+    let mut delta = Dictionary::delta("t", "c", 8);
     delta_insert(&mut enclave, &mut delta, &pae, &mut rng, b"z");
 
     let mut cold = DictEnclave::with_seed(999); // never provisioned
@@ -245,7 +243,7 @@ fn swapped_rotation_offset_rejected() {
         .into_bytes();
     let blob = persist::to_bytes(&dict, &av);
     let av_bytes = 8 + av.len() * 4;
-    let enc_off_len = dict.enc_rnd_offset().unwrap().len();
+    let enc_off_len = dict.rnd_offset().unwrap().len();
     let field_start = blob.len() - av_bytes - (8 + enc_off_len);
     assert_eq!(enc_off_len, forged.len());
     let mut bad = blob.clone();
@@ -262,11 +260,11 @@ fn swapped_rotation_offset_rejected() {
 /// the last entry is missing from the head altogether. Each item is
 /// `(lie, store, index of the entry lied about)`; the stores come from
 /// [`Segment::from_raw_unchecked`], which exists for this.
-fn lying_segments(dict: &EncryptedDictionary) -> Vec<(&'static str, Segment, usize)> {
+fn lying_segments(dict: &Dictionary) -> Vec<(&'static str, Segment, usize)> {
     let mut tail = Vec::new();
     let mut entries = Vec::new();
     for i in 0..dict.len() {
-        let ct = dict.ciphertext(i);
+        let ct = dict.value(i);
         entries.push((tail.len() as u64, ct.len() as u32));
         tail.extend_from_slice(ct);
     }
@@ -309,7 +307,7 @@ fn lying_head_fails_search() {
     let (mut enclave, dict, _, pae, mut rng) = fixture(EdKind::Ed3);
     let tau = EncryptedRange::encrypt(&pae, &mut rng, &RangeQuery::between("a", "d"));
     for (lie, store, _) in lying_segments(&dict) {
-        let dict = EncryptedDictionary::new(EdKind::Ed3, "t".into(), "c".into(), 8, store, None);
+        let dict = Dictionary::new(EdKind::Ed3, "t".into(), "c".into(), 8, store, None);
         let req = DictCall::Search {
             dict: &dict,
             ranges: std::slice::from_ref(&tau),
@@ -331,7 +329,7 @@ fn lying_head_fails_aggregate_and_join_bridge() {
     for (lie, store, entry) in lying_segments(&dict) {
         // The column's main store is honest; its delta store is the
         // liar, and the one requested code is the delta entry lied about.
-        let delta = EncryptedDictionary::new(EdKind::Ed9, "t".into(), "c".into(), 8, store, None);
+        let delta = Dictionary::new(EdKind::Ed9, "t".into(), "c".into(), 8, store, None);
         let delta = Arc::new(delta);
         let column = || ColumnData::Encrypted {
             main: Arc::clone(&dict),
@@ -434,7 +432,7 @@ fn bogus_column_names_hold_bounded_trusted_memory() {
     assert_eq!(hot.untrusted_loads, warm.untrusted_loads);
 
     let dict = Arc::new(dict);
-    let no_delta = Arc::new(EncryptedDictionary::delta("t", "c", 8));
+    let no_delta = Arc::new(Dictionary::delta("t", "c", 8));
     let column = |cache| ColumnData::Encrypted {
         main: Arc::clone(&dict),
         delta: Arc::clone(&no_delta),
@@ -488,9 +486,7 @@ fn bogus_column_names_hold_bounded_trusted_memory() {
     }
     // A name too long to keep is refused before anything is derived.
     let long = "c".repeat(4096);
-    let err = enclave
-        .reencrypt("t", &long, dict.ciphertext(0))
-        .unwrap_err();
+    let err = enclave.reencrypt("t", &long, dict.value(0)).unwrap_err();
     assert!(matches!(err, EncdictError::CorruptDictionary(_)), "{err:?}");
 
     // The flood pushed the real column out with everything else; it is
@@ -513,10 +509,7 @@ fn bogus_column_names_hold_bounded_trusted_memory() {
 #[test]
 fn lying_aggregate_plan_is_a_typed_error() {
     let (mut enclave, dict, _, _, _) = fixture(EdKind::Ed1);
-    let (dict, no_delta) = (
-        Arc::new(dict),
-        Arc::new(EncryptedDictionary::delta("t", "c", 8)),
-    );
+    let (dict, no_delta) = (Arc::new(dict), Arc::new(Dictionary::delta("t", "c", 8)));
     let count = |col| AggSpec {
         func: AggFunc::Count,
         col,
@@ -612,9 +605,9 @@ fn entries_relabelled_to_another_column_fail_authentication() {
         )];
         enclave.search_multi(&dict, &tau, tag).unwrap();
 
-        let offset = dict.enc_rnd_offset().map(<[u8]>::to_vec);
+        let offset = dict.rnd_offset().map(<[u8]>::to_vec);
         let segment = dict.segment().clone();
-        let b = EncryptedDictionary::new(kind, "t".into(), "b".into(), 8, segment, offset);
+        let b = Dictionary::new(kind, "t".into(), "b".into(), 8, segment, offset);
         let tau = [EncryptedRange::encrypt(
             &Pae::new(&key("b")),
             &mut rng,
@@ -626,10 +619,7 @@ fn entries_relabelled_to_another_column_fail_authentication() {
             "{kind} Search: {reply:?}"
         );
 
-        let (b, no_delta) = (
-            Arc::new(b),
-            Arc::new(EncryptedDictionary::delta("t", "b", 8)),
-        );
+        let (b, no_delta) = (Arc::new(b), Arc::new(Dictionary::delta("t", "b", 8)));
         let column = || ColumnData::Encrypted {
             main: Arc::clone(&b),
             delta: Arc::clone(&no_delta),

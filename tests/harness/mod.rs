@@ -625,6 +625,10 @@ pub fn check_modes(durable: bool, sharded: bool, seed: u64) -> Result<(), TestCa
             let ledger = run_mode(mode, seed, &ops)?;
             let calls: u64 = ledger.fields.values().map(|f| f[0]).sum();
             prop_assert_eq!(ledger.ecalls_total, calls, "{}: registry vs ledger", at);
+            // DESIGN.md §13.3: a PLAIN column never enters the enclave —
+            // not to insert, delete, merge, aggregate or join.
+            let plain = ledger.of("PLAIN");
+            prop_assert!(plain.is_empty(), "{}: PLAIN made ECALLs: {:?}", at, plain);
             let Some(want) = &reference else {
                 let shared = ledger.fields.keys().find(|(_, ecall)| *ecall == "batch");
                 prop_assert!(shared.is_none(), "{}: a round was shared: {:?}", at, shared);

@@ -137,7 +137,7 @@ proptest! {
         let pae = Pae::new(&sk_d);
         for j in 0..column.len() {
             let vid = av.get(j) as usize;
-            let pt = decrypt_column_value(&pae, dict.ciphertext(vid)).unwrap();
+            let pt = decrypt_column_value(&pae, dict.value(vid)).unwrap();
             prop_assert_eq!(pt.as_slice(), column.value(j));
         }
     }

@@ -61,7 +61,7 @@ fn all_nine_kinds_round_trip_against_monetdb_baseline() {
         // attribute vector, decrypts back to the row's plaintext value.
         for j in 0..column.len() {
             let vid = av.get(j) as usize;
-            let pt = decrypt_column_value(&pae, dict.ciphertext(vid)).unwrap();
+            let pt = decrypt_column_value(&pae, dict.value(vid)).unwrap();
             assert_eq!(
                 pt.as_slice(),
                 column.value(j),
