@@ -52,14 +52,22 @@ if grep -rnE 'fn take\(&mut self, n: usize\)|fn put_u32' src crates/*/src --incl
     exit 1
 fi
 
-# The attribute-vector scan has one entry point, `avsearch::scan` (DESIGN.md
-# §14.1). The old five-argument `search` and its two one-variant enums stay
-# only for benchmark/src/layers.rs (not searched here): a new caller
-# anywhere else is the second entry point growing back.
+# The server's `AttrVectSearch` has one entry point, the planner
+# `MainSnapshot::attr_vect_search`, which reads a generation's postings or
+# falls back to the scan kernel, whose one entry point is `avsearch::scan`
+# (DESIGN.md §14.1). The old five-argument `search` and its two one-variant
+# enums stay only for benchmark/src/layers.rs (not searched here): a new
+# caller anywhere else is the second entry point growing back.
 AVSEARCH_MODULE=crates/encdict/src/avsearch.rs
 if grep -rnE 'Parallelism|SetSearchStrategy|avsearch::search\(' src crates tests examples \
     --include='*.rs' | grep -v "^$AVSEARCH_MODULE:"; then
     echo "the avsearch compatibility shim named outside $AVSEARCH_MODULE (listed above)"
+    exit 1
+fi
+# A server-side call of the scan kernel, or an import of its module, bypasses
+# the planner and its postings.
+if grep -rnE 'avsearch::scan\(|use encdict::avsearch' crates/encdbdb/src --include='*.rs'; then
+    echo "avsearch::scan called in crates/encdbdb/src, not through the planner (listed above)"
     exit 1
 fi
 

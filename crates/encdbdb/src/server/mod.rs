@@ -519,7 +519,9 @@ impl DbaasServer {
 
     /// Storage size in bytes of one column — main dictionary, its packed
     /// attribute vector and the delta store (Table 6) — summed over
-    /// partitions.
+    /// partitions. The in-memory postings a search builds per main
+    /// generation (DESIGN.md §14.1) are not stored bytes and are not
+    /// counted.
     ///
     /// # Errors
     ///

@@ -16,7 +16,6 @@ use crate::error::DbError;
 use crate::obs::{Obs, SpanId};
 use crate::schema::{DictChoice, TableSchema};
 use colstore::dictionary::RecordId;
-use encdict::avsearch;
 use encdict::batch::SearchCall;
 use encdict::dynamic::MainSnapshot;
 use encdict::plain::search_plain;
@@ -284,32 +283,28 @@ fn matching_rids(
     // An empty or fully-invalid store, or a provably contradictory
     // filter, matches nothing — no search at all (for an encrypted column
     // the partition-layer analogue of the empty-delta no-op). The per-range
-    // results of the main store are unioned in one combined AV pass.
+    // results of the main store are unioned in one `AttrVectSearch`, from
+    // the generation's postings or by one AV scan; the span covers both,
+    // and the postings' first-use build.
     let nothing = filter.matches_nothing();
-    let main_rids = if main.dict().is_empty() || snap.main_valid_rows == 0 || nothing {
+    let mut main_rids = if main.dict().is_empty() || snap.main_valid_rows == 0 || nothing {
         Vec::new()
     } else {
         let results = search(main.dict_arc(), false)?;
         let _scan = ctx.obs.span("av.scan", "query", ctx.parent);
-        avsearch::scan(main.av(), &results)
+        main.attr_vect_search(&results)
     };
     // The delta is an ED9 dictionary whose ValueIDs are its RecordIDs; a
     // scheduled request shares the store this snapshot froze, so it stays
     // valid no matter when the scheduler dispatches it.
-    let delta_rids = if delta.is_empty() || snap.delta_valid_rows == 0 || nothing {
+    let mut delta_rids = if delta.is_empty() || snap.delta_valid_rows == 0 || nothing {
         Vec::new()
     } else {
         encdict::dynamic::record_ids(delta.len(), &search(Arc::clone(delta), true)?)?
     };
-    let main = main_rids
-        .into_iter()
-        .filter(|r| snap.main_validity.is_valid(r.0 as usize))
-        .collect();
-    let delta = delta_rids
-        .into_iter()
-        .filter(|r| snap.delta_validity.is_valid(r.0 as usize))
-        .collect();
-    Ok((main, delta, stats))
+    main_rids.retain(|r| snap.main_validity.is_valid(r.0 as usize));
+    delta_rids.retain(|r| snap.delta_validity.is_valid(r.0 as usize));
+    Ok((main_rids, delta_rids, stats))
 }
 
 /// Renders the cell of main-store row `rid`, undoing the split (Fig. 5
@@ -332,8 +327,10 @@ impl DbaasServer {
     /// Executes a select (Fig. 5 steps 6–13) with a *conjunction* of
     /// single-column filters — the prefiltering the paper sketches in step
     /// 12 ("rid would be used to prefilter other columns in the same
-    /// table"). Each filter runs its own dictionary + attribute-vector
-    /// search; the RecordID lists are intersected. Partitioned tables
+    /// table"). Each filter runs its own dictionary search and
+    /// attribute-vector search — from the main generation's postings, or
+    /// by the linear scan when the match count is large (DESIGN.md §14.1);
+    /// the RecordID lists are intersected. Partitioned tables
     /// evaluate partition by partition, each against its own consistent
     /// snapshot, in parallel on scoped threads.
     ///

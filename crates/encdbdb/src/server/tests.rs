@@ -8,7 +8,7 @@ use crate::schema::{ColumnSpec, TablePartitioning};
 use crate::session::Session;
 use encdbdb_crypto::hkdf::derive_column_key;
 use encdbdb_crypto::{Key128, Pae};
-use encdict::enclave_ops::encrypt_value_for_column;
+use encdict::enclave_ops::{decrypt_column_value, encrypt_value_for_column};
 use encdict::{EdKind, EncdictError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -488,6 +488,58 @@ fn merge_over_a_tampered_main_store_changes_nothing() {
     assert_eq!(server.row_count("t").unwrap(), 6);
     let top = col.filter(RangeQuery::between("d", "z"));
     assert_eq!(select(&server, "t", &[top]).len(), 3);
+}
+
+/// A select after a forced merge reads the merged rows from the new
+/// generation's postings and the rows inserted since from the delta, and
+/// a main row deleted after the merge is dropped after the postings path
+/// exactly as after a scan. A second merge's generation answers alike
+/// from postings of its own.
+#[test]
+fn select_after_a_merge_reads_merged_rows_and_the_new_delta() {
+    let key = Key128::from_bytes([5; 16]);
+    let server = DbaasServer::with_enclave(DictEnclave::with_seed(12));
+    server.provision_direct(key.clone());
+    server.set_compaction_policy(None);
+    server.create_table(one_column_schema()).unwrap();
+    let mut col = Column::new(&key);
+    let pae = Pae::new(&derive_column_key(&key, "t", "v"));
+    let values = |rows: Vec<Vec<CellValue>>| -> Vec<String> {
+        let mut out: Vec<String> = (rows.iter())
+            .map(|row| {
+                let plain = decrypt_column_value(&pae, row[0].bytes()).unwrap();
+                String::from_utf8(plain).unwrap()
+            })
+            .collect();
+        out.sort();
+        out
+    };
+    let rows: Vec<_> = (0..200).map(|i| col.row(&format!("v{i:03}"))).collect();
+    insert(&server, "t", &rows).unwrap();
+    server.merge_table("t").unwrap();
+    insert(&server, "t", &[col.row("v0115"), col.row("v300")]).unwrap();
+    let gone = col.filter(RangeQuery::equals("v011"));
+    assert_eq!(delete(&server, "t", &[gone]).unwrap(), 1);
+
+    let partition = &server.table_handle("t").unwrap().partitions[0];
+    let narrow = RangeQuery::between("v010", "v013");
+    for epoch in [1, 2] {
+        let main = partition.snapshot().main.columns[0].clone();
+        // The delete's search built epoch 1's; a merge publishes none.
+        assert_eq!(
+            (main.epoch(), main.postings().is_none()),
+            (epoch, epoch == 2)
+        );
+        // Four main rows match, few enough for the postings arm.
+        let got = values(select(&server, "t", &[col.filter(narrow.clone())]));
+        assert_eq!(got, ["v010", "v0115", "v012", "v013"], "epoch {epoch}");
+        let postings = main.postings().expect("the select built them");
+        assert!(4 * encdict::postings::SCAN_SHARE <= postings.rows());
+        // Every main row matches: the scan arm, the same validity.
+        let wide = col.filter(RangeQuery::between("v", "w"));
+        assert_eq!(select(&server, "t", &[wide]).len(), 201, "epoch {epoch}");
+        server.merge_table("t").unwrap();
+    }
 }
 
 /// DESIGN.md §9: a snapshot shares every delta store with the live

@@ -1,10 +1,15 @@
-//! Attribute-vector search (`AttrVectSearch`), executed in the untrusted
-//! realm.
+//! Attribute-vector search (`AttrVectSearch`) as the paper runs it: a
+//! linear scan in the untrusted realm.
 //!
-//! After the enclave returns the matching ValueIDs, the attribute vector is
-//! scanned linearly for them (paper §2.1/§4.1). [`scan`] is the one entry
-//! point; it takes every result of a (possibly batched) dictionary search
-//! and answers them in one pass. Two result shapes exist:
+//! After the enclave returns the matching ValueIDs, the paper scans the
+//! attribute vector linearly for them (§2.1/§4.1, Fig. 8). [`scan`] is
+//! that scan's one entry point; it takes every result of a (possibly
+//! batched) dictionary search and answers them in one pass. The server
+//! does not call it directly: a main store's search goes through
+//! [`MainSnapshot::attr_vect_search`](crate::dynamic::MainSnapshot::attr_vect_search),
+//! which reads the generation's [`postings`](crate::postings) when the
+//! exact match count is small and runs this scan otherwise (DESIGN.md
+//! §14.1). Two result shapes exist:
 //!
 //! * sorted/rotated kinds return up to two contiguous ValueID *ranges* —
 //!   the scan does one or two integer comparisons per row;

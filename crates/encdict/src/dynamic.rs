@@ -21,11 +21,13 @@
 //! sees meanwhile is decided by the owner of these stores — the server's
 //! partition (`encdbdb::server`, DESIGN.md §9).
 
+use crate::avsearch;
 use crate::dict::Dictionary;
 use crate::error::EncdictError;
+use crate::postings::Postings;
 use crate::search::DictSearchResult;
 use colstore::dictionary::{AttributeVector, RecordId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, cheaply clonable snapshot of one column's merged main
 /// store, tagged with the *merge generation* (epoch) that produced it.
@@ -39,6 +41,9 @@ pub struct MainSnapshot {
     epoch: u64,
     dict: Arc<Dictionary>,
     av: Arc<AttributeVector>,
+    /// The AV's postings, built by this generation's first search and
+    /// shared by every clone of it; a new generation starts with none.
+    postings: Arc<OnceLock<Postings>>,
 }
 
 impl MainSnapshot {
@@ -48,6 +53,7 @@ impl MainSnapshot {
             epoch,
             dict: Arc::new(dict),
             av: Arc::new(av),
+            postings: Arc::default(),
         }
     }
 
@@ -76,6 +82,24 @@ impl MainSnapshot {
     /// Wraps the output of a merge as the next generation (`epoch + 1`).
     pub fn next_generation(&self, dict: Dictionary, av: AttributeVector) -> Self {
         MainSnapshot::new(self.epoch + 1, dict, av)
+    }
+
+    /// `AttrVectSearch` (paper §4.1): the RecordIDs whose ValueID any of
+    /// `results` names, ascending and deduplicated. The first call of a
+    /// generation builds its [`Postings`]; a result of at most one row in
+    /// [`SCAN_SHARE`](crate::postings::SCAN_SHARE) is then read from them,
+    /// a larger one by the paper's linear scan, [`avsearch::scan`]
+    /// (DESIGN.md §14.1).
+    pub fn attr_vect_search(&self, results: &[DictSearchResult]) -> Vec<RecordId> {
+        let postings = self.postings.get_or_init(|| Postings::build(&self.av));
+        postings
+            .lookup(results)
+            .unwrap_or_else(|| avsearch::scan(&self.av, results))
+    }
+
+    /// This generation's postings, once a search has built them.
+    pub fn postings(&self) -> Option<&Postings> {
+        self.postings.get()
     }
 }
 
@@ -408,6 +432,39 @@ mod tests {
     fn record_ids_reject_a_range_reply() {
         let err = record_ids(0, &[DictSearchResult::empty_ranges()]).unwrap_err();
         assert!(matches!(err, EncdictError::CorruptDictionary(_)), "{err:?}");
+    }
+
+    /// Clones of one generation share one index, built once by whichever
+    /// searches first (here four racing readers); the next generation
+    /// starts with none and answers from its own attribute vector.
+    #[test]
+    fn postings_are_built_once_per_generation() {
+        let av = |ids: &[u32]| ids.iter().map(|&i| ValueId(i)).collect();
+        let empty = || Dictionary::delta("t", "c", 12);
+        let snap = MainSnapshot::new(0, empty(), av(&[0, 1, 2, 1]));
+        let readers = vec![snap.clone(); 4];
+        assert!(snap.postings().is_none());
+        let ones = [DictSearchResult::Ids(vec![1])];
+        std::thread::scope(|s| {
+            for reader in &readers {
+                s.spawn(|| assert_eq!(reader.attr_vect_search(&ones), [RecordId(1), RecordId(3)]));
+            }
+        });
+        let built: *const Postings = snap.postings().expect("a clone's search builds it");
+        for reader in &readers {
+            assert!(std::ptr::eq(built, reader.postings().unwrap()));
+        }
+        snap.attr_vect_search(&[DictSearchResult::empty_ranges()]);
+        assert!(std::ptr::eq(built, snap.postings().unwrap()), "rebuilt");
+
+        let next = snap.next_generation(empty(), av(&[2, 2, 0, 1, 1, 0]));
+        assert!(next.postings().is_none());
+        assert_eq!(next.attr_vect_search(&ones), [RecordId(3), RecordId(4)]);
+        assert_eq!(next.postings().unwrap().rows(), 6);
+        assert_eq!(
+            readers[0].attr_vect_search(&ones),
+            [RecordId(1), RecordId(3)]
+        );
     }
 
     #[test]

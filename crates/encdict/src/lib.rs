@@ -20,8 +20,10 @@
 //!   bytes where the paper's `ENCODE` does big-integer arithmetic), and the
 //!   linear scan (Algorithm 4), all written against a reader abstraction
 //!   shared by the enclave and PlainDBDB.
-//! * [`avsearch`] — `AttrVectSearch` in the untrusted realm: one linear
-//!   scan of the attribute vector for the returned ValueIDs.
+//! * [`avsearch`] — the paper's `AttrVectSearch` in the untrusted realm:
+//!   one linear scan of the attribute vector for the returned ValueIDs.
+//! * [`postings`] — the attribute vector inverted (RecordIDs by ValueID),
+//!   the O(result) arm of a main store's `AttrVectSearch`.
 //! * [`enclave_ops`] — the trusted computing base: [`enclave_ops::DictEnclave`]
 //!   hosting the search logic inside the simulated enclave.
 //! * [`dict`] — the §5 head/tail dictionary layout: [`Segment`], its one
@@ -96,6 +98,7 @@ pub mod kind;
 pub mod leakage;
 pub mod persist;
 pub mod plain;
+pub mod postings;
 pub mod range;
 pub mod search;
 
